@@ -101,6 +101,10 @@ let solve engine input ~fresh_id =
     in
     let built = Ilp_model.build spec in
     let lp = Ilp_model.model built in
+    (* Presolve tightens [lp] in place, so the certificate below checks
+       against a copy of the model as built, not one a presolve bug could
+       have bent to fit its own answer. *)
+    let as_built = Lp.Model.copy lp in
     let warm = Ilp_model.warm_start built heur.List_scheduler.entries in
     let warm_obj =
       Option.map (fun values -> Lp.Model.eval_objective lp (fun v -> values.(v))) warm
@@ -132,27 +136,38 @@ let solve engine input ~fresh_id =
       }
     in
     let result = Lp.Branch_bound.solve ~options ?warm_start:warm lp in
-    let use_ilp, values =
-      match (result.Lp.Branch_bound.values, result.Lp.Branch_bound.objective, warm_obj) with
-      | Some values, Some obj, Some wobj -> (obj < wobj -. 1e-6, Some values)
-      | Some values, Some _, None -> (true, Some values)
-      | _, _, _ -> (false, None)
-    in
-    if use_ilp then begin
-      Telemetry.count "layer.ilp_improved";
-      match values with
-      | None -> assert false
-      | Some values ->
-        let entries, created = Ilp_model.extract built ~values in
-        let fixed_makespan =
-          List.fold_left
-            (fun acc e ->
-              max acc (e.Schedule.start + e.Schedule.min_duration + e.Schedule.transport))
-            0 entries
+    (* Accept the ILP schedule only if, in exact arithmetic, it satisfies
+       the model as built and strictly beats the heuristic's objective. *)
+    let exact values v = Numeric.Rat.of_float_approx values.(v) in
+    let dir, obj_expr = Lp.Model.objective as_built in
+    let better_than_heuristic ilp =
+      match warm with
+      | None -> true
+      | Some heur ->
+        let c =
+          Numeric.Rat.compare
+            (Lp.Linexpr.eval (exact ilp) obj_expr)
+            (Lp.Linexpr.eval (exact heur) obj_expr)
         in
-        { entries; fixed_makespan; created; used_ilp = true }
-    end
-    else begin
+        (match dir with `Minimize -> c < 0 | `Maximize -> c > 0)
+    in
+    let certified values =
+      let ok = Lp.Model.check_feasible_exact as_built (exact values) = [] in
+      if not ok then Telemetry.count "layer.ilp_uncertified";
+      ok
+    in
+    match result.Lp.Branch_bound.values with
+    | Some values when better_than_heuristic values && certified values ->
+      Telemetry.count "layer.ilp_improved";
+      let entries, created = Ilp_model.extract built ~values in
+      let fixed_makespan =
+        List.fold_left
+          (fun acc e ->
+            max acc (e.Schedule.start + e.Schedule.min_duration + e.Schedule.transport))
+          0 entries
+      in
+      { entries; fixed_makespan; created; used_ilp = true }
+    | Some _ | None ->
       Telemetry.count "layer.ilp_rejected";
       {
         entries = heur.List_scheduler.entries;
@@ -160,4 +175,3 @@ let solve engine input ~fresh_id =
         created = heur.List_scheduler.created;
         used_ilp = false;
       }
-    end

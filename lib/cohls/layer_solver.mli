@@ -5,7 +5,12 @@
     slots, warm-starts branch-and-bound with the greedy solution, and keeps
     whichever is better — so it degrades gracefully into the heuristic when
     the time budget is too small for the exact search (the anytime behaviour
-    the paper gets from Gurobi). *)
+    the paper gets from Gurobi). The ILP schedule wins only with an exact
+    certificate: its values satisfy every row, bound and integrality
+    requirement of the model as built (before presolve) in rational
+    arithmetic, and its exactly recomputed objective is strictly better than
+    the heuristic's. A schedule that fails the certificate is counted under
+    [layer.ilp_uncertified] and the heuristic schedule is kept. *)
 
 open Microfluidics
 

@@ -220,6 +220,14 @@ let cutoff sh =
     inc -. Float.max 1.0 sh.opts.int_obj_step +. 1e-6
   else inc -. 1e-9
 
+(* A relaxation that ran out of pivots: drop only its subtree. The search
+   goes on, but it no longer proves optimality, and the node's bound stays
+   in the gap. *)
+let abandon_node sh nd =
+  Telemetry.count "lp.simplex.iteration_aborts";
+  Atomic.set sh.proven false;
+  atomic_min sh.best_bound nd.nd_bound
+
 (* Bounds of the two children of branching [v] at fractional value [x]. *)
 let branch_bounds nd v x =
   let fl = Float.of_int (int_of_float (Float.floor x)) in
@@ -285,6 +293,7 @@ let process sh wid relax_ema nd =
         Atomic.set sh.proven false;
         Atomic.set sh.stop true;
         atomic_min sh.best_bound nd.nd_bound
+      | exception Tableau.Iteration_limit -> abandon_node sh nd
       | Simplex.Infeasible -> ()
       | Simplex.Unbounded ->
         (* An unbounded relaxation at the root means the MILP is unbounded
@@ -391,6 +400,7 @@ let worker sh wid =
 let wave_width = 8
 type wave_outcome =
   | W_abort
+  | W_dropped
   | W_infeasible
   | W_unbounded
   | W_solved of float * float array
@@ -403,6 +413,7 @@ let solve_deterministic sh ndomains root =
         ~bounds:nd.nd_bounds ~basis:nd.nd_basis sh.model
     with
     | exception Tableau.Deadline_exceeded -> W_abort
+    | exception Tableau.Iteration_limit -> W_dropped
     | Simplex.Infeasible -> W_infeasible
     | Simplex.Unbounded -> W_unbounded
     | Simplex.Optimal { objective; values } ->
@@ -469,6 +480,7 @@ let solve_deterministic sh ndomains root =
           | W_abort ->
             atomic_min sh.best_bound nd.nd_bound;
             abandon ()
+          | W_dropped -> abandon_node sh nd
           | W_infeasible -> ()
           | W_unbounded ->
             if nd.nd_depth = 0 then begin
@@ -530,6 +542,10 @@ let extract_solution sh root_bounds w =
         sh.model
     with
     | exception Tableau.Deadline_exceeded -> raise Exit
+    | exception Tableau.Iteration_limit ->
+      (* the search already proved [w]; a dive node that runs out of pivots
+         only costs the canonical re-derivation of this subtree *)
+      Telemetry.count "lp.simplex.iteration_aborts"
     | Simplex.Infeasible | Simplex.Unbounded -> ()
     | Simplex.Optimal { objective; values } ->
       let internal = sh.dir_sign *. objective in

@@ -5,8 +5,17 @@
     value first. Supports warm-start incumbents (used by the synthesis flow,
     which seeds the search with a greedy list schedule), wall-clock time
     limits and node limits, making it an *anytime* solver like the paper's
-    Gurobi runs. Candidate incumbents are re-checked against the model at
-    tolerance before acceptance.
+    Gurobi runs. Candidate incumbents are accepted at float tolerance: their
+    integer values are rounded and the point re-checked with
+    {!Model.check_feasible} at [1e-5]. Nothing here is exact; callers that
+    need an exact answer certify the returned values themselves
+    ({!Model.check_feasible_exact}), as [Cohls.Layer_solver] does before it
+    prefers an ILP schedule over the heuristic one.
+
+    A relaxation that exceeds the kernel's pivot budget
+    ({!Tableau.Iteration_limit}) abandons only its own node: the search
+    continues without a proof of optimality, the node's bound stays in the
+    gap, and [lp.simplex.iteration_aborts] counts it.
 
     Each node re-solves its relaxation warm: it inherits the parent's
     simplex basis (a {!Simplex.basis} cell, copied on branching) and the

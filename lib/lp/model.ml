@@ -140,6 +140,36 @@ let check_feasible m ?(tol = 1e-6) value =
   done;
   List.rev !violations
 
+let check_feasible_exact m value =
+  let violations = ref [] in
+  let push name amount = violations := (name, amount) :: !violations in
+  let check_constr c =
+    let excess = Q.sub (Linexpr.eval value c.expr) c.rhs in
+    match c.sense with
+    | Le -> if Q.sign excess > 0 then push c.cname excess
+    | Ge -> if Q.sign excess < 0 then push c.cname (Q.neg excess)
+    | Eq -> if Q.sign excess <> 0 then push c.cname (Q.abs excess)
+  in
+  List.iter check_constr m.constrs;
+  for v = 0 to m.nvars - 1 do
+    let x = value v in
+    let info = m.vars.(v) in
+    (match info.lb with
+     | Some l when Q.compare x l < 0 -> push (info.vname ^ ":lb") (Q.sub l x)
+     | Some _ | None -> ());
+    (match info.ub with
+     | Some u when Q.compare x u > 0 -> push (info.vname ^ ":ub") (Q.sub x u)
+     | Some _ | None -> ());
+    match info.kind with
+    | (Integer | Binary) when not (Q.is_integer x) ->
+      push (info.vname ^ ":int") (Q.sub x (Q.of_bigint (Q.floor x)))
+    | Integer | Binary | Continuous -> ()
+  done;
+  List.rev !violations
+
+(* Variable bounds are mutable, so each variable gets a fresh record. *)
+let copy m = { m with vars = Array.map (fun i -> { i with lb = i.lb }) m.vars }
+
 let name m = m.mname
 
 let pp_stats fmt m =

@@ -67,6 +67,16 @@ val check_feasible :
     empty means feasible within [tol] (default 1e-6). Integrality of integer
     variables is checked too. *)
 
+val check_feasible_exact :
+  t -> (var -> Numeric.Rat.t) -> (string * Numeric.Rat.t) list
+(** {!check_feasible} in exact rational arithmetic, with no tolerance: every
+    row, bound and integrality requirement must hold exactly. *)
+
+val copy : t -> t
+(** An independent model with the same variables, bounds, rows and
+    objective; later bound or row changes to either leave the other
+    untouched. *)
+
 val eval_objective : t -> (var -> float) -> float
 (** Objective value of an assignment, sign-adjusted so that *smaller is
     better* regardless of min/max sense is NOT applied: returns the natural

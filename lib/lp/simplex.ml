@@ -1,7 +1,7 @@
 module Q = Numeric.Rat
 
-type 'num outcome =
-  | Optimal of { objective : 'num; values : 'num array }
+type outcome =
+  | Optimal of { objective : float; values : float array }
   | Infeasible
   | Unbounded
 
@@ -12,410 +12,331 @@ type mapping =
   | Split of int * int (* x = pos - neg   (free) *)
   | Fixed of Q.t (* lb = ub *)
 
-(* The driver is shared between fields; the kernel is not — the float
-   instance runs the hand-specialised {!Tableau_float} (unboxed arrays, no
-   per-op indirection), the exact instance the functorised {!Tableau}. *)
-module type Kernel = sig
-  module F : Field.S
+(* The standard form translated from one set of variable bounds. Nodes of
+   a branch-and-bound tree reuse it: a child's changed bounds are absorbed
+   as per-column (lo, span) pairs — the kernel keeps its [0, ub] column
+   form, the lower offset is folded into the rhs ([b - A lo]) and the span
+   becomes the column's implicit upper bound — so the constraint matrix,
+   costs and column identities never change and the parent's basis
+   snapshot stays structurally valid for a dual-simplex re-solve. Only a
+   bound change the column form cannot express (a [Fixed] variable coming
+   unfixed, a [Split] free variable acquiring a bound, a [Shifted] /
+   [Flipped] variable losing the bound that anchored it) forces a full
+   re-translation. *)
+type prepared = {
+  p_nvars : int;
+  p_mapping : mapping array;
+  p_nrows : int;
+  p_cols : (int * float) array array;
+  p_b : float array;
+  p_c : float array;
+  p_ubs : float option array;
+  p_obj_sign : Q.t;
+  p_obj_const : Q.t;
+  p_dir : [ `Minimize | `Maximize ];
+}
 
-  val solve_cols :
-    ?max_iters:int ->
-    ?deadline:float ->
-    ?ubs:F.t option array ->
-    ?snapshot_out:Tableau.snapshot option ref ->
-    nrows:int ->
-    cols:(int * F.t) array array ->
-    b:F.t array ->
-    c:F.t array ->
-    unit ->
-    F.t Tableau.result
+(* In/out warm-start cell threaded through {!solve_relaxation_float}:
+   filled from the final basis of an [Optimal] solve, consumed (and
+   refreshed) by the next solve holding it. Branch-and-bound hands each child a {!copy_basis} of its
+   parent's cell. *)
+type basis = {
+  mutable bs_prepared : prepared option;
+  mutable bs_snapshot : Tableau.snapshot option;
+}
 
-  val resolve_with_basis :
-    ?max_iters:int ->
-    ?deadline:float ->
-    nrows:int ->
-    cols:(int * F.t) array array ->
-    b:F.t array ->
-    c:F.t array ->
-    ubs:F.t option array ->
-    snapshot:Tableau.snapshot ->
-    unit ->
-    F.t Tableau.resolve
-end
+let new_basis () = { bs_prepared = None; bs_snapshot = None }
 
-module Make_driver (K : Kernel) = struct
-  module F = K.F
+let copy_basis b =
+  { bs_prepared = b.bs_prepared; bs_snapshot = b.bs_snapshot }
 
-  (* The standard form translated from one set of variable bounds. Nodes of
-     a branch-and-bound tree reuse it: a child's changed bounds are absorbed
-     as per-column (lo, span) pairs — the kernel keeps its [0, ub] column
-     form, the lower offset is folded into the rhs ([b - A lo]) and the span
-     becomes the column's implicit upper bound — so the constraint matrix,
-     costs and column identities never change and the parent's basis
-     snapshot stays structurally valid for a dual-simplex re-solve. Only a
-     bound change the column form cannot express (a [Fixed] variable coming
-     unfixed, a [Split] free variable acquiring a bound, a [Shifted] /
-     [Flipped] variable losing the bound that anchored it) forces a full
-     re-translation. *)
-  type prepared = {
-    p_nvars : int;
-    p_mapping : mapping array;
-    p_nrows : int;
-    p_cols : (int * F.t) array array;
-    p_b : F.t array;
-    p_c : F.t array;
-    p_ubs : F.t option array;
-    p_obj_sign : Q.t;
-    p_obj_const : Q.t;
-    p_dir : [ `Minimize | `Maximize ];
-  }
+let effective_bounds ?bounds model =
+  let nvars = Model.var_count model in
+  match bounds with
+  | Some bs ->
+    if Array.length bs <> nvars then
+      invalid_arg "Simplex.solve: bounds length";
+    (Array.map fst bs, Array.map snd bs)
+  | None ->
+    ( Array.init nvars (fun v -> Model.var_lb model v),
+      Array.init nvars (fun v -> Model.var_ub model v) )
 
-  (* In/out warm-start cell threaded through {!solve}: filled from the final
-     basis of an [Optimal] solve, consumed (and refreshed) by the next solve
-     holding it. Branch-and-bound hands each child a {!copy_basis} of its
-     parent's cell. *)
-  type basis = {
-    mutable bs_prepared : prepared option;
-    mutable bs_snapshot : Tableau.snapshot option;
-  }
-
-  let new_basis () = { bs_prepared = None; bs_snapshot = None }
-
-  let copy_basis b =
-    { bs_prepared = b.bs_prepared; bs_snapshot = b.bs_snapshot }
-
-  let effective_bounds ?bounds model =
-    let nvars = Model.var_count model in
-    match bounds with
-    | Some bs ->
-      if Array.length bs <> nvars then
-        invalid_arg "Simplex.solve: bounds length";
-      (Array.map fst bs, Array.map snd bs)
-    | None ->
-      ( Array.init nvars (fun v -> Model.var_lb model v),
-        Array.init nvars (fun v -> Model.var_ub model v) )
-
-  (* Full translation and cold primal solve; [lb] / [ub] are the effective
-     per-variable bounds. When [capture] is given the final basis and the
-     translated form are stored into it for later warm re-solves. *)
-  let cold_solve ?max_iters ?deadline ?capture ~lb ~ub model =
-    let nvars = Model.var_count model in
-    let mapping = Array.make nvars (Fixed Q.zero) in
-    let ncols = ref 0 in
-    let fresh () =
-      let c = !ncols in
-      incr ncols;
-      c
-    in
-    (* rows under construction: (terms over columns, sense, rhs) *)
-    let rows = ref [] in
-    let nrows = ref 0 in
-    let push_row terms sense rhs =
-      rows := (terms, sense, rhs) :: !rows;
-      incr nrows
-    in
-    let infeasible_bounds = ref false in
-    (* Doubly-bounded variables get an implicit column bound handled by the
-       bounded-variable kernel, not an explicit [x <= u - l] row: on the
-       branch-and-bound relaxations nearly every variable is boxed, so this
-       roughly halves the row count. *)
-    let col_ubs = ref [] in
-    for v = 0 to nvars - 1 do
-      match (lb.(v), ub.(v)) with
-      | Some l, Some u when Q.compare l u > 0 -> infeasible_bounds := true
-      | Some l, Some u when Q.equal l u -> mapping.(v) <- Fixed l
-      | Some l, Some u ->
-        let c = fresh () in
-        mapping.(v) <- Shifted (c, l);
-        col_ubs := (c, Q.sub u l) :: !col_ubs
-      | Some l, None -> mapping.(v) <- Shifted (fresh (), l)
-      | None, Some u -> mapping.(v) <- Flipped (fresh (), u)
-      | None, None ->
-        let p = fresh () in
-        let q = fresh () in
-        mapping.(v) <- Split (p, q)
-    done;
-    if !infeasible_bounds then Infeasible
-    else begin
-      (* Translate a model expression into (column terms, constant).
-         [Linexpr] is canonical (one term per variable) and distinct
-         variables map to distinct columns, so terms need no merging. *)
-      let translate expr =
-        let konst = ref (Linexpr.const_part expr) in
-        let acc = ref [] in
-        let bump col q = if not (Q.is_zero q) then acc := (col, q) :: !acc in
-        Linexpr.fold
-          (fun v c () ->
-            match mapping.(v) with
-            | Fixed k -> konst := Q.add !konst (Q.mul c k)
-            | Shifted (col, l) ->
-              bump col c;
-              konst := Q.add !konst (Q.mul c l)
-            | Flipped (col, u) ->
-              bump col (Q.neg c);
-              konst := Q.add !konst (Q.mul c u)
-            | Split (p, q) ->
-              bump p c;
-              bump q (Q.neg c))
-          expr ();
-        (!acc, !konst)
-      in
-      Model.iter_constraints model (fun _name expr sense rhs ->
-          let terms, k = translate expr in
-          push_row terms sense (Q.sub rhs k));
-      (* Slack / surplus columns; normalise rhs signs afterwards. *)
-      let dir, obj_expr = Model.objective model in
-      let obj_terms, obj_const = translate obj_expr in
-      let slack_of_row = Array.make (max 1 !nrows) (-1) in
-      let row_list = List.rev !rows in
-      List.iteri
-        (fun i (_, sense, _) ->
-          match sense with
-          | Model.Le | Model.Ge -> slack_of_row.(i) <- fresh ()
-          | Model.Eq -> ())
-        row_list;
-      let n = !ncols in
-      let m = !nrows in
-      (* Column-wise sparse assembly: [translate] merges duplicate variables
-         per row, so each (row, col) pair occurs at most once. *)
-      let col_entries = Array.make n [] in
-      let b = Array.make m F.zero in
-      let nnz = ref 0 in
-      List.iteri
-        (fun i (terms, sense, rhs) ->
-          let flip = Q.sign rhs < 0 in
-          let put col q =
-            let q = if flip then Q.neg q else q in
-            col_entries.(col) <- (i, F.of_rat q) :: col_entries.(col);
-            incr nnz
-          in
-          List.iter (fun (col, q) -> put col q) terms;
-          (match sense with
-           | Model.Le -> put slack_of_row.(i) Q.one
-           | Model.Ge -> put slack_of_row.(i) Q.minus_one
-           | Model.Eq -> ());
-          b.(i) <- F.of_rat (if flip then Q.neg rhs else rhs))
-        row_list;
-      let cols = Array.map (fun l -> Array.of_list (List.rev l)) col_entries in
-      let c = Array.make n F.zero in
-      let obj_sign =
-        match dir with `Minimize -> Q.one | `Maximize -> Q.minus_one
-      in
-      List.iter
-        (fun (col, q) -> c.(col) <- F.add c.(col) (F.of_rat (Q.mul obj_sign q)))
-        obj_terms;
-      let ubs = Array.make n None in
-      List.iter (fun (col, u) -> ubs.(col) <- Some (F.of_rat u)) !col_ubs;
-      Telemetry.count ~by:m "lp.simplex.rows";
-      Telemetry.count ~by:n "lp.simplex.cols";
-      Telemetry.count ~by:!nnz "lp.simplex.nnz";
-      let snapshot_out =
-        match capture with Some _ -> Some (ref None) | None -> None
-      in
-      match
-        Telemetry.span "lp.simplex.kernel" (fun () ->
-            K.solve_cols ?max_iters ?deadline ~ubs ?snapshot_out ~nrows:m
-              ~cols ~b ~c ())
-      with
-      | Tableau.Infeasible -> Infeasible
-      | Tableau.Unbounded -> Unbounded
-      | Tableau.Optimal (value, x) ->
-        (match (capture, snapshot_out) with
-         | Some cell, Some { contents = Some snap } ->
-           cell.bs_prepared <-
-             Some
-               {
-                 p_nvars = nvars;
-                 p_mapping = mapping;
-                 p_nrows = m;
-                 p_cols = cols;
-                 p_b = b;
-                 p_c = c;
-                 p_ubs = ubs;
-                 p_obj_sign = obj_sign;
-                 p_obj_const = obj_const;
-                 p_dir = dir;
-               };
-           cell.bs_snapshot <- Some snap
-         | _ -> ());
-        let value_of v =
-          match mapping.(v) with
-          | Fixed k -> F.of_rat k
-          | Shifted (col, l) -> F.add x.(col) (F.of_rat l)
-          | Flipped (col, u) -> F.sub (F.of_rat u) x.(col)
-          | Split (p, q) -> F.sub x.(p) x.(q)
-        in
-        let values = Array.init nvars value_of in
-        (* Undo the max->min sign flip and re-add the objective constant. *)
-        let natural =
-          let base = F.add value (F.of_rat (Q.mul obj_sign obj_const)) in
-          match dir with `Minimize -> base | `Maximize -> F.neg base
-        in
-        Optimal { objective = natural; values }
-    end
-
-  exception Remap of string
-
-  (* Express the node bounds [lb] / [ub] in the prepared form's column space
-     as (lo, span) per column, or raise {!Remap} when the mapping cannot
-     carry them (see {!prepared}). *)
-  let overlay p ~lb ~ub =
-    let ncols = Array.length p.p_cols in
-    let lo = Array.make ncols Q.zero in
-    (* slack / surplus / split columns keep their prepared spans; every
-       mapped column below is overwritten from the node bounds *)
-    let span = Array.copy p.p_ubs in
-    for v = 0 to p.p_nvars - 1 do
-      match p.p_mapping.(v) with
-      | Fixed k -> (
-        match (lb.(v), ub.(v)) with
-        | Some l, Some u when Q.equal l k && Q.equal u k -> ()
-        | _ -> raise (Remap "fixed variable came unfixed"))
-      | Shifted (col, l_root) -> (
-        match lb.(v) with
-        | None -> raise (Remap "shifted variable lost its lower bound")
-        | Some l' ->
-          lo.(col) <- Q.sub l' l_root;
-          span.(col) <-
-            Option.map (fun u' -> F.of_rat (Q.sub u' l')) ub.(v))
-      | Flipped (col, u_root) -> (
-        match ub.(v) with
-        | None -> raise (Remap "flipped variable lost its upper bound")
-        | Some u' ->
-          lo.(col) <- Q.sub u_root u';
-          span.(col) <-
-            Option.map (fun l' -> F.of_rat (Q.sub u' l')) lb.(v))
-      | Split (_, _) ->
-        if lb.(v) <> None || ub.(v) <> None then
-          raise (Remap "free variable acquired a bound")
-    done;
-    (lo, span)
-
-  let warm_solve ?max_iters ?deadline ~(basis : basis) p snap ~lb ~ub =
-    match overlay p ~lb ~ub with
-    | exception Remap reason -> Error reason
-    | lo, span -> (
-      let b_node = Array.copy p.p_b in
+(* Map a kernel solution back to model variables and the natural
+   objective. [lo] holds the per-column offsets of a warm solve (see
+   {!overlay}): that kernel solved in shifted column space, so the shift is
+   added back to each column and its contribution to the objective undone.
+   Then the objective constant is re-added and the max->min sign flip
+   undone. *)
+let outcome_of p ?lo value x =
+  let col_value col =
+    match lo with Some lo -> x.(col) +. Q.to_float lo.(col) | None -> x.(col)
+  in
+  let value_of v =
+    match p.p_mapping.(v) with
+    | Fixed k -> Q.to_float k
+    | Shifted (col, l) -> col_value col +. Q.to_float l
+    | Flipped (col, u) -> Q.to_float u -. col_value col
+    | Split (pc, qc) -> x.(pc) -. x.(qc)
+  in
+  let value =
+    match lo with
+    | None -> value
+    | Some lo ->
+      let shift_cost = ref 0.0 in
       Array.iteri
         (fun col l ->
-          if Q.sign l <> 0 then begin
-            let lf = F.of_rat l in
-            Array.iter
-              (fun (i, a) -> b_node.(i) <- F.sub b_node.(i) (F.mul a lf))
-              p.p_cols.(col)
-          end)
+          if Q.sign l <> 0 then
+            shift_cost := !shift_cost +. (p.p_c.(col) *. Q.to_float l))
         lo;
-      (* A warm repair normally needs a handful of dual pivots; one still
-         going after a quarter of the pivots a cold solve would need is
-         degenerate-stalling, and the cold solve is the cheaper way out —
-         cap the budget and let the [`Cycled] -> [Stale] path fall back
-         rather than burn the node deadline. *)
-      let warm_cap =
-        min (Option.value max_iters ~default:50_000)
-          (max 100 (p.p_nrows / 4))
-      in
-      match
-        Telemetry.span "lp.simplex.kernel" (fun () ->
-            K.resolve_with_basis ~max_iters:warm_cap ?deadline ~nrows:p.p_nrows
-              ~cols:p.p_cols ~b:b_node ~c:p.p_c ~ubs:span ~snapshot:snap ())
-      with
-      | Tableau.Stale reason -> Error reason
-      | Tableau.Resolved (res, snap') ->
-        (match snap' with
-         | Some s -> basis.bs_snapshot <- Some s
-         | None -> ());
-        Ok
-          (match res with
-          | Tableau.Infeasible -> Infeasible
-          | Tableau.Unbounded -> Unbounded
-          | Tableau.Optimal (value, x) ->
-            let value_of v =
-              match p.p_mapping.(v) with
-              | Fixed k -> F.of_rat k
-              | Shifted (col, l) ->
-                F.add (F.add x.(col) (F.of_rat lo.(col))) (F.of_rat l)
-              | Flipped (col, u) ->
-                F.sub (F.of_rat u) (F.add x.(col) (F.of_rat lo.(col)))
-              | Split (pc, qc) -> F.sub x.(pc) x.(qc)
-            in
-            let values = Array.init p.p_nvars value_of in
-            (* the kernel solved in shifted column space: undo the shift's
-               contribution to the objective, then the max->min sign flip *)
-            let shift_cost = ref F.zero in
-            Array.iteri
-              (fun col l ->
-                if Q.sign l <> 0 then
-                  shift_cost :=
-                    F.add !shift_cost (F.mul p.p_c.(col) (F.of_rat l)))
-              lo;
-            let base =
-              F.add
-                (F.add value !shift_cost)
-                (F.of_rat (Q.mul p.p_obj_sign p.p_obj_const))
-            in
-            let natural =
-              match p.p_dir with `Minimize -> base | `Maximize -> F.neg base
-            in
-            Optimal { objective = natural; values }))
+      value +. !shift_cost
+  in
+  let base = value +. Q.to_float (Q.mul p.p_obj_sign p.p_obj_const) in
+  Optimal
+    {
+      objective = (match p.p_dir with `Minimize -> base | `Maximize -> -.base);
+      values = Array.init p.p_nvars value_of;
+    }
 
-  let solve ?max_iters ?deadline ?bounds ?basis model =
-    Telemetry.span "lp.simplex.solve" @@ fun () ->
-    Telemetry.count "lp.simplex.relaxations";
-    let lb, ub = effective_bounds ?bounds model in
-    let nvars = Model.var_count model in
-    let empty = ref false in
-    for v = 0 to nvars - 1 do
+(* Full translation of the model under the effective per-variable bounds
+   [lb] / [ub], which must not cross. *)
+let prepare ~lb ~ub model =
+  let nvars = Model.var_count model in
+  let mapping = Array.make nvars (Fixed Q.zero) in
+  let ncols = ref 0 in
+  let fresh () =
+    let c = !ncols in
+    incr ncols;
+    c
+  in
+  (* Doubly-bounded variables get an implicit column bound handled by the
+     bounded-variable kernel, not an explicit [x <= u - l] row: on the
+     branch-and-bound relaxations nearly every variable is boxed, so this
+     roughly halves the row count. *)
+  let col_ubs = ref [] in
+  for v = 0 to nvars - 1 do
+    match (lb.(v), ub.(v)) with
+    | Some l, Some u when Q.equal l u -> mapping.(v) <- Fixed l
+    | Some l, Some u ->
+      let c = fresh () in
+      mapping.(v) <- Shifted (c, l);
+      col_ubs := (c, Q.sub u l) :: !col_ubs
+    | Some l, None -> mapping.(v) <- Shifted (fresh (), l)
+    | None, Some u -> mapping.(v) <- Flipped (fresh (), u)
+    | None, None ->
+      let p = fresh () in
+      let q = fresh () in
+      mapping.(v) <- Split (p, q)
+  done;
+  (* Translate a model expression into (column terms, constant). [Linexpr]
+     is canonical (one term per variable) and distinct variables map to
+     distinct columns, so terms need no merging. *)
+  let translate expr =
+    let konst = ref (Linexpr.const_part expr) in
+    let acc = ref [] in
+    let bump col q = if not (Q.is_zero q) then acc := (col, q) :: !acc in
+    Linexpr.fold
+      (fun v c () ->
+        match mapping.(v) with
+        | Fixed k -> konst := Q.add !konst (Q.mul c k)
+        | Shifted (col, l) ->
+          bump col c;
+          konst := Q.add !konst (Q.mul c l)
+        | Flipped (col, u) ->
+          bump col (Q.neg c);
+          konst := Q.add !konst (Q.mul c u)
+        | Split (p, q) ->
+          bump p c;
+          bump q (Q.neg c))
+      expr ();
+    (!acc, !konst)
+  in
+  (* rows: (terms over columns, sense, rhs) *)
+  let rows = ref [] in
+  Model.iter_constraints model (fun _name expr sense rhs ->
+      let terms, k = translate expr in
+      rows := (terms, sense, Q.sub rhs k) :: !rows);
+  let row_list = List.rev !rows in
+  let m = List.length row_list in
+  let dir, obj_expr = Model.objective model in
+  let obj_terms, obj_const = translate obj_expr in
+  (* Slack / surplus columns; normalise rhs signs afterwards. *)
+  let slack_of_row = Array.make (max 1 m) (-1) in
+  List.iteri
+    (fun i (_, sense, _) ->
+      match sense with
+      | Model.Le | Model.Ge -> slack_of_row.(i) <- fresh ()
+      | Model.Eq -> ())
+    row_list;
+  let n = !ncols in
+  (* Column-wise sparse assembly: [translate] merges duplicate variables
+     per row, so each (row, col) pair occurs at most once. *)
+  let col_entries = Array.make n [] in
+  let b = Array.make m 0.0 in
+  let nnz = ref 0 in
+  List.iteri
+    (fun i (terms, sense, rhs) ->
+      let flip = Q.sign rhs < 0 in
+      let put col q =
+        let q = if flip then Q.neg q else q in
+        col_entries.(col) <- (i, Q.to_float q) :: col_entries.(col);
+        incr nnz
+      in
+      List.iter (fun (col, q) -> put col q) terms;
+      (match sense with
+       | Model.Le -> put slack_of_row.(i) Q.one
+       | Model.Ge -> put slack_of_row.(i) Q.minus_one
+       | Model.Eq -> ());
+      b.(i) <- Q.to_float (if flip then Q.neg rhs else rhs))
+    row_list;
+  let c = Array.make n 0.0 in
+  let obj_sign = match dir with `Minimize -> Q.one | `Maximize -> Q.minus_one in
+  List.iter
+    (fun (col, q) -> c.(col) <- c.(col) +. Q.to_float (Q.mul obj_sign q))
+    obj_terms;
+  let ubs = Array.make n None in
+  List.iter (fun (col, u) -> ubs.(col) <- Some (Q.to_float u)) !col_ubs;
+  Telemetry.count ~by:m "lp.simplex.rows";
+  Telemetry.count ~by:n "lp.simplex.cols";
+  Telemetry.count ~by:!nnz "lp.simplex.nnz";
+  {
+    p_nvars = nvars;
+    p_mapping = mapping;
+    p_nrows = m;
+    p_cols = Array.map (fun l -> Array.of_list (List.rev l)) col_entries;
+    p_b = b;
+    p_c = c;
+    p_ubs = ubs;
+    p_obj_sign = obj_sign;
+    p_obj_const = obj_const;
+    p_dir = dir;
+  }
+
+(* Cold primal solve. When [capture] is given the final basis and the
+   translated form are stored into it for later warm re-solves. *)
+let cold_solve ?max_iters ?deadline ?capture ~lb ~ub model =
+  let p = prepare ~lb ~ub model in
+  let snapshot_out =
+    match capture with Some _ -> Some (ref None) | None -> None
+  in
+  match
+    Telemetry.span "lp.simplex.kernel" (fun () ->
+        Tableau.solve_cols ?max_iters ?deadline ~ubs:p.p_ubs ?snapshot_out
+          ~nrows:p.p_nrows ~cols:p.p_cols ~b:p.p_b ~c:p.p_c ())
+  with
+  | Tableau.Infeasible -> Infeasible
+  | Tableau.Unbounded -> Unbounded
+  | Tableau.Optimal (value, x) ->
+    (match (capture, snapshot_out) with
+     | Some cell, Some { contents = Some snap } ->
+       cell.bs_prepared <- Some p;
+       cell.bs_snapshot <- Some snap
+     | _ -> ());
+    outcome_of p value x
+
+exception Remap of string
+
+(* Express the node bounds [lb] / [ub] in the prepared form's column space
+   as (lo, span) per column, or raise {!Remap} when the mapping cannot
+   carry them (see {!prepared}). *)
+let overlay p ~lb ~ub =
+  let ncols = Array.length p.p_cols in
+  let lo = Array.make ncols Q.zero in
+  (* slack / surplus / split columns keep their prepared spans; every
+     mapped column below is overwritten from the node bounds *)
+  let span = Array.copy p.p_ubs in
+  for v = 0 to p.p_nvars - 1 do
+    match p.p_mapping.(v) with
+    | Fixed k -> (
       match (lb.(v), ub.(v)) with
-      | Some l, Some u when Q.compare l u > 0 -> empty := true
-      | _ -> ()
-    done;
-    if !empty then Infeasible
-    else begin
-      let cold capture =
-        cold_solve ?max_iters ?deadline ?capture ~lb ~ub model
-      in
-      match basis with
-      | None -> cold None
-      | Some cell -> (
-        match (cell.bs_prepared, cell.bs_snapshot) with
-        | Some p, Some snap when p.p_nvars = nvars -> (
-          match warm_solve ?max_iters ?deadline ~basis:cell p snap ~lb ~ub with
-          | Ok outcome ->
-            Telemetry.count "lp.bb.warm_hits";
-            outcome
-          | Error _reason ->
-            (* stale basis or an overlay-incompatible bound change: full
-               cold re-solve, refreshing the cell for the subtree below *)
-            Telemetry.count "lp.bb.warm_fallbacks";
-            cold (Some cell))
-        | _ ->
-          (* fresh cell: first solve just fills it, no fallback counted *)
-          cold (Some cell))
-    end
-end
+      | Some l, Some u when Q.equal l k && Q.equal u k -> ()
+      | _ -> raise (Remap "fixed variable came unfixed"))
+    | Shifted (col, l_root) -> (
+      match lb.(v) with
+      | None -> raise (Remap "shifted variable lost its lower bound")
+      | Some l' ->
+        lo.(col) <- Q.sub l' l_root;
+        span.(col) <-
+          Option.map (fun u' -> Q.to_float (Q.sub u' l')) ub.(v))
+    | Flipped (col, u_root) -> (
+      match ub.(v) with
+      | None -> raise (Remap "flipped variable lost its upper bound")
+      | Some u' ->
+        lo.(col) <- Q.sub u_root u';
+        span.(col) <-
+          Option.map (fun l' -> Q.to_float (Q.sub u' l')) lb.(v))
+    | Split (_, _) ->
+      if lb.(v) <> None || ub.(v) <> None then
+        raise (Remap "free variable acquired a bound")
+  done;
+  (lo, span)
 
-module Float_kernel = struct
-  module F = Field.Approx
-
-  let solve_cols = Tableau_float.solve_cols
-  let resolve_with_basis = Tableau_float.resolve_with_basis
-end
-
-module Exact_kernel = struct
-  module F = Field.Exact
-  include Tableau.Make (Field.Exact)
-end
-
-module Float_driver = Make_driver (Float_kernel)
-module Exact_driver = Make_driver (Exact_kernel)
-
-type basis = Float_driver.basis
-
-let new_basis = Float_driver.new_basis
-let copy_basis = Float_driver.copy_basis
+let warm_solve ?max_iters ?deadline ~(basis : basis) p snap ~lb ~ub =
+  match overlay p ~lb ~ub with
+  | exception Remap reason -> Error reason
+  | lo, span -> (
+    let b_node = Array.copy p.p_b in
+    Array.iteri
+      (fun col l ->
+        if Q.sign l <> 0 then begin
+          let lf = Q.to_float l in
+          Array.iter
+            (fun (i, a) -> b_node.(i) <- b_node.(i) -. (a *. lf))
+            p.p_cols.(col)
+        end)
+      lo;
+    (* A warm repair normally needs a handful of dual pivots; one still
+       going after a quarter of the pivots a cold solve would need is
+       degenerate-stalling, and the cold solve is the cheaper way out —
+       cap the budget and let the [`Cycled] -> [Stale] path fall back
+       rather than burn the node deadline. *)
+    let warm_cap =
+      min (Option.value max_iters ~default:50_000)
+        (max 100 (p.p_nrows / 4))
+    in
+    match
+      Telemetry.span "lp.simplex.kernel" (fun () ->
+          Tableau.resolve_with_basis ~max_iters:warm_cap ?deadline ~nrows:p.p_nrows
+            ~cols:p.p_cols ~b:b_node ~c:p.p_c ~ubs:span ~snapshot:snap ())
+    with
+    | Tableau.Stale reason -> Error reason
+    | Tableau.Resolved (res, snap') ->
+      (match snap' with
+       | Some s -> basis.bs_snapshot <- Some s
+       | None -> ());
+      Ok
+        (match res with
+        | Tableau.Infeasible -> Infeasible
+        | Tableau.Unbounded -> Unbounded
+        | Tableau.Optimal (value, x) -> outcome_of p ~lo value x))
 
 let solve_relaxation_float ?max_iters ?deadline ?bounds ?basis model =
-  Float_driver.solve ?max_iters ?deadline ?bounds ?basis model
-
-let solve_relaxation_exact ?max_iters ?deadline ?bounds model =
-  Exact_driver.solve ?max_iters ?deadline ?bounds model
+  Telemetry.span "lp.simplex.solve" @@ fun () ->
+  Telemetry.count "lp.simplex.relaxations";
+  let lb, ub = effective_bounds ?bounds model in
+  let nvars = Model.var_count model in
+  let crossed l u =
+    match (l, u) with Some l, Some u -> Q.compare l u > 0 | _ -> false
+  in
+  if Array.exists2 crossed lb ub then Infeasible
+  else begin
+    let cold capture =
+      cold_solve ?max_iters ?deadline ?capture ~lb ~ub model
+    in
+    match basis with
+    | None -> cold None
+    | Some cell -> (
+      match (cell.bs_prepared, cell.bs_snapshot) with
+      | Some p, Some snap when p.p_nvars = nvars -> (
+        match warm_solve ?max_iters ?deadline ~basis:cell p snap ~lb ~ub with
+        | Ok outcome ->
+          Telemetry.count "lp.bb.warm_hits";
+          outcome
+        | Error _reason ->
+          (* stale basis or an overlay-incompatible bound change: full
+             cold re-solve, refreshing the cell for the subtree below *)
+          Telemetry.count "lp.bb.warm_fallbacks";
+          cold (Some cell))
+      | _ ->
+        (* fresh cell: first solve just fills it, no fallback counted *)
+        cold (Some cell))
+  end

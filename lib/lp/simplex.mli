@@ -1,19 +1,20 @@
-(** LP-relaxation solver front-end.
+(** LP-relaxation solver front-end over the float {!Tableau} kernel.
 
     Converts a {!Model} (arbitrary bounds, [<=]/[>=]/[=] rows, min or max
-    objective) into the standard form expected by {!Tableau} — shifting
-    lower-bounded variables, splitting free ones, adding upper-bound rows
-    and slack/surplus columns — and maps the solution back to model
-    variables. Integrality is ignored here; {!Branch_bound} adds it.
+    objective) into the bounded standard form {!Tableau} expects — shifting
+    lower-bounded variables, flipping upper-bound-only ones, splitting free
+    ones, passing doubly-bounded spans as implicit column bounds and adding
+    slack/surplus columns — and maps the solution back to model variables.
+    Integrality is ignored here; {!Branch_bound} adds it.
 
     For branch-and-bound the translation can be reused across nodes: a
     {!basis} cell carries the translated standard form plus the final basis
     of the last [Optimal] solve, and a subsequent solve holding the cell is
-    warm-started with a dual-simplex re-solve ({!Tableau.Make}
-    [.resolve_with_basis]) instead of a cold two-phase solve. *)
+    warm-started with a dual-simplex re-solve
+    ({!Tableau.resolve_with_basis}) instead of a cold two-phase solve. *)
 
-type 'num outcome =
-  | Optimal of { objective : 'num; values : 'num array }
+type outcome =
+  | Optimal of { objective : float; values : float array }
       (** [values] is indexed by model variable id; [objective] is the
           model's natural objective value (not sign-normalised). *)
   | Infeasible
@@ -43,22 +44,15 @@ val solve_relaxation_float :
   ?bounds:(Numeric.Rat.t option * Numeric.Rat.t option) array ->
   ?basis:basis ->
   Model.t ->
-  float outcome
-(** Floating-point simplex; fast, tolerance [1e-9]. [deadline] is an
-    absolute {!Telemetry.Clock} time; when it passes mid-solve
-    {!Tableau.Deadline_exceeded} is raised. [bounds], when given, overrides
-    every variable's bounds (indexed by model variable id; length must be
-    [Model.var_count]) without touching the model — the bound-overlay used
-    by the multi-domain branch-and-bound, whose nodes must not mutate the
-    shared model. [basis] enables dual-simplex warm starts as described on
+  outcome
+(** Floating-point simplex, tolerance [1e-9]. [deadline] is an absolute
+    {!Telemetry.Clock} time; when it passes mid-solve
+    {!Tableau.Deadline_exceeded} is raised. A cold solve that exceeds
+    [max_iters] pivots (default [50_000]) raises {!Tableau.Iteration_limit};
+    a warm re-solve that does falls back to a cold solve. [bounds], when
+    given, overrides every variable's bounds (indexed by model variable id;
+    length must be [Model.var_count]) without touching the model — the
+    bound-overlay used by the multi-domain branch-and-bound, whose nodes
+    must not mutate the shared model. [basis] enables dual-simplex warm starts as described on
     {!basis}; warm outcomes are counted under [lp.bb.warm_hits] /
     [lp.bb.warm_fallbacks]. *)
-
-val solve_relaxation_exact :
-  ?max_iters:int ->
-  ?deadline:float ->
-  ?bounds:(Numeric.Rat.t option * Numeric.Rat.t option) array ->
-  Model.t ->
-  Numeric.Rat.t outcome
-(** Exact rational simplex; bit-exact but slower. Intended for small models
-    and for verifying candidate optima in tests. *)

@@ -1,5 +1,6 @@
 (* Tests for the from-scratch LP/MILP solver: linear expressions, the model
-   builder, both simplex instantiations, presolve and branch-and-bound. *)
+   builder, the simplex kernel (against an exact reference), presolve and
+   branch-and-bound. *)
 
 module Q = Numeric.Rat
 module E = Lp.Linexpr
@@ -81,6 +82,26 @@ let test_model_check_feasible () =
   check bool "integrality violation detected" true
     (List.length (M.check_feasible m (fun _ -> 2.5)) > 0)
 
+(* A point just outside a bound passes the float check at the
+   branch-and-bound tolerance and fails the exact certificate. *)
+let test_model_check_feasible_exact () =
+  let m = M.create () in
+  let x = M.add_var m ~ub:Q.one "x" in
+  let n = M.add_var m ~kind:M.Integer "n" in
+  M.add_constr m (E.add (E.var x) (E.var n)) M.Le (E.of_int 3);
+  let over = 1.0 +. 5e-6 in
+  let at = function 0 -> over | _ -> 2.0 in
+  check int_t "float check at 1e-5 passes" 0
+    (List.length (M.check_feasible m ~tol:1e-5 at));
+  let exact v = Q.of_float_approx (at v) in
+  check (Alcotest.list str) "exact check flags bound and row" [ "c0"; "x:ub" ]
+    (List.map fst (M.check_feasible_exact m exact));
+  check int_t "exact check accepts a feasible point" 0
+    (List.length (M.check_feasible_exact m (fun v -> Q.of_int (if v = x then 1 else 2))));
+  check (Alcotest.list str) "exact integrality" [ "n:int" ]
+    (List.map fst
+       (M.check_feasible_exact m (fun v -> if v = n then Q.of_ints 3 2 else Q.zero)))
+
 (* ---------- Simplex ---------- *)
 
 let wyndor () =
@@ -101,12 +122,13 @@ let test_simplex_optimal () =
      check flt "x" 2.0 values.(x);
      check flt "y" 6.0 values.(y)
    | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal");
-  match S.solve_relaxation_exact m with
-  | S.Optimal { objective; values } ->
+  match Rational_simplex.solve m with
+  | Rational_simplex.Optimal { objective; values } ->
     check str "exact objective" "36" (Q.to_string objective);
     check str "exact x" "2" (Q.to_string values.(x));
     check str "exact y" "6" (Q.to_string values.(y))
-  | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal (exact)"
+  | Rational_simplex.Infeasible | Rational_simplex.Unbounded ->
+    Alcotest.fail "expected optimal (exact)"
 
 let test_simplex_infeasible () =
   let m = M.create () in
@@ -196,45 +218,75 @@ let test_simplex_degenerate () =
   | S.Optimal { objective; _ } -> check flt "beale optimum" 1.25 objective
   | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal"
 
-(* exact and float simplex agree on random small LPs *)
-let arb_lp =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 4 >>= fun nvars ->
-      int_range 1 5 >>= fun nrows ->
-      let coeff = int_range (-5) 5 in
-      list_size (return nrows)
-        (pair (list_size (return nvars) coeff) (int_range 0 20))
-      >>= fun rows ->
-      list_size (return nvars) coeff >>= fun obj -> return (nvars, rows, obj))
-  in
-  QCheck.make gen ~print:(fun (n, rows, obj) ->
-      Printf.sprintf "n=%d rows=%s obj=%s" n
-        (String.concat ";"
-           (List.map
-              (fun (cs, b) ->
-                String.concat "," (List.map string_of_int cs) ^ "<=" ^ string_of_int b)
-              rows))
-        (String.concat "," (List.map string_of_int obj)))
+(* Random small LPs for the kernel-vs-reference property: per-variable
+   bounds of every shape the driver maps differently (boxed, fixed,
+   negative lower bound, upper bound only, free), rows of every sense with
+   right-hand sides of either sign, either objective direction — so
+   infeasible and unbounded instances occur alongside optimal ones. *)
+type lp_spec = {
+  var_bounds : (int option * int option) list;
+  rows : (int list * M.sense * int) list;
+  obj : int list;
+  maximize : bool;
+}
 
-let build_lp (nvars, rows, obj) =
+let build_lp spec =
   let m = M.create () in
-  let xs = Array.init nvars (fun i -> M.add_var m ~ub:(Q.of_int 50) (Printf.sprintf "x%d" i)) in
-  List.iter
-    (fun (cs, b) ->
-      let e = E.sum (List.mapi (fun i c -> E.iterm c xs.(i)) cs) in
-      M.add_constr m e M.Le (E.of_int b))
-    rows;
-  M.set_objective m `Maximize (E.sum (List.mapi (fun i c -> E.iterm c xs.(i)) obj));
+  let xs =
+    Array.of_list
+      (List.mapi
+         (fun i (lb, ub) ->
+           let x = M.add_var m (Printf.sprintf "x%d" i) in
+           M.set_bounds m x (Option.map Q.of_int lb) (Option.map Q.of_int ub);
+           x)
+         spec.var_bounds)
+  in
+  let expr cs = E.sum (List.mapi (fun i c -> E.iterm c xs.(i)) cs) in
+  List.iter (fun (cs, sense, b) -> M.add_constr m (expr cs) sense (E.of_int b)) spec.rows;
+  M.set_objective m (if spec.maximize then `Maximize else `Minimize) (expr spec.obj);
   m
+
+let show_lp spec = Format.asprintf "%a" M.pp (build_lp spec)
+
+let gen_lp ~var_bound ~row_sense ~rhs ~maximize =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun nvars ->
+    int_range 1 5 >>= fun nrows ->
+    let coeff = int_range (-5) 5 in
+    list_size (return nvars) var_bound >>= fun var_bounds ->
+    list_size (return nrows)
+      (triple (list_size (return nvars) coeff) row_sense rhs)
+    >>= fun rows ->
+    list_size (return nvars) coeff >>= fun obj ->
+    maximize >>= fun maximize -> return { var_bounds; rows; obj; maximize })
+
+let arb_lp =
+  let var_bound =
+    QCheck.Gen.(
+      int_range (-10) 5 >>= fun lb ->
+      int_range 0 20 >>= fun span ->
+      frequency
+        [
+          (3, return (Some 0, Some 50));
+          (2, return (Some lb, Some (lb + span)));
+          (2, return (Some lb, None));
+          (1, return (None, Some (lb + span)));
+          (1, return (None, None));
+        ])
+  in
+  let row_sense = QCheck.Gen.frequencyl [ (2, M.Le); (2, M.Ge); (1, M.Eq) ] in
+  QCheck.make ~print:show_lp
+    (gen_lp ~var_bound ~row_sense ~rhs:(QCheck.Gen.int_range (-20) 20)
+       ~maximize:QCheck.Gen.bool)
 
 let prop_exact_matches_float =
   QCheck.Test.make ~name:"exact and float simplex agree" ~count:150 arb_lp (fun spec ->
       let m = build_lp spec in
-      match (S.solve_relaxation_float m, S.solve_relaxation_exact m) with
-      | S.Optimal { objective = f; _ }, S.Optimal { objective = q; _ } ->
+      match (S.solve_relaxation_float m, Rational_simplex.solve m) with
+      | S.Optimal { objective = f; _ }, Rational_simplex.Optimal { objective = q; _ } ->
         Float.abs (f -. Q.to_float q) < 1e-6
-      | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
+      | S.Infeasible, Rational_simplex.Infeasible
+      | S.Unbounded, Rational_simplex.Unbounded -> true
       | _, _ -> false)
 
 (* A warm dual re-solve after a bound change must land on the same optimum
@@ -244,36 +296,25 @@ let prop_exact_matches_float =
 let arb_lp_rebound =
   let gen =
     QCheck.Gen.(
-      int_range 1 4 >>= fun nvars ->
-      int_range 1 5 >>= fun nrows ->
-      let coeff = int_range (-5) 5 in
-      list_size (return nrows)
-        (pair (list_size (return nvars) coeff) (int_range 0 20))
-      >>= fun rows ->
-      list_size (return nvars) coeff >>= fun obj ->
-      int_range 0 (nvars - 1) >>= fun vi ->
-      int_range 0 50 >>= fun new_ub -> return ((nvars, rows, obj), vi, new_ub))
+      gen_lp ~var_bound:(return (Some 0, Some 50)) ~row_sense:(return M.Le)
+        ~rhs:(int_range 0 20) ~maximize:(return true)
+      >>= fun spec ->
+      int_range 0 (List.length spec.var_bounds - 1) >>= fun vi ->
+      int_range 0 50 >>= fun new_ub -> return (spec, vi, new_ub))
   in
-  QCheck.make gen ~print:(fun ((n, rows, obj), vi, new_ub) ->
-      Printf.sprintf "n=%d rows=%s obj=%s change x%d.ub=%d" n
-        (String.concat ";"
-           (List.map
-              (fun (cs, b) ->
-                String.concat "," (List.map string_of_int cs) ^ "<=" ^ string_of_int b)
-              rows))
-        (String.concat "," (List.map string_of_int obj))
-        vi new_ub)
+  QCheck.make gen ~print:(fun (spec, vi, new_ub) ->
+      Printf.sprintf "%s change x%d.ub=%d" (show_lp spec) vi new_ub)
 
 let prop_warm_resolve_matches_cold =
   QCheck.Test.make ~name:"warm dual re-solve matches cold optimum" ~count:150
-    arb_lp_rebound (fun ((nvars, _, _) as spec, vi, new_ub) ->
+    arb_lp_rebound (fun (spec, vi, new_ub) ->
       let m = build_lp spec in
       let cell = S.new_basis () in
       match S.solve_relaxation_float ~basis:cell m with
       | S.Infeasible | S.Unbounded -> false (* the box forbids both *)
       | S.Optimal _ ->
         let bounds =
-          Array.init nvars (fun i ->
+          Array.init (M.var_count m) (fun i ->
               let ub = if i = vi then new_ub else 50 in
               (Some Q.zero, Some (Q.of_int ub)))
         in
@@ -285,6 +326,12 @@ let prop_warm_resolve_matches_cold =
          | S.Optimal { objective = w; _ }, S.Optimal { objective = c; _ } ->
            Float.abs (w -. c) < 1e-6
          | _, _ -> false))
+
+(* A pivot budget the kernel cannot meet is a typed abort, not [Failure]. *)
+let test_simplex_iteration_limit () =
+  let m, _, _ = wyndor () in
+  Alcotest.check_raises "typed abort" Lp.Tableau.Iteration_limit (fun () ->
+      ignore (S.solve_relaxation_float ~max_iters:1 m))
 
 (* ---------- Presolve ---------- *)
 
@@ -558,6 +605,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_model_basics;
           Alcotest.test_case "unknown var" `Quick test_model_unknown_var;
           Alcotest.test_case "check_feasible" `Quick test_model_check_feasible;
+          Alcotest.test_case "check_feasible_exact" `Quick test_model_check_feasible_exact;
         ] );
       ( "simplex",
         [
@@ -569,6 +617,7 @@ let () =
           Alcotest.test_case "fixed var" `Quick test_simplex_fixed_var;
           Alcotest.test_case "crossed bounds" `Quick test_simplex_crossed_bounds;
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
+          Alcotest.test_case "iteration limit" `Quick test_simplex_iteration_limit;
         ] );
       ( "simplex-props",
         qsuite [ prop_exact_matches_float; prop_warm_resolve_matches_cold ] );
