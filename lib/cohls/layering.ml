@@ -17,189 +17,212 @@ type t = {
   layer_of_op : int array;
 }
 
-module Iset = Set.Make (Int)
-
-(* Descendants of [v] within the vertex set [inside], computed on the full
-   dependency graph. *)
-let descendants_within g inside v =
-  let n = G.vertex_count g in
-  let seen = Array.make n false in
-  let rec dfs u =
-    let visit w =
-      if (not seen.(w)) && Iset.mem w inside then begin
-        seen.(w) <- true;
-        dfs w
-      end
-    in
-    List.iter visit (G.succ g u)
-  in
-  dfs v;
-  let acc = ref Iset.empty in
-  Array.iteri (fun u s -> if s then acc := Iset.add u !acc) seen;
-  !acc
-
-let ancestors_within g inside v =
-  let n = G.vertex_count g in
-  let seen = Array.make n false in
-  let rec dfs u =
-    let visit w =
-      if (not seen.(w)) && Iset.mem w inside then begin
-        seen.(w) <- true;
-        dfs w
-      end
-    in
-    List.iter visit (G.pred g u)
-  in
-  dfs v;
-  let acc = ref Iset.empty in
-  Array.iteri (fun u s -> if s then acc := Iset.add u !acc) seen;
-  !acc
-
 type choice = Smallest_id | Seeded of int
+
+(* Per-call working graph. Adjacency is taken once per [compute] as sorted
+   arrays. Every reachability query shares [mark]: a vertex is visited by
+   the current query iff its mark equals [stamp], so a query costs only
+   the vertices it reaches. [slot] numbers a min-cut network's vertices. *)
+type graph = {
+  succ : int array array;
+  pred : int array array;
+  mark : int array;
+  mutable stamp : int;
+  slot : int array;
+}
+
+(* Vertices reached from [sources] along [adj] through vertices satisfying
+   [inside], sources excluded. Until the next query, exactly the sources
+   and the returned vertices carry the mark [g.stamp]. *)
+let reach g adj ~inside sources =
+  g.stamp <- g.stamp + 1;
+  let s = g.stamp and mark = g.mark in
+  List.iter (fun u -> mark.(u) <- s) sources;
+  let acc = ref [] in
+  let rec dfs u =
+    Array.iter
+      (fun w ->
+        if mark.(w) <> s && inside w then begin
+          mark.(w) <- s;
+          acc := w :: !acc;
+          dfs w
+        end)
+      adj.(u)
+  in
+  List.iter dfs sources;
+  !acc
+
+(* Marks [vs] with a fresh stamp and returns it. *)
+let mark_all g vs =
+  g.stamp <- g.stamp + 1;
+  List.iter (fun u -> g.mark.(u) <- g.stamp) vs;
+  g.stamp
 
 (* Phase 1 of Algorithm 1 (Fig. 4): keep every indeterminate operation that
    has no indeterminate ancestor in the working set, pushing its descendants
    to later layers; then keep all untouched operations. The paper picks the
    next eligible operation "randomly"; [choice] makes that pick either
-   deterministic (smallest id) or seeded pseudo-random. Returns
-   (kept, selected_indeterminates). *)
-let dependency_based_allocation g is_indet ~choice working =
-  let pushed = ref Iset.empty in
-  let selected = ref Iset.empty in
-  let pick_round = ref 0 in
-  let candidate () =
-    let in_graph v = Iset.mem v working && (not (Iset.mem v !pushed)) && not (Iset.mem v !selected) in
-    let viable v =
-      in_graph v && is_indet v
-      && begin
-        let anc = ancestors_within g (Iset.diff working !pushed) v in
-        not (Iset.exists (fun a -> is_indet a && not (Iset.mem a !selected)) anc)
-      end
-    in
-    let eligible = List.filter viable (Iset.elements working) in
-    match (eligible, choice) with
-    | [], (Smallest_id | Seeded _) -> None
-    | v :: _, Smallest_id -> Some v
-    | vs, Seeded seed ->
-      incr pick_round;
-      let h = ref (seed * 0x9E3779B1 + (!pick_round * 0x85EBCA77)) in
-      h := !h lxor (!h lsr 13);
-      h := !h * 0xC2B2AE35;
-      h := !h lxor (!h lsr 16);
-      Some (List.nth vs (abs !h mod List.length vs))
-  in
-  let rec loop () =
-    match candidate () with
-    | None -> ()
-    | Some v ->
-      selected := Iset.add v !selected;
-      let inside = Iset.diff working (Iset.union !pushed !selected) in
-      pushed := Iset.union !pushed (descendants_within g inside v);
-      loop ()
-  in
-  loop ();
-  Telemetry.count "layering.mis_rounds";
-  Telemetry.count ~by:(Iset.cardinal !selected) "layering.mis_selected";
-  (Iset.diff working !pushed, !selected)
+   deterministic (smallest id) or seeded pseudo-random.
 
-(* Eviction cost of indeterminate [v] from the layer [kept] (Fig. 5): a
-   min-cut between a virtual source standing for the previous layers and
-   [v], over [v]'s ancestor subgraph inside the layer. Crossing edges are
-   reagents stored at the boundary; the nearest-sink cut moves the fewest
-   ancestors out. Returns (storage_cost, moved_set including v). *)
-let eviction_cut g kept v =
-  Telemetry.count "layering.min_cuts";
-  let anc = ancestors_within g kept v in
-  if Iset.is_empty anc then (0, Iset.singleton v)
-  else begin
-    let verts = Iset.elements anc in
-    let index = Hashtbl.create 16 in
-    List.iteri (fun i u -> Hashtbl.replace index u (i + 1)) verts;
-    let nverts = List.length verts in
-    let src = 0 and sink = nverts + 1 in
-    let net = Flow.create (nverts + 2) in
-    let idx u = if u = v then sink else Hashtbl.find index u in
-    let add_dep_edges u =
-      let to_inside w =
-        if w = v || Iset.mem w anc then
-          Flow.add_edge net ~src:(idx u) ~dst:(idx w) ~cap:1
+   The eligible operations are the roots: indeterminate operations with no
+   indeterminate ancestor inside [working], marked in one sweep in
+   topological order. A root is never pushed (everything pushed descends
+   from a selected indeterminate operation), so each round picks among the
+   roots not yet selected. On return [kept] marks the layer; the result is
+   the selected roots, ascending. *)
+let dependency_based_allocation g ~topo ~is_indet ~choice ~working ~kept ~tainted =
+  let n = Array.length working in
+  List.iter
+    (fun v ->
+      if working.(v) then
+        tainted.(v) <-
+          Array.exists (fun p -> working.(p) && (is_indet p || tainted.(p))) g.pred.(v))
+    topo;
+  let roots = ref [] in
+  for v = n - 1 downto 0 do
+    kept.(v) <- working.(v);
+    if working.(v) && is_indet v && not tainted.(v) then roots := v :: !roots
+  done;
+  let rec rounds round = function
+    | [] -> ()
+    | first :: others as vs ->
+      let v, rest =
+        match choice with
+        | Smallest_id -> (first, others)
+        | Seeded seed ->
+          let h = ref ((seed * 0x9E3779B1) + (round * 0x85EBCA77)) in
+          h := !h lxor (!h lsr 13);
+          h := !h * 0xC2B2AE35;
+          h := !h lxor (!h lsr 16);
+          let v = List.nth vs (abs !h mod List.length vs) in
+          (v, List.filter (fun u -> u <> v) vs)
       in
-      List.iter to_inside (G.succ g u)
-    in
-    Iset.iter add_dep_edges anc;
-    (* the virtual operation of Fig. 5(d) feeds the roots of the ancestor
-       subgraph (ancestors with no parent inside it) *)
-    let feed_root u =
-      let has_inside_parent = List.exists (fun p -> Iset.mem p anc) (G.pred g u) in
-      if not has_inside_parent then Flow.add_edge net ~src ~dst:(idx u) ~cap:1
-    in
-    Iset.iter feed_root anc;
-    let value, side = Flow.min_cut_nearest_sink net ~source:src ~sink in
-    let moved = ref (Iset.singleton v) in
-    List.iteri (fun i u -> if not side.(i + 1) then moved := Iset.add u !moved) verts;
-    (value, !moved)
-  end
+      let pushed = reach g g.succ ~inside:(Array.get kept) [ v ] in
+      List.iter (fun w -> kept.(w) <- false) pushed;
+      rounds (round + 1) rest
+  in
+  rounds 1 !roots;
+  Telemetry.count "layering.mis_rounds";
+  Telemetry.count ~by:(List.length !roots) "layering.mis_selected";
+  !roots
+
+(* A candidate's eviction, valid while no operation of [support] leaves the
+   layer: the cut and the closure read nothing else of the layer. *)
+type eviction = {
+  cost : int;  (** storage units: the min-cut value *)
+  moved : int;  (** operations evicted besides the candidate *)
+  closure : int list;  (** everything evicted, the candidate included *)
+  support : int list;  (** in-layer ancestors of the candidate and [closure] *)
+}
+
+(* Eviction of indeterminate [v] from the layer [kept] (Fig. 5). The cost
+   is a min-cut between a virtual source standing for the previous layers
+   and [v], over [v]'s ancestor subgraph inside the layer. Crossing edges
+   are reagents stored at the boundary; the nearest-sink cut moves the
+   fewest ancestors out. The sink side of the cut is then closed under
+   in-layer descendants (one multi-source search): nothing kept may depend
+   on an evicted operation. *)
+let eviction g kept v =
+  Telemetry.count "layering.min_cuts";
+  let inside = Array.get kept in
+  let anc = reach g g.pred ~inside [ v ] in
+  let cost, cut_side =
+    if anc = [] then (0, [])
+    else begin
+      let in_net = g.stamp in
+      let verts = Array.of_list (List.sort compare anc) in
+      let nverts = Array.length verts in
+      Array.iteri (fun i u -> g.slot.(u) <- i + 1) verts;
+      let src = 0 and sink = nverts + 1 in
+      let idx u = if u = v then sink else g.slot.(u) in
+      let net = Flow.create (nverts + 2) in
+      let add_dep_edges u =
+        let to_inside w =
+          if g.mark.(w) = in_net then Flow.add_edge net ~src:(idx u) ~dst:(idx w) ~cap:1
+        in
+        Array.iter to_inside g.succ.(u)
+      in
+      Array.iter add_dep_edges verts;
+      (* the virtual operation of Fig. 5(d) feeds the roots of the ancestor
+         subgraph (ancestors with no parent inside it) *)
+      let feed_root u =
+        if not (Array.exists (fun p -> g.mark.(p) = in_net) g.pred.(u)) then
+          Flow.add_edge net ~src ~dst:(idx u) ~cap:1
+      in
+      Array.iter feed_root verts;
+      let value, side = Flow.min_cut_nearest_sink net ~source:src ~sink in
+      let moved = ref [] in
+      Array.iteri (fun i u -> if not side.(i + 1) then moved := u :: !moved) verts;
+      (value, !moved)
+    end
+  in
+  let sink_side = v :: cut_side in
+  let closure = List.rev_append (reach g g.succ ~inside sink_side) sink_side in
+  {
+    cost;
+    moved = List.length closure - 1;
+    closure;
+    support = List.rev_append anc closure;
+  }
 
 (* Phase 2 of Algorithm 1: while the layer holds more indeterminate
    operations than the threshold, evict the cheapest one together with the
-   sink side of its cut, closed under in-layer descendants. *)
-let resource_based_allocation g is_indet threshold kept selected =
-  ignore is_indet;
-  let kept = ref kept and selected = ref selected in
-  (* Descendant closure inside the layer: nothing kept may depend on an
-     evicted operation. *)
-  let closure_of moved =
-    let closure = ref moved in
-    let grew = ref true in
-    while !grew do
-      grew := false;
-      let expand u =
-        let inside = Iset.remove u !kept in
-        let desc = descendants_within g inside u in
-        let fresh = Iset.diff desc !closure in
-        if not (Iset.is_empty fresh) then begin
-          closure := Iset.union !closure fresh;
-          grew := true
-        end
-      in
-      Iset.iter expand !closure
-    done;
-    !closure
+   sink side of its cut, closed under in-layer descendants. [cache] holds
+   each candidate's eviction; an eviction drops only the entries whose
+   support meets the evicted set. Returns the layer's remaining selected
+   operations, ascending. *)
+let resource_based_allocation g ~cache ~threshold ~kept selected =
+  List.iter (fun v -> cache.(v) <- None) selected;
+  let hits = ref 0 in
+  let evaluate v =
+    match cache.(v) with
+    | Some e ->
+      incr hits;
+      e
+    | None ->
+      let e = eviction g kept v in
+      cache.(v) <- Some e;
+      e
   in
-  let stop = ref false in
-  while (not !stop) && Iset.cardinal !selected > threshold do
-    let cost v =
-      let c, moved = eviction_cut g !kept v in
-      let closure = closure_of moved in
-      (c, Iset.cardinal closure - 1, v, closure)
-    in
-    let candidates =
+  let rec loop selected nsel =
+    if nsel <= threshold then selected
+    else begin
       (* an eviction whose cascade would wipe out every indeterminate
          operation of the layer is rejected: each non-final layer must keep
          one for the cyber-physical boundary *)
-      List.filter
-        (fun (_, _, _, closure) -> not (Iset.subset !selected closure))
-        (List.map cost (Iset.elements !selected))
-    in
-    let best =
-      List.fold_left
-        (fun acc cand ->
-          match acc with
-          | None -> Some cand
-          | Some (c0, m0, v0, _) ->
-            let c, m, v, _ = cand in
-            if (c, m, v) < (c0, m0, v0) then Some cand else acc)
-        None candidates
-    in
-    match best with
-    | None -> stop := true
-    | Some (c, _, _, closure) ->
-      Telemetry.count "layering.evictions";
-      Telemetry.observe "layering.eviction_storage_cost" (float_of_int c);
-      kept := Iset.diff !kept closure;
-      selected := Iset.diff !selected closure
-  done;
-  (!kept, !selected)
+      let keeps_one e =
+        let s = mark_all g e.closure in
+        List.exists (fun u -> g.mark.(u) <> s) selected
+      in
+      let consider best v =
+        let e = evaluate v in
+        if not (keeps_one e) then best
+        else
+          match best with
+          | Some b when b.cost < e.cost || (b.cost = e.cost && b.moved <= e.moved) ->
+            best
+          | _ -> Some e
+      in
+      match List.fold_left consider None selected with
+      | None -> selected
+      | Some e ->
+        Telemetry.count "layering.evictions";
+        Telemetry.observe "layering.eviction_storage_cost" (float_of_int e.cost);
+        let s = mark_all g e.closure in
+        List.iter (fun u -> kept.(u) <- false) e.closure;
+        let selected = List.filter (fun u -> g.mark.(u) <> s) selected in
+        let stale v =
+          match cache.(v) with
+          | Some c -> List.exists (fun u -> g.mark.(u) = s) c.support
+          | None -> false
+        in
+        List.iter (fun v -> if stale v then cache.(v) <- None) selected;
+        loop selected (List.length selected)
+    end
+  in
+  let selected = loop selected (List.length selected) in
+  Telemetry.count ~by:!hits "layering.cut_cache_hits";
+  selected
 
 let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
   if threshold < 1 then invalid_arg "Layering.compute: threshold must be >= 1";
@@ -208,33 +231,53 @@ let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
    | Error msg -> invalid_arg ("Layering.compute: " ^ msg));
   Telemetry.span "layering.compute" ~attrs:[ ("assay", Assay.name assay) ]
   @@ fun () ->
-  let g = Assay.dependency_graph assay in
+  let dg = Assay.dependency_graph assay in
   let ops = Assay.operations assay in
   let n = Array.length ops in
+  let g =
+    {
+      succ = Array.init n (fun v -> Array.of_list (G.succ dg v));
+      pred = Array.init n (fun v -> Array.of_list (G.pred dg v));
+      mark = Array.make n 0;
+      stamp = 0;
+      slot = Array.make n 0;
+    }
+  in
+  let topo = Dag.topological_order dg in
   let is_indet v = Operation.is_indeterminate ops.(v) in
-  let remaining = ref (Iset.of_list (List.init n Fun.id)) in
+  let remaining = Array.make n true in
+  let kept = Array.make n false and tainted = Array.make n false in
+  let cache = Array.make n None in
   let layers = ref [] in
   let layer_of_op = Array.make n (-1) in
-  let index = ref 0 in
-  while not (Iset.is_empty !remaining) do
-    let kept, selected = dependency_based_allocation g is_indet ~choice !remaining in
-    let kept, selected = resource_based_allocation g is_indet threshold kept selected in
-    assert (not (Iset.is_empty kept));
-    Iset.iter (fun v -> layer_of_op.(v) <- !index) kept;
-    remaining := Iset.diff !remaining kept;
+  let index = ref 0 and left = ref n in
+  while !left > 0 do
+    let selected =
+      dependency_based_allocation g ~topo ~is_indet ~choice ~working:remaining ~kept
+        ~tainted
+    in
+    let selected = resource_based_allocation g ~cache ~threshold ~kept selected in
+    let layer_ops = List.filter (Array.get kept) (List.init n Fun.id) in
+    assert (layer_ops <> []);
+    List.iter
+      (fun v ->
+        layer_of_op.(v) <- !index;
+        remaining.(v) <- false)
+      layer_ops;
+    left := !left - List.length layer_ops;
     let stored =
-      let crossing u acc =
-        List.fold_left
-          (fun acc w -> if Iset.mem w !remaining then (u, w) :: acc else acc)
-          acc (G.succ g u)
-      in
-      List.sort compare (Iset.fold crossing kept [])
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun w -> if remaining.(w) then Some (u, w) else None)
+            (Array.to_list g.succ.(u)))
+        layer_ops
     in
     layers :=
       {
         index = !index;
-        ops = Iset.elements kept;
-        indeterminate = Iset.elements selected;
+        ops = layer_ops;
+        indeterminate = selected;
         stored_transfers = stored;
       }
       :: !layers;

@@ -31,9 +31,10 @@ let add_dependency a ~parent ~child =
   let g = graph_internal a in
   if (Flowgraph.Dag.reachable_set g child).(parent) then
     invalid_arg "Assay.add_dependency: edge would close a cycle";
-  if not (List.mem (parent, child) a.deps) then begin
+  (* the cached graph stays valid: the edge goes in place *)
+  if not (Flowgraph.Digraph.mem_edge g parent child) then begin
     a.deps <- (parent, child) :: a.deps;
-    a.reach_cache <- None
+    Flowgraph.Digraph.add_edge g parent child
   end
 
 let name a = a.aname
@@ -77,21 +78,26 @@ let validate a =
 
 let union ~name assays =
   let merged = create ~name in
-  let add_instance a =
+  (* all operations first: adding one drops the cached graph, which the
+     dependencies then build once and extend in place *)
+  let add_operations a =
     let offset = merged.count in
-    let ops = operations a in
     Array.iter
       (fun (o : Operation.t) ->
         let accessories = Components.Accessory.Set.elements o.accessories in
         ignore
           (add_operation merged ?container:o.container ?capacity:o.capacity
              ~accessories ~duration:o.duration o.name))
-      ops;
+      (operations a);
+    offset
+  in
+  let offsets = List.map add_operations assays in
+  let add_dependencies a offset =
     List.iter
       (fun (p, c) -> add_dependency merged ~parent:(p + offset) ~child:(c + offset))
       (List.rev a.deps)
   in
-  List.iter add_instance assays;
+  List.iter2 add_dependencies assays offsets;
   merged
 
 let replicate a ~copies =

@@ -15,6 +15,17 @@ let det a name = Assay.add_operation a ~duration:(Operation.Fixed 5) name
 let indet a name =
   Assay.add_operation a ~duration:(Operation.Indeterminate { min_minutes = 5 }) name
 
+(* Equal layerings: same layer of every op, and per layer the same ops,
+   indeterminate ops and stored transfers. *)
+let same_layering (a : L.t) (b : L.t) =
+  a.L.layer_of_op = b.L.layer_of_op
+  && Array.length a.L.layers = Array.length b.L.layers
+  && Array.for_all2
+       (fun (x : L.layer) (y : L.layer) ->
+         x.L.ops = y.L.ops && x.L.indeterminate = y.L.indeterminate
+         && x.L.stored_transfers = y.L.stored_transfers)
+       a.L.layers b.L.layers
+
 (* ---------- dependency-based allocation ---------- *)
 
 let test_single_layer_when_no_indet () =
@@ -121,6 +132,38 @@ let test_eviction_storage_recorded () =
   (* a1 stays in layer 0 while o1 moved: the a1 -> o1 transfer is stored *)
   let stored = l.L.layers.(0).L.stored_transfers in
   check bool "a1->o1 stored" true (List.exists (fun (_, c) -> c = o1) stored)
+
+(* The first eviction (v, with y, c1, c2) removes part of w's closure but
+   none of w's ancestors, so w stays a candidate whose eviction now moves 3
+   operations instead of 7. With that count w beats z (cost 1, moves 5);
+   evaluated against the layer before the first eviction it would not. *)
+let test_eviction_refreshes_touched_candidates () =
+  let a = Assay.create ~name:"refresh" in
+  let dep parent child = Assay.add_dependency a ~parent ~child in
+  let root = det a "a" in
+  let b1 = det a "b1" and b2 = det a "b2" in
+  let w = indet a "w" in
+  List.iter (fun b -> dep root b; dep b w) [ b1; b2 ];
+  let y = det a "y" in
+  let c1 = det a "c1" and c2 = det a "c2" in
+  let v = indet a "v" in
+  dep root y;
+  List.iter (fun c -> dep y c; dep c v) [ c1; c2 ];
+  let r = det a "r" in
+  let d1 = det a "d1" and d2 = det a "d2" in
+  let z = indet a "z" in
+  List.iter (fun d -> dep r d; dep d z) [ d1; d2 ];
+  List.iter (fun name -> dep r (det a name)) [ "e1"; "e2" ];
+  let p1 = det a "p1" and p2 = det a "p2" in
+  let f = indet a "f" in
+  List.iter (fun p -> dep p f) [ p1; p2 ];
+  let l = L.compute ~threshold:2 a in
+  check int_list "layer 0 keeps z and f" [ z; f ] l.L.layers.(0).L.indeterminate;
+  check bool "v evicted" true (l.L.layer_of_op.(v) > 0);
+  check bool "w evicted with its ancestors" true
+    (List.for_all (fun u -> l.L.layer_of_op.(u) > 0) [ w; root; b1; b2 ]);
+  check bool "same as the reference" true
+    (same_layering l (Reference_layering.compute ~threshold:2 a))
 
 let test_threshold_validation () =
   let a = Assay.create ~name:"t" in
@@ -229,6 +272,126 @@ let prop_deterministic =
         (fun (a : L.layer) (b : L.layer) -> a.L.ops = b.L.ops)
         l1.L.layers l2.L.layers)
 
+(* ---------- agreement with the reference implementation ---------- *)
+
+let choice_to_string = function
+  | L.Smallest_id -> "smallest-id"
+  | L.Seeded s -> Printf.sprintf "seeded %d" s
+
+(* The same assay with its ids reversed: every parent then has a larger id
+   than its child, as a textual assay may number them. *)
+let reverse_ids a =
+  let ops = Assay.operations a in
+  let n = Array.length ops in
+  let r = Assay.create ~name:(Assay.name a) in
+  for i = n - 1 downto 0 do
+    let o = ops.(i) in
+    ignore
+      (Assay.add_operation r ?container:o.Operation.container ?capacity:o.capacity
+         ~accessories:(Components.Accessory.Set.elements o.accessories)
+         ~duration:o.duration o.name)
+  done;
+  Flowgraph.Digraph.iter_edges
+    (fun p c -> Assay.add_dependency r ~parent:(n - 1 - p) ~child:(n - 1 - c))
+    (Assay.dependency_graph a);
+  r
+
+let arb_oracle_case =
+  QCheck.make
+    QCheck.Gen.(
+      int_range 1 99999 >>= fun seed ->
+      int_range 2 60 >>= fun n ->
+      float_range 0.0 0.6 >>= fun indet_frac ->
+      oneofl [ 0.03; 0.08; 0.15; 0.3; 0.5 ] >>= fun edge_p ->
+      int_range 1 5 >>= fun threshold ->
+      oneof [ return L.Smallest_id; map (fun s -> L.Seeded s) (int_range 0 999) ]
+      >>= fun choice ->
+      bool >>= fun reversed ->
+      return (seed, n, indet_frac, edge_p, threshold, choice, reversed))
+    ~print:(fun (seed, n, f, p, t, c, r) ->
+      Printf.sprintf "seed=%d n=%d indet=%.2f edges=%.2f threshold=%d %s reversed=%b"
+        seed n f p t (choice_to_string c) r)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"layering equals the reference implementation" ~count:600
+    arb_oracle_case
+    (fun (seed, n, indet_frac, edge_p, threshold, choice, reversed) ->
+      let params =
+        { Assays.Random_assay.default_params with
+          Assays.Random_assay.op_count = n;
+          indeterminate_fraction = indet_frac;
+          edge_probability = edge_p }
+      in
+      let a = Assays.Random_assay.generate ~seed params in
+      let a = if reversed then reverse_ids a else a in
+      same_layering (L.compute ~threshold ~choice a)
+        (Reference_layering.compute ~threshold ~choice a))
+
+let check_against_reference label a thresholds =
+  List.iter
+    (fun threshold ->
+      List.iter
+        (fun choice ->
+          let name =
+            Printf.sprintf "%s threshold %d %s" label threshold
+              (choice_to_string choice)
+          in
+          check bool name true
+            (same_layering (L.compute ~threshold ~choice a)
+               (Reference_layering.compute ~threshold ~choice a)))
+        [ L.Smallest_id; L.Seeded 7 ])
+    thresholds
+
+let test_paper_assays_match_reference () =
+  List.iter
+    (fun (label, a) -> check_against_reference label a [ 1; 2; 3; 5; 10; 20 ])
+    [
+      ("kinase", Assays.Kinase.testcase ());
+      ("gene-expression", Assays.Gene_expression.testcase ());
+      ("rt-qpcr", Assays.Rt_qpcr.testcase ());
+      ("mda", Assays.Mda.testcase ());
+    ]
+
+let test_replicated_match_reference () =
+  let replicated base copies = Assay.replicate (base ()) ~copies in
+  List.iter
+    (fun k ->
+      check_against_reference (Printf.sprintf "gene-expression x%d" k)
+        (replicated Assays.Gene_expression.base k) [ 3 ])
+    [ 1; 2; 5; 17; 40 ];
+  List.iter
+    (fun k ->
+      check_against_reference (Printf.sprintf "rt-qpcr x%d" k)
+        (replicated Assays.Rt_qpcr.base k) [ 3 ])
+    [ 1; 3; 8 ]
+
+(* Each eviction invalidates only the candidates whose cut or closure it
+   touches, so on independent protocol copies the cuts computed stay within
+   one per selected operation plus one per eviction. Recomputing every
+   candidate after every eviction runs about twenty times that. *)
+let test_cut_count_guard () =
+  let a = Assay.replicate (Assays.Gene_expression.base ()) ~copies:40 in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let l =
+    Fun.protect ~finally:Telemetry.disable (fun () -> L.compute ~threshold:10 a)
+  in
+  let counter = Telemetry.counter_value in
+  let reference = Reference_layering.compute ~threshold:10 a in
+  check bool "same layering as the reference" true (same_layering l reference);
+  check int_t "evictions equal the reference's" !Reference_layering.evictions
+    (counter "layering.evictions");
+  check int_t "layers equal the reference's" (L.layer_count reference)
+    (counter "layering.layers");
+  let cuts = counter "layering.min_cuts" in
+  let bound = counter "layering.mis_selected" + counter "layering.evictions" in
+  check bool
+    (Printf.sprintf "min cuts %d <= mis_selected + evictions %d" cuts bound)
+    true (cuts <= bound);
+  check bool "some candidate evaluations served by the cache" true
+    (counter "layering.cut_cache_hits" > 0);
+  Telemetry.reset ()
+
 let () =
   let qsuite tests = List.map QCheck_alcotest.to_alcotest tests in
   Alcotest.run "layering"
@@ -249,6 +412,8 @@ let () =
           Alcotest.test_case "Fig. 5 eviction to one" `Quick test_fig5_eviction_to_one;
           Alcotest.test_case "stored transfers recorded" `Quick
             test_eviction_storage_recorded;
+          Alcotest.test_case "eviction refreshes touched candidates" `Quick
+            test_eviction_refreshes_touched_candidates;
           Alcotest.test_case "threshold validation" `Quick test_threshold_validation;
         ] );
       ( "paper-cases",
@@ -266,4 +431,12 @@ let () =
             prop_indet_descendants_later;
             prop_deterministic;
           ] );
+      ( "reference",
+        Alcotest.test_case "paper assays, thresholds 1-20" `Quick
+          test_paper_assays_match_reference
+        :: Alcotest.test_case "replicated gene-expression and rt-qpcr" `Quick
+             test_replicated_match_reference
+        :: Alcotest.test_case "cut count guard on gene-expression x40" `Quick
+             test_cut_count_guard
+        :: qsuite [ prop_matches_reference ] );
     ]

@@ -181,6 +181,32 @@ let test_assay_replicate () =
     (Invalid_argument "Assay.replicate: copies must be positive") (fun () ->
       ignore (Assay.replicate a ~copies:0))
 
+(* Dependencies go into the cached graph in place; it must match a graph
+   rebuilt from the edge list, and still reject a cycle. *)
+let test_assay_replicate_graph () =
+  let base = Assays.Gene_expression.base () in
+  let n = Assay.operation_count base and copies = 5 in
+  let base_edges = Flowgraph.Digraph.edges (Assay.dependency_graph base) in
+  let r = Assay.replicate base ~copies in
+  let expected =
+    List.concat_map
+      (fun k -> List.map (fun (p, c) -> (p + (k * n), c + (k * n))) base_edges)
+      (List.init copies Fun.id)
+  in
+  let edges g = Flowgraph.Digraph.edges g in
+  check
+    (Alcotest.list (Alcotest.pair int_t int_t))
+    "same edges as a rebuild"
+    (edges (Flowgraph.Digraph.of_edges (n * copies) expected))
+    (edges (Assay.dependency_graph r));
+  let p, c = List.hd (List.rev expected) in
+  Assay.add_dependency r ~parent:p ~child:c;
+  check int_t "duplicate edge ignored" (List.length expected)
+    (Flowgraph.Digraph.edge_count (Assay.dependency_graph r));
+  Alcotest.check_raises "cycle-closing edge"
+    (Invalid_argument "Assay.add_dependency: edge would close a cycle") (fun () ->
+      Assay.add_dependency r ~parent:c ~child:p)
+
 let test_assay_critical_path () =
   let a = Assay.create ~name:"t" in
   let x = Assay.add_operation a ~duration:(Operation.Fixed 5) "x" in
@@ -314,6 +340,7 @@ let () =
           Alcotest.test_case "build" `Quick test_assay_build;
           Alcotest.test_case "cycle rejected" `Quick test_assay_cycle_rejected;
           Alcotest.test_case "replicate" `Quick test_assay_replicate;
+          Alcotest.test_case "replicate graph" `Quick test_assay_replicate_graph;
           Alcotest.test_case "critical path" `Quick test_assay_critical_path;
           Alcotest.test_case "empty invalid" `Quick test_assay_empty_invalid;
           Alcotest.test_case "paper cases 16/70/120" `Quick test_paper_cases_shape;
