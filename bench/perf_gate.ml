@@ -23,13 +23,25 @@
      machines would be flaky, but the layer solver only ever accepts
      strict improvements over the heuristic, so "no worse than the
      deterministic heuristic" holds on any machine;
+   - the ILP leg's work counters must equal the baseline's exactly:
+     `lp.bb.nodes`, `warm_hits`, `warm_fallbacks`, `pruned_by_bound`,
+     `lp.simplex.warm_solves`, `pivots`, `dual_pivots`, `bound_flips`,
+     every `lp.presolve.*` counter, and `lp.simplex.refactorisations +
+     lp.simplex.factor_reuses`. The leg runs the deterministic wave search
+     under a node budget with no time limit, so the explored tree and
+     every pivot depend only on the code, never on the machine or the
+     domain count. The last one is a sum because a snapshot's factor is
+     computed by whichever sibling re-solve runs first and reused by the
+     other; with several domains both may race to compute it. A change
+     that moves any of these changes the search and must refresh the
+     baseline and say why;
    - warm starts must be alive: `lp.bb.warm_hits` > 0 whenever the
      baseline has any, and the warm-hit *rate*
      hits / (hits + fallbacks) must be at least half the baseline's rate.
-     The rate is a ratio, so it is machine-independent; absolute hit
-     counts scale with how many nodes fit the budget and are not compared.
-     Halving the baseline rate means the dual re-solve path is going stale
-     on models it used to repair — a real solver regression;
+     The exact check above already pins both counts; this one stays
+     because its message names the failure: halving the baseline rate
+     means the dual re-solve path is going stale on models it used to
+     repair — a real solver regression;
    - node throughput: the mean of the `lp.bb.nodes_per_sec` histogram must
      be at least 1/4 of the baseline's. This is the one machine-dependent
      check, hence the wide 4x tolerance: CI machines are slower than dev
@@ -189,6 +201,9 @@ let counter doc name =
   in
   find (as_list (member "counters" (member "telemetry" doc)))
 
+let counter_names doc =
+  List.map (fun c -> as_str (member "name" c)) (as_list (member "counters" (member "telemetry" doc)))
+
 let hist_mean doc name =
   let rec find = function
     | [] -> 0.0
@@ -333,8 +348,11 @@ let () =
       "lp.bb.steals";
       "lp.bb.pruned_by_bound";
       "lp.simplex.warm_solves";
+      "lp.simplex.pivots";
       "lp.simplex.dual_pivots";
       "lp.simplex.bound_flips";
+      "lp.simplex.refactorisations";
+      "lp.simplex.factor_reuses";
       "lp.simplex.deadline_aborts";
     ]
   in
@@ -350,6 +368,36 @@ let () =
       Printf.printf "%-32s %12d %12d %8s\n" name b c ratio)
     diff_counters;
   Printf.printf "\n";
+  (* Work counters of the node-budgeted ILP leg: exact; see header. *)
+  let is_presolve name =
+    String.length name > 12 && String.sub name 0 12 = "lp.presolve."
+  in
+  let exact_counters =
+    [
+      "lp.bb.nodes";
+      "lp.bb.warm_hits";
+      "lp.bb.warm_fallbacks";
+      "lp.bb.pruned_by_bound";
+      "lp.simplex.warm_solves";
+      "lp.simplex.pivots";
+      "lp.simplex.dual_pivots";
+      "lp.simplex.bound_flips";
+    ]
+    @ List.sort_uniq compare
+        (List.filter is_presolve (counter_names baseline @ counter_names current))
+  in
+  List.iter
+    (fun name ->
+      let b = counter baseline name and c = counter current name in
+      check (c = b) "%s %d = baseline %d" name c b)
+    exact_counters;
+  let factorisations doc =
+    counter doc "lp.simplex.refactorisations" + counter doc "lp.simplex.factor_reuses"
+  in
+  check
+    (factorisations current = factorisations baseline)
+    "refactorisations + factor reuses %d = baseline %d" (factorisations current)
+    (factorisations baseline);
   (* Warm-start health: rate is machine-independent; see header. *)
   let rate doc =
     let h = counter doc "lp.bb.warm_hits" in

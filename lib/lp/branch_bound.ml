@@ -610,7 +610,9 @@ let solve ?(options = default_options) ?warm_start model =
      ignore (try_incumbent sh values (dir_sign *. obj))
    | None -> ());
   let presolve_outcome =
-    if options.presolve then Presolve.run model else Presolve.Ok 0
+    if options.presolve then
+      Telemetry.span "lp.presolve.run" (fun () -> Presolve.run model)
+    else Presolve.Ok 0
   in
   match presolve_outcome with
   | Presolve.Proved_infeasible ->
@@ -663,10 +665,12 @@ let solve ?(options = default_options) ?warm_start model =
     let objective = Option.map (fun (o, _) -> dir_sign *. o) incumbent in
     let proven = Atomic.get sh.proven in
     let best_bound = Atomic.get sh.best_bound in
+    (* A root whose relaxation never finished leaves [best_bound] at the
+       root's [neg_infinity]: there is no bound, so no gap to report. *)
     let gap =
       match (incumbent, proven) with
       | Some _, true -> Some 0.0
-      | Some (i, _), false when best_bound < infinity ->
+      | Some (i, _), false when Float.is_finite best_bound ->
         Some (Float.abs (i -. best_bound) /. Float.max 1e-9 (Float.abs i))
       | Some _, false | None, _ -> None
     in

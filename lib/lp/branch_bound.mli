@@ -49,14 +49,19 @@ type result = {
   values : float array option;  (** incumbent, indexed by model variable *)
   nodes : int;
   elapsed : float;
-  gap : float option;  (** relative optimality gap when known *)
+  gap : float option;
+      (** relative optimality gap when known; [None] without an incumbent
+          or when the search stopped before the root relaxation finished
+          (no bound exists then) *)
 }
 
 type options = {
   time_limit : float option;  (** seconds of wall-clock *)
   node_limit : int option;
   int_tol : float;  (** integrality tolerance, default [1e-6] *)
-  presolve : bool;  (** run {!Presolve} at the root, default [true] *)
+  presolve : bool;
+      (** run {!Presolve} at the root (span [lp.presolve.run]), default
+          [true] *)
   int_objective : bool;
       (** the objective only takes integer values on integer solutions:
           prune nodes whose relaxation bound is within [int_obj_step] of the

@@ -26,13 +26,15 @@ type mapping =
 type prepared = {
   p_nvars : int;
   p_mapping : mapping array;
-  p_nrows : int;
-  p_cols : (int * float) array array;
+  p_offset : float array;
+      (* per variable, [Q.to_float] of its mapping constant (0 for [Split]) *)
+  p_lb : Q.t option array; (* the bounds the form was translated under *)
+  p_ub : Q.t option array;
+  p_cols : Tableau.columns;
   p_b : float array;
   p_c : float array;
   p_ubs : float option array;
-  p_obj_sign : Q.t;
-  p_obj_const : Q.t;
+  p_obj_offset : float; (* [Q.to_float] of the sign-normalised constant *)
   p_dir : [ `Minimize | `Maximize ];
 }
 
@@ -61,36 +63,40 @@ let effective_bounds ?bounds model =
     ( Array.init nvars (fun v -> Model.var_lb model v),
       Array.init nvars (fun v -> Model.var_ub model v) )
 
+(* A node's bounds in a prepared form's column space (see {!overlay}):
+   the lower offset of each column, [0.0] where the node keeps the
+   prepared bound, the columns with a nonzero offset in ascending order,
+   and the span of each column. *)
+type shift = { lo : float array; shifted : int list; span : float option array }
+
 (* Map a kernel solution back to model variables and the natural
-   objective. [lo] holds the per-column offsets of a warm solve (see
+   objective. [shift] holds the per-column offsets of a warm solve (see
    {!overlay}): that kernel solved in shifted column space, so the shift is
    added back to each column and its contribution to the objective undone.
    Then the objective constant is re-added and the max->min sign flip
    undone. *)
-let outcome_of p ?lo value x =
+let outcome_of p ?shift value x =
   let col_value col =
-    match lo with Some lo -> x.(col) +. Q.to_float lo.(col) | None -> x.(col)
+    match shift with Some s -> x.(col) +. s.lo.(col) | None -> x.(col)
   in
   let value_of v =
     match p.p_mapping.(v) with
-    | Fixed k -> Q.to_float k
-    | Shifted (col, l) -> col_value col +. Q.to_float l
-    | Flipped (col, u) -> Q.to_float u -. col_value col
+    | Fixed _ -> p.p_offset.(v)
+    | Shifted (col, _) -> col_value col +. p.p_offset.(v)
+    | Flipped (col, _) -> p.p_offset.(v) -. col_value col
     | Split (pc, qc) -> x.(pc) -. x.(qc)
   in
   let value =
-    match lo with
+    match shift with
     | None -> value
-    | Some lo ->
+    | Some s ->
       let shift_cost = ref 0.0 in
-      Array.iteri
-        (fun col l ->
-          if Q.sign l <> 0 then
-            shift_cost := !shift_cost +. (p.p_c.(col) *. Q.to_float l))
-        lo;
+      List.iter
+        (fun col -> shift_cost := !shift_cost +. (p.p_c.(col) *. s.lo.(col)))
+        s.shifted;
       value +. !shift_cost
   in
-  let base = value +. Q.to_float (Q.mul p.p_obj_sign p.p_obj_const) in
+  let base = value +. p.p_obj_offset in
   Optimal
     {
       objective = (match p.p_dir with `Minimize -> base | `Maximize -> -.base);
@@ -201,13 +207,21 @@ let prepare ~lb ~ub model =
   {
     p_nvars = nvars;
     p_mapping = mapping;
-    p_nrows = m;
-    p_cols = Array.map (fun l -> Array.of_list (List.rev l)) col_entries;
+    p_offset =
+      Array.map
+        (function
+          | Fixed k | Shifted (_, k) | Flipped (_, k) -> Q.to_float k
+          | Split _ -> 0.0)
+        mapping;
+    p_lb = lb;
+    p_ub = ub;
+    p_cols =
+      Tableau.columns ~nrows:m
+        (Array.map (fun l -> Array.of_list (List.rev l)) col_entries);
     p_b = b;
     p_c = c;
     p_ubs = ubs;
-    p_obj_sign = obj_sign;
-    p_obj_const = obj_const;
+    p_obj_offset = Q.to_float (Q.mul obj_sign obj_const);
     p_dir = dir;
   }
 
@@ -221,7 +235,7 @@ let cold_solve ?max_iters ?deadline ?capture ~lb ~ub model =
   match
     Telemetry.span "lp.simplex.kernel" (fun () ->
         Tableau.solve_cols ?max_iters ?deadline ~ubs:p.p_ubs ?snapshot_out
-          ~nrows:p.p_nrows ~cols:p.p_cols ~b:p.p_b ~c:p.p_c ())
+          ~cols:p.p_cols ~b:p.p_b ~c:p.p_c ())
   with
   | Tableau.Infeasible -> Infeasible
   | Tableau.Unbounded -> Unbounded
@@ -235,55 +249,82 @@ let cold_solve ?max_iters ?deadline ?capture ~lb ~ub model =
 
 exception Remap of string
 
-(* Express the node bounds [lb] / [ub] in the prepared form's column space
-   as (lo, span) per column, or raise {!Remap} when the mapping cannot
-   carry them (see {!prepared}). *)
-let overlay p ~lb ~ub =
-  let ncols = Array.length p.p_cols in
-  let lo = Array.make ncols Q.zero in
-  (* slack / surplus / split columns keep their prepared spans; every
-     mapped column below is overwritten from the node bounds *)
-  let span = Array.copy p.p_ubs in
-  for v = 0 to p.p_nvars - 1 do
-    match p.p_mapping.(v) with
-    | Fixed k -> (
-      match (lb.(v), ub.(v)) with
-      | Some l, Some u when Q.equal l k && Q.equal u k -> ()
-      | _ -> raise (Remap "fixed variable came unfixed"))
-    | Shifted (col, l_root) -> (
-      match lb.(v) with
-      | None -> raise (Remap "shifted variable lost its lower bound")
-      | Some l' ->
-        lo.(col) <- Q.sub l' l_root;
-        span.(col) <-
-          Option.map (fun u' -> Q.to_float (Q.sub u' l')) ub.(v))
-    | Flipped (col, u_root) -> (
-      match ub.(v) with
-      | None -> raise (Remap "flipped variable lost its upper bound")
-      | Some u' ->
-        lo.(col) <- Q.sub u_root u';
-        span.(col) <-
-          Option.map (fun l' -> Q.to_float (Q.sub u' l')) lb.(v))
-    | Split (_, _) ->
-      if lb.(v) <> None || ub.(v) <> None then
-        raise (Remap "free variable acquired a bound")
-  done;
-  (lo, span)
+let same_bound a b =
+  a == b
+  || match (a, b) with
+     | Some x, Some y -> Q.equal x y
+     | None, None -> true
+     | _ -> false
 
-let warm_solve ?max_iters ?deadline ~(basis : basis) p snap ~lb ~ub =
-  match overlay p ~lb ~ub with
+(* The variables whose node bounds differ from the prepared form's, in
+   ascending order. On a branch-and-bound node that is the handful of
+   branched variables, and the bound values of the rest are the very values
+   the form was prepared from, so [==] settles them without arithmetic. *)
+let changed_vars p ~lb ~ub =
+  let acc = ref [] in
+  for v = p.p_nvars - 1 downto 0 do
+    if not (same_bound lb.(v) p.p_lb.(v) && same_bound ub.(v) p.p_ub.(v)) then
+      acc := v :: !acc
+  done;
+  !acc
+
+(* Express the node bounds [lb] / [ub] in the prepared form's column space,
+   or raise {!Remap} when the mapping cannot carry them (see {!prepared}).
+   Only the [changed] variables are visited: every other column keeps a
+   zero offset and its prepared span, which is what the translation of an
+   unchanged bound gives. Variables map to columns in ascending order, so
+   [shifted] comes out ascending. *)
+let overlay p changed ~lb ~ub =
+  let lo = Array.make (Array.length p.p_c) 0.0 in
+  let span = Array.copy p.p_ubs in
+  let shifted = ref [] in
+  let shift col d =
+    if Q.sign d <> 0 then begin
+      lo.(col) <- Q.to_float d;
+      shifted := col :: !shifted
+    end
+  in
+  List.iter
+    (fun v ->
+      match p.p_mapping.(v) with
+      | Fixed k -> (
+        match (lb.(v), ub.(v)) with
+        | Some l, Some u when Q.equal l k && Q.equal u k -> ()
+        | _ -> raise (Remap "fixed variable came unfixed"))
+      | Shifted (col, l_root) -> (
+        match lb.(v) with
+        | None -> raise (Remap "shifted variable lost its lower bound")
+        | Some l' ->
+          shift col (Q.sub l' l_root);
+          span.(col) <-
+            Option.map (fun u' -> Q.to_float (Q.sub u' l')) ub.(v))
+      | Flipped (col, u_root) -> (
+        match ub.(v) with
+        | None -> raise (Remap "flipped variable lost its upper bound")
+        | Some u' ->
+          shift col (Q.sub u_root u');
+          span.(col) <-
+            Option.map (fun l' -> Q.to_float (Q.sub u' l')) lb.(v))
+      | Split (_, _) ->
+        if lb.(v) <> None || ub.(v) <> None then
+          raise (Remap "free variable acquired a bound"))
+    changed;
+  { lo; shifted = List.rev !shifted; span }
+
+let warm_solve ?max_iters ?deadline ~(basis : basis) p snap changed ~lb ~ub =
+  match overlay p changed ~lb ~ub with
   | exception Remap reason -> Error reason
-  | lo, span -> (
+  | shift -> (
     let b_node = Array.copy p.p_b in
-    Array.iteri
-      (fun col l ->
-        if Q.sign l <> 0 then begin
-          let lf = Q.to_float l in
-          Array.iter
-            (fun (i, a) -> b_node.(i) <- b_node.(i) -. (a *. lf))
-            p.p_cols.(col)
-        end)
-      lo;
+    let cols = p.p_cols in
+    List.iter
+      (fun col ->
+        let lf = shift.lo.(col) in
+        let idx = cols.Tableau.col_idx.(col) and vl = cols.Tableau.col_val.(col) in
+        for k = 0 to Array.length idx - 1 do
+          b_node.(idx.(k)) <- b_node.(idx.(k)) -. (vl.(k) *. lf)
+        done)
+      shift.shifted;
     (* A warm repair normally needs a handful of dual pivots; one still
        going after a quarter of the pivots a cold solve would need is
        degenerate-stalling, and the cold solve is the cheaper way out —
@@ -291,12 +332,12 @@ let warm_solve ?max_iters ?deadline ~(basis : basis) p snap ~lb ~ub =
        rather than burn the node deadline. *)
     let warm_cap =
       min (Option.value max_iters ~default:50_000)
-        (max 100 (p.p_nrows / 4))
+        (max 100 (cols.Tableau.nrows / 4))
     in
     match
       Telemetry.span "lp.simplex.kernel" (fun () ->
-          Tableau.resolve_with_basis ~max_iters:warm_cap ?deadline ~nrows:p.p_nrows
-            ~cols:p.p_cols ~b:b_node ~c:p.p_c ~ubs:span ~snapshot:snap ())
+          Tableau.resolve_with_basis ~max_iters:warm_cap ?deadline ~cols
+            ~b:b_node ~c:p.p_c ~ubs:shift.span ~snapshot:snap ())
     with
     | Tableau.Stale reason -> Error reason
     | Tableau.Resolved (res, snap') ->
@@ -307,27 +348,33 @@ let warm_solve ?max_iters ?deadline ~(basis : basis) p snap ~lb ~ub =
         (match res with
         | Tableau.Infeasible -> Infeasible
         | Tableau.Unbounded -> Unbounded
-        | Tableau.Optimal (value, x) -> outcome_of p ~lo value x))
+        | Tableau.Optimal (value, x) -> outcome_of p ~shift value x))
+
+let crossed l u =
+  match (l, u) with Some l, Some u -> Q.compare l u > 0 | _ -> false
 
 let solve_relaxation_float ?max_iters ?deadline ?bounds ?basis model =
   Telemetry.span "lp.simplex.solve" @@ fun () ->
   Telemetry.count "lp.simplex.relaxations";
   let lb, ub = effective_bounds ?bounds model in
   let nvars = Model.var_count model in
-  let crossed l u =
-    match (l, u) with Some l, Some u -> Q.compare l u > 0 | _ -> false
+  let cold capture =
+    if Array.exists2 crossed lb ub then Infeasible
+    else cold_solve ?max_iters ?deadline ?capture ~lb ~ub model
   in
-  if Array.exists2 crossed lb ub then Infeasible
-  else begin
-    let cold capture =
-      cold_solve ?max_iters ?deadline ?capture ~lb ~ub model
-    in
-    match basis with
-    | None -> cold None
-    | Some cell -> (
-      match (cell.bs_prepared, cell.bs_snapshot) with
-      | Some p, Some snap when p.p_nvars = nvars -> (
-        match warm_solve ?max_iters ?deadline ~basis:cell p snap ~lb ~ub with
+  match basis with
+  | None -> cold None
+  | Some cell -> (
+    match (cell.bs_prepared, cell.bs_snapshot) with
+    | Some p, Some snap when p.p_nvars = nvars ->
+      (* The prepared bounds passed the crossing test before the form was
+         built from them, so only a changed bound can cross. *)
+      let changed = changed_vars p ~lb ~ub in
+      if List.exists (fun v -> crossed lb.(v) ub.(v)) changed then Infeasible
+      else begin
+        match
+          warm_solve ?max_iters ?deadline ~basis:cell p snap changed ~lb ~ub
+        with
         | Ok outcome ->
           Telemetry.count "lp.bb.warm_hits";
           outcome
@@ -335,8 +382,8 @@ let solve_relaxation_float ?max_iters ?deadline ?bounds ?basis model =
           (* stale basis or an overlay-incompatible bound change: full
              cold re-solve, refreshing the cell for the subtree below *)
           Telemetry.count "lp.bb.warm_fallbacks";
-          cold (Some cell))
-      | _ ->
-        (* fresh cell: first solve just fills it, no fallback counted *)
-        cold (Some cell))
-  end
+          cold_solve ?max_iters ?deadline ~capture:cell ~lb ~ub model
+      end
+    | _ ->
+      (* fresh cell: first solve just fills it, no fallback counted *)
+      cold (Some cell))

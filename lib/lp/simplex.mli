@@ -8,10 +8,16 @@
     Integrality is ignored here; {!Branch_bound} adds it.
 
     For branch-and-bound the translation can be reused across nodes: a
-    {!basis} cell carries the translated standard form plus the final basis
-    of the last [Optimal] solve, and a subsequent solve holding the cell is
-    warm-started with a dual-simplex re-solve
-    ({!Tableau.resolve_with_basis}) instead of a cold two-phase solve. *)
+    {!basis} cell carries the translated standard form — including its
+    {!Tableau.columns} store, built once per translation — plus the final
+    basis of the last [Optimal] solve, and a subsequent solve holding the
+    cell is warm-started with a dual-simplex re-solve
+    ({!Tableau.resolve_with_basis}) instead of a cold two-phase solve. The
+    node's bounds reach the kernel as per-column offsets and spans computed
+    in floats, and only for the variables whose bounds differ from the ones
+    the form was translated under. Sibling cells share one snapshot, so the
+    second sibling reuses the factor of the parent basis that the first one
+    computed ([lp.simplex.factor_reuses]). *)
 
 type outcome =
   | Optimal of { objective : float; values : float array }

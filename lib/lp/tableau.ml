@@ -1,7 +1,9 @@
 (* Sparse revised two-phase bounded-variable simplex over IEEE doubles.
 
-   The constraint matrix is stored column-wise ([cidx] / [cval] hold the
-   sparse column of each structural variable); the basis inverse is a
+   The constraint matrix is stored column-wise in a {!columns} store (the
+   sparse column of each structural variable and its static pricing norm),
+   built once per standard form and shared read-only by every solve over
+   that form; the basis inverse is a
    product-form eta file that is rebuilt from scratch (refactorised) after a
    bounded number of pivots, which both bounds the FTRAN / BTRAN cost and
    drains accumulated roundoff.
@@ -31,10 +33,35 @@ type result = Optimal of float * float array | Infeasible | Unbounded
 exception Deadline_exceeded
 exception Iteration_limit
 
-type snapshot = { s_basis : int array; s_at_ub : bool array }
-type resolve = Resolved of result * snapshot option | Stale of string
-
 let eps = 1e-9
+
+type columns = {
+  nrows : int;
+  col_idx : int array array;
+  col_val : float array array;
+  col_weight : float array;
+}
+
+let columns ~nrows cols =
+  Array.iter
+    (fun col ->
+      Array.iteri
+        (fun k (i, _) ->
+          if i < 0 || i >= nrows then invalid_arg "Tableau.columns: row out of range";
+          if k > 0 && i <= fst col.(k - 1) then
+            invalid_arg "Tableau.columns: rows not strictly increasing")
+        col)
+    cols;
+  let col_val = Array.map (fun col -> Array.map snd col) cols in
+  {
+    nrows;
+    col_idx = Array.map (fun col -> Array.map fst col) cols;
+    col_val;
+    col_weight =
+      Array.map
+        (fun vl -> Array.fold_left (fun acc x -> acc +. (x *. x)) 1.0 vl)
+        col_val;
+  }
 
 type eta = {
   e_row : int;
@@ -45,14 +72,27 @@ type eta = {
 
 let dummy_eta = { e_row = 0; e_pivot = 1.0; e_idx = [||]; e_val = [||] }
 
+(* The eta file a refactorisation built from a snapshot's basis, and the row
+   each basic column landed on. Never mutated once published. *)
+type factor = { f_etas : eta array; f_basis : int array }
+
+type snapshot = {
+  s_basis : int array;
+  s_at_ub : bool array;
+  s_factor : factor option Atomic.t;
+}
+
+type resolve = Resolved of result * snapshot option | Stale of string
+
 type state = {
   m : int;
   n : int;
-  cidx : int array array;  (* structural columns: row indices *)
-  cval : float array array;  (* structural columns: coefficients *)
+  (* structural columns, shared with the column store and never written *)
+  cidx : int array array;
+  cval : float array array;
+  weight : float array;
   ubs : float array;  (* upper bound per structural column, [infinity] = none *)
   at_ub : bool array;
-  weight : float array;
   basis : int array;
   pos : int array;
   x_b : float array;
@@ -69,6 +109,7 @@ type state = {
   mutable dual_pivots : int;
   mutable flips : int;
   mutable refactorisations : int;
+  mutable factor_reuses : int;
 }
 
 let clamp x = if Float.abs x <= eps then 0.0 else x
@@ -147,27 +188,37 @@ let pivot st ~row ~col ~t ~dir ~enter_val alpha =
   st.basis.(row) <- col;
   st.pos.(col) <- row
 
-(* Rebuild the eta file from the current basis, then recompute
-   x_B = B^-1 (b - N_U u_U). The pivot order is chosen to avoid fill in the
-   rebuilt eta file — essential, because a naive Gauss-Jordan over LP bases
-   produces near-dense etas and the FTRAN / BTRAN cost explodes:
+(* Rebuild the eta file from the current basis; the basic columns end up
+   permuted onto their pivot rows. The pivot order is chosen to avoid fill
+   in the rebuilt eta file — essential, because a naive Gauss-Jordan over LP
+   bases produces near-dense etas and the FTRAN / BTRAN cost explodes:
 
    pass 1: identity-like columns (artificials and structural singletons)
            pivot on their own row with a trivial (term-free) eta;
    pass 2: repeatedly pivot a column that is alone on some untaken row. No
            other remaining column touches that row, so applying the eta
            downstream is a pattern no-op: each such eta carries exactly the
-           column's own off-pivot entries and no fill;
+           column's own off-pivot entries and no fill. By the same argument
+           no earlier pass-2 eta touches the column either — only the
+           pass-1 scalings of the rows it meets — so its FTRAN'd column and
+           eta are built from its own nonzeros in ascending row order, with
+           the float operations the dense FTRAN would perform. A pivot entry
+           within [eps] of zero breaks the argument (the column then pivots
+           on another row, which later columns may meet), so from there on
+           pass 2 takes the dense path of pass 3;
    pass 3: the residual "bump" (rarely more than a handful of columns in an
            LP basis) is eliminated densely, smallest column first, picking
-           pivot rows by magnitude. *)
-let refactor st =
-  let rt0 = Telemetry.Clock.now_s () in
+           pivot rows by magnitude.
+
+   The result depends only on the basis and the columns, never on [b],
+   [ubs] or [at_ub], which is what lets a snapshot share it ({!factor}). *)
+let factorise st =
   st.n_etas <- 0;
-  st.refactorisations <- st.refactorisations + 1;
   let order = Array.copy st.basis in
   let taken = Array.make st.m false in
   let placed = Array.make st.m false in
+  (* [e_pivot] of the pass-1 scaling eta on each row, [0.0] for none *)
+  let scaling = Array.make st.m 0.0 in
   let v = Array.make st.m 0.0 in
   let place t col row =
     taken.(row) <- true;
@@ -198,6 +249,44 @@ let refactor st =
     push_eta st (eta_of_alpha ~row v);
     place t col row
   in
+  let dense = ref false in
+  (* Pass 2 on row [r]: the column's FTRAN'd entry at [k] is its raw entry,
+     scaled if a pass-1 eta covers that row (and the entry is above [eps],
+     as [ftran] skips the rest). *)
+  let pivot_singleton t col r =
+    let idx = st.cidx.(col) and vl = st.cval.(col) in
+    let alpha k =
+      let a = vl.(k) and p = scaling.(idx.(k)) in
+      if p <> 0.0 && Float.abs a > eps then p *. a else a
+    in
+    let kr = ref 0 in
+    while idx.(!kr) <> r do incr kr done;
+    let ar = vl.(!kr) in
+    if !dense || Float.abs ar <= eps then begin
+      dense := true;
+      pivot_full t col ~row_hint:(Some r)
+    end
+    else begin
+      let cnt = ref 0 in
+      for k = 0 to Array.length idx - 1 do
+        if k <> !kr && Float.abs (alpha k) > eps then incr cnt
+      done;
+      let e_idx = Array.make !cnt 0 and e_val = Array.make !cnt 0.0 in
+      let c = ref 0 in
+      for k = 0 to Array.length idx - 1 do
+        if k <> !kr then begin
+          let a = alpha k in
+          if Float.abs a > eps then begin
+            e_idx.(!c) <- idx.(k);
+            e_val.(!c) <- -.(a /. ar);
+            incr c
+          end
+        end
+      done;
+      push_eta st { e_row = r; e_pivot = 1.0 /. ar; e_idx; e_val };
+      place t col r
+    end
+  in
   Array.iteri
     (fun t col ->
       if col >= st.n then begin
@@ -208,8 +297,10 @@ let refactor st =
         let r = st.cidx.(col).(0) in
         if not taken.(r) then begin
           let a = st.cval.(col).(0) in
-          if fcmp a 1.0 <> 0 then
+          if fcmp a 1.0 <> 0 then begin
             push_eta st { e_row = r; e_pivot = 1.0 /. a; e_idx = [||]; e_val = [||] };
+            scaling.(r) <- 1.0 /. a
+          end;
           place t col r
         end
       end)
@@ -238,7 +329,7 @@ let refactor st =
       | None -> ()
       | Some t ->
         let col = order.(t) in
-        pivot_full t col ~row_hint:(Some r);
+        pivot_singleton t col r;
         Array.iter
           (fun i ->
             if not taken.(i) then begin
@@ -255,7 +346,11 @@ let refactor st =
         compare (Array.length st.cidx.(order.(t1))) (Array.length st.cidx.(order.(t2))))
       !bump
   in
-  List.iter (fun t -> pivot_full t order.(t) ~row_hint:None) bump;
+  List.iter (fun t -> pivot_full t order.(t) ~row_hint:None) bump
+
+(* Recompute x_B = B^-1 (b - N_U u_U) under the current eta file, which
+   becomes the new base for the refactorisation threshold. *)
+let load_x_b st =
   Array.fill st.pos 0 (st.n + st.m) (-1);
   Array.iteri (fun i col -> st.pos.(col) <- i) st.basis;
   Array.blit st.b 0 st.x_b 0 st.m;
@@ -272,7 +367,13 @@ let refactor st =
   for i = 0 to st.m - 1 do
     st.x_b.(i) <- clamp st.x_b.(i)
   done;
-  st.factor_etas <- st.n_etas;
+  st.factor_etas <- st.n_etas
+
+let refactor st =
+  let rt0 = Telemetry.Clock.now_s () in
+  st.refactorisations <- st.refactorisations + 1;
+  factorise st;
+  load_x_b st;
   Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0)
 
 (* Entering column among the structural nonbasics: a variable at its lower
@@ -666,23 +767,19 @@ let dual_phase st ~c alpha =
   in
   loop ()
 
-let make_state ~max_iters ~deadline ~m ~cols ~ubs ~at_ub ~basis ~pos ~x_b ~b =
-  let cval = Array.map (fun col -> Array.map snd col) cols in
+let make_state ~max_iters ~deadline ~cols ~ubs ~at_ub ~basis ~pos ~x_b ~b =
   {
-    m;
-    n = Array.length cols;
-    cidx = Array.map (fun col -> Array.map fst col) cols;
-    cval;
+    m = cols.nrows;
+    n = Array.length cols.col_idx;
+    cidx = cols.col_idx;
+    cval = cols.col_val;
+    weight = cols.col_weight;
     ubs;
     at_ub;
-    weight =
-      Array.map
-        (fun vl -> Array.fold_left (fun acc x -> acc +. (x *. x)) 1.0 vl)
-        cval;
     basis;
     pos;
     x_b;
-    b = Array.copy b;
+    b;
     etas = [| dummy_eta |];
     n_etas = 0;
     factor_etas = 0;
@@ -694,6 +791,7 @@ let make_state ~max_iters ~deadline ~m ~cols ~ubs ~at_ub ~basis ~pos ~x_b ~b =
     dual_pivots = 0;
     flips = 0;
     refactorisations = 0;
+    factor_reuses = 0;
   }
 
 let flush st ~warm =
@@ -702,7 +800,8 @@ let flush st ~warm =
   if warm then Telemetry.count ~by:st.dual_pivots "lp.simplex.dual_pivots";
   Telemetry.count ~by:st.bland_pivots "lp.simplex.bland_pivots";
   Telemetry.count ~by:st.flips "lp.simplex.bound_flips";
-  Telemetry.count ~by:st.refactorisations "lp.simplex.refactorisations"
+  Telemetry.count ~by:st.refactorisations "lp.simplex.refactorisations";
+  Telemetry.count ~by:st.factor_reuses "lp.simplex.factor_reuses"
 
 (* The current vertex: nonbasic columns at their resting bound, basic ones
    at [x_b], and its cost under [c]. *)
@@ -721,11 +820,36 @@ let vertex st c =
   (!value, x)
 
 let snapshot_of st =
-  { s_basis = Array.copy st.basis; s_at_ub = Array.copy st.at_ub }
+  {
+    s_basis = Array.copy st.basis;
+    s_at_ub = Array.copy st.at_ub;
+    s_factor = Atomic.make None;
+  }
 
-let resolve_with_basis ?(max_iters = 50_000) ?deadline ~nrows:m ~cols ~b ~c
-    ~ubs ~snapshot () =
-  let n = Array.length cols in
+(* Factorise a warm solve's starting basis, the snapshot's. The first solve
+   from a snapshot refactorises and publishes the result; every later one
+   (the parent's second child) copies the published eta array — its own
+   pivots append to the copy — and recomputes only x_B, which is where
+   [b], [ubs] and [at_ub] enter. Both paths leave the same state, bit for
+   bit, since {!factorise} reads nothing else. *)
+let factor_from st snapshot =
+  match Atomic.get snapshot.s_factor with
+  | Some f ->
+    st.factor_reuses <- st.factor_reuses + 1;
+    st.etas <- Array.copy f.f_etas;
+    st.n_etas <- Array.length f.f_etas;
+    Array.blit f.f_basis 0 st.basis 0 st.m;
+    load_x_b st
+  | None ->
+    refactor st;
+    let f =
+      { f_etas = Array.sub st.etas 0 st.n_etas; f_basis = Array.copy st.basis }
+    in
+    ignore (Atomic.compare_and_set snapshot.s_factor None (Some f))
+
+let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
+    ~snapshot () =
+  let m = cols.nrows and n = Array.length cols.col_idx in
   if Array.length b <> m then invalid_arg "Tableau.resolve: b length";
   if Array.length c <> n then invalid_arg "Tableau.resolve: c length";
   if Array.length ubs <> n then invalid_arg "Tableau.resolve: ubs length";
@@ -757,14 +881,14 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~nrows:m ~cols ~b ~c
     if not !sane then Stale "corrupt basis snapshot"
     else begin
       let st =
-        make_state ~max_iters ~deadline ~m ~cols ~ubs:ub_arr ~at_ub ~basis
-          ~pos ~x_b:(Array.make m 0.0) ~b
+        make_state ~max_iters ~deadline ~cols ~ubs:ub_arr ~at_ub ~basis ~pos
+          ~x_b:(Array.make m 0.0) ~b
       in
       Fun.protect ~finally:(fun () -> flush st ~warm:true) @@ fun () ->
       let alpha = Array.make m 0.0 in
       match
         (try
-           refactor st;
+           factor_from st snapshot;
            dual_phase st ~c alpha
          with Failure msg -> `Failed msg)
       with
@@ -818,9 +942,9 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~nrows:m ~cols ~b ~c
     end
   end
 
-let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~nrows:m
-    ~cols ~b ~c () =
-  let n = Array.length cols in
+let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~cols ~b ~c
+    () =
+  let m = cols.nrows and n = Array.length cols.col_idx in
   if Array.length b <> m then invalid_arg "Tableau.solve: b length";
   if Array.length c <> n then invalid_arg "Tableau.solve: c length";
   let ub_arr = Array.make n infinity in
@@ -835,13 +959,9 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~nrows:m
          | Some x -> ub_arr.(j) <- x
          | None -> ())
        u);
-  Array.iter
-    (Array.iter (fun (i, _) ->
-         if i < 0 || i >= m then invalid_arg "Tableau.solve: row out of range"))
-    cols;
   Array.iter (fun bi -> if bi < -.eps then invalid_arg "Tableau.solve: negative rhs") b;
   let st =
-    make_state ~max_iters ~deadline ~m ~cols ~ubs:ub_arr
+    make_state ~max_iters ~deadline ~cols ~ubs:ub_arr
       ~at_ub:(Array.make n false)
       ~basis:(Array.init m (fun i -> n + i))
       ~pos:(Array.make (n + m) (-1))

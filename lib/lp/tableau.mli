@@ -5,9 +5,11 @@
 
     with [b >= 0] (the caller flips row signs beforehand) and [u] optional
     per column, in IEEE doubles with tolerance [1e-9]. The constraint matrix
-    is held column-wise sparse and the basis inverse as a
-    periodically-refactorised product-form eta file, so the per-iteration
-    cost is proportional to the number of nonzeros rather than [m * n].
+    is held column-wise sparse in a {!columns} store, built once per
+    standard form and shared read-only by every solve over it, and the
+    basis inverse as a periodically-refactorised product-form eta file, so
+    the per-iteration cost is proportional to the number of nonzeros rather
+    than [m * n].
     Upper bounds are enforced inside the ratio test (nonbasic variables
     rest at either bound; a step may end in a bound flip with no basis
     change) instead of as explicit rows, which roughly halves the row count
@@ -15,7 +17,10 @@
     variables are managed internally; pricing is steepest-edge-lite
     (reduced costs scaled by static column norms) with a Bland fallback
     that guarantees termination. A dual-simplex phase re-solves a child
-    node from its parent's basis. This is the kernel under {!Simplex}. *)
+    node from its parent's basis; the refactorisation of that basis is
+    computed once per {!snapshot} and shared by every re-solve from it, so
+    the parent's second child skips it. This is the kernel under
+    {!Simplex}. *)
 
 type result =
   | Optimal of float * float array
@@ -32,10 +37,41 @@ exception Iteration_limit
 (** Raised by a primal solve that exceeds its [max_iters] pivot budget.
     Branch-and-bound abandons the node that hit it and keeps searching. *)
 
-type snapshot = { s_basis : int array; s_at_ub : bool array }
+type columns = private {
+  nrows : int;
+  col_idx : int array array;  (** row indices of each column, ascending *)
+  col_val : float array array;  (** coefficients, parallel to [col_idx] *)
+  col_weight : float array;
+      (** [1 + ||a_j||^2] per column: the static norm pricing scales by *)
+}
+(** The structural columns of a standard form [A x = b] with [nrows] rows,
+    in the layout the kernel pivots over. *)
+
+val columns : nrows:int -> (int * float) array array -> columns
+(** [columns ~nrows cols] with [cols.(j)] the sparse column of structural
+    variable [j] as (row, coefficient) pairs in strictly increasing row
+    order.
+    @raise Invalid_argument on a row index out of range or rows out of
+    order (a row given twice included). *)
+
+type factor
+(** The eta file and row permutation of one refactorisation of a basis. *)
+
+type snapshot = {
+  s_basis : int array;
+  s_at_ub : bool array;
+  s_factor : factor option Atomic.t;
+}
 (** A basis snapshot: which column is basic in each row ([s_basis], entries
     [>= n] are artificial) and which nonbasic structural columns rest at
-    their upper bound ([s_at_ub]). *)
+    their upper bound ([s_at_ub]). [s_factor] is empty when the snapshot is
+    taken; the first {!resolve_with_basis} from it publishes its
+    refactorisation there (once, never mutated afterwards) and later
+    re-solves from the same snapshot reuse it, counted under
+    [lp.simplex.factor_reuses] instead of [lp.simplex.refactorisations].
+    Reused or recomputed, the factor is bit-identical, so clearing it
+    ([{ snap with s_factor = Atomic.make None }]) changes no result. The
+    cell is safe to share across domains. *)
 
 type resolve =
   | Resolved of result * snapshot option
@@ -50,22 +86,20 @@ val solve_cols :
   ?deadline:float ->
   ?ubs:float option array ->
   ?snapshot_out:snapshot option ref ->
-  nrows:int ->
-  cols:(int * float) array array ->
+  cols:columns ->
   b:float array ->
   c:float array ->
   unit ->
   result
-(** [solve_cols ~nrows ~cols ~b ~c ()] with [cols.(j)] the sparse column of
-    structural variable [j] as (row, coefficient) pairs (each row at most
-    once per column), [b] length [nrows] (all entries [>= 0]), [c] length
-    [Array.length cols]. [ubs.(j)], when present, is a strictly positive
-    upper bound on structural variable [j] (default: none — the classic
-    [x >= 0] form); fixed variables must be substituted out by the caller.
+(** [solve_cols ~cols ~b ~c ()] with [b] length [cols.nrows] (all entries
+    [>= 0]) and [c] one cost per column. [ubs.(j)], when present, is a
+    strictly positive upper bound on structural variable [j] (default:
+    none — the classic [x >= 0] form); fixed variables must be substituted
+    out by the caller.
     [deadline] is an absolute {!Telemetry.Clock} time checked every few
     pivots.
-    @raise Invalid_argument on shape mismatch, a row index out of range,
-    negative [b] entries or a non-positive upper bound.
+    @raise Invalid_argument on shape mismatch, negative [b] entries or a
+    non-positive upper bound.
     @raise Iteration_limit if [max_iters] (default [50_000]) pivots are
     exceeded.
     @raise Deadline_exceeded if [deadline] passes mid-solve.
@@ -77,8 +111,7 @@ val solve_cols :
 val resolve_with_basis :
   ?max_iters:int ->
   ?deadline:float ->
-  nrows:int ->
-  cols:(int * float) array array ->
+  cols:columns ->
   b:float array ->
   c:float array ->
   ubs:float option array ->

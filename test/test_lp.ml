@@ -327,6 +327,108 @@ let prop_warm_resolve_matches_cold =
            Float.abs (w -. c) < 1e-6
          | _, _ -> false))
 
+(* Kernel form of an [arb_lp_rebound] model: [x_j] in [0, 50] as column
+   bounds, one slack column per [<=] row, the maximisation negated. *)
+let kernel_form spec =
+  let nv = List.length spec.var_bounds in
+  let rows = Array.of_list spec.rows in
+  let m = Array.length rows in
+  let cols =
+    Array.init (nv + m) (fun j ->
+        if j >= nv then [| (j - nv, 1.0) |]
+        else
+          Array.of_list
+            (List.filter_map
+               (fun i ->
+                 let cs, _, _ = rows.(i) in
+                 let a = List.nth cs j in
+                 if a = 0 then None else Some (i, float_of_int a))
+               (List.init m Fun.id)))
+  in
+  let b = Array.map (fun (_, _, rhs) -> float_of_int rhs) rows in
+  let c =
+    Array.init (nv + m) (fun j ->
+        if j < nv then -.float_of_int (List.nth spec.obj j) else 0.0)
+  in
+  let ubs = Array.init (nv + m) (fun j -> if j < nv then Some 50.0 else None) in
+  (Lp.Tableau.columns ~nrows:m cols, b, c, ubs)
+
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_resolve r1 r2 =
+  let module T = Lp.Tableau in
+  let same_result a b =
+    match (a, b) with
+    | T.Optimal (v1, x1), T.Optimal (v2, x2) ->
+      bits_equal v1 v2
+      && Array.length x1 = Array.length x2
+      && Array.for_all2 bits_equal x1 x2
+    | T.Infeasible, T.Infeasible | T.Unbounded, T.Unbounded -> true
+    | _, _ -> false
+  in
+  let same_snap a b =
+    match (a, b) with
+    | Some s1, Some s2 ->
+      s1.T.s_basis = s2.T.s_basis && s1.T.s_at_ub = s2.T.s_at_ub
+    | None, None -> true
+    | _, _ -> false
+  in
+  match (r1, r2) with
+  | T.Resolved (a, sa), T.Resolved (b, sb) -> same_result a b && same_snap sa sb
+  | T.Stale x, T.Stale y -> String.equal x y
+  | _, _ -> false
+
+(* The two children of one parent basis (x_vi <= k and x_vi >= k) re-solve
+   to the same bits whichever runs first — the first publishes the
+   parent snapshot's factor, the second reuses it — and whether the factor
+   is shared at all or cleared before each child. *)
+let prop_sibling_resolves_share_factor =
+  QCheck.Test.make ~name:"sibling re-solves agree with and without a shared factor"
+    ~count:150 arb_lp_rebound (fun (spec, vi, k) ->
+      let module T = Lp.Tableau in
+      let cols, b, c, ubs = kernel_form spec in
+      let out = ref None in
+      match T.solve_cols ~ubs ~snapshot_out:out ~cols ~b ~c () with
+      | T.Infeasible | T.Unbounded -> false (* the box forbids both *)
+      | T.Optimal _ ->
+        let snap = Option.get !out in
+        let kf = float_of_int k in
+        let down_ubs = Array.copy ubs in
+        down_ubs.(vi) <- Some kf;
+        let up_ubs = Array.copy ubs in
+        up_ubs.(vi) <- Some (50.0 -. kf);
+        let up_b = Array.copy b in
+        Array.iter
+          (fun (i, a) -> up_b.(i) <- up_b.(i) -. (a *. kf))
+          (Array.map2 (fun i a -> (i, a)) cols.T.col_idx.(vi) cols.T.col_val.(vi));
+        let down s = T.resolve_with_basis ~cols ~b ~c ~ubs:down_ubs ~snapshot:s () in
+        let up s = T.resolve_with_basis ~cols ~b:up_b ~c ~ubs:up_ubs ~snapshot:s () in
+        let cleared () = { snap with T.s_factor = Atomic.make None } in
+        let down_first = down snap in
+        let published = Atomic.get snap.T.s_factor <> None in
+        let up_second = up snap in
+        let snap' = cleared () in
+        let up_first = up snap' in
+        let down_second = down snap' in
+        let down_alone = down (cleared ()) and up_alone = up (cleared ()) in
+        published
+        && same_resolve down_first down_second
+        && same_resolve down_first down_alone
+        && same_resolve up_first up_second
+        && same_resolve up_first up_alone)
+
+(* Column validation lives in the column store: a row index outside the
+   form is rejected before any solve. *)
+let test_columns_row_out_of_range () =
+  let rejects cols =
+    match Lp.Tableau.columns ~nrows:2 cols with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check bool "row = nrows" true (rejects [| [| (0, 1.0); (2, 1.0) |] |]);
+  check bool "negative row" true (rejects [| [| (-1, 1.0) |] |]);
+  check bool "in range" false (rejects [| [| (0, 1.0); (1, 2.0) |]; [||] |])
+
 (* A pivot budget the kernel cannot meet is a typed abort, not [Failure]. *)
 let test_simplex_iteration_limit () =
   let m, _, _ = wyndor () in
@@ -489,6 +591,28 @@ let test_bb_node_limit () =
   check bool "has incumbent" true (r.BB.values <> None);
   check bool "not proved optimal" true (r.BB.status <> BB.Infeasible)
 
+(* A time limit that stops the search before the root relaxation finishes
+   leaves the warm-start incumbent and no bound: the gap is unknown, not
+   infinite. *)
+let test_bb_root_aborted_gap () =
+  let m = M.create () in
+  let xs = Array.init 6 (fun i -> M.add_var m ~kind:M.Binary (Printf.sprintf "x%d" i)) in
+  M.add_constr m
+    (E.sum (Array.to_list (Array.mapi (fun i x -> E.iterm (i + 2) x) xs)))
+    M.Le (E.of_int 9);
+  M.set_objective m `Maximize
+    (E.sum (Array.to_list (Array.mapi (fun i x -> E.iterm (7 - i) x) xs)));
+  let warm = [| 1.0; 1.0; 0.0; 0.0; 0.0; 0.0 |] in
+  List.iter
+    (fun deterministic ->
+      let options =
+        { BB.default_options with BB.time_limit = Some 1e-9; deterministic }
+      in
+      let r = BB.solve ~options ~warm_start:warm m in
+      check bool "feasible" true (r.BB.status = BB.Feasible);
+      check bool "no gap" true (r.BB.gap = None))
+    [ false; true ]
+
 let test_bb_minimize () =
   (* min 3x + 4y st x + 2y >= 7, ints -> x=1 y=3: 15  or x=7 y=0: 21; optimum
      x=1,y=3 = 15?  check: x+2y>=7 minimise 3x+4y: try y=3,x=1 -> 15; y=2,x=3
@@ -618,9 +742,16 @@ let () =
           Alcotest.test_case "crossed bounds" `Quick test_simplex_crossed_bounds;
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
           Alcotest.test_case "iteration limit" `Quick test_simplex_iteration_limit;
+          Alcotest.test_case "column row out of range" `Quick
+            test_columns_row_out_of_range;
         ] );
       ( "simplex-props",
-        qsuite [ prop_exact_matches_float; prop_warm_resolve_matches_cold ] );
+        qsuite
+          [
+            prop_exact_matches_float;
+            prop_warm_resolve_matches_cold;
+            prop_sibling_resolves_share_factor;
+          ] );
       ( "presolve",
         [
           Alcotest.test_case "tightens bounds" `Quick test_presolve_tightens;
@@ -636,6 +767,7 @@ let () =
           Alcotest.test_case "warm start" `Quick test_bb_warm_start;
           Alcotest.test_case "node limit keeps incumbent" `Quick test_bb_node_limit;
           Alcotest.test_case "minimisation" `Quick test_bb_minimize;
+          Alcotest.test_case "root aborted: no gap" `Quick test_bb_root_aborted_gap;
         ] );
       ( "bb-props",
         qsuite
