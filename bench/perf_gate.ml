@@ -345,7 +345,6 @@ let () =
       "lp.bb.nodes";
       "lp.bb.warm_hits";
       "lp.bb.warm_fallbacks";
-      "lp.bb.steals";
       "lp.bb.pruned_by_bound";
       "lp.simplex.warm_solves";
       "lp.simplex.pivots";

@@ -23,18 +23,19 @@
     back to a cold primal solve when the warm solve goes stale
     ([lp.bb.warm_hits] / [lp.bb.warm_fallbacks] count the split).
 
-    The search runs on [options.domains] OCaml domains with per-domain
-    work-stealing deques ([lp.bb.steals]) and a shared atomic incumbent.
-    Results are deterministic regardless of domain count: when optimality
-    is proved, the reported solution is re-derived by a fixed-order
-    sequential dive bounded by the proven objective, so equal runs return
-    byte-identical values; budget-stopped runs report the best incumbent
-    found (deterministically tie-broken on equal objectives, but which
-    incumbents were *reached* under a budget is timing-dependent — such
-    results are best-effort by nature). When byte-stable budget-stopped
-    results are required, [options.deterministic] trades the work-stealing
-    pool for a synchronous-wave search whose outcome depends only on the
-    node budget. *)
+    The tree is searched in synchronous waves: one global stack of open
+    nodes, popped [8] at a time (a constant, not the domain count); the
+    wave's relaxations are solved by up to [options.domains] OCaml domains,
+    and every shared-state update — incumbent, pruning, child order — is
+    applied at the wave barrier in stack order. The explored tree therefore
+    depends only on the node budget: with a [node_limit] and no
+    [time_limit], status, objective, values and node count are
+    byte-identical at any domain count and on any machine. A [time_limit]
+    still stops the search, at a machine-dependent point: a worker ends the
+    search before a node when the time left cannot fit four relaxations of
+    its recent size (at least 50 ms), so the kernel deadline
+    ([lp.simplex.deadline_aborts]) only fires on a runaway relaxation.
+    Equal-objective incumbents are tie-broken lexicographically. *)
 
 type status =
   | Optimal  (** search space exhausted; incumbent is proved optimal *)
@@ -72,22 +73,13 @@ type options = {
           [int_objective] is set *)
   log : bool;
   domains : int;
-      (** worker domains for the parallel tree search, default
+      (** worker domains that share each wave of relaxations, default
           [max 1 (min 4 (Domain.recommended_domain_count () - 1))]; [1]
-          runs the whole search on the calling domain *)
+          runs the whole search on the calling domain. Changes only how
+          fast a wave is solved, never which nodes are explored *)
   deterministic : bool;
-      (** default [false]: work-stealing search, fastest but — under a
-          budget — the set of explored nodes depends on timing. [true]
-          switches to a synchronous-wave search: one global node stack,
-          fixed-width waves of relaxations solved by up to [domains]
-          workers, all shared-state updates applied at the wave barrier in
-          stack order (the wave width is a constant so the explored tree
-          depends only on the node budget, never on [domains]).
-          Results (status, objective, values, nodes) are then
-          byte-identical across domain counts even when stopped by
-          [node_limit] — pair it with a node budget, not a wall-clock one,
-          for machine-independent artifacts (the benchmark JSON the CI
-          determinism gate diffs is produced this way) *)
+      (** ignored: the search is always the deterministic wave search. The
+          field remains only for callers that still set it *)
 }
 
 val default_options : options

@@ -114,8 +114,8 @@ let test_solve_and_extract_component () =
 
 let test_domains_agree_on_assay () =
   (* Domain count must not leak into results: on an example-assay layer
-     model solved to completion, 1 and 4 domains return the same status and
-     objective. *)
+     model solved to completion, 1 and 4 domains return the same status,
+     objective and values. *)
   let a, _, _, _ = small_assay () in
   let spec = spec_of a ~slots:(free_slots 3) ~rule:Cohls.Binding.Component_oriented in
   let solve domains =
@@ -132,11 +132,10 @@ let test_domains_agree_on_assay () =
   let r1 = solve 1 and r4 = solve 4 in
   check bool "same status" true
     (r1.Lp.Branch_bound.status = r4.Lp.Branch_bound.status);
-  match (r1.Lp.Branch_bound.objective, r4.Lp.Branch_bound.objective) with
-  | Some o1, Some o4 ->
-    check bool "same objective" true (Float.abs (o1 -. o4) < 1e-6)
-  | None, None -> ()
-  | _, _ -> Alcotest.fail "one domain count found a solution, the other did not"
+  check bool "same objective" true
+    (r1.Lp.Branch_bound.objective = r4.Lp.Branch_bound.objective);
+  check bool "same values" true
+    (r1.Lp.Branch_bound.values = r4.Lp.Branch_bound.values)
 
 let test_exact_rule_needs_more_devices () =
   let _, _, _, result_c = solve_small Cohls.Binding.Component_oriented in
