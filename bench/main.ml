@@ -567,11 +567,37 @@ let maxflow_grid () =
   done;
   ignore (Flowgraph.Maxflow.max_flow net ~source:0 ~sink:(side * side - 1))
 
+(* The first case-1 (kinase) layer's ILP as the layer solver builds it on
+   a first synthesis pass: no inherited devices, and one free slot more
+   than heuristic synthesis uses devices. *)
+let case1_layer_model () =
+  let assay = Assays.Kinase.testcase () in
+  let layering = Cohls.Layering.compute assay in
+  let heuristic = Syn.run assay in
+  let free = heuristic.Syn.final_breakdown.Cohls.Schedule.devices + 1 in
+  let spec =
+    {
+      Cohls.Ilp_model.ops = Assay.operations assay;
+      graph = Assay.dependency_graph assay;
+      layer = layering.Cohls.Layering.layers.(0);
+      layer_of_op = layering.Cohls.Layering.layer_of_op;
+      bound_before = (fun _ -> None);
+      slots = Array.init free (fun id -> Cohls.Ilp_model.Free { id });
+      rule = Cohls.Binding.Component_oriented;
+      transport = (fun _ -> Syn.default_config.Syn.initial_transport);
+      cost = Cost.default;
+      weights = Cohls.Schedule.default_weights;
+      existing_paths = [];
+    }
+  in
+  Cohls.Ilp_model.model (Cohls.Ilp_model.build spec)
+
 let micro () =
   section "Bechamel micro-benchmarks of the computational kernels";
   let open Bechamel in
   let assay2 = Assays.Gene_expression.testcase () in
   let assay3 = Assays.Rt_qpcr.testcase () in
+  let layer1 = case1_layer_model () in
   let stagef f = Staged.stage f in
   let tests =
     [
@@ -584,6 +610,8 @@ let micro () =
                   ~config:{ Syn.default_config with Syn.max_iterations = 1 }
                   assay2)));
       Test.make ~name:"simplex/wyndor-float" (stagef wyndor_solve);
+      Test.make ~name:"presolve/case1-layer"
+        (stagef (fun () -> ignore (Lp.Presolve.run (Lp.Model.copy layer1))));
       Test.make ~name:"maxflow/8x8-grid" (stagef maxflow_grid);
       Test.make ~name:"bigint/mul-256-digit"
         (stagef (fun () ->

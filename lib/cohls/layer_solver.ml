@@ -135,7 +135,16 @@ let solve engine input ~fresh_id =
         int_obj_step = Float.of_int (max 1 (abs step));
       }
     in
-    let result = Lp.Branch_bound.solve ~options ?warm_start:warm lp in
+    (* Branch-and-bound abandons a node whose relaxation fails; a kernel
+       failure that still escapes the search ends only this layer's ILP,
+       never the synthesis run. *)
+    let values =
+      match Lp.Branch_bound.solve ~options ?warm_start:warm lp with
+      | result -> result.Lp.Branch_bound.values
+      | exception (Lp.Tableau.Singular | Lp.Tableau.Iteration_limit | Failure _) ->
+        Telemetry.count "layer.ilp_failed";
+        None
+    in
     (* Accept the ILP schedule only if, in exact arithmetic, it satisfies
        the model as built and strictly beats the heuristic's objective. *)
     let exact values v = Numeric.Rat.of_float_approx values.(v) in
@@ -156,7 +165,7 @@ let solve engine input ~fresh_id =
       if not ok then Telemetry.count "layer.ilp_uncertified";
       ok
     in
-    match result.Lp.Branch_bound.values with
+    match values with
     | Some values when better_than_heuristic values && certified values ->
       Telemetry.count "layer.ilp_improved";
       let entries, created = Ilp_model.extract built ~values in

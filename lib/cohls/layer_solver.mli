@@ -10,7 +10,8 @@
     requirement of the model as built (before presolve) in rational
     arithmetic, and its exactly recomputed objective is strictly better than
     the heuristic's. A schedule that fails the certificate is counted under
-    [layer.ilp_uncertified] and the heuristic schedule is kept. *)
+    [layer.ilp_uncertified] and the heuristic schedule is kept; so is it
+    when the solver fails outright ([layer.ilp_failed]). *)
 
 open Microfluidics
 

@@ -203,7 +203,7 @@ let wave_width = 8
 type wave_outcome =
   | W_skipped (* not started: the time left cannot fit a relaxation *)
   | W_abort (* the kernel deadline fired mid-relaxation *)
-  | W_dropped
+  | W_dropped of string (* the kernel gave up on the node: counter to bump *)
   | W_infeasible
   | W_unbounded
   | W_solved of float * float array
@@ -221,7 +221,8 @@ let solve_node sh w nd =
           ~bounds:nd.nd_bounds ~basis:nd.nd_basis sh.model
       with
       | exception Tableau.Deadline_exceeded -> W_abort
-      | exception Tableau.Iteration_limit -> W_dropped
+      | exception Tableau.Iteration_limit -> W_dropped "lp.simplex.iteration_aborts"
+      | exception Tableau.Singular -> W_dropped "lp.simplex.singular_aborts"
       | Simplex.Infeasible -> W_infeasible
       | Simplex.Unbounded -> W_unbounded
       | Simplex.Optimal { objective; values } ->
@@ -269,11 +270,13 @@ let settle sh nd outcome children =
     halt sh;
     keep_bound sh nd.nd_bound;
     children
-  | W_dropped ->
-    (* A relaxation that ran out of pivots: drop only its subtree. The
-       search goes on, but it no longer proves optimality, and the node's
-       bound stays in the gap. *)
-    Telemetry.count "lp.simplex.iteration_aborts";
+  | W_dropped counter ->
+    (* A relaxation that ran out of pivots or met a singular basis: drop
+       only its subtree. The search goes on, but it no longer proves
+       optimality, and the node's bound stays in the gap; a root dropped
+       this way leaves no bound and, without a warm start, status
+       [Unknown]. *)
+    Telemetry.count counter;
     sh.proven <- false;
     keep_bound sh nd.nd_bound;
     children
@@ -381,7 +384,8 @@ let solve ?(options = default_options) ?warm_start model =
    | None -> ());
   let presolve_outcome =
     if options.presolve then
-      Telemetry.span "lp.presolve.run" (fun () -> Presolve.run model)
+      Telemetry.span "lp.presolve.run" (fun () ->
+          Presolve.run ?deadline:sh.deadline model)
     else Presolve.Ok 0
   in
   match presolve_outcome with

@@ -13,9 +13,12 @@
     prefers an ILP schedule over the heuristic one.
 
     A relaxation that exceeds the kernel's pivot budget
-    ({!Tableau.Iteration_limit}) abandons only its own node: the search
-    continues without a proof of optimality, the node's bound stays in the
-    gap, and [lp.simplex.iteration_aborts] counts it.
+    ({!Tableau.Iteration_limit}) or meets a singular basis
+    ({!Tableau.Singular}) abandons only its own node: the search continues
+    without a proof of optimality, the node's bound stays in the gap, and
+    [lp.simplex.iteration_aborts] or [lp.simplex.singular_aborts] counts
+    it. A root abandoned this way leaves no bound, so without a warm start
+    the status is [Unknown].
 
     Each node re-solves its relaxation warm: it inherits the parent's
     simplex basis (a {!Simplex.basis} cell, copied on branching) and the
@@ -62,7 +65,7 @@ type options = {
   int_tol : float;  (** integrality tolerance, default [1e-6] *)
   presolve : bool;
       (** run {!Presolve} at the root (span [lp.presolve.run]), default
-          [true] *)
+          [true]; it stops at the search deadline like the tree does *)
   int_objective : bool;
       (** the objective only takes integer values on integer solutions:
           prune nodes whose relaxation bound is within [int_obj_step] of the

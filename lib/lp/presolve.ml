@@ -26,8 +26,20 @@ let activity model expr =
 
 exception Infeasible_found
 
-let run ?(max_rounds = 10) model =
+let run ?(max_rounds = 10) ?deadline model =
   let changes = ref 0 in
+  (* Deadline: the clock is read every 256 rows visited, by any pass. Once
+     it has passed, every later row is kept as it is and the rounds stop;
+     each reduction made before that is valid on its own. *)
+  let expired = ref false and visited = ref 0 in
+  let out_of_time () =
+    (match deadline with
+     | Some d when not !expired ->
+       incr visited;
+       if !visited land 255 = 0 && Telemetry.Clock.now_s () > d then expired := true
+     | Some _ | None -> ());
+    !expired
+  in
   let rows_removed = ref 0 in
   let singleton_rows = ref 0 in
   let coeffs_tightened = ref 0 in
@@ -72,6 +84,7 @@ let run ?(max_rounds = 10) model =
   let row_pass () =
     Model.filter_map_constraints model (fun _name expr sense rhs ->
         match Linexpr.terms expr with
+        | _ when out_of_time () -> Some (expr, sense, rhs)
         | [] ->
           let sat =
             match sense with
@@ -199,6 +212,7 @@ let run ?(max_rounds = 10) model =
   in
   let propagate _name expr sense rhs =
     match sense with
+    | _ when out_of_time () -> ()
     | Model.Le -> propagate_le expr rhs
     | Model.Ge -> propagate_le (Linexpr.neg expr) (Q.neg rhs)
     | Model.Eq ->
@@ -266,10 +280,14 @@ let run ?(max_rounds = 10) model =
       let before = !changes in
       row_pass ();
       Model.iter_constraints model propagate;
-      duality_pass ();
-      if !changes = before then continue_ := false
+      if !expired then continue_ := false
+      else begin
+        duality_pass ();
+        if !changes = before then continue_ := false
+      end
     done;
     Telemetry.count "lp.presolve.runs";
+    if !expired then Telemetry.count "lp.presolve.deadline_stops";
     Telemetry.count ~by:!round "lp.presolve.rounds";
     Telemetry.count ~by:!changes "lp.presolve.tightenings";
     Telemetry.count ~by:!rows_removed "lp.presolve.rows_removed";

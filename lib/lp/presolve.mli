@@ -27,5 +27,9 @@ type outcome =
   | Ok of int  (** number of changes applied (bounds, rows, coefficients) *)
   | Proved_infeasible
 
-val run : ?max_rounds:int -> Model.t -> outcome
-(** Default [max_rounds = 10]. *)
+val run : ?max_rounds:int -> ?deadline:float -> Model.t -> outcome
+(** Default [max_rounds = 10]. [deadline] is an absolute
+    {!Telemetry.Clock} time, read every 256 rows visited: once it has
+    passed, the rows not yet visited are kept unchanged, no further pass or
+    round runs, [lp.presolve.deadline_stops] is bumped and the result is
+    [Ok] — every reduction made before the stop is valid on its own. *)

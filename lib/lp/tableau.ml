@@ -32,6 +32,7 @@ type result = Optimal of float * float array | Infeasible | Unbounded
 
 exception Deadline_exceeded
 exception Iteration_limit
+exception Singular
 
 let eps = 1e-9
 
@@ -243,7 +244,7 @@ let factorise st =
             end
           end
         done;
-        if !best < 0 then failwith "Tableau: singular basis on refactorisation";
+        if !best < 0 then raise Singular;
         !best
     in
     push_eta st (eta_of_alpha ~row v);
@@ -890,7 +891,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
         (try
            factor_from st snapshot;
            dual_phase st ~c alpha
-         with Failure msg -> `Failed msg)
+         with Singular -> `Failed "singular basis on refactorisation")
       with
       | `Failed msg -> Stale msg
       | `Cycled -> Stale "dual iteration limit"
@@ -902,7 +903,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
            pivots. *)
         match
           (try run_phase st ~c ~phase2:true alpha with
-           | Failure msg -> `Failed msg
+           | Singular -> `Failed "singular basis on refactorisation"
            | Iteration_limit -> `Failed "polish iteration limit")
         with
         | `Failed msg -> Stale msg

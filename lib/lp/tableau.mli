@@ -37,6 +37,12 @@ exception Iteration_limit
 (** Raised by a primal solve that exceeds its [max_iters] pivot budget.
     Branch-and-bound abandons the node that hit it and keeps searching. *)
 
+exception Singular
+(** Raised by a primal solve whose refactorisation finds the basis
+    singular: a basic column has no pivot above the tolerance left in any
+    unplaced row. Branch-and-bound abandons the node, as for
+    {!Iteration_limit}; a warm re-solve reports it as [Stale] instead. *)
+
 type columns = private {
   nrows : int;
   col_idx : int array array;  (** row indices of each column, ascending *)
@@ -102,6 +108,7 @@ val solve_cols :
     non-positive upper bound.
     @raise Iteration_limit if [max_iters] (default [50_000]) pivots are
     exceeded.
+    @raise Singular if a refactorisation meets a singular basis.
     @raise Deadline_exceeded if [deadline] passes mid-solve.
 
     When [snapshot_out] is supplied it is filled with a {!snapshot} of the

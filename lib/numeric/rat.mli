@@ -2,7 +2,18 @@
 
     Values are kept normalised: the denominator is strictly positive and
     coprime with the numerator; zero is [0/1]. Total ordering is the usual
-    order on ℚ. *)
+    order on ℚ.
+
+    Representation: a normalised value is held as a pair of native [int]s
+    when its numerator and denominator both fit an [int] other than
+    [min_int], and as a pair of {!Bigint}s otherwise. The choice is
+    canonical — it depends only on the value — so every value has exactly
+    one representation. Operations on two native values whose parts lie
+    strictly inside ±2^30 use native products (below 2^60, no overflow) and
+    an [int] gcd; any other operand goes through {!Bigint}, and results
+    that fit are demoted back to native ints. The representation is not
+    observable: every function returns the same value, string and float,
+    bit for bit, as a plain bignum rational would. *)
 
 type t
 
@@ -49,6 +60,8 @@ val ceil : t -> Bigint.t
 val is_integer : t -> bool
 
 val to_float : t -> float
+(** [Bigint.to_float (num x) /. Bigint.to_float (den x)]. *)
+
 val of_float_approx : float -> t
 (** Dyadic approximation of a finite float (exact for IEEE doubles).
     @raise Invalid_argument on NaN or infinities. *)

@@ -435,6 +435,29 @@ let test_simplex_iteration_limit () =
   Alcotest.check_raises "typed abort" Lp.Tableau.Iteration_limit (fun () ->
       ignore (S.solve_relaxation_float ~max_iters:1 m))
 
+(* A singular basis is a typed kernel failure, never [Failure]. Columns 0
+   and 1 are equal, so a snapshot that makes both basic cannot be
+   refactorised: the warm re-solve reports it as stale (its caller then
+   solves cold), and nothing escapes. *)
+let test_tableau_singular_basis () =
+  let module T = Lp.Tableau in
+  let same = [| (0, 1.0); (1, 2.0) |] in
+  let cols = T.columns ~nrows:2 [| same; same; [| (0, 1.0) |]; [| (1, 1.0) |] |] in
+  let snapshot =
+    {
+      T.s_basis = [| 0; 1 |];
+      s_at_ub = Array.make 4 false;
+      s_factor = Atomic.make None;
+    }
+  in
+  match
+    T.resolve_with_basis ~cols ~b:[| 1.0; 2.0 |] ~c:[| 1.0; 1.0; 0.0; 0.0 |]
+      ~ubs:(Array.make 4 None) ~snapshot ()
+  with
+  | T.Stale reason ->
+    check Alcotest.string "reason" "singular basis on refactorisation" reason
+  | T.Resolved _ -> Alcotest.fail "a singular basis cannot be resolved"
+
 (* ---------- Presolve ---------- *)
 
 let test_presolve_tightens () =
@@ -466,6 +489,46 @@ let test_presolve_infeasible () =
   match Lp.Presolve.run m with
   | Lp.Presolve.Proved_infeasible -> ()
   | Lp.Presolve.Ok _ -> Alcotest.fail "expected infeasible"
+
+(* Presolve stops at its deadline between rows: a stepped clock (1 ms per
+   read, read every 256 rows) passes a 0.5 ms deadline on its second read.
+   Every singleton row visited before that became a bound; every later row
+   is still in the model, its variable untouched. *)
+let test_presolve_deadline_stops () =
+  let n = 1000 in
+  let m = M.create () in
+  let xs =
+    Array.init n (fun i -> M.add_var m ~ub:(Q.of_int 10) (Printf.sprintf "x%d" i))
+  in
+  Array.iter (fun x -> M.add_constr m (E.var x) M.Le (E.of_int 5)) xs;
+  M.set_objective m `Maximize (E.sum (Array.to_list (Array.map E.var xs)));
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let ticks = Atomic.make 0 in
+  Telemetry.Clock.set_source (fun () ->
+      float_of_int (Atomic.fetch_and_add ticks 1) *. 1e-3);
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ();
+      Telemetry.Clock.use_wall_clock ())
+    (fun () ->
+      let changes =
+        match Lp.Presolve.run ~deadline:0.5e-3 m with
+        | Lp.Presolve.Ok changes -> changes
+        | Lp.Presolve.Proved_infeasible -> Alcotest.fail "not infeasible"
+      in
+      check int_t "stopped once" 1 (Telemetry.counter_value "lp.presolve.deadline_stops");
+      check int_t "two clock reads" 2 (Atomic.get ticks);
+      let kept = M.constr_count m in
+      check int_t "rows before the second read consumed" (n - 511) kept;
+      check int_t "a bound and a removal per row" (2 * 511) changes;
+      let tightened =
+        Array.fold_left
+          (fun k x -> if M.var_ub m x = Some (Q.of_int 5) then k + 1 else k)
+          0 xs
+      in
+      check int_t "one bound per consumed row" (n - kept) tightened)
 
 (* Presolve must preserve the optimal objective value (not necessarily the
    optimal point: duality fixing may pick one optimum among several) on
@@ -764,6 +827,7 @@ let () =
           Alcotest.test_case "crossed bounds" `Quick test_simplex_crossed_bounds;
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
           Alcotest.test_case "iteration limit" `Quick test_simplex_iteration_limit;
+          Alcotest.test_case "singular basis" `Quick test_tableau_singular_basis;
           Alcotest.test_case "column row out of range" `Quick
             test_columns_row_out_of_range;
         ] );
@@ -779,6 +843,8 @@ let () =
           Alcotest.test_case "tightens bounds" `Quick test_presolve_tightens;
           Alcotest.test_case "integer rounding" `Quick test_presolve_integer_rounding;
           Alcotest.test_case "proves infeasible" `Quick test_presolve_infeasible;
+          Alcotest.test_case "deadline stops between rows" `Quick
+            test_presolve_deadline_stops;
         ] );
       ("presolve-props", qsuite [ prop_presolve_preserves_optimum ]);
       ( "branch-bound",

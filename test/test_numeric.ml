@@ -242,6 +242,170 @@ let prop_rat_total_order =
     QCheck.(pair arb_rat arb_rat)
     (fun (a, b) -> compare (Q.compare a b) 0 = compare 0 (Q.compare b a))
 
+(* ---------- Rat against the plain bignum oracle ---------- *)
+
+(* [Reference_rat] is the bignum-only rational [Rat] used to be. Every
+   operation of [Rat] must give the same value, the same string and the same
+   float bits on operands drawn across each of its internal boundaries: the
+   ±2^30 native-product guard, the 2^53 exact-float limit, [max_int],
+   [min_int] and ±2^62, and bignum values well outside [int]. *)
+module R = Reference_rat
+
+let gen_edge_int =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, int_range (-1000) 1000);
+      ( 8,
+        map3
+          (fun e k neg ->
+            let v = (1 lsl e) + k in
+            if neg then -v else v)
+          (oneofl [ 15; 29; 30; 31; 32; 33; 52; 53; 54; 61 ])
+          (int_range (-3) 3) bool );
+      (1, map (fun k -> max_int - k) (int_range 0 3));
+      (1, map (fun k -> min_int + k) (int_range 0 3));
+    ]
+
+let gen_edge_big =
+  let open QCheck.Gen in
+  let signed neg x = if neg then B.neg x else x in
+  frequency
+    [
+      (8, map B.of_int gen_edge_int);
+      (1, map (fun neg -> signed neg (B.pow B.two 62)) bool);
+      ( 1,
+        map3
+          (fun b e neg -> signed neg (B.pow (B.of_int b) e))
+          (oneofl [ 2; 3; 7; 10 ]) (int_range 16 80) bool );
+    ]
+
+(* The same fraction built by both implementations. *)
+let gen_rat_pair =
+  let open QCheck.Gen in
+  map2
+    (fun n d -> (Q.make n d, R.make n d))
+    gen_edge_big
+    (frequency
+       [
+         (3, return B.one);
+         (6, map (fun d -> if B.is_zero d then B.two else d) gen_edge_big);
+       ])
+
+let arb_rat_pairs =
+  QCheck.make
+    ~print:(fun ((_, a), (_, b), (_, c)) ->
+      Printf.sprintf "%s, %s, %s" (R.to_string a) (R.to_string b) (R.to_string c))
+    QCheck.Gen.(triple gen_rat_pair gen_rat_pair gen_rat_pair)
+
+(* Ok of the printed result, or the exception both sides must raise. *)
+let outcome f x = match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let float_bits f = Int64.bits_of_float f
+
+let agree_unary what (q, r) =
+  let same name fq fr =
+    if outcome fq q <> outcome fr r then
+      QCheck.Test.fail_reportf "%s: %s disagrees on %s" what name (R.to_string r)
+  in
+  same "to_string" Q.to_string R.to_string;
+  same "num/den"
+    (fun q -> bs (Q.num q) ^ "/" ^ bs (Q.den q))
+    (fun r -> bs (R.num r) ^ "/" ^ bs (R.den r));
+  same "floor" (fun q -> bs (Q.floor q)) (fun r -> bs (R.floor r));
+  same "ceil" (fun q -> bs (Q.ceil q)) (fun r -> bs (R.ceil r));
+  same "is_integer" (fun q -> string_of_bool (Q.is_integer q))
+    (fun r -> string_of_bool (R.is_integer r));
+  same "sign" (fun q -> string_of_int (Q.sign q)) (fun r -> string_of_int (R.sign r));
+  same "to_float" (fun q -> float_bits (Q.to_float q) |> Int64.to_string)
+    (fun r -> float_bits (R.to_float r) |> Int64.to_string);
+  same "neg" (fun q -> qs (Q.neg q)) (fun r -> R.to_string (R.neg r));
+  same "abs" (fun q -> qs (Q.abs q)) (fun r -> R.to_string (R.abs r));
+  same "inv" (fun q -> qs (Q.inv q)) (fun r -> R.to_string (R.inv r));
+  let f = R.to_float r in
+  if Float.is_finite f then
+    same "of_float_approx"
+      (fun _ -> qs (Q.of_float_approx f))
+      (fun _ -> R.to_string (R.of_float_approx f))
+
+let binary_ops =
+  [
+    ("add", Q.add, R.add);
+    ("sub", Q.sub, R.sub);
+    ("mul", Q.mul, R.mul);
+    ("div", Q.div, R.div);
+  ]
+
+(* Applies [op] on both sides; the pair of results when both succeed. *)
+let agree_binary (name, fq, fr) (qa, ra) (qb, rb) =
+  match (outcome (fq qa) qb, outcome (fr ra) rb) with
+  | Ok q, Ok r ->
+    if Q.to_string q <> R.to_string r then
+      QCheck.Test.fail_reportf "%s %s %s: %s vs %s" name (R.to_string ra)
+        (R.to_string rb) (Q.to_string q) (R.to_string r);
+    Some (q, r)
+  | Error e, Error e' when e = e' -> None
+  | _ ->
+    QCheck.Test.fail_reportf "%s %s %s: outcomes differ" name (R.to_string ra)
+      (R.to_string rb)
+
+let agree_order (qa, ra) (qb, rb) =
+  if Q.compare qa qb <> R.compare ra rb || Q.equal qa qb <> R.equal ra rb then
+    QCheck.Test.fail_reportf "compare/equal %s %s" (R.to_string ra) (R.to_string rb)
+
+let prop_rat_matches_oracle =
+  QCheck.Test.make ~name:"rat agrees with the bignum oracle" ~count:1500 arb_rat_pairs
+    (fun (a, b, c) ->
+      List.iter (agree_unary "operand") [ a; b; c ];
+      agree_order a b;
+      agree_order b a;
+      (* Every result feeds a second operation, so results that left (or
+         re-entered) the native range are operands too. *)
+      List.iter
+        (fun op ->
+          match agree_binary op a b with
+          | None -> ()
+          | Some x ->
+            agree_unary "result" x;
+            agree_order x c;
+            List.iter (fun op' -> ignore (agree_binary op' x c)) binary_ops)
+        binary_ops;
+      true)
+
+let gen_edge_float =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map Float.of_int gen_edge_int);
+      ( 3,
+        map2
+          (fun e k -> Float.ldexp 1.0 e +. Float.of_int k)
+          (oneofl [ 30; 52; 53; 54; 61; 62; 63; 64 ]) (int_range (-2) 2) );
+      (3, map2 Float.ldexp (float_range (-1.0) 1.0) (int_range (-1074) 1023));
+      (1, float);
+    ]
+
+let prop_rat_of_float_matches_oracle =
+  QCheck.Test.make ~name:"rat of_float_approx agrees with the bignum oracle" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_edge_float)
+    (fun f ->
+      let q = outcome Q.of_float_approx f and r = outcome R.of_float_approx f in
+      (match (q, r) with
+       | Ok q, Ok r -> Q.to_string q = R.to_string r && Q.is_integer q = R.is_integer r
+       | Error e, Error e' -> e = e'
+       | _ -> false)
+      && (match (q, r) with
+          | Ok q, Ok r -> float_bits (Q.to_float q) = float_bits (R.to_float r)
+          | _ -> true))
+
+let prop_rat_of_ints_matches_oracle =
+  QCheck.Test.make ~name:"rat of_int/of_ints agree with the bignum oracle" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_edge_int gen_edge_int))
+    (fun (n, d) ->
+      let q = outcome (Q.of_ints n) d and r = outcome (R.of_ints n) d in
+      Q.to_string (Q.of_int n) = R.to_string (R.of_int n)
+      && Result.map Q.to_string q = Result.map R.to_string r)
+
 let () =
   let qsuite tests = List.map QCheck_alcotest.to_alcotest tests in
   Alcotest.run "numeric"
@@ -289,5 +453,8 @@ let () =
             prop_rat_inverse;
             prop_rat_floor_bounds;
             prop_rat_total_order;
+            prop_rat_matches_oracle;
+            prop_rat_of_float_matches_oracle;
+            prop_rat_of_ints_matches_oracle;
           ] );
     ]
