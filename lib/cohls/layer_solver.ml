@@ -119,22 +119,6 @@ let solve engine input ~fresh_id =
          (Lp.Linexpr.constant
             (Numeric.Rat.of_int (int_of_float (Float.round wobj))))
      | None -> ());
-    (* Integer weights over integer variables: the objective is integral
-       with granularity gcd(weights), so branch-and-bound may prune nodes
-       within that step of the incumbent. *)
-    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-    let w = input.weights in
-    let step =
-      gcd w.Schedule.w_time
-        (gcd w.Schedule.w_area (gcd w.Schedule.w_processing w.Schedule.w_paths))
-    in
-    let options =
-      {
-        options with
-        Lp.Branch_bound.int_objective = true;
-        int_obj_step = Float.of_int (max 1 (abs step));
-      }
-    in
     (* Branch-and-bound abandons a node whose relaxation fails; a kernel
        failure that still escapes the search ends only this layer's ILP,
        never the synthesis run. *)

@@ -19,6 +19,9 @@ type engine =
   | Heuristic
   | Ilp of {
       options : Lp.Branch_bound.options;
+          (** passed to {!Lp.Branch_bound.solve} as given; the search reads
+              the objective's pruning step (50 under the default weights)
+              off the layer model itself *)
       extra_free_slots : int;
           (** free slots beyond the ones the heuristic needed *)
     }

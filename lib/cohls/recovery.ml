@@ -107,9 +107,11 @@ let suffix_assay assay keep =
     keep;
   (sub, orig_of_sub)
 
+(* Permanent faults recovered from before execution gives up. *)
+let max_recoveries = 16
+
 let execute ?(config = Synthesis.default_config) ?(allow_new_devices = false)
-    ?(max_recoveries = 16) ?max_transient_retries ?backoff_minutes ~plan ~oracle
-    (schedule : Schedule.t) =
+    ~plan ~oracle (schedule : Schedule.t) =
   let fail ~at ~dead failure =
     Telemetry.count "recovery.failed";
     Error { at_global_layer = at; dead_devices = List.rev dead; failure }
@@ -119,7 +121,7 @@ let execute ?(config = Synthesis.default_config) ?(allow_new_devices = false)
     let wrapped op = oracle (to_orig op) in
     match
       Runtime.execute_under_faults ~start_clock:clock ~first_global_layer:global0
-        ?max_transient_retries ?backoff_minutes ~plan current wrapped
+        ~plan current wrapped
     with
     | Error msg -> fail ~at:global0 ~dead (Execution_error msg)
     | Ok (Runtime.Completed { trace; stats = seg_stats }) ->

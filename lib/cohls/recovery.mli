@@ -66,9 +66,6 @@ type outcome = {
 val execute :
   ?config:Synthesis.config ->
   ?allow_new_devices:bool ->
-  ?max_recoveries:int ->
-  ?max_transient_retries:int ->
-  ?backoff_minutes:int ->
   plan:Faults.plan ->
   oracle:Runtime.oracle ->
   Schedule.t ->
@@ -82,9 +79,9 @@ val execute :
     mid-run — and is guaranteed to terminate because each permanent fault
     shrinks the device set; with [allow_new_devices = true] re-synthesis
     may also integrate fresh devices up to the configured cap, bounded by
-    [max_recoveries] (default [16]). [max_transient_retries] and
-    [backoff_minutes] are passed through to
-    {!Runtime.execute_under_faults}.
+    a constant 16 recoveries. Transient faults are retried as
+    {!Runtime.execute_under_faults} does (at most 3 retries, backoff
+    doubling from 2 minutes).
 
     Under {!Faults.none} (or a rate-0 plan) the outcome's trace is exactly
     the fault-free {!Runtime.execute} trace. *)

@@ -91,16 +91,16 @@ let sort_events events =
     (fun a b -> compare (a.time, a.op, a.kind) (b.time, b.op, b.kind))
     events
 
-(* Backoff before the k-th retry (1-based), in simulated minutes: doubling
-   from [backoff_minutes], capped at 16x so a deep transient cannot dominate
-   the makespan. *)
-let backoff_delay ~backoff_minutes k =
-  let d = backoff_minutes * (1 lsl (min 4 (k - 1))) in
-  max 1 d
+(* Retries paid per transient fault before it escalates to permanent. *)
+let max_transient_retries = 3
 
-let execute_under_faults ?(start_clock = 0) ?(first_global_layer = 0)
-    ?(max_transient_retries = 3) ?(backoff_minutes = 2) ~plan (s : Schedule.t)
-    oracle =
+(* Backoff before the k-th retry (1-based), in simulated minutes: doubling
+   from 2, capped at 16x so a deep transient cannot dominate the
+   makespan. *)
+let backoff_delay k = 2 * (1 lsl (min 4 (k - 1)))
+
+let execute_under_faults ?(start_clock = 0) ?(first_global_layer = 0) ~plan
+    (s : Schedule.t) oracle =
   let ops = Assay.operations s.Schedule.assay in
   let exception Bad of string in
   let exception
@@ -175,7 +175,7 @@ let execute_under_faults ?(start_clock = 0) ?(first_global_layer = 0)
           Telemetry.observe "faults.retry_attempts" (float_of_int retries_needed);
           let d = ref 0 in
           for k = 1 to retries_needed do
-            d := !d + backoff_delay ~backoff_minutes k
+            d := !d + backoff_delay k
           done;
           Telemetry.observe "faults.retry_backoff_minutes" (float_of_int !d);
           delay + !d)

@@ -92,8 +92,6 @@ type fault_outcome =
 val execute_under_faults :
   ?start_clock:int ->
   ?first_global_layer:int ->
-  ?max_transient_retries:int ->
-  ?backoff_minutes:int ->
   plan:Faults.plan ->
   Schedule.t ->
   oracle ->
@@ -102,11 +100,11 @@ val execute_under_faults :
     probes every device the layer binds at the {e global} layer index
     ([first_global_layer] + the layer's own index — recovery passes the
     offset so suffix schedules probe consistently). Cleared transients cost
-    backoff minutes doubling from [backoff_minutes] (default [2]) per
-    retry, capped at 16x; at most [max_transient_retries] (default [3])
-    retries are paid per fault, beyond which the fault escalates to
-    permanent. [start_clock] (default [0]) offsets all event times, so a
-    recovered suffix continues the absolute timeline.
+    backoff minutes doubling from a constant 2 per retry (2, 4, 8, ...),
+    capped at 16x; at most 3 retries (a constant) are paid per fault,
+    beyond which the fault escalates to permanent. [start_clock] (default
+    [0]) offsets all event times, so a recovered suffix continues the
+    absolute timeline.
 
     [Error] only for a misbehaving oracle (returning less than an
     operation's minimum duration); injected faults never raise. *)

@@ -14,11 +14,7 @@ type result = {
 type options = {
   time_limit : float option;
   node_limit : int option;
-  int_tol : float;
   presolve : bool;
-  int_objective : bool;
-  int_obj_step : float;
-  log : bool;
   domains : int;
   deterministic : bool;
 }
@@ -26,15 +22,14 @@ type options = {
 let default_domains () =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
+(* Integrality tolerance for branching and for rounding candidates. *)
+let int_tol = 1e-6
+
 let default_options =
   {
     time_limit = None;
     node_limit = None;
-    int_tol = 1e-6;
     presolve = true;
-    int_objective = false;
-    int_obj_step = 1.0;
-    log = false;
     domains = default_domains ();
     deterministic = false;
   }
@@ -60,6 +55,8 @@ type shared = {
   opts : options;
   model : Model.t;
   dir_sign : float; (* +1 minimize, -1 maximize: internal obj = natural * dir_sign *)
+  obj_step : float option;
+      (* the objective's granularity on integer points, when it has one *)
   int_vars : int array;
   deadline : float option;
   relax_ema : float array;
@@ -93,8 +90,8 @@ let fractionality x = Float.abs (x -. Float.round x)
    while branching on a general integer barely moves the relaxation), else
    the most fractional general integer. *)
 let pick_branch sh values =
-  let best_bin = ref (-1) and best_bin_frac = ref sh.opts.int_tol in
-  let best_gen = ref (-1) and best_gen_frac = ref sh.opts.int_tol in
+  let best_bin = ref (-1) and best_bin_frac = ref int_tol in
+  let best_gen = ref (-1) and best_gen_frac = ref int_tol in
   let consider v =
     let f = fractionality values.(v) in
     if Model.var_kind sh.model v = Model.Binary then begin
@@ -131,7 +128,7 @@ let try_incumbent sh values internal_obj =
   let rounded = Array.copy values in
   Array.iter
     (fun v ->
-      if fractionality rounded.(v) <= sh.opts.int_tol then
+      if fractionality rounded.(v) <= int_tol then
         rounded.(v) <- Float.round rounded.(v))
     sh.int_vars;
   Model.check_feasible sh.model ~tol:1e-5 (fun v -> rounded.(v)) = []
@@ -146,24 +143,33 @@ let try_incumbent sh values internal_obj =
     if better then begin
       sh.incumbent <- Some (internal_obj, rounded);
       Telemetry.count "lp.bb.incumbents";
-      Telemetry.observe "lp.bb.incumbent_obj" (sh.dir_sign *. internal_obj);
-      if sh.opts.log then
-        Printf.eprintf "[bb] node %d: incumbent %.6g\n%!" sh.nodes
-          (sh.dir_sign *. internal_obj)
+      Telemetry.observe "lp.bb.incumbent_obj" (sh.dir_sign *. internal_obj)
     end;
     true
   end
 
+(* The objective's step on integer points: when every term is an integer
+   variable with an integer coefficient, the objectives of two integer
+   points differ by a multiple of the coefficients' gcd. *)
+let objective_step model =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let term v c g =
+    match (g, Numeric.Bigint.to_int_opt (Q.num c)) with
+    | Some g, Some k when Model.is_integer_var model v && Q.is_integer c ->
+      Some (gcd g (abs k))
+    | _ -> None
+  in
+  match Linexpr.fold term (snd (Model.objective model)) (Some 0) with
+  | Some g when g > 0 -> Some (Float.of_int g)
+  | Some _ | None -> None
+
 let cutoff sh =
   let inc = match sh.incumbent with Some (o, _) -> o | None -> infinity in
-  (* With an integer-valued objective, a node whose bound is within one
-     objective step of the incumbent cannot contain a strictly better
-     integer point; [int_obj_step] is the gcd of the objective coefficients
-     (e.g. 50 for the paper's weight vector), which prunes the endgame far
-     harder than the generic step of 1. *)
-  if sh.opts.int_objective then
-    inc -. Float.max 1.0 sh.opts.int_obj_step +. 1e-6
-  else inc -. 1e-9
+  (* A node whose bound is within one objective step of the incumbent cannot
+     contain a strictly better integer point. *)
+  match sh.obj_step with
+  | Some step -> inc -. step +. 1e-6
+  | None -> inc -. 1e-9
 
 (* Bounds of the two children of branching [v] at fractional value [x]. *)
 let branch_bounds nd v x =
@@ -365,6 +371,7 @@ let solve ?(options = default_options) ?warm_start model =
       opts = options;
       model;
       dir_sign;
+      obj_step = objective_step model;
       int_vars;
       deadline = Option.map (fun t -> started +. t) options.time_limit;
       relax_ema = Array.make ndomains 0.0;

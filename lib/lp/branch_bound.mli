@@ -38,7 +38,14 @@
     search before a node when the time left cannot fit four relaxations of
     its recent size (at least 50 ms), so the kernel deadline
     ([lp.simplex.deadline_aborts]) only fires on a runaway relaxation.
-    Equal-objective incumbents are tie-broken lexicographically. *)
+    Equal-objective incumbents are tie-broken lexicographically.
+
+    Pruning uses the objective's own step, read off the model: when every
+    objective term is an integer variable with an integer coefficient, a
+    node whose bound is within the gcd [g] of those coefficients of the
+    incumbent holds no strictly better point (the paper's layer objective
+    has [g = 50] under the default weights, more where terms are absent).
+    Any other objective prunes at a [1e-9] margin. *)
 
 type status =
   | Optimal  (** search space exhausted; incumbent is proved optimal *)
@@ -62,19 +69,10 @@ type result = {
 type options = {
   time_limit : float option;  (** seconds of wall-clock *)
   node_limit : int option;
-  int_tol : float;  (** integrality tolerance, default [1e-6] *)
   presolve : bool;
       (** run {!Presolve} at the root (span [lp.presolve.run]), default
-          [true]; it stops at the search deadline like the tree does *)
-  int_objective : bool;
-      (** the objective only takes integer values on integer solutions:
-          prune nodes whose relaxation bound is within [int_obj_step] of the
-          incumbent, default [false] *)
-  int_obj_step : float;
-      (** granularity of the objective on integer solutions (the gcd of the
-          objective coefficients), default [1.0]; only read when
-          [int_objective] is set *)
-  log : bool;
+          [true]; it stops at the search deadline like the tree does. Off
+          only to measure what presolve is worth *)
   domains : int;
       (** worker domains that share each wave of relaxations, default
           [max 1 (min 4 (Domain.recommended_domain_count () - 1))]; [1]
@@ -84,6 +82,7 @@ type options = {
       (** ignored: the search is always the deterministic wave search. The
           field remains only for callers that still set it *)
 }
+(** The integrality tolerance is a constant [1e-6]. *)
 
 val default_options : options
 

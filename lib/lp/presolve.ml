@@ -26,7 +26,10 @@ let activity model expr =
 
 exception Infeasible_found
 
-let run ?(max_rounds = 10) ?deadline model =
+(* Rounds stop at a fixed point or after this many. *)
+let max_rounds = 10
+
+let run ?deadline model =
   let changes = ref 0 in
   (* Deadline: the clock is read every 256 rows visited, by any pass. Once
      it has passed, every later row is kept as it is and the rounds stop;

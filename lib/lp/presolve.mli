@@ -27,8 +27,8 @@ type outcome =
   | Ok of int  (** number of changes applied (bounds, rows, coefficients) *)
   | Proved_infeasible
 
-val run : ?max_rounds:int -> ?deadline:float -> Model.t -> outcome
-(** Default [max_rounds = 10]. [deadline] is an absolute
+val run : ?deadline:float -> Model.t -> outcome
+(** At most 10 rounds. [deadline] is an absolute
     {!Telemetry.Clock} time, read every 256 rows visited: once it has
     passed, the rows not yet visited are kept unchanged, no further pass or
     round runs, [lp.presolve.deadline_stops] is bumped and the result is

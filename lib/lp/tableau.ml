@@ -996,9 +996,10 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~cols ~b ~c
   st.factor_etas <- st.n_etas;
   Fun.protect ~finally:(fun () -> flush st ~warm:false) @@ fun () ->
   let alpha = Array.make m 0.0 in
-  (* Phase 1 minimises the sum of artificials, phase 2 the real costs. *)
+  (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
+     of artificials is bounded below, so phase 1 unbounded is numerical. *)
   match run_phase st ~c ~phase2:false alpha with
-  | `Unbounded -> failwith "Tableau: phase-1 unbounded (impossible)"
+  | `Unbounded -> raise Singular
   | `Optimal ->
     let infeas = ref 0.0 in
     for i = 0 to m - 1 do

@@ -38,10 +38,12 @@ exception Iteration_limit
     Branch-and-bound abandons the node that hit it and keeps searching. *)
 
 exception Singular
-(** Raised by a primal solve whose refactorisation finds the basis
-    singular: a basic column has no pivot above the tolerance left in any
-    unplaced row. Branch-and-bound abandons the node, as for
-    {!Iteration_limit}; a warm re-solve reports it as [Stale] instead. *)
+(** Raised by a primal solve whose basis has broken down numerically:
+    either a refactorisation finds it singular (a basic column has no pivot
+    above the tolerance left in any unplaced row), or phase 1 reports its
+    objective, a sum of artificials bounded below by 0, unbounded.
+    Branch-and-bound abandons the node, as for {!Iteration_limit}; a warm
+    re-solve reports it as [Stale] instead. *)
 
 type columns = private {
   nrows : int;
@@ -108,7 +110,8 @@ val solve_cols :
     non-positive upper bound.
     @raise Iteration_limit if [max_iters] (default [50_000]) pivots are
     exceeded.
-    @raise Singular if a refactorisation meets a singular basis.
+    @raise Singular if a refactorisation meets a singular basis or phase 1
+    reports itself unbounded.
     @raise Deadline_exceeded if [deadline] passes mid-solve.
 
     When [snapshot_out] is supplied it is filled with a {!snapshot} of the

@@ -11,8 +11,10 @@ let footprint area =
   let h = (area + w - 1) / w in
   (w, h)
 
-let plan ?(halo = 1) ~cost ~devices ~path_usage () =
-  if halo < 0 then invalid_arg "Floorplan.plan: negative halo";
+(* Empty cells around every rectangle, so the router always has a channel. *)
+let halo = 1
+
+let plan ~cost ~devices ~path_usage () =
   let n = List.length devices in
   if n = 0 then { rects = []; width = 0; height = 0 }
   else begin

@@ -16,13 +16,12 @@ type t = {
 }
 
 val plan :
-  ?halo:int ->
   cost:Microfluidics.Cost.t ->
   devices:Microfluidics.Device.t list ->
   path_usage:((int * int) * int) list ->
   unit ->
   t
-(** [halo] (default 1) empty cells are kept around every rectangle so the
+(** One empty cell (the halo) is kept around every rectangle so the
     router always has a channel. Footprints: a device of area [a] becomes a
     rectangle of roughly square shape with [w*h >= a]. *)
 

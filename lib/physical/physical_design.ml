@@ -1,10 +1,10 @@
 type t = { floorplan : Floorplan.t; routing : Router.t }
 
-let of_schedule ?halo cost (s : Cohls.Schedule.t) =
+let of_schedule cost (s : Cohls.Schedule.t) =
   let chip = s.Cohls.Schedule.chip in
   let devices = Microfluidics.Chip.devices chip in
   let path_usage = Microfluidics.Chip.path_usage chip in
-  let floorplan = Floorplan.plan ?halo ~cost ~devices ~path_usage () in
+  let floorplan = Floorplan.plan ~cost ~devices ~path_usage () in
   let routing = Router.route_all floorplan ~path_usage in
   { floorplan; routing }
 

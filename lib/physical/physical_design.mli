@@ -9,7 +9,7 @@ type t = {
   routing : Router.t;
 }
 
-val of_schedule : ?halo:int -> Microfluidics.Cost.t -> Cohls.Schedule.t -> t
+val of_schedule : Microfluidics.Cost.t -> Cohls.Schedule.t -> t
 
 val transport_times :
   Cohls.Transport.progression ->

@@ -97,7 +97,7 @@ type histogram = {
   bucket_counts : int array;
 }
 
-let default_bounds =
+let bucket_bounds =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0; 100.0; 1e3; 1e4; 1e5; 1e6 |]
 
 type hist_state = {
@@ -105,7 +105,6 @@ type hist_state = {
   mutable h_sum : float;
   mutable h_min : float;
   mutable h_max : float;
-  h_bounds : float array;
   h_counts : int array;
 }
 
@@ -198,24 +197,20 @@ let count ?(by = 1) name =
         | None -> Hashtbl.replace counter_tid_tbl (name, tid) (ref by))
   end
 
-let observe ?buckets name v =
+let observe name v =
   if Atomic.get on then
     locked (fun () ->
         let h =
           match Hashtbl.find_opt hist_tbl name with
           | Some h -> h
           | None ->
-            let bounds =
-              match buckets with Some b -> Array.copy b | None -> default_bounds
-            in
             let h =
               {
                 h_samples = 0;
                 h_sum = 0.0;
                 h_min = Float.infinity;
                 h_max = Float.neg_infinity;
-                h_bounds = bounds;
-                h_counts = Array.make (Array.length bounds + 1) 0;
+                h_counts = Array.make (Array.length bucket_bounds + 1) 0;
               }
             in
             Hashtbl.replace hist_tbl name h;
@@ -225,8 +220,8 @@ let observe ?buckets name v =
         h.h_sum <- h.h_sum +. v;
         if v < h.h_min then h.h_min <- v;
         if v > h.h_max then h.h_max <- v;
-        let n = Array.length h.h_bounds in
-        let rec slot i = if i >= n || v <= h.h_bounds.(i) then i else slot (i + 1) in
+        let n = Array.length bucket_bounds in
+        let rec slot i = if i >= n || v <= bucket_bounds.(i) then i else slot (i + 1) in
         let i = slot 0 in
         h.h_counts.(i) <- h.h_counts.(i) + 1)
 
@@ -264,7 +259,7 @@ let histograms () =
                  sum = h.h_sum;
                  min_v = h.h_min;
                  max_v = h.h_max;
-                 bounds = Array.copy h.h_bounds;
+                 bounds = Array.copy bucket_bounds;
                  bucket_counts = Array.copy h.h_counts;
                } )
              :: acc)
@@ -312,7 +307,7 @@ module Export = struct
       sps;
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-  let chrome_trace ?(process_name = "cohls") () =
+  let chrome_trace () =
     let t0 = locked (fun () -> !epoch) in
     let sps = spans () in
     let us t = (t -. t0) *. 1e6 in
@@ -358,7 +353,7 @@ module Export = struct
           ("ph", Json.String "M");
           ("pid", Json.Int 1);
           ("tid", Json.Int 0);
-          ("args", Json.Obj [ ("name", Json.String process_name) ]);
+          ("args", Json.Obj [ ("name", Json.String "cohls") ]);
         ]
     in
     let events =

@@ -77,10 +77,10 @@ val span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 val count : ?by:int -> string -> unit
 (** Bump a named monotonic counter (default increment 1). *)
 
-val observe : ?buckets:float array -> string -> float -> unit
-(** Record one sample into a named histogram. [buckets] fixes the bucket
-    upper bounds the first time the name is seen (default: powers of ten
-    from 1e-6 to 1e6); later calls reuse the stored bounds. *)
+val observe : string -> float -> unit
+(** Record one sample into a named histogram. Every histogram has the same
+    bucket upper bounds, the powers of ten from 1e-6 to 1e6, plus an
+    overflow bucket. *)
 
 val spans : unit -> span_record list
 (** Completed spans in deterministic start order. *)
@@ -108,11 +108,11 @@ module Export : sig
       [Sys_error] mid-write never leaves a truncated report for tooling
       (e.g. the CI perf gate) to trip over. *)
 
-  val chrome_trace : ?process_name:string -> unit -> string
+  val chrome_trace : unit -> string
   (** Chrome trace_event JSON ({i chrome://tracing} / Perfetto): one
       complete ("ph":"X") event per span with microsecond timestamps
       relative to the collector epoch, plus one counter ("ph":"C") event
-      per named counter. *)
+      per named counter. The process is named ["cohls"]. *)
 
   val stats_json : ?meta:(string * Json.t) list -> unit -> string
   (** Flat report: spans aggregated by name, counters, histograms. *)

@@ -576,27 +576,45 @@ let build_ilp (nvars, rows, obj, maximize) =
     (E.sum (List.mapi (fun i c -> E.iterm c xs.(i)) obj));
   m
 
+(* Exact optimum of a boxed ILP by enumeration: every point of arb_ilp's
+   box [0, 6]^n (at most 7^4) is checked in rational arithmetic. [None]
+   when no point is feasible. Objectives are returned in natural sense. *)
+let brute_force_ilp ((nvars, _, _, maximize) as spec) =
+  let m = build_ilp spec in
+  let _, obj = M.objective m in
+  let point = Array.make nvars 0 in
+  let value v = Q.of_int point.(v) in
+  let best = ref None in
+  let rec enum i =
+    if i = nvars then begin
+      if M.check_feasible_exact m value = [] then begin
+        let o = E.eval value obj in
+        match !best with
+        | Some b when (if maximize then Q.compare o b <= 0 else Q.compare o b >= 0) -> ()
+        | Some _ | None -> best := Some o
+      end
+    end
+    else
+      for x = 0 to 6 do
+        point.(i) <- x;
+        enum (i + 1)
+      done
+  in
+  enum 0;
+  !best
+
 let prop_presolve_preserves_optimum =
   QCheck.Test.make ~name:"presolve preserves the ILP optimum" ~count:120 arb_ilp
     (fun spec ->
-      (* solve with branch-and-bound's own presolve off, so the only
-         difference between the two runs is the explicit Presolve.run *)
-      let options = { BB.default_options with BB.presolve = false } in
-      let original = build_ilp spec in
-      let r1 = BB.solve ~options original in
       let presolved = build_ilp spec in
-      match Lp.Presolve.run presolved with
-      | Lp.Presolve.Proved_infeasible -> r1.BB.status = BB.Infeasible
-      | Lp.Presolve.Ok _ -> begin
-        let r2 = BB.solve ~options presolved in
-        match (r1.BB.status, r2.BB.status) with
-        | BB.Optimal, BB.Optimal -> begin
-          match (r1.BB.objective, r2.BB.objective) with
-          | Some o1, Some o2 -> Float.abs (o1 -. o2) < 1e-6
-          | _ -> false
-        end
-        | s1, s2 -> s1 = s2
-      end)
+      match (Lp.Presolve.run presolved, brute_force_ilp spec) with
+      | Lp.Presolve.Proved_infeasible, best -> best = None
+      | Lp.Presolve.Ok _, best -> (
+        let r = BB.solve presolved in
+        match (best, r.BB.status, r.BB.objective) with
+        | None, BB.Infeasible, None -> true
+        | Some b, BB.Optimal, Some o -> Float.abs (o -. Q.to_float b) < 1e-6
+        | _ -> false))
 
 (* ---------- Branch and bound ---------- *)
 
@@ -674,15 +692,17 @@ let test_bb_root_aborted_gap () =
 (* A time limit ends the search between relaxations, not inside one: the
    kernel deadline ([lp.simplex.deadline_aborts]) is for runaway
    relaxations, not routine budget exhaustion. A stepped clock (1 ms per
-   read) makes the stopping point reproducible. *)
+   read) makes the stopping point reproducible. The knapsack is large enough
+   that its tree cannot be searched inside the budget even with the
+   objective step pruning (56 items; 24 would finish). *)
 let test_bb_time_limit_no_deadline_aborts () =
-  let n = 24 in
+  let n = 56 in
   let m = M.create () in
   let xs = Array.init n (fun i -> M.add_var m ~kind:M.Binary (Printf.sprintf "x%d" i)) in
   let weight i = 20 + ((i * 37) mod 23) in
   M.add_constr m
     (E.sum (List.init n (fun i -> E.iterm (weight i) xs.(i))))
-    M.Le (E.of_int 301);
+    M.Le (E.of_int 702);
   M.set_objective m `Maximize
     (E.sum (List.init n (fun i -> E.iterm (weight i + 7) xs.(i))));
   let ticks = Atomic.make 0 in
@@ -719,6 +739,25 @@ let test_bb_minimize () =
   | Some obj -> check flt "minimum 15" 15.0 obj
   | None -> Alcotest.fail "no objective"
 
+(* The objective step applies only when every objective term is an integer
+   variable with an integer coefficient. Each model below maximises x + c y
+   with the optimum 3.5 at x = 3; seeded with x = 3, y = 0 (objective 3), a
+   step of 1 would prune the root, whose bound 3.5 is within 1 of it. *)
+let test_bb_objective_step_needs_integer_terms () =
+  let optimum kind ~ub ~coeff =
+    let m = M.create () in
+    let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 3) "x" in
+    let y = M.add_var m ~kind ~ub "y" in
+    M.set_objective m `Maximize (E.add (E.var x) (E.term coeff y));
+    match (BB.solve ~warm_start:[| 3.0; 0.0 |] m).BB.objective with
+    | Some obj -> obj
+    | None -> Alcotest.fail "no objective"
+  in
+  check flt "continuous variable" 3.5
+    (optimum M.Continuous ~ub:(Q.of_ints 1 2) ~coeff:Q.one);
+  check flt "fractional coefficient" 3.5
+    (optimum M.Integer ~ub:Q.one ~coeff:(Q.of_ints 1 2))
+
 (* brute force 0/1 knapsack comparison *)
 let arb_knapsack =
   let gen =
@@ -747,9 +786,13 @@ let brute_knapsack items capacity =
   done;
   !best
 
+(* A common profit factor [k] gives the objective a step of [k] times the
+   gcd of the profits, so the derived pruning step above 1 is checked too. *)
 let prop_bb_matches_brute_force =
   QCheck.Test.make ~name:"branch-and-bound solves knapsacks exactly" ~count:100
-    arb_knapsack (fun (items, capacity) ->
+    (QCheck.pair arb_knapsack (QCheck.int_range 1 5))
+    (fun ((items, capacity), k) ->
+      let items = List.map (fun (w, p) -> (w, k * p)) items in
       let m = M.create () in
       let xs =
         List.mapi (fun i _ -> M.add_var m ~kind:M.Binary (Printf.sprintf "x%d" i)) items
@@ -855,6 +898,8 @@ let () =
           Alcotest.test_case "warm start" `Quick test_bb_warm_start;
           Alcotest.test_case "node limit keeps incumbent" `Quick test_bb_node_limit;
           Alcotest.test_case "minimisation" `Quick test_bb_minimize;
+          Alcotest.test_case "objective step needs integer terms" `Quick
+            test_bb_objective_step_needs_integer_terms;
           Alcotest.test_case "root aborted: no gap" `Quick test_bb_root_aborted_gap;
           Alcotest.test_case "time limit: no deadline aborts" `Quick
             test_bb_time_limit_no_deadline_aborts;

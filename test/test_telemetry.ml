@@ -202,17 +202,25 @@ let test_counters () =
 
 let test_histograms () =
   fresh ();
-  Telemetry.observe ~buckets:[| 1.0; 10.0 |] "h" 0.5;
+  Telemetry.observe "h" 0.5;
   Telemetry.observe "h" 5.0;
-  Telemetry.observe "h" 50.0;
+  Telemetry.observe "h" 5e6;
   match Telemetry.histograms () with
   | [ ("h", h) ] ->
     Alcotest.(check int) "samples" 3 h.Telemetry.samples;
-    Alcotest.(check (float 1e-9)) "sum" 55.5 h.Telemetry.sum;
+    Alcotest.(check (float 1e-9)) "sum" 5_000_005.5 h.Telemetry.sum;
     Alcotest.(check (float 1e-9)) "min" 0.5 h.Telemetry.min_v;
-    Alcotest.(check (float 1e-9)) "max" 50.0 h.Telemetry.max_v;
+    Alcotest.(check (float 1e-9)) "max" 5e6 h.Telemetry.max_v;
+    Alcotest.(check (array (float 0.0)))
+      "powers of ten from 1e-6 to 1e6"
+      [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0; 100.0; 1e3; 1e4; 1e5; 1e6 |]
+      h.Telemetry.bounds;
+    (* 0.5 falls in (0.1, 1], 5 in (1, 10] and 5e6 past 1e6, in the
+       overflow bucket *)
+    let expected = Array.make 14 0 in
+    List.iter (fun i -> expected.(i) <- 1) [ 6; 7; 13 ];
     Alcotest.(check (array int))
-      "fixed buckets incl. overflow" [| 1; 1; 1 |] h.Telemetry.bucket_counts
+      "fixed buckets incl. overflow" expected h.Telemetry.bucket_counts
   | other -> Alcotest.failf "expected one histogram, got %d" (List.length other)
 
 (* ----------------------------------------------------------- disabled *)
