@@ -575,22 +575,25 @@ let case1_layer_model () =
   let layering = Cohls.Layering.compute assay in
   let heuristic = Syn.run assay in
   let free = heuristic.Syn.final_breakdown.Cohls.Schedule.devices + 1 in
-  let spec =
+  let problem =
     {
-      Cohls.Ilp_model.ops = Assay.operations assay;
+      Cohls.Layer_problem.ops = Assay.operations assay;
       graph = Assay.dependency_graph assay;
       layer = layering.Cohls.Layering.layers.(0);
       layer_of_op = layering.Cohls.Layering.layer_of_op;
       bound_before = (fun _ -> None);
-      slots = Array.init free (fun id -> Cohls.Ilp_model.Free { id });
+      available = [];
       rule = Cohls.Binding.Component_oriented;
+      max_devices = Syn.default_config.Syn.max_devices;
       transport = (fun _ -> Syn.default_config.Syn.initial_transport);
       cost = Cost.default;
       weights = Cohls.Schedule.default_weights;
       existing_paths = [];
+      device_penalty = (fun _ -> 0);
     }
   in
-  Cohls.Ilp_model.model (Cohls.Ilp_model.build spec)
+  let slots = Array.init free (fun id -> Cohls.Ilp_model.Free { id }) in
+  Cohls.Ilp_model.model (Cohls.Ilp_model.build problem ~slots)
 
 let micro () =
   section "Bechamel micro-benchmarks of the computational kernels";

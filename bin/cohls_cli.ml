@@ -391,14 +391,12 @@ let print_outcome ~baseline (o : Cohls.Recovery.outcome) =
     (fun i (a : Cohls.Recovery.attempt) ->
       Format.printf
         "recovery %d: boundary %d, device %d dead%s; re-synthesised %d ops into \
-         %d layers on %d survivors (+%d fresh) in %.3fs%s@."
+         %d layers on %d survivors (+%d fresh) in %.3fs@."
         (i + 1) a.Cohls.Recovery.at_global_layer a.Cohls.Recovery.dead_device
         (if a.Cohls.Recovery.escalated then " (escalated transient)" else "")
         a.Cohls.Recovery.suffix_ops a.Cohls.Recovery.resynth_layers
         a.Cohls.Recovery.surviving_devices a.Cohls.Recovery.fresh_devices
-        a.Cohls.Recovery.resynth_seconds
-        (if a.Cohls.Recovery.degraded_to_heuristic then " [degraded to heuristic]"
-         else ""))
+        a.Cohls.Recovery.resynth_seconds)
     o.Cohls.Recovery.attempts;
   let total = o.Cohls.Recovery.trace.Cohls.Runtime.total_minutes in
   Format.printf "realised total: %dm (fault-free %dm, overhead %+.1f%%)@." total

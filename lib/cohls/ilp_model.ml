@@ -6,20 +6,6 @@ module Q = Numeric.Rat
 
 type slot = Fixed of Device.t | Free of { id : int }
 
-type spec = {
-  ops : Operation.t array;
-  graph : Flowgraph.Digraph.t;
-  layer : Layering.layer;
-  layer_of_op : int array;
-  bound_before : int -> int option;
-  slots : slot array;
-  rule : Binding.rule;
-  transport : int -> int;
-  cost : Cost.t;
-  weights : Schedule.weights;
-  existing_paths : (int * int) list;
-}
-
 (* The six legal (container, capacity) configurations (constraints (3)-(4)). *)
 let legal_configs =
   let open Components in
@@ -39,7 +25,8 @@ type free_slot_vars = {
 }
 
 type built = {
-  spec : spec;
+  problem : Layer_problem.t;
+  slots : slot array;
   lp : M.t;
   horizon : int;
   big_m : int;
@@ -57,29 +44,30 @@ let horizon b = b.horizon
 
 let slot_id = function Fixed d -> d.Device.id | Free { id } -> id
 
-let dur_t spec v = Operation.min_duration spec.ops.(v) + spec.transport v
+let dur_t (problem : Layer_problem.t) v =
+  Operation.min_duration problem.ops.(v) + problem.transport v
 
 (* Can op [v] possibly run on slot [j]? Fixed slots decide by the binding
    rule; free slots accept anything (the model configures them to fit). *)
-let slot_compatible spec v = function
-  | Fixed d -> Binding.op_fits spec.rule spec.ops.(v) d
+let slot_compatible (problem : Layer_problem.t) v = function
+  | Fixed d -> Binding.op_fits problem.rule problem.ops.(v) d
   | Free _ -> true
 
 let path_key a b = (min a b, max a b)
 
-let build ?(prune = true) spec =
-  let lp = M.create ~name:(Printf.sprintf "layer%d" spec.layer.Layering.index) () in
-  let layer_ops = Array.of_list spec.layer.Layering.ops in
+let build ?(prune = true) (problem : Layer_problem.t) ~slots =
+  let lp = M.create ~name:(Printf.sprintf "layer%d" problem.layer.Layering.index) () in
+  let layer_ops = Array.of_list problem.layer.Layering.ops in
   let n_ops = Array.length layer_ops in
-  let horizon = Array.fold_left (fun acc v -> acc + dur_t spec v) 0 layer_ops in
-  let max_dt = Array.fold_left (fun acc v -> max acc (dur_t spec v)) 0 layer_ops in
+  let horizon = Array.fold_left (fun acc v -> acc + dur_t problem v) 0 layer_ops in
+  let max_dt = Array.fold_left (fun acc v -> max acc (dur_t problem v)) 0 layer_ops in
   let big_m = horizon + max_dt + 1 in
   let start_var = Hashtbl.create 16 in
   let bind_var = Hashtbl.create 64 in
   let free_vars = Hashtbl.create 8 in
   let path_var = Hashtbl.create 16 in
   let conflict_aux = Hashtbl.create 32 in
-  let in_layer v = spec.layer_of_op.(v) = spec.layer.Layering.index in
+  let in_layer v = problem.layer_of_op.(v) = problem.layer.Layering.index in
   (* ASAP / ALAP start windows from the in-layer dependency DAG. [asap v] is
      the longest predecessor chain into v; [tail v] is the longest chain
      from v (v's own duration included). Both are implied by the dependency
@@ -93,8 +81,8 @@ let build ?(prune = true) spec =
     | None ->
       let x =
         List.fold_left
-          (fun acc u -> if in_layer u then max acc (asap u + dur_t spec u) else acc)
-          0 (G.pred spec.graph v)
+          (fun acc u -> if in_layer u then max acc (asap u + dur_t problem u) else acc)
+          0 (G.pred problem.graph v)
       in
       Hashtbl.replace asap_tbl v x;
       x
@@ -104,10 +92,10 @@ let build ?(prune = true) spec =
     | Some x -> x
     | None ->
       let x =
-        dur_t spec v
+        dur_t problem v
         + List.fold_left
             (fun acc w -> if in_layer w then max acc (tail w) else acc)
-            0 (G.succ spec.graph v)
+            0 (G.succ problem.graph v)
       in
       Hashtbl.replace tail_tbl v x;
       x
@@ -168,7 +156,7 @@ let build ?(prune = true) spec =
               (E.var av) M.Le (E.var used))
           acc;
         Hashtbl.replace free_vars j { used; config; acc })
-    spec.slots;
+    slots;
   (* Free slots are interchangeable (same configuration choices, same
      costs, and all slot ids are fresh so path costs are permutation
      invariant), so any solution can be rearranged until the k-th used free
@@ -178,7 +166,7 @@ let build ?(prune = true) spec =
      of every solution without touching the optimal value. *)
   let pos_of = Hashtbl.create 16 in
   Array.iteri (fun i v -> Hashtbl.replace pos_of v i) layer_ops;
-  let free_ord = Array.make (Array.length spec.slots) (-1) in
+  let free_ord = Array.make (Array.length slots) (-1) in
   let n_free = ref 0 in
   Array.iteri
     (fun j slot ->
@@ -187,7 +175,7 @@ let build ?(prune = true) spec =
         free_ord.(j) <- !n_free;
         incr n_free
       | Fixed _ -> ())
-    spec.slots;
+    slots;
   let binds_pruned = ref 0 in
   (* binding variables, one per compatible (op, slot) pair *)
   Array.iter
@@ -195,7 +183,7 @@ let build ?(prune = true) spec =
       let any = ref false in
       Array.iteri
         (fun j slot ->
-          if slot_compatible spec v slot then
+          if slot_compatible problem v slot then
             if
               prune && free_ord.(j) >= 0
               && free_ord.(j) > Hashtbl.find pos_of v
@@ -205,7 +193,7 @@ let build ?(prune = true) spec =
               let b = M.add_var lp ~kind:M.Binary (Printf.sprintf "b_%d_%d" v j) in
               Hashtbl.replace bind_var (v, j) b
             end)
-        spec.slots;
+        slots;
       if not !any then
         invalid_arg (Printf.sprintf "Ilp_model.build: op %d fits no slot" v))
     layer_ops;
@@ -226,14 +214,14 @@ let build ?(prune = true) spec =
                (E.var used) M.Le (E.var prev_used)
            | None -> ());
           prev := Some used)
-      spec.slots
+      slots
   end;
   let bvar v j = Hashtbl.find_opt bind_var (v, j) in
   (* (5): every operation bound exactly once *)
   Array.iter
     (fun v ->
       let terms =
-        Array.to_list (Array.mapi (fun j _ -> bvar v j) spec.slots)
+        Array.to_list (Array.mapi (fun j _ -> bvar v j) slots)
         |> List.filter_map Fun.id
         |> List.map E.var
       in
@@ -241,7 +229,7 @@ let build ?(prune = true) spec =
     layer_ops;
   (* (6)-(8) on free slots: binding implies a fitting configuration *)
   let config_requirements v j fv b =
-    let o = spec.ops.(v) in
+    let o = problem.ops.(v) in
     let need expr name =
       M.add_constr lp ~name (expr) M.Ge (E.var b)
     in
@@ -249,7 +237,7 @@ let build ?(prune = true) spec =
     M.add_constr lp
       ~name:(Printf.sprintf "use_%d_%d" v j)
       (E.var fv.used) M.Ge (E.var b);
-    (match spec.rule with
+    (match problem.rule with
      | Binding.Component_oriented ->
        (match o.Operation.container with
         | Some c ->
@@ -303,7 +291,7 @@ let build ?(prune = true) spec =
           | Free _, Some b ->
             config_requirements v j (Hashtbl.find free_vars j) b
           | (Fixed _ | Free _), _ -> ())
-        spec.slots)
+        slots)
     layer_ops;
   let svar v = Hashtbl.find start_var v in
   (* (9): dependencies inside the layer *)
@@ -314,14 +302,14 @@ let build ?(prune = true) spec =
           if in_layer v then
             M.add_constr lp
               ~name:(Printf.sprintf "dep_%d_%d" u v)
-              (E.add (E.var (svar u)) (E.of_int (dur_t spec u)))
+              (E.add (E.var (svar u)) (E.of_int (dur_t problem u)))
               M.Le (E.var (svar v)))
-        (G.succ spec.graph u))
+        (G.succ problem.graph u))
     layer_ops;
   (* conflict pairs: unordered, no dependency path between them *)
   let reach = Hashtbl.create 16 in
   Array.iter
-    (fun v -> Hashtbl.replace reach v (Flowgraph.Dag.reachable_set spec.graph v))
+    (fun v -> Hashtbl.replace reach v (Flowgraph.Dag.reachable_set problem.graph v))
     layer_ops;
   let independent a b =
     (not (Hashtbl.find reach a).(b)) && not (Hashtbl.find reach b).(a)
@@ -331,17 +319,17 @@ let build ?(prune = true) spec =
       (Array.mapi
          (fun j _ ->
            match (bvar a j, bvar b j) with Some ba, Some bb -> Some (ba, bb) | _ -> None)
-         spec.slots)
+         slots)
     |> List.filter_map Fun.id
   in
-  let is_indet v = Operation.is_indeterminate spec.ops.(v) in
+  let is_indet v = Operation.is_indeterminate problem.ops.(v) in
   (* [x] provably finishes before [y] can start, from the start windows. *)
-  let always_before x y = prune && ub_start x + dur_t spec x <= lb_start y in
+  let always_before x y = prune && ub_start x + dur_t problem x <= lb_start y in
   (* The tightest big-M that still deactivates [s_x + dur_x <= s_y + M q]:
      the worst violation is ub_x + dur_x - lb_y. Presolve would rediscover
      it, but emitting it directly keeps even the first relaxation tight. *)
   let pair_m x y =
-    if prune then max 1 (ub_start x + dur_t spec x - lb_start y) else big_m
+    if prune then max 1 (ub_start x + dur_t problem x - lb_start y) else big_m
   in
   let pairs_skipped = ref 0 in
   let distinct_device ~tag a b shared =
@@ -374,11 +362,11 @@ let build ?(prune = true) spec =
           ~name:(Printf.sprintf "c10_%d_%d" a b)
           (E.add (E.var (svar a)) (E.iterm (pair_m b a) q0))
           M.Ge
-          (E.add (E.var (svar b)) (E.of_int (dur_t spec b)));
+          (E.add (E.var (svar b)) (E.of_int (dur_t problem b)));
         (* (11): q1 = 0 -> a finishes before b starts *)
         M.add_constr lp
           ~name:(Printf.sprintf "c11_%d_%d" a b)
-          (E.add (E.var (svar a)) (E.of_int (dur_t spec a)))
+          (E.add (E.var (svar a)) (E.of_int (dur_t problem a)))
           M.Le
           (E.add (E.var (svar b)) (E.iterm (pair_m a b) q1));
         (* (12): q2 = 0 -> never on the same device *)
@@ -404,7 +392,7 @@ let build ?(prune = true) spec =
         if always_before det ind then
           (* the required ordering holds everywhere: nothing to encode *)
           incr pairs_skipped
-        else if prune && lb_start det + dur_t spec det > ub_start ind then
+        else if prune && lb_start det + dur_t problem det > ub_start ind then
           (* det can never precede ind, so sharing a device is impossible *)
           distinct_device ~tag:"ind1" det ind (shared_slots det ind)
         else begin
@@ -413,7 +401,7 @@ let build ?(prune = true) spec =
           Hashtbl.replace conflict_aux (a, b) [ q1; q2 ];
           M.add_constr lp
             ~name:(Printf.sprintf "ci1_%d_%d" det ind)
-            (E.add (E.var (svar det)) (E.of_int (dur_t spec det)))
+            (E.add (E.var (svar det)) (E.of_int (dur_t problem det)))
             M.Le
             (E.add (E.var (svar ind)) (E.iterm (pair_m det ind) q1));
           let shared_di = shared_slots det ind in
@@ -447,15 +435,15 @@ let build ?(prune = true) spec =
               ~name:(Printf.sprintf "c14_%d_%d" i a)
               (E.var (svar a))
               M.Le
-              (E.add (E.var (svar i)) (E.of_int (Operation.min_duration spec.ops.(i)))))
+              (E.add (E.var (svar i)) (E.of_int (Operation.min_duration problem.ops.(i)))))
         layer_ops)
-    spec.layer.Layering.indeterminate;
+    problem.layer.Layering.indeterminate;
   (* (15): makespan *)
   Array.iter
     (fun v ->
       M.add_constr lp
         ~name:(Printf.sprintf "c15_%d" v)
-        (E.add (E.var (svar v)) (E.of_int (dur_t spec v)))
+        (E.add (E.var (svar v)) (E.of_int (dur_t problem v)))
         M.Le (E.var makespan_var))
     layer_ops;
   if prune then begin
@@ -469,7 +457,7 @@ let build ?(prune = true) spec =
         let terms =
           Array.to_list layer_ops
           |> List.filter_map (fun v ->
-                 Option.map (fun bv -> E.iterm (dur_t spec v) bv) (bvar v j))
+                 Option.map (fun bv -> E.iterm (dur_t problem v) bv) (bvar v j))
         in
         match terms with
         | [] | [ _ ] -> ()
@@ -477,7 +465,7 @@ let build ?(prune = true) spec =
           M.add_constr lp
             ~name:(Printf.sprintf "load_%d" j)
             (E.sum terms) M.Le (E.var makespan_var))
-      spec.slots;
+      slots;
     (* critical-path lower bound on the makespan *)
     let cp =
       Array.fold_left (fun acc v -> max acc (asap v + tail v)) 0 layer_ops
@@ -490,19 +478,19 @@ let build ?(prune = true) spec =
     (fun _j fv ->
       List.iter
         (fun ((cont, cap), yv) ->
-          area_expr := E.add !area_expr (E.iterm (Cost.area spec.cost cont cap) yv);
+          area_expr := E.add !area_expr (E.iterm (Cost.area problem.cost cont cap) yv);
           proc_expr :=
-            E.add !proc_expr (E.iterm (Cost.container_processing spec.cost cont cap) yv))
+            E.add !proc_expr (E.iterm (Cost.container_processing problem.cost cont cap) yv))
         fv.config;
       List.iter
         (fun (a, av) ->
-          proc_expr := E.add !proc_expr (E.iterm (Cost.accessory_processing spec.cost a) av))
+          proc_expr := E.add !proc_expr (E.iterm (Cost.accessory_processing problem.cost a) av))
         fv.acc)
     free_vars;
   (* (21): transportation paths between distinct devices *)
   let get_path_var ida idb =
     let k = path_key ida idb in
-    if List.mem k spec.existing_paths then None
+    if List.mem k problem.existing_paths then None
     else begin
       match Hashtbl.find_opt path_var k with
       | Some p -> Some p
@@ -535,10 +523,10 @@ let build ?(prune = true) spec =
                         M.Le (E.of_int 1)
                   end
                 end)
-              spec.slots)
-        spec.slots
+              slots)
+        slots
     else begin
-      match spec.bound_before u with
+      match problem.bound_before u with
       | None -> ()
       | Some du ->
         Array.iteri
@@ -555,18 +543,18 @@ let build ?(prune = true) spec =
                     (E.var bv) M.Le (E.var p)
               end
             end)
-          spec.slots
+          slots
     end
   in
   Array.iter
     (fun v ->
-      List.iter (fun u -> if in_layer u || spec.layer_of_op.(u) < spec.layer.Layering.index then add_path_constraints u v) (G.pred spec.graph v))
+      List.iter (fun u -> if in_layer u || problem.layer_of_op.(u) < problem.layer.Layering.index then add_path_constraints u v) (G.pred problem.graph v))
     layer_ops;
   (* objective *)
   let path_sum =
     Hashtbl.fold (fun _ p acc -> E.add acc (E.var p)) path_var E.zero
   in
-  let w = spec.weights in
+  let w = problem.weights in
   let obj =
     E.sum
       [
@@ -581,7 +569,8 @@ let build ?(prune = true) spec =
   Telemetry.count ~by:(M.var_count lp) "ilp.model.vars";
   Telemetry.count ~by:(M.constr_count lp) "ilp.model.constrs";
   {
-    spec;
+    problem;
+    slots;
     lp;
     horizon;
     big_m;
@@ -597,7 +586,7 @@ let build ?(prune = true) spec =
 (* ---------- warm start ---------- *)
 
 let warm_start b entries =
-  let spec = b.spec in
+  let problem = b.problem and slots = b.slots in
   let values = Array.make (M.var_count b.lp) 0.0 in
   let set var x = values.(var) <- x in
   (* map devices to slots: fixed slots by id; heuristic-created devices are
@@ -608,9 +597,9 @@ let warm_start b entries =
       match slot with
       | Fixed d -> Hashtbl.replace slot_of_device d.Device.id j
       | Free _ -> ())
-    spec.slots;
+    slots;
   let free_slots =
-    Array.to_list (Array.mapi (fun j s -> (j, s)) spec.slots)
+    Array.to_list (Array.mapi (fun j s -> (j, s)) slots)
     |> List.filter_map (fun (j, s) -> match s with Free _ -> Some j | Fixed _ -> None)
   in
   let device_config = Hashtbl.create 8 in
@@ -672,9 +661,9 @@ let warm_start b entries =
          | Some bv -> set bv 1.0
          | None -> ok := false);
         (* accumulate requirements to configure free slots *)
-        match spec.slots.(j) with
+        match slots.(j) with
         | Free _ ->
-          let o = spec.ops.(v) in
+          let o = problem.ops.(v) in
           let prev =
             match Hashtbl.find_opt device_config j with
             | Some (c, cap, accs) -> (c, cap, accs)
@@ -722,7 +711,7 @@ let warm_start b entries =
             set q2 (if same then 1.0 else 0.0)
           | [ q1; q2 ] ->
             let det, ind =
-              if Operation.is_indeterminate spec.ops.(a) then (eb, ea) else (ea, eb)
+              if Operation.is_indeterminate problem.ops.(a) then (eb, ea) else (ea, eb)
             in
             set q1 (if det.Schedule.start + dt det <= ind.Schedule.start then 0.0 else 1.0);
             set q2 (if same then 1.0 else 0.0)
@@ -739,7 +728,7 @@ let warm_start b entries =
          | None -> ())
       | Some _, Some _ | None, _ | _, None -> begin
         (* cross-layer transfer into this layer *)
-        match (spec.bound_before u, Hashtbl.find_opt entry_of v) with
+        match (problem.bound_before u, Hashtbl.find_opt entry_of v) with
         | Some du, Some ev when du <> ev.Schedule.device ->
           (match Hashtbl.find_opt b.path_var (path_key du ev.Schedule.device) with
            | Some p -> set p 1.0
@@ -747,7 +736,7 @@ let warm_start b entries =
         | _, _ -> ()
       end
     in
-    G.iter_edges note spec.graph;
+    G.iter_edges note problem.graph;
     (* makespan *)
     let mk =
       List.fold_left (fun acc e -> max acc (e.Schedule.start + dt e)) 0 entries
@@ -759,12 +748,12 @@ let warm_start b entries =
 (* ---------- extraction ---------- *)
 
 let extract b ~values =
-  let spec = b.spec in
+  let problem = b.problem and slots = b.slots in
   let truthy var = values.(var) > 0.5 in
   let intval var = int_of_float (Float.round values.(var)) in
   (* devices for used free slots *)
   let devices = ref [] in
-  let device_of_slot = Array.make (Array.length spec.slots) None in
+  let device_of_slot = Array.make (Array.length slots) None in
   Array.iteri
     (fun j slot ->
       match slot with
@@ -788,7 +777,7 @@ let extract b ~values =
               devices := d :: !devices
           end
       end)
-    spec.slots;
+    slots;
   let entries =
     Array.to_list b.layer_ops
     |> List.map (fun v ->
@@ -799,7 +788,7 @@ let extract b ~values =
                  match Hashtbl.find_opt b.bind_var (v, j) with
                  | Some bv when truthy bv -> found := j
                  | Some _ | None -> ())
-               spec.slots;
+               slots;
              if !found < 0 then failwith "Ilp_model.extract: unbound operation";
              !found
            in
@@ -812,9 +801,9 @@ let extract b ~values =
              Schedule.op = v;
              device;
              start = intval (Hashtbl.find b.start_var v);
-             min_duration = Operation.min_duration spec.ops.(v);
-             transport = spec.transport v;
-             indeterminate = Operation.is_indeterminate spec.ops.(v);
+             min_duration = Operation.min_duration problem.ops.(v);
+             transport = problem.transport v;
+             indeterminate = Operation.is_indeterminate problem.ops.(v);
            })
     |> List.sort (fun a bb ->
            compare (a.Schedule.start, a.Schedule.op) (bb.Schedule.start, bb.Schedule.op))

@@ -1,10 +1,10 @@
 (** Per-layer ILP construction (paper §4, constraints (1)–(21)).
 
-    One model schedules and binds a single layer against a set of device
-    {e slots}: inherited devices arrive as [Fixed] slots (their configuration
-    is given and their integration cost is sunk, per the §3.2 inheritance
-    rule); [Free] slots may be configured by the model, paying area and
-    processing cost.
+    One model solves a {!Layer_problem.t} — the same input the greedy
+    {!List_scheduler} takes — against a set of device {e slots}: inherited
+    devices arrive as [Fixed] slots (their configuration is given and their
+    integration cost is sunk, per the §3.2 inheritance rule); [Free] slots
+    may be configured by the model, paying area and processing cost.
 
     Faithfulness notes (documented deviations, see DESIGN.md):
     - constraints (1)–(4) are reformulated with one binary per
@@ -26,33 +26,18 @@ type slot = Fixed of Device.t | Free of { id : int }
 (** [Free {id}] pre-allocates the global device id the slot will take if
     used. *)
 
-type spec = {
-  ops : Operation.t array;  (** the whole assay's operations *)
-  graph : Flowgraph.Digraph.t;
-  layer : Layering.layer;
-  layer_of_op : int array;
-  bound_before : int -> int option;
-      (** device of an operation from an earlier layer (for cross-layer
-          transportation paths) *)
-  slots : slot array;
-  rule : Binding.rule;
-  transport : int -> int;
-  cost : Cost.t;
-  weights : Schedule.weights;
-  existing_paths : (int * int) list;
-      (** already-routed device pairs; reusing them is free *)
-}
-
 type built
 (** The constructed model plus the variable maps needed for extraction. *)
 
 val model : built -> Lp.Model.t
 val horizon : built -> int
 
-val build : ?prune:bool -> spec -> built
-(** Constructs the layer model. With [prune] (the default) the variable and
-    constraint grid is cut down before the solver ever sees it, preserving
-    the optimal objective value:
+val build : ?prune:bool -> Layer_problem.t -> slots:slot array -> built
+(** Constructs the layer model over [slots]. The model reads neither the
+    problem's [available] and [max_devices] (the caller turns them into
+    [slots]) nor its [device_penalty]. With [prune] (the default) the
+    variable and constraint grid is cut down before the solver ever sees
+    it, preserving the optimal objective value:
 
     - ASAP/ALAP start windows from the layer's dependency DAG become
       variable bounds (implied by the dependency and makespan constraints);

@@ -1,5 +1,3 @@
-open Microfluidics
-
 type engine =
   | Heuristic
   | Ilp of { options : Lp.Branch_bound.options; extra_free_slots : int }
@@ -15,91 +13,35 @@ let default_ilp =
       extra_free_slots = 1;
     }
 
-type input = {
-  ops : Operation.t array;
-  graph : Flowgraph.Digraph.t;
-  layer : Layering.layer;
-  layer_of_op : int array;
-  bound_before : int -> int option;
-  available : Device.t list;
-  rule : Binding.rule;
-  max_devices : int;
-  transport : int -> int;
-  cost : Cost.t;
-  weights : Schedule.weights;
-  existing_paths : (int * int) list;
-  device_penalty : int -> int;
-}
-
-type output = {
-  entries : Schedule.entry list;
-  fixed_makespan : int;
-  created : Device.t list;
-  used_ilp : bool;
-}
-
-let run_heuristic input ~fresh_id =
-  let cfg =
-    {
-      List_scheduler.rule = input.rule;
-      max_devices = input.max_devices;
-      cost = input.cost;
-      weights = input.weights;
-      device_penalty = input.device_penalty;
-    }
-  in
-  List_scheduler.schedule_layer cfg ~ops:input.ops ~graph:input.graph
-    ~layer:input.layer ~layer_of_op:input.layer_of_op
-    ~bound_before:input.bound_before ~available:input.available
-    ~transport:input.transport ~existing_paths:input.existing_paths ~fresh_id
-
-let solve engine input ~fresh_id =
+let solve engine (problem : Layer_problem.t) ~fresh_id =
   Telemetry.span "layer.solve"
     ~attrs:
       [
-        ("layer", string_of_int input.layer.Layering.index);
+        ("layer", string_of_int problem.layer.Layering.index);
         ("engine", match engine with Heuristic -> "heuristic" | Ilp _ -> "ilp");
-        ("ops", string_of_int (List.length input.layer.Layering.ops));
+        ("ops", string_of_int (List.length problem.layer.Layering.ops));
       ]
   @@ fun () ->
   Telemetry.count "layer.solves";
-  let heur = Telemetry.span "layer.heuristic" (fun () -> run_heuristic input ~fresh_id) in
+  let heur =
+    Telemetry.span "layer.heuristic" (fun () ->
+        List_scheduler.schedule_layer problem ~fresh_id)
+  in
   match engine with
-  | Heuristic ->
-    {
-      entries = heur.List_scheduler.entries;
-      fixed_makespan = heur.List_scheduler.fixed_makespan;
-      created = heur.List_scheduler.created;
-      used_ilp = false;
-    }
+  | Heuristic -> heur
   | Ilp { options; extra_free_slots } ->
     Telemetry.span "layer.ilp" @@ fun () ->
     let n_created = List.length heur.List_scheduler.created in
-    let n_avail = List.length input.available in
+    let n_avail = List.length problem.available in
     let free_count =
-      min (n_created + extra_free_slots) (max 0 (input.max_devices - n_avail))
+      min (n_created + extra_free_slots) (max 0 (problem.max_devices - n_avail))
     in
     let slots =
       Array.of_list
-        (List.map (fun d -> Ilp_model.Fixed d) input.available
+        (List.map (fun d -> Ilp_model.Fixed d) problem.available
         @ List.init free_count (fun _ -> Ilp_model.Free { id = fresh_id () }))
     in
-    let spec =
-      {
-        Ilp_model.ops = input.ops;
-        graph = input.graph;
-        layer = input.layer;
-        layer_of_op = input.layer_of_op;
-        bound_before = input.bound_before;
-        slots;
-        rule = input.rule;
-        transport = input.transport;
-        cost = input.cost;
-        weights = input.weights;
-        existing_paths = input.existing_paths;
-      }
-    in
-    let built = Ilp_model.build spec in
+    let built = Ilp_model.build problem ~slots in
     let lp = Ilp_model.model built in
     (* Presolve tightens [lp] in place, so the certificate below checks
        against a copy of the model as built, not one a presolve bug could
@@ -153,18 +95,7 @@ let solve engine input ~fresh_id =
     | Some values when better_than_heuristic values && certified values ->
       Telemetry.count "layer.ilp_improved";
       let entries, created = Ilp_model.extract built ~values in
-      let fixed_makespan =
-        List.fold_left
-          (fun acc e ->
-            max acc (e.Schedule.start + e.Schedule.min_duration + e.Schedule.transport))
-          0 entries
-      in
-      { entries; fixed_makespan; created; used_ilp = true }
+      { List_scheduler.entries; created }
     | Some _ | None ->
       Telemetry.count "layer.ilp_rejected";
-      {
-        entries = heur.List_scheduler.entries;
-        fixed_makespan = heur.List_scheduler.fixed_makespan;
-        created = heur.List_scheduler.created;
-        used_ilp = false;
-      }
+      heur

@@ -1,4 +1,5 @@
-(** Per-layer solving engine selection.
+(** Per-layer solving engine selection: both engines solve the same
+    {!Layer_problem.t}.
 
     [Heuristic] runs the greedy list scheduler only. [Ilp] additionally
     builds the paper's §4 model over the inherited devices plus a few free
@@ -12,8 +13,6 @@
     the heuristic's. A schedule that fails the certificate is counted under
     [layer.ilp_uncertified] and the heuristic schedule is kept; so is it
     when the solver fails outright ([layer.ilp_failed]). *)
-
-open Microfluidics
 
 type engine =
   | Heuristic
@@ -29,29 +28,6 @@ type engine =
 val default_ilp : engine
 (** 10-second time limit, one extra free slot. *)
 
-type input = {
-  ops : Operation.t array;
-  graph : Flowgraph.Digraph.t;
-  layer : Layering.layer;
-  layer_of_op : int array;
-  bound_before : int -> int option;
-  available : Device.t list;
-  rule : Binding.rule;
-  max_devices : int;
-  transport : int -> int;
-  cost : Cost.t;
-  weights : Schedule.weights;
-  existing_paths : (int * int) list;
-  device_penalty : int -> int;
-      (** see {!List_scheduler.config}; only affects the heuristic engine *)
-}
-
-type output = {
-  entries : Schedule.entry list;
-  fixed_makespan : int;
-  created : Device.t list;
-  used_ilp : bool;  (** the ILP improved on the heuristic incumbent *)
-}
-
-val solve : engine -> input -> fresh_id:(unit -> int) -> output
+val solve :
+  engine -> Layer_problem.t -> fresh_id:(unit -> int) -> List_scheduler.outcome
 (** @raise List_scheduler.No_device when the device cap is too small. *)

@@ -3,19 +3,7 @@ module G = Flowgraph.Digraph
 
 exception No_device of int
 
-type config = {
-  rule : Binding.rule;
-  max_devices : int;
-  cost : Cost.t;
-  weights : Schedule.weights;
-  device_penalty : int -> int;
-}
-
-type outcome = {
-  entries : Schedule.entry list;
-  fixed_makespan : int;
-  created : Device.t list;
-}
+type outcome = { entries : Schedule.entry list; created : Device.t list }
 
 type device_state = {
   device : Device.t;
@@ -41,8 +29,11 @@ let occupy st ~start ~len =
 
 let last_busy_end st = List.fold_left (fun acc (_, e) -> max acc e) 0 st.busy
 
-let schedule_layer cfg ~ops ~graph ~layer ~layer_of_op ~bound_before ~available
-    ~transport ~existing_paths ~fresh_id =
+let schedule_layer problem ~fresh_id =
+  let { Layer_problem.ops; graph; layer; layer_of_op; bound_before; available;
+        rule; max_devices; transport; cost; weights = w; existing_paths;
+        device_penalty } = problem
+  in
   let paths = Hashtbl.create 32 in
   List.iter (fun p -> Hashtbl.replace paths p ()) existing_paths;
   let path_known a b = a = b || Hashtbl.mem paths (min a b, max a b) in
@@ -75,7 +66,6 @@ let schedule_layer cfg ~ops ~graph ~layer ~layer_of_op ~bound_before ~available
      (score, not-parent-device, fresh, id) wins. A new minimal device is a
      candidate whenever the cap allows, so the w_time/w_area balance — not
      mere compatibility — decides between reuse and parallelism. *)
-  let w = cfg.weights in
   let pick v ~ready ~len ~closing =
     let o = ops.(v) in
     let parents_devs =
@@ -98,14 +88,14 @@ let schedule_layer cfg ~ops ~graph ~layer ~layer_of_op ~bound_before ~available
       + (w.Schedule.w_paths * new_paths_to dev_for_paths)
     in
     let candidate st =
-      if st.closed || not (Binding.op_fits cfg.rule o st.device) then None
+      if st.closed || not (Binding.op_fits rule o st.device) then None
       else begin
         let start =
           if closing then max ready (last_busy_end st)
           else earliest_fit st ~ready ~len
         in
         let on_parent = List.mem st.device.Device.id parents_devs in
-        let pen = if st.busy = [] then cfg.device_penalty st.device.Device.id else 0 in
+        let pen = if st.busy = [] then device_penalty st.device.Device.id else 0 in
         let key =
           (score ~start ~new_cost:pen ~dev_for_paths:st.device.Device.id,
            (if on_parent then 0 else 1), 0, st.device.Device.id)
@@ -115,12 +105,12 @@ let schedule_layer cfg ~ops ~graph ~layer ~layer_of_op ~bound_before ~available
     in
     let existing = List.filter_map candidate !states in
     let fresh_candidate =
-      if List.length !states >= cfg.max_devices then []
+      if List.length !states >= max_devices then []
       else begin
         let d = Binding.minimal_device o ~id:max_int (* id assigned on commit *) in
         let new_cost =
-          (w.Schedule.w_area * Cost.device_area cfg.cost d)
-          + (w.Schedule.w_processing * Cost.device_processing cfg.cost d)
+          (w.Schedule.w_area * Cost.device_area cost d)
+          + (w.Schedule.w_processing * Cost.device_processing cost d)
           (* a fresh device is connected to no parent yet *)
           + (w.Schedule.w_paths * List.length (List.sort_uniq compare parents_devs))
         in
@@ -215,9 +205,4 @@ let schedule_layer cfg ~ops ~graph ~layer ~layer_of_op ~bound_before ~available
   let entries =
     List.sort (fun a b -> compare (a.Schedule.start, a.Schedule.op) (b.Schedule.start, b.Schedule.op)) entries
   in
-  let fixed_makespan =
-    List.fold_left
-      (fun acc e -> max acc (e.Schedule.start + e.Schedule.min_duration + e.Schedule.transport))
-      0 entries
-  in
-  { entries; fixed_makespan; created = List.rev !created }
+  { entries; created = List.rev !created }

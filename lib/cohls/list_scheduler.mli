@@ -1,4 +1,5 @@
-(** Greedy priority-list scheduler and binder for one layer.
+(** Greedy priority-list scheduler and binder for one layer: it solves the
+    same {!Layer_problem.t} as the §4 ILP of {!Ilp_model}.
 
     Serves two roles: (a) the scalable engine for large layers — the paper's
     monolithic per-layer ILP is only practical on small instances without a
@@ -20,40 +21,12 @@ exception No_device of int
 (** Raised with the operation id when no compatible device exists and the
     device cap is exhausted. *)
 
-type config = {
-  rule : Binding.rule;
-  max_devices : int;  (** the paper's |D| cap, 25 in the experiments *)
-  cost : Cost.t;
-  weights : Schedule.weights;
-  device_penalty : int -> int;
-      (** extra weighted score charged on the {e first} use of a device in
-          the current pass — the re-synthesis driver prices a layer's own
-          previous-iteration devices (the [D'_i] of §3.2) at their
-          integration cost so the layer re-justifies them against devices
-          other layers pay for; [fun _ -> 0] otherwise *)
-}
-
 type outcome = {
   entries : Schedule.entry list;  (** ascending start *)
-  fixed_makespan : int;
   created : Device.t list;  (** freshly instantiated devices *)
 }
 
-val schedule_layer :
-  config ->
-  ops:Operation.t array ->
-  graph:Flowgraph.Digraph.t ->
-  layer:Layering.layer ->
-  layer_of_op:int array ->
-  bound_before:(int -> int option) ->
-  available:Device.t list ->
-  transport:(int -> int) ->
-  existing_paths:(int * int) list ->
-  fresh_id:(unit -> int) ->
-  outcome
-(** [ops] and [graph] describe the whole assay; only operations listed in
-    [layer] are scheduled. [bound_before] reports devices of operations from
-    earlier layers (for routing-effort pricing of cross-layer transfers);
-    [existing_paths] are already-routed device pairs (reuse is free);
-    [transport] gives each operation's reagent transportation time (§4.1);
-    [fresh_id] allocates device ids. *)
+val schedule_layer : Layer_problem.t -> fresh_id:(unit -> int) -> outcome
+(** Schedules the operations of the problem's [layer]. [bound_before]
+    devices price cross-layer transfers as routing effort, and
+    [existing_paths] are free to reuse. [fresh_id] allocates device ids. *)

@@ -20,7 +20,6 @@ type attempt = {
   resynth_layers : int;
   surviving_devices : int;
   fresh_devices : int;
-  degraded_to_heuristic : bool;
   resynth_seconds : float;
 }
 
@@ -176,7 +175,6 @@ let execute ?(config = Synthesis.default_config) ?(allow_new_devices = false)
             (List.fold_left (fun acc id -> max acc (id + 1)) fresh_floor dead)
             (Chip.devices current.Schedule.chip)
         in
-        let aborts_before = Telemetry.counter_value "lp.simplex.deadline_aborts" in
         match
           Telemetry.span "recovery.resynthesis"
             ~attrs:[ ("global_layer", string_of_int global_layer) ] (fun () ->
@@ -189,13 +187,6 @@ let execute ?(config = Synthesis.default_config) ?(allow_new_devices = false)
           match Schedule.validate r.Synthesis.final with
           | Error e -> fail ~at:global_layer ~dead (Invalid_schedule e)
           | Ok () ->
-            let degraded =
-              (match config.Synthesis.engine with
-               | Layer_solver.Ilp _ ->
-                 Telemetry.counter_value "lp.simplex.deadline_aborts" > aborts_before
-               | Layer_solver.Heuristic -> false)
-            in
-            if degraded then Telemetry.count "recovery.degraded_to_heuristic";
             let resynth_layers = Array.length r.Synthesis.final.Schedule.layers in
             Telemetry.count ~by:resynth_layers "recovery.resynth_layers";
             Telemetry.observe "recovery.resynth_seconds" r.Synthesis.runtime_seconds;
@@ -218,7 +209,6 @@ let execute ?(config = Synthesis.default_config) ?(allow_new_devices = false)
                 resynth_layers;
                 surviving_devices = List.length survivors;
                 fresh_devices;
-                degraded_to_heuristic = degraded;
                 resynth_seconds = r.Synthesis.runtime_seconds;
               }
             in

@@ -9,10 +9,8 @@
     dependencies satisfied), the dead device is excluded, the surviving
     chip devices are offered back to {!Synthesis.run_with_pool} as a free
     pool, and only the unexecuted layers are re-synthesised and executed —
-    repeatedly, since the recovered suffix can fault again. The engine
-    degrades exactly as plain synthesis does: when the ILP's deadline abort
-    fires, the heuristic result stands (counted as
-    [recovery.degraded_to_heuristic]).
+    repeatedly, since the recovered suffix can fault again. Re-synthesis
+    runs the configured engine exactly as plain synthesis does.
 
     Every recovered schedule is checked with {!Schedule.validate} before it
     is executed; infeasibility is reported as a structured {!error} — the
@@ -45,8 +43,6 @@ type attempt = {
   resynth_layers : int;  (** layers of the recovered suffix schedule *)
   surviving_devices : int;  (** pool offered to re-synthesis *)
   fresh_devices : int;  (** devices newly integrated by re-synthesis *)
-  degraded_to_heuristic : bool;
-      (** the ILP engine hit its deadline abort during this re-synthesis *)
   resynth_seconds : float;  (** recovery latency (wall clock) *)
 }
 

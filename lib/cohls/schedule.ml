@@ -24,6 +24,9 @@ type t = {
   transport_times : Transport.t;
 }
 
+let fixed_makespan_of entries =
+  List.fold_left (fun acc e -> max acc (e.start + e.min_duration + e.transport)) 0 entries
+
 let make ~assay ~rule ~layering ~chip ~layers ~transport_times =
   { assay; rule; layering; chip; layers; transport_times }
 
@@ -40,13 +43,6 @@ let total_fixed_minutes t =
 
 let device_count t = Chip.device_count t.chip
 let path_count t = Chip.path_count t.chip
-
-let indeterminate_tail t i =
-  if i < 0 || i >= Array.length t.layers then []
-  else
-    List.filter_map
-      (fun e -> if e.indeterminate then Some e.op else None)
-      t.layers.(i).entries
 
 type breakdown = {
   fixed_minutes : int;
@@ -182,11 +178,7 @@ let validate t =
       in
       distinct indets;
       (* makespan consistency *)
-      let real =
-        List.fold_left
-          (fun acc e -> max acc (e.start + e.min_duration + e.transport))
-          0 l.entries
-      in
+      let real = fixed_makespan_of l.entries in
       if real <> l.fixed_makespan then
         err "layer %d fixed makespan %d <> computed %d" l.layer_index
           l.fixed_makespan real)

@@ -24,6 +24,9 @@ type layer_schedule = {
   fixed_makespan : int;  (** max over entries of start + min_duration + transport *)
 }
 
+val fixed_makespan_of : entry list -> int
+(** The [fixed_makespan] of a layer with these entries. *)
+
 type t = {
   assay : Assay.t;
   rule : Binding.rule;
@@ -49,8 +52,6 @@ val entry_of_op : t -> int -> entry option
 val total_fixed_minutes : t -> int
 val device_count : t -> int
 val path_count : t -> int
-val indeterminate_tail : t -> int -> int list
-(** Indeterminate ops ending the given layer (their [I] terms). *)
 
 type breakdown = {
   fixed_minutes : int;

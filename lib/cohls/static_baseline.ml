@@ -24,6 +24,8 @@ let static_schedule ?(config = Synthesis.default_config) assay =
   let r = Synthesis.run ~config det in
   r.Synthesis.final
 
+(* Count the broken-slot exposure of a schedule against the original assay
+   (whose indeterminacy information is intact). *)
 let exposure_of (s : Schedule.t) ~original =
   let ops = Assay.operations original in
   (* absolute start and minimum end per op, concatenating layers *)

@@ -30,10 +30,6 @@ val static_schedule :
     fixed slot sits after an indeterminate minimum end — that failure is
     the point. *)
 
-val exposure_of : Schedule.t -> original:Assay.t -> exposure
-(** Count the broken-slot exposure of a schedule against the original assay
-    (whose indeterminacy information is intact). *)
-
 val compare_hybrid : ?config:Synthesis.config -> Assay.t -> exposure * exposure
 (** [(static, hybrid)] exposure for the same assay: the static strawman vs
     {!Synthesis.run}'s hybrid schedule. *)

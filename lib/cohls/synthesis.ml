@@ -102,9 +102,9 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
     let device_penalty id =
       if Hashtbl.mem used_this_pass id then 0 else penalty i id
     in
-    let input =
+    let problem =
       {
-        Layer_solver.ops;
+        Layer_problem.ops;
         graph;
         layer;
         layer_of_op;
@@ -119,23 +119,23 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
         existing_paths = !existing_paths;
       }
     in
-    let out = Layer_solver.solve cfg.engine input ~fresh_id in
-    created_by_layer.(i) <- out.Layer_solver.created;
-    devices_so_far := out.Layer_solver.created :: !devices_so_far;
-    List.iter
-      (fun (d : Device.t) -> Hashtbl.replace referenced d.Device.id ())
-      out.Layer_solver.created;
+    let { List_scheduler.entries; created } =
+      Layer_solver.solve cfg.engine problem ~fresh_id
+    in
+    created_by_layer.(i) <- created;
+    devices_so_far := created :: !devices_so_far;
+    List.iter (fun (d : Device.t) -> Hashtbl.replace referenced d.Device.id ()) created;
     List.iter
       (fun (e : Schedule.entry) ->
         Hashtbl.replace device_of_op e.Schedule.op e.Schedule.device;
         Hashtbl.replace used_this_pass e.Schedule.device ())
-      out.Layer_solver.entries;
-    note_paths out.Layer_solver.entries;
+      entries;
+    note_paths entries;
     layer_schedules :=
       {
         Schedule.layer_index = i;
-        entries = out.Layer_solver.entries;
-        fixed_makespan = out.Layer_solver.fixed_makespan;
+        entries;
+        fixed_makespan = Schedule.fixed_makespan_of entries;
       }
       :: !layer_schedules
   done;

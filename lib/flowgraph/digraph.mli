@@ -23,7 +23,6 @@ val pred : t -> int -> int list
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 val iter_edges : (int -> int -> unit) -> t -> unit
-val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val copy : t -> t
 val transpose : t -> t
 

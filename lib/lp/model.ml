@@ -172,17 +172,6 @@ let copy m = { m with vars = Array.map (fun i -> { i with lb = i.lb }) m.vars }
 
 let name m = m.mname
 
-let pp_stats fmt m =
-  let ints = ref 0 and bins = ref 0 in
-  for v = 0 to m.nvars - 1 do
-    match m.vars.(v).kind with
-    | Integer -> incr ints
-    | Binary -> incr bins
-    | Continuous -> ()
-  done;
-  Format.fprintf fmt "model %s: %d vars (%d int, %d bin), %d constraints"
-    m.mname m.nvars !ints !bins m.nconstrs
-
 let pp fmt m =
   let vname v = m.vars.(v).vname in
   let dir = match m.obj_dir with `Minimize -> "Minimize" | `Maximize -> "Maximize" in

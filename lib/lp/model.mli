@@ -83,6 +83,5 @@ val eval_objective : t -> (var -> float) -> float
     objective value. *)
 
 val name : t -> string
-val pp_stats : Format.formatter -> t -> unit
 val pp : Format.formatter -> t -> unit
 (** CPLEX-LP-style textual dump, for debugging and golden tests. *)

@@ -33,7 +33,6 @@ val children : t -> int -> int list
 val dependency_graph : t -> Flowgraph.Digraph.t
 (** A copy; mutations do not affect the assay. *)
 
-val indeterminate_ids : t -> int list
 val indeterminate_count : t -> int
 
 val critical_path_minutes : t -> int

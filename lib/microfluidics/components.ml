@@ -75,8 +75,4 @@ module Accessory = struct
   end)
 
   let set_of_list = Set.of_list
-
-  let pp_set fmt s =
-    Format.fprintf fmt "{%s}"
-      (String.concat ", " (List.map to_string (Set.elements s)))
 end

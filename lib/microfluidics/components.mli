@@ -65,5 +65,4 @@ module Accessory : sig
   module Set : Set.S with type elt = t
 
   val set_of_list : t list -> Set.t
-  val pp_set : Format.formatter -> Set.t -> unit
 end

@@ -282,9 +282,6 @@ let one = of_int 1
 let minus_one = of_int (-1)
 let two = of_int 2
 
-let mul_int x n = mul x (of_int n)
-let add_int x n = add x (of_int n)
-
 let pow b e =
   if e < 0 then invalid_arg "Bigint.pow: negative exponent";
   let rec go acc b e =
@@ -314,11 +311,6 @@ let to_int_opt x =
     in
     value (n - 1) 0
   end
-
-let to_int_exn x =
-  match to_int_opt x with
-  | Some n -> n
-  | None -> failwith "Bigint.to_int_exn: out of range"
 
 let to_float x =
   let f = ref 0.0 in

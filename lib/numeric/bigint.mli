@@ -17,9 +17,6 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 (** [to_int_opt x] is [Some n] when [x] fits in a native [int]. *)
 
-val to_int_exn : t -> int
-(** @raise Failure when the value does not fit in a native [int]. *)
-
 val of_string : string -> t
 (** Parses an optional sign followed by decimal digits.
     @raise Invalid_argument on malformed input. *)
@@ -53,8 +50,6 @@ val is_one : t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 
-val mul_int : t -> int -> t
-val add_int : t -> int -> t
 
 val pow : t -> int -> t
 (** [pow b e] for [e >= 0]. @raise Invalid_argument on negative exponent. *)

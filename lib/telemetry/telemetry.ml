@@ -234,6 +234,11 @@ let counters () =
       List.sort compare
         (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counter_tbl []))
 
+(* Per-domain split of [counters]: for each counter name, the
+   [(domain id, value)] pairs of every domain that bumped it, both levels
+   sorted. JSON reports deliberately stay aggregate-only — domain ids and
+   work split are scheduling noise — but [Export.stats_table] uses this to
+   break multi-domain solver counters down per domain. *)
 let counters_by_domain () =
   locked (fun () ->
       let tbl = Hashtbl.create 32 in

@@ -88,13 +88,6 @@ val spans : unit -> span_record list
 val counters : unit -> (string * int) list
 (** Counters sorted by name (aggregated over all domains). *)
 
-val counters_by_domain : unit -> (string * (int * int) list) list
-(** Per-domain split of {!counters}: for each counter name, the
-    [(domain id, value)] pairs of every domain that bumped it, both levels
-    sorted. JSON reports deliberately stay aggregate-only — domain ids and
-    work split are scheduling noise — but [Export.stats_table] uses this to
-    break multi-domain solver counters down per domain. *)
-
 val histograms : unit -> (string * histogram) list
 (** Histograms sorted by name. *)
 

@@ -30,28 +30,30 @@ let small_assay () =
   Assay.add_dependency a ~parent:wash ~child:elute;
   (a, wash, elute, detect)
 
-let spec_of assay ~slots ~rule =
+let problem_of ?(transport = 2) ?(available = []) ?(max_devices = 3) assay ~rule =
   let layering = Cohls.Layering.compute assay in
   {
-    IM.ops = Assay.operations assay;
+    Cohls.Layer_problem.ops = Assay.operations assay;
     graph = Assay.dependency_graph assay;
     layer = layering.Cohls.Layering.layers.(0);
     layer_of_op = layering.Cohls.Layering.layer_of_op;
     bound_before = (fun _ -> None);
-    slots;
+    available;
     rule;
-    transport = (fun _ -> 2);
+    max_devices;
+    transport = (fun _ -> transport);
     cost = Cost.default;
     weights = Cohls.Schedule.default_weights;
     existing_paths = [];
+    device_penalty = (fun _ -> 0);
   }
 
 let free_slots n = Array.init n (fun i -> IM.Free { id = 100 + i })
 
 let test_build_statistics () =
   let a, _, _, _ = small_assay () in
-  let spec = spec_of a ~slots:(free_slots 3) ~rule:Cohls.Binding.Component_oriented in
-  let built = IM.build spec in
+  let problem = problem_of a ~rule:Cohls.Binding.Component_oriented in
+  let built = IM.build problem ~slots:(free_slots 3) in
   let lp = IM.model built in
   check bool "has variables" true (Lp.Model.var_count lp > 20);
   check bool "has constraints" true (Lp.Model.constr_count lp > 20);
@@ -63,24 +65,24 @@ let test_build_requires_compatible_slot () =
     Device.make ~id:0 ~container:Container.Ring ~capacity:Capacity.Small
       ~accessories:[ Accessory.Pump ]
   in
-  let spec = spec_of a ~slots:[| IM.Fixed wrong |] ~rule:Cohls.Binding.Component_oriented in
+  let problem = problem_of a ~rule:Cohls.Binding.Component_oriented in
   (try
-     ignore (IM.build spec);
+     ignore (IM.build problem ~slots:[| IM.Fixed wrong |]);
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
 let solve_small rule =
   let a, _, _, _ = small_assay () in
-  let spec = spec_of a ~slots:(free_slots 3) ~rule in
-  let built = IM.build spec in
+  let problem = problem_of a ~rule in
+  let built = IM.build problem ~slots:(free_slots 3) in
   let options =
     { Lp.Branch_bound.default_options with Lp.Branch_bound.time_limit = Some 30.0 }
   in
   let result = Lp.Branch_bound.solve ~options (IM.model built) in
-  (a, spec, built, result)
+  (a, problem, built, result)
 
 let test_solve_and_extract_component () =
-  let _, spec, built, result = solve_small Cohls.Binding.Component_oriented in
+  let _, problem, built, result = solve_small Cohls.Binding.Component_oriented in
   check bool "solved" true (result.Lp.Branch_bound.values <> None);
   match result.Lp.Branch_bound.values with
   | None -> Alcotest.fail "no solution"
@@ -100,16 +102,9 @@ let test_solve_and_extract_component () =
               Chip.note_transport chip ~src:pe.Cohls.Schedule.device
                 ~dst:e.Cohls.Schedule.device
             | Some _ | None -> ())
-          (Flowgraph.Digraph.pred spec.IM.graph e.Cohls.Schedule.op))
+          (Flowgraph.Digraph.pred problem.Cohls.Layer_problem.graph e.Cohls.Schedule.op))
       entries;
-    let layering = Cohls.Layering.compute (Assays.Kinase.base ()) in
-    ignore layering;
-    let fixed_makespan =
-      List.fold_left
-        (fun acc (e : Cohls.Schedule.entry) ->
-          max acc (e.Cohls.Schedule.start + e.Cohls.Schedule.min_duration + e.Cohls.Schedule.transport))
-        0 entries
-    in
+    let fixed_makespan = Cohls.Schedule.fixed_makespan_of entries in
     check bool "makespan sane" true (fixed_makespan >= 17 && fixed_makespan <= IM.horizon built)
 
 let test_domains_agree_on_assay () =
@@ -117,9 +112,9 @@ let test_domains_agree_on_assay () =
      model solved to completion, 1 and 4 domains return the same status,
      objective and values. *)
   let a, _, _, _ = small_assay () in
-  let spec = spec_of a ~slots:(free_slots 3) ~rule:Cohls.Binding.Component_oriented in
+  let problem = problem_of a ~rule:Cohls.Binding.Component_oriented in
   let solve domains =
-    let built = IM.build spec in
+    let built = IM.build problem ~slots:(free_slots 3) in
     let options =
       {
         Lp.Branch_bound.default_options with
@@ -150,28 +145,11 @@ let test_exact_rule_needs_more_devices () =
 
 let test_warm_start_feasible () =
   let a, _, _, _ = small_assay () in
-  let layering = Cohls.Layering.compute a in
-  let cfg =
-    {
-      Cohls.List_scheduler.rule = Cohls.Binding.Component_oriented;
-      max_devices = 3;
-      cost = Cost.default;
-      weights = Cohls.Schedule.default_weights;
-      device_penalty = (fun _ -> 0);
-    }
-  in
+  let problem = problem_of a ~rule:Cohls.Binding.Component_oriented in
   let next = ref 100 in
   let fresh_id () = let i = !next in incr next; i in
-  let heur =
-    Cohls.List_scheduler.schedule_layer cfg ~ops:(Assay.operations a)
-      ~graph:(Assay.dependency_graph a)
-      ~layer:layering.Cohls.Layering.layers.(0)
-      ~layer_of_op:layering.Cohls.Layering.layer_of_op
-      ~bound_before:(fun _ -> None)
-      ~available:[] ~transport:(fun _ -> 2) ~existing_paths:[] ~fresh_id
-  in
-  let spec = spec_of a ~slots:(free_slots 3) ~rule:Cohls.Binding.Component_oriented in
-  let built = IM.build spec in
+  let heur = Cohls.List_scheduler.schedule_layer problem ~fresh_id in
+  let built = IM.build problem ~slots:(free_slots 3) in
   match IM.warm_start built heur.Cohls.List_scheduler.entries with
   | None -> Alcotest.fail "warm start mapping failed"
   | Some values ->
@@ -192,23 +170,8 @@ let test_indeterminate_constraints () =
     Assay.add_operation a ~duration:(Operation.Indeterminate { min_minutes = 4 }) "i"
   in
   ignore (d, i);
-  let layering = Cohls.Layering.compute a in
-  let spec =
-    {
-      IM.ops = Assay.operations a;
-      graph = Assay.dependency_graph a;
-      layer = layering.Cohls.Layering.layers.(0);
-      layer_of_op = layering.Cohls.Layering.layer_of_op;
-      bound_before = (fun _ -> None);
-      slots = free_slots 2;
-      rule = Cohls.Binding.Component_oriented;
-      transport = (fun _ -> 1);
-      cost = Cost.default;
-      weights = Cohls.Schedule.default_weights;
-      existing_paths = [];
-    }
-  in
-  let built = IM.build spec in
+  let problem = problem_of ~transport:1 a ~rule:Cohls.Binding.Component_oriented in
+  let built = IM.build problem ~slots:(free_slots 2) in
   let result = Lp.Branch_bound.solve (IM.model built) in
   match result.Lp.Branch_bound.values with
   | None -> Alcotest.fail "no solution"
@@ -236,33 +199,34 @@ let test_pruned_matches_unpruned () =
   let _ =
     Assay.add_operation ind ~duration:(Operation.Indeterminate { min_minutes = 4 }) "i"
   in
-  let specs =
+  let cases =
     [
-      spec_of a ~slots:(free_slots 3) ~rule:Cohls.Binding.Component_oriented;
-      spec_of a ~slots:(free_slots 2) ~rule:Cohls.Binding.Exact_signature;
-      spec_of ind ~slots:(free_slots 2) ~rule:Cohls.Binding.Component_oriented;
+      (problem_of a ~rule:Cohls.Binding.Component_oriented, free_slots 3);
+      (problem_of a ~rule:Cohls.Binding.Exact_signature, free_slots 2);
+      (problem_of ind ~rule:Cohls.Binding.Component_oriented, free_slots 2);
     ]
   in
   let options =
     { Lp.Branch_bound.default_options with Lp.Branch_bound.time_limit = Some 30.0 }
   in
   List.iteri
-    (fun i spec ->
-      let pruned = Lp.Branch_bound.solve ~options (IM.model (IM.build spec)) in
+    (fun i (problem, slots) ->
+      let pruned = Lp.Branch_bound.solve ~options (IM.model (IM.build problem ~slots)) in
       let full =
-        Lp.Branch_bound.solve ~options (IM.model (IM.build ~prune:false spec))
+        Lp.Branch_bound.solve ~options
+          (IM.model (IM.build ~prune:false problem ~slots))
       in
       check bool
-        (Printf.sprintf "spec %d: both optimal" i)
+        (Printf.sprintf "case %d: both optimal" i)
         true
         (pruned.Lp.Branch_bound.status = Lp.Branch_bound.Optimal
         && full.Lp.Branch_bound.status = Lp.Branch_bound.Optimal);
       match (pruned.Lp.Branch_bound.objective, full.Lp.Branch_bound.objective) with
       | Some p, Some f ->
         if Float.abs (p -. f) > 1e-6 then
-          Alcotest.failf "spec %d: pruned %.6g <> unpruned %.6g" i p f
-      | _ -> Alcotest.failf "spec %d: missing objective" i)
-    specs
+          Alcotest.failf "case %d: pruned %.6g <> unpruned %.6g" i p f
+      | _ -> Alcotest.failf "case %d: missing objective" i)
+    cases
 
 let test_ilp_engine_end_to_end () =
   (* full synthesis with the ILP engine on the small kinase protocol must
@@ -294,6 +258,57 @@ let test_ilp_engine_end_to_end () =
   check bool "ilp no worse (weighted)" true
     (r_ilp.Syn.final_breakdown.Cohls.Schedule.weighted
      <= r_heur.Syn.final_breakdown.Cohls.Schedule.weighted)
+
+let test_ilp_layer_respects_cap_with_inherited () =
+  (* Three independent hour-long operations that one inherited device can
+     run, and a cap with room for one more device. Parallel devices would
+     pay for themselves, so the cap is what stops the ILP — it gets the
+     inherited device as a fixed slot and must stay inside the cap. *)
+  let a = Assay.create ~name:"parallel" in
+  for i = 0 to 2 do
+    ignore
+      (Assay.add_operation a ~accessories:[ Accessory.Sieve_valve ]
+         ~duration:(Operation.Fixed 60) (Printf.sprintf "wash%d" i))
+  done;
+  let inherited =
+    Device.make ~id:0 ~container:Container.Chamber ~capacity:Capacity.Small
+      ~accessories:[ Accessory.Sieve_valve ]
+  in
+  let available = [ inherited ] in
+  let problem =
+    problem_of ~available ~max_devices:2 a ~rule:Cohls.Binding.Component_oriented
+  in
+  let next = ref 1 in
+  let fresh_id () = let i = !next in incr next; i in
+  let engine =
+    Cohls.Layer_solver.Ilp
+      {
+        options =
+          {
+            Lp.Branch_bound.default_options with
+            Lp.Branch_bound.time_limit = None;
+            node_limit = Some 200;
+            domains = 1;
+          };
+        extra_free_slots = 1;
+      }
+  in
+  let { Cohls.List_scheduler.entries; created } =
+    Cohls.Layer_solver.solve engine problem ~fresh_id
+  in
+  let ids = List.map (fun (d : Device.t) -> d.Device.id) (available @ created) in
+  List.iter
+    (fun (e : Cohls.Schedule.entry) ->
+      check bool
+        (Printf.sprintf "op %d on an available or created device" e.Cohls.Schedule.op)
+        true
+        (List.mem e.Cohls.Schedule.device ids))
+    entries;
+  check bool "available + created <= max_devices" true
+    (List.length available + List.length created <= 2);
+  check (Alcotest.list int_t) "each layer op exactly once"
+    (List.sort compare problem.Cohls.Layer_problem.layer.Cohls.Layering.ops)
+    (List.sort compare (List.map (fun (e : Cohls.Schedule.entry) -> e.Cohls.Schedule.op) entries))
 
 let test_ilp_never_worse_than_greedy_random () =
   (* Cross-engine check on small random assays: branch-and-bound warm
@@ -370,6 +385,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "end-to-end ILP synthesis" `Slow test_ilp_engine_end_to_end;
+          Alcotest.test_case "layer ILP keeps the cap with inherited devices" `Quick
+            test_ilp_layer_respects_cap_with_inherited;
           Alcotest.test_case "ILP never worse than greedy (random)" `Slow
             test_ilp_never_worse_than_greedy_random;
         ] );

@@ -153,6 +153,68 @@ let test_seeded_sweep () =
   check bool "sweep exercised the strict no-new-devices failure path" true
     (!structured_failures > 0)
 
+(* ---------- recovery under the ILP engine ---------- *)
+
+(* Chip inventory plus the rendered layers: equal exactly when two
+   schedules bind, time and route identically. *)
+let fingerprint (s : Cohls.Schedule.t) =
+  ( Format.asprintf "%a" Cohls.Schedule.pp s,
+    Chip.devices s.Cohls.Schedule.chip,
+    Chip.path_usage s.Cohls.Schedule.chip )
+
+let test_ilp_engine_recovery () =
+  (* Re-synthesis hands the surviving devices to the layer ILP as fixed
+     slots. Under a node budget with no time limit the search is
+     deterministic, so the outcome must not depend on whether telemetry
+     is recording. *)
+  let assay = Assays.Kinase.testcase () in
+  let config =
+    {
+      Cohls.Synthesis.default_config with
+      Cohls.Synthesis.engine =
+        Cohls.Layer_solver.Ilp
+          {
+            options =
+              {
+                Lp.Branch_bound.default_options with
+                Lp.Branch_bound.time_limit = None;
+                node_limit = Some 100;
+                domains = 1;
+              };
+            extra_free_slots = 1;
+          };
+    }
+  in
+  Telemetry.disable ();
+  let s = (Cohls.Synthesis.run ~config assay).Cohls.Synthesis.final in
+  let oracle = Cohls.Runtime.seeded_oracle ~seed:1 ~max_extra:20 assay in
+  let plan = Cohls.Faults.seeded ~seed:4 ~rate:0.2 in
+  let run () =
+    match Cohls.Recovery.execute ~config ~plan ~oracle s with
+    | Ok o -> o
+    | Error e -> Alcotest.fail (Format.asprintf "%a" Cohls.Recovery.pp_error e)
+  in
+  let quiet = run () in
+  Telemetry.enable ();
+  Telemetry.reset ();
+  let traced = Fun.protect ~finally:Telemetry.disable run in
+  check bool "the plan fires a recovery" true (quiet.Cohls.Recovery.attempts <> []);
+  List.iter
+    (fun rs ->
+      check bool "recovered schedule validates" true (Cohls.Schedule.validate rs = Ok ()))
+    (quiet.Cohls.Recovery.recovered_schedules @ traced.Cohls.Recovery.recovered_schedules);
+  check bool "same trace" true (quiet.Cohls.Recovery.trace = traced.Cohls.Recovery.trace);
+  check bool "same fault stats" true (quiet.Cohls.Recovery.stats = traced.Cohls.Recovery.stats);
+  check bool "same recovered schedules" true
+    (List.map fingerprint quiet.Cohls.Recovery.recovered_schedules
+     = List.map fingerprint traced.Cohls.Recovery.recovered_schedules);
+  let masked (o : Cohls.Recovery.outcome) =
+    List.map
+      (fun (a : Cohls.Recovery.attempt) -> { a with Cohls.Recovery.resynth_seconds = 0.0 })
+      o.Cohls.Recovery.attempts
+  in
+  check bool "same attempts (latency masked)" true (masked quiet = masked traced)
+
 (* ---------- executed prefix is untouched ---------- *)
 
 let test_prefix_preserved () =
@@ -329,6 +391,8 @@ let () =
           Alcotest.test_case "rate 0.0 reproduces the fault-free trace" `Quick
             test_zero_rate_byte_for_byte;
           Alcotest.test_case "seeded sweep invariants" `Slow test_seeded_sweep;
+          Alcotest.test_case "ILP engine, telemetry on and off" `Slow
+            test_ilp_engine_recovery;
           Alcotest.test_case "executed prefix preserved" `Quick test_prefix_preserved;
           Alcotest.test_case "no feasible device set is structured" `Quick
             test_no_feasible_devices_is_structured;

@@ -147,26 +147,28 @@ let test_transport_of_layout () =
 
 let schedule assay ~rule ~max_devices =
   let layering = Cohls.Layering.compute assay in
-  let cfg =
-    {
-      LS.rule;
-      max_devices;
-      cost = Cost.default;
-      weights = Cohls.Schedule.default_weights;
-      device_penalty = (fun _ -> 0);
-    }
-  in
   let next = ref 0 in
   let fresh_id () = let i = !next in incr next; i in
-  let ops = Assay.operations assay in
-  let graph = Assay.dependency_graph assay in
   let outcomes =
     Array.map
       (fun layer ->
-        LS.schedule_layer cfg ~ops ~graph ~layer
-          ~layer_of_op:layering.Cohls.Layering.layer_of_op
-          ~bound_before:(fun _ -> None)
-          ~available:[] ~transport:(fun _ -> 2) ~existing_paths:[] ~fresh_id)
+        LS.schedule_layer
+          {
+            Cohls.Layer_problem.ops = Assay.operations assay;
+            graph = Assay.dependency_graph assay;
+            layer;
+            layer_of_op = layering.Cohls.Layering.layer_of_op;
+            bound_before = (fun _ -> None);
+            available = [];
+            rule;
+            max_devices;
+            transport = (fun _ -> 2);
+            cost = Cost.default;
+            weights = Cohls.Schedule.default_weights;
+            existing_paths = [];
+            device_penalty = (fun _ -> 0);
+          }
+          ~fresh_id)
       layering.Cohls.Layering.layers
   in
   (layering, outcomes)
@@ -185,7 +187,7 @@ let test_list_scheduler_chain () =
   check int_t "y starts at 12" 12 (e_of y).Cohls.Schedule.start;
   (* same requirements: the chain shares one device *)
   check int_t "same device" (e_of x).Cohls.Schedule.device (e_of y).Cohls.Schedule.device;
-  check int_t "makespan" 34 outcomes.(0).LS.fixed_makespan
+  check int_t "makespan" 34 (Cohls.Schedule.fixed_makespan_of outcomes.(0).LS.entries)
 
 let test_list_scheduler_parallelism () =
   let a = Assay.create ~name:"par" in
@@ -194,7 +196,7 @@ let test_list_scheduler_parallelism () =
   done;
   let _, outcomes = schedule a ~rule:Cohls.Binding.Component_oriented ~max_devices:4 in
   (* four independent long ops and enough budget: all run in parallel *)
-  check int_t "makespan 32" 32 outcomes.(0).LS.fixed_makespan;
+  check int_t "makespan 32" 32 (Cohls.Schedule.fixed_makespan_of outcomes.(0).LS.entries);
   check int_t "four devices" 4 (List.length outcomes.(0).LS.created)
 
 let test_list_scheduler_cap () =
@@ -204,7 +206,7 @@ let test_list_scheduler_cap () =
   done;
   let _, outcomes = schedule a ~rule:Cohls.Binding.Component_oriented ~max_devices:2 in
   check int_t "only two devices" 2 (List.length outcomes.(0).LS.created);
-  check bool "serialised" true (outcomes.(0).LS.fixed_makespan >= 64)
+  check bool "serialised" true ((Cohls.Schedule.fixed_makespan_of outcomes.(0).LS.entries) >= 64)
 
 let test_list_scheduler_no_device () =
   let a = Assay.create ~name:"nodev" in
