@@ -585,7 +585,7 @@ let case1_layer_model () =
       available = [];
       rule = Cohls.Binding.Component_oriented;
       max_devices = Syn.default_config.Syn.max_devices;
-      transport = (fun _ -> Syn.default_config.Syn.initial_transport);
+      transport = (fun _ -> Syn.initial_transport);
       cost = Cost.default;
       weights = Cohls.Schedule.default_weights;
       existing_paths = [];

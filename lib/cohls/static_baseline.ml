@@ -24,49 +24,14 @@ let static_schedule ?(config = Synthesis.default_config) assay =
   let r = Synthesis.run ~config det in
   r.Synthesis.final
 
-(* Count the broken-slot exposure of a schedule against the original assay
-   (whose indeterminacy information is intact). *)
-let exposure_of (s : Schedule.t) ~original =
-  let ops = Assay.operations original in
-  (* absolute start and minimum end per op, concatenating layers *)
-  let abs = Hashtbl.create 64 in
-  let offset = ref 0 in
-  Array.iter
-    (fun (l : Schedule.layer_schedule) ->
-      List.iter
-        (fun (e : Schedule.entry) ->
-          Hashtbl.replace abs e.Schedule.op
-            (!offset + e.Schedule.start, !offset + e.Schedule.start + e.Schedule.min_duration))
-        l.Schedule.entries;
-      offset := !offset + l.Schedule.fixed_makespan)
-    s.Schedule.layers;
-  let total_slots = Hashtbl.length abs in
-  let indets =
-    Array.to_list ops
-    |> List.filter_map (fun (o : Operation.t) ->
-           if Operation.is_indeterminate o then Hashtbl.find_opt abs o.Operation.id
-           else None)
-  in
-  let exposed = Hashtbl.create 64 in
-  let worst = ref 0 in
-  List.iter
-    (fun (_, min_end) ->
-      let count = ref 0 in
-      Hashtbl.iter
-        (fun op (start, _) ->
-          if start > min_end then begin
-            incr count;
-            Hashtbl.replace exposed op ()
-          end)
-        abs;
-      if !count > !worst then worst := !count)
-    indets;
-  { exposed_slots = Hashtbl.length exposed; total_slots; worst_chain = !worst }
-
-(* Hybrid exposure: inside a layer constraint (14) protects every slot; a
-   slot is only exposed to indeterminate ops of ITS OWN layer (boundary
-   shifts are controlled, not breaking). *)
-let hybrid_exposure (s : Schedule.t) ~original =
+(* Broken-slot exposure of a schedule against the original assay (whose
+   indeterminacy information is intact): a slot is exposed to the
+   indeterminate operations of its own layer that may overrun before it
+   starts. In a hybrid schedule constraint (14) protects every slot inside
+   a layer, and boundary shifts are controlled, not breaking; the static
+   schedule is one layer, so there every slot after an indeterminate
+   minimum end counts. *)
+let layer_exposure (s : Schedule.t) ~original =
   let ops = Assay.operations original in
   let exposed = Hashtbl.create 16 in
   let worst = ref 0 in
@@ -100,4 +65,4 @@ let hybrid_exposure (s : Schedule.t) ~original =
 let compare_hybrid ?(config = Synthesis.default_config) assay =
   let static = static_schedule ~config assay in
   let hybrid = (Synthesis.run ~config assay).Synthesis.final in
-  (exposure_of static ~original:assay, hybrid_exposure hybrid ~original:assay)
+  (layer_exposure static ~original:assay, layer_exposure hybrid ~original:assay)

@@ -5,14 +5,15 @@ type config = {
   threshold : int;
   max_devices : int;
   engine : Layer_solver.engine;
-  cost : Cost.t;
   weights : Schedule.weights;
-  initial_transport : int;
-  progression : Transport.progression;
   max_iterations : int;
-  improvement_threshold : float;
   refine_by_layout : bool;
 }
+
+let cost = Cost.default
+let initial_transport = 10
+let progression = Transport.default_progression
+let improvement_threshold = 0.02
 
 let default_config =
   {
@@ -20,12 +21,8 @@ let default_config =
     threshold = 10;
     max_devices = 25;
     engine = Layer_solver.Heuristic;
-    cost = Cost.default;
     weights = Schedule.default_weights;
-    initial_transport = 10;
-    progression = Transport.default_progression;
     max_iterations = 5;
-    improvement_threshold = 0.02;
     refine_by_layout = false;
   }
 
@@ -114,7 +111,7 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
         max_devices = List.length available + new_budget;
         device_penalty;
         transport = Transport.time transport;
-        cost = cfg.cost;
+        cost;
         weights = cfg.weights;
         existing_paths = !existing_paths;
       }
@@ -193,7 +190,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
   let graph = Assay.dependency_graph assay in
   let children op = Flowgraph.Digraph.succ graph op in
   (* first pass: forward inheritance only, constant transportation times *)
-  let transport0 = Transport.constant ~op_count config.initial_transport in
+  let transport0 = Transport.constant ~op_count initial_transport in
   let schedule0, created0 =
     Telemetry.span "synthesis.pass" ~attrs:[ ("pass", "0") ] (fun () ->
         run_pass config assay layering transport0 ~pool
@@ -201,7 +198,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
           ~fresh_id)
   in
   Telemetry.count "synthesis.passes";
-  let breakdown0 = Schedule.evaluate ~weights:config.weights config.cost schedule0 in
+  let breakdown0 = Schedule.evaluate ~weights:config.weights cost schedule0 in
   let iterations = ref [ { iteration_index = 0; schedule = schedule0; breakdown = breakdown0 } ] in
   let continue = ref (config.max_iterations > 1) in
   let prev = ref (schedule0, created0) in
@@ -222,9 +219,9 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
             (Chip.devices prev_schedule.Schedule.chip)
         in
         let layout = Layout.place ~device_ids ~path_usage:usage in
-        Transport.of_layout config.progression ~op_count ~binding ~children ~layout
+        Transport.of_layout progression ~op_count ~binding ~children ~layout
       end
-      else Transport.refine config.progression ~op_count ~binding ~children ~path_usage:usage
+      else Transport.refine progression ~op_count ~binding ~children ~path_usage:usage
     in
     (* §3.2 re-synthesis inheritance: the whole previous chip D is visible
        to every layer; a layer pays the integration cost again on first use
@@ -240,8 +237,8 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
       if i < Array.length own_of_layer && List.mem id own_of_layer.(i) then begin
         match Chip.find_device prev_schedule.Schedule.chip id with
         | Some d ->
-          (config.weights.Schedule.w_area * Cost.device_area config.cost d)
-          + (config.weights.Schedule.w_processing * Cost.device_processing config.cost d)
+          (config.weights.Schedule.w_area * Cost.device_area cost d)
+          + (config.weights.Schedule.w_processing * Cost.device_processing cost d)
         | None -> 0
       end
       else 0
@@ -253,7 +250,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
           run_pass config assay layering transport ~pool:prev_devices ~penalty
             ~fresh_id)
     in
-    let breakdown = Schedule.evaluate ~weights:config.weights config.cost schedule in
+    let breakdown = Schedule.evaluate ~weights:config.weights cost schedule in
     Telemetry.count "synthesis.passes";
     (* accept a pass only when the full weighted objective improves (a pure
        time gain bought with extra devices or channels is no improvement);
@@ -268,7 +265,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
         /. float_of_int (max 1 prev_breakdown.Schedule.fixed_minutes)
       in
       Telemetry.observe "synthesis.pass_improvement" improvement;
-      if improvement <= config.improvement_threshold || k + 1 >= config.max_iterations
+      if improvement <= improvement_threshold || k + 1 >= config.max_iterations
       then continue := false
     end
     else begin

@@ -20,23 +20,24 @@ type config = {
   threshold : int;  (** max indeterminate ops per layer *)
   max_devices : int;  (** |D| *)
   engine : Layer_solver.engine;
-  cost : Cost.t;
   weights : Schedule.weights;
-  initial_transport : int;  (** the user constant t of §4.1 *)
-  progression : Transport.progression;
   max_iterations : int;
-  improvement_threshold : float;
-      (** keep iterating while the relative execution-time gain exceeds
-          this; default [0.02] *)
   refine_by_layout : bool;
       (** price paths by grid-layout Manhattan length instead of usage rank *)
 }
+(** Every run prices devices with {!Cost.default}, estimates
+    transportation with {!Transport.default_progression} (2..10 minutes in
+    5 terms), starts from {!initial_transport} and keeps iterating while
+    the relative execution-time gain exceeds 2%. *)
+
+val initial_transport : int
+(** The user constant t of §4.1, the first pass's transportation time per
+    operation: 10, the progression's slowest term, i.e. a conservative
+    first estimate. *)
 
 val default_config : config
 (** Component-oriented rule, threshold 10, 25 devices, heuristic engine,
-    default costs/weights, t = 10 (the progression's slowest term, i.e. a
-    conservative first estimate), progression 2..10 with 5 terms, at most 5
-    iterations, 2% improvement threshold. *)
+    default weights, at most 5 iterations. *)
 
 val conventional_config : config
 (** Same, with the exact-signature binding rule — the paper's modified

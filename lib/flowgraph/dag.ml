@@ -89,22 +89,6 @@ let longest_path_lengths g ~weight =
   List.iter process order;
   dist
 
-let transitive_closure g =
-  let n = Digraph.vertex_count g in
-  let h = Digraph.create n in
-  for v = 0 to n - 1 do
-    List.iter (fun u -> Digraph.add_edge h v u) (descendants g v)
-  done;
-  h
-
-let sources g =
-  let n = Digraph.vertex_count g in
-  List.filter (fun v -> Digraph.in_degree g v = 0) (List.init n Fun.id)
-
-let sinks g =
-  let n = Digraph.vertex_count g in
-  List.filter (fun v -> Digraph.out_degree g v = 0) (List.init n Fun.id)
-
 let induced_subgraph g ~keep =
   let n = Digraph.vertex_count g in
   let new_of_old = Array.make n (-1) in

@@ -27,11 +27,6 @@ val longest_path_lengths : Digraph.t -> weight:(int -> int) -> int array
     [weight] over paths ending at that vertex (inclusive). Used for critical
     path / ASAP bounds. @raise Cycle on cyclic input. *)
 
-val transitive_closure : Digraph.t -> Digraph.t
-
-val sources : Digraph.t -> int list
-val sinks : Digraph.t -> int list
-
 val induced_subgraph : Digraph.t -> keep:(int -> bool) -> Digraph.t * int array * int array
 (** [induced_subgraph g ~keep] is [(h, old_of_new, new_of_old)] where [h]
     contains only the kept vertices (re-indexed densely), [old_of_new] maps

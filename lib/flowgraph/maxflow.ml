@@ -8,7 +8,7 @@ type t = {
   adj : int list array; (* per-vertex arc ids while under construction *)
   mutable dst : int array;
   mutable cap : int array;
-  mutable orig : int array; (* original capacity, to reset and report cuts *)
+  mutable orig : int array; (* original capacity, to reset the flow *)
   mutable arcs : int;
 }
 
@@ -134,19 +134,6 @@ let max_flow t ~source ~sink =
   done;
   !total
 
-let min_cut t ~source ~sink =
-  let value = max_flow t ~source ~sink in
-  let side = Array.make t.n false in
-  let rec dfs u =
-    if not side.(u) then begin
-      side.(u) <- true;
-      let follow a = if t.cap.(a) > 0 then dfs t.dst.(a) in
-      Array.iter follow t.heads.(u)
-    end
-  in
-  dfs source;
-  (value, side)
-
 let min_cut_nearest_sink t ~source ~sink =
   let value = max_flow t ~source ~sink in
   (* Backward reachability to the sink along residual arcs. For any arc
@@ -168,14 +155,3 @@ let min_cut_nearest_sink t ~source ~sink =
   visit sink;
   ignore source;
   (value, Array.map not reaches)
-
-let cut_edges t side =
-  let acc = ref [] in
-  for a = 0 to t.arcs - 1 do
-    if a land 1 = 0 then begin
-      let u = t.dst.(a lxor 1) and v = t.dst.(a) in
-      if side.(u) && (not side.(v)) && t.orig.(a) > 0 then
-        acc := (u, v, t.orig.(a)) :: !acc
-    end
-  done;
-  List.rev !acc

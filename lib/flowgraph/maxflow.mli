@@ -21,18 +21,11 @@ val add_edge : t -> src:int -> dst:int -> cap:int -> unit
 val max_flow : t -> source:int -> sink:int -> int
 (** Computes the maximum flow value. Resets any previous flow. *)
 
-val min_cut : t -> source:int -> sink:int -> int * bool array
-(** [min_cut t ~source ~sink] is [(value, side)] where [side.(v)] is [true]
-    iff [v] lies on the source side of a minimum cut. Runs a fresh max-flow
-    first. *)
-
 val min_cut_nearest_sink : t -> source:int -> sink:int -> int * bool array
-(** Like {!min_cut} but returns the minimum cut with the {e fewest} vertices
-    on the sink side (the cut "closest to the sink"): the sink side is the
-    set of vertices that still reach the sink in the residual graph. Among
-    all minimum cuts this one moves the least material to the sink side —
-    the tie-break rule of the paper's Fig. 5 ([c2] over [c1]). *)
-
-val cut_edges : t -> bool array -> (int * int * int) list
-(** [(u, v, cap)] for every original edge crossing from the source side to
-    the sink side of the given partition. *)
+(** [min_cut_nearest_sink t ~source ~sink] is [(value, side)] where
+    [side.(v)] is [true] iff [v] lies on the source side of the minimum cut
+    with the {e fewest} vertices on the sink side (the cut "closest to the
+    sink"): the sink side is the set of vertices that still reach the sink
+    in the residual graph. Among all minimum cuts this one moves the least
+    material to the sink side — the tie-break rule of the paper's Fig. 5
+    ([c2] over [c1]). Runs a fresh max-flow first. *)

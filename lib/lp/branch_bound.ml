@@ -36,14 +36,13 @@ let default_options =
 
 (* A search node: the full per-variable bound vector (an immutable overlay —
    the shared model is never mutated during the search, so nodes are safe to
-   process on any domain), the warm-start basis cell inherited from the
-   parent (copy-on-branch: sibling solves must not clobber each other's
-   snapshots) and the parent's relaxation bound (a valid lower bound on the
-   whole subtree, merged into [best_bound] when the node is discarded at a
-   limit). *)
+   process on any domain), the warm start its parent's relaxation offered
+   ([None] at the root; siblings share it, as it is immutable) and the
+   parent's relaxation bound (a valid lower bound on the whole subtree,
+   merged into [best_bound] when the node is discarded at a limit). *)
 type node = {
   nd_bounds : (Q.t option * Q.t option) array;
-  nd_basis : Simplex.basis;
+  nd_warm : Simplex.warm option;
   nd_depth : int;
   nd_bound : float;
 }
@@ -212,7 +211,7 @@ type wave_outcome =
   | W_dropped of string (* the kernel gave up on the node: counter to bump *)
   | W_infeasible
   | W_unbounded
-  | W_solved of float * float array
+  | W_solved of float * float array * Simplex.warm
 
 let solve_node sh w nd =
   if Atomic.get sh.out_of_time || budget_tight sh sh.relax_ema.(w) then begin
@@ -224,15 +223,15 @@ let solve_node sh w nd =
     let outcome =
       match
         Simplex.solve_relaxation_float ?deadline:sh.deadline
-          ~bounds:nd.nd_bounds ~basis:nd.nd_basis sh.model
+          ~bounds:nd.nd_bounds ?warm:nd.nd_warm sh.model
       with
       | exception Tableau.Deadline_exceeded -> W_abort
       | exception Tableau.Iteration_limit -> W_dropped "lp.simplex.iteration_aborts"
       | exception Tableau.Singular -> W_dropped "lp.simplex.singular_aborts"
       | Simplex.Infeasible -> W_infeasible
       | Simplex.Unbounded -> W_unbounded
-      | Simplex.Optimal { objective; values } ->
-        W_solved (sh.dir_sign *. objective, values)
+      | Simplex.Optimal { objective; values; warm } ->
+        W_solved (sh.dir_sign *. objective, values, warm)
     in
     let dt = now () -. t0 in
     let ema = sh.relax_ema.(w) in
@@ -295,10 +294,10 @@ let settle sh nd outcome children =
       sh.stop <- true
     end;
     children
-  | W_solved (internal, _) when internal >= cutoff sh ->
+  | W_solved (internal, _, _) when internal >= cutoff sh ->
     prune sh internal;
     children
-  | W_solved (internal, values) -> (
+  | W_solved (internal, values, warm) -> (
     match pick_branch sh values with
     | None ->
       (* numerically integral but infeasible on re-check: give up on this
@@ -310,7 +309,7 @@ let settle sh nd outcome children =
       let child bounds =
         {
           nd_bounds = bounds;
-          nd_basis = Simplex.copy_basis nd.nd_basis;
+          nd_warm = Some warm;
           nd_depth = nd.nd_depth + 1;
           nd_bound = internal;
         }
@@ -412,7 +411,7 @@ let solve ?(options = default_options) ?warm_start model =
       {
         nd_bounds =
           Array.init nvars (fun v -> (Model.var_lb model v, Model.var_ub model v));
-        nd_basis = Simplex.new_basis ();
+        nd_warm = None;
         nd_depth = 0;
         nd_bound = neg_infinity;
       }

@@ -20,11 +20,12 @@
     it. A root abandoned this way leaves no bound, so without a warm start
     the status is [Unknown].
 
-    Each node re-solves its relaxation warm: it inherits the parent's
-    simplex basis (a {!Simplex.basis} cell, copied on branching) and the
-    bound change of the branch is repaired by a dual-simplex phase, falling
-    back to a cold primal solve when the warm solve goes stale
-    ([lp.bb.warm_hits] / [lp.bb.warm_fallbacks] count the split).
+    Each node re-solves its relaxation warm: it holds the {!Simplex.warm}
+    value of its parent's [Optimal] relaxation (none at the root; both
+    children share the immutable value) and the bound change of the branch
+    is repaired by a dual-simplex phase, falling back to a cold primal solve
+    when the warm solve goes stale ([lp.bb.warm_hits] /
+    [lp.bb.warm_fallbacks] count the split).
 
     The tree is searched in synchronous waves: one global stack of open
     nodes, popped [8] at a time (a constant, not the domain count); the

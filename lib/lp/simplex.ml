@@ -1,10 +1,5 @@
 module Q = Numeric.Rat
 
-type outcome =
-  | Optimal of { objective : float; values : float array }
-  | Infeasible
-  | Unbounded
-
 (* How each model variable maps onto standard-form columns. *)
 type mapping =
   | Shifted of int * Q.t (* x = col + lb *)
@@ -38,19 +33,15 @@ type prepared = {
   p_dir : [ `Minimize | `Maximize ];
 }
 
-(* In/out warm-start cell threaded through {!solve_relaxation_float}:
-   filled from the final basis of an [Optimal] solve, consumed (and
-   refreshed) by the next solve holding it. Branch-and-bound hands each child a {!copy_basis} of its
-   parent's cell. *)
-type basis = {
-  mutable bs_prepared : prepared option;
-  mutable bs_snapshot : Tableau.snapshot option;
-}
+(* What an [Optimal] solve hands on for warm re-solves: the form it solved
+   and its final basis. Both are immutable, so one value may warm any
+   number of later solves, on any domain. *)
+type warm = { w_prepared : prepared; w_snapshot : Tableau.snapshot }
 
-let new_basis () = { bs_prepared = None; bs_snapshot = None }
-
-let copy_basis b =
-  { bs_prepared = b.bs_prepared; bs_snapshot = b.bs_snapshot }
+type outcome =
+  | Optimal of { objective : float; values : float array; warm : warm }
+  | Infeasible
+  | Unbounded
 
 let effective_bounds ?bounds model =
   let nvars = Model.var_count model in
@@ -70,12 +61,13 @@ let effective_bounds ?bounds model =
 type shift = { lo : float array; shifted : int list; span : float option array }
 
 (* Map a kernel solution back to model variables and the natural
-   objective. [shift] holds the per-column offsets of a warm solve (see
+   objective, keeping the final basis [snapshot] of form [p] as the warm
+   start it offers. [shift] holds the per-column offsets of a warm solve (see
    {!overlay}): that kernel solved in shifted column space, so the shift is
    added back to each column and its contribution to the objective undone.
    Then the objective constant is re-added and the max->min sign flip
    undone. *)
-let outcome_of p ?shift value x =
+let outcome_of p ?shift value x snapshot =
   let col_value col =
     match shift with Some s -> x.(col) +. s.lo.(col) | None -> x.(col)
   in
@@ -101,6 +93,7 @@ let outcome_of p ?shift value x =
     {
       objective = (match p.p_dir with `Minimize -> base | `Maximize -> -.base);
       values = Array.init p.p_nvars value_of;
+      warm = { w_prepared = p; w_snapshot = snapshot };
     }
 
 (* Full translation of the model under the effective per-variable bounds
@@ -225,27 +218,17 @@ let prepare ~lb ~ub model =
     p_dir = dir;
   }
 
-(* Cold primal solve. When [capture] is given the final basis and the
-   translated form are stored into it for later warm re-solves. *)
-let cold_solve ?max_iters ?deadline ?capture ~lb ~ub model =
+(* Cold primal solve over a fresh translation. *)
+let cold_solve ?max_iters ?deadline ~lb ~ub model =
   let p = prepare ~lb ~ub model in
-  let snapshot_out =
-    match capture with Some _ -> Some (ref None) | None -> None
-  in
   match
     Telemetry.span "lp.simplex.kernel" (fun () ->
-        Tableau.solve_cols ?max_iters ?deadline ~ubs:p.p_ubs ?snapshot_out
-          ~cols:p.p_cols ~b:p.p_b ~c:p.p_c ())
+        Tableau.solve_cols ?max_iters ?deadline ~ubs:p.p_ubs ~cols:p.p_cols
+          ~b:p.p_b ~c:p.p_c ())
   with
   | Tableau.Infeasible -> Infeasible
   | Tableau.Unbounded -> Unbounded
-  | Tableau.Optimal (value, x) ->
-    (match (capture, snapshot_out) with
-     | Some cell, Some { contents = Some snap } ->
-       cell.bs_prepared <- Some p;
-       cell.bs_snapshot <- Some snap
-     | _ -> ());
-    outcome_of p value x
+  | Tableau.Optimal { value; x; snapshot } -> outcome_of p value x snapshot
 
 exception Remap of string
 
@@ -311,7 +294,7 @@ let overlay p changed ~lb ~ub =
     changed;
   { lo; shifted = List.rev !shifted; span }
 
-let warm_solve ?max_iters ?deadline ~(basis : basis) p snap changed ~lb ~ub =
+let warm_solve ?max_iters ?deadline p snap changed ~lb ~ub =
   match overlay p changed ~lb ~ub with
   | exception Remap reason -> Error reason
   | shift -> (
@@ -328,7 +311,7 @@ let warm_solve ?max_iters ?deadline ~(basis : basis) p snap changed ~lb ~ub =
     (* A warm repair normally needs a handful of dual pivots; one still
        going after a quarter of the pivots a cold solve would need is
        degenerate-stalling, and the cold solve is the cheaper way out —
-       cap the budget and let the [`Cycled] -> [Stale] path fall back
+       cap the budget and let the [`Cycled] -> [Error] path fall back
        rather than burn the node deadline. *)
     let warm_cap =
       min (Option.value max_iters ~default:50_000)
@@ -339,51 +322,38 @@ let warm_solve ?max_iters ?deadline ~(basis : basis) p snap changed ~lb ~ub =
           Tableau.resolve_with_basis ~max_iters:warm_cap ?deadline ~cols
             ~b:b_node ~c:p.p_c ~ubs:shift.span ~snapshot:snap ())
     with
-    | Tableau.Stale reason -> Error reason
-    | Tableau.Resolved (res, snap') ->
-      (match snap' with
-       | Some s -> basis.bs_snapshot <- Some s
-       | None -> ());
-      Ok
-        (match res with
-        | Tableau.Infeasible -> Infeasible
-        | Tableau.Unbounded -> Unbounded
-        | Tableau.Optimal (value, x) -> outcome_of p ~shift value x))
+    | Error reason -> Error reason
+    | Ok Tableau.Infeasible -> Ok Infeasible
+    | Ok Tableau.Unbounded -> Ok Unbounded
+    | Ok (Tableau.Optimal { value; x; snapshot }) ->
+      Ok (outcome_of p ~shift value x snapshot))
 
 let crossed l u =
   match (l, u) with Some l, Some u -> Q.compare l u > 0 | _ -> false
 
-let solve_relaxation_float ?max_iters ?deadline ?bounds ?basis model =
+let solve_relaxation_float ?max_iters ?deadline ?bounds ?warm model =
   Telemetry.span "lp.simplex.solve" @@ fun () ->
   Telemetry.count "lp.simplex.relaxations";
   let lb, ub = effective_bounds ?bounds model in
-  let nvars = Model.var_count model in
-  let cold capture =
+  match warm with
+  | Some { w_prepared = p; w_snapshot = snap }
+    when p.p_nvars = Model.var_count model ->
+    (* The prepared bounds passed the crossing test before the form was
+       built from them, so only a changed bound can cross. *)
+    let changed = changed_vars p ~lb ~ub in
+    if List.exists (fun v -> crossed lb.(v) ub.(v)) changed then Infeasible
+    else begin
+      match warm_solve ?max_iters ?deadline p snap changed ~lb ~ub with
+      | Ok outcome ->
+        Telemetry.count "lp.bb.warm_hits";
+        outcome
+      | Error _reason ->
+        (* stale basis or an overlay-incompatible bound change: full cold
+           re-solve, whose basis warms the subtree below *)
+        Telemetry.count "lp.bb.warm_fallbacks";
+        cold_solve ?max_iters ?deadline ~lb ~ub model
+    end
+  | Some _ | None ->
+    (* no usable warm start: a plain cold solve, no fallback counted *)
     if Array.exists2 crossed lb ub then Infeasible
-    else cold_solve ?max_iters ?deadline ?capture ~lb ~ub model
-  in
-  match basis with
-  | None -> cold None
-  | Some cell -> (
-    match (cell.bs_prepared, cell.bs_snapshot) with
-    | Some p, Some snap when p.p_nvars = nvars ->
-      (* The prepared bounds passed the crossing test before the form was
-         built from them, so only a changed bound can cross. *)
-      let changed = changed_vars p ~lb ~ub in
-      if List.exists (fun v -> crossed lb.(v) ub.(v)) changed then Infeasible
-      else begin
-        match
-          warm_solve ?max_iters ?deadline ~basis:cell p snap changed ~lb ~ub
-        with
-        | Ok outcome ->
-          Telemetry.count "lp.bb.warm_hits";
-          outcome
-        | Error _reason ->
-          (* stale basis or an overlay-incompatible bound change: full
-             cold re-solve, refreshing the cell for the subtree below *)
-          Telemetry.count "lp.bb.warm_fallbacks";
-          cold_solve ?max_iters ?deadline ~capture:cell ~lb ~ub model
-      end
-    | _ ->
-      (* fresh cell: first solve just fills it, no fallback counted *)
-      cold (Some cell))
+    else cold_solve ?max_iters ?deadline ~lb ~ub model

@@ -28,8 +28,6 @@
    Every hot array is an unboxed [float array] and every comparison inline;
    values within [eps] of each other compare equal. *)
 
-type result = Optimal of float * float array | Infeasible | Unbounded
-
 exception Deadline_exceeded
 exception Iteration_limit
 exception Singular
@@ -83,7 +81,10 @@ type snapshot = {
   s_factor : factor option Atomic.t;
 }
 
-type resolve = Resolved of result * snapshot option | Stale of string
+type result =
+  | Optimal of { value : float; x : float array; snapshot : snapshot }
+  | Infeasible
+  | Unbounded
 
 type state = {
   m : int;
@@ -861,7 +862,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
   (* A negative span means the node fixed a variable to an impossible
      range: the subproblem is infeasible before any pivoting. *)
   if Array.exists (function Some u -> u < -.eps | None -> false) ubs then
-    Resolved (Infeasible, None)
+    Ok Infeasible
   else begin
     let ub_arr =
       Array.map (function Some x -> Float.max x 0.0 | None -> infinity) ubs
@@ -879,7 +880,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
       if at_ub.(j) && (pos.(j) >= 0 || ub_arr.(j) = infinity) then
         at_ub.(j) <- false
     done;
-    if not !sane then Stale "corrupt basis snapshot"
+    if not !sane then Error "corrupt basis snapshot"
     else begin
       let st =
         make_state ~max_iters ~deadline ~cols ~ubs:ub_arr ~at_ub ~basis ~pos
@@ -893,10 +894,10 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
            dual_phase st ~c alpha
          with Singular -> `Failed "singular basis on refactorisation")
       with
-      | `Failed msg -> Stale msg
-      | `Cycled -> Stale "dual iteration limit"
-      | `Numerical -> Stale "dual numerical drift"
-      | `Dual_unbounded -> Resolved (Infeasible, None)
+      | `Failed msg -> Error msg
+      | `Cycled -> Error "dual iteration limit"
+      | `Numerical -> Error "dual numerical drift"
+      | `Dual_unbounded -> Ok Infeasible
       | `Primal_feasible -> (
         (* Primal clean-up: the dual phase ends primal feasible, and any
            residual dual infeasibility is polished off by ordinary phase-2
@@ -906,8 +907,8 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
            | Singular -> `Failed "singular basis on refactorisation"
            | Iteration_limit -> `Failed "polish iteration limit")
         with
-        | `Failed msg -> Stale msg
-        | `Unbounded -> Resolved (Unbounded, None)
+        | `Failed msg -> Error msg
+        | `Unbounded -> Ok Unbounded
         | `Optimal ->
           (* Accuracy cross-check before trusting the inherited basis: the
              resolved point must satisfy the bound system and A x = b. *)
@@ -938,13 +939,12 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
           Array.iter
             (fun ri -> if Float.abs ri > 1e-6 *. scale then ok := false)
             resid;
-          if !ok then Resolved (Optimal (value, x), Some (snapshot_of st))
-          else Stale "warm solve lost accuracy")
+          if !ok then Ok (Optimal { value; x; snapshot = snapshot_of st })
+          else Error "warm solve lost accuracy")
     end
   end
 
-let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~cols ~b ~c
-    () =
+let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
   let m = cols.nrows and n = Array.length cols.col_idx in
   if Array.length b <> m then invalid_arg "Tableau.solve: b length";
   if Array.length c <> n then invalid_arg "Tableau.solve: c length";
@@ -1011,7 +1011,6 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~cols ~b ~c
       match run_phase st ~c ~phase2:true alpha with
       | `Unbounded -> Unbounded
       | `Optimal ->
-        Option.iter (fun cell -> cell := Some (snapshot_of st)) snapshot_out;
         let value, x = vertex st c in
-        Optimal (value, x)
+        Optimal { value; x; snapshot = snapshot_of st }
     end

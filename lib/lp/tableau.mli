@@ -16,17 +16,11 @@
     on the branch-and-bound relaxations this kernel exists for. Artificial
     variables are managed internally; pricing is steepest-edge-lite
     (reduced costs scaled by static column norms) with a Bland fallback
-    that guarantees termination. A dual-simplex phase re-solves a child
-    node from its parent's basis; the refactorisation of that basis is
-    computed once per {!snapshot} and shared by every re-solve from it, so
-    the parent's second child skips it. This is the kernel under
-    {!Simplex}. *)
-
-type result =
-  | Optimal of float * float array
-      (** objective value, values of the [n] structural variables *)
-  | Infeasible
-  | Unbounded
+    that guarantees termination. An [Optimal] result carries the
+    {!snapshot} of its final basis, and a dual-simplex phase re-solves a
+    child node from it; the refactorisation of that basis is computed once
+    per snapshot and shared by every re-solve from it, so the parent's
+    second child skips it. This is the kernel under {!Simplex}. *)
 
 exception Deadline_exceeded
 (** Raised (from inside the pivot loop) when a [deadline] passes before the
@@ -43,7 +37,7 @@ exception Singular
     above the tolerance left in any unplaced row), or phase 1 reports its
     objective, a sum of artificials bounded below by 0, unbounded.
     Branch-and-bound abandons the node, as for {!Iteration_limit}; a warm
-    re-solve reports it as [Stale] instead. *)
+    re-solve reports it as an [Error] instead. *)
 
 type columns = private {
   nrows : int;
@@ -78,22 +72,20 @@ type snapshot = {
     re-solves from the same snapshot reuse it, counted under
     [lp.simplex.factor_reuses] instead of [lp.simplex.refactorisations].
     Reused or recomputed, the factor is bit-identical, so clearing it
-    ([{ snap with s_factor = Atomic.make None }]) changes no result. The
-    cell is safe to share across domains. *)
+    ([{ snap with s_factor = Atomic.make None }]) changes no result. A
+    snapshot is safe to share across domains. *)
 
-type resolve =
-  | Resolved of result * snapshot option
-      (** the inherited basis was repaired by the dual simplex; the new
-          snapshot is present whenever the re-solve ended [Optimal] *)
-  | Stale of string
-      (** the warm solve cycled, went singular or lost numerical accuracy —
-          the caller should fall back to a cold primal solve *)
+type result =
+  | Optimal of { value : float; x : float array; snapshot : snapshot }
+      (** objective value, values of the [n] structural variables, and the
+          final basis for later warm re-solves ({!resolve_with_basis}) *)
+  | Infeasible
+  | Unbounded
 
 val solve_cols :
   ?max_iters:int ->
   ?deadline:float ->
   ?ubs:float option array ->
-  ?snapshot_out:snapshot option ref ->
   cols:columns ->
   b:float array ->
   c:float array ->
@@ -112,11 +104,7 @@ val solve_cols :
     exceeded.
     @raise Singular if a refactorisation meets a singular basis or phase 1
     reports itself unbounded.
-    @raise Deadline_exceeded if [deadline] passes mid-solve.
-
-    When [snapshot_out] is supplied it is filled with a {!snapshot} of the
-    final basis whenever the solve ends [Optimal], for later reuse through
-    {!resolve_with_basis}. *)
+    @raise Deadline_exceeded if [deadline] passes mid-solve. *)
 
 val resolve_with_basis :
   ?max_iters:int ->
@@ -127,18 +115,18 @@ val resolve_with_basis :
   ubs:float option array ->
   snapshot:snapshot ->
   unit ->
-  resolve
+  (result, string) Stdlib.result
 (** Warm re-solve: repair [snapshot] — taken from an optimal solve of a
     problem with the same columns and costs but different [b] / [ubs] (the
     rhs shift and span changes of a branch-and-bound child node) — with
     dual-simplex pivots, then polish with primal phase-2 pivots. Unlike
     {!solve_cols}, [b] entries may be negative and [ubs] entries may be
     zero (a variable fixed by branching); negative spans report
-    [Infeasible] immediately. A [Resolved (Infeasible, _)] from an
-    exhausted dual ratio test is a genuine infeasibility certificate. The
-    resolved point is cross-checked against the bound system and [A x = b]
-    before being trusted; any accuracy loss, cycling, exhausted iteration
-    budget or singular refactorisation is reported as [Stale] so the
-    caller can fall back to a cold primal solve.
+    [Infeasible] immediately. An [Ok Infeasible] from an exhausted dual
+    ratio test is a genuine infeasibility certificate. The resolved point
+    is cross-checked against the bound system and [A x = b] before being
+    trusted; any accuracy loss, cycling, exhausted iteration budget or
+    singular refactorisation leaves the warm basis stale, reported as
+    [Error reason] so the caller can fall back to a cold primal solve.
     @raise Invalid_argument on shape mismatch.
     @raise Deadline_exceeded if [deadline] passes mid-solve. *)

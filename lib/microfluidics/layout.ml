@@ -105,12 +105,6 @@ let usage_rank ~path_usage pair =
   in
   go 0 path_usage
 
-let total_wirelength t ~path_usage =
-  List.fold_left
-    (fun acc (p, u) ->
-      match List.assoc_opt p t.lengths with Some l -> acc + (u * l) | None -> acc)
-    0 path_usage
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>layout %dx%d:@," t.side t.side;
   List.iter

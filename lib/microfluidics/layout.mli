@@ -30,8 +30,4 @@ val usage_rank : path_usage:((int * int) * int) list -> (int * int) -> int
 (** 0-based rank of a pair in decreasing-usage order; unknown pairs rank
     last. *)
 
-val total_wirelength : t -> path_usage:((int * int) * int) list -> int
-(** Sum over paths of usage × length — the layout quality metric used by the
-    ablation bench. *)
-
 val pp : Format.formatter -> t -> unit

@@ -93,7 +93,8 @@ let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
 let sub x y = add x (neg y)
 let abs x = if x.sign < 0 then neg x else x
 
-let schoolbook_mag a b =
+(* Schoolbook multiplication of magnitudes. *)
+let mul_mag a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]
   else begin
@@ -117,39 +118,6 @@ let schoolbook_mag a b =
       done
     done;
     r
-  end
-
-(* Above this digit count Karatsuba's three half-size multiplications beat
-   the quadratic schoolbook loop. *)
-let karatsuba_threshold = 32
-
-let rec mul_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then schoolbook_mag a b
-  else begin
-    (* split both at m digits: x = x1 * B^m + x0, and
-       x*y = z2 B^2m + ((x0+x1)(y0+y1) - z0 - z2) B^m + z0 *)
-    let m = (if la > lb then la else lb) / 2 in
-    let low x = trim (Array.sub x 0 (if Array.length x < m then Array.length x else m)) in
-    let high x =
-      if Array.length x <= m then [||] else Array.sub x m (Array.length x - m)
-    in
-    let a0 = low a and a1 = high a in
-    let b0 = low b and b1 = high b in
-    let z0 = mul_mag a0 b0 in
-    let z2 = mul_mag a1 b1 in
-    let z1 =
-      (* (a0+a1)(b0+b1) - z0 - z2; all intermediates non-negative, and the
-         minuend is at least as long as each subtrahend once trimmed *)
-      let p = trim (mul_mag (trim (add_mag a0 a1)) (trim (add_mag b0 b1))) in
-      trim (sub_mag (trim (sub_mag p (trim z0))) (trim z2))
-    in
-    let shifted x k =
-      let x = trim x in
-      if Array.length x = 0 then [||] else Array.append (Array.make k 0) x
-    in
-    add_mag (add_mag z0 (shifted z1 m)) (shifted z2 (2 * m))
   end
 
 let mul x y =

@@ -93,9 +93,9 @@ let test_to_float () =
   check (Alcotest.float 1.0) "neg" (-12345.0) (B.to_float (B.of_int (-12345)))
 
 let test_karatsuba_large () =
-  (* numbers far above the Karatsuba threshold (32 base-2^15 digits);
-     division is an independent code path, so the round trip is a real
-     cross-check of the multiplication *)
+  (* operands of dozens of base-2^15 digits; division is an independent
+     code path, so the round trip is a real cross-check of the
+     multiplication *)
   let x = B.pow (B.of_string "123456789123456789") 13 in
   let y = B.pow (B.of_string "987654321987654321") 11 in
   let p = B.mul x y in
@@ -123,7 +123,7 @@ let test_karatsuba_signs () =
 (* ---------- Bigint properties ---------- *)
 
 let prop_karatsuba_distributes =
-  (* (x + y) * z = x*z + y*z with operands straddling the threshold *)
+  (* (x + y) * z = x*z + y*z on operands from one to dozens of digits *)
   QCheck.Test.make ~name:"large multiplication distributes" ~count:60
     QCheck.(triple (int_range 2 999999) (int_range 2 999999) (int_range 1 60))
     (fun (x, y, e) ->
