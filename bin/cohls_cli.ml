@@ -126,17 +126,18 @@ let config_of ~rule ~threshold ~devices ~iterations ~ilp ~ilp_seconds
         }
     else Cohls.Layer_solver.Heuristic
   in
-  {
-    Syn.default_config with
-    Syn.rule =
-      (match rule with
-       | `Component -> Cohls.Binding.Component_oriented
-       | `Conventional -> Cohls.Binding.Exact_signature);
-    threshold;
-    max_devices = devices;
-    max_iterations = iterations;
-    engine;
-  }
+  let config =
+    {
+      Syn.default_config with
+      Syn.threshold;
+      max_devices = devices;
+      max_iterations = iterations;
+      engine;
+    }
+  in
+  match rule with
+  | `Component -> config
+  | `Conventional -> Cohls.Baseline.config config
 
 let handle_result = function
   | Ok () -> `Ok ()

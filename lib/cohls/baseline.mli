@@ -6,9 +6,14 @@
     {e component requirements} (not by function names), binding demands an
     exact class match, and the layering + progressive re-synthesis machinery
     is grafted on so indeterminate operations are supported. In this code
-    base that is exactly {!Synthesis.run} under the
-    {!Binding.Exact_signature} rule; this module is the named entry point. *)
+    base that is exactly {!Synthesis.run} under {!config}; this module is
+    the one definition of the baseline, shared by the CLI and the benches. *)
+
+val config : Synthesis.config -> Synthesis.config
+(** The baseline's version of a configuration: the
+    {!Binding.Exact_signature} rule, and a zero path weight (the
+    conventional method does not optimise transportation paths). *)
 
 val run : ?config:Synthesis.config -> Microfluidics.Assay.t -> Synthesis.result
-(** [run assay] with a default of {!Synthesis.conventional_config}; a custom
-    [config] has its binding rule forced to {!Binding.Exact_signature}. *)
+(** [Synthesis.run] under [config base], where [base] defaults to
+    {!Synthesis.default_config}. *)

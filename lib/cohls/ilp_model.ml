@@ -158,10 +158,11 @@ let build ?(prune = true) (problem : Layer_problem.t) ~slots =
         Hashtbl.replace free_vars j { used; config; acc })
     slots;
   (* Free slots are interchangeable (same configuration choices, same
-     costs, and all slot ids are fresh so path costs are permutation
-     invariant), so any solution can be rearranged until the k-th used free
-     slot hosts, as its earliest op in layer order, an op of layer position
-     >= k. Hence op number i never needs a free slot beyond ordinal i, and
+     costs, and no path or earlier binding names a free slot's id, so path
+     costs are permutation invariant), so any solution can be rearranged
+     until the k-th used free slot hosts, as its earliest op in layer order,
+     an op of layer position >= k ({!slots} orders the heuristic's devices
+     this way). Hence op number i never needs a free slot beyond ordinal i, and
      the used flags can be forced monotone — both cut the symmetric copies
      of every solution without touching the optimal value. *)
   let pos_of = Hashtbl.create 16 in
@@ -583,167 +584,113 @@ let build ?(prune = true) (problem : Layer_problem.t) ~slots =
     conflict_aux;
   }
 
-(* ---------- warm start ---------- *)
+(* ---------- slots and warm start ---------- *)
 
-let warm_start b entries =
-  let problem = b.problem and slots = b.slots in
+let slots (problem : Layer_problem.t) (heur : List_scheduler.outcome) ~extra_free_slots
+    ~fresh_id =
+  (* Created devices take their free slots in the canonical order {!build}
+     prunes to: by the layer position of the device's earliest op, then id. *)
+  let pos_of = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace pos_of v i) problem.layer.Layering.ops;
+  let earliest = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Schedule.entry) ->
+      let p = Hashtbl.find pos_of e.Schedule.op in
+      match Hashtbl.find_opt earliest e.Schedule.device with
+      | Some q when q <= p -> ()
+      | Some _ | None -> Hashtbl.replace earliest e.Schedule.device p)
+    heur.List_scheduler.entries;
+  let key (d : Device.t) =
+    (Option.value ~default:max_int (Hashtbl.find_opt earliest d.Device.id), d.Device.id)
+  in
+  let created =
+    List.sort (fun a b -> compare (key a) (key b)) heur.List_scheduler.created
+  in
+  let room =
+    problem.max_devices - List.length problem.available - List.length created
+  in
+  Array.of_list
+    (List.map (fun d -> Fixed d) problem.available
+    @ List.map (fun (d : Device.t) -> Free { id = d.Device.id }) created
+    @ List.init (max 0 (min extra_free_slots room)) (fun _ -> Free { id = fresh_id () }))
+
+let warm_start b (heur : List_scheduler.outcome) =
+  let problem = b.problem in
   let values = Array.make (M.var_count b.lp) 0.0 in
   let set var x = values.(var) <- x in
-  (* map devices to slots: fixed slots by id; heuristic-created devices are
-     matched to free slots by order of first appearance *)
-  let slot_of_device = Hashtbl.create 8 in
-  Array.iteri
-    (fun j slot ->
-      match slot with
-      | Fixed d -> Hashtbl.replace slot_of_device d.Device.id j
-      | Free _ -> ())
-    slots;
-  let free_slots =
-    Array.to_list (Array.mapi (fun j s -> (j, s)) slots)
-    |> List.filter_map (fun (j, s) -> match s with Free _ -> Some j | Fixed _ -> None)
+  let find tbl key what =
+    match Hashtbl.find_opt tbl key with
+    | Some x -> x
+    | None -> invalid_arg ("Ilp_model.warm_start: the model has no " ^ what)
   in
-  let device_config = Hashtbl.create 8 in
-  (* created devices carry their configuration via Binding.minimal_device;
-     recompute it from the op that caused creation is unreliable, so infer
-     the config from the ops bound to the device *)
-  let ok = ref true in
-  (* Heuristic-created devices take free slots ordered by the layer
-     position of their earliest op: the pruned bind grid and the used_j
-     monotonicity rows of {!build} assume exactly that canonical
-     arrangement of the interchangeable free slots. *)
-  let pos_of = Hashtbl.create 16 in
-  Array.iteri (fun i v -> Hashtbl.replace pos_of v i) b.layer_ops;
-  let created_min_pos = Hashtbl.create 8 in
+  let slot_of = Hashtbl.create 8 in
+  Array.iteri (fun j slot -> Hashtbl.replace slot_of (slot_id slot) j) b.slots;
+  let slot d = find slot_of d (Printf.sprintf "slot for device %d" d) in
+  (* each created device configures its own free slot *)
   List.iter
-    (fun e ->
-      if not (Hashtbl.mem slot_of_device e.Schedule.device) then begin
-        let p =
-          match Hashtbl.find_opt pos_of e.Schedule.op with
-          | Some p -> p
-          | None -> max_int
-        in
-        let cur =
-          match Hashtbl.find_opt created_min_pos e.Schedule.device with
-          | Some c -> c
-          | None -> max_int
-        in
-        Hashtbl.replace created_min_pos e.Schedule.device (min cur p)
-      end)
-    entries;
-  let rec assign devices slots =
-    match (devices, slots) with
-    | [], _ -> ()
-    | _ :: _, [] -> ok := false
-    | (_, d) :: devices', j :: slots' ->
-      Hashtbl.replace slot_of_device d j;
-      assign devices' slots'
-  in
-  assign
-    (List.sort compare
-       (Hashtbl.fold (fun d p acc -> (p, d) :: acc) created_min_pos []))
-    free_slots;
-  let slot_of e =
-    match Hashtbl.find_opt slot_of_device e.Schedule.device with
-    | Some j -> j
-    | None ->
-      ok := false;
-      -1
-  in
+    (fun (d : Device.t) ->
+      let id = d.Device.id in
+      let fv = find b.free_vars (slot id) (Printf.sprintf "free slot for device %d" id) in
+      set fv.used 1.0;
+      set (List.assoc (d.Device.container, d.Device.capacity) fv.config) 1.0;
+      Components.Accessory.Set.iter
+        (fun a -> set (List.assoc a fv.acc) 1.0)
+        d.Device.accessories)
+    heur.List_scheduler.created;
+  let entries = heur.List_scheduler.entries in
   List.iter
-    (fun e ->
-      let v = e.Schedule.op in
-      let j = slot_of e in
-      if j >= 0 then begin
-        (match Hashtbl.find_opt b.start_var v with
-         | Some s -> set s (float_of_int e.Schedule.start)
-         | None -> ok := false);
-        (match Hashtbl.find_opt b.bind_var (v, j) with
-         | Some bv -> set bv 1.0
-         | None -> ok := false);
-        (* accumulate requirements to configure free slots *)
-        match slots.(j) with
-        | Free _ ->
-          let o = problem.ops.(v) in
-          let prev =
-            match Hashtbl.find_opt device_config j with
-            | Some (c, cap, accs) -> (c, cap, accs)
-            | None ->
-              (Binding.resolved_container o, Binding.resolved_capacity o,
-               Components.Accessory.Set.empty)
-          in
-          let c, cap, accs = prev in
-          Hashtbl.replace device_config j
-            (c, cap, Components.Accessory.Set.union accs o.Operation.accessories)
-        | Fixed _ -> ()
-      end)
+    (fun (e : Schedule.entry) ->
+      let v = e.Schedule.op and j = slot e.Schedule.device in
+      set
+        (find b.start_var v (Printf.sprintf "operation %d" v))
+        (float_of_int e.Schedule.start);
+      set (find b.bind_var (v, j) (Printf.sprintf "binding of op %d to slot %d" v j)) 1.0)
     entries;
-  if not !ok then None
-  else begin
-    (* free slot configurations *)
-    Hashtbl.iter
-      (fun j (c, cap, accs) ->
-        match Hashtbl.find_opt b.free_vars j with
-        | None -> ()
-        | Some fv ->
-          set fv.used 1.0;
-          (match List.assoc_opt (c, cap) fv.config with
-           | Some yv -> set yv 1.0
-           | None -> ok := false);
-          Components.Accessory.Set.iter
-            (fun a -> match List.assoc_opt a fv.acc with
-               | Some av -> set av 1.0
-               | None -> ok := false)
-            accs)
-      device_config;
-    (* conflict auxiliaries *)
-    let entry_of = Hashtbl.create 16 in
-    List.iter (fun e -> Hashtbl.replace entry_of e.Schedule.op e) entries;
-    let dt e = e.Schedule.min_duration + e.Schedule.transport in
-    Hashtbl.iter
-      (fun (a, bo) qs ->
-        match (Hashtbl.find_opt entry_of a, Hashtbl.find_opt entry_of bo) with
-        | Some ea, Some eb -> begin
-          let same = ea.Schedule.device = eb.Schedule.device in
-          match qs with
-          | [ q0; q1; q2 ] ->
-            set q0 (if ea.Schedule.start >= eb.Schedule.start + dt eb then 0.0 else 1.0);
-            set q1 (if ea.Schedule.start + dt ea <= eb.Schedule.start then 0.0 else 1.0);
-            set q2 (if same then 1.0 else 0.0)
-          | [ q1; q2 ] ->
-            let det, ind =
-              if Operation.is_indeterminate problem.ops.(a) then (eb, ea) else (ea, eb)
-            in
-            set q1 (if det.Schedule.start + dt det <= ind.Schedule.start then 0.0 else 1.0);
-            set q2 (if same then 1.0 else 0.0)
-          | _ -> ok := false
-        end
-        | _, _ -> ok := false)
-      b.conflict_aux;
-    (* paths *)
-    let note u v =
-      match (Hashtbl.find_opt entry_of u, Hashtbl.find_opt entry_of v) with
-      | Some eu, Some ev when eu.Schedule.device <> ev.Schedule.device ->
-        (match Hashtbl.find_opt b.path_var (path_key eu.Schedule.device ev.Schedule.device) with
+  (* conflict auxiliaries *)
+  let entry_of = Hashtbl.create 16 in
+  List.iter (fun e -> Hashtbl.replace entry_of e.Schedule.op e) entries;
+  let dt e = e.Schedule.min_duration + e.Schedule.transport in
+  Hashtbl.iter
+    (fun (a, bo) qs ->
+      let ea = Hashtbl.find entry_of a and eb = Hashtbl.find entry_of bo in
+      let same = ea.Schedule.device = eb.Schedule.device in
+      match qs with
+      | [ q0; q1; q2 ] ->
+        set q0 (if ea.Schedule.start >= eb.Schedule.start + dt eb then 0.0 else 1.0);
+        set q1 (if ea.Schedule.start + dt ea <= eb.Schedule.start then 0.0 else 1.0);
+        set q2 (if same then 1.0 else 0.0)
+      | [ q1; q2 ] ->
+        let det, ind =
+          if Operation.is_indeterminate problem.ops.(a) then (eb, ea) else (ea, eb)
+        in
+        set q1 (if det.Schedule.start + dt det <= ind.Schedule.start then 0.0 else 1.0);
+        set q2 (if same then 1.0 else 0.0)
+      | _ -> assert false)
+    b.conflict_aux;
+  (* paths *)
+  let note u v =
+    match (Hashtbl.find_opt entry_of u, Hashtbl.find_opt entry_of v) with
+    | Some eu, Some ev when eu.Schedule.device <> ev.Schedule.device ->
+      (match
+         Hashtbl.find_opt b.path_var (path_key eu.Schedule.device ev.Schedule.device)
+       with
+       | Some p -> set p 1.0
+       | None -> ())
+    | Some _, Some _ | None, _ | _, None -> begin
+      (* cross-layer transfer into this layer *)
+      match (problem.bound_before u, Hashtbl.find_opt entry_of v) with
+      | Some du, Some ev when du <> ev.Schedule.device ->
+        (match Hashtbl.find_opt b.path_var (path_key du ev.Schedule.device) with
          | Some p -> set p 1.0
          | None -> ())
-      | Some _, Some _ | None, _ | _, None -> begin
-        (* cross-layer transfer into this layer *)
-        match (problem.bound_before u, Hashtbl.find_opt entry_of v) with
-        | Some du, Some ev when du <> ev.Schedule.device ->
-          (match Hashtbl.find_opt b.path_var (path_key du ev.Schedule.device) with
-           | Some p -> set p 1.0
-           | None -> ())
-        | _, _ -> ()
-      end
-    in
-    G.iter_edges note problem.graph;
-    (* makespan *)
-    let mk =
-      List.fold_left (fun acc e -> max acc (e.Schedule.start + dt e)) 0 entries
-    in
-    set b.makespan_var (float_of_int mk);
-    if !ok then Some values else None
-  end
+      | _, _ -> ()
+    end
+  in
+  G.iter_edges note problem.graph;
+  (* makespan *)
+  let mk = List.fold_left (fun acc e -> max acc (e.Schedule.start + dt e)) 0 entries in
+  set b.makespan_var (float_of_int mk);
+  values
 
 (* ---------- extraction ---------- *)
 

@@ -1,10 +1,12 @@
 (** Per-layer ILP construction (paper §4, constraints (1)–(21)).
 
     One model solves a {!Layer_problem.t} — the same input the greedy
-    {!List_scheduler} takes — against a set of device {e slots}: inherited
-    devices arrive as [Fixed] slots (their configuration is given and their
-    integration cost is sunk, per the §3.2 inheritance rule); [Free] slots
-    may be configured by the model, paying area and processing cost.
+    {!List_scheduler} takes — against a set of device {e slots} from
+    {!slots}: inherited devices arrive as [Fixed] slots (their configuration
+    is given and their integration cost is sunk, per the §3.2 inheritance
+    rule); [Free] slots may be configured by the model, paying area and
+    processing cost. The greedy schedule's created devices are free slots
+    under their own ids, so it warm-starts the model without translation.
 
     Faithfulness notes (documented deviations, see DESIGN.md):
     - constraints (1)–(4) are reformulated with one binary per
@@ -32,12 +34,26 @@ type built
 val model : built -> Lp.Model.t
 val horizon : built -> int
 
+val slots :
+  Layer_problem.t ->
+  List_scheduler.outcome ->
+  extra_free_slots:int ->
+  fresh_id:(unit -> int) ->
+  slot array
+(** The slots a layer model is built over, in one device-id space with the
+    greedy schedule [heur]: the problem's [available] devices as [Fixed]
+    slots, then each device [heur] created as a [Free] slot under its own
+    id, ordered by the layer position of its earliest operation (then id) —
+    the canonical order {!build}'s pruning assumes — then up to
+    [extra_free_slots] slots with [fresh_id] ids, as far as [max_devices]
+    allows. *)
+
 val build : ?prune:bool -> Layer_problem.t -> slots:slot array -> built
-(** Constructs the layer model over [slots]. The model reads neither the
-    problem's [available] and [max_devices] (the caller turns them into
-    [slots]) nor its [device_penalty]. With [prune] (the default) the
-    variable and constraint grid is cut down before the solver ever sees
-    it, preserving the optimal objective value:
+(** Constructs the layer model over [slots] (usually from {!slots}). The
+    model reads neither the problem's [available] and [max_devices] (they
+    are already in [slots]) nor its [device_penalty]. With [prune] (the
+    default) the variable and constraint grid is cut down before the
+    solver ever sees it, preserving the optimal objective value:
 
     - ASAP/ALAP start windows from the layer's dependency DAG become
       variable bounds (implied by the dependency and makespan constraints);
@@ -53,10 +69,13 @@ val build : ?prune:bool -> Layer_problem.t -> slots:slot array -> built
     @raise Invalid_argument when an operation of the layer fits no slot
     under the given rule (the caller should add free slots). *)
 
-val warm_start : built -> Schedule.entry list -> float array option
-(** Translate a heuristic layer schedule into an assignment of the model's
-    variables, mapping freshly created devices onto free slots. Returns
-    [None] when the entries use devices that cannot be mapped. *)
+val warm_start : built -> List_scheduler.outcome -> float array
+(** The greedy schedule [heur] as values of the model's variables, for a
+    model built over [slots problem heur]: each entry sets its op's start
+    and its device's binding, and each created device configures its own
+    free slot exactly as the heuristic built it.
+    @raise Invalid_argument when [heur] uses a device, operation or
+    binding the model lacks. *)
 
 val extract :
   built -> values:float array -> Schedule.entry list * Device.t list

@@ -31,41 +31,27 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
   | Heuristic -> heur
   | Ilp { options; extra_free_slots } ->
     Telemetry.span "layer.ilp" @@ fun () ->
-    let n_created = List.length heur.List_scheduler.created in
-    let n_avail = List.length problem.available in
-    let free_count =
-      min (n_created + extra_free_slots) (max 0 (problem.max_devices - n_avail))
-    in
-    let slots =
-      Array.of_list
-        (List.map (fun d -> Ilp_model.Fixed d) problem.available
-        @ List.init free_count (fun _ -> Ilp_model.Free { id = fresh_id () }))
-    in
+    let slots = Ilp_model.slots problem heur ~extra_free_slots ~fresh_id in
     let built = Ilp_model.build problem ~slots in
     let lp = Ilp_model.model built in
     (* Presolve tightens [lp] in place, so the certificate below checks
        against a copy of the model as built, not one a presolve bug could
        have bent to fit its own answer. *)
     let as_built = Lp.Model.copy lp in
-    let warm = Ilp_model.warm_start built heur.List_scheduler.entries in
-    let warm_obj =
-      Option.map (fun values -> Lp.Model.eval_objective lp (fun v -> values.(v))) warm
-    in
+    let exact values v = Numeric.Rat.of_float_approx values.(v) in
+    let dir, obj_expr = Lp.Model.objective as_built in
+    let warm = Ilp_model.warm_start built heur in
+    let warm_obj = Lp.Linexpr.eval (exact warm) obj_expr in
     (* Objective cutoff: only solutions at least as good as the heuristic
        matter, and the (all-integer) objective lets presolve propagate the
        cutoff into tight makespan/start bounds before the search starts. *)
-    (match warm_obj with
-     | Some wobj ->
-       let _, obj_expr = Lp.Model.objective lp in
-       Lp.Model.add_constr lp ~name:"warm_cutoff" obj_expr Lp.Model.Le
-         (Lp.Linexpr.constant
-            (Numeric.Rat.of_int (int_of_float (Float.round wobj))))
-     | None -> ());
+    Lp.Model.add_constr lp ~name:"warm_cutoff" obj_expr Lp.Model.Le
+      (Lp.Linexpr.constant warm_obj);
     (* Branch-and-bound abandons a node whose relaxation fails; a kernel
        failure that still escapes the search ends only this layer's ILP,
        never the synthesis run. *)
     let values =
-      match Lp.Branch_bound.solve ~options ?warm_start:warm lp with
+      match Lp.Branch_bound.solve ~options ~warm_start:warm lp with
       | result -> result.Lp.Branch_bound.values
       | exception (Lp.Tableau.Singular | Lp.Tableau.Iteration_limit | Failure _) ->
         Telemetry.count "layer.ilp_failed";
@@ -73,18 +59,9 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
     in
     (* Accept the ILP schedule only if, in exact arithmetic, it satisfies
        the model as built and strictly beats the heuristic's objective. *)
-    let exact values v = Numeric.Rat.of_float_approx values.(v) in
-    let dir, obj_expr = Lp.Model.objective as_built in
     let better_than_heuristic ilp =
-      match warm with
-      | None -> true
-      | Some heur ->
-        let c =
-          Numeric.Rat.compare
-            (Lp.Linexpr.eval (exact ilp) obj_expr)
-            (Lp.Linexpr.eval (exact heur) obj_expr)
-        in
-        (match dir with `Minimize -> c < 0 | `Maximize -> c > 0)
+      let c = Numeric.Rat.compare (Lp.Linexpr.eval (exact ilp) obj_expr) warm_obj in
+      match dir with `Minimize -> c < 0 | `Maximize -> c > 0
     in
     let certified values =
       let ok = Lp.Model.check_feasible_exact as_built (exact values) = [] in

@@ -2,11 +2,12 @@
     {!Layer_problem.t}.
 
     [Heuristic] runs the greedy list scheduler only. [Ilp] additionally
-    builds the paper's §4 model over the inherited devices plus a few free
-    slots, warm-starts branch-and-bound with the greedy solution, and keeps
-    whichever is better — so it degrades gracefully into the heuristic when
-    the time budget is too small for the exact search (the anytime behaviour
-    the paper gets from Gurobi). The ILP schedule wins only with an exact
+    builds the paper's §4 model over {!Ilp_model.slots} — the inherited
+    devices, the greedy schedule's created devices under their own ids and
+    a few extra free slots — warm-starts branch-and-bound with the greedy
+    solution, and keeps whichever is better. So it degrades gracefully into
+    the heuristic when the time budget is too small for the exact search
+    (the anytime behaviour the paper gets from Gurobi). The ILP schedule wins only with an exact
     certificate: its values satisfy every row, bound and integrality
     requirement of the model as built (before presolve) in rational
     arithmetic, and its exactly recomputed objective is strictly better than
@@ -22,7 +23,7 @@ type engine =
               the objective's pruning step (50 under the default weights)
               off the layer model itself *)
       extra_free_slots : int;
-          (** free slots beyond the ones the heuristic needed *)
+          (** free slots beyond the heuristic's created devices *)
     }
 
 val default_ilp : engine

@@ -21,14 +21,10 @@ type t = {
   layering : Layering.t;
   chip : Chip.t;
   layers : layer_schedule array;
-  transport_times : Transport.t;
 }
 
 let fixed_makespan_of entries =
   List.fold_left (fun acc e -> max acc (e.start + e.min_duration + e.transport)) 0 entries
-
-let make ~assay ~rule ~layering ~chip ~layers ~transport_times =
-  { assay; rule; layering; chip; layers; transport_times }
 
 let entry_of_op t op =
   let find_in l = List.find_opt (fun e -> e.op = op) l.entries in

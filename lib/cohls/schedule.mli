@@ -33,17 +33,7 @@ type t = {
   layering : Layering.t;
   chip : Chip.t;
   layers : layer_schedule array;
-  transport_times : Transport.t;
 }
-
-val make :
-  assay:Assay.t ->
-  rule:Binding.rule ->
-  layering:Layering.t ->
-  chip:Chip.t ->
-  layers:layer_schedule array ->
-  transport_times:Transport.t ->
-  t
 
 val binding : t -> int -> int option
 (** Device id an operation is bound to. *)

@@ -26,8 +26,6 @@ let default_config =
     refine_by_layout = false;
   }
 
-let conventional_config = { default_config with rule = Binding.Exact_signature }
-
 type iteration = {
   iteration_index : int;
   schedule : Schedule.t;
@@ -159,11 +157,7 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
       | Some du, Some dv when du <> dv -> Chip.note_transport chip ~src:du ~dst:dv
       | Some _, Some _ | None, _ | _, None -> ())
     graph;
-  let schedule =
-    Schedule.make ~assay ~rule:cfg.rule ~layering ~chip ~layers
-      ~transport_times:transport
-  in
-  (schedule, created_by_layer)
+  ({ Schedule.assay; rule = cfg.rule; layering; chip; layers }, created_by_layer)
 
 let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
   Telemetry.span "synthesis.run" ~attrs:[ ("assay", Assay.name assay) ]

@@ -39,10 +39,6 @@ val default_config : config
 (** Component-oriented rule, threshold 10, 25 devices, heuristic engine,
     default weights, at most 5 iterations. *)
 
-val conventional_config : config
-(** Same, with the exact-signature binding rule — the paper's modified
-    conventional baseline of §5. *)
-
 type iteration = {
   iteration_index : int;
   schedule : Schedule.t;

@@ -19,10 +19,6 @@ let constant ~op_count t0 =
   if t0 < 0 then invalid_arg "Transport.constant: negative time";
   Array.make op_count t0
 
-let of_times times =
-  Array.iter (fun t -> if t < 0 then invalid_arg "Transport.of_times: negative time") times;
-  Array.copy times
-
 let time t op = t.(op)
 
 let key a b = (min a b, max a b)

@@ -26,10 +26,6 @@ type t
 val constant : op_count:int -> int -> t
 (** The initial estimate: the same [t] for every operation. *)
 
-val of_times : int array -> t
-(** Explicit per-operation times (e.g. derived from a routed physical
-    design). @raise Invalid_argument on a negative entry. *)
-
 val time : t -> int -> int
 (** Transportation time of an operation's outputs, in minutes. *)
 

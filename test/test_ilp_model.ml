@@ -144,20 +144,53 @@ let test_exact_rule_needs_more_devices () =
   | _, _ -> Alcotest.fail "solve failed"
 
 let test_warm_start_feasible () =
+  (* The greedy schedule, written as values of the model's variables, must
+     satisfy the model exactly: on the small assay, and on layer 0 of the
+     first synthesis pass of the paper's assays under both binding rules,
+     where created devices, transfers between them and conflicts all occur. *)
   let a, _, _, _ = small_assay () in
-  let problem = problem_of a ~rule:Cohls.Binding.Component_oriented in
-  let next = ref 100 in
-  let fresh_id () = let i = !next in incr next; i in
-  let heur = Cohls.List_scheduler.schedule_layer problem ~fresh_id in
-  let built = IM.build problem ~slots:(free_slots 3) in
-  match IM.warm_start built heur.Cohls.List_scheduler.entries with
-  | None -> Alcotest.fail "warm start mapping failed"
-  | Some values ->
-    let violations = Lp.Model.check_feasible (IM.model built) (fun v -> values.(v)) in
-    if violations <> [] then
-      Alcotest.fail
-        ("warm start infeasible: "
-        ^ String.concat ", " (List.map fst violations))
+  let first_layer assay ~rule =
+    problem_of ~transport:Syn.initial_transport
+      ~max_devices:Syn.default_config.Syn.max_devices assay ~rule
+  in
+  let paper =
+    [
+      ("case1", Assays.Kinase.testcase ());
+      ("case2", Assays.Gene_expression.testcase ());
+      ("case3", Assays.Rt_qpcr.testcase ());
+      ("mda", Assays.Mda.testcase ());
+      ("chip", Assays.Chip_assay.testcase ());
+    ]
+  in
+  let inputs =
+    ("small", problem_of a ~rule:Cohls.Binding.Component_oriented)
+    :: List.concat_map
+         (fun (name, assay) ->
+           [
+             ( name ^ " ours",
+               first_layer assay ~rule:Cohls.Binding.Component_oriented );
+             ( name ^ " conventional",
+               first_layer assay ~rule:Cohls.Binding.Exact_signature );
+           ])
+         paper
+  in
+  List.iter
+    (fun (name, problem) ->
+      let next = ref 0 in
+      let fresh_id () = let i = !next in incr next; i in
+      let heur = Cohls.List_scheduler.schedule_layer problem ~fresh_id in
+      let slots = IM.slots problem heur ~extra_free_slots:1 ~fresh_id in
+      let built = IM.build problem ~slots in
+      let values = IM.warm_start built heur in
+      match
+        Lp.Model.check_feasible_exact (IM.model built) (fun v ->
+            Numeric.Rat.of_float_approx values.(v))
+      with
+      | [] -> ()
+      | violations ->
+        Alcotest.failf "%s: warm start violates %s" name
+          (String.concat ", " (List.map fst violations)))
+    inputs
 
 let test_indeterminate_constraints () =
   (* one det + one indet op, independent: the ILP must place them on

@@ -120,26 +120,6 @@ let test_design_of_schedule () =
   check bool "length positive" true (len > 0);
   check bool "crossings bounded" true (crossings >= 0 && crossings <= len)
 
-let test_routed_transport_times () =
-  let assay = Assays.Kinase.testcase () in
-  let result = Cohls.Synthesis.run assay in
-  let s = result.Cohls.Synthesis.final in
-  let design = Physical.Physical_design.of_schedule Cost.default s in
-  let graph = Microfluidics.Assay.dependency_graph assay in
-  let t =
-    Physical.Physical_design.transport_times Cohls.Transport.default_progression design
-      ~op_count:(Assay.operation_count assay)
-      ~binding:(fun op -> Cohls.Schedule.binding s op)
-      ~children:(fun op -> Flowgraph.Digraph.succ graph op)
-  in
-  let prog = Cohls.Transport.default_progression in
-  let in_range op =
-    let x = Cohls.Transport.time t op in
-    x = 0 || (x >= prog.Cohls.Transport.min_term && x <= prog.Cohls.Transport.max_term)
-  in
-  check bool "every op priced within the progression" true
-    (List.for_all in_range (List.init (Assay.operation_count assay) Fun.id))
-
 let test_retry_oracle () =
   let assay = Assays.Gene_expression.base () in
   let oracle =
@@ -195,7 +175,6 @@ let () =
       ( "design",
         [
           Alcotest.test_case "of_schedule" `Quick test_design_of_schedule;
-          Alcotest.test_case "routed transport times" `Quick test_routed_transport_times;
         ] );
       ( "retry-oracle",
         [

@@ -175,11 +175,14 @@ let test_invalid_assay_rejected () =
    with Invalid_argument _ -> ())
 
 let test_baseline_forces_rule () =
-  let r = Cohls.Baseline.run ~config:Syn.default_config (Lazy.force case1) in
-  check bool "rule forced" true
-    (r.Syn.config.Syn.rule = Cohls.Binding.Exact_signature);
-  check int_t "paths weight zeroed" 0
-    r.Syn.config.Syn.weights.Cohls.Schedule.w_paths
+  List.iter
+    (fun config ->
+      let r = Cohls.Baseline.run ~config (Lazy.force case1) in
+      check bool "rule forced" true
+        (r.Syn.config.Syn.rule = Cohls.Binding.Exact_signature);
+      check int_t "paths weight zeroed" 0
+        r.Syn.config.Syn.weights.Cohls.Schedule.w_paths)
+    [ Syn.default_config; Cohls.Baseline.config Syn.default_config ]
 
 (* ---------- report rendering ---------- *)
 

@@ -43,9 +43,7 @@ let valid () =
   | Error e -> Alcotest.failf "fixture invalid: %s" e
 
 (* Rebuild a schedule with mutated layers (chip and metadata unchanged). *)
-let with_layers (s : S.t) layers =
-  S.make ~assay:s.S.assay ~rule:s.S.rule ~layering:s.S.layering ~chip:s.S.chip
-    ~layers ~transport_times:s.S.transport_times
+let with_layers (s : S.t) layers = { s with S.layers }
 
 let map_entries f (s : S.t) =
   let layers =
@@ -176,9 +174,7 @@ let test_missing_path () =
     List.length (List.sort_uniq compare bindings) > 1
   in
   if has_cross_transfer then
-    expect_invalid "missing path"
-      (S.make ~assay:s.S.assay ~rule:s.S.rule ~layering:s.S.layering ~chip
-         ~layers:s.S.layers ~transport_times:s.S.transport_times)
+    expect_invalid "missing path" { s with S.chip }
 
 let test_det_op_after_indet_on_device () =
   let s = valid () in
