@@ -595,6 +595,44 @@ let case1_layer_model () =
   let slots = Array.init free (fun id -> Cohls.Ilp_model.Free { id }) in
   Cohls.Ilp_model.model (Cohls.Ilp_model.build problem ~slots)
 
+(* Warm re-solves of [model] from its root basis, the simplex kernel's warm
+   path without the tree search. A copy of the model is presolved, as
+   branch-and-bound does at its root, and solved cold once, here; the
+   returned thunk re-solves, each warm from that root, the down and the up
+   branch of eight of the root's fractional integer variables, evenly
+   spaced in variable order. *)
+let warm_resolves model =
+  let model = Lp.Model.copy model in
+  ignore (Lp.Presolve.run model);
+  match Lp.Simplex.solve_relaxation_float model with
+  | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> failwith "warm_resolves: no root optimum"
+  | Lp.Simplex.Optimal { values; warm; _ } ->
+    let root =
+      Array.init (Lp.Model.var_count model) (fun v ->
+          (Lp.Model.var_lb model v, Lp.Model.var_ub model v))
+    in
+    let fractional =
+      List.filter
+        (fun v ->
+          Lp.Model.is_integer_var model v
+          && Float.abs (values.(v) -. Float.round values.(v)) > 1e-6)
+        (List.init (Array.length root) Fun.id)
+    in
+    let changes =
+      List.concat_map
+        (fun v ->
+          let fl = Numeric.Rat.of_int (int_of_float (Float.floor values.(v))) in
+          let lb, ub = root.(v) in
+          let with_v bound = Array.mapi (fun u b -> if u = v then bound else b) root in
+          [ with_v (lb, Some fl); with_v (Some (Numeric.Rat.add fl Numeric.Rat.one), ub) ])
+        (let stride = max 1 (List.length fractional / 8) in
+         List.filteri (fun i _ -> i mod stride = 0 && i / stride < 8) fractional)
+    in
+    fun () ->
+      List.iter
+        (fun bounds -> ignore (Lp.Simplex.solve_relaxation_float ~bounds ~warm model))
+        changes
+
 let micro () =
   section "Bechamel micro-benchmarks of the computational kernels";
   let open Bechamel in
@@ -615,6 +653,7 @@ let micro () =
       Test.make ~name:"simplex/wyndor-float" (stagef wyndor_solve);
       Test.make ~name:"presolve/case1-layer"
         (stagef (fun () -> ignore (Lp.Presolve.run (Lp.Model.copy layer1))));
+      Test.make ~name:"simplex/case1-layer-warm" (stagef (warm_resolves layer1));
       Test.make ~name:"maxflow/8x8-grid" (stagef maxflow_grid);
       Test.make ~name:"bigint/mul-256-digit"
         (stagef (fun () ->

@@ -26,7 +26,7 @@
    - the ILP leg's work counters must equal the baseline's exactly:
      `lp.bb.nodes`, `warm_hits`, `warm_fallbacks`, `pruned_by_bound`,
      `lp.simplex.warm_solves`, `pivots`, `dual_pivots`, `bound_flips`,
-     every `lp.presolve.*` counter, and `lp.simplex.refactorisations +
+     `btrans`, `ftrans`, every `lp.presolve.*` counter, and `lp.simplex.refactorisations +
      lp.simplex.factor_reuses`. The leg runs the deterministic wave search
      under a node budget with no time limit, so the explored tree and
      every pivot depend only on the code, never on the machine or the
@@ -350,6 +350,8 @@ let () =
       "lp.simplex.pivots";
       "lp.simplex.dual_pivots";
       "lp.simplex.bound_flips";
+      "lp.simplex.btrans";
+      "lp.simplex.ftrans";
       "lp.simplex.refactorisations";
       "lp.simplex.factor_reuses";
       "lp.simplex.deadline_aborts";
@@ -381,6 +383,8 @@ let () =
       "lp.simplex.pivots";
       "lp.simplex.dual_pivots";
       "lp.simplex.bound_flips";
+      "lp.simplex.btrans";
+      "lp.simplex.ftrans";
     ]
     @ List.sort_uniq compare
         (List.filter is_presolve (counter_names baseline @ counter_names current))

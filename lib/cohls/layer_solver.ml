@@ -31,17 +31,23 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
   | Heuristic -> heur
   | Ilp { options; extra_free_slots } ->
     Telemetry.span "layer.ilp" @@ fun () ->
-    let slots = Ilp_model.slots problem heur ~extra_free_slots ~fresh_id in
-    let built = Ilp_model.build problem ~slots in
-    let lp = Ilp_model.model built in
+    let built, lp =
+      Telemetry.span "ilp.model.build" (fun () ->
+          let slots = Ilp_model.slots problem heur ~extra_free_slots ~fresh_id in
+          let built = Ilp_model.build problem ~slots in
+          (built, Ilp_model.model built))
+    in
     (* Presolve tightens [lp] in place, so the certificate below checks
        against a copy of the model as built, not one a presolve bug could
        have bent to fit its own answer. *)
-    let as_built = Lp.Model.copy lp in
+    let as_built = Telemetry.span "ilp.model.copy" (fun () -> Lp.Model.copy lp) in
     let exact values v = Numeric.Rat.of_float_approx values.(v) in
     let dir, obj_expr = Lp.Model.objective as_built in
-    let warm = Ilp_model.warm_start built heur in
-    let warm_obj = Lp.Linexpr.eval (exact warm) obj_expr in
+    let warm, warm_obj =
+      Telemetry.span "ilp.warm_start" (fun () ->
+          let warm = Ilp_model.warm_start built heur in
+          (warm, Lp.Linexpr.eval (exact warm) obj_expr))
+    in
     (* Objective cutoff: only solutions at least as good as the heuristic
        matter, and the (all-integer) objective lets presolve propagate the
        cutoff into tight makespan/start bounds before the search starts. *)
@@ -64,14 +70,19 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
       match dir with `Minimize -> c < 0 | `Maximize -> c > 0
     in
     let certified values =
-      let ok = Lp.Model.check_feasible_exact as_built (exact values) = [] in
+      let ok =
+        Telemetry.span "ilp.certify" (fun () ->
+            Lp.Model.check_feasible_exact as_built (exact values) = [])
+      in
       if not ok then Telemetry.count "layer.ilp_uncertified";
       ok
     in
     match values with
     | Some values when better_than_heuristic values && certified values ->
       Telemetry.count "layer.ilp_improved";
-      let entries, created = Ilp_model.extract built ~values in
+      let entries, created =
+        Telemetry.span "ilp.extract" (fun () -> Ilp_model.extract built ~values)
+      in
       { List_scheduler.entries; created }
     | Some _ | None ->
       Telemetry.count "layer.ilp_rejected";

@@ -357,6 +357,43 @@ let test_synthesis_spans_recorded () =
     (Telemetry.counter_value "layer.solves" > 0);
   Telemetry.disable ()
 
+(* Every stage of an ILP layer solve outside the tree search has its own
+   span; the certificate and the extraction run only for an accepted ILP
+   schedule. *)
+let test_ilp_spans_recorded () =
+  fresh ();
+  let config =
+    {
+      Cohls.Synthesis.default_config with
+      Cohls.Synthesis.engine =
+        Cohls.Layer_solver.Ilp
+          {
+            options =
+              { Lp.Branch_bound.default_options with Lp.Branch_bound.node_limit = Some 50 };
+            extra_free_slots = 1;
+          };
+    }
+  in
+  ignore (Cohls.Synthesis.run ~config (tiny_indeterminate_assay ()));
+  let names = List.map (fun s -> s.Telemetry.span_name) (Telemetry.spans ()) in
+  let improved = Telemetry.counter_value "layer.ilp_improved" > 0 in
+  List.iter
+    (fun (expected, always) ->
+      if always || improved then
+        Alcotest.(check bool)
+          (Printf.sprintf "span %s present" expected)
+          true (List.mem expected names))
+    [
+      ("layer.ilp", true);
+      ("ilp.model.build", true);
+      ("ilp.model.copy", true);
+      ("ilp.warm_start", true);
+      ("lp.bb.solve", true);
+      ("ilp.certify", false);
+      ("ilp.extract", false);
+    ];
+  Telemetry.disable ()
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -383,5 +420,6 @@ let () =
             test_retry_oracle_interventions_reported;
           Alcotest.test_case "synthesis spans recorded" `Quick
             test_synthesis_spans_recorded;
+          Alcotest.test_case "ILP stage spans recorded" `Quick test_ilp_spans_recorded;
         ] );
     ]
