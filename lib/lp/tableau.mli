@@ -20,7 +20,14 @@
     {!snapshot} of its final basis, and a dual-simplex phase re-solves a
     child node from it; the refactorisation of that basis is computed once
     per snapshot and shared by every re-solve from it, so the parent's
-    second child skips it. This is the kernel under {!Simplex}. *)
+    second child skips it. The dual phase prices its reduced costs afresh
+    only at its start and after a refactorisation, and updates them along
+    each pivot row in between, so a dual iteration costs one BTRAN (the
+    pivot row) and one FTRAN (the entering column), plus one FTRAN for any
+    bound flips. Each solve counts its BTRANs and FTRANs under
+    [lp.simplex.btrans] and [lp.simplex.ftrans]; a refactorisation's own
+    column transforms are not counted. This is the kernel under
+    {!Simplex}. *)
 
 exception Deadline_exceeded
 (** Raised (from inside the pivot loop) when a [deadline] passes before the
