@@ -56,25 +56,18 @@ let cases =
 let results = Hashtbl.create 8
 let case_seconds = Hashtbl.create 8
 
-(* --ilp-domains N: worker domains for the branch-and-bound legs (0 = the
-   library default). The CI determinism gate runs the bench at 1 and 4 and
-   diffs the JSON artifacts, so the ILP leg runs under a node budget with no
-   time limit: the wave search's explored tree — and with it every
-   schedule-quality field in the JSON — then depends only on the budget,
-   never on the domain count or the machine's clock. *)
-let ilp_domains = ref 0
+(* The CI perf gate diffs the JSON artifact against a checked-in baseline,
+   so the ILP leg runs under a node budget with no time limit: the wave
+   search's explored tree — and with it every schedule-quality field in the
+   JSON — then depends only on the budget, never on the machine's clock. *)
 let ilp_node_budget = 1500 (* per layer solve; ~10 s sequential *)
 
-let ilp_options () =
-  let base =
-    {
-      Lp.Branch_bound.default_options with
-      Lp.Branch_bound.time_limit = None;
-      node_limit = Some ilp_node_budget;
-    }
-  in
-  if !ilp_domains <= 0 then base
-  else { base with Lp.Branch_bound.domains = !ilp_domains }
+let ilp_options =
+  {
+    Lp.Branch_bound.default_options with
+    Lp.Branch_bound.time_limit = None;
+    node_limit = Some ilp_node_budget;
+  }
 
 (* ILP layer-refinement leg of table 2 (case 1 at the default per-layer
    budget), kept for the JSON artifact the CI perf gate diffs. *)
@@ -133,7 +126,7 @@ let table2 () =
           Syn.default_config with
           Syn.engine =
             Cohls.Layer_solver.Ilp
-              { options = ilp_options (); extra_free_slots = 1 };
+              { options = ilp_options; extra_free_slots = 1 };
         }
       (Lazy.force (List.hd cases).assay)
   in
@@ -304,7 +297,7 @@ let ablation () =
   let ilp =
     mk
       (Cohls.Layer_solver.Ilp
-         { options = ilp_options (); extra_free_slots = 1 })
+         { options = ilp_options; extra_free_slots = 1 })
   in
   let show tag (r : Syn.result) =
     let b = r.Syn.final_breakdown in
@@ -755,17 +748,6 @@ let () =
          parse (i + 2) |> ignore
        | "--json" ->
          Format.fprintf fmt "--json expects a file argument@.";
-         exit 1
-       | "--ilp-domains" when i + 1 < Array.length Sys.argv ->
-         (match int_of_string_opt Sys.argv.(i + 1) with
-          | Some n ->
-            ilp_domains := n;
-            parse (i + 2) |> ignore
-          | None ->
-            Format.fprintf fmt "--ilp-domains expects an integer@.";
-            exit 1)
-       | "--ilp-domains" ->
-         Format.fprintf fmt "--ilp-domains expects an integer@.";
          exit 1
        | arg ->
          (match !what with

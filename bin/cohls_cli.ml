@@ -69,13 +69,6 @@ let ilp_seconds_arg =
   let doc = "Per-layer ILP time limit in seconds." in
   Arg.(value & opt float 10.0 & info [ "ilp-seconds" ] ~doc)
 
-let ilp_domains_arg =
-  let doc =
-    "Worker domains for the parallel branch-and-bound tree search (0 = \
-     auto: min 4 (cpus-1))."
-  in
-  Arg.(value & opt int 0 & info [ "ilp-domains" ] ~docv:"N" ~doc)
-
 let schedule_arg =
   let doc = "Print the full schedule, not just the summary." in
   Arg.(value & flag & info [ "schedule" ] ~doc)
@@ -107,8 +100,7 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let config_of ~rule ~threshold ~devices ~iterations ~ilp ~ilp_seconds
-    ~ilp_domains =
+let config_of ~rule ~threshold ~devices ~iterations ~ilp ~ilp_seconds =
   let engine =
     if ilp then
       Cohls.Layer_solver.Ilp
@@ -117,10 +109,6 @@ let config_of ~rule ~threshold ~devices ~iterations ~ilp ~ilp_seconds
             {
               Lp.Branch_bound.default_options with
               Lp.Branch_bound.time_limit = Some ilp_seconds;
-              domains =
-                (if ilp_domains <= 0 then
-                   Lp.Branch_bound.default_options.Lp.Branch_bound.domains
-                 else ilp_domains);
             };
           extra_free_slots = 1;
         }
@@ -174,13 +162,12 @@ let with_trace trace f =
     result
 
 let synth case file rule threshold devices iterations ilp ilp_seconds
-    ilp_domains schedule gantt control physical dot csv trace =
+    schedule gantt control physical dot csv trace =
   handle_result
     (let ( let* ) = Result.bind in
      let* assay = assay_of ~case ~file in
      let config =
        config_of ~rule ~threshold ~devices ~iterations ~ilp ~ilp_seconds
-         ~ilp_domains
      in
      let run () =
        let r = Syn.run ~config assay in
@@ -224,7 +211,7 @@ let synth_cmd =
     Term.(
       ret
         (const synth $ case_arg $ file_arg $ rule_arg $ threshold_arg $ devices_arg
-         $ iterations_arg $ ilp_arg $ ilp_seconds_arg $ ilp_domains_arg
+         $ iterations_arg $ ilp_arg $ ilp_seconds_arg
          $ schedule_arg $ gantt_arg $ control_arg $ physical_arg $ dot_arg
          $ csv_arg $ trace_arg))
 
@@ -257,14 +244,13 @@ let stats_json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let stats case file rule threshold devices iterations ilp ilp_seconds
-    ilp_domains json trace fault_seed fault_rate =
+    json trace fault_seed fault_rate =
   handle_result
     (let ( let* ) = Result.bind in
      let* assay = assay_of ~case ~file in
      let* plan = fault_plan ~fault_seed ~fault_rate in
      let config =
        config_of ~rule ~threshold ~devices ~iterations ~ilp ~ilp_seconds
-         ~ilp_domains
      in
      catch_no_device ~devices (fun () ->
        let ( let* ) = Result.bind in
@@ -320,7 +306,7 @@ let stats_cmd =
     Term.(
       ret
         (const stats $ case_arg $ file_arg $ rule_arg $ threshold_arg $ devices_arg
-         $ iterations_arg $ ilp_arg $ ilp_seconds_arg $ ilp_domains_arg
+         $ iterations_arg $ ilp_arg $ ilp_seconds_arg
          $ stats_json_arg $ trace_arg $ fault_seed_arg $ fault_rate_arg))
 
 (* ---------- layering ---------- *)
@@ -411,7 +397,7 @@ let print_outcome ~baseline (o : Cohls.Recovery.outcome) =
     o.Cohls.Recovery.recovered_schedules
 
 let simulate case file rule threshold devices iterations ilp ilp_seconds
-    ilp_domains seed max_extra fault_seed fault_rate allow_new_devices
+    seed max_extra fault_seed fault_rate allow_new_devices
     show_stats =
   handle_result
     (let ( let* ) = Result.bind in
@@ -419,7 +405,6 @@ let simulate case file rule threshold devices iterations ilp ilp_seconds
      let* plan = fault_plan ~fault_seed ~fault_rate in
      let config =
        config_of ~rule ~threshold ~devices ~iterations ~ilp ~ilp_seconds
-         ~ilp_domains
      in
      catch_no_device ~devices (fun () ->
        if show_stats then begin
@@ -487,7 +472,7 @@ let simulate_cmd =
       ret
         (const simulate $ case_arg $ file_arg $ rule_arg $ threshold_arg
          $ devices_arg $ iterations_arg $ ilp_arg $ ilp_seconds_arg
-         $ ilp_domains_arg $ sim_seed_arg $ max_extra_arg $ fault_seed_arg
+         $ sim_seed_arg $ max_extra_arg $ fault_seed_arg
          $ sim_rate_arg $ allow_new_devices_arg $ sim_stats_arg))
 
 (* ---------- compare ---------- *)

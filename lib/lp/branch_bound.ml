@@ -19,9 +19,6 @@ type options = {
   deterministic : bool;
 }
 
-let default_domains () =
-  max 1 (min 4 (Domain.recommended_domain_count () - 1))
-
 (* Integrality tolerance for branching and for rounding candidates. *)
 let int_tol = 1e-6
 
@@ -30,15 +27,14 @@ let default_options =
     time_limit = None;
     node_limit = None;
     presolve = true;
-    domains = default_domains ();
+    domains = 1;
     deterministic = false;
   }
 
 (* A search node: the full per-variable bound vector (an immutable overlay —
-   the shared model is never mutated during the search, so nodes are safe to
-   process on any domain), the warm start its parent's relaxation offered
-   ([None] at the root; siblings share it, as it is immutable) and the
-   parent's relaxation bound (a valid lower bound on the whole subtree,
+   the model is never mutated during the search), the warm start its
+   parent's relaxation offered ([None] at the root; siblings share it) and
+   the parent's relaxation bound (a valid lower bound on the whole subtree,
    merged into [best_bound] when the node is discarded at a limit). *)
 type node = {
   nd_bounds : (Q.t option * Q.t option) array;
@@ -47,9 +43,7 @@ type node = {
   nd_bound : float;
 }
 
-(* Search state. The mutable fields are read and written only by the
-   calling domain, before the search and at wave barriers; wave workers
-   touch only [relax_ema] (each its own slot) and [out_of_time]. *)
+(* Search state. *)
 type shared = {
   opts : options;
   model : Model.t;
@@ -58,9 +52,8 @@ type shared = {
       (* the objective's granularity on integer points, when it has one *)
   int_vars : int array;
   deadline : float option;
-  relax_ema : float array;
-      (* per-worker moving average of relaxation seconds *)
-  out_of_time : bool Atomic.t; (* a worker found the time budget too tight *)
+  mutable relax_ema : float; (* moving average of relaxation seconds *)
+  mutable out_of_time : bool; (* the time left cannot fit a relaxation *)
   mutable incumbent : (float * float array) option;
       (* internal-sense objective + rounded values *)
   mutable best_bound : float; (* lowest open relaxation bound at a cut-off *)
@@ -182,27 +175,25 @@ let branch_bounds nd v x =
   if lo_first then (down, up) else (up, down)
 
 (* Stop cleanly when the remaining time cannot fit another relaxation of
-   typical size ([ema] seconds): the kernel deadline then only fires on a
-   genuinely runaway relaxation — the pathology [lp.simplex.deadline_aborts]
-   exists to count — not on routine budget exhaustion mid-pivot. Always
-   false without a time limit, so node-budgeted searches never depend on
-   the clock. *)
-let budget_tight sh ema =
+   typical size ([relax_ema] seconds): the kernel deadline then only fires
+   on a genuinely runaway relaxation — the pathology
+   [lp.simplex.deadline_aborts] exists to count — not on routine budget
+   exhaustion mid-pivot. Always false without a time limit, so
+   node-budgeted searches never depend on the clock. *)
+let budget_tight sh =
   match sh.deadline with
-  | Some d -> d -. now () < Float.max 0.05 (4.0 *. ema)
+  | Some d -> d -. now () < Float.max 0.05 (4.0 *. sh.relax_ema)
   | None -> false
 
 (* The search: one global stack of open nodes, processed in fixed-width
-   waves, with every shared-state update — wave membership, incumbent
-   updates, child order — applied at the wave barrier in stack order. The
-   wave width is a constant, NOT the domain count: the set of nodes
-   explored under a [node_limit] budget must depend only on the budget, so
-   [ndomains] may only decide how many workers share one wave, never which
-   nodes are in it. Nothing depends on timing or interleaving, so a
-   node-budgeted run is byte-identical across domain counts; a wall-clock
-   limit still stops the search, at a machine-dependent point. The price
-   is a barrier per wave and pruning against the cutoff as of the wave
-   start. *)
+   waves. A wave's relaxations are solved in stack order, and only then
+   are the outcomes settled — incumbent updates, pruning, child order — in
+   the same order. A plain one-node depth-first search would explore a
+   different tree, and would keep a parent's memoised factor alive until
+   its far sibling runs, where a wave mostly solves siblings back to back
+   and drops the factor with them. Nothing depends on timing, so a
+   node-budgeted run is byte-identical on any machine; a wall-clock limit
+   still stops the search, at a machine-dependent point. *)
 let wave_width = 8
 
 type wave_outcome =
@@ -213,9 +204,9 @@ type wave_outcome =
   | W_unbounded
   | W_solved of float * float array * Simplex.warm
 
-let solve_node sh w nd =
-  if Atomic.get sh.out_of_time || budget_tight sh sh.relax_ema.(w) then begin
-    Atomic.set sh.out_of_time true;
+let solve_node sh nd =
+  if sh.out_of_time || budget_tight sh then begin
+    sh.out_of_time <- true;
     W_skipped
   end
   else begin
@@ -234,38 +225,12 @@ let solve_node sh w nd =
         W_solved (sh.dir_sign *. objective, values, warm)
     in
     let dt = now () -. t0 in
-    let ema = sh.relax_ema.(w) in
-    sh.relax_ema.(w) <- (if ema <= 0.0 then dt else (0.8 *. ema) +. (0.2 *. dt));
+    let ema = sh.relax_ema in
+    sh.relax_ema <- (if ema <= 0.0 then dt else (0.8 *. ema) +. (0.2 *. dt));
     outcome
   end
 
-(* Solve one wave on up to [ndomains] workers. A worker claims two
-   consecutive slots at a time: siblings sit next to each other on the
-   stack, so the second re-solve from a parent's basis snapshot reuses the
-   factorisation the first one published instead of refactorising it
-   concurrently on another domain. Each slot is written by exactly one
-   worker, so the only synchronisation is the claim counter and the join. *)
-let solve_wave sh ndomains wave =
-  let n = Array.length wave in
-  let outcomes = Array.make n W_infeasible in
-  let next = Atomic.make 0 in
-  let rec work w =
-    let k = Atomic.fetch_and_add next 2 in
-    if k < n then begin
-      outcomes.(k) <- solve_node sh w wave.(k);
-      if k + 1 < n then outcomes.(k + 1) <- solve_node sh w wave.(k + 1);
-      work w
-    end
-  in
-  let nwork = max 1 (min ndomains ((n + 1) / 2)) in
-  let helpers =
-    Array.init (nwork - 1) (fun w -> Domain.spawn (fun () -> work (w + 1)))
-  in
-  work 0;
-  Array.iter Domain.join helpers;
-  outcomes
-
-(* Apply one outcome at the barrier; returns [children] with the node's
+(* Apply one outcome once its wave is solved; returns [children] with the node's
    children (far, then near) consed on. *)
 let settle sh nd outcome children =
   match outcome with
@@ -316,7 +281,7 @@ let settle sh nd outcome children =
       in
       child far :: child near :: children)
 
-let search sh ndomains root =
+let search sh root =
   let t0 = now () in
   let stack = ref [ root ] in
   let budget =
@@ -338,7 +303,7 @@ let search sh ndomains root =
     else begin
       let wave, rest = take (min wave_width !budget) [] !stack in
       budget := !budget - Array.length wave;
-      let outcomes = solve_wave sh ndomains wave in
+      let outcomes = Array.map (solve_node sh) wave in
       Array.iter (fun o -> if o <> W_skipped then sh.nodes <- sh.nodes + 1) outcomes;
       let children = ref [] in
       Array.iteri (fun i o -> children := settle sh wave.(i) o !children) outcomes;
@@ -364,7 +329,6 @@ let solve ?(options = default_options) ?warm_start model =
          (fun v -> Model.is_integer_var model v)
          (List.init (Model.var_count model) Fun.id))
   in
-  let ndomains = max 1 options.domains in
   let sh =
     {
       opts = options;
@@ -373,8 +337,8 @@ let solve ?(options = default_options) ?warm_start model =
       obj_step = objective_step model;
       int_vars;
       deadline = Option.map (fun t -> started +. t) options.time_limit;
-      relax_ema = Array.make ndomains 0.0;
-      out_of_time = Atomic.make false;
+      relax_ema = 0.0;
+      out_of_time = false;
       incumbent = None;
       best_bound = infinity;
       nodes = 0;
@@ -416,7 +380,7 @@ let solve ?(options = default_options) ?warm_start model =
         nd_bound = neg_infinity;
       }
     in
-    search sh ndomains root;
+    search sh root;
     let elapsed = now () -. started in
     let incumbent = sh.incumbent and proven = sh.proven in
     let objective = Option.map (fun (o, _) -> dir_sign *. o) incumbent in

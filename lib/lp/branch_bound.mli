@@ -22,22 +22,20 @@
 
     Each node re-solves its relaxation warm: it holds the {!Simplex.warm}
     value of its parent's [Optimal] relaxation (none at the root; both
-    children share the immutable value) and the bound change of the branch
+    children share it) and the bound change of the branch
     is repaired by a dual-simplex phase, falling back to a cold primal solve
     when the warm solve goes stale ([lp.bb.warm_hits] /
     [lp.bb.warm_fallbacks] count the split).
 
-    The tree is searched in synchronous waves: one global stack of open
-    nodes, popped [8] at a time (a constant, not the domain count); the
-    wave's relaxations are solved by up to [options.domains] OCaml domains,
-    and every shared-state update — incumbent, pruning, child order — is
-    applied at the wave barrier in stack order. The explored tree therefore
-    depends only on the node budget: with a [node_limit] and no
-    [time_limit], status, objective, values and node count are
-    byte-identical at any domain count and on any machine. A [time_limit]
-    still stops the search, at a machine-dependent point: a worker ends the
-    search before a node when the time left cannot fit four relaxations of
-    its recent size (at least 50 ms), so the kernel deadline
+    The tree is searched in waves on the calling domain: one global stack
+    of open nodes, popped [8] at a time; the wave's relaxations are solved
+    in stack order, and then every update — incumbent, pruning, child order
+    — is applied in the same order. The explored tree therefore depends
+    only on the node budget: with a [node_limit] and no [time_limit],
+    status, objective, values and node count are byte-identical on any
+    machine. A [time_limit] still stops the search, at a machine-dependent
+    point: the search ends before a node when the time left cannot fit four
+    relaxations of its recent size (at least 50 ms), so the kernel deadline
     ([lp.simplex.deadline_aborts]) only fires on a runaway relaxation.
     Equal-objective incumbents are tie-broken lexicographically.
 
@@ -75,10 +73,8 @@ type options = {
           [true]; it stops at the search deadline like the tree does. Off
           only to measure what presolve is worth *)
   domains : int;
-      (** worker domains that share each wave of relaxations, default
-          [max 1 (min 4 (Domain.recommended_domain_count () - 1))]; [1]
-          runs the whole search on the calling domain. Changes only how
-          fast a wave is solved, never which nodes are explored *)
+      (** ignored: the search always runs on the calling domain. The field
+          remains only for callers that still set it *)
   deterministic : bool;
       (** ignored: the search is always the deterministic wave search. The
           field remains only for callers that still set it *)
@@ -90,7 +86,6 @@ val default_options : options
 val solve : ?options:options -> ?warm_start:float array -> Model.t -> result
 (** The model is never mutated during the search: each node carries an
     immutable bound overlay (handed to the relaxation solver via
-    [Simplex.solve_relaxation_float ~bounds]), which is what makes nodes
-    safe to process on any domain concurrently. The only mutation is root
+    [Simplex.solve_relaxation_float ~bounds]). The only mutation is root
     presolve (before the search starts), whose tightenings are kept: they
     are valid for the model. *)

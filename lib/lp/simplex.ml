@@ -34,8 +34,8 @@ type prepared = {
 }
 
 (* What an [Optimal] solve hands on for warm re-solves: the form it solved
-   and its final basis. Both are immutable, so one value may warm any
-   number of later solves, on any domain. *)
+   and its final basis. One value may warm any number of later solves; the
+   snapshot's factor memo only saves them a refactorisation. *)
 type warm = { w_prepared : prepared; w_snapshot : Tableau.snapshot }
 
 type outcome =

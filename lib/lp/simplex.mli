@@ -21,8 +21,8 @@
 
 type warm
 (** The warm start an [Optimal] solve offers: its translated standard form
-    and final basis. Immutable, so one value may warm any number of later
-    solves of the same model under changed bounds, from any domain. *)
+    and final basis. One value may warm any number of later solves of the
+    same model under changed bounds. *)
 
 type outcome =
   | Optimal of { objective : float; values : float array; warm : warm }
@@ -45,8 +45,8 @@ val solve_relaxation_float :
     a warm re-solve that does falls back to a cold solve. [bounds], when
     given, overrides every variable's bounds (indexed by model variable id;
     length must be [Model.var_count]) without touching the model — the
-    bound-overlay used by the multi-domain branch-and-bound, whose nodes
-    must not mutate the shared model. [warm], taken from an earlier
+    bound overlay used by {!Branch_bound}, whose nodes must not mutate the
+    model. [warm], taken from an earlier
     [Optimal] outcome on the same model, starts a dual-simplex re-solve
     from that basis; when the basis goes stale or the bound change cannot
     be expressed in its form, the solve falls back to a cold one. Warm

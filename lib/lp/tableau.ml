@@ -78,7 +78,7 @@ type factor = { f_etas : eta array; f_basis : int array }
 type snapshot = {
   s_basis : int array;
   s_at_ub : bool array;
-  s_factor : factor option Atomic.t;
+  mutable s_factor : factor option;
 }
 
 type result =
@@ -892,17 +892,17 @@ let snapshot_of st =
   {
     s_basis = Array.copy st.basis;
     s_at_ub = Array.copy st.at_ub;
-    s_factor = Atomic.make None;
+    s_factor = None;
   }
 
 (* Factorise a warm solve's starting basis, the snapshot's. The first solve
-   from a snapshot refactorises and publishes the result; every later one
-   (the parent's second child) copies the published eta array — its own
+   from a snapshot refactorises and memoises the result in it; every later
+   one (the parent's second child) copies the memoised eta array — its own
    pivots append to the copy — and recomputes only x_B, which is where
    [b], [ubs] and [at_ub] enter. Both paths leave the same state, bit for
    bit, since {!factorise} reads nothing else. *)
 let factor_from st snapshot =
-  match Atomic.get snapshot.s_factor with
+  match snapshot.s_factor with
   | Some f ->
     st.factor_reuses <- st.factor_reuses + 1;
     st.etas <- Array.copy f.f_etas;
@@ -911,10 +911,9 @@ let factor_from st snapshot =
     load_x_b st
   | None ->
     refactor st;
-    let f =
-      { f_etas = Array.sub st.etas 0 st.n_etas; f_basis = Array.copy st.basis }
-    in
-    ignore (Atomic.compare_and_set snapshot.s_factor None (Some f))
+    snapshot.s_factor <-
+      Some
+        { f_etas = Array.sub st.etas 0 st.n_etas; f_basis = Array.copy st.basis }
 
 let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
     ~snapshot () =

@@ -69,18 +69,17 @@ type factor
 type snapshot = {
   s_basis : int array;
   s_at_ub : bool array;
-  s_factor : factor option Atomic.t;
+  mutable s_factor : factor option;
 }
 (** A basis snapshot: which column is basic in each row ([s_basis], entries
     [>= n] are artificial) and which nonbasic structural columns rest at
-    their upper bound ([s_at_ub]). [s_factor] is empty when the snapshot is
-    taken; the first {!resolve_with_basis} from it publishes its
-    refactorisation there (once, never mutated afterwards) and later
-    re-solves from the same snapshot reuse it, counted under
+    their upper bound ([s_at_ub]). [s_factor] is a memo, empty when the
+    snapshot is taken; the first {!resolve_with_basis} from it fills it with
+    its refactorisation (once, never mutated afterwards) and later re-solves
+    from the same snapshot reuse it, counted under
     [lp.simplex.factor_reuses] instead of [lp.simplex.refactorisations].
     Reused or recomputed, the factor is bit-identical, so clearing it
-    ([{ snap with s_factor = Atomic.make None }]) changes no result. A
-    snapshot is safe to share across domains. *)
+    ([{ snap with s_factor = None }]) changes no result. *)
 
 type result =
   | Optimal of { value : float; x : float array; snapshot : snapshot }

@@ -115,12 +115,6 @@ let lock = Mutex.create ()
 let completed : span_record list ref = ref []
 let seq_counter = ref 0
 let counter_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
-
-(* Per-domain split of the same counters, keyed (name, domain id). The
-   aggregate table stays authoritative for JSON reports (scheduling noise
-   must not leak into diffable artifacts); this one makes parallel
-   branch-and-bound runs debuggable in [Export.stats_table]. *)
-let counter_tid_tbl : (string * int, int ref) Hashtbl.t = Hashtbl.create 64
 let hist_tbl : (string, hist_state) Hashtbl.t = Hashtbl.create 16
 let depth_tbl : (int, int ref) Hashtbl.t = Hashtbl.create 8
 let epoch = ref 0.0
@@ -138,7 +132,6 @@ let reset () =
       completed := [];
       seq_counter := 0;
       Hashtbl.reset counter_tbl;
-      Hashtbl.reset counter_tid_tbl;
       Hashtbl.reset hist_tbl;
       Hashtbl.reset depth_tbl;
       epoch := Clock.now_s ())
@@ -187,14 +180,10 @@ let span ?(attrs = []) name f =
 
 let count ?(by = 1) name =
   if Atomic.get on && by <> 0 then begin
-    let tid = (Domain.self () :> int) in
     locked (fun () ->
-        (match Hashtbl.find_opt counter_tbl name with
-         | Some r -> r := !r + by
-         | None -> Hashtbl.replace counter_tbl name (ref by));
-        match Hashtbl.find_opt counter_tid_tbl (name, tid) with
+        match Hashtbl.find_opt counter_tbl name with
         | Some r -> r := !r + by
-        | None -> Hashtbl.replace counter_tid_tbl (name, tid) (ref by))
+        | None -> Hashtbl.replace counter_tbl name (ref by))
   end
 
 let observe name v =
@@ -233,24 +222,6 @@ let counters () =
   locked (fun () ->
       List.sort compare
         (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counter_tbl []))
-
-(* Per-domain split of [counters]: for each counter name, the
-   [(domain id, value)] pairs of every domain that bumped it, both levels
-   sorted. JSON reports deliberately stay aggregate-only — domain ids and
-   work split are scheduling noise — but [Export.stats_table] uses this to
-   break multi-domain solver counters down per domain. *)
-let counters_by_domain () =
-  locked (fun () ->
-      let tbl = Hashtbl.create 32 in
-      Hashtbl.iter
-        (fun (name, tid) r ->
-          let cur = Option.value (Hashtbl.find_opt tbl name) ~default:[] in
-          Hashtbl.replace tbl name ((tid, !r) :: cur))
-        counter_tid_tbl;
-      List.sort compare
-        (Hashtbl.fold
-           (fun name per acc -> (name, List.sort compare per) :: acc)
-           tbl []))
 
 let histograms () =
   locked (fun () ->
@@ -434,20 +405,7 @@ module Export = struct
       if aggs <> [] then line "";
       line "%-46s %12s" "counter" "value";
       line "%s" (String.make 59 '-');
-      let by_domain = counters_by_domain () in
-      List.iter
-        (fun (name, v) ->
-          line "%-46s %12d" name v;
-          (* solver counters recorded on several domains get a per-domain
-             breakdown sub-row, so parallel searches are debuggable *)
-          match List.assoc_opt name by_domain with
-          | Some ((_ :: _ :: _) as per) ->
-            List.iter
-              (fun (tid, dv) ->
-                line "%-46s %12d" (Printf.sprintf "  domain %d" tid) dv)
-              per
-          | Some _ | None -> ())
-        cs
+      List.iter (fun (name, v) -> line "%-46s %12d" name v) cs
     end;
     let hs = histograms () in
     if hs <> [] then begin

@@ -86,7 +86,7 @@ val spans : unit -> span_record list
 (** Completed spans in deterministic start order. *)
 
 val counters : unit -> (string * int) list
-(** Counters sorted by name (aggregated over all domains). *)
+(** Counters sorted by name. *)
 
 val histograms : unit -> (string * histogram) list
 (** Histograms sorted by name. *)

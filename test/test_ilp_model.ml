@@ -107,31 +107,6 @@ let test_solve_and_extract_component () =
     let fixed_makespan = Cohls.Schedule.fixed_makespan_of entries in
     check bool "makespan sane" true (fixed_makespan >= 17 && fixed_makespan <= IM.horizon built)
 
-let test_domains_agree_on_assay () =
-  (* Domain count must not leak into results: on an example-assay layer
-     model solved to completion, 1 and 4 domains return the same status,
-     objective and values. *)
-  let a, _, _, _ = small_assay () in
-  let problem = problem_of a ~rule:Cohls.Binding.Component_oriented in
-  let solve domains =
-    let built = IM.build problem ~slots:(free_slots 3) in
-    let options =
-      {
-        Lp.Branch_bound.default_options with
-        Lp.Branch_bound.time_limit = Some 30.0;
-        domains;
-      }
-    in
-    Lp.Branch_bound.solve ~options (IM.model built)
-  in
-  let r1 = solve 1 and r4 = solve 4 in
-  check bool "same status" true
-    (r1.Lp.Branch_bound.status = r4.Lp.Branch_bound.status);
-  check bool "same objective" true
-    (r1.Lp.Branch_bound.objective = r4.Lp.Branch_bound.objective);
-  check bool "same values" true
-    (r1.Lp.Branch_bound.values = r4.Lp.Branch_bound.values)
-
 let test_exact_rule_needs_more_devices () =
   let _, _, _, result_c = solve_small Cohls.Binding.Component_oriented in
   let _, _, built_e, result_e = solve_small Cohls.Binding.Exact_signature in
@@ -321,7 +296,6 @@ let test_ilp_layer_respects_cap_with_inherited () =
             Lp.Branch_bound.default_options with
             Lp.Branch_bound.time_limit = None;
             node_limit = Some 200;
-            domains = 1;
           };
         extra_free_slots = 1;
       }
@@ -405,8 +379,6 @@ let () =
         [
           Alcotest.test_case "solve + extract (component rule)" `Slow
             test_solve_and_extract_component;
-          Alcotest.test_case "domains 1 and 4 agree on assay" `Slow
-            test_domains_agree_on_assay;
           Alcotest.test_case "exact rule device count" `Slow
             test_exact_rule_needs_more_devices;
           Alcotest.test_case "warm start is feasible" `Quick test_warm_start_feasible;

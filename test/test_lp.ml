@@ -439,7 +439,7 @@ let same_resolve r1 r2 =
   | _, _ -> false
 
 (* The two children of one parent basis (x_vi <= k and x_vi >= k) re-solve
-   to the same bits whichever runs first — the first publishes the
+   to the same bits whichever runs first — the first memoises the
    parent snapshot's factor, the second reuses it — and whether the factor
    is shared at all or cleared before each child. *)
 let prop_sibling_resolves_share_factor =
@@ -461,9 +461,9 @@ let prop_sibling_resolves_share_factor =
           (Array.map2 (fun i a -> (i, a)) cols.T.col_idx.(vi) cols.T.col_val.(vi));
         let down s = T.resolve_with_basis ~cols ~b ~c ~ubs:down_ubs ~snapshot:s () in
         let up s = T.resolve_with_basis ~cols ~b:up_b ~c ~ubs:up_ubs ~snapshot:s () in
-        let cleared () = { snap with T.s_factor = Atomic.make None } in
+        let cleared () = { snap with T.s_factor = None } in
         let down_first = down snap in
-        let published = Atomic.get snap.T.s_factor <> None in
+        let published = snap.T.s_factor <> None in
         let up_second = up snap in
         let snap' = cleared () in
         let up_first = up snap' in
@@ -505,7 +505,7 @@ let test_tableau_singular_basis () =
     {
       T.s_basis = [| 0; 1 |];
       s_at_ub = Array.make 4 false;
-      s_factor = Atomic.make None;
+      s_factor = None;
     }
   in
   match
@@ -775,7 +775,7 @@ let test_bb_time_limit_no_deadline_aborts () =
       Telemetry.Clock.use_wall_clock ())
     (fun () ->
       let options =
-        { BB.default_options with BB.time_limit = Some 1.0; domains = 1 }
+        { BB.default_options with BB.time_limit = Some 1.0 }
       in
       let r = BB.solve ~options m in
       check bool "stopped mid-tree" true
@@ -866,38 +866,30 @@ let prop_bb_matches_brute_force =
         Float.abs (obj -. float_of_int (brute_knapsack items capacity)) < 1e-6
       | None -> false)
 
-(* The domain count must be a pure implementation detail: on models solved
-   to completion, 1 and 4 domains return bit-identical results. Reuses the
-   boxed-ILP generator, so every run terminates. *)
-let prop_bb_domains_agree =
-  QCheck.Test.make ~name:"domains=1 and domains=4 agree" ~count:60 arb_ilp
-    (fun spec ->
-      let solve_with domains =
-        BB.solve ~options:{ BB.default_options with BB.domains } (build_ilp spec)
-      in
-      let r1 = solve_with 1 and r4 = solve_with 4 in
-      r1.BB.status = r4.BB.status
-      && r1.BB.objective = r4.BB.objective
-      && r1.BB.values = r4.BB.values
-      && r1.BB.nodes = r4.BB.nodes)
-
-(* The wave search is deterministic, so even *budget-stopped* searches must
-   agree across domain counts, bit for bit: a tiny node limit forces most
-   runs to stop mid-tree. *)
-let prop_bb_deterministic_budget_stable =
-  QCheck.Test.make ~name:"deterministic mode is budget-stable across domains"
+(* Without a time limit the search never reads the clock to decide
+   anything, so a node-budgeted run is bit-identical whether the clock is
+   the wall clock or one that jumps 1000 s per read: a tiny node limit
+   forces most runs to stop mid-tree. *)
+let prop_bb_budget_independent_of_clock =
+  QCheck.Test.make ~name:"node-budgeted search is independent of the clock"
     ~count:60 arb_ilp (fun spec ->
-      let solve_with domains =
+      let solve () =
         BB.solve
-          ~options:
-            { BB.default_options with BB.domains; node_limit = Some 7 }
+          ~options:{ BB.default_options with BB.node_limit = Some 7 }
           (build_ilp spec)
       in
-      let r1 = solve_with 1 and r4 = solve_with 4 in
-      r1.BB.status = r4.BB.status
-      && r1.BB.objective = r4.BB.objective
-      && r1.BB.values = r4.BB.values
-      && r1.BB.nodes = r4.BB.nodes)
+      let wall = solve () in
+      let reads = ref 0 in
+      Telemetry.Clock.set_source (fun () ->
+          incr reads;
+          float_of_int !reads *. 1000.0);
+      let jumping =
+        Fun.protect ~finally:Telemetry.Clock.use_wall_clock solve
+      in
+      wall.BB.status = jumping.BB.status
+      && wall.BB.objective = jumping.BB.objective
+      && wall.BB.values = jumping.BB.values
+      && wall.BB.nodes = jumping.BB.nodes)
 
 let () =
   let qsuite tests = List.map QCheck_alcotest.to_alcotest tests in
@@ -967,7 +959,6 @@ let () =
         qsuite
           [
             prop_bb_matches_brute_force;
-            prop_bb_domains_agree;
-            prop_bb_deterministic_budget_stable;
+            prop_bb_budget_independent_of_clock;
           ] );
     ]

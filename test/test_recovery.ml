@@ -179,7 +179,6 @@ let test_ilp_engine_recovery () =
                 Lp.Branch_bound.default_options with
                 Lp.Branch_bound.time_limit = None;
                 node_limit = Some 100;
-                domains = 1;
               };
             extra_free_slots = 1;
           };
