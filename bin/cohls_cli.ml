@@ -316,6 +316,7 @@ let layering case threshold =
     (let ( let* ) = Result.bind in
      let* assay = assay_of_case case in
      let l = Cohls.Layering.compute ~threshold assay in
+     let ops = Microfluidics.Assay.operations assay in
      Format.printf "%a@." Cohls.Layering.pp l;
      Array.iter
        (fun (layer : Cohls.Layering.layer) ->
@@ -323,8 +324,7 @@ let layering case threshold =
            (String.concat ", "
               (List.map
                  (fun v ->
-                   let o = Microfluidics.Assay.operation assay v in
-                   Printf.sprintf "%d:%s" v o.Microfluidics.Operation.name)
+                   Printf.sprintf "%d:%s" v ops.(v).Microfluidics.Operation.name)
                  layer.Cohls.Layering.ops)))
        l.Cohls.Layering.layers;
      match Cohls.Layering.check l with

@@ -19,35 +19,36 @@ type t = {
 
 type choice = Smallest_id | Seeded of int
 
-(* Per-call working graph. Adjacency is taken once per [compute] as sorted
-   arrays. Every reachability query shares [mark]: a vertex is visited by
-   the current query iff its mark equals [stamp], so a query costs only
-   the vertices it reaches. [slot] numbers a min-cut network's vertices. *)
+(* Per-call working state over the assay's own dependency graph [dag],
+   read in place. Every reachability query shares [mark]: a vertex is
+   visited by the current query iff its mark equals [stamp], so a query
+   costs only the vertices it reaches. [slot] numbers a min-cut network's
+   vertices. *)
 type graph = {
-  succ : int array array;
-  pred : int array array;
+  dag : G.t;
   mark : int array;
   mutable stamp : int;
   slot : int array;
 }
 
-(* Vertices reached from [sources] along [adj] through vertices satisfying
-   [inside], sources excluded. Until the next query, exactly the sources
-   and the returned vertices carry the mark [g.stamp]. *)
+(* Vertices reached from [sources] along [adj] ([G.succ] or [G.pred])
+   through vertices satisfying [inside], sources excluded. Until the next
+   query, exactly the sources and the returned vertices carry the mark
+   [g.stamp]. *)
 let reach g adj ~inside sources =
   g.stamp <- g.stamp + 1;
   let s = g.stamp and mark = g.mark in
   List.iter (fun u -> mark.(u) <- s) sources;
   let acc = ref [] in
   let rec dfs u =
-    Array.iter
+    List.iter
       (fun w ->
         if mark.(w) <> s && inside w then begin
           mark.(w) <- s;
           acc := w :: !acc;
           dfs w
         end)
-      adj.(u)
+      (adj g.dag u)
   in
   List.iter dfs sources;
   !acc
@@ -76,7 +77,9 @@ let dependency_based_allocation g ~topo ~is_indet ~choice ~working ~kept ~tainte
     (fun v ->
       if working.(v) then
         tainted.(v) <-
-          Array.exists (fun p -> working.(p) && (is_indet p || tainted.(p))) g.pred.(v))
+          List.exists
+            (fun p -> working.(p) && (is_indet p || tainted.(p)))
+            (G.pred g.dag v))
     topo;
   let roots = ref [] in
   for v = n - 1 downto 0 do
@@ -97,7 +100,7 @@ let dependency_based_allocation g ~topo ~is_indet ~choice ~working ~kept ~tainte
           let v = List.nth vs (abs !h mod List.length vs) in
           (v, List.filter (fun u -> u <> v) vs)
       in
-      let pushed = reach g g.succ ~inside:(Array.get kept) [ v ] in
+      let pushed = reach g G.succ ~inside:(Array.get kept) [ v ] in
       List.iter (fun w -> kept.(w) <- false) pushed;
       rounds (round + 1) rest
   in
@@ -125,7 +128,7 @@ type eviction = {
 let eviction g kept v =
   Telemetry.count "layering.min_cuts";
   let inside = Array.get kept in
-  let anc = reach g g.pred ~inside [ v ] in
+  let anc = reach g G.pred ~inside [ v ] in
   let cost, cut_side =
     if anc = [] then (0, [])
     else begin
@@ -140,13 +143,13 @@ let eviction g kept v =
         let to_inside w =
           if g.mark.(w) = in_net then Flow.add_edge net ~src:(idx u) ~dst:(idx w) ~cap:1
         in
-        Array.iter to_inside g.succ.(u)
+        List.iter to_inside (G.succ g.dag u)
       in
       Array.iter add_dep_edges verts;
       (* the virtual operation of Fig. 5(d) feeds the roots of the ancestor
          subgraph (ancestors with no parent inside it) *)
       let feed_root u =
-        if not (Array.exists (fun p -> g.mark.(p) = in_net) g.pred.(u)) then
+        if not (List.exists (fun p -> g.mark.(p) = in_net) (G.pred g.dag u)) then
           Flow.add_edge net ~src ~dst:(idx u) ~cap:1
       in
       Array.iter feed_root verts;
@@ -157,7 +160,7 @@ let eviction g kept v =
     end
   in
   let sink_side = v :: cut_side in
-  let closure = List.rev_append (reach g g.succ ~inside sink_side) sink_side in
+  let closure = List.rev_append (reach g G.succ ~inside sink_side) sink_side in
   {
     cost;
     moved = List.length closure - 1;
@@ -231,19 +234,11 @@ let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
    | Error msg -> invalid_arg ("Layering.compute: " ^ msg));
   Telemetry.span "layering.compute" ~attrs:[ ("assay", Assay.name assay) ]
   @@ fun () ->
-  let dg = Assay.dependency_graph assay in
+  let dag = Assay.dependency_graph assay in
   let ops = Assay.operations assay in
   let n = Array.length ops in
-  let g =
-    {
-      succ = Array.init n (fun v -> Array.of_list (G.succ dg v));
-      pred = Array.init n (fun v -> Array.of_list (G.pred dg v));
-      mark = Array.make n 0;
-      stamp = 0;
-      slot = Array.make n 0;
-    }
-  in
-  let topo = Dag.topological_order dg in
+  let g = { dag; mark = Array.make n 0; stamp = 0; slot = Array.make n 0 } in
+  let topo = Dag.topological_order dag in
   let is_indet v = Operation.is_indeterminate ops.(v) in
   let remaining = Array.make n true in
   let kept = Array.make n false and tainted = Array.make n false in
@@ -270,7 +265,7 @@ let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
         (fun u ->
           List.filter_map
             (fun w -> if remaining.(w) then Some (u, w) else None)
-            (Array.to_list g.succ.(u)))
+            (G.succ dag u))
         layer_ops
     in
     layers :=

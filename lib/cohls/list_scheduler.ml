@@ -137,13 +137,7 @@ let schedule_layer problem ~fresh_id =
   in
   let indet_ops = layer.Layering.indeterminate in
   (* dependency order restricted to the layer, then by priority *)
-  let topo =
-    let sub, old_of_new, new_of_old =
-      Flowgraph.Dag.induced_subgraph graph ~keep:(Hashtbl.mem in_layer)
-    in
-    ignore new_of_old;
-    List.map (fun nv -> old_of_new.(nv)) (Flowgraph.Dag.topological_order sub)
-  in
+  let topo = Flowgraph.Dag.topological_order ~keep:(Hashtbl.mem in_layer) graph in
   (* stable pass: process in topological order, but among simultaneously
      ready operations prefer long critical paths: sort topological levels *)
   let scheduled_entries = ref [] in

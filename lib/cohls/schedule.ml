@@ -183,8 +183,7 @@ let validate t =
   let check_path u v =
     match (get u, get v) with
     | Some (_, eu), Some (_, ev) when eu.device <> ev.device ->
-      let pair = (min eu.device ev.device, max eu.device ev.device) in
-      if not (List.mem_assoc pair (Chip.path_usage t.chip)) then
+      if not (Chip.has_path t.chip eu.device ev.device) then
         err "transfer %d->%d lacks a path between devices %d and %d" u v
           eu.device ev.device
     | Some _, Some _ | None, _ | _, None -> ()

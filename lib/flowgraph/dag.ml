@@ -1,12 +1,18 @@
 exception Cycle of int list
 
-let topological_order g =
+let topological_order ?(keep = fun _ -> true) g =
   let n = Digraph.vertex_count g in
-  let indeg = Array.init n (Digraph.in_degree g) in
+  let inside = Array.init n keep in
+  let size = Array.fold_left (fun k b -> k + Bool.to_int b) 0 inside in
+  let count_inside k u = if inside.(u) then k + 1 else k in
+  let indeg =
+    Array.init n (fun v ->
+        if inside.(v) then List.fold_left count_inside 0 (Digraph.pred g v) else 0)
+  in
   let module Q = Set.Make (Int) in
   let ready = ref Q.empty in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then ready := Q.add v !ready
+    if inside.(v) && indeg.(v) = 0 then ready := Q.add v !ready
   done;
   let order = ref [] in
   let count = ref 0 in
@@ -16,35 +22,25 @@ let topological_order g =
     order := v :: !order;
     incr count;
     let relax u =
-      indeg.(u) <- indeg.(u) - 1;
-      if indeg.(u) = 0 then ready := Q.add u !ready
+      if inside.(u) then begin
+        indeg.(u) <- indeg.(u) - 1;
+        if indeg.(u) = 0 then ready := Q.add u !ready
+      end
     in
     List.iter relax (Digraph.succ g v)
   done;
-  if !count <> n then begin
-    (* Find one cycle among the unprocessed vertices for the error report. *)
-    let in_cycle = Array.make n false in
-    for v = 0 to n - 1 do
-      if indeg.(v) > 0 then in_cycle.(v) <- true
-    done;
-    let start =
-      let rec find v = if v < n && not in_cycle.(v) then find (v + 1) else v in
-      find 0
-    in
+  if !count <> size then begin
+    (* Find one cycle for the error report. Every unprocessed vertex keeps
+       an unprocessed parent, so a walk along parents returns to a vertex
+       it passed; [path] holds the walk newest first. *)
+    let in_cycle v = indeg.(v) > 0 in
     let rec walk path v =
       if List.mem v path then
-        let rec cut = function
-          | [] -> []
-          | x :: rest -> if x = v then [ x ] else x :: cut rest
-        in
-        raise (Cycle (cut (List.rev (v :: path))))
-      else begin
-        match List.filter (fun u -> in_cycle.(u)) (Digraph.succ g v) with
-        | [] -> raise (Cycle [ v ])
-        | u :: _ -> walk (v :: path) u
-      end
+        let rec upto = function x :: rest when x <> v -> x :: upto rest | _ -> [ v ] in
+        raise (Cycle (upto path))
+      else walk (v :: path) (List.find in_cycle (Digraph.pred g v))
     in
-    walk [] start
+    walk [] (List.find in_cycle (List.init n Fun.id))
   end;
   List.rev !order
 
@@ -53,20 +49,21 @@ let is_dag g =
   | (_ : int list) -> true
   | exception Cycle _ -> false
 
-let reachable_set g v =
-  let n = Digraph.vertex_count g in
-  let seen = Array.make n false in
+let reach adj g v =
+  let seen = Array.make (Digraph.vertex_count g) false in
   let rec dfs u =
     if not seen.(u) then begin
       seen.(u) <- true;
-      List.iter dfs (Digraph.succ g u)
+      List.iter dfs (adj g u)
     end
   in
   dfs v;
   seen
 
-let descendants g v =
-  let seen = reachable_set g v in
+let reachable_set = reach Digraph.succ
+
+(* The vertices [seen] marks, [v] excluded; ascending. *)
+let others seen v =
   seen.(v) <- false;
   let acc = ref [] in
   for u = Array.length seen - 1 downto 0 do
@@ -74,9 +71,8 @@ let descendants g v =
   done;
   !acc
 
-let ancestors g v =
-  let gt = Digraph.transpose g in
-  descendants gt v
+let descendants g v = others (reachable_set g v) v
+let ancestors g v = others (reach Digraph.pred g v) v
 
 let longest_path_lengths g ~weight =
   let order = topological_order g in
@@ -88,25 +84,3 @@ let longest_path_lengths g ~weight =
   in
   List.iter process order;
   dist
-
-let induced_subgraph g ~keep =
-  let n = Digraph.vertex_count g in
-  let new_of_old = Array.make n (-1) in
-  let count = ref 0 in
-  for v = 0 to n - 1 do
-    if keep v then begin
-      new_of_old.(v) <- !count;
-      incr count
-    end
-  done;
-  let old_of_new = Array.make !count 0 in
-  for v = 0 to n - 1 do
-    if new_of_old.(v) >= 0 then old_of_new.(new_of_old.(v)) <- v
-  done;
-  let h = Digraph.create !count in
-  let add u v =
-    if new_of_old.(u) >= 0 && new_of_old.(v) >= 0 then
-      Digraph.add_edge h new_of_old.(u) new_of_old.(v)
-  in
-  Digraph.iter_edges add g;
-  (h, old_of_new, new_of_old)

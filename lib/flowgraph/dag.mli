@@ -5,11 +5,14 @@
     topological orders, ancestor/descendant sets and reachability. *)
 
 exception Cycle of int list
-(** Raised with one offending cycle when an algorithm requires acyclicity. *)
+(** Raised with one offending cycle, its vertices in edge order, when an
+    algorithm requires acyclicity. *)
 
-val topological_order : Digraph.t -> int list
-(** Deterministic (smallest-vertex-first) topological order.
-    @raise Cycle if the graph has a directed cycle. *)
+val topological_order : ?keep:(int -> bool) -> Digraph.t -> int list
+(** Deterministic topological order of the vertices [keep] accepts (all of
+    them by default) under the edges between them: among the ready
+    vertices the smallest id comes first.
+    @raise Cycle if those edges form a directed cycle. *)
 
 val is_dag : Digraph.t -> bool
 
@@ -26,8 +29,3 @@ val longest_path_lengths : Digraph.t -> weight:(int -> int) -> int array
 (** [longest_path_lengths g ~weight] gives, per vertex, the maximum total
     [weight] over paths ending at that vertex (inclusive). Used for critical
     path / ASAP bounds. @raise Cycle on cyclic input. *)
-
-val induced_subgraph : Digraph.t -> keep:(int -> bool) -> Digraph.t * int array * int array
-(** [induced_subgraph g ~keep] is [(h, old_of_new, new_of_old)] where [h]
-    contains only the kept vertices (re-indexed densely), [old_of_new] maps
-    the new ids back, and [new_of_old].(v) is [-1] for dropped vertices. *)

@@ -1,85 +1,50 @@
-type t = {
-  n : int;
-  succs : (int, unit) Hashtbl.t array;
-  preds : (int, unit) Hashtbl.t array;
-  mutable edges : int;
-}
+(* Versions share every vertex's lists; [add_edge] replaces two of them. *)
+type t = { succs : int list array; preds : int list array; edges : int }
 
-let create n =
-  if n < 0 then invalid_arg "Digraph.create: negative size";
-  {
-    n;
-    succs = Array.init n (fun _ -> Hashtbl.create 4);
-    preds = Array.init n (fun _ -> Hashtbl.create 4);
-    edges = 0;
-  }
-
-let vertex_count g = g.n
+let vertex_count g = Array.length g.succs
 let edge_count g = g.edges
 
-let check g v =
-  if v < 0 || v >= g.n then invalid_arg "Digraph: vertex out of range"
+let check n v = if v < 0 || v >= n then invalid_arg "Digraph: vertex out of range"
 
-let mem_edge g u v =
-  check g u;
-  check g v;
-  Hashtbl.mem g.succs.(u) v
+let check_edge name n u v =
+  check n u;
+  check n v;
+  if u = v then invalid_arg (name ^ ": self-loop")
 
-let add_edge g u v =
-  check g u;
-  check g v;
-  if u = v then invalid_arg "Digraph.add_edge: self-loop";
-  if not (Hashtbl.mem g.succs.(u) v) then begin
-    Hashtbl.replace g.succs.(u) v ();
-    Hashtbl.replace g.preds.(v) u ();
-    g.edges <- g.edges + 1
-  end
-
-let remove_edge g u v =
-  check g u;
-  check g v;
-  if Hashtbl.mem g.succs.(u) v then begin
-    Hashtbl.remove g.succs.(u) v;
-    Hashtbl.remove g.preds.(v) u;
-    g.edges <- g.edges - 1
-  end
-
-let sorted_keys tbl =
-  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
-
-let succ g v = check g v; sorted_keys g.succs.(v)
-let pred g v = check g v; sorted_keys g.preds.(v)
-let out_degree g v = check g v; Hashtbl.length g.succs.(v)
-let in_degree g v = check g v; Hashtbl.length g.preds.(v)
-
-let iter_edges f g =
-  for u = 0 to g.n - 1 do
-    List.iter (fun v -> f u v) (sorted_keys g.succs.(u))
-  done
-
-let fold_edges f g init =
-  let acc = ref init in
-  iter_edges (fun u v -> acc := f u v !acc) g;
-  !acc
-
-let copy g =
-  let g' = create g.n in
-  iter_edges (fun u v -> add_edge g' u v) g;
-  g'
-
-let transpose g =
-  let g' = create g.n in
-  iter_edges (fun u v -> add_edge g' v u) g;
-  g'
+let succ g v = check (vertex_count g) v; g.succs.(v)
+let pred g v = check (vertex_count g) v; g.preds.(v)
+let mem_edge g u v = check (vertex_count g) v; List.mem v (succ g u)
 
 let of_edges n edge_list =
-  let g = create n in
-  List.iter (fun (u, v) -> add_edge g u v) edge_list;
-  g
+  if n < 0 then invalid_arg "Digraph.of_edges: negative size";
+  let succs = Array.make n [] and preds = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      check_edge "Digraph.of_edges" n u v;
+      succs.(u) <- v :: succs.(u);
+      preds.(v) <- u :: preds.(v))
+    edge_list;
+  Array.map_inplace (List.sort_uniq Int.compare) succs;
+  Array.map_inplace (List.sort_uniq Int.compare) preds;
+  { succs; preds; edges = Array.fold_left (fun k l -> k + List.length l) 0 succs }
 
-let edges g = List.rev (fold_edges (fun u v acc -> (u, v) :: acc) g [])
+(* [x] into the ascending [l], which does not hold it. *)
+let rec insert x = function
+  | y :: rest when y < x -> y :: insert x rest
+  | l -> x :: l
 
-let pp fmt g =
-  Format.fprintf fmt "@[<v>digraph(%d) {" g.n;
-  iter_edges (fun u v -> Format.fprintf fmt "@ %d -> %d;" u v) g;
-  Format.fprintf fmt "@ }@]"
+let add_edge g u v =
+  check_edge "Digraph.add_edge" (vertex_count g) u v;
+  if List.mem v g.succs.(u) then g
+  else begin
+    let succs = Array.copy g.succs and preds = Array.copy g.preds in
+    succs.(u) <- insert v succs.(u);
+    preds.(v) <- insert u preds.(v);
+    { succs; preds; edges = g.edges + 1 }
+  end
+
+let iter_edges f g = Array.iteri (fun u vs -> List.iter (f u) vs) g.succs
+
+let edges g =
+  Array.to_list g.succs |> List.mapi (fun u vs -> List.map (fun v -> (u, v)) vs)
+  |> List.concat

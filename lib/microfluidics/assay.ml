@@ -1,41 +1,38 @@
+module G = Flowgraph.Digraph
+
 type t = {
   aname : string;
   mutable ops : Operation.t list; (* reversed *)
   mutable count : int;
-  mutable deps : (int * int) list; (* (parent, child), reversed *)
-  mutable reach_cache : Flowgraph.Digraph.t option;
+  mutable graph : G.t;
+      (* the dependencies; operations added since the last read are not
+         yet vertices of it *)
 }
 
-let create ~name = { aname = name; ops = []; count = 0; deps = []; reach_cache = None }
+let create ~name = { aname = name; ops = []; count = 0; graph = G.of_edges 0 [] }
 
 let add_operation a ?container ?capacity ?accessories ~duration name =
   let id = a.count in
   let op = Operation.make ~id ?container ?capacity ?accessories ~duration name in
   a.ops <- op :: a.ops;
   a.count <- a.count + 1;
-  a.reach_cache <- None;
   id
 
-let graph_internal a =
-  match a.reach_cache with
-  | Some g -> g
-  | None ->
-    let g = Flowgraph.Digraph.of_edges a.count a.deps in
-    a.reach_cache <- Some g;
-    g
+(* Every builder adds all operations before the dependencies, so the graph
+   grows once. *)
+let dependency_graph a =
+  if G.vertex_count a.graph < a.count then
+    a.graph <- G.of_edges a.count (G.edges a.graph);
+  a.graph
 
 let add_dependency a ~parent ~child =
   if parent < 0 || parent >= a.count || child < 0 || child >= a.count then
     invalid_arg "Assay.add_dependency: unknown operation id";
   if parent = child then invalid_arg "Assay.add_dependency: self-dependency";
-  let g = graph_internal a in
+  let g = dependency_graph a in
   if (Flowgraph.Dag.reachable_set g child).(parent) then
     invalid_arg "Assay.add_dependency: edge would close a cycle";
-  (* the cached graph stays valid: the edge goes in place *)
-  if not (Flowgraph.Digraph.mem_edge g parent child) then begin
-    a.deps <- (parent, child) :: a.deps;
-    Flowgraph.Digraph.add_edge g parent child
-  end
+  a.graph <- G.add_edge g parent child
 
 let name a = a.aname
 let operation_count a = a.count
@@ -46,10 +43,8 @@ let operation a i =
   if i < 0 || i >= a.count then invalid_arg "Assay.operation: unknown id";
   List.nth a.ops (a.count - 1 - i)
 
-let dependency_graph a = Flowgraph.Digraph.copy (graph_internal a)
-
-let parents a i = Flowgraph.Digraph.pred (graph_internal a) i
-let children a i = Flowgraph.Digraph.succ (graph_internal a) i
+let parents a i = G.pred (dependency_graph a) i
+let children a i = G.succ (dependency_graph a) i
 
 let indeterminate_ids a =
   List.rev
@@ -61,7 +56,7 @@ let indeterminate_count a = List.length (indeterminate_ids a)
 let critical_path_minutes a =
   if a.count = 0 then 0
   else begin
-    let g = graph_internal a in
+    let g = dependency_graph a in
     let ops = operations a in
     let dist =
       Flowgraph.Dag.longest_path_lengths g ~weight:(fun v ->
@@ -72,15 +67,15 @@ let critical_path_minutes a =
 
 let validate a =
   if a.count = 0 then Error "assay has no operations"
-  else if not (Flowgraph.Dag.is_dag (graph_internal a)) then
+  else if not (Flowgraph.Dag.is_dag (dependency_graph a)) then
     Error "dependency graph has a cycle"
   else Ok ()
 
+(* A disjoint union of acyclic graphs is acyclic: no edge needs the cycle
+   check of [add_dependency]. *)
 let union ~name assays =
   let merged = create ~name in
-  (* all operations first: adding one drops the cached graph, which the
-     dependencies then build once and extend in place *)
-  let add_operations a =
+  let add a =
     let offset = merged.count in
     Array.iter
       (fun (o : Operation.t) ->
@@ -89,15 +84,10 @@ let union ~name assays =
           (add_operation merged ?container:o.container ?capacity:o.capacity
              ~accessories ~duration:o.duration o.name))
       (operations a);
-    offset
+    List.map (fun (p, c) -> (p + offset, c + offset)) (G.edges (dependency_graph a))
   in
-  let offsets = List.map add_operations assays in
-  let add_dependencies a offset =
-    List.iter
-      (fun (p, c) -> add_dependency merged ~parent:(p + offset) ~child:(c + offset))
-      (List.rev a.deps)
-  in
-  List.iter2 add_dependencies assays offsets;
+  let edges = List.fold_left (fun acc a -> List.rev_append (add a) acc) [] assays in
+  merged.graph <- G.of_edges merged.count edges;
   merged
 
 let replicate a ~copies =
@@ -107,4 +97,4 @@ let replicate a ~copies =
 let pp fmt a =
   Format.fprintf fmt "@[<v>assay %s: %d ops (%d indeterminate), %d deps@]"
     a.aname a.count (indeterminate_count a)
-    (List.length a.deps)
+    (G.edge_count (dependency_graph a))

@@ -31,7 +31,8 @@ val operations : t -> Operation.t array
 val parents : t -> int -> int list
 val children : t -> int -> int list
 val dependency_graph : t -> Flowgraph.Digraph.t
-(** A copy; mutations do not affect the assay. *)
+(** The current graph, shared and immutable: a graph taken before an
+    [add_dependency] does not show the new edge. *)
 
 val indeterminate_count : t -> int
 
@@ -39,8 +40,10 @@ val critical_path_minutes : t -> int
 (** Lower bound on the makespan: the longest chain of minimum durations. *)
 
 val validate : t -> (unit, string) result
-(** Structural checks: non-empty, acyclic (enforced incrementally anyway),
-    every indeterminate operation's minimum duration positive. *)
+(** Structural checks: non-empty and acyclic. Every constructor keeps the
+    graph acyclic ([add_dependency] rejects a closing edge; a disjoint
+    union of acyclic assays is acyclic), so the second check guards that
+    invariant; [Operation.make] already rejects non-positive durations. *)
 
 val replicate : t -> copies:int -> t
 (** [replicate a ~copies] concatenates [copies] independent instances of the
@@ -48,6 +51,6 @@ val replicate : t -> copies:int -> t
     assays to 16/70/120 operations. *)
 
 val union : name:string -> t list -> t
-(** Disjoint union with dense re-indexing. *)
+(** Disjoint union with dense re-indexing. The graph is built once. *)
 
 val pp : Format.formatter -> t -> unit

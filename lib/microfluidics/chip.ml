@@ -30,6 +30,7 @@ let note_transport t ~src ~dst =
   end
 
 let path_count t = Hashtbl.length t.paths
+let has_path t a b = Hashtbl.mem t.paths (min a b, max a b)
 
 let path_usage t =
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.paths []

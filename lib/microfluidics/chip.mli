@@ -25,6 +25,10 @@ val note_transport : t -> src:int -> dst:int -> unit
     ignored. @raise Invalid_argument on unknown device ids. *)
 
 val path_count : t -> int
+
+val has_path : t -> int -> int -> bool
+(** Whether the (unordered) device pair has a path. *)
+
 val path_usage : t -> ((int * int) * int) list
 (** Unordered pairs [(lo, hi)] with their usage counts, most used first. *)
 

@@ -14,40 +14,43 @@ let int_list = Alcotest.(list int)
 (* ---------- Digraph ---------- *)
 
 let test_digraph_basic () =
-  let g = G.create 4 in
+  let g = G.of_edges 4 [ (0, 2); (0, 1); (0, 1) (* duplicate ignored *) ] in
   check int_t "vertices" 4 (G.vertex_count g);
-  check int_t "no edges" 0 (G.edge_count g);
-  G.add_edge g 0 1;
-  G.add_edge g 0 2;
-  G.add_edge g 0 1 (* duplicate ignored *);
+  check int_t "no edges" 0 (G.edge_count (G.of_edges 4 []));
   check int_t "edges" 2 (G.edge_count g);
   check bool "mem" true (G.mem_edge g 0 1);
   check bool "not mem" false (G.mem_edge g 1 0);
   check int_list "succ" [ 1; 2 ] (G.succ g 0);
   check int_list "pred" [ 0 ] (G.pred g 1);
-  check int_t "out degree" 2 (G.out_degree g 0);
-  check int_t "in degree" 1 (G.in_degree g 2);
-  G.remove_edge g 0 1;
-  check bool "removed" false (G.mem_edge g 0 1);
-  check int_t "edges after remove" 1 (G.edge_count g)
+  check int_t "duplicate add_edge" 2 (G.edge_count (G.add_edge g 0 1))
 
 let test_digraph_errors () =
-  let g = G.create 2 in
+  let g = G.of_edges 2 [] in
   Alcotest.check_raises "self loop" (Invalid_argument "Digraph.add_edge: self-loop")
-    (fun () -> G.add_edge g 0 0);
+    (fun () -> ignore (G.add_edge g 0 0));
+  Alcotest.check_raises "self loop in of_edges"
+    (Invalid_argument "Digraph.of_edges: self-loop") (fun () ->
+      ignore (G.of_edges 2 [ (1, 1) ]));
   Alcotest.check_raises "range" (Invalid_argument "Digraph: vertex out of range")
-    (fun () -> G.add_edge g 0 5);
-  Alcotest.check_raises "negative size" (Invalid_argument "Digraph.create: negative size")
-    (fun () -> ignore (G.create (-1)))
+    (fun () -> ignore (G.add_edge g 0 5));
+  Alcotest.check_raises "range in of_edges"
+    (Invalid_argument "Digraph: vertex out of range") (fun () ->
+      ignore (G.of_edges 2 [ (0, 1); (-1, 0) ]));
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Digraph.of_edges: negative size") (fun () ->
+      ignore (G.of_edges (-1) []))
 
-let test_digraph_transpose () =
+let test_digraph_persistent () =
   let g = G.of_edges 3 [ (0, 1); (1, 2) ] in
-  let t = G.transpose g in
-  check bool "reversed" true (G.mem_edge t 1 0 && G.mem_edge t 2 1);
-  check int_t "same count" (G.edge_count g) (G.edge_count t);
-  let c = G.copy g in
-  G.add_edge c 0 2;
-  check bool "copy independent" false (G.mem_edge g 0 2)
+  let g' = G.add_edge g 0 2 in
+  check bool "input unchanged" false (G.mem_edge g 0 2);
+  check int_t "input count unchanged" 2 (G.edge_count g);
+  check (Alcotest.list (Alcotest.pair int_t int_t)) "input edges unchanged"
+    [ (0, 1); (1, 2) ] (G.edges g);
+  check bool "new edge" true (G.mem_edge g' 0 2);
+  check int_list "succ stays sorted" [ 1; 2 ] (G.succ g' 0);
+  check int_list "pred stays sorted" [ 0; 1 ] (G.pred g' 2);
+  check int_t "new count" 3 (G.edge_count g')
 
 let test_digraph_edges_order () =
   let g = G.of_edges 3 [ (2, 1); (0, 2); (0, 1) ] in
@@ -60,14 +63,27 @@ let diamond () = G.of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]
 
 let test_topo_order () =
   check int_list "diamond" [ 0; 1; 2; 3 ] (Dag.topological_order (diamond ()));
-  check int_list "empty" [] (Dag.topological_order (G.create 0));
-  check int_list "isolated" [ 0; 1; 2 ] (Dag.topological_order (G.create 3))
+  check int_list "empty" [] (Dag.topological_order (G.of_edges 0 []));
+  check int_list "isolated" [ 0; 1; 2 ] (Dag.topological_order (G.of_edges 3 []))
+
+(* [cyc] is a directed cycle of [g], listed in edge order. *)
+let is_cycle g cyc =
+  match cyc with
+  | [] -> false
+  | first :: _ ->
+    let rec closed = function
+      | [ last ] -> G.mem_edge g last first
+      | u :: (v :: _ as rest) -> G.mem_edge g u v && closed rest
+      | [] -> false
+    in
+    closed cyc
 
 let test_topo_cycle () =
   let g = G.of_edges 3 [ (0, 1); (1, 2); (2, 0) ] in
   (match Dag.topological_order g with
    | _ -> Alcotest.fail "expected Cycle"
-   | exception Dag.Cycle cyc -> check bool "cycle non-empty" true (List.length cyc >= 1));
+   | exception Dag.Cycle cyc ->
+     check bool "reported cycle is a cycle" true (is_cycle g cyc));
   check bool "is_dag false" false (Dag.is_dag g);
   check bool "is_dag true" true (Dag.is_dag (diamond ()))
 
@@ -90,15 +106,19 @@ let test_longest_path () =
   let d2 = Dag.longest_path_lengths g ~weight:(fun v -> if v = 1 then 10 else 1) in
   check int_t "weighted" 12 d2.(3)
 
-let test_induced_subgraph () =
+let test_topo_subset () =
   let g = diamond () in
-  let h, old_of_new, new_of_old = Dag.induced_subgraph g ~keep:(fun v -> v <> 1) in
-  check int_t "size" 3 (G.vertex_count h);
-  check int_t "dropped" (-1) new_of_old.(1);
-  check int_t "mapping" 2 old_of_new.(new_of_old.(2));
-  check bool "edge kept" true (G.mem_edge h new_of_old.(0) new_of_old.(2));
-  check bool "edge through dropped vertex gone" false
-    (G.mem_edge h new_of_old.(0) new_of_old.(3))
+  let order keep = Dag.topological_order ~keep g in
+  check int_list "without 1" [ 0; 2; 3 ] (order (fun v -> v <> 1));
+  check int_list "1 and 3" [ 1; 3 ] (order (fun v -> v mod 2 = 1));
+  check int_list "none" [] (order (fun _ -> false));
+  let cyc = G.of_edges 4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
+  check int_list "cycle outside the subset" [ 2; 3 ]
+    (Dag.topological_order ~keep:(fun v -> v >= 2) cyc);
+  match Dag.topological_order ~keep:(fun v -> v <= 2) cyc with
+  | _ -> Alcotest.fail "expected Cycle"
+  | exception Dag.Cycle c ->
+    check bool "reported cycle is a cycle" true (is_cycle cyc c)
 
 (* ---------- Maxflow ---------- *)
 
@@ -208,6 +228,75 @@ let prop_ancestors_dual_descendants =
             (List.init n Fun.id))
         (List.init n Fun.id))
 
+(* The order a layer's list schedule once took: re-index the kept vertices
+   densely, build their induced subgraph, order it and map the ids back. *)
+let induced_subgraph_order g keep =
+  let n = G.vertex_count g in
+  let new_of_old = Array.make n (-1) in
+  let old_of_new = ref [] in
+  for v = 0 to n - 1 do
+    if keep v then begin
+      new_of_old.(v) <- List.length !old_of_new;
+      old_of_new := v :: !old_of_new
+    end
+  done;
+  let old_of_new = Array.of_list (List.rev !old_of_new) in
+  let sub_edges =
+    List.filter_map
+      (fun (u, v) ->
+        if new_of_old.(u) >= 0 && new_of_old.(v) >= 0 then
+          Some (new_of_old.(u), new_of_old.(v))
+        else None)
+      (G.edges g)
+  in
+  let sub = G.of_edges (Array.length old_of_new) sub_edges in
+  List.map (fun v -> old_of_new.(v)) (Dag.topological_order sub)
+
+(* A random DAG with its vertices renamed by a random permutation, so that
+   ids no longer follow a topological order, and a random vertex subset. *)
+let arb_dag_subset =
+  let gen =
+    QCheck.Gen.(
+      QCheck.gen arb_dag >>= fun (n, edges) ->
+      shuffle_l (List.init n Fun.id) >>= fun perm ->
+      list_repeat n bool >>= fun mask ->
+      let perm = Array.of_list perm in
+      let rename (a, b) = (perm.(a), perm.(b)) in
+      return (n, List.map rename edges, Array.of_list mask))
+  in
+  QCheck.make gen ~print:(fun (n, e, mask) ->
+      Printf.sprintf "%s keep=%s"
+        QCheck.Print.(pair int (list (pair int int)) (n, e))
+        (String.concat ""
+           (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask))))
+
+let prop_subset_order_matches_induced_subgraph =
+  QCheck.Test.make ~name:"subset topological order = induced-subgraph order" ~count:300
+    arb_dag_subset (fun (n, edges, mask) ->
+      let g = G.of_edges n edges in
+      let keep = Array.get mask in
+      Dag.topological_order ~keep g = induced_subgraph_order g keep)
+
+let arb_digraph =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun n ->
+      list_size (int_range 0 (n * 2)) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+      >>= fun raw -> return (n, List.filter (fun (a, b) -> a <> b) raw))
+  in
+  QCheck.make gen ~print:QCheck.Print.(pair int (list (pair int int)))
+
+let prop_order_or_cycle =
+  QCheck.Test.make ~name:"topological order, or a real cycle" ~count:300 arb_digraph
+    (fun (n, edges) ->
+      let g = G.of_edges n edges in
+      match Dag.topological_order g with
+      | order ->
+        let pos = Array.make n 0 in
+        List.iteri (fun i v -> pos.(v) <- i) order;
+        List.length order = n && List.for_all (fun (a, b) -> pos.(a) < pos.(b)) edges
+      | exception Dag.Cycle cyc -> is_cycle g cyc)
+
 (* Random flow network: max-flow equals brute-force min-cut capacity. *)
 let arb_network =
   let gen =
@@ -272,7 +361,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_digraph_basic;
           Alcotest.test_case "errors" `Quick test_digraph_errors;
-          Alcotest.test_case "transpose/copy" `Quick test_digraph_transpose;
+          Alcotest.test_case "persistent add_edge" `Quick test_digraph_persistent;
           Alcotest.test_case "edges order" `Quick test_digraph_edges_order;
         ] );
       ( "dag",
@@ -281,7 +370,7 @@ let () =
           Alcotest.test_case "cycle detection" `Quick test_topo_cycle;
           Alcotest.test_case "descendants/ancestors" `Quick test_descendants_ancestors;
           Alcotest.test_case "longest path" `Quick test_longest_path;
-          Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
+          Alcotest.test_case "topological order over a subset" `Quick test_topo_subset;
         ] );
       ( "maxflow",
         [
@@ -298,6 +387,8 @@ let () =
           [
             prop_topo_respects_edges;
             prop_ancestors_dual_descendants;
+            prop_subset_order_matches_induced_subgraph;
+            prop_order_or_cycle;
             prop_maxflow_equals_mincut;
             prop_both_cuts_same_value;
           ] );

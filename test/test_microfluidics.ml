@@ -181,8 +181,9 @@ let test_assay_replicate () =
     (Invalid_argument "Assay.replicate: copies must be positive") (fun () ->
       ignore (Assay.replicate a ~copies:0))
 
-(* Dependencies go into the cached graph in place; it must match a graph
-   rebuilt from the edge list, and still reject a cycle. *)
+(* [replicate] builds its graph in one go, without per-edge cycle checks;
+   it must match an assay built one checked dependency at a time, and
+   still reject a later edge that closes a cycle. *)
 let test_assay_replicate_graph () =
   let base = Assays.Gene_expression.base () in
   let n = Assay.operation_count base and copies = 5 in
@@ -193,12 +194,17 @@ let test_assay_replicate_graph () =
       (fun k -> List.map (fun (p, c) -> (p + (k * n), c + (k * n))) base_edges)
       (List.init copies Fun.id)
   in
-  let edges g = Flowgraph.Digraph.edges g in
+  let one_by_one = Assay.create ~name:"one by one" in
+  for _ = 1 to n * copies do
+    ignore (Assay.add_operation one_by_one ~duration:(Operation.Fixed 1) "op")
+  done;
+  List.iter
+    (fun (parent, child) -> Assay.add_dependency one_by_one ~parent ~child)
+    expected;
+  let edges a = Flowgraph.Digraph.edges (Assay.dependency_graph a) in
   check
     (Alcotest.list (Alcotest.pair int_t int_t))
-    "same edges as a rebuild"
-    (edges (Flowgraph.Digraph.of_edges (n * copies) expected))
-    (edges (Assay.dependency_graph r));
+    "same edges as one at a time" (edges one_by_one) (edges r);
   let p, c = List.hd (List.rev expected) in
   Assay.add_dependency r ~parent:p ~child:c;
   check int_t "duplicate edge ignored" (List.length expected)
@@ -206,6 +212,27 @@ let test_assay_replicate_graph () =
   Alcotest.check_raises "cycle-closing edge"
     (Invalid_argument "Assay.add_dependency: edge would close a cycle") (fun () ->
       Assay.add_dependency r ~parent:c ~child:p)
+
+(* [dependency_graph] hands out the assay's current graph as a value: later
+   dependencies do not show in a graph taken before them. *)
+let test_assay_graph_values () =
+  let a = Assay.create ~name:"t" in
+  let x = Assay.add_operation a ~duration:(Operation.Fixed 5) "x" in
+  let y = Assay.add_operation a ~duration:(Operation.Fixed 5) "y" in
+  let z = Assay.add_operation a ~duration:(Operation.Fixed 5) "z" in
+  Assay.add_dependency a ~parent:x ~child:y;
+  let before = Assay.dependency_graph a in
+  Assay.add_dependency a ~parent:y ~child:z;
+  let after = Assay.dependency_graph a in
+  let pairs = Alcotest.list (Alcotest.pair int_t int_t) in
+  check pairs "earlier graph unchanged" [ (x, y) ] (Flowgraph.Digraph.edges before);
+  check pairs "next graph has the edge" [ (x, y); (y, z) ]
+    (Flowgraph.Digraph.edges after);
+  let w = Assay.add_operation a ~duration:(Operation.Fixed 5) "w" in
+  Assay.add_dependency a ~parent:z ~child:w;
+  check int_t "earlier graph keeps its vertices" 3
+    (Flowgraph.Digraph.vertex_count after);
+  check (Alcotest.list int_t) "new operation's parents" [ z ] (Assay.parents a w)
 
 let test_assay_critical_path () =
   let a = Assay.create ~name:"t" in
@@ -283,6 +310,9 @@ let test_chip () =
   (match Chip.path_usage chip with
    | [ ((0, 1), 2) ] -> ()
    | _ -> Alcotest.fail "expected path (0,1) used twice");
+  check bool "has path either way" true
+    (Chip.has_path chip 1 0 && Chip.has_path chip 0 1);
+  check bool "no path within a device" false (Chip.has_path chip 0 0);
   check bool "area positive" true (Chip.total_area Cost.default chip > 0);
   Alcotest.check_raises "unknown device"
     (Invalid_argument "Chip.note_transport: unknown source device") (fun () ->
@@ -340,6 +370,7 @@ let () =
           Alcotest.test_case "cycle rejected" `Quick test_assay_cycle_rejected;
           Alcotest.test_case "replicate" `Quick test_assay_replicate;
           Alcotest.test_case "replicate graph" `Quick test_assay_replicate_graph;
+          Alcotest.test_case "graph values" `Quick test_assay_graph_values;
           Alcotest.test_case "critical path" `Quick test_assay_critical_path;
           Alcotest.test_case "empty invalid" `Quick test_assay_empty_invalid;
           Alcotest.test_case "paper cases 16/70/120" `Quick test_paper_cases_shape;
