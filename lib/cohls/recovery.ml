@@ -75,35 +75,31 @@ let merge_segments segments =
     waits = List.concat_map (fun (t : Runtime.trace) -> t.Runtime.waits) segments;
   }
 
-(* The unexecuted suffix as a fresh dense assay. Dependencies on executed
-   operations are dropped — their reagents were already delivered — while
-   intra-suffix dependencies survive. Returns the sub-assay and the
-   sub-id -> parent-id mapping. *)
+(* The unexecuted suffix, derived as a fresh dense assay over the kept
+   operations in ascending id order. Dependencies on executed operations are
+   dropped — their reagents were already delivered — while intra-suffix
+   dependencies survive: the induced subgraph, built in one pass. Returns
+   the sub-assay and the sub-id -> parent-id mapping. *)
 let suffix_assay assay keep =
-  let sub = Assay.create ~name:(Assay.name assay ^ "+recovery") in
   let orig_of_sub = Array.of_list keep in
-  let sub_of_orig = Hashtbl.create (Array.length orig_of_sub) in
-  Array.iteri (fun i o -> Hashtbl.replace sub_of_orig o i) orig_of_sub;
-  let ops = Assay.operations assay in
-  List.iter
-    (fun o ->
-      let (op : Operation.t) = ops.(o) in
-      ignore
-        (Assay.add_operation sub ?container:op.Operation.container
-           ?capacity:op.Operation.capacity
-           ~accessories:(Components.Accessory.Set.elements op.Operation.accessories)
-           ~duration:op.Operation.duration op.Operation.name))
-    keep;
-  List.iter
-    (fun o ->
-      let child = Hashtbl.find sub_of_orig o in
-      List.iter
-        (fun p ->
-          match Hashtbl.find_opt sub_of_orig p with
-          | Some parent -> Assay.add_dependency sub ~parent ~child
-          | None -> ())
-        (Assay.parents assay o))
-    keep;
+  let sub_of_orig = Array.make (Assay.operation_count assay) (-1) in
+  Array.iteri (fun i o -> sub_of_orig.(o) <- i) orig_of_sub;
+  let edges =
+    List.concat
+      (List.mapi
+         (fun child o ->
+           List.filter_map
+             (fun p ->
+               let parent = sub_of_orig.(p) in
+               if parent >= 0 then Some (parent, child) else None)
+             (Assay.parents assay o))
+         keep)
+  in
+  let sub =
+    Assay.derive ~name:(Assay.name assay ^ "+recovery")
+      (Array.map (Assay.operation assay) orig_of_sub)
+      (Flowgraph.Digraph.of_edges (Array.length orig_of_sub) edges)
+  in
   (sub, orig_of_sub)
 
 (* Permanent faults recovered from before execution gives up. *)

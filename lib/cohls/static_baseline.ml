@@ -2,22 +2,14 @@ open Microfluidics
 
 type exposure = { exposed_slots : int; total_slots : int; worst_chain : int }
 
-(* Rebuild the assay with indeterminacy erased. *)
+(* The assay with indeterminacy erased, over the same dependency graph. *)
 let determinise assay =
-  let det = Assay.create ~name:(Assay.name assay ^ "-static") in
-  Array.iter
-    (fun (o : Operation.t) ->
-      let duration = Operation.Fixed (Operation.min_duration o) in
-      ignore
-        (Assay.add_operation det ?container:o.Operation.container
-           ?capacity:o.Operation.capacity
-           ~accessories:(Components.Accessory.Set.elements o.Operation.accessories)
-           ~duration o.Operation.name))
-    (Assay.operations assay);
-  Flowgraph.Digraph.iter_edges
-    (fun u v -> Assay.add_dependency det ~parent:u ~child:v)
-    (Assay.dependency_graph assay);
-  det
+  Assay.derive ~name:(Assay.name assay ^ "-static")
+    (Array.map
+       (fun (o : Operation.t) ->
+         { o with Operation.duration = Operation.Fixed (Operation.min_duration o) })
+       (Assay.operations assay))
+    (Assay.dependency_graph assay)
 
 let static_schedule ?(config = Synthesis.default_config) assay =
   let det = determinise assay in

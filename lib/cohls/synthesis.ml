@@ -12,7 +12,6 @@ type config = {
 
 let cost = Cost.default
 let initial_transport = 10
-let progression = Transport.default_progression
 let improvement_threshold = 0.02
 
 let default_config =
@@ -163,9 +162,6 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
   Telemetry.span "synthesis.run" ~attrs:[ ("assay", Assay.name assay) ]
   @@ fun () ->
   let started = Telemetry.Clock.now_s () in
-  (match Assay.validate assay with
-   | Ok () -> ()
-   | Error msg -> invalid_arg ("Synthesis.run: " ^ msg));
   let layering = Layering.compute ~threshold:config.threshold assay in
   (* fresh ids must not collide with inherited pool devices (nor with ids
      the caller has retired, e.g. recovery's dead devices) *)
@@ -213,9 +209,9 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
             (Chip.devices prev_schedule.Schedule.chip)
         in
         let layout = Layout.place ~device_ids ~path_usage:usage in
-        Transport.of_layout progression ~op_count ~binding ~children ~layout
+        Transport.of_layout ~op_count ~binding ~children ~layout
       end
-      else Transport.refine progression ~op_count ~binding ~children ~path_usage:usage
+      else Transport.refine ~op_count ~binding ~children ~path_usage:usage
     in
     (* §3.2 re-synthesis inheritance: the whole previous chip D is visible
        to every layer; a layer pays the integration cost again on first use

@@ -26,7 +26,7 @@ type config = {
       (** price paths by grid-layout Manhattan length instead of usage rank *)
 }
 (** Every run prices devices with {!Cost.default}, estimates
-    transportation with {!Transport.default_progression} (2..10 minutes in
+    transportation with {!Transport.term}'s progression (2..10 minutes in
     5 terms), starts from {!initial_transport} and keeps iterating while
     the relative execution-time gain exceeds 2%. *)
 

@@ -1,17 +1,11 @@
-type progression = { min_term : int; max_term : int; term_count : int }
+(* The §4.1 arithmetic progression: 2..10 minutes in 5 terms. *)
+let min_term = 2
+let max_term = 10
+let term_count = 5
 
-let default_progression = { min_term = 2; max_term = 10; term_count = 5 }
-
-let validate p =
-  if p.term_count < 1 then invalid_arg "Transport: term_count must be >= 1";
-  if p.min_term < 0 || p.max_term < p.min_term then
-    invalid_arg "Transport: need 0 <= min_term <= max_term"
-
-let term p k =
-  validate p;
-  let k = max 0 (min (p.term_count - 1) k) in
-  if p.term_count = 1 then p.min_term
-  else p.min_term + (k * (p.max_term - p.min_term) / (p.term_count - 1))
+let term k =
+  let k = max 0 (min (term_count - 1) k) in
+  min_term + (k * (max_term - min_term) / (term_count - 1))
 
 type t = int array
 
@@ -24,8 +18,8 @@ let time t op = t.(op)
 let key a b = (min a b, max a b)
 
 (* Shared skeleton: [path_time] prices one inter-device pair. *)
-let refine_with ~op_count ~binding ~children ~path_time ~slowest =
-  let times = Array.make op_count slowest in
+let refine_with ~op_count ~binding ~children ~path_time =
+  let times = Array.make op_count max_term in
   for op = 0 to op_count - 1 do
     match binding op with
     | None -> ()
@@ -43,8 +37,7 @@ let refine_with ~op_count ~binding ~children ~path_time ~slowest =
   done;
   times
 
-let refine p ~op_count ~binding ~children ~path_usage =
-  validate p;
+let refine ~op_count ~binding ~children ~path_usage =
   let npaths = List.length path_usage in
   let rank_of =
     let tbl = Hashtbl.create 16 in
@@ -55,28 +48,21 @@ let refine p ~op_count ~binding ~children ~path_usage =
      over the progression terms. *)
   let path_time pair =
     match Hashtbl.find_opt rank_of pair with
-    | None -> term p (p.term_count - 1)
-    | Some r ->
-      let bucket = if npaths <= 1 then 0 else r * p.term_count / npaths in
-      term p bucket
+    | None -> max_term
+    | Some r -> term (if npaths <= 1 then 0 else r * term_count / npaths)
   in
   refine_with ~op_count ~binding ~children ~path_time
-    ~slowest:(term p (p.term_count - 1))
 
-let of_layout p ~op_count ~binding ~children ~layout =
-  validate p;
+let of_layout ~op_count ~binding ~children ~layout =
   let max_len =
     List.fold_left (fun acc (_, l) -> max acc l) 1 layout.Microfluidics.Layout.lengths
   in
   let path_time (a, b) =
     match Microfluidics.Layout.path_length layout a b with
-    | None -> term p (p.term_count - 1)
-    | Some len ->
-      let bucket = (len - 1) * p.term_count / max_len in
-      term p bucket
+    | None -> max_term
+    | Some len -> term ((len - 1) * term_count / max_len)
   in
   refine_with ~op_count ~binding ~children ~path_time
-    ~slowest:(term p (p.term_count - 1))
 
 let pp fmt t =
   Format.fprintf fmt "@[<h>transport[";

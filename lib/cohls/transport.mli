@@ -3,22 +3,14 @@
     Channel lengths are unknown during high-level synthesis, so the paper
     (1) starts from a user constant [t] for every operation, (2) after a
     full synthesis pass refines each operation's transportation time to a
-    term of a user-defined arithmetic progression — paths used more often
+    term of an arithmetic progression (here 2..10 minutes in 5 terms) —
+    paths used more often
     get shorter channels, hence shorter times — and (3) zeroes the time when
     all of an operation's children share its device. *)
 
-type progression = {
-  min_term : int;  (** minutes, shortest (most-used path) *)
-  max_term : int;
-  term_count : int;
-}
-
-val default_progression : progression
-(** [{min_term = 2; max_term = 10; term_count = 5}]. *)
-
-val term : progression -> int -> int
-(** [term p k] is the [k]-th term, clamped into [0 .. term_count-1].
-    @raise Invalid_argument on a malformed progression. *)
+val term : int -> int
+(** [term k] is the [k]-th term of the progression 2, 4, 6, 8, 10 minutes
+    ([k] clamped into [0 .. 4]); term 0 is the shortest, most-used path. *)
 
 type t
 (** Per-operation transportation times. *)
@@ -30,7 +22,6 @@ val time : t -> int -> int
 (** Transportation time of an operation's outputs, in minutes. *)
 
 val refine :
-  progression ->
   op_count:int ->
   binding:(int -> int option) ->
   children:(int -> int list) ->
@@ -44,7 +35,6 @@ val refine :
     {!Microfluidics.Chip.path_usage}). *)
 
 val of_layout :
-  progression ->
   op_count:int ->
   binding:(int -> int option) ->
   children:(int -> int list) ->

@@ -2,20 +2,25 @@ module G = Flowgraph.Digraph
 
 type t = {
   aname : string;
-  mutable ops : Operation.t list; (* reversed *)
+  mutable ops : Operation.t array; (* the first [count] slots, indexed by id *)
   mutable count : int;
   mutable graph : G.t;
       (* the dependencies; operations added since the last read are not
          yet vertices of it *)
 }
 
-let create ~name = { aname = name; ops = []; count = 0; graph = G.of_edges 0 [] }
+let create ~name = { aname = name; ops = [||]; count = 0; graph = G.of_edges 0 [] }
 
 let add_operation a ?container ?capacity ?accessories ~duration name =
   let id = a.count in
   let op = Operation.make ~id ?container ?capacity ?accessories ~duration name in
-  a.ops <- op :: a.ops;
-  a.count <- a.count + 1;
+  if id = Array.length a.ops then begin
+    let grown = Array.make (max 8 (2 * id)) op in
+    Array.blit a.ops 0 grown 0 id;
+    a.ops <- grown
+  end;
+  a.ops.(id) <- op;
+  a.count <- id + 1;
   id
 
 (* Every builder adds all operations before the dependencies, so the graph
@@ -34,33 +39,43 @@ let add_dependency a ~parent ~child =
     invalid_arg "Assay.add_dependency: edge would close a cycle";
   a.graph <- G.add_edge g parent child
 
+(* The one constructor of a finished assay; [graph] must have one vertex
+   per operation. *)
+let renumber ~name ops graph =
+  let ops = Array.mapi (fun id (o : Operation.t) -> { o with id }) ops in
+  { aname = name; ops; count = Array.length ops; graph }
+
+let derive ~name ops graph =
+  if G.vertex_count graph <> Array.length ops then
+    invalid_arg "Assay.derive: graph size differs from the operation count";
+  if not (Flowgraph.Dag.is_dag graph) then invalid_arg "Assay.derive: graph has a cycle";
+  renumber ~name ops graph
+
 let name a = a.aname
 let operation_count a = a.count
 
-let operations a = Array.of_list (List.rev a.ops)
+let operations a = Array.sub a.ops 0 a.count
 
 let operation a i =
   if i < 0 || i >= a.count then invalid_arg "Assay.operation: unknown id";
-  List.nth a.ops (a.count - 1 - i)
+  a.ops.(i)
 
 let parents a i = G.pred (dependency_graph a) i
 let children a i = G.succ (dependency_graph a) i
 
-let indeterminate_ids a =
-  List.rev
-    (List.filteri (fun _ o -> Operation.is_indeterminate o) (List.rev a.ops)
-     |> List.map (fun o -> o.Operation.id))
-
-let indeterminate_count a = List.length (indeterminate_ids a)
+let indeterminate_count a =
+  let n = ref 0 in
+  for i = 0 to a.count - 1 do
+    if Operation.is_indeterminate a.ops.(i) then incr n
+  done;
+  !n
 
 let critical_path_minutes a =
   if a.count = 0 then 0
   else begin
-    let g = dependency_graph a in
-    let ops = operations a in
     let dist =
-      Flowgraph.Dag.longest_path_lengths g ~weight:(fun v ->
-          Operation.min_duration ops.(v))
+      Flowgraph.Dag.longest_path_lengths (dependency_graph a) ~weight:(fun v ->
+          Operation.min_duration a.ops.(v))
     in
     Array.fold_left max 0 dist
   end
@@ -71,24 +86,16 @@ let validate a =
     Error "dependency graph has a cycle"
   else Ok ()
 
-(* A disjoint union of acyclic graphs is acyclic: no edge needs the cycle
-   check of [add_dependency]. *)
+(* A disjoint union of acyclic graphs is acyclic: [derive]'s cycle check is
+   not needed. *)
 let union ~name assays =
-  let merged = create ~name in
-  let add a =
-    let offset = merged.count in
-    Array.iter
-      (fun (o : Operation.t) ->
-        let accessories = Components.Accessory.Set.elements o.accessories in
-        ignore
-          (add_operation merged ?container:o.container ?capacity:o.capacity
-             ~accessories ~duration:o.duration o.name))
-      (operations a);
-    List.map (fun (p, c) -> (p + offset, c + offset)) (G.edges (dependency_graph a))
+  let shifted (offset, edges) a =
+    ( offset + a.count,
+      List.fold_left (fun acc (p, c) -> (p + offset, c + offset) :: acc) edges
+        (G.edges a.graph) )
   in
-  let edges = List.fold_left (fun acc a -> List.rev_append (add a) acc) [] assays in
-  merged.graph <- G.of_edges merged.count edges;
-  merged
+  let count, edges = List.fold_left shifted (0, []) assays in
+  renumber ~name (Array.concat (List.map operations assays)) (G.of_edges count edges)
 
 let replicate a ~copies =
   if copies <= 0 then invalid_arg "Assay.replicate: copies must be positive";

@@ -22,9 +22,20 @@ val add_dependency : t -> parent:int -> child:int -> unit
 (** @raise Invalid_argument on unknown ids, self-dependency, or an edge that
     would close a cycle. *)
 
+val derive : name:string -> Operation.t array -> Flowgraph.Digraph.t -> t
+(** [derive ~name ops graph] is the assay over [ops] with dependencies
+    [graph], vertex [i] being [ops.(i)]. Operations are renumbered
+    [0 .. n-1] in array order; every other field is kept. [graph] is shared,
+    not copied, and is checked for cycles once. Recovery suffixes and the
+    static baseline derive their assays this way.
+    @raise Invalid_argument when [graph]'s vertex count differs from
+    [Array.length ops], or [graph] has a cycle. *)
+
 val name : t -> string
 val operation_count : t -> int
 val operation : t -> int -> Operation.t
+(** Constant time. @raise Invalid_argument on an unknown id. *)
+
 val operations : t -> Operation.t array
 (** Fresh copy, indexed by id. *)
 
@@ -41,8 +52,8 @@ val critical_path_minutes : t -> int
 
 val validate : t -> (unit, string) result
 (** Structural checks: non-empty and acyclic. Every constructor keeps the
-    graph acyclic ([add_dependency] rejects a closing edge; a disjoint
-    union of acyclic assays is acyclic), so the second check guards that
+    graph acyclic ([add_dependency] rejects a closing edge; [derive] checks
+    the graph it is given; a disjoint union of acyclic assays is acyclic), so the second check guards that
     invariant; [Operation.make] already rejects non-positive durations. *)
 
 val replicate : t -> copies:int -> t
@@ -51,6 +62,7 @@ val replicate : t -> copies:int -> t
     assays to 16/70/120 operations. *)
 
 val union : name:string -> t list -> t
-(** Disjoint union with dense re-indexing. The graph is built once. *)
+(** Disjoint union with dense re-indexing. The graph is built once, with
+    no cycle check. *)
 
 val pp : Format.formatter -> t -> unit

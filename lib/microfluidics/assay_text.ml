@@ -68,7 +68,15 @@ let lex source =
         while !i < n && source.[!i] >= '0' && source.[!i] <= '9' do incr i done;
         push (Float_lit (float_of_string (String.sub source start (!i - start))))
       end
-      else push (Int_lit (int_of_string (String.sub source start (!i - start))))
+      else begin
+        let literal = String.sub source start (!i - start) in
+        match int_of_string_opt literal with
+        | Some k -> push (Int_lit k)
+        | None ->
+          raise
+            (Lex_error
+               { line = !line; message = Printf.sprintf "integer %s is too large" literal })
+      end
     end
     else if is_ident_char c then begin
       let start = !i in

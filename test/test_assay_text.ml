@@ -100,7 +100,10 @@ let test_errors () =
   (* unterminated string *)
   expect_error ~line:1 "assay \"oops";
   (* indeterminate without min *)
-  expect_error ~line:1 "op a { duration = indeterminate 5 }"
+  expect_error ~line:1 "op a { duration = indeterminate 5 }";
+  (* integer literals beyond int *)
+  expect_error ~line:1 "op a { duration = 99999999999999999999999 }";
+  expect_error ~line:2 "op a { duration = 1 }\nreplicate 99999999999999999999999"
 
 let test_volume_field () =
   let a =

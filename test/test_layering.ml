@@ -281,20 +281,13 @@ let choice_to_string = function
 (* The same assay with its ids reversed: every parent then has a larger id
    than its child, as a textual assay may number them. *)
 let reverse_ids a =
-  let ops = Assay.operations a in
-  let n = Array.length ops in
-  let r = Assay.create ~name:(Assay.name a) in
-  for i = n - 1 downto 0 do
-    let o = ops.(i) in
-    ignore
-      (Assay.add_operation r ?container:o.Operation.container ?capacity:o.capacity
-         ~accessories:(Components.Accessory.Set.elements o.accessories)
-         ~duration:o.duration o.name)
-  done;
-  Flowgraph.Digraph.iter_edges
-    (fun p c -> Assay.add_dependency r ~parent:(n - 1 - p) ~child:(n - 1 - c))
-    (Assay.dependency_graph a);
-  r
+  let n = Assay.operation_count a in
+  let flip = n - 1 in
+  Assay.derive ~name:(Assay.name a)
+    (Array.init n (fun i -> Assay.operation a (flip - i)))
+    (Flowgraph.Digraph.of_edges n
+       (List.map (fun (p, c) -> (flip - p, flip - c))
+          (Flowgraph.Digraph.edges (Assay.dependency_graph a))))
 
 let arb_oracle_case =
   QCheck.make

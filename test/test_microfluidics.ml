@@ -234,6 +234,113 @@ let test_assay_graph_values () =
     (Flowgraph.Digraph.vertex_count after);
   check (Alcotest.list int_t) "new operation's parents" [ z ] (Assay.parents a w)
 
+(* ---------- derived assays ---------- *)
+
+let fixed name = Operation.make ~id:0 ~duration:(Operation.Fixed 5) name
+
+let test_assay_derive_size_mismatch () =
+  Alcotest.check_raises "size mismatch"
+    (Invalid_argument "Assay.derive: graph size differs from the operation count")
+    (fun () ->
+      ignore
+        (Assay.derive ~name:"d" [| fixed "x"; fixed "y" |]
+           (Flowgraph.Digraph.of_edges 3 [])))
+
+let test_assay_derive_cycle () =
+  Alcotest.check_raises "cycle" (Invalid_argument "Assay.derive: graph has a cycle")
+    (fun () ->
+      ignore
+        (Assay.derive ~name:"d"
+           [| fixed "x"; fixed "y"; fixed "z" |]
+           (Flowgraph.Digraph.of_edges 3 [ (0, 1); (1, 2); (2, 0) ])))
+
+let test_assay_derive_renumbers () =
+  let source = Assays.Gene_expression.base () in
+  let picked = [| 4; 1; 6 |] in
+  let g = Flowgraph.Digraph.of_edges 3 [ (1, 0) ] in
+  let d =
+    Assay.derive ~name:"picked" (Array.map (Assay.operation source) picked) g
+  in
+  check str "name" "picked" (Assay.name d);
+  check (Alcotest.list int_t) "ids renumbered in array order" [ 0; 1; 2 ]
+    (Array.to_list (Array.map (fun (o : Operation.t) -> o.Operation.id) (Assay.operations d)));
+  Array.iteri
+    (fun i orig ->
+      check str "name kept" (Assay.operation source orig).Operation.name
+        (Assay.operation d i).Operation.name)
+    picked;
+  check bool "graph shared" true (Assay.dependency_graph d == g);
+  check (Alcotest.list int_t) "parents" [ 1 ] (Assay.parents d 0)
+
+let test_static_baseline_shares_graph () =
+  let source = Assays.Gene_expression.testcase () in
+  let s = Cohls.Static_baseline.static_schedule source in
+  let det = s.Cohls.Schedule.assay in
+  check bool "same graph value" true
+    (Assay.dependency_graph det == Assay.dependency_graph source);
+  check int_t "indeterminacy erased" 0 (Assay.indeterminate_count det)
+
+(* The builder route [derive] replaced: every kept operation re-added field
+   by field, every induced edge re-added through the cycle check. *)
+let rebuild_reference a keep =
+  let sub = Assay.create ~name:"reference" in
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i o -> Hashtbl.replace index o i) keep;
+  List.iter
+    (fun o ->
+      let (op : Operation.t) = Assay.operation a o in
+      ignore
+        (Assay.add_operation sub ?container:op.container ?capacity:op.capacity
+           ~accessories:(Accessory.Set.elements op.accessories)
+           ~duration:op.duration op.name))
+    keep;
+  List.iter
+    (fun o ->
+      List.iter
+        (fun p ->
+          match Hashtbl.find_opt index p with
+          | Some parent -> Assay.add_dependency sub ~parent ~child:(Hashtbl.find index o)
+          | None -> ())
+        (Assay.parents a o))
+    keep;
+  sub
+
+let derive_induced a keep =
+  let index = Array.make (Assay.operation_count a) (-1) in
+  List.iteri (fun i o -> index.(o) <- i) keep;
+  let edges =
+    List.concat
+      (List.mapi
+         (fun child o ->
+           List.filter_map
+             (fun p -> if index.(p) >= 0 then Some (index.(p), child) else None)
+             (Assay.parents a o))
+         keep)
+  in
+  Assay.derive ~name:"derived"
+    (Array.of_list (List.map (Assay.operation a) keep))
+    (Flowgraph.Digraph.of_edges (List.length keep) edges)
+
+let op_fields (o : Operation.t) =
+  (o.name, o.container, o.capacity, Accessory.Set.elements o.accessories, o.duration)
+
+let prop_derive_matches_rebuild =
+  QCheck.Test.make ~count:200 ~name:"derive over an induced subgraph = field-by-field rebuild"
+    QCheck.(
+      quad (int_range 0 9999) (int_range 1 40) (float_range 0.0 0.5)
+        (list_of_size (Gen.return 40) bool))
+    (fun (seed, op_count, edge_probability, mask) ->
+      let a =
+        Assays.Random_assay.generate ~seed
+          { Assays.Random_assay.default_params with op_count; edge_probability }
+      in
+      let keep = List.filteri (fun i _ -> List.nth mask i) (List.init op_count Fun.id) in
+      let derived = derive_induced a keep and reference = rebuild_reference a keep in
+      Array.map op_fields (Assay.operations derived)
+      = Array.map op_fields (Assay.operations reference)
+      && Flowgraph.Digraph.edges (Assay.dependency_graph derived)
+         = Flowgraph.Digraph.edges (Assay.dependency_graph reference))
+
 let test_assay_critical_path () =
   let a = Assay.create ~name:"t" in
   let x = Assay.add_operation a ~duration:(Operation.Fixed 5) "x" in
@@ -371,6 +478,13 @@ let () =
           Alcotest.test_case "replicate" `Quick test_assay_replicate;
           Alcotest.test_case "replicate graph" `Quick test_assay_replicate_graph;
           Alcotest.test_case "graph values" `Quick test_assay_graph_values;
+          Alcotest.test_case "derive rejects a size mismatch" `Quick
+            test_assay_derive_size_mismatch;
+          Alcotest.test_case "derive rejects a cycle" `Quick test_assay_derive_cycle;
+          Alcotest.test_case "derive renumbers ids" `Quick test_assay_derive_renumbers;
+          Alcotest.test_case "static baseline shares the graph" `Quick
+            test_static_baseline_shares_graph;
+          QCheck_alcotest.to_alcotest prop_derive_matches_rebuild;
           Alcotest.test_case "critical path" `Quick test_assay_critical_path;
           Alcotest.test_case "empty invalid" `Quick test_assay_empty_invalid;
           Alcotest.test_case "paper cases 16/70/120" `Quick test_paper_cases_shape;

@@ -99,6 +99,26 @@ let ops_started_exactly_once label assay (trace : Cohls.Runtime.trace) =
         1 finishes.(op))
     starts
 
+(* Every dependency of the original assay holds in the merged trace, also
+   across segments: a recovered suffix must keep its internal edges. *)
+let dependencies_respected label assay (trace : Cohls.Runtime.trace) =
+  let a = Lazy.force assay in
+  let n = Assay.operation_count a in
+  let start = Array.make n 0 and finish = Array.make n 0 in
+  List.iter
+    (fun (e : Cohls.Runtime.event) ->
+      match e.Cohls.Runtime.kind with
+      | `Start -> start.(e.Cohls.Runtime.op) <- e.Cohls.Runtime.time
+      | `Finish -> finish.(e.Cohls.Runtime.op) <- e.Cohls.Runtime.time)
+    trace.Cohls.Runtime.events;
+  Flowgraph.Digraph.iter_edges
+    (fun p c ->
+      check bool
+        (Printf.sprintf "%s: op %d starts after its parent %d finished" label c p)
+        true
+        (start.(c) >= finish.(p)))
+    (Assay.dependency_graph a)
+
 let boundaries_strictly_increasing label (trace : Cohls.Runtime.trace) =
   let rec go = function
     | (l1, t1) :: ((l2, t2) :: _ as rest) ->
@@ -124,6 +144,7 @@ let test_seeded_sweep () =
             | Ok o ->
               if o.Cohls.Recovery.attempts <> [] then incr completed_with_recovery;
               ops_started_exactly_once label assay o.Cohls.Recovery.trace;
+              dependencies_respected label assay o.Cohls.Recovery.trace;
               boundaries_strictly_increasing label o.Cohls.Recovery.trace;
               List.iter
                 (fun rs ->

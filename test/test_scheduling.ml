@@ -95,14 +95,11 @@ let test_device_subsumes () =
 (* ---------- transport ---------- *)
 
 let test_progression_terms () =
-  let p = { T.min_term = 2; max_term = 10; term_count = 5 } in
-  check int_t "term 0" 2 (T.term p 0);
-  check int_t "term 4" 10 (T.term p 4);
-  check int_t "term 2" 6 (T.term p 2);
-  check int_t "clamped low" 2 (T.term p (-3));
-  check int_t "clamped high" 10 (T.term p 99);
-  let single = { T.min_term = 4; max_term = 4; term_count = 1 } in
-  check int_t "single term" 4 (T.term single 0)
+  check int_t "term 0" 2 (T.term 0);
+  check int_t "term 4" 10 (T.term 4);
+  check int_t "term 2" 6 (T.term 2);
+  check int_t "clamped low" 2 (T.term (-3));
+  check int_t "clamped high" 10 (T.term 99)
 
 let test_transport_constant () =
   let t = T.constant ~op_count:3 7 in
@@ -111,36 +108,33 @@ let test_transport_constant () =
     (fun () -> ignore (T.constant ~op_count:1 (-1)))
 
 let test_transport_refine () =
-  let p = { T.min_term = 1; max_term = 5; term_count = 5 } in
   (* op 0 -> op 1 cross-device on the hottest path; op 1 -> op 2 same device;
      op 3 has no children *)
   let binding = function 0 -> Some 10 | 1 -> Some 11 | 2 -> Some 11 | _ -> Some 12 in
   let children = function 0 -> [ 1 ] | 1 -> [ 2 ] | _ -> [] in
   let path_usage = [ ((10, 11), 9); ((11, 12), 1) ] in
-  let t = T.refine p ~op_count:4 ~binding ~children ~path_usage in
-  check int_t "hottest path -> fastest term" 1 (T.time t 0);
+  let t = T.refine ~op_count:4 ~binding ~children ~path_usage in
+  check int_t "hottest path -> fastest term" 2 (T.time t 0);
   check int_t "same device -> zero" 0 (T.time t 1);
   check int_t "no children -> zero" 0 (T.time t 2)
 
 let test_transport_refine_unbound () =
-  let p = T.default_progression in
   let t =
-    T.refine p ~op_count:2
+    T.refine ~op_count:2
       ~binding:(fun _ -> None)
       ~children:(fun _ -> [])
       ~path_usage:[]
   in
-  check int_t "unbound keeps slowest" (T.term p (p.T.term_count - 1)) (T.time t 0)
+  check int_t "unbound keeps slowest" 10 (T.time t 0)
 
 let test_transport_of_layout () =
-  let p = { T.min_term = 1; max_term = 5; term_count = 5 } in
   let usage = [ ((0, 1), 9); ((1, 2), 1) ] in
   let layout = Layout.place ~device_ids:[ 0; 1; 2 ] ~path_usage:usage in
   let binding = function 0 -> Some 0 | 1 -> Some 1 | _ -> Some 2 in
   let children = function 0 -> [ 1 ] | 1 -> [ 2 ] | _ -> [] in
-  let t = T.of_layout p ~op_count:3 ~binding ~children ~layout in
+  let t = T.of_layout ~op_count:3 ~binding ~children ~layout in
   (* adjacent hot pair is at distance 1 -> fastest bucket *)
-  check int_t "hot pair fast" 1 (T.time t 0);
+  check int_t "hot pair fast" 2 (T.time t 0);
   check bool "cold pair not faster" true (T.time t 1 >= T.time t 0)
 
 (* ---------- list scheduler ---------- *)
