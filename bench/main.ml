@@ -358,24 +358,6 @@ let ablation () =
         case.label vo so vc sc)
     cases;
 
-  section "Ablation: phase-1 selection order (the paper's 'randomly choose')";
-  (* Algorithm 1 picks the next eligible indeterminate op "randomly"; the
-     layering outcome should be essentially insensitive to that order *)
-  let a3 = Assays.Rt_qpcr.testcase () in
-  let base_layers = Cohls.Layering.layer_count (Cohls.Layering.compute a3) in
-  let seeds = [ 1; 7; 42; 1234 ] in
-  let counts =
-    List.map
-      (fun seed ->
-        Cohls.Layering.layer_count
-          (Cohls.Layering.compute ~choice:(Cohls.Layering.Seeded seed) a3))
-      seeds
-  in
-  Format.fprintf fmt
-    "  case3: smallest-id gives %d layers; seeded picks give %s layers@."
-    base_layers
-    (String.concat ", " (List.map string_of_int counts));
-
   section "Ablation: binding-rule robustness over random protocols";
   let wins = ref 0 and ties = ref 0 and losses = ref 0 in
   let tried = ref 0 in
@@ -589,14 +571,17 @@ let case1_layer_model () =
   Cohls.Ilp_model.model (Cohls.Ilp_model.build problem ~slots)
 
 (* Warm re-solves of [model] from its root basis, the simplex kernel's warm
-   path without the tree search. A copy of the model is presolved, as
-   branch-and-bound does at its root, and solved cold once, here; the
-   returned thunk re-solves, each warm from that root, the down and the up
-   branch of eight of the root's fractional integer variables, evenly
-   spaced in variable order. *)
+   path without the tree search. The model is presolved, as
+   branch-and-bound does at its root, and the reduced model solved cold
+   once, here; the returned thunk re-solves, each warm from that root, the
+   down and the up branch of eight of the root's fractional integer
+   variables, evenly spaced in variable order. *)
 let warm_resolves model =
-  let model = Lp.Model.copy model in
-  ignore (Lp.Presolve.run model);
+  let model =
+    match Lp.Presolve.run model with
+    | Lp.Presolve.Reduced { model; _ } -> model
+    | Lp.Presolve.Proved_infeasible -> failwith "warm_resolves: presolve proved infeasible"
+  in
   match Lp.Simplex.solve_relaxation_float model with
   | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> failwith "warm_resolves: no root optimum"
   | Lp.Simplex.Optimal { values; warm; _ } ->
@@ -645,7 +630,7 @@ let micro () =
                   assay2)));
       Test.make ~name:"simplex/wyndor-float" (stagef wyndor_solve);
       Test.make ~name:"presolve/case1-layer"
-        (stagef (fun () -> ignore (Lp.Presolve.run (Lp.Model.copy layer1))));
+        (stagef (fun () -> ignore (Lp.Presolve.run layer1)));
       Test.make ~name:"simplex/case1-layer-warm" (stagef (warm_resolves layer1));
       Test.make ~name:"maxflow/8x8-grid" (stagef maxflow_grid);
       Test.make ~name:"bigint/mul-256-digit"

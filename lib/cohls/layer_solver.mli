@@ -8,10 +8,12 @@
     solution, and keeps whichever is better. So it degrades gracefully into
     the heuristic when the time budget is too small for the exact search
     (the anytime behaviour the paper gets from Gurobi). The ILP schedule wins only with an exact
-    certificate: its values satisfy every row, bound and integrality
-    requirement of the model as built (before presolve) in rational
-    arithmetic, and its exactly recomputed objective is strictly better than
-    the heuristic's. A schedule that fails the certificate is counted under
+    certificate: its exactly recomputed objective is strictly better than
+    the heuristic's, and its values satisfy, in rational arithmetic, every
+    row, bound and integrality requirement of the model as built (never
+    presolved: presolve returns a new model) plus its cutoff row
+    (objective no worse than the heuristic's, which a strictly better
+    schedule satisfies). A schedule that fails the certificate is counted under
     [layer.ilp_uncertified] and the heuristic schedule is kept; so is it
     when the solver fails outright ([layer.ilp_failed]). *)
 

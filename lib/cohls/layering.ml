@@ -17,8 +17,6 @@ type t = {
   layer_of_op : int array;
 }
 
-type choice = Smallest_id | Seeded of int
-
 (* Per-call working state over the assay's own dependency graph [dag],
    read in place. Every reachability query shares [mark]: a vertex is
    visited by the current query iff its mark equals [stamp], so a query
@@ -61,17 +59,18 @@ let mark_all g vs =
 
 (* Phase 1 of Algorithm 1 (Fig. 4): keep every indeterminate operation that
    has no indeterminate ancestor in the working set, pushing its descendants
-   to later layers; then keep all untouched operations. The paper picks the
-   next eligible operation "randomly"; [choice] makes that pick either
-   deterministic (smallest id) or seeded pseudo-random.
+   to later layers; then keep all untouched operations.
 
    The eligible operations are the roots: indeterminate operations with no
    indeterminate ancestor inside [working], marked in one sweep in
-   topological order. A root is never pushed (everything pushed descends
-   from a selected indeterminate operation), so each round picks among the
-   roots not yet selected. On return [kept] marks the layer; the result is
-   the selected roots, ascending. *)
-let dependency_based_allocation g ~topo ~is_indet ~choice ~working ~kept ~tainted =
+   topological order. The paper picks the next eligible operation
+   "randomly", but the pick order cannot matter: no root descends from
+   another, so every root is selected whatever the order, and an operation
+   is pushed exactly when some root reaches it through the working set.
+   One multi-source descendant search from all roots therefore pushes what
+   any order of per-root rounds would. On return [kept] marks the layer;
+   the result is the roots, ascending. *)
+let dependency_based_allocation g ~topo ~is_indet ~working ~kept ~tainted =
   let n = Array.length working in
   List.iter
     (fun v ->
@@ -86,25 +85,8 @@ let dependency_based_allocation g ~topo ~is_indet ~choice ~working ~kept ~tainte
     kept.(v) <- working.(v);
     if working.(v) && is_indet v && not tainted.(v) then roots := v :: !roots
   done;
-  let rec rounds round = function
-    | [] -> ()
-    | first :: others as vs ->
-      let v, rest =
-        match choice with
-        | Smallest_id -> (first, others)
-        | Seeded seed ->
-          let h = ref ((seed * 0x9E3779B1) + (round * 0x85EBCA77)) in
-          h := !h lxor (!h lsr 13);
-          h := !h * 0xC2B2AE35;
-          h := !h lxor (!h lsr 16);
-          let v = List.nth vs (abs !h mod List.length vs) in
-          (v, List.filter (fun u -> u <> v) vs)
-      in
-      let pushed = reach g G.succ ~inside:(Array.get kept) [ v ] in
-      List.iter (fun w -> kept.(w) <- false) pushed;
-      rounds (round + 1) rest
-  in
-  rounds 1 !roots;
+  let pushed = reach g G.succ ~inside:(Array.get kept) !roots in
+  List.iter (fun w -> kept.(w) <- false) pushed;
   Telemetry.count "layering.mis_rounds";
   Telemetry.count ~by:(List.length !roots) "layering.mis_selected";
   !roots
@@ -227,7 +209,7 @@ let resource_based_allocation g ~cache ~threshold ~kept selected =
   Telemetry.count ~by:!hits "layering.cut_cache_hits";
   selected
 
-let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
+let compute ?(threshold = 10) assay =
   if threshold < 1 then invalid_arg "Layering.compute: threshold must be >= 1";
   (match Assay.validate assay with
    | Ok () -> ()
@@ -248,8 +230,7 @@ let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
   let index = ref 0 and left = ref n in
   while !left > 0 do
     let selected =
-      dependency_based_allocation g ~topo ~is_indet ~choice ~working:remaining ~kept
-        ~tainted
+      dependency_based_allocation g ~topo ~is_indet ~working:remaining ~kept ~tainted
     in
     let selected = resource_based_allocation g ~cache ~threshold ~kept selected in
     let layer_ops = List.filter (Array.get kept) (List.init n Fun.id) in

@@ -8,7 +8,10 @@
     - {e dependency-based allocation}: a modified maximum-independent-set
       pass — repeatedly pick an indeterminate operation with no indeterminate
       ancestor left in the working set, keep it, and push all its descendants
-      to later layers; finally keep every remaining operation (Fig. 4);
+      to later layers; finally keep every remaining operation (Fig. 4). The
+      paper picks "randomly", but no such operation descends from another,
+      so every pick order keeps the same set: all of them, with everything
+      they reach through the working set pushed;
     - {e resource-based allocation}: while the layer holds more indeterminate
       operations than the threshold [t], evict the one whose removal is
       cheapest, where the cost is a Ford–Fulkerson minimum cut between a
@@ -20,8 +23,8 @@
     Cost per layer, for a working set of [n] operations and [m]
     dependencies. Phase 1 is O(n + m): one sweep in topological order marks
     the eligible operations (indeterminate, no indeterminate ancestor in the
-    working set), and the descendant searches of the picked operations visit
-    each pushed operation once. Phase 2 evaluates a candidate once, then
+    working set), and one multi-source descendant search from all of them
+    marks the pushed operations. Phase 2 evaluates a candidate once, then
     reuses it: one ancestor search, one max-flow on the in-layer ancestor
     subgraph and one multi-source descendant search for the closure. The
     cached evaluation depends only on its {e support}, the candidate's
@@ -50,17 +53,9 @@ type t = {
   layer_of_op : int array;
 }
 
-type choice =
-  | Smallest_id  (** deterministic; the default *)
-  | Seeded of int
-      (** pseudo-random pick among the eligible indeterminate operations —
-          the paper's literal "randomly choose" (§3.1), reproducible per
-          seed; the ablation bench measures how little the outcome depends
-          on it *)
-
-val compute : ?threshold:int -> ?choice:choice -> Assay.t -> t
-(** Default [threshold = 10] (the paper's experimental setting) and
-    [choice = Smallest_id].
+val compute : ?threshold:int -> Assay.t -> t
+(** Default [threshold = 10] (the paper's experimental setting). The result
+    is deterministic and equals the layering of every phase-1 pick order.
     @raise Invalid_argument if [threshold < 1] or the assay fails
     validation. *)
 

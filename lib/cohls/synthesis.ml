@@ -76,6 +76,8 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
      per-layer device sets can never exceed the cap. *)
   let referenced = Hashtbl.create 32 in
   List.iter (fun (d : Device.t) -> Hashtbl.replace referenced d.Device.id ()) pool;
+  (* devices bound by this pass's entries so far; after the last layer,
+     exactly the devices the chip keeps *)
   let used_this_pass = Hashtbl.create 32 in
   for i = 0 to n_layers - 1 do
     let layer = layering.Layering.layers.(i) in
@@ -136,16 +138,9 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
   let layers = Array.of_list (List.rev !layer_schedules) in
   (* chip = devices actually used + paths from all inter-device transfers *)
   let chip = Chip.create () in
-  let used_ids = Hashtbl.create 16 in
-  Array.iter
-    (fun (l : Schedule.layer_schedule) ->
-      List.iter
-        (fun (e : Schedule.entry) -> Hashtbl.replace used_ids e.Schedule.device ())
-        l.Schedule.entries)
-    layers;
   let all_created = List.concat (List.rev !devices_so_far) in
   let add_if_used (d : Device.t) =
-    if Hashtbl.mem used_ids d.Device.id && Chip.find_device chip d.Device.id = None
+    if Hashtbl.mem used_this_pass d.Device.id && Chip.find_device chip d.Device.id = None
     then Chip.add_device chip d
   in
   List.iter add_if_used all_created;
@@ -157,6 +152,11 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
       | Some _, Some _ | None, _ | _, None -> ())
     graph;
   ({ Schedule.assay; rule = cfg.rule; layering; chip; layers }, created_by_layer)
+
+(* Relative execution-time gain of [next] over [prev]. *)
+let relative_improvement (prev : Schedule.breakdown) (next : Schedule.breakdown) =
+  float_of_int (prev.Schedule.fixed_minutes - next.Schedule.fixed_minutes)
+  /. float_of_int (max 1 prev.Schedule.fixed_minutes)
 
 let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
   Telemetry.span "synthesis.run" ~attrs:[ ("assay", Assay.name assay) ]
@@ -249,11 +249,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
       Telemetry.count "synthesis.passes_accepted";
       iterations := { iteration_index = k; schedule; breakdown } :: !iterations;
       prev := (schedule, created);
-      let improvement =
-        float_of_int
-          (prev_breakdown.Schedule.fixed_minutes - breakdown.Schedule.fixed_minutes)
-        /. float_of_int (max 1 prev_breakdown.Schedule.fixed_minutes)
-      in
+      let improvement = relative_improvement prev_breakdown breakdown in
       Telemetry.observe "synthesis.pass_improvement" improvement;
       if improvement <= improvement_threshold || k + 1 >= config.max_iterations
       then continue := false
@@ -279,12 +275,7 @@ let run ?config assay = run_with_pool ?config ~pool:[] assay
 let improvement_history result =
   let rec pairs k = function
     | a :: (b :: _ as rest) ->
-      let impr =
-        float_of_int
-          (a.breakdown.Schedule.fixed_minutes - b.breakdown.Schedule.fixed_minutes)
-        /. float_of_int (max 1 a.breakdown.Schedule.fixed_minutes)
-      in
-      (k, impr) :: pairs (k + 1) rest
+      (k, relative_improvement a.breakdown b.breakdown) :: pairs (k + 1) rest
     | [ _ ] | [] -> []
   in
   pairs 1 result.iterations

@@ -347,18 +347,20 @@ let solve ?(options = default_options) ?warm_start model =
       unbounded = false;
     }
   in
+  (* The warm start is checked against the model as given, before
+     presolve: duality fixing may cut it from the reduced model. *)
   (match warm_start with
    | Some values ->
      let obj = Model.eval_objective model (fun v -> values.(v)) in
      ignore (try_incumbent sh values (dir_sign *. obj))
    | None -> ());
-  let presolve_outcome =
+  let presolved =
     if options.presolve then
       Telemetry.span "lp.presolve.run" (fun () ->
           Presolve.run ?deadline:sh.deadline model)
-    else Presolve.Ok 0
+    else Presolve.Reduced { model; changes = 0 }
   in
-  match presolve_outcome with
+  match presolved with
   | Presolve.Proved_infeasible ->
     let inc = sh.incumbent in
     {
@@ -369,7 +371,8 @@ let solve ?(options = default_options) ?warm_start model =
       elapsed = now () -. started;
       gap = None;
     }
-  | Presolve.Ok _ -> begin
+  | Presolve.Reduced { model; changes = _ } -> begin
+    let sh = { sh with model } in
     let nvars = Model.var_count model in
     let root =
       {

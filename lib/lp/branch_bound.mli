@@ -84,8 +84,7 @@ type options = {
 val default_options : options
 
 val solve : ?options:options -> ?warm_start:float array -> Model.t -> result
-(** The model is never mutated during the search: each node carries an
-    immutable bound overlay (handed to the relaxation solver via
-    [Simplex.solve_relaxation_float ~bounds]). The only mutation is root
-    presolve (before the search starts), whose tightenings are kept: they
-    are valid for the model. *)
+(** The model is never mutated. The warm start is checked against it as
+    given; the search then runs on the model {!Presolve.run} returns, and
+    each node carries an immutable bound overlay on that model (handed to
+    the relaxation solver via [Simplex.solve_relaxation_float ~bounds]). *)

@@ -6,8 +6,8 @@ type var = int
 
 type var_info = {
   vname : string;
-  mutable lb : Q.t option;
-  mutable ub : Q.t option;
+  lb : Q.t option;
+  ub : Q.t option;
   kind : var_kind;
 }
 
@@ -80,8 +80,7 @@ let var_ub m v = check_var m v; m.vars.(v).ub
 
 let set_bounds m v lb ub =
   check_var m v;
-  m.vars.(v).lb <- lb;
-  m.vars.(v).ub <- ub
+  m.vars.(v) <- { (m.vars.(v)) with lb; ub }
 
 let is_integer_var m v =
   match var_kind m v with Integer | Binary -> true | Continuous -> false
@@ -91,21 +90,17 @@ let objective m = (m.obj_dir, m.obj)
 let constraints m =
   List.rev_map (fun c -> (c.cname, c.expr, c.sense, c.rhs)) m.constrs
 
-let iter_constraints m f =
-  List.iter (fun c -> f c.cname c.expr c.sense c.rhs) (List.rev m.constrs)
-
-let filter_map_constraints m f =
-  let kept = ref [] and n = ref 0 in
-  List.iter
-    (fun c ->
-      match f c.cname c.expr c.sense c.rhs with
-      | None -> ()
-      | Some (expr, sense, rhs) ->
-        kept := { c with expr; sense; rhs } :: !kept;
-        incr n)
-    (List.rev m.constrs);
-  m.constrs <- !kept;
-  m.nconstrs <- !n
+let reduce m ~lbs ~ubs rows =
+  if Array.length lbs <> m.nvars || Array.length ubs <> m.nvars then
+    invalid_arg "Model.reduce: one bound per variable expected";
+  let constr (cname, expr, sense, rhs) = { cname; expr; sense; rhs } in
+  (* slots past [nvars] are spare capacity for [add_var] *)
+  let vars =
+    Array.mapi
+      (fun v i -> if v < m.nvars then { i with lb = lbs.(v); ub = ubs.(v) } else i)
+      m.vars
+  in
+  { m with vars; constrs = List.rev_map constr rows; nconstrs = List.length rows }
 
 let eval_objective m value = Linexpr.eval_float value m.obj
 
@@ -166,9 +161,6 @@ let check_feasible_exact m value =
     | Integer | Binary | Continuous -> ()
   done;
   List.rev !violations
-
-(* Variable bounds are mutable, so each variable gets a fresh record. *)
-let copy m = { m with vars = Array.map (fun i -> { i with lb = i.lb }) m.vars }
 
 let name m = m.mname
 

@@ -3,7 +3,9 @@
     A model owns a growing set of variables (continuous, integer or binary,
     with optional bounds), a list of linear constraints and one objective.
     It is the interface between the synthesis front-end ({!Cohls.Ilp_model})
-    and the solver back-ends ({!Simplex}, {!Branch_bound}). *)
+    and the solver back-ends ({!Simplex}, {!Branch_bound}). The solvers only
+    read a model: {!Presolve} returns its reductions as a new model built
+    with {!reduce}. *)
 
 type sense = Le | Ge | Eq
 
@@ -38,8 +40,11 @@ val var_name : t -> var -> string
 val var_kind : t -> var -> var_kind
 val var_lb : t -> var -> Numeric.Rat.t option
 val var_ub : t -> var -> Numeric.Rat.t option
-val set_bounds : t -> var -> Numeric.Rat.t option -> Numeric.Rat.t option -> unit
 val is_integer_var : t -> var -> bool
+
+val set_bounds : t -> var -> Numeric.Rat.t option -> Numeric.Rat.t option -> unit
+(** Builder step: replaces the variable's bounds ([None] is infinite), e.g.
+    to declare a free variable. *)
 
 val objective : t -> [ `Minimize | `Maximize ] * Linexpr.t
 
@@ -47,19 +52,19 @@ val constraints : t -> (string * Linexpr.t * sense * Numeric.Rat.t) list
 (** Normalised to [expr sense rhs-constant] with the expression carrying no
     constant part. *)
 
-val iter_constraints : t -> (string -> Linexpr.t -> sense -> Numeric.Rat.t -> unit) -> unit
-
-val filter_map_constraints :
+val reduce :
   t ->
-  (string ->
-  Linexpr.t ->
-  sense ->
-  Numeric.Rat.t ->
-  (Linexpr.t * sense * Numeric.Rat.t) option) ->
-  unit
-(** In-place constraint rewrite: the callback returns [None] to drop a row
-    or [Some (expr, sense, rhs)] to replace it (name kept). Used by
-    {!Presolve} for redundant-row removal and coefficient tightening. *)
+  lbs:Numeric.Rat.t option array ->
+  ubs:Numeric.Rat.t option array ->
+  (string * Linexpr.t * sense * Numeric.Rat.t) list ->
+  t
+(** [reduce m ~lbs ~ubs rows] is a new model with [m]'s name, variables
+    (names and kinds) and objective, the bounds [lbs.(v)]/[ubs.(v)] and
+    exactly [rows], in order, in the form {!constraints} returns. [m] is
+    left untouched. {!Presolve} builds its result with it; the rows must
+    use only [m]'s variables.
+    @raise Invalid_argument if [lbs] or [ubs] does not hold one entry per
+    variable. *)
 
 val check_feasible :
   t -> ?tol:float -> (var -> float) -> (string * float) list
@@ -71,11 +76,6 @@ val check_feasible_exact :
   t -> (var -> Numeric.Rat.t) -> (string * Numeric.Rat.t) list
 (** {!check_feasible} in exact rational arithmetic, with no tolerance: every
     row, bound and integrality requirement must hold exactly. *)
-
-val copy : t -> t
-(** An independent model with the same variables, bounds, rows and
-    objective; later bound or row changes to either leave the other
-    untouched. *)
 
 val eval_objective : t -> (var -> float) -> float
 (** Objective value of an assignment, sign-adjusted so that *smaller is

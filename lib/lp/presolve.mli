@@ -1,6 +1,9 @@
 (** Root-node presolve, iterated to a fixed point.
 
-    Each round runs three passes over the model, mutating it in place:
+    Presolve reads the model's bounds and rows and never writes the model:
+    each round runs three passes over its own copies of them, and the
+    result is a new model with the reduced bounds and rows
+    ({!Model.reduce}). The passes are:
 
     - {b row pass}: constant rows are checked and dropped, singleton rows
       become variable bounds, rows whose activity range cannot violate them
@@ -24,12 +27,18 @@
     [cols_fixed], [tightenings], [rounds]). *)
 
 type outcome =
-  | Ok of int  (** number of changes applied (bounds, rows, coefficients) *)
+  | Reduced of { model : Model.t; changes : int }
+      (** [model]: the input's variables and objective with the tightened
+          bounds and the remaining (possibly rewritten) rows, in their
+          original order; [changes]: the number of changes applied
+          (bounds, rows, coefficients), [0] when [model] equals the
+          input *)
   | Proved_infeasible
 
 val run : ?deadline:float -> Model.t -> outcome
-(** At most 10 rounds. [deadline] is an absolute
-    {!Telemetry.Clock} time, read every 256 rows visited: once it has
-    passed, the rows not yet visited are kept unchanged, no further pass or
-    round runs, [lp.presolve.deadline_stops] is bumped and the result is
-    [Ok] — every reduction made before the stop is valid on its own. *)
+(** The input model is left untouched. At most 10 rounds. [deadline] is an
+    absolute {!Telemetry.Clock} time, read every 256 rows visited: once it
+    has passed, the rows not yet visited are kept unchanged, no further
+    pass or round runs, [lp.presolve.deadline_stops] is bumped and the
+    result is [Reduced] — every reduction made before the stop is valid on
+    its own. *)

@@ -150,11 +150,13 @@ let prepare ~lb ~ub model =
     (!acc, !konst)
   in
   (* rows: (terms over columns, sense, rhs) *)
-  let rows = ref [] in
-  Model.iter_constraints model (fun _name expr sense rhs ->
-      let terms, k = translate expr in
-      rows := (terms, sense, Q.sub rhs k) :: !rows);
-  let row_list = List.rev !rows in
+  let row_list =
+    List.map
+      (fun (_name, expr, sense, rhs) ->
+        let terms, k = translate expr in
+        (terms, sense, Q.sub rhs k))
+      (Model.constraints model)
+  in
   let m = List.length row_list in
   let dir, obj_expr = Model.objective model in
   let obj_terms, obj_const = translate obj_expr in

@@ -13,6 +13,11 @@ module Flow = Flowgraph.Maxflow
 
 let evictions = ref 0
 
+(* Phase 1's pick among the eligible operations: the smallest id, or the
+   paper's literal "randomly choose" (§3.1), pseudo-random and reproducible
+   per seed. The library takes no choice; it must agree with every one. *)
+type choice = Smallest_id | Seeded of int
+
 module Iset = Set.Make (Int)
 
 (* Descendants of [v] within the vertex set [inside], computed on the full
@@ -53,9 +58,8 @@ let ancestors_within g inside v =
 
 (* Phase 1 of Algorithm 1 (Fig. 4): keep every indeterminate operation that
    has no indeterminate ancestor in the working set, pushing its descendants
-   to later layers; then keep all untouched operations. The paper picks the
-   next eligible operation "randomly"; [choice] makes that pick either
-   deterministic (smallest id) or seeded pseudo-random. Returns
+   to later layers; then keep all untouched operations, round by round: each
+   round picks one eligible operation by [choice]. Returns
    (kept, selected_indeterminates). *)
 let dependency_based_allocation g is_indet ~choice working =
   let pushed = ref Iset.empty in

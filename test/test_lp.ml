@@ -518,6 +518,12 @@ let test_tableau_singular_basis () =
 
 (* ---------- Presolve ---------- *)
 
+(* The reduced model presolve returns; fails the test on [Proved_infeasible]. *)
+let reduced m =
+  match Lp.Presolve.run m with
+  | Lp.Presolve.Reduced { model; changes } -> (model, changes)
+  | Lp.Presolve.Proved_infeasible -> Alcotest.fail "not infeasible"
+
 let test_presolve_tightens () =
   let m = M.create () in
   let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 100) "x" in
@@ -526,19 +532,18 @@ let test_presolve_tightens () =
      propagated upper bounds stay observable. *)
   M.set_objective m `Maximize (E.add (E.var x) (E.var y));
   M.add_constr m (E.add (E.var x) (E.var y)) M.Le (E.of_int 7);
-  (match Lp.Presolve.run m with
-   | Lp.Presolve.Ok changes -> check bool "changed" true (changes > 0)
-   | Lp.Presolve.Proved_infeasible -> Alcotest.fail "not infeasible");
-  check bool "x ub tightened" true (M.var_ub m x = Some (Q.of_int 7));
-  check bool "y ub tightened" true (M.var_ub m y = Some (Q.of_int 7))
+  let r, changes = reduced m in
+  check bool "changed" true (changes > 0);
+  check bool "x ub tightened" true (M.var_ub r x = Some (Q.of_int 7));
+  check bool "y ub tightened" true (M.var_ub r y = Some (Q.of_int 7))
 
 let test_presolve_integer_rounding () =
   let m = M.create () in
   let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 10) "x" in
   M.set_objective m `Maximize (E.var x);
   M.add_constr m (E.iterm 2 x) M.Le (E.of_int 7);
-  ignore (Lp.Presolve.run m);
-  check bool "rounded down to 3" true (M.var_ub m x = Some (Q.of_int 3))
+  let r, _ = reduced m in
+  check bool "rounded down to 3" true (M.var_ub r x = Some (Q.of_int 3))
 
 let test_presolve_infeasible () =
   let m = M.create () in
@@ -546,7 +551,29 @@ let test_presolve_infeasible () =
   M.add_constr m (E.var x) M.Ge (E.of_int 5);
   match Lp.Presolve.run m with
   | Lp.Presolve.Proved_infeasible -> ()
-  | Lp.Presolve.Ok _ -> Alcotest.fail "expected infeasible"
+  | Lp.Presolve.Reduced _ -> Alcotest.fail "expected infeasible"
+
+(* Every pass fires on this model: a singleton row becomes a bound,
+   propagation tightens y, a big-M coefficient of the binary b is reduced,
+   and duality fixing fixes z. The input must read the same afterwards. *)
+let test_presolve_leaves_input () =
+  let m = M.create () in
+  let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 10) "x" in
+  let y = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 10) "y" in
+  let b = M.add_var m ~kind:M.Binary "b" in
+  let z = M.add_var m ~ub:(Q.of_int 4) "z" in
+  M.add_constr m (E.var x) M.Le (E.of_int 3);
+  M.add_constr m (E.add (E.var x) (E.var y)) M.Le (E.of_int 5);
+  M.add_constr m (E.add (E.var y) (E.iterm 100 b)) M.Le (E.of_int 104);
+  M.add_constr m (E.sub (E.var x) (E.var z)) M.Le (E.of_int 8);
+  M.set_objective m `Maximize (E.sum [ E.var x; E.var y; E.var b; E.iterm (-1) z ]);
+  let before = Format.asprintf "%a" M.pp m in
+  let r, changes = reduced m in
+  check bool "changed" true (changes > 0);
+  check bool "the result differs" true (Format.asprintf "%a" M.pp r <> before);
+  check Alcotest.string "input unchanged" before (Format.asprintf "%a" M.pp m);
+  check int_t "input keeps its rows" 4 (M.constr_count m);
+  check bool "input keeps its bounds" true (M.var_ub m x = Some (Q.of_int 10))
 
 (* Presolve stops at its deadline between rows: a stepped clock (1 ms per
    read, read every 256 rows) passes a 0.5 ms deadline on its second read.
@@ -571,19 +598,19 @@ let test_presolve_deadline_stops () =
       Telemetry.reset ();
       Telemetry.Clock.use_wall_clock ())
     (fun () ->
-      let changes =
+      let r, changes =
         match Lp.Presolve.run ~deadline:0.5e-3 m with
-        | Lp.Presolve.Ok changes -> changes
+        | Lp.Presolve.Reduced { model; changes } -> (model, changes)
         | Lp.Presolve.Proved_infeasible -> Alcotest.fail "not infeasible"
       in
       check int_t "stopped once" 1 (Telemetry.counter_value "lp.presolve.deadline_stops");
       check int_t "two clock reads" 2 (Atomic.get ticks);
-      let kept = M.constr_count m in
+      let kept = M.constr_count r in
       check int_t "rows before the second read consumed" (n - 511) kept;
       check int_t "a bound and a removal per row" (2 * 511) changes;
       let tightened =
         Array.fold_left
-          (fun k x -> if M.var_ub m x = Some (Q.of_int 5) then k + 1 else k)
+          (fun k x -> if M.var_ub r x = Some (Q.of_int 5) then k + 1 else k)
           0 xs
       in
       check int_t "one bound per consumed row" (n - kept) tightened)
@@ -634,12 +661,13 @@ let build_ilp (nvars, rows, obj, maximize) =
     (E.sum (List.mapi (fun i c -> E.iterm c xs.(i)) obj));
   m
 
-(* Exact optimum of a boxed ILP by enumeration: every point of arb_ilp's
-   box [0, 6]^n (at most 7^4) is checked in rational arithmetic. [None]
+(* Exact optimum of a boxed ILP [m] by enumeration: every point of
+   arb_ilp's box [0, 6]^n (at most 7^4) is checked in rational arithmetic. [None]
    when no point is feasible. Objectives are returned in natural sense. *)
-let brute_force_ilp ((nvars, _, _, maximize) as spec) =
-  let m = build_ilp spec in
-  let _, obj = M.objective m in
+let brute_force_ilp m =
+  let nvars = M.var_count m in
+  let dir, obj = M.objective m in
+  let maximize = dir = `Maximize in
   let point = Array.make nvars 0 in
   let value v = Q.of_int point.(v) in
   let best = ref None in
@@ -664,11 +692,11 @@ let brute_force_ilp ((nvars, _, _, maximize) as spec) =
 let prop_presolve_preserves_optimum =
   QCheck.Test.make ~name:"presolve preserves the ILP optimum" ~count:120 arb_ilp
     (fun spec ->
-      let presolved = build_ilp spec in
-      match (Lp.Presolve.run presolved, brute_force_ilp spec) with
+      let m = build_ilp spec in
+      match (Lp.Presolve.run m, brute_force_ilp m) with
       | Lp.Presolve.Proved_infeasible, best -> best = None
-      | Lp.Presolve.Ok _, best -> (
-        let r = BB.solve presolved in
+      | Lp.Presolve.Reduced { model; _ }, best -> (
+        let r = BB.solve model in
         match (best, r.BB.status, r.BB.objective) with
         | None, BB.Infeasible, None -> true
         | Some b, BB.Optimal, Some o -> Float.abs (o -. Q.to_float b) < 1e-6
@@ -690,6 +718,25 @@ let test_bb_knapsack () =
    | Some obj -> check flt "objective 21" 21.0 obj
    | None -> Alcotest.fail "no objective");
   check bool "gap zero" true (r.BB.gap = Some 0.0)
+
+(* Root presolve and the search work on their own model: a singleton row
+   (a bound for presolve), a redundant row and a warm start leave the
+   model given to [solve] as it was. *)
+let test_bb_leaves_input () =
+  let m = M.create () in
+  let xs = Array.init 4 (fun i -> M.add_var m ~kind:M.Binary (Printf.sprintf "x%d" i)) in
+  let w = [| 5; 7; 4; 3 |] and p = [| 8; 11; 6; 4 |] in
+  M.add_constr m
+    (E.sum (List.init 4 (fun i -> E.iterm w.(i) xs.(i))))
+    M.Le (E.of_int 14);
+  M.add_constr m (E.var xs.(3)) M.Le (E.of_int 0);
+  M.add_constr m (E.sum (Array.to_list (Array.map E.var xs))) M.Le (E.of_int 4);
+  M.set_objective m `Maximize (E.sum (List.init 4 (fun i -> E.iterm p.(i) xs.(i))));
+  let before = Format.asprintf "%a" M.pp m in
+  let r = BB.solve ~warm_start:[| 0.0; 1.0; 0.0; 0.0 |] m in
+  check bool "optimal" true (r.BB.status = BB.Optimal);
+  check (Alcotest.option flt) "objective 19" (Some 19.0) r.BB.objective;
+  check Alcotest.string "input unchanged" before (Format.asprintf "%a" M.pp m)
 
 let test_bb_integer_infeasible () =
   let m = M.create () in
@@ -937,6 +984,8 @@ let () =
           Alcotest.test_case "tightens bounds" `Quick test_presolve_tightens;
           Alcotest.test_case "integer rounding" `Quick test_presolve_integer_rounding;
           Alcotest.test_case "proves infeasible" `Quick test_presolve_infeasible;
+          Alcotest.test_case "leaves its input unchanged" `Quick
+            test_presolve_leaves_input;
           Alcotest.test_case "deadline stops between rows" `Quick
             test_presolve_deadline_stops;
         ] );
@@ -944,6 +993,7 @@ let () =
       ( "branch-bound",
         [
           Alcotest.test_case "knapsack" `Quick test_bb_knapsack;
+          Alcotest.test_case "leaves its input unchanged" `Quick test_bb_leaves_input;
           Alcotest.test_case "integer infeasible" `Quick test_bb_integer_infeasible;
           Alcotest.test_case "unbounded" `Quick test_bb_unbounded;
           Alcotest.test_case "warm start" `Quick test_bb_warm_start;

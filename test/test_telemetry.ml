@@ -386,7 +386,6 @@ let test_ilp_spans_recorded () =
     [
       ("layer.ilp", true);
       ("ilp.model.build", true);
-      ("ilp.model.copy", true);
       ("ilp.warm_start", true);
       ("lp.bb.solve", true);
       ("ilp.certify", false);
