@@ -563,7 +563,7 @@ let case1_layer_model () =
       transport = (fun _ -> Syn.initial_transport);
       cost = Cost.default;
       weights = Cohls.Schedule.default_weights;
-      existing_paths = [];
+      routed = (fun _ _ -> false);
       device_penalty = (fun _ -> 0);
     }
   in

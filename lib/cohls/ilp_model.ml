@@ -490,9 +490,9 @@ let build ?(prune = true) (problem : Layer_problem.t) ~slots =
     free_vars;
   (* (21): transportation paths between distinct devices *)
   let get_path_var ida idb =
-    let k = path_key ida idb in
-    if List.mem k problem.existing_paths then None
+    if problem.routed ida idb then None
     else begin
+      let k = path_key ida idb in
       match Hashtbl.find_opt path_var k with
       | Some p -> Some p
       | None ->

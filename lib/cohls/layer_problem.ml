@@ -19,8 +19,10 @@ type t = {
   transport : int -> int;  (** each operation's transportation time (§4.1) *)
   cost : Cost.t;
   weights : Schedule.weights;
-  existing_paths : (int * int) list;
-      (** already-routed device pairs; reusing them is free *)
+  routed : int -> int -> bool;
+      (** whether an (unordered) device pair already has a path on the
+          chip, routed by an earlier layer of the pass; reusing it is free
+          (constraint (21)) *)
   device_penalty : int -> int;
       (** extra weighted score charged on the {e first} use of a device in
           the current pass — the re-synthesis driver prices a layer's own

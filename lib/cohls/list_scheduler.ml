@@ -31,15 +31,14 @@ let last_busy_end st = List.fold_left (fun acc (_, e) -> max acc e) 0 st.busy
 
 let schedule_layer problem ~fresh_id =
   let { Layer_problem.ops; graph; layer; layer_of_op; bound_before; available;
-        rule; max_devices; transport; cost; weights = w; existing_paths;
+        rule; max_devices; transport; cost; weights = w; routed;
         device_penalty } = problem
   in
+  (* the paths this layer adds; earlier layers' are [routed] *)
   let paths = Hashtbl.create 32 in
-  List.iter (fun p -> Hashtbl.replace paths p ()) existing_paths;
-  let path_known a b = a = b || Hashtbl.mem paths (min a b, max a b) in
+  let path_known a b = a = b || routed a b || Hashtbl.mem paths (min a b, max a b) in
   let note_path a b = if a <> b then Hashtbl.replace paths (min a b, max a b) () in
-  let in_layer = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace in_layer v ()) layer.Layering.ops;
+  let in_layer v = layer_of_op.(v) = layer.Layering.index in
   let states = ref (List.map (fun d -> { device = d; busy = []; closed = false }) available) in
   let created = ref [] in
   let starts = Hashtbl.create 16 in
@@ -48,7 +47,7 @@ let schedule_layer problem ~fresh_id =
      travel at the start of this layer *)
   let ready v =
     let parent acc p =
-      if Hashtbl.mem in_layer p then begin
+      if in_layer p then begin
         match Hashtbl.find_opt starts p with
         | Some s -> max acc (s + Operation.min_duration ops.(p) + transport p)
         | None -> acc (* scheduled later: impossible in topological order *)
@@ -59,6 +58,12 @@ let schedule_layer problem ~fresh_id =
     List.fold_left parent 0 (G.pred graph v)
   in
   let device_of_op = Hashtbl.create 16 in
+  (* a parent's device: this layer's binding, else an earlier layer's *)
+  let parent_device p =
+    match Hashtbl.find_opt device_of_op p with
+    | Some d -> Some d
+    | None -> bound_before p
+  in
   (* Pick the best (state, start) for operation v. Mirrors the ILP
      objective: the weighted score trades start time against the
      integration cost of a brand-new device and a unit of routing effort
@@ -68,14 +73,7 @@ let schedule_layer problem ~fresh_id =
      mere compatibility — decides between reuse and parallelism. *)
   let pick v ~ready ~len ~closing =
     let o = ops.(v) in
-    let parents_devs =
-      List.filter_map
-        (fun p ->
-          match Hashtbl.find_opt device_of_op p with
-          | Some d -> Some d
-          | None -> bound_before p)
-        (G.pred graph v)
-    in
+    let parents_devs = List.filter_map parent_device (G.pred graph v) in
     (* routing effort of binding v to device [dev]: one unit per parent
        whose reagents would cross a device pair not yet routed (21) *)
     let new_paths_to dev =
@@ -137,7 +135,7 @@ let schedule_layer problem ~fresh_id =
   in
   let indet_ops = layer.Layering.indeterminate in
   (* dependency order restricted to the layer, then by priority *)
-  let topo = Flowgraph.Dag.topological_order ~keep:(Hashtbl.mem in_layer) graph in
+  let topo = Flowgraph.Dag.topological_order ~keep:in_layer graph in
   (* stable pass: process in topological order, but among simultaneously
      ready operations prefer long critical paths: sort topological levels *)
   let scheduled_entries = ref [] in
@@ -151,11 +149,7 @@ let schedule_layer problem ~fresh_id =
     Hashtbl.replace device_of_op v st.device.Device.id;
     List.iter
       (fun p ->
-        match
-          (match Hashtbl.find_opt device_of_op p with
-           | Some d -> Some d
-           | None -> bound_before p)
-        with
+        match parent_device p with
         | Some dp -> note_path dp st.device.Device.id
         | None -> ())
       (G.pred graph v);

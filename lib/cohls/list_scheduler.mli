@@ -29,4 +29,5 @@ type outcome = {
 val schedule_layer : Layer_problem.t -> fresh_id:(unit -> int) -> outcome
 (** Schedules the operations of the problem's [layer]. [bound_before]
     devices price cross-layer transfers as routing effort, and
-    [existing_paths] are free to reuse. [fresh_id] allocates device ids. *)
+    pairs the chip has [routed] are free to reuse. [fresh_id] allocates
+    device ids. *)

@@ -64,12 +64,16 @@ val run_with_pool :
 (** Like {!run}, but every layer of the first pass may bind to the [pool]
     devices at no integration cost — they are already on the chip. Used by
     {!Recovery} to re-bind the surviving devices of a partially-executed
-    assay; the pool counts against [max_devices], and freshly-created
-    device ids start at [max (first_fresh_id, 1 + max pool id)] (default
-    [first_fresh_id = 0]) so they never collide with pool ids nor with ids
-    the caller has retired. [run] is [run_with_pool ~pool:[]].
+    assay. Freshly-created device ids start at
+    [max (first_fresh_id, 1 + max pool id)] (default [first_fresh_id = 0])
+    so they never collide with pool ids nor with ids the caller has
+    retired. [|D|] ([max_devices]) is one budget for a whole pass: a layer
+    may create a device only while the pool plus every device the pass has
+    created so far number fewer than [max_devices], so a pool at or above
+    the cap allows no new device. [run] is [run_with_pool ~pool:[]].
     @raise List_scheduler.No_device when pool plus cap cannot accommodate
-    the assay. *)
+    the assay.
+    @raise Invalid_argument when [pool] repeats a device id. *)
 
 val improvement_history : result -> (int * float) list
 (** Per iteration (>= 1): relative execution-time improvement over the

@@ -44,7 +44,7 @@ let problem_of ?(transport = 2) ?(available = []) ?(max_devices = 3) assay ~rule
     transport = (fun _ -> transport);
     cost = Cost.default;
     weights = Cohls.Schedule.default_weights;
-    existing_paths = [];
+    routed = (fun _ _ -> false);
     device_penalty = (fun _ -> 0);
   }
 

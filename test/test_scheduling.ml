@@ -159,7 +159,7 @@ let schedule assay ~rule ~max_devices =
             transport = (fun _ -> 2);
             cost = Cost.default;
             weights = Cohls.Schedule.default_weights;
-            existing_paths = [];
+            routed = (fun _ _ -> false);
             device_penalty = (fun _ -> 0);
           }
           ~fresh_id)

@@ -250,6 +250,79 @@ let test_summary_renders () =
      in
      has "devices" && has "component-oriented")
 
+
+(* ---------- the pass's chip ---------- *)
+
+(* The chip a finished schedule implies, rebuilt after the fact: every
+   bound device, then one transfer per dependency edge between distinct
+   devices. Synthesis grows its chip layer by layer instead; this is the
+   end-of-pass walk it replaced. *)
+let rebuilt_chip (s : Cohls.Schedule.t) =
+  let device_of_op = Hashtbl.create 32 in
+  Array.iter
+    (fun l ->
+      List.iter
+        (fun e -> Hashtbl.replace device_of_op e.Cohls.Schedule.op e.Cohls.Schedule.device)
+        l.Cohls.Schedule.entries)
+    s.Cohls.Schedule.layers;
+  let bound = Hashtbl.fold (fun _ d acc -> d :: acc) device_of_op [] in
+  let chip = Chip.create () in
+  List.iter
+    (fun (d : Device.t) -> if List.mem d.Device.id bound then Chip.add_device chip d)
+    (Chip.devices s.Cohls.Schedule.chip);
+  Flowgraph.Digraph.iter_edges
+    (fun u v ->
+      match (Hashtbl.find_opt device_of_op u, Hashtbl.find_opt device_of_op v) with
+      | Some du, Some dv when du <> dv -> Chip.note_transport chip ~src:du ~dst:dv
+      | Some _, Some _ | None, _ | _, None -> ())
+    (Assay.dependency_graph s.Cohls.Schedule.assay);
+  (List.sort_uniq compare bound, chip)
+
+let prop_chip_matches_rebuild =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, n, exact, pooled) ->
+        Printf.sprintf "seed=%d ops=%d exact=%b pool=%b" seed n exact pooled)
+      QCheck.Gen.(quad (int_range 1 99999) (int_range 2 30) bool bool)
+  in
+  QCheck.Test.make ~name:"pass chip is the rebuilt chip" ~count:60 arb
+    (fun (seed, n, exact, pooled) ->
+      let params =
+        { Assays.Random_assay.default_params with Assays.Random_assay.op_count = n }
+      in
+      let a = Assays.Random_assay.generate ~seed params in
+      let rule =
+        if exact then Cohls.Binding.Exact_signature else Cohls.Binding.Component_oriented
+      in
+      let config = { Syn.default_config with Syn.rule } in
+      let run () =
+        if not pooled then Syn.run ~config a
+        else begin
+          (* every other device of an earlier chip, some of which go unused *)
+          let first = (Syn.run ~config a).Syn.final.Cohls.Schedule.chip in
+          let pool = List.filteri (fun i _ -> i mod 2 = 0) (Chip.devices first) in
+          Syn.run_with_pool ~config ~pool a
+        end
+      in
+      match run () with
+      | exception Cohls.List_scheduler.No_device _ -> QCheck.assume_fail ()
+      | r ->
+        List.for_all
+          (fun (it : Syn.iteration) ->
+            let s = it.Syn.schedule in
+            let bound, rebuilt = rebuilt_chip s in
+            let chip = s.Cohls.Schedule.chip in
+            List.map (fun (d : Device.t) -> d.Device.id) (Chip.devices chip) = bound
+            && Chip.path_usage chip = Chip.path_usage rebuilt)
+          r.Syn.iterations)
+
+let test_repeated_pool_id_rejected () =
+  let a = Lazy.force case1 in
+  let pool = Chip.devices (Lazy.force ours1).Syn.final.Cohls.Schedule.chip in
+  match Syn.run_with_pool ~pool:(List.hd pool :: pool) a with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a pool with a repeated device id was accepted"
+
 let () =
   Alcotest.run "synthesis"
     [
@@ -283,5 +356,11 @@ let () =
           Alcotest.test_case "table 2 renders" `Slow test_table2_renders;
           Alcotest.test_case "table 3 renders" `Slow test_table3_renders;
           Alcotest.test_case "summary renders" `Slow test_summary_renders;
+        ] );
+      ( "pass-chip",
+        [
+          QCheck_alcotest.to_alcotest prop_chip_matches_rebuild;
+          Alcotest.test_case "repeated pool id rejected" `Quick
+            test_repeated_pool_id_rejected;
         ] );
     ]
