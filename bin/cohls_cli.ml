@@ -60,9 +60,10 @@ let checked base ~what ok =
   in
   Arg.conv (parse, Arg.conv_printer base)
 
+let positive = checked Arg.int ~what:"an integer >= 1" (fun n -> n >= 1)
+
 let threshold_arg =
   let doc = "Maximum indeterminate operations per layer (Algorithm 1), at least 1." in
-  let positive = checked Arg.int ~what:"an integer >= 1" (fun t -> t >= 1) in
   Arg.(value & opt positive 10 & info [ "t"; "threshold" ] ~doc)
 
 let devices_arg =
@@ -70,8 +71,8 @@ let devices_arg =
   Arg.(value & opt int 25 & info [ "d"; "devices" ] ~doc)
 
 let iterations_arg =
-  let doc = "Maximum progressive re-synthesis iterations." in
-  Arg.(value & opt int 5 & info [ "iterations" ] ~doc)
+  let doc = "Maximum progressive re-synthesis iterations, at least 1." in
+  Arg.(value & opt positive 5 & info [ "iterations" ] ~doc)
 
 let ilp_arg =
   let doc = "Solve each layer with the exact ILP (time-limited branch-and-bound warm-started by the greedy schedule)." in
