@@ -602,7 +602,7 @@ let warm_resolves model =
           let fl = Numeric.Rat.of_int (int_of_float (Float.floor values.(v))) in
           let lb, ub = root.(v) in
           let with_v bound = Array.mapi (fun u b -> if u = v then bound else b) root in
-          [ with_v (lb, Some fl); with_v (Some (Numeric.Rat.add fl Numeric.Rat.one), ub) ])
+          [ with_v (lb, Some fl); with_v (Numeric.Rat.add fl Numeric.Rat.one, ub) ])
         (let stride = max 1 (List.length fractional / 8) in
          List.filteri (fun i _ -> i mod stride = 0 && i / stride < 8) fractional)
     in

@@ -37,7 +37,7 @@ let default_options =
    the parent's relaxation bound (a valid lower bound on the whole subtree,
    merged into [best_bound] when the node is discarded at a limit). *)
 type node = {
-  nd_bounds : (Q.t option * Q.t option) array;
+  nd_bounds : (Q.t * Q.t option) array;
   nd_warm : Simplex.warm option;
   nd_depth : int;
   nd_bound : float;
@@ -170,7 +170,7 @@ let branch_bounds nd v x =
   let down = Array.copy nd.nd_bounds in
   down.(v) <- (lb_v, Some (Q.of_float_approx fl));
   let up = Array.copy nd.nd_bounds in
-  up.(v) <- (Some (Q.of_float_approx (fl +. 1.0)), ub_v);
+  up.(v) <- (Q.of_float_approx (fl +. 1.0), ub_v);
   let lo_first = x -. fl <= 0.5 in
   if lo_first then (down, up) else (up, down)
 

@@ -6,7 +6,7 @@ type var = int
 
 type var_info = {
   vname : string;
-  lb : Q.t option;
+  lb : Q.t;
   ub : Q.t option;
   kind : var_kind;
 }
@@ -26,7 +26,7 @@ type t = {
 let create ?(name = "model") () =
   {
     mname = name;
-    vars = Array.make 16 { vname = ""; lb = None; ub = None; kind = Continuous };
+    vars = Array.make 16 { vname = ""; lb = Q.zero; ub = None; kind = Continuous };
     nvars = 0;
     constrs = [];
     nconstrs = 0;
@@ -34,12 +34,9 @@ let create ?(name = "model") () =
     obj = Linexpr.zero;
   }
 
-let add_var m ?lb ?ub ?(kind = Continuous) vname =
+let add_var m ?(lb = Q.zero) ?ub ?(kind = Continuous) vname =
   let lb, ub =
-    match kind with
-    | Binary -> (Some Q.zero, Some Q.one)
-    | Integer | Continuous ->
-      ((match lb with Some l -> Some l | None -> Some Q.zero), ub)
+    match kind with Binary -> (Q.zero, Some Q.one) | Integer | Continuous -> (lb, ub)
   in
   if m.nvars = Array.length m.vars then begin
     let bigger = Array.make (2 * m.nvars) m.vars.(0) in
@@ -78,10 +75,6 @@ let var_kind m v = check_var m v; m.vars.(v).kind
 let var_lb m v = check_var m v; m.vars.(v).lb
 let var_ub m v = check_var m v; m.vars.(v).ub
 
-let set_bounds m v lb ub =
-  check_var m v;
-  m.vars.(v) <- { (m.vars.(v)) with lb; ub }
-
 let is_integer_var m v =
   match var_kind m v with Integer | Binary -> true | Continuous -> false
 
@@ -119,10 +112,8 @@ let check_feasible m ?(tol = 1e-6) value =
   for v = 0 to m.nvars - 1 do
     let x = value v in
     let info = m.vars.(v) in
-    (match info.lb with
-     | Some l when x < Q.to_float l -. tol ->
-       push (info.vname ^ ":lb") (Q.to_float l -. x)
-     | Some _ | None -> ());
+    let l = Q.to_float info.lb in
+    if x < l -. tol then push (info.vname ^ ":lb") (l -. x);
     (match info.ub with
      | Some u when x > Q.to_float u +. tol ->
        push (info.vname ^ ":ub") (x -. Q.to_float u)
@@ -149,9 +140,7 @@ let check_feasible_exact m value =
   for v = 0 to m.nvars - 1 do
     let x = value v in
     let info = m.vars.(v) in
-    (match info.lb with
-     | Some l when Q.compare x l < 0 -> push (info.vname ^ ":lb") (Q.sub l x)
-     | Some _ | None -> ());
+    if Q.compare x info.lb < 0 then push (info.vname ^ ":lb") (Q.sub info.lb x);
     (match info.ub with
      | Some u when Q.compare x u > 0 -> push (info.vname ^ ":ub") (Q.sub x u)
      | Some _ | None -> ());
@@ -178,8 +167,8 @@ let pp fmt m =
   Format.fprintf fmt "Bounds@,";
   for v = 0 to m.nvars - 1 do
     let i = m.vars.(v) in
-    let b = function Some q -> Q.to_string q | None -> "inf" in
-    Format.fprintf fmt "  %s <= %s <= %s@," (b i.lb) i.vname (b i.ub)
+    let ub = match i.ub with Some q -> Q.to_string q | None -> "inf" in
+    Format.fprintf fmt "  %s <= %s <= %s@," (Q.to_string i.lb) i.vname ub
   done;
   Format.fprintf fmt "Generals@,  ";
   for v = 0 to m.nvars - 1 do

@@ -1,11 +1,12 @@
 (** Mixed-integer linear program builder.
 
     A model owns a growing set of variables (continuous, integer or binary,
-    with optional bounds), a list of linear constraints and one objective.
-    It is the interface between the synthesis front-end ({!Cohls.Ilp_model})
-    and the solver back-ends ({!Simplex}, {!Branch_bound}). The solvers only
-    read a model: {!Presolve} returns its reductions as a new model built
-    with {!reduce}. *)
+    each with a finite lower bound and an optional upper bound), a list of
+    linear constraints and one objective. It is the interface between the
+    synthesis front-end ({!Cohls.Ilp_model}) and the solver back-ends
+    ({!Simplex}, {!Branch_bound}). The solvers only read a model:
+    {!Presolve} returns its reductions as a new model built with
+    {!reduce}. *)
 
 type sense = Le | Ge | Eq
 
@@ -38,13 +39,9 @@ val var_count : t -> int
 val constr_count : t -> int
 val var_name : t -> var -> string
 val var_kind : t -> var -> var_kind
-val var_lb : t -> var -> Numeric.Rat.t option
+val var_lb : t -> var -> Numeric.Rat.t
 val var_ub : t -> var -> Numeric.Rat.t option
 val is_integer_var : t -> var -> bool
-
-val set_bounds : t -> var -> Numeric.Rat.t option -> Numeric.Rat.t option -> unit
-(** Builder step: replaces the variable's bounds ([None] is infinite), e.g.
-    to declare a free variable. *)
 
 val objective : t -> [ `Minimize | `Maximize ] * Linexpr.t
 
@@ -54,7 +51,7 @@ val constraints : t -> (string * Linexpr.t * sense * Numeric.Rat.t) list
 
 val reduce :
   t ->
-  lbs:Numeric.Rat.t option array ->
+  lbs:Numeric.Rat.t array ->
   ubs:Numeric.Rat.t option array ->
   (string * Linexpr.t * sense * Numeric.Rat.t) list ->
   t

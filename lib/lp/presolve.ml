@@ -12,15 +12,9 @@ let add_bound a b =
    max. *)
 let activity ~lbs ~ubs expr =
   let term v c (mn, mx) =
-    let lb = lbs.(v) and ub = ubs.(v) in
-    let lo, hi =
-      if Q.sign c >= 0 then
-        ( (match lb with Some l -> Finite (Q.mul c l) | None -> Inf),
-          match ub with Some u -> Finite (Q.mul c u) | None -> Inf )
-      else
-        ( (match ub with Some u -> Finite (Q.mul c u) | None -> Inf),
-          match lb with Some l -> Finite (Q.mul c l) | None -> Inf )
-    in
+    let at_lb = Finite (Q.mul c lbs.(v)) in
+    let at_ub = match ubs.(v) with Some u -> Finite (Q.mul c u) | None -> Inf in
+    let lo, hi = if Q.sign c >= 0 then (at_lb, at_ub) else (at_ub, at_lb) in
     (add_bound mn lo, add_bound mx hi)
   in
   Linexpr.fold term expr (Finite Q.zero, Finite Q.zero)
@@ -57,12 +51,11 @@ let run ?deadline model =
   let cols_fixed = ref 0 in
   let tighten_lb v cand =
     let cand = if Model.is_integer_var model v then Q.of_bigint (Q.ceil cand) else cand in
-    let better = match lbs.(v) with None -> true | Some l -> Q.compare cand l > 0 in
-    if better then begin
+    if Q.compare cand lbs.(v) > 0 then begin
       (match ubs.(v) with
        | Some u when Q.compare cand u > 0 -> raise Infeasible_found
        | Some _ | None -> ());
-      lbs.(v) <- Some cand;
+      lbs.(v) <- cand;
       incr changes
     end
   in
@@ -70,9 +63,7 @@ let run ?deadline model =
     let cand = if Model.is_integer_var model v then Q.of_bigint (Q.floor cand) else cand in
     let better = match ubs.(v) with None -> true | Some u -> Q.compare cand u < 0 in
     if better then begin
-      (match lbs.(v) with
-       | Some l when Q.compare cand l < 0 -> raise Infeasible_found
-       | Some _ | None -> ());
+      if Q.compare cand lbs.(v) < 0 then raise Infeasible_found;
       ubs.(v) <- Some cand;
       incr changes
     end
@@ -81,7 +72,7 @@ let run ?deadline model =
      coefficient-tightening argument below covers. *)
   let is_binary v =
     Model.is_integer_var model v
-    && (match lbs.(v) with Some l -> Q.sign l = 0 | None -> false)
+    && Q.sign lbs.(v) = 0
     && (match ubs.(v) with Some u -> Q.equal u Q.one | None -> false)
   in
   (* Row pass: constant and singleton rows become (nothing | a bound) and are
@@ -204,12 +195,11 @@ let run ?deadline model =
      | Finite mn when Q.compare mn rhs > 0 -> raise Infeasible_found
      | Finite _ | Inf -> ());
     let handle v c () =
-      let lb = lbs.(v) and ub = ubs.(v) in
       (* min activity of the rest = mn_all - contribution_min(v), valid only
          when v's own min contribution is finite. *)
       let own_min =
-        if Q.sign c >= 0 then (match lb with Some l -> Some (Q.mul c l) | None -> None)
-        else match ub with Some u -> Some (Q.mul c u) | None -> None
+        if Q.sign c >= 0 then Some (Q.mul c lbs.(v))
+        else Option.map (Q.mul c) ubs.(v)
       in
       match (mn_all, own_min) with
       | Finite mn, Some own ->
@@ -259,25 +249,21 @@ let run ?deadline model =
     let dir, obj = Model.objective model in
     for v = 0 to nv - 1 do
       let lb = lbs.(v) and ub = ubs.(v) in
-      let fixed =
-        match (lb, ub) with Some l, Some u -> Q.equal l u | _ -> false
-      in
+      let fixed = match ub with Some u -> Q.equal lb u | None -> false in
       if not fixed then begin
         let c =
           let c = Linexpr.coeff obj v in
           match dir with `Minimize -> c | `Maximize -> Q.neg c
         in
-        if Q.sign c >= 0 && can_down.(v) then (
-          match lb with
-          | Some l ->
-            ubs.(v) <- Some l;
-            incr cols_fixed;
-            incr changes
-          | None -> ())
+        if Q.sign c >= 0 && can_down.(v) then begin
+          ubs.(v) <- Some lb;
+          incr cols_fixed;
+          incr changes
+        end
         else if Q.sign c <= 0 && can_up.(v) then
           match ub with
           | Some u ->
-            lbs.(v) <- Some u;
+            lbs.(v) <- u;
             incr cols_fixed;
             incr changes
           | None -> ()

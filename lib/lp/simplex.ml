@@ -3,8 +3,6 @@ module Q = Numeric.Rat
 (* How each model variable maps onto standard-form columns. *)
 type mapping =
   | Shifted of int * Q.t (* x = col + lb *)
-  | Flipped of int * Q.t (* x = ub - col  (upper bound only) *)
-  | Split of int * int (* x = pos - neg   (free) *)
   | Fixed of Q.t (* lb = ub *)
 
 (* The standard form translated from one set of variable bounds. Nodes of
@@ -15,15 +13,12 @@ type mapping =
    costs and column identities never change and the parent's basis
    snapshot stays structurally valid for a dual-simplex re-solve. Only a
    bound change the column form cannot express (a [Fixed] variable coming
-   unfixed, a [Split] free variable acquiring a bound, a [Shifted] /
-   [Flipped] variable losing the bound that anchored it) forces a full
-   re-translation. *)
+   unfixed) forces a full re-translation. *)
 type prepared = {
   p_nvars : int;
   p_mapping : mapping array;
-  p_offset : float array;
-      (* per variable, [Q.to_float] of its mapping constant (0 for [Split]) *)
-  p_lb : Q.t option array; (* the bounds the form was translated under *)
+  p_offset : float array; (* per variable, [Q.to_float] of its mapping constant *)
+  p_lb : Q.t array; (* the bounds the form was translated under *)
   p_ub : Q.t option array;
   p_cols : Tableau.columns;
   p_b : float array;
@@ -75,8 +70,6 @@ let outcome_of p ?shift value x snapshot =
     match p.p_mapping.(v) with
     | Fixed _ -> p.p_offset.(v)
     | Shifted (col, _) -> col_value col +. p.p_offset.(v)
-    | Flipped (col, _) -> p.p_offset.(v) -. col_value col
-    | Split (pc, qc) -> x.(pc) -. x.(qc)
   in
   let value =
     match shift with
@@ -113,18 +106,14 @@ let prepare ~lb ~ub model =
      roughly halves the row count. *)
   let col_ubs = ref [] in
   for v = 0 to nvars - 1 do
-    match (lb.(v), ub.(v)) with
-    | Some l, Some u when Q.equal l u -> mapping.(v) <- Fixed l
-    | Some l, Some u ->
+    let l = lb.(v) in
+    match ub.(v) with
+    | Some u when Q.equal l u -> mapping.(v) <- Fixed l
+    | Some u ->
       let c = fresh () in
       mapping.(v) <- Shifted (c, l);
       col_ubs := (c, Q.sub u l) :: !col_ubs
-    | Some l, None -> mapping.(v) <- Shifted (fresh (), l)
-    | None, Some u -> mapping.(v) <- Flipped (fresh (), u)
-    | None, None ->
-      let p = fresh () in
-      let q = fresh () in
-      mapping.(v) <- Split (p, q)
+    | None -> mapping.(v) <- Shifted (fresh (), l)
   done;
   (* Translate a model expression into (column terms, constant). [Linexpr]
      is canonical (one term per variable) and distinct variables map to
@@ -139,13 +128,7 @@ let prepare ~lb ~ub model =
         | Fixed k -> konst := Q.add !konst (Q.mul c k)
         | Shifted (col, l) ->
           bump col c;
-          konst := Q.add !konst (Q.mul c l)
-        | Flipped (col, u) ->
-          bump col (Q.neg c);
-          konst := Q.add !konst (Q.mul c u)
-        | Split (p, q) ->
-          bump p c;
-          bump q (Q.neg c))
+          konst := Q.add !konst (Q.mul c l))
       expr ();
     (!acc, !konst)
   in
@@ -202,12 +185,7 @@ let prepare ~lb ~ub model =
   {
     p_nvars = nvars;
     p_mapping = mapping;
-    p_offset =
-      Array.map
-        (function
-          | Fixed k | Shifted (_, k) | Flipped (_, k) -> Q.to_float k
-          | Split _ -> 0.0)
-        mapping;
+    p_offset = Array.map (function Fixed k | Shifted (_, k) -> Q.to_float k) mapping;
     p_lb = lb;
     p_ub = ub;
     p_cols =
@@ -234,12 +212,8 @@ let cold_solve ?max_iters ?deadline ~lb ~ub model =
 
 exception Remap of string
 
-let same_bound a b =
-  a == b
-  || match (a, b) with
-     | Some x, Some y -> Q.equal x y
-     | None, None -> true
-     | _ -> false
+let same_lb a b = a == b || Q.equal a b
+let same_ub a b = a == b || Option.equal Q.equal a b
 
 (* The variables whose node bounds differ from the prepared form's, in
    ascending order. On a branch-and-bound node that is the handful of
@@ -248,7 +222,7 @@ let same_bound a b =
 let changed_vars p ~lb ~ub =
   let acc = ref [] in
   for v = p.p_nvars - 1 downto 0 do
-    if not (same_bound lb.(v) p.p_lb.(v) && same_bound ub.(v) p.p_ub.(v)) then
+    if not (same_lb lb.(v) p.p_lb.(v) && same_ub ub.(v) p.p_ub.(v)) then
       acc := v :: !acc
   done;
   !acc
@@ -257,8 +231,9 @@ let changed_vars p ~lb ~ub =
    or raise {!Remap} when the mapping cannot carry them (see {!prepared}).
    Only the [changed] variables are visited: every other column keeps a
    zero offset and its prepared span, which is what the translation of an
-   unchanged bound gives. Variables map to columns in ascending order, so
-   [shifted] comes out ascending. *)
+   unchanged bound gives, and a changed [Fixed] variable has left its fixed
+   value. Variables map to columns in ascending order, so [shifted] comes
+   out ascending. *)
 let overlay p changed ~lb ~ub =
   let lo = Array.make (Array.length p.p_c) 0.0 in
   let span = Array.copy p.p_ubs in
@@ -272,27 +247,11 @@ let overlay p changed ~lb ~ub =
   List.iter
     (fun v ->
       match p.p_mapping.(v) with
-      | Fixed k -> (
-        match (lb.(v), ub.(v)) with
-        | Some l, Some u when Q.equal l k && Q.equal u k -> ()
-        | _ -> raise (Remap "fixed variable came unfixed"))
-      | Shifted (col, l_root) -> (
-        match lb.(v) with
-        | None -> raise (Remap "shifted variable lost its lower bound")
-        | Some l' ->
-          shift col (Q.sub l' l_root);
-          span.(col) <-
-            Option.map (fun u' -> Q.to_float (Q.sub u' l')) ub.(v))
-      | Flipped (col, u_root) -> (
-        match ub.(v) with
-        | None -> raise (Remap "flipped variable lost its upper bound")
-        | Some u' ->
-          shift col (Q.sub u_root u');
-          span.(col) <-
-            Option.map (fun l' -> Q.to_float (Q.sub u' l')) lb.(v))
-      | Split (_, _) ->
-        if lb.(v) <> None || ub.(v) <> None then
-          raise (Remap "free variable acquired a bound"))
+      | Fixed _ -> raise (Remap "fixed variable came unfixed")
+      | Shifted (col, l_root) ->
+        let l' = lb.(v) in
+        shift col (Q.sub l' l_root);
+        span.(col) <- Option.map (fun u' -> Q.to_float (Q.sub u' l')) ub.(v))
     changed;
   { lo; shifted = List.rev !shifted; span }
 
@@ -330,8 +289,7 @@ let warm_solve ?max_iters ?deadline p snap changed ~lb ~ub =
     | Ok (Tableau.Optimal { value; x; snapshot }) ->
       Ok (outcome_of p ~shift value x snapshot))
 
-let crossed l u =
-  match (l, u) with Some l, Some u -> Q.compare l u > 0 | _ -> false
+let crossed l u = match u with Some u -> Q.compare l u > 0 | None -> false
 
 let solve_relaxation_float ?max_iters ?deadline ?bounds ?warm model =
   Telemetry.span "lp.simplex.solve" @@ fun () ->

@@ -1,9 +1,9 @@
 (** LP-relaxation solver front-end over the float {!Tableau} kernel.
 
-    Converts a {!Model} (arbitrary bounds, [<=]/[>=]/[=] rows, min or max
-    objective) into the bounded standard form {!Tableau} expects — shifting
-    lower-bounded variables, flipping upper-bound-only ones, splitting free
-    ones, passing doubly-bounded spans as implicit column bounds and adding
+    Converts a {!Model} (finite lower bounds, optional upper bounds,
+    [<=]/[>=]/[=] rows, min or max objective) into the bounded standard
+    form {!Tableau} expects — shifting each variable by its lower bound,
+    passing doubly-bounded spans as implicit column bounds and adding
     slack/surplus columns — and maps the solution back to model variables.
     Integrality is ignored here; {!Branch_bound} adds it.
 
@@ -34,7 +34,7 @@ type outcome =
 val solve_relaxation_float :
   ?max_iters:int ->
   ?deadline:float ->
-  ?bounds:(Numeric.Rat.t option * Numeric.Rat.t option) array ->
+  ?bounds:(Numeric.Rat.t * Numeric.Rat.t option) array ->
   ?warm:warm ->
   Model.t ->
   outcome

@@ -19,18 +19,13 @@ let solve model =
   let ncols = ref 0 and bound_rows = ref [] in
   let fresh () = incr ncols; !ncols - 1 in
   for v = 0 to nvars - 1 do
-    match (M.var_lb model v, M.var_ub model v) with
-    | Some l, ub ->
-      let y = fresh () in
-      offset.(v) <- l;
-      cols.(v) <- [ (y, Q.one) ];
-      Option.iter (fun u -> bound_rows := ([ (y, Q.one) ], M.Le, Q.sub u l) :: !bound_rows) ub
-    | None, Some u ->
-      offset.(v) <- u;
-      cols.(v) <- [ (fresh (), Q.minus_one) ]
-    | None, None ->
-      let p = fresh () in
-      cols.(v) <- [ (p, Q.one); (fresh (), Q.minus_one) ]
+    let l = M.var_lb model v in
+    let y = fresh () in
+    offset.(v) <- l;
+    cols.(v) <- [ (y, Q.one) ];
+    Option.iter
+      (fun u -> bound_rows := ([ (y, Q.one) ], M.Le, Q.sub u l) :: !bound_rows)
+      (M.var_ub model v)
   done;
   let translate expr =
     Lp.Linexpr.fold
