@@ -43,7 +43,3 @@ let op_fits rule (o : Operation.t) (d : Device.t) =
     && Components.Capacity.equal (resolved_capacity o) d.Device.capacity
     && Components.Accessory.Set.equal o.Operation.accessories d.Device.accessories
 
-let device_subsumes (big : Device.t) (small : Device.t) =
-  Components.Container.equal big.Device.container small.Device.container
-  && Components.Capacity.equal big.Device.capacity small.Device.capacity
-  && Components.Accessory.Set.subset small.Device.accessories big.Device.accessories

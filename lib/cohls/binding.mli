@@ -27,7 +27,3 @@ val resolved_capacity : Operation.t -> Components.Capacity.t
 val minimal_device : Operation.t -> id:int -> Device.t
 (** Cheapest device able to execute the operation; what a synthesiser
     instantiates when no existing device fits. *)
-
-val device_subsumes : Device.t -> Device.t -> bool
-(** [device_subsumes big small]: every operation that fits [small] also fits
-    [big] under the component-oriented rule. *)

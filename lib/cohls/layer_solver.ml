@@ -2,17 +2,6 @@ type engine =
   | Heuristic
   | Ilp of { options : Lp.Branch_bound.options; extra_free_slots : int }
 
-let default_ilp =
-  Ilp
-    {
-      options =
-        {
-          Lp.Branch_bound.default_options with
-          Lp.Branch_bound.time_limit = Some 10.0;
-        };
-      extra_free_slots = 1;
-    }
-
 let solve engine (problem : Layer_problem.t) ~fresh_id =
   Telemetry.span "layer.solve"
     ~attrs:

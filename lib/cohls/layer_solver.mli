@@ -28,9 +28,6 @@ type engine =
           (** free slots beyond the heuristic's created devices *)
     }
 
-val default_ilp : engine
-(** 10-second time limit, one extra free slot. *)
-
 val solve :
   engine -> Layer_problem.t -> fresh_id:(unit -> int) -> List_scheduler.outcome
 (** @raise List_scheduler.No_device when the device cap is too small. *)

@@ -42,10 +42,6 @@ let terms a = Imap.bindings a.terms
 let fold f a init = Imap.fold f a.terms init
 let is_constant a = Imap.is_empty a.terms
 
-let map_vars f a =
-  let add_one v c acc = add acc (term c (f v)) in
-  Imap.fold add_one a.terms (constant a.const)
-
 let eval value a =
   Imap.fold (fun v c acc -> Q.add acc (Q.mul c (value v))) a.terms a.const
 

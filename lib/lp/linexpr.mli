@@ -31,7 +31,6 @@ val terms : t -> (int * Numeric.Rat.t) list
 (** Non-zero terms in ascending variable order. *)
 
 val fold : (int -> Numeric.Rat.t -> 'a -> 'a) -> t -> 'a -> 'a
-val map_vars : (int -> int) -> t -> t
 val is_constant : t -> bool
 val eval : (int -> Numeric.Rat.t) -> t -> Numeric.Rat.t
 val eval_float : (int -> float) -> t -> float

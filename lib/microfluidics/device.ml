@@ -15,11 +15,6 @@ let make ~id ~container ~capacity ~accessories =
          (Capacity.to_string capacity));
   { id; container; capacity; accessories = Accessory.set_of_list accessories }
 
-let equal_config a b =
-  Container.equal a.container b.container
-  && Capacity.equal a.capacity b.capacity
-  && Accessory.Set.equal a.accessories b.accessories
-
 let compare a b = Stdlib.compare a.id b.id
 
 let signature d =

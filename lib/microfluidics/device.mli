@@ -23,9 +23,6 @@ val make :
 (** @raise Invalid_argument when the capacity class is not allowed for the
     container type (paper constraints (3)–(4)). *)
 
-val equal_config : t -> t -> bool
-(** Same container, capacity and accessory set (ignores [id]). *)
-
 val compare : t -> t -> int
 val signature : t -> string
 (** Canonical text form, e.g. ["ring/medium{p}"] — used by the conventional

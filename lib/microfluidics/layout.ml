@@ -97,14 +97,6 @@ let place ~device_ids ~path_usage =
 
 let path_length t a b = List.assoc_opt (key a b) t.lengths
 
-let usage_rank ~path_usage pair =
-  let k = key (fst pair) (snd pair) in
-  let rec go i = function
-    | [] -> i
-    | (p, _) :: rest -> if p = k then i else go (i + 1) rest
-  in
-  go 0 path_usage
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>layout %dx%d:@," t.side t.side;
   List.iter

@@ -26,8 +26,4 @@ val place : device_ids:int list -> path_usage:((int * int) * int) list -> t
 val path_length : t -> int -> int -> int option
 (** Manhattan length of the channel between two placed devices. *)
 
-val usage_rank : path_usage:((int * int) * int) list -> (int * int) -> int
-(** 0-based rank of a pair in decreasing-usage order; unknown pairs rank
-    last. *)
-
 val pp : Format.formatter -> t -> unit

@@ -40,21 +40,6 @@ let compatible_with_device o (d : Device.t) =
       | None -> true)
   && Accessory.Set.subset o.accessories d.Device.accessories
 
-let requirements_subsume o1 o2 =
-  let container_ok =
-    match (o2.container, o1.container) with
-    | None, _ -> true
-    | Some c2, Some c1 -> Container.equal c2 c1
-    | Some _, None -> false
-  in
-  let capacity_ok =
-    match (o2.capacity, o1.capacity) with
-    | None, _ -> true
-    | Some c2, Some c1 -> Capacity.equal c2 c1
-    | Some _, None -> false
-  in
-  container_ok && capacity_ok && Accessory.Set.subset o2.accessories o1.accessories
-
 let requirement_signature o =
   let c = match o.container with Some c -> Container.to_string c | None -> "*" in
   let cap = match o.capacity with Some c -> Capacity.to_string c | None -> "*" in

@@ -45,11 +45,6 @@ val compatible_with_device : t -> Device.t -> bool
     container's allowed classes), and the device's accessories include the
     operation's. *)
 
-val requirements_subsume : t -> t -> bool
-(** [requirements_subsume o1 o2] is [true] when any device suitable for [o1]
-    is also suitable for [o2] (the paper's §3.2 inheritance test
-    [C_o2 ⊆ C_o1 ∧ A_o2 ⊆ A_o1]). *)
-
 val requirement_signature : t -> string
 (** Canonical string of the component requirements; the conventional
     baseline classifies operations into pseudo-types by this key. *)

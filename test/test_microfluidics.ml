@@ -66,16 +66,6 @@ let test_device_make () =
         (Device.make ~id:1 ~container:Container.Ring ~capacity:Capacity.Tiny
            ~accessories:[]))
 
-let test_device_equal_config () =
-  let mk id accs =
-    Device.make ~id ~container:Container.Chamber ~capacity:Capacity.Small
-      ~accessories:accs
-  in
-  check bool "same config, different id" true
-    (Device.equal_config (mk 0 [ Accessory.Pump ]) (mk 7 [ Accessory.Pump ]));
-  check bool "different accessories" false
-    (Device.equal_config (mk 0 [ Accessory.Pump ]) (mk 0 []))
-
 (* ---------- operation ---------- *)
 
 let mixer_device =
@@ -94,9 +84,7 @@ let test_operation_compat () =
       ~duration:(Operation.Fixed 5) "o2"
   in
   check bool "o1 fits mixer" true (Operation.compatible_with_device o1 mixer_device);
-  check bool "o2 fits mixer too" true (Operation.compatible_with_device o2 mixer_device);
-  check bool "o1 subsumes o2" true (Operation.requirements_subsume o1 o2);
-  check bool "o2 does not subsume o1" false (Operation.requirements_subsume o2 o1)
+  check bool "o2 fits mixer too" true (Operation.compatible_with_device o2 mixer_device)
 
 let test_operation_capacity_match () =
   let o =
@@ -437,12 +425,6 @@ let test_layout_placement () =
    | Some len -> check int_t "hot pair adjacent" 1 len
    | None -> Alcotest.fail "missing path length")
 
-let test_layout_usage_rank () =
-  let usage = [ ((0, 1), 10); ((1, 2), 5) ] in
-  check int_t "rank of hottest" 0 (Layout.usage_rank ~path_usage:usage (0, 1));
-  check int_t "rank of second" 1 (Layout.usage_rank ~path_usage:usage (2, 1));
-  check int_t "unknown ranks last" 2 (Layout.usage_rank ~path_usage:usage (0, 9))
-
 let test_layout_single_device () =
   let l = Layout.place ~device_ids:[ 42 ] ~path_usage:[] in
   check int_t "side 1" 1 l.Layout.side;
@@ -461,7 +443,6 @@ let () =
       ( "device",
         [
           Alcotest.test_case "make/signature" `Quick test_device_make;
-          Alcotest.test_case "equal config" `Quick test_device_equal_config;
         ] );
       ( "operation",
         [
@@ -498,7 +479,6 @@ let () =
       ( "layout",
         [
           Alcotest.test_case "placement" `Quick test_layout_placement;
-          Alcotest.test_case "usage rank" `Quick test_layout_usage_rank;
           Alcotest.test_case "single device" `Quick test_layout_single_device;
         ] );
     ]

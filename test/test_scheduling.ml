@@ -83,15 +83,6 @@ let test_component_rule_superset_of_exact () =
          || Cohls.Binding.op_fits Cohls.Binding.Component_oriented o d))
     ops
 
-let test_device_subsumes () =
-  let small =
-    Device.make ~id:0 ~container:Container.Ring ~capacity:Capacity.Small
-      ~accessories:[ Accessory.Pump ]
-  in
-  check bool "bigger accessory set subsumes" true
-    (Cohls.Binding.device_subsumes mixer small);
-  check bool "smaller does not" false (Cohls.Binding.device_subsumes small mixer)
-
 (* ---------- transport ---------- *)
 
 let test_progression_terms () =
@@ -320,7 +311,6 @@ let () =
           Alcotest.test_case "minimal device" `Quick test_minimal_device;
           Alcotest.test_case "component rule is a superset" `Quick
             test_component_rule_superset_of_exact;
-          Alcotest.test_case "device subsumption" `Quick test_device_subsumes;
         ] );
       ( "transport",
         [
