@@ -358,8 +358,9 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Oracle seed.")
 
 let max_extra_arg =
-  Arg.(value & opt int 20 & info [ "max-extra" ]
-       ~doc:"Maximum extra minutes an indeterminate operation may take.")
+  let minutes = checked Arg.int ~what:"an integer >= 0" (fun n -> n >= 0) in
+  Arg.(value & opt minutes 20 & info [ "max-extra" ]
+       ~doc:"Maximum extra minutes an indeterminate operation may take, at least 0.")
 
 let execute case seed max_extra =
   handle_result
