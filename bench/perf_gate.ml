@@ -49,6 +49,13 @@
      `lp.presolve.cols_fixed` nonzero in the current telemetry;
    - wall-clock fields are ignored entirely.
 
+   The diff table also prints, below the gated counters, the kernel's
+   sparsity counters: `lp.simplex.phase1_pivots`, `lp.simplex.rho_nnz`,
+   `lp.simplex.pivot_row_nnz` and the sample sum of the
+   `lp.simplex.factor_nnz` histogram. They are informational and gate
+   nothing: they describe how sparse the kernel's work is, not what it
+   computes.
+
    `--same A.json B.json` is the run-to-run determinism gate: it deep
    compares the two artifacts' `cases` and `ilp` sections — the solver
    results — ignoring the timing fields (`runtime_seconds`, `exe_time`,
@@ -203,14 +210,16 @@ let counter doc name =
 let counter_names doc =
   List.map (fun c -> as_str (member "name" c)) (as_list (member "counters" (member "telemetry" doc)))
 
-let hist_mean doc name =
+let hist_field field doc name =
   let rec find = function
     | [] -> 0.0
     | h :: rest ->
-      if as_str (member "name" h) = name then as_float (member "mean" h)
+      if as_str (member "name" h) = name then as_float (member field h)
       else find rest
   in
   find (as_list (member "histograms" (member "telemetry" doc)))
+
+let hist_mean = hist_field "mean"
 
 let load path =
   let ic = open_in_bin path in
@@ -359,15 +368,23 @@ let () =
      every run so a failure report is self-contained. *)
   Printf.printf "\n%-32s %12s %12s %8s\n" "counter" "baseline" "current" "ratio";
   Printf.printf "%s\n" (String.make 68 '-');
+  let row name b c =
+    let ratio =
+      if b = 0 then (if c = 0 then "-" else "new")
+      else Printf.sprintf "%.2f" (float_of_int c /. float_of_int b)
+    in
+    Printf.printf "%-32s %12d %12d %8s\n" name b c ratio
+  in
   List.iter
-    (fun name ->
-      let b = counter baseline name and c = counter current name in
-      let ratio =
-        if b = 0 then (if c = 0 then "-" else "new")
-        else Printf.sprintf "%.2f" (float_of_int c /. float_of_int b)
-      in
-      Printf.printf "%-32s %12d %12d %8s\n" name b c ratio)
+    (fun name -> row name (counter baseline name) (counter current name))
     (work_counters @ [ "lp.simplex.deadline_aborts" ]);
+  (* Informational sparsity counters, not gated; see header. *)
+  Printf.printf "%s\n" (String.make 68 '-');
+  List.iter
+    (fun name -> row name (counter baseline name) (counter current name))
+    [ "lp.simplex.phase1_pivots"; "lp.simplex.rho_nnz"; "lp.simplex.pivot_row_nnz" ];
+  let nnz_sum doc = int_of_float (hist_field "sum" doc "lp.simplex.factor_nnz") in
+  row "lp.simplex.factor_nnz (sum)" (nnz_sum baseline) (nnz_sum current);
   Printf.printf "\n";
   let is_presolve name =
     String.length name > 12 && String.sub name 0 12 = "lp.presolve."

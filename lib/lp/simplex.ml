@@ -43,7 +43,7 @@ let effective_bounds ?bounds model =
   match bounds with
   | Some bs ->
     if Array.length bs <> nvars then
-      invalid_arg "Simplex.solve: bounds length";
+      invalid_arg "Simplex.solve_relaxation_float: bounds length";
     (Array.map fst bs, Array.map snd bs)
   | None ->
     ( Array.init nvars (fun v -> Model.var_lb model v),

@@ -1,12 +1,34 @@
 (* Sparse revised two-phase bounded-variable simplex over IEEE doubles.
 
-   The constraint matrix is stored column-wise in a {!columns} store (the
-   sparse column of each structural variable and its static pricing norm),
-   built once per standard form and shared read-only by every solve over
-   that form; the basis inverse is a
-   product-form eta file that is rebuilt from scratch (refactorised) after a
-   bounded number of pivots, which both bounds the FTRAN / BTRAN cost and
-   drains accumulated roundoff.
+   The constraint matrix is stored in a {!columns} store, built once per
+   standard form and shared read-only by every solve over that form: the
+   sparse column of each structural variable with its static pricing norm,
+   and the same nonzeros row by row. The basis inverse is a product-form
+   eta file that is rebuilt from scratch (refactorised) after a bounded
+   number of pivots, which both bounds the FTRAN / BTRAN cost and drains
+   accumulated roundoff.
+
+   Pricing works row-wise. A reduced cost [c_j - y.a_j] and an entry of the
+   dual pivot row [rho.a_j] are both sums over the rows where the dense
+   vector ([y] or [rho = B^-T e_r]) is nonzero, so the kernel walks those
+   rows, in ascending order, and adds each row's terms into its columns.
+   Every column then receives its terms in the order a sweep down the
+   column adds them; the only terms left out are exact zero products,
+   which cannot change a sum, so the results are bit-identical to a
+   column sweep. In a warm dual iteration [rho] is hypersparse (tens of
+   nonzeros among hundreds of rows on the paper's case 1), so the pivot
+   row and the reduced-cost update touch only the columns those rows
+   reach.
+
+   Every solve over a store runs in its [workspace]: every array a solve
+   or an iteration needs besides its results and its eta records is
+   allocated once, with the store. So one store serves one solve at a
+   time (a tree search solves one relaxation at a time). Nothing a solve
+   leaves in the workspace is read by the next: each array is written
+   before it is read, and the pivot row marks the columns it touches with
+   a generation number that never repeats, so a solve aborted mid-row
+   ([Deadline_exceeded], [Iteration_limit], [Singular]) leaves no mark
+   that a later one could mistake for its own.
 
    Structural variables range over [0, ub_j] (ub_j optional); a nonbasic
    variable rests at either bound ([at_ub]) and upper bounds are enforced by
@@ -34,12 +56,104 @@ exception Singular
 
 let eps = 1e-9
 
+type eta = {
+  e_row : int;
+  e_pivot : float;  (* 1 / alpha_r *)
+  e_idx : int array;  (* rows i <> e_row with nonzero alpha_i *)
+  e_val : float array;  (* -alpha_i / alpha_r, parallel to [e_idx] *)
+}
+
+let dummy_eta = { e_row = 0; e_pivot = 1.0; e_idx = [||]; e_val = [||] }
+
+(* Scratch for the solves over one store; see the header. Row-length
+   arrays come first, then column-length ones. *)
+type workspace = {
+  w_y : float array;  (* simplex multipliers *)
+  w_rho : float array;  (* row r of B^-1 *)
+  w_delta : float array;  (* summed bound-flip columns *)
+  w_alpha : float array;  (* the entering column, FTRAN'd *)
+  w_x_b : float array;
+  w_v : float array;  (* a basis column during refactorisation *)
+  w_scaling : float array;
+  w_resid : float array;
+  w_nz : int array;  (* rows of the column an eta is being built from *)
+  w_rows : int array;  (* nonzero rows of [y] or [rho] *)
+  w_basis : int array;
+  w_order : int array;
+  w_row_count : int array;
+  w_cursor : int array;
+  w_fifo : int array;
+  w_bump : int array;
+  w_taken : bool array;
+  w_placed : bool array;
+  w_covered : bool array;
+  w_unplaced_start : int array;  (* [nrows + 1] *)
+  w_unplaced : int array;  (* [nnz]: CSR of the unplaced basis columns *)
+  w_d : float array;  (* reduced costs *)
+  w_row_r : float array;  (* the dual pivot row, where [w_stamp = w_gen] *)
+  w_cand_ratio : float array;
+  w_cand_arj : float array;
+  w_ubs : float array;
+  w_stamp : int array;
+  w_touched : int array;
+  w_cand : int array;
+  w_cand_order : int array;
+  w_at_ub : bool array;
+  w_pos : int array;  (* [n + nrows] *)
+  mutable w_etas : eta array;
+  mutable w_gen : int;
+}
+
 type columns = {
   nrows : int;
   col_idx : int array array;
   col_val : float array array;
   col_weight : float array;
+  row_start : int array;
+  row_col : int array;
+  row_val : float array;
+  work : workspace;
 }
+
+let workspace ~m ~n ~nnz =
+  let fm () = Array.make m 0.0 and im () = Array.make m 0 in
+  let fn () = Array.make n 0.0 and in_ () = Array.make n 0 in
+  {
+    w_y = fm ();
+    w_rho = fm ();
+    w_delta = fm ();
+    w_alpha = fm ();
+    w_x_b = fm ();
+    w_v = fm ();
+    w_scaling = fm ();
+    w_resid = fm ();
+    w_nz = im ();
+    w_rows = im ();
+    w_basis = im ();
+    w_order = im ();
+    w_row_count = im ();
+    w_cursor = im ();
+    w_fifo = im ();
+    w_bump = im ();
+    w_taken = Array.make m false;
+    w_placed = Array.make m false;
+    w_covered = Array.make m false;
+    w_unplaced_start = Array.make (m + 1) 0;
+    w_unplaced = Array.make nnz 0;
+    w_d = fn ();
+    w_row_r = fn ();
+    w_cand_ratio = fn ();
+    w_cand_arj = fn ();
+    w_ubs = fn ();
+    w_stamp = in_ ();
+    w_touched = in_ ();
+    w_cand = in_ ();
+    w_cand_order = in_ ();
+    w_at_ub = Array.make n false;
+    w_pos = Array.make (n + m) (-1);
+    w_etas = [| dummy_eta |];
+    w_gen = 0;
+  }
 
 let columns ~nrows cols =
   Array.iter
@@ -51,25 +165,43 @@ let columns ~nrows cols =
             invalid_arg "Tableau.columns: rows not strictly increasing")
         col)
     cols;
+  let n = Array.length cols in
+  let col_idx = Array.map (fun col -> Array.map fst col) cols in
   let col_val = Array.map (fun col -> Array.map snd col) cols in
+  (* The transpose: visiting the columns in ascending order lists each
+     row's columns ascending. *)
+  let row_start = Array.make (nrows + 1) 0 in
+  Array.iter
+    (Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1))
+    col_idx;
+  for i = 0 to nrows - 1 do
+    row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
+  done;
+  let nnz = row_start.(nrows) in
+  let row_col = Array.make nnz 0 and row_val = Array.make nnz 0.0 in
+  let fill = Array.sub row_start 0 nrows in
+  for j = 0 to n - 1 do
+    let idx = col_idx.(j) and vl = col_val.(j) in
+    for k = 0 to Array.length idx - 1 do
+      let p = fill.(idx.(k)) in
+      row_col.(p) <- j;
+      row_val.(p) <- vl.(k);
+      fill.(idx.(k)) <- p + 1
+    done
+  done;
   {
     nrows;
-    col_idx = Array.map (fun col -> Array.map fst col) cols;
+    col_idx;
     col_val;
     col_weight =
       Array.map
         (fun vl -> Array.fold_left (fun acc x -> acc +. (x *. x)) 1.0 vl)
         col_val;
+    row_start;
+    row_col;
+    row_val;
+    work = workspace ~m:nrows ~n ~nnz;
   }
-
-type eta = {
-  e_row : int;
-  e_pivot : float;  (* 1 / alpha_r *)
-  e_idx : int array;  (* rows i <> e_row with nonzero alpha_i *)
-  e_val : float array;  (* -alpha_i / alpha_r, parallel to [e_idx] *)
-}
-
-let dummy_eta = { e_row = 0; e_pivot = 1.0; e_idx = [||]; e_val = [||] }
 
 (* The eta file a refactorisation built from a snapshot's basis, and the row
    each basic column landed on. Never mutated once published. *)
@@ -90,24 +222,28 @@ type state = {
   m : int;
   n : int;
   (* structural columns, shared with the column store and never written *)
+  cols : columns;
   cidx : int array array;
   cval : float array array;
   weight : float array;
+  ws : workspace;
   ubs : float array;  (* upper bound per structural column, [infinity] = none *)
   at_ub : bool array;
   basis : int array;
   pos : int array;
   x_b : float array;
   b : float array;
-  nz : int array;  (* rows of the column an eta is being built from *)
+  nz : int array;
   mutable etas : eta array;
   mutable n_etas : int;
+  mutable etas_used : int;  (* high-water mark of [n_etas] *)
   mutable factor_etas : int;
   max_iters : int;
   deadline : float option;
   (* per-solve counters, flushed to telemetry when the solve ends *)
   mutable iters : int;
   mutable pivots : int;
+  mutable phase1_pivots : int;
   mutable bland_pivots : int;
   mutable dual_pivots : int;
   mutable flips : int;
@@ -115,20 +251,25 @@ type state = {
   mutable factor_reuses : int;
   mutable btrans : int;
   mutable ftrans : int;
+  mutable rho_nnz : int;
+  mutable pivot_row_nnz : int;
 }
 
 let clamp x = if Float.abs x <= eps then 0.0 else x
 let fcmp a b = if Float.abs (a -. b) <= eps then 0 else Float.compare a b
-let ub_of st j = if j < st.n then st.ubs.(j) else infinity
 
-let push_eta st e =
-  if st.n_etas = Array.length st.etas then begin
-    let bigger = Array.make (max 16 (2 * st.n_etas)) e in
+let reserve_etas st len =
+  if len > Array.length st.etas then begin
+    let bigger = Array.make (max len (2 * Array.length st.etas)) dummy_eta in
     Array.blit st.etas 0 bigger 0 st.n_etas;
     st.etas <- bigger
-  end;
+  end
+
+let push_eta st e =
+  reserve_etas st (st.n_etas + 1);
   st.etas.(st.n_etas) <- e;
-  st.n_etas <- st.n_etas + 1
+  st.n_etas <- st.n_etas + 1;
+  if st.n_etas > st.etas_used then st.etas_used <- st.n_etas
 
 (* [v <- B^-1 v]. Uncounted: {!factorise} applies it to each bump column,
    and the FTRANs it counts are the iterations' own ({!ftran}), so that the
@@ -170,6 +311,92 @@ let scatter st j v =
     done
   end
   else v.(j - st.n) <- 1.0
+
+(* The rows where [v] is nonzero, ascending, into [st.ws.w_rows]; returns
+   how many. *)
+let nonzero_rows st (v : float array) =
+  let rows = st.ws.w_rows in
+  let cnt = ref 0 in
+  for i = 0 to st.m - 1 do
+    if v.(i) <> 0.0 then begin
+      rows.(!cnt) <- i;
+      incr cnt
+    end
+  done;
+  !cnt
+
+(* [d_j <- d_j - v . a_j] for every structural column [j], row by row over
+   the nonzeros of [v] (see the header). With [d] holding the costs and [v]
+   the multipliers this prices the reduced costs. *)
+let subtract_rows st v d =
+  let cols = st.cols in
+  let row_start = cols.row_start and row_col = cols.row_col
+  and row_val = cols.row_val in
+  let rows = st.ws.w_rows in
+  for k = 0 to nonzero_rows st v - 1 do
+    let i = rows.(k) in
+    let vi = v.(i) in
+    for p = row_start.(i) to row_start.(i + 1) - 1 do
+      let j = row_col.(p) in
+      d.(j) <- d.(j) -. (row_val.(p) *. vi)
+    done
+  done
+
+(* The dual pivot row [rho . a_j], row by row over the nonzeros of [rho],
+   into [w_row_r]. Only the columns those rows reach get an entry: each is
+   stamped with a fresh generation and listed in [w_touched], whose length
+   is returned; every other column's entry is zero. *)
+let pivot_row st rho =
+  let cols = st.cols and ws = st.ws in
+  let row_start = cols.row_start and row_col = cols.row_col
+  and row_val = cols.row_val in
+  let rows = ws.w_rows and row_r = ws.w_row_r and stamp = ws.w_stamp
+  and touched = ws.w_touched in
+  ws.w_gen <- ws.w_gen + 1;
+  let gen = ws.w_gen in
+  let cnt = nonzero_rows st rho in
+  st.rho_nnz <- st.rho_nnz + cnt;
+  let nt = ref 0 in
+  for k = 0 to cnt - 1 do
+    let i = rows.(k) in
+    let ri = rho.(i) in
+    for p = row_start.(i) to row_start.(i + 1) - 1 do
+      let j = row_col.(p) in
+      if stamp.(j) <> gen then begin
+        stamp.(j) <- gen;
+        row_r.(j) <- 0.0;
+        touched.(!nt) <- j;
+        incr nt
+      end;
+      row_r.(j) <- row_r.(j) +. (row_val.(p) *. ri)
+    done
+  done;
+  !nt
+
+(* Sort [a.(0 .. len-1)] in place by [cmp], which must be a strict total
+   order on the entries: the result is then the one any sort gives. *)
+let sort_prefix cmp (a : int array) len =
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && cmp a.(l + 1) a.(l) > 0 then l + 1 else l in
+      if cmp a.(c) a.(i) > 0 then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c len
+      end
+    end
+  in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for last = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
 
 (* The eta of pivoting the FTRAN'd column [alpha] on [row], built from the
    rows [st.nz.(0 .. cnt-1)]: ascending, every row with [|alpha_i| > eps],
@@ -225,21 +452,28 @@ let pivot st ~row ~col ~t ~dir ~enter_val alpha =
            the float operations the dense FTRAN would perform. A pivot entry
            within [eps] of zero breaks the argument (the column then pivots
            on another row, which later columns may meet), so from there on
-           pass 2 takes the dense path of pass 3;
+           pass 2 takes the dense path of pass 3. The unplaced columns of
+           each untaken row are held as CSR arrays, in basis order, and a
+           row that is down to one of them takes the last still unplaced;
    pass 3: the residual "bump" (rarely more than a handful of columns in an
-           LP basis) is eliminated densely, smallest column first, picking
-           pivot rows by magnitude.
+           LP basis) is eliminated densely, smallest column first (the later
+           basis position first among equals), picking pivot rows by
+           magnitude.
+
+   An artificial whose row a structural singleton took is a singular basis.
 
    The result depends only on the basis and the columns, never on [b],
    [ubs] or [at_ub], which is what lets a snapshot share it ({!factor}). *)
 let factorise st =
+  let ws = st.ws and m = st.m in
   st.n_etas <- 0;
-  let order = Array.copy st.basis in
-  let taken = Array.make st.m false in
-  let placed = Array.make st.m false in
+  let order = ws.w_order and taken = ws.w_taken and placed = ws.w_placed in
   (* [e_pivot] of the pass-1 scaling eta on each row, [0.0] for none *)
-  let scaling = Array.make st.m 0.0 in
-  let v = Array.make st.m 0.0 in
+  let scaling = ws.w_scaling and v = ws.w_v in
+  Array.blit st.basis 0 order 0 m;
+  Array.fill taken 0 m false;
+  Array.fill placed 0 m false;
+  Array.fill scaling 0 m 0.0;
   let place t col row =
     taken.(row) <- true;
     placed.(t) <- true;
@@ -248,11 +482,11 @@ let factorise st =
   (* One sweep finds the column's nonzero rows and its largest untaken
      entry; the eta is then built from those rows only. *)
   let pivot_full t col ~row_hint =
-    Array.fill v 0 st.m 0.0;
+    Array.fill v 0 m 0.0;
     scatter st col v;
     apply_etas st v;
     let cnt = ref 0 and best = ref (-1) and best_mag = ref 0.0 in
-    for i = 0 to st.m - 1 do
+    for i = 0 to m - 1 do
       let mag = Float.abs v.(i) in
       if mag > eps then begin
         st.nz.(!cnt) <- i;
@@ -264,11 +498,11 @@ let factorise st =
       end
     done;
     let row =
-      match row_hint with
-      | Some r when Float.abs v.(r) > eps -> r
-      | _ ->
+      if row_hint >= 0 && Float.abs v.(row_hint) > eps then row_hint
+      else begin
         if !best < 0 then raise Singular;
         !best
+      end
     in
     push_eta_of_rows st ~row v !cnt;
     place t col row
@@ -276,107 +510,150 @@ let factorise st =
   let dense = ref false in
   (* Pass 2 on row [r]: the column's FTRAN'd entry at [k] is its raw entry,
      scaled if a pass-1 eta covers that row (and the entry is above [eps],
-     as [ftran] skips the rest). *)
+     as [ftran] skips the rest). The eta's rows and values are gathered in
+     [st.nz] and [v], then copied out at their final length. *)
   let pivot_singleton t col r =
     let idx = st.cidx.(col) and vl = st.cval.(col) in
-    let alpha k =
-      let a = vl.(k) and p = scaling.(idx.(k)) in
-      if p <> 0.0 && Float.abs a > eps then p *. a else a
-    in
     let kr = ref 0 in
     while idx.(!kr) <> r do incr kr done;
     let ar = vl.(!kr) in
     if !dense || Float.abs ar <= eps then begin
       dense := true;
-      pivot_full t col ~row_hint:(Some r)
+      pivot_full t col ~row_hint:r
     end
     else begin
       let cnt = ref 0 in
       for k = 0 to Array.length idx - 1 do
-        if k <> !kr && Float.abs (alpha k) > eps then incr cnt
-      done;
-      let e_idx = Array.make !cnt 0 and e_val = Array.make !cnt 0.0 in
-      let c = ref 0 in
-      for k = 0 to Array.length idx - 1 do
         if k <> !kr then begin
-          let a = alpha k in
+          let a = vl.(k) and p = scaling.(idx.(k)) in
+          let a = if p <> 0.0 && Float.abs a > eps then p *. a else a in
           if Float.abs a > eps then begin
-            e_idx.(!c) <- idx.(k);
-            e_val.(!c) <- -.(a /. ar);
-            incr c
+            st.nz.(!cnt) <- idx.(k);
+            v.(!cnt) <- -.(a /. ar);
+            incr cnt
           end
         end
       done;
-      push_eta st { e_row = r; e_pivot = 1.0 /. ar; e_idx; e_val };
+      push_eta st
+        {
+          e_row = r;
+          e_pivot = 1.0 /. ar;
+          e_idx = Array.sub st.nz 0 !cnt;
+          e_val = Array.sub v 0 !cnt;
+        };
       place t col r
     end
   in
-  Array.iteri
-    (fun t col ->
-      if col >= st.n then begin
-        let r = col - st.n in
-        if not taken.(r) then place t col r
+  for t = 0 to m - 1 do
+    let col = order.(t) in
+    if col >= st.n then begin
+      let r = col - st.n in
+      if not taken.(r) then place t col r
+    end
+    else if Array.length st.cidx.(col) = 1 then begin
+      let r = st.cidx.(col).(0) in
+      if not taken.(r) then begin
+        let a = st.cval.(col).(0) in
+        if fcmp a 1.0 <> 0 then begin
+          push_eta st { e_row = r; e_pivot = 1.0 /. a; e_idx = [||]; e_val = [||] };
+          scaling.(r) <- 1.0 /. a
+        end;
+        place t col r
       end
-      else if Array.length st.cidx.(col) = 1 then begin
-        let r = st.cidx.(col).(0) in
-        if not taken.(r) then begin
-          let a = st.cval.(col).(0) in
-          if fcmp a 1.0 <> 0 then begin
-            push_eta st { e_row = r; e_pivot = 1.0 /. a; e_idx = [||]; e_val = [||] };
-            scaling.(r) <- 1.0 /. a
-          end;
-          place t col r
-        end
-      end)
-    order;
-  let row_count = Array.make st.m 0 in
-  let row_cols = Array.make st.m [] in
-  Array.iteri
-    (fun t col ->
-      if not placed.(t) then
-        Array.iter
-          (fun i ->
-            if not taken.(i) then begin
-              row_count.(i) <- row_count.(i) + 1;
-              row_cols.(i) <- t :: row_cols.(i)
-            end)
-          st.cidx.(col))
-    order;
-  let queue = Queue.create () in
-  for i = 0 to st.m - 1 do
-    if (not taken.(i)) && row_count.(i) = 1 then Queue.add i queue
+    end
   done;
-  while not (Queue.is_empty queue) do
-    let r = Queue.take queue in
-    if (not taken.(r)) && row_count.(r) = 1 then
-      match List.find_opt (fun t -> not placed.(t)) row_cols.(r) with
-      | None -> ()
-      | Some t ->
+  (* CSR of the unplaced columns on each untaken row, [t] ascending *)
+  let row_count = ws.w_row_count and start = ws.w_unplaced_start
+  and unplaced = ws.w_unplaced and cursor = ws.w_cursor in
+  Array.fill row_count 0 m 0;
+  for t = 0 to m - 1 do
+    if not placed.(t) then begin
+      let col = order.(t) in
+      if col >= st.n then raise Singular;
+      let idx = st.cidx.(col) in
+      for k = 0 to Array.length idx - 1 do
+        let i = idx.(k) in
+        if not taken.(i) then row_count.(i) <- row_count.(i) + 1
+      done
+    end
+  done;
+  start.(0) <- 0;
+  for i = 0 to m - 1 do
+    start.(i + 1) <- start.(i) + row_count.(i);
+    cursor.(i) <- start.(i)
+  done;
+  for t = 0 to m - 1 do
+    if not placed.(t) then begin
+      let idx = st.cidx.(order.(t)) in
+      for k = 0 to Array.length idx - 1 do
+        let i = idx.(k) in
+        if not taken.(i) then begin
+          unplaced.(cursor.(i)) <- t;
+          cursor.(i) <- cursor.(i) + 1
+        end
+      done
+    end
+  done;
+  (* A row enters the FIFO when its count starts at 1 or falls to 1, and
+     counts only fall, so it enters at most once. *)
+  let fifo = ws.w_fifo in
+  let head = ref 0 and tail = ref 0 in
+  for i = 0 to m - 1 do
+    if (not taken.(i)) && row_count.(i) = 1 then begin
+      fifo.(!tail) <- i;
+      incr tail
+    end
+  done;
+  while !head < !tail do
+    let r = fifo.(!head) in
+    incr head;
+    if (not taken.(r)) && row_count.(r) = 1 then begin
+      let p = ref (start.(r + 1) - 1) in
+      while !p >= start.(r) && placed.(unplaced.(!p)) do decr p done;
+      if !p >= start.(r) then begin
+        let t = unplaced.(!p) in
         let col = order.(t) in
         pivot_singleton t col r;
-        Array.iter
-          (fun i ->
-            if not taken.(i) then begin
-              row_count.(i) <- row_count.(i) - 1;
-              if row_count.(i) = 1 then Queue.add i queue
-            end)
-          st.cidx.(col)
+        let idx = st.cidx.(col) in
+        for k = 0 to Array.length idx - 1 do
+          let i = idx.(k) in
+          if not taken.(i) then begin
+            row_count.(i) <- row_count.(i) - 1;
+            if row_count.(i) = 1 then begin
+              fifo.(!tail) <- i;
+              incr tail
+            end
+          end
+        done
+      end
+    end
   done;
-  let bump = ref [] in
-  Array.iteri (fun t _ -> if not placed.(t) then bump := t :: !bump) order;
-  let bump =
-    List.sort
-      (fun t1 t2 ->
-        compare (Array.length st.cidx.(order.(t1))) (Array.length st.cidx.(order.(t2))))
-      !bump
-  in
-  List.iter (fun t -> pivot_full t order.(t) ~row_hint:None) bump
+  let bump = ws.w_bump in
+  let nbump = ref 0 in
+  for t = 0 to m - 1 do
+    if not placed.(t) then begin
+      bump.(!nbump) <- t;
+      incr nbump
+    end
+  done;
+  let len t = Array.length st.cidx.(order.(t)) in
+  sort_prefix
+    (fun t1 t2 ->
+      let c = compare (len t1) (len t2) in
+      if c <> 0 then c else compare t2 t1)
+    bump !nbump;
+  for k = 0 to !nbump - 1 do
+    let t = bump.(k) in
+    pivot_full t order.(t) ~row_hint:(-1)
+  done
 
 (* Recompute x_B = B^-1 (b - N_U u_U) under the current eta file, which
    becomes the new base for the refactorisation threshold. *)
 let load_x_b st =
   Array.fill st.pos 0 (st.n + st.m) (-1);
-  Array.iteri (fun i col -> st.pos.(col) <- i) st.basis;
+  for i = 0 to st.m - 1 do
+    st.pos.(st.basis.(i)) <- i
+  done;
   Array.blit st.b 0 st.x_b 0 st.m;
   for j = 0 to st.n - 1 do
     if st.pos.(j) < 0 && st.at_ub.(j) then begin
@@ -393,20 +670,33 @@ let load_x_b st =
   done;
   st.factor_etas <- st.n_etas
 
+(* The nonzeros of the eta file: a pivot and the off-pivot entries of each
+   eta. *)
+let eta_nnz st =
+  let nnz = ref 0 in
+  for t = 0 to st.n_etas - 1 do
+    nnz := !nnz + 1 + Array.length st.etas.(t).e_idx
+  done;
+  !nnz
+
 let refactor st =
   let rt0 = Telemetry.Clock.now_s () in
   st.refactorisations <- st.refactorisations + 1;
   factorise st;
   load_x_b st;
-  Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0)
+  Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0);
+  if Telemetry.enabled () then
+    Telemetry.observe "lp.simplex.factor_nnz" (float_of_int (eta_nnz st))
 
 (* Entering column among the structural nonbasics: a variable at its lower
    bound enters on a negative reduced cost (moving up), one at its upper
    bound on a positive reduced cost (moving down). Steepest-edge-lite or
    Bland. Phase 1 prices the sum of artificials, phase 2 the structural
-   costs [c]; artificials are never priced back in. Returns the column and
-   its direction, leaving its FTRAN'd tableau column in [alpha]. *)
-let entering st ~c ~phase2 ~bland ~y alpha =
+   costs [c]; artificials are never priced back in. Returns the column, or
+   [-1] at optimality, leaving its FTRAN'd tableau column in [alpha]; it
+   moves down from its upper bound, up otherwise. *)
+let entering st ~c ~phase2 ~bland alpha =
+  let y = st.ws.w_y and d = st.ws.w_d in
   for i = 0 to st.m - 1 do
     let bv = st.basis.(i) in
     y.(i) <-
@@ -415,53 +705,42 @@ let entering st ~c ~phase2 ~bland ~y alpha =
        else 0.0)
   done;
   btran st y;
-  let reduced j =
-    let s = ref (if phase2 then c.(j) else 0.0) in
-    let idx = st.cidx.(j) and vl = st.cval.(j) in
-    for k = 0 to Array.length idx - 1 do
-      s := !s -. (vl.(k) *. y.(idx.(k)))
-    done;
-    !s
-  in
+  if phase2 then Array.blit c 0 d 0 st.n else Array.fill d 0 st.n 0.0;
+  subtract_rows st y d;
   (* Zero-span columns (variables fixed by a branching bound change in a
      warm re-solve) can neither step nor flip: entering one would loop on
      zero-length bound flips, so they are never eligible. *)
-  let eligible j d =
-    st.ubs.(j) > eps && if st.at_ub.(j) then d > eps else d < -.eps
+  let eligible j =
+    st.pos.(j) < 0
+    && st.ubs.(j) > eps
+    && if st.at_ub.(j) then d.(j) > eps else d.(j) < -.eps
   in
   let chosen =
     if bland then begin
-      let rec go j =
-        if j >= st.n then -1
-        else if st.pos.(j) < 0 && eligible j (reduced j) then j
-        else go (j + 1)
-      in
-      go 0
+      let j = ref 0 in
+      while !j < st.n && not (eligible !j) do incr j done;
+      if !j < st.n then !j else -1
     end
     else begin
       let best = ref (-1) and best_score = ref 0.0 in
       for j = 0 to st.n - 1 do
-        if st.pos.(j) < 0 then begin
-          let d = reduced j in
-          if eligible j d then begin
-            let score = d *. d /. st.weight.(j) in
-            if score > !best_score then begin
-              best := j;
-              best_score := score
-            end
+        if eligible j then begin
+          let score = d.(j) *. d.(j) /. st.weight.(j) in
+          if score > !best_score then begin
+            best := j;
+            best_score := score
           end
         end
       done;
       !best
     end
   in
-  if chosen < 0 then None
-  else begin
+  if chosen >= 0 then begin
     Array.fill alpha 0 st.m 0.0;
     scatter st chosen alpha;
-    ftran st alpha;
-    Some (chosen, if st.at_ub.(chosen) then -1.0 else 1.0)
-  end
+    ftran st alpha
+  end;
+  chosen
 
 type step =
   | Flip
@@ -485,7 +764,16 @@ let ratio_test st alpha ~dir ~span ~phase2 =
     if Float.abs aeff > eps then begin
       let bv = st.basis.(i) in
       let art = bv >= st.n in
-      let candidate ratio to_ub =
+      let x = st.x_b.(i) in
+      (* a block at 0 (moving down), at a finite upper bound (moving up),
+         or the degenerate step of a basic artificial *)
+      let u = if aeff > eps || art then infinity else st.ubs.(bv) in
+      if aeff > eps || u < infinity || (phase2 && art && Float.abs x <= eps)
+      then begin
+        let to_ub = aeff <= eps && u < infinity in
+        let ratio =
+          if aeff > eps then x /. aeff else if to_ub then (u -. x) /. -.aeff else 0.0
+        in
         let better =
           !best < 0
           || fcmp ratio !best_ratio < 0
@@ -499,12 +787,6 @@ let ratio_test st alpha ~dir ~span ~phase2 =
           best_to_ub := to_ub;
           best_art := art
         end
-      in
-      if aeff > eps then candidate (st.x_b.(i) /. aeff) false
-      else begin
-        let u = ub_of st bv in
-        if u < infinity then candidate ((u -. st.x_b.(i)) /. -.aeff) true
-        else if phase2 && art && Float.abs st.x_b.(i) <= eps then candidate 0.0 false
       end
     end
   done;
@@ -526,16 +808,17 @@ let begin_iteration st =
   st.iters <- st.iters + 1;
   if st.n_etas - st.factor_etas > min 150 (50 + (st.m / 4)) then refactor st
 
-let run_phase st ~c ~phase2 alpha =
+let run_phase st ~c ~phase2 =
+  let alpha = st.ws.w_alpha in
   let switch = 3 * (st.m + st.n) in
-  let y = Array.make st.m 0.0 in
   let rec loop () =
     if st.iters > st.max_iters then raise Iteration_limit;
     begin_iteration st;
     let bland = st.iters > switch in
-    match entering st ~c ~phase2 ~bland ~y alpha with
-    | None -> `Optimal
-    | Some (col, dir) -> begin
+    let col = entering st ~c ~phase2 ~bland alpha in
+    if col < 0 then `Optimal
+    else begin
+      let dir = if st.at_ub.(col) then -1.0 else 1.0 in
       let span = st.ubs.(col) in
       match ratio_test st alpha ~dir ~span ~phase2 with
       | Unbounded_dir -> `Unbounded
@@ -555,6 +838,7 @@ let run_phase st ~c ~phase2 alpha =
         st.at_ub.(col) <- false;
         if leaving < st.n then st.at_ub.(leaving) <- to_ub;
         st.pivots <- st.pivots + 1;
+        if not phase2 then st.phase1_pivots <- st.phase1_pivots + 1;
         if bland then st.bland_pivots <- st.bland_pivots + 1;
         loop ()
     end
@@ -565,30 +849,25 @@ let run_phase st ~c ~phase2 alpha =
    structural column has a nonzero entry in their row (a degenerate entry at
    the entering variable's current value); rows whose structural part is
    entirely zero are redundant and are handled by the phase-2 ratio test
-   instead. *)
+   instead. The row of the tableau is priced like reduced costs, from zero:
+   it comes out negated, which its magnitude test ignores. *)
 let drive_out_artificials st =
-  let rho = Array.make st.m 0.0 in
-  let alpha = Array.make st.m 0.0 in
+  let rho = st.ws.w_rho and alpha = st.ws.w_alpha and row = st.ws.w_d in
   for i = 0 to st.m - 1 do
     if st.basis.(i) >= st.n then begin
       Array.fill rho 0 st.m 0.0;
       rho.(i) <- 1.0;
       btran st rho;
-      let row_entry j =
-        let s = ref 0.0 in
-        let idx = st.cidx.(j) and vl = st.cval.(j) in
-        for k = 0 to Array.length idx - 1 do
-          s := !s +. (vl.(k) *. rho.(idx.(k)))
-        done;
-        !s
-      in
-      let rec find j =
-        if j >= st.n then -1
-        else if st.pos.(j) < 0 && Float.abs (row_entry j) > eps then j
-        else find (j + 1)
-      in
-      let col = find 0 in
-      if col >= 0 then begin
+      Array.fill row 0 st.n 0.0;
+      subtract_rows st rho row;
+      let col = ref 0 in
+      while
+        !col < st.n && not (st.pos.(!col) < 0 && Float.abs row.(!col) > eps)
+      do
+        incr col
+      done;
+      let col = !col in
+      if col < st.n then begin
         Array.fill alpha 0 st.m 0.0;
         scatter st col alpha;
         ftran st alpha;
@@ -610,43 +889,42 @@ let drive_out_artificials st =
    Bound-ratio pricing picks the leaving row — the basic variable with the
    largest bound violation, scaled by its static column norm, mirroring the
    primal's steepest-edge-lite rule — and the ratio test runs over the eta
-   file: one BTRAN for the pivot row of B^-1, then a sweep of the nonbasic
-   structural columns computing the pivot row alpha_r and collecting every
-   sign-eligible entry with its ratio |d_j| / |alpha_rj|. The ratio test is
-   the bound-flipping ("long step") variant described at the walk below;
-   all flips of one iteration are applied with a single accumulated FTRAN,
-   so a flip-heavy repair costs one pricing round instead of one per flip
-   (the naive variant hit ~800 full reprices per warm solve on the paper's
-   case 1).
+   file: one BTRAN for the pivot row of B^-1, then the pivot row alpha_r
+   over the rows that row of B^-1 reaches ({!pivot_row}), collecting every
+   sign-eligible nonbasic structural entry with its ratio
+   |d_j| / |alpha_rj|. The ratio test is the bound-flipping ("long step")
+   variant described at the walk below; all flips of one iteration are
+   applied with a single accumulated FTRAN, so a flip-heavy repair costs
+   one pricing round instead of one per flip (the naive variant hit ~800
+   full reprices per warm solve on the paper's case 1).
 
    The reduced costs [d] are priced from a fresh BTRAN of the simplex
    multipliers only at the first iteration and after each refactorisation.
-   Every dual pivot then updates them from the pivot row it already swept:
+   Every dual pivot then updates them from the pivot row it already built:
    d_j -= theta_D * alpha_rj with theta_D = d_q / alpha_rq, so the entering
    column's becomes 0 and the leaving column's -theta_D (Koberstein, "The
    Dual Simplex Method, Techniques for a Fast and Stable Implementation",
-   PhD thesis, Paderborn 2005). Flips leave [d] alone: it depends on the
-   basis only. Updates accumulate rounding for at most one refactorisation
-   interval, and whatever dual infeasibility that leaves is polished off by
-   the primal phase that follows, which prices afresh every iteration.
+   PhD thesis, Paderborn 2005). Only the columns the pivot row touched
+   change: elsewhere alpha_rj is 0. Flips leave [d] alone: it depends on
+   the basis only. Updates accumulate rounding for at most one
+   refactorisation interval, and whatever dual infeasibility that leaves is
+   polished off by the primal phase that follows, which prices afresh
+   every iteration.
 
    Artificial columns are pinned to [0, 0] here: the parent solve left them
    at zero, and a nonzero artificial under the child's rhs is precisely an
    equality-row violation the dual steps must repair. Artificials are never
    priced back in; if no eligible entering column exists the row is a valid
    infeasibility certificate, as trustworthy as the primal phase-1 test. *)
-let dual_phase st ~c alpha =
-  let y = Array.make st.m 0.0 in
-  let rho = Array.make st.m 0.0 in
-  let delta = Array.make st.m 0.0 in
-  let d = Array.make st.n 0.0 in
-  let row_r = Array.make st.n 0.0 in
-  let cand = Array.make st.n 0 in
-  let cand_ratio = Array.make st.n 0.0 in
-  let cand_arj = Array.make st.n 0.0 in
-  let hi_of bv = if bv < st.n then st.ubs.(bv) else 0.0 in
-  (* [d] holds the reduced costs of the swept columns (nonbasic, nonzero
-     span; fixed columns never enter, so theirs are never read);
+let dual_phase st ~c =
+  let ws = st.ws in
+  let y = ws.w_y and rho = ws.w_rho and delta = ws.w_delta
+  and alpha = ws.w_alpha and d = ws.w_d and row_r = ws.w_row_r
+  and touched = ws.w_touched and cand = ws.w_cand
+  and cand_ratio = ws.w_cand_ratio and cand_arj = ws.w_cand_arj
+  and order = ws.w_cand_order in
+  (* [d] holds the reduced costs of the nonbasic columns with a nonzero
+     span (fixed columns never enter, so theirs are never read);
      [priced_at] is the refactorisation count they were last priced under,
      [-1] for never *)
   let priced_at = ref (-1) in
@@ -656,17 +934,17 @@ let dual_phase st ~c alpha =
       y.(i) <- (if bv < st.n then c.(bv) else 0.0)
     done;
     btran st y;
-    for j = 0 to st.n - 1 do
-      if st.pos.(j) < 0 && st.ubs.(j) > eps then begin
-        let dj = ref c.(j) in
-        let idx = st.cidx.(j) and vl = st.cval.(j) in
-        for k = 0 to Array.length idx - 1 do
-          dj := !dj -. (vl.(k) *. y.(idx.(k)))
-        done;
-        d.(j) <- !dj
-      end
-    done;
+    Array.blit c 0 d 0 st.n;
+    subtract_rows st y d;
     priced_at := st.refactorisations
+  in
+  (* ratio order: by ratio, then the larger |alpha_rj|, then the column *)
+  let by_ratio a b =
+    let cr = Float.compare cand_ratio.(a) cand_ratio.(b) in
+    if cr <> 0 then cr
+    else
+      let cm = Float.compare (Float.abs cand_arj.(b)) (Float.abs cand_arj.(a)) in
+      if cm <> 0 then cm else compare cand.(a) cand.(b)
   in
   let rec loop () =
     if st.iters > st.max_iters then `Cycled
@@ -676,11 +954,10 @@ let dual_phase st ~c alpha =
       let row = ref (-1) and score = ref 0.0 and above = ref false in
       for i = 0 to st.m - 1 do
         let bv = st.basis.(i) in
-        let hi = hi_of bv in
-        let viol, ab =
-          if st.x_b.(i) < -.eps then (-.st.x_b.(i), false)
-          else if st.x_b.(i) > hi +. eps then (st.x_b.(i) -. hi, true)
-          else (0.0, false)
+        let hi = if bv < st.n then st.ubs.(bv) else 0.0 in
+        let x = st.x_b.(i) in
+        let viol =
+          if x < -.eps then -.x else if x > hi +. eps then x -. hi else 0.0
         in
         if viol > 0.0 then begin
           let w = if bv < st.n then st.weight.(bv) else 2.0 in
@@ -688,7 +965,7 @@ let dual_phase st ~c alpha =
           if s > !score then begin
             row := i;
             score := s;
-            above := ab
+            above := not (x < -.eps)
           end
         end
       done;
@@ -701,18 +978,15 @@ let dual_phase st ~c alpha =
         rho.(r) <- 1.0;
         btran st rho;
         (* Collect every sign-eligible nonbasic structural column with its
-           dual ratio |d_j| / |alpha_rj|, keeping the whole pivot row for
-           the reduced-cost update. *)
+           dual ratio |d_j| / |alpha_rj|; an untouched column's entry is
+           zero, so it is never eligible. *)
+        let ntouched = pivot_row st rho in
         let ncand = ref 0 in
-        for j = 0 to st.n - 1 do
+        for k = 0 to ntouched - 1 do
+          let j = touched.(k) in
           if st.pos.(j) < 0 && st.ubs.(j) > eps then begin
-            let arj = ref 0.0 in
-            let idx = st.cidx.(j) and vl = st.cval.(j) in
-            for k = 0 to Array.length idx - 1 do
-              arj := !arj +. (vl.(k) *. rho.(idx.(k)))
-            done;
-            let arj = !arj in
-            row_r.(j) <- arj;
+            let arj = row_r.(j) in
+            if arj <> 0.0 then st.pivot_row_nnz <- st.pivot_row_nnz + 1;
             let eligible =
               if !above then
                 if st.at_ub.(j) then arj < -.eps else arj > eps
@@ -736,19 +1010,13 @@ let dual_phase st ~c alpha =
              by span * |alpha_rj|; the candidate where the slope would hit
              zero becomes the pivot. Exhausting all breakpoints with slope
              remaining is dual unboundedness, i.e. primal infeasibility. *)
-          let order = Array.init !ncand Fun.id in
-          Array.sort
-            (fun a b ->
-              let cr = Float.compare cand_ratio.(a) cand_ratio.(b) in
-              if cr <> 0 then cr
-              else
-                let cm =
-                  Float.compare (Float.abs cand_arj.(b))
-                    (Float.abs cand_arj.(a))
-                in
-                if cm <> 0 then cm else compare cand.(a) cand.(b))
-            order;
-          let target = if !above then hi_of leaving else 0.0 in
+          for k = 0 to !ncand - 1 do
+            order.(k) <- k
+          done;
+          sort_prefix by_ratio order !ncand;
+          let target =
+            if !above && leaving < st.n then st.ubs.(leaving) else 0.0
+          in
           let viol = ref (Float.abs (st.x_b.(r) -. target)) in
           let nflip = ref 0 in
           let enter = ref (-1) in
@@ -810,9 +1078,10 @@ let dual_phase st ~c alpha =
               then `Numerical
               else begin
                 let theta = d.(j) /. row_r.(j) in
-                for k = 0 to st.n - 1 do
-                  if st.pos.(k) < 0 && st.ubs.(k) > eps then
-                    d.(k) <- d.(k) -. (theta *. row_r.(k))
+                for k = 0 to ntouched - 1 do
+                  let t = touched.(k) in
+                  if st.pos.(t) < 0 && st.ubs.(t) > eps then
+                    d.(t) <- d.(t) -. (theta *. row_r.(t))
                 done;
                 d.(j) <- 0.0;
                 if leaving < st.n then d.(leaving) <- -.theta;
@@ -831,27 +1100,34 @@ let dual_phase st ~c alpha =
   in
   loop ()
 
-let make_state ~max_iters ~deadline ~cols ~ubs ~at_ub ~basis ~pos ~x_b ~b =
+(* A solve's state over the workspace of [cols]: the caller fills [ubs],
+   [at_ub], [basis] and [pos] (the workspace's own arrays) before use. *)
+let make_state ~max_iters ~deadline ~cols ~b =
+  let ws = cols.work in
   {
     m = cols.nrows;
     n = Array.length cols.col_idx;
+    cols;
     cidx = cols.col_idx;
     cval = cols.col_val;
     weight = cols.col_weight;
-    ubs;
-    at_ub;
-    basis;
-    pos;
-    x_b;
+    ws;
+    ubs = ws.w_ubs;
+    at_ub = ws.w_at_ub;
+    basis = ws.w_basis;
+    pos = ws.w_pos;
+    x_b = ws.w_x_b;
     b;
-    nz = Array.make cols.nrows 0;
-    etas = [| dummy_eta |];
+    nz = ws.w_nz;
+    etas = ws.w_etas;
     n_etas = 0;
+    etas_used = 0;
     factor_etas = 0;
     max_iters;
     deadline;
     iters = 0;
     pivots = 0;
+    phase1_pivots = 0;
     bland_pivots = 0;
     dual_pivots = 0;
     flips = 0;
@@ -859,12 +1135,23 @@ let make_state ~max_iters ~deadline ~cols ~ubs ~at_ub ~basis ~pos ~x_b ~b =
     factor_reuses = 0;
     btrans = 0;
     ftrans = 0;
+    rho_nnz = 0;
+    pivot_row_nnz = 0;
   }
 
-let flush st ~warm =
+(* End a solve: hand the (possibly grown) eta array back to the workspace,
+   emptied so that it keeps no eta alive, and flush the counters. *)
+let finish st ~warm =
+  Array.fill st.etas 0 st.etas_used dummy_eta;
+  st.ws.w_etas <- st.etas;
   Telemetry.count (if warm then "lp.simplex.warm_solves" else "lp.simplex.solves");
   Telemetry.count ~by:st.pivots "lp.simplex.pivots";
-  if warm then Telemetry.count ~by:st.dual_pivots "lp.simplex.dual_pivots";
+  Telemetry.count ~by:st.phase1_pivots "lp.simplex.phase1_pivots";
+  if warm then begin
+    Telemetry.count ~by:st.dual_pivots "lp.simplex.dual_pivots";
+    Telemetry.count ~by:st.rho_nnz "lp.simplex.rho_nnz";
+    Telemetry.count ~by:st.pivot_row_nnz "lp.simplex.pivot_row_nnz"
+  end;
   Telemetry.count ~by:st.bland_pivots "lp.simplex.bland_pivots";
   Telemetry.count ~by:st.flips "lp.simplex.bound_flips";
   Telemetry.count ~by:st.refactorisations "lp.simplex.refactorisations";
@@ -897,16 +1184,19 @@ let snapshot_of st =
 
 (* Factorise a warm solve's starting basis, the snapshot's. The first solve
    from a snapshot refactorises and memoises the result in it; every later
-   one (the parent's second child) copies the memoised eta array — its own
-   pivots append to the copy — and recomputes only x_B, which is where
-   [b], [ubs] and [at_ub] enter. Both paths leave the same state, bit for
-   bit, since {!factorise} reads nothing else. *)
+   one (the parent's second child) copies the memoised etas into its own
+   file — its own pivots append to it — and recomputes only x_B, which is
+   where [b], [ubs] and [at_ub] enter. Both paths leave the same state, bit
+   for bit, since {!factorise} reads nothing else. *)
 let factor_from st snapshot =
   match snapshot.s_factor with
   | Some f ->
     st.factor_reuses <- st.factor_reuses + 1;
-    st.etas <- Array.copy f.f_etas;
-    st.n_etas <- Array.length f.f_etas;
+    let k = Array.length f.f_etas in
+    reserve_etas st k;
+    Array.blit f.f_etas 0 st.etas 0 k;
+    st.n_etas <- k;
+    if k > st.etas_used then st.etas_used <- k;
     Array.blit f.f_basis 0 st.basis 0 st.m;
     load_x_b st
   | None ->
@@ -915,49 +1205,79 @@ let factor_from st snapshot =
       Some
         { f_etas = Array.sub st.etas 0 st.n_etas; f_basis = Array.copy st.basis }
 
+(* Accuracy cross-check of a warm solve's final vertex [x]: the basic
+   values lie within their bounds and [A x = b] holds. *)
+let accurate st x =
+  let tol = 1e-7 in
+  let ok = ref true in
+  for i = 0 to st.m - 1 do
+    let bv = st.basis.(i) in
+    if bv < st.n then begin
+      if st.x_b.(i) < -.tol then ok := false;
+      if st.x_b.(i) -. st.ubs.(bv) > tol then ok := false
+    end
+    else if Float.abs st.x_b.(i) > tol then ok := false
+  done;
+  let resid = st.ws.w_resid in
+  Array.blit st.b 0 resid 0 st.m;
+  for j = 0 to st.n - 1 do
+    let xj = x.(j) in
+    if Float.abs xj > 0.0 then begin
+      let idx = st.cidx.(j) and vl = st.cval.(j) in
+      for k = 0 to Array.length idx - 1 do
+        resid.(idx.(k)) <- resid.(idx.(k)) -. (vl.(k) *. xj)
+      done
+    end
+  done;
+  let scale = ref 1.0 in
+  for i = 0 to st.m - 1 do
+    scale := Float.max !scale (Float.abs st.b.(i))
+  done;
+  for i = 0 to st.m - 1 do
+    if Float.abs resid.(i) > 1e-6 *. !scale then ok := false
+  done;
+  !ok
+
 let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
     ~snapshot () =
   let m = cols.nrows and n = Array.length cols.col_idx in
-  if Array.length b <> m then invalid_arg "Tableau.resolve: b length";
-  if Array.length c <> n then invalid_arg "Tableau.resolve: c length";
-  if Array.length ubs <> n then invalid_arg "Tableau.resolve: ubs length";
+  if Array.length b <> m then invalid_arg "Tableau.resolve_with_basis: b length";
+  if Array.length c <> n then invalid_arg "Tableau.resolve_with_basis: c length";
+  if Array.length ubs <> n then
+    invalid_arg "Tableau.resolve_with_basis: ubs length";
   if
     Array.length snapshot.s_basis <> m
     || Array.length snapshot.s_at_ub <> n
-  then invalid_arg "Tableau.resolve: snapshot shape";
+  then invalid_arg "Tableau.resolve_with_basis: snapshot shape";
   (* A negative span means the node fixed a variable to an impossible
      range: the subproblem is infeasible before any pivoting. *)
   if Array.exists (function Some u -> u < -.eps | None -> false) ubs then
     Ok Infeasible
   else begin
-    let ub_arr =
-      Array.map (function Some x -> Float.max x 0.0 | None -> infinity) ubs
-    in
-    let basis = Array.copy snapshot.s_basis in
-    let at_ub = Array.copy snapshot.s_at_ub in
-    let pos = Array.make (n + m) (-1) in
-    let sane = ref true in
-    Array.iteri
-      (fun i colid ->
-        if colid < 0 || colid >= n + m || pos.(colid) >= 0 then sane := false
-        else pos.(colid) <- i)
-      basis;
+    let st = make_state ~max_iters ~deadline ~cols ~b in
     for j = 0 to n - 1 do
-      if at_ub.(j) && (pos.(j) >= 0 || ub_arr.(j) = infinity) then
-        at_ub.(j) <- false
+      st.ubs.(j) <- (match ubs.(j) with Some x -> Float.max x 0.0 | None -> infinity)
+    done;
+    Array.blit snapshot.s_basis 0 st.basis 0 m;
+    Array.blit snapshot.s_at_ub 0 st.at_ub 0 n;
+    Array.fill st.pos 0 (n + m) (-1);
+    let sane = ref true in
+    for i = 0 to m - 1 do
+      let colid = st.basis.(i) in
+      if colid < 0 || colid >= n + m || st.pos.(colid) >= 0 then sane := false
+      else st.pos.(colid) <- i
+    done;
+    for j = 0 to n - 1 do
+      if st.at_ub.(j) && (st.pos.(j) >= 0 || st.ubs.(j) = infinity) then
+        st.at_ub.(j) <- false
     done;
     if not !sane then Error "corrupt basis snapshot"
     else begin
-      let st =
-        make_state ~max_iters ~deadline ~cols ~ubs:ub_arr ~at_ub ~basis ~pos
-          ~x_b:(Array.make m 0.0) ~b
-      in
-      Fun.protect ~finally:(fun () -> flush st ~warm:true) @@ fun () ->
-      let alpha = Array.make m 0.0 in
+      Fun.protect ~finally:(fun () -> finish st ~warm:true) @@ fun () ->
       match
         (try
            factor_from st snapshot;
-           dual_phase st ~c alpha
+           dual_phase st ~c
          with Singular -> `Failed "singular basis on refactorisation")
       with
       | `Failed msg -> Error msg
@@ -969,86 +1289,60 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
            residual dual infeasibility is polished off by ordinary phase-2
            pivots. *)
         match
-          (try run_phase st ~c ~phase2:true alpha with
+          (try run_phase st ~c ~phase2:true with
            | Singular -> `Failed "singular basis on refactorisation"
            | Iteration_limit -> `Failed "polish iteration limit")
         with
         | `Failed msg -> Error msg
         | `Unbounded -> Ok Unbounded
         | `Optimal ->
-          (* Accuracy cross-check before trusting the inherited basis: the
-             resolved point must satisfy the bound system and A x = b. *)
-          let tol = 1e-7 in
+          (* Accuracy cross-check before trusting the inherited basis. *)
           let value, x = vertex st c in
-          let ok = ref true in
-          for i = 0 to m - 1 do
-            let bv = st.basis.(i) in
-            if bv < n then begin
-              if st.x_b.(i) < -.tol then ok := false;
-              if st.x_b.(i) -. st.ubs.(bv) > tol then ok := false
-            end
-            else if Float.abs st.x_b.(i) > tol then ok := false
-          done;
-          let resid = Array.copy st.b in
-          for j = 0 to n - 1 do
-            let xj = x.(j) in
-            if Float.abs xj > 0.0 then begin
-              let idx = st.cidx.(j) and vl = st.cval.(j) in
-              for k = 0 to Array.length idx - 1 do
-                resid.(idx.(k)) <- resid.(idx.(k)) -. (vl.(k) *. xj)
-              done
-            end
-          done;
-          let scale =
-            Array.fold_left (fun acc bi -> Float.max acc (Float.abs bi)) 1.0 st.b
-          in
-          Array.iter
-            (fun ri -> if Float.abs ri > 1e-6 *. scale then ok := false)
-            resid;
-          if !ok then Ok (Optimal { value; x; snapshot = snapshot_of st })
+          if accurate st x then Ok (Optimal { value; x; snapshot = snapshot_of st })
           else Error "warm solve lost accuracy")
     end
   end
 
 let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
   let m = cols.nrows and n = Array.length cols.col_idx in
-  if Array.length b <> m then invalid_arg "Tableau.solve: b length";
-  if Array.length c <> n then invalid_arg "Tableau.solve: c length";
-  let ub_arr = Array.make n infinity in
+  if Array.length b <> m then invalid_arg "Tableau.solve_cols: b length";
+  if Array.length c <> n then invalid_arg "Tableau.solve_cols: c length";
   (match ubs with
-   | None -> ()
+   | Some u when Array.length u <> n -> invalid_arg "Tableau.solve_cols: ubs length"
    | Some u ->
-     if Array.length u <> n then invalid_arg "Tableau.solve: ubs length";
-     Array.iteri
-       (fun j uo ->
-         match uo with
-         | Some x when x <= eps -> invalid_arg "Tableau.solve: non-positive upper bound"
-         | Some x -> ub_arr.(j) <- x
-         | None -> ())
-       u);
-  Array.iter (fun bi -> if bi < -.eps then invalid_arg "Tableau.solve: negative rhs") b;
-  let st =
-    make_state ~max_iters ~deadline ~cols ~ubs:ub_arr
-      ~at_ub:(Array.make n false)
-      ~basis:(Array.init m (fun i -> n + i))
-      ~pos:(Array.make (n + m) (-1))
-      ~x_b:(Array.map clamp b) ~b
-  in
+     if Array.exists (function Some x -> x <= eps | None -> false) u then
+       invalid_arg "Tableau.solve_cols: non-positive upper bound"
+   | None -> ());
+  if Array.exists (fun bi -> bi < -.eps) b then
+    invalid_arg "Tableau.solve_cols: negative rhs";
+  let st = make_state ~max_iters ~deadline ~cols ~b in
+  for j = 0 to n - 1 do
+    st.ubs.(j) <-
+      (match ubs with Some u -> Option.value u.(j) ~default:infinity | None -> infinity)
+  done;
+  Array.fill st.at_ub 0 n false;
+  Array.fill st.pos 0 (n + m) (-1);
+  for i = 0 to m - 1 do
+    st.basis.(i) <- n + i;
+    st.x_b.(i) <- clamp b.(i)
+  done;
   (* Crash basis: cover each row with a positive structural singleton column
      without an upper bound (a slack, ...) where one exists — the basis
      stays diagonal, so x_B = b (rescaled) stays feasible — and only the
      remaining rows get artificials for phase 1 to clear. *)
-  let covered = Array.make m false in
+  let covered = st.ws.w_covered in
+  Array.fill covered 0 m false;
   for j = 0 to n - 1 do
     if Array.length st.cidx.(j) = 1 then begin
       let i = st.cidx.(j).(0) in
-      if (not covered.(i)) && st.cval.(j).(0) > eps && ub_arr.(j) = infinity
+      if (not covered.(i)) && st.cval.(j).(0) > eps && st.ubs.(j) = infinity
       then begin
         covered.(i) <- true;
         st.basis.(i) <- j
       end
     end
   done;
+  Fun.protect ~finally:(fun () -> finish st ~warm:false) @@ fun () ->
   for i = 0 to m - 1 do
     st.pos.(st.basis.(i)) <- i;
     if covered.(i) then begin
@@ -1060,11 +1354,9 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
     end
   done;
   st.factor_etas <- st.n_etas;
-  Fun.protect ~finally:(fun () -> flush st ~warm:false) @@ fun () ->
-  let alpha = Array.make m 0.0 in
   (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
      of artificials is bounded below, so phase 1 unbounded is numerical. *)
-  match run_phase st ~c ~phase2:false alpha with
+  match run_phase st ~c ~phase2:false with
   | `Unbounded -> raise Singular
   | `Optimal ->
     let infeas = ref 0.0 in
@@ -1074,7 +1366,7 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
     if !infeas > eps then Infeasible
     else begin
       drive_out_artificials st;
-      match run_phase st ~c ~phase2:true alpha with
+      match run_phase st ~c ~phase2:true with
       | `Unbounded -> Unbounded
       | `Optimal ->
         let value, x = vertex st c in

@@ -5,11 +5,14 @@
 
     with [b >= 0] (the caller flips row signs beforehand) and [u] optional
     per column, in IEEE doubles with tolerance [1e-9]. The constraint matrix
-    is held column-wise sparse in a {!columns} store, built once per
-    standard form and shared read-only by every solve over it, and the
-    basis inverse as a periodically-refactorised product-form eta file, so
-    the per-iteration cost is proportional to the number of nonzeros rather
-    than [m * n].
+    is held sparse in a {!columns} store, column-wise and row-wise, built
+    once per standard form and shared read-only by every solve over it, and
+    the basis inverse as a periodically-refactorised product-form eta file,
+    so the per-iteration cost is proportional to the number of nonzeros
+    rather than [m * n]. Reduced costs and the dual pivot row are priced
+    row by row over the nonzeros of the multipliers (or of the row of
+    [B^-1]), so a hypersparse row of [B^-1] touches only the columns its
+    rows reach; the results are bit-identical to a sweep over every column.
     Upper bounds are enforced inside the ratio test (nonbasic variables
     rest at either bound; a step may end in a bound flip with no basis
     change) instead of as explicit rows, which roughly halves the row count
@@ -26,8 +29,20 @@
     pivot row) and one FTRAN (the entering column), plus one FTRAN for any
     bound flips. Each solve counts its BTRANs and FTRANs under
     [lp.simplex.btrans] and [lp.simplex.ftrans]; a refactorisation's own
-    column transforms are not counted. This is the kernel under
-    {!Simplex}. *)
+    column transforms are not counted. Phase-1 pivots are also counted
+    apart ([lp.simplex.phase1_pivots]), every refactorisation records the
+    nonzeros of the eta file it built ([lp.simplex.factor_nnz]), and the
+    dual phase sums the nonzeros of each row of [B^-1] it prices and of
+    the pivot row over its candidate columns ([lp.simplex.rho_nnz],
+    [lp.simplex.pivot_row_nnz]). This is the kernel under {!Simplex}.
+
+    {b One solve at a time per store.} Every scratch array a solve needs
+    lives in a workspace owned by its {!columns} store, allocated once with
+    it, so only a solve's results and its eta records are allocated per
+    solve. Two solves over the same store must therefore not run at the
+    same time (on two domains, or one inside another); solves over
+    different stores are independent. A solve never reads what an earlier
+    one left in the workspace, including one aborted by an exception. *)
 
 exception Deadline_exceeded
 (** Raised (from inside the pivot loop) when a [deadline] passes before the
@@ -46,15 +61,25 @@ exception Singular
     Branch-and-bound abandons the node, as for {!Iteration_limit}; a warm
     re-solve reports it as an [Error] instead. *)
 
+type workspace
+(** The scratch arrays of the solves over one {!columns} store. *)
+
 type columns = private {
   nrows : int;
   col_idx : int array array;  (** row indices of each column, ascending *)
   col_val : float array array;  (** coefficients, parallel to [col_idx] *)
   col_weight : float array;
       (** [1 + ||a_j||^2] per column: the static norm pricing scales by *)
+  row_start : int array;
+      (** length [nrows + 1]: row [i]'s entries are
+          [row_start.(i) .. row_start.(i + 1) - 1] of the two arrays below *)
+  row_col : int array;  (** column of each entry, ascending within a row *)
+  row_val : float array;  (** coefficients, parallel to [row_col] *)
+  work : workspace;
 }
 (** The structural columns of a standard form [A x = b] with [nrows] rows,
-    in the layout the kernel pivots over. *)
+    in the layout the kernel pivots over: column-wise, and the same
+    nonzeros row-wise (the transpose, in compressed sparse rows). *)
 
 val columns : nrows:int -> (int * float) array array -> columns
 (** [columns ~nrows cols] with [cols.(j)] the sparse column of structural

@@ -467,6 +467,130 @@ let prop_sibling_resolves_share_factor =
         && same_resolve up_first up_second
         && same_resolve up_first up_alone)
 
+(* The row-wise copy of a column store is the transpose of its columns:
+   row [i] lists every column with an entry in row [i], ascending, with
+   that entry's coefficient. *)
+let prop_columns_row_copy_is_transpose =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun nrows ->
+      let entry = pair (float_range (-5.0) 5.0) (int_range 0 2) in
+      let col =
+        list_size (return nrows) entry >|= fun es ->
+        Array.of_list
+          (List.concat
+             (List.mapi (fun i (a, keep) -> if keep = 0 then [ (i, a) ] else []) es))
+      in
+      list_size (int_range 0 10) col >|= fun cols -> (nrows, Array.of_list cols))
+  in
+  let print (nrows, cols) =
+    Printf.sprintf "%d rows: %s" nrows
+      (String.concat " | "
+         (Array.to_list
+            (Array.map
+               (fun c ->
+                 String.concat " "
+                   (Array.to_list (Array.map (fun (i, a) -> Printf.sprintf "%d:%g" i a) c)))
+               cols)))
+  in
+  QCheck.Test.make ~name:"a column store's row copy is the transpose of its columns"
+    ~count:300 (QCheck.make ~print gen) (fun (nrows, cols) ->
+      let module T = Lp.Tableau in
+      let store = T.columns ~nrows cols in
+      let expected i =
+        List.concat
+          (List.mapi
+             (fun j col ->
+               List.filter_map
+                 (fun (r, a) -> if r = i then Some (j, a) else None)
+                 (Array.to_list col))
+             (Array.to_list cols))
+      in
+      let row i =
+        List.init
+          (store.T.row_start.(i + 1) - store.T.row_start.(i))
+          (fun k ->
+            let p = store.T.row_start.(i) + k in
+            (store.T.row_col.(p), store.T.row_val.(p)))
+      in
+      Array.length store.T.row_start = nrows + 1
+      && store.T.row_start.(0) = 0
+      && store.T.row_start.(nrows) = Array.length store.T.row_col
+      && Array.length store.T.row_val = Array.length store.T.row_col
+      && List.for_all
+           (fun i ->
+             List.equal
+               (fun (j1, a1) (j2, a2) -> j1 = j2 && bits_equal a1 a2)
+               (row i) (expected i))
+           (List.init nrows Fun.id))
+
+(* A column store's workspace never carries one solve into the next. A
+   warm re-solve chain on LP A gives the same bits on a fresh store as on
+   one that first served an unrelated LP B (other rhs, costs and bounds)
+   with a warm re-solve, a dual phase cut off by its iteration budget, and
+   a cold solve aborted by [Iteration_limit]. *)
+let prop_workspace_never_leaks =
+  QCheck.Test.make ~name:"a column store's workspace never leaks between solves"
+    ~count:150 arb_lp_rebound (fun (spec, vi, k) ->
+      let module T = Lp.Tableau in
+      let nv = List.length spec.var_bounds in
+      let chain (cols, b, c, ubs) =
+        match T.solve_cols ~ubs ~cols ~b ~c () with
+        | (T.Infeasible | T.Unbounded) as r -> [ Ok r ]
+        | T.Optimal { snapshot; _ } as root ->
+          let with_ub ubs j u =
+            let ubs = Array.copy ubs in
+            ubs.(j) <- Some u;
+            ubs
+          in
+          let kf = float_of_int k in
+          let down_ubs = with_ub ubs vi kf in
+          let down = T.resolve_with_basis ~cols ~b ~c ~ubs:down_ubs ~snapshot () in
+          let up_b = Array.copy b in
+          Array.iteri
+            (fun p i -> up_b.(i) <- up_b.(i) -. (cols.T.col_val.(vi).(p) *. kf))
+            cols.T.col_idx.(vi);
+          let up =
+            T.resolve_with_basis ~cols ~b:up_b ~c ~ubs:(with_ub ubs vi (50.0 -. kf))
+              ~snapshot ()
+          in
+          let deeper =
+            match down with
+            | Ok (T.Optimal { snapshot = s; _ }) ->
+              T.resolve_with_basis ~cols ~b ~c
+                ~ubs:(with_ub down_ubs ((vi + 1) mod nv) (Float.of_int (k / 2)))
+                ~snapshot:s ()
+            | r -> r
+          in
+          [ Ok root; down; up; deeper ]
+      in
+      let fresh = chain (kernel_form spec) in
+      let ((cols, b, c, ubs) as form) = kernel_form spec in
+      let b_b = Array.map (fun x -> x +. 3.0) b in
+      let c_b = Array.mapi (fun j x -> if j < nv then x +. float_of_int (j - 2) else 0.5) c in
+      let ubs_b = Array.mapi (fun j u -> if j < nv then Some 7.0 else u) ubs in
+      (match T.solve_cols ~ubs:ubs_b ~cols ~b:b_b ~c:c_b () with
+       | T.Optimal { snapshot; _ } ->
+         let tight = Array.mapi (fun j u -> if j = vi then Some 1.0 else u) ubs_b in
+         ignore (T.resolve_with_basis ~cols ~b:b_b ~c:c_b ~ubs:tight ~snapshot ());
+         ignore
+           (T.resolve_with_basis ~max_iters:0 ~cols ~b:b_b ~c:c_b
+              ~ubs:(Array.mapi (fun j u -> if j = vi then Some 0.0 else u) ubs_b)
+              ~snapshot ())
+       | T.Infeasible | T.Unbounded -> ());
+      (* every structural cost negative: phase 2 must pivot or flip, and
+         the budget allows one iteration *)
+      let c_abort = Array.mapi (fun j _ -> if j < nv then -1.0 else 0.0) c in
+      let aborted =
+        match T.solve_cols ~max_iters:1 ~ubs:ubs_b ~cols ~b:b_b ~c:c_abort () with
+        | exception T.Iteration_limit -> true
+        | _ -> false
+      in
+      let used = chain form in
+      aborted
+      && List.length fresh = List.length used
+      && List.for_all2 same_resolve fresh used)
+
 (* Column validation lives in the column store: a row index outside the
    form is rejected before any solve. *)
 let test_columns_row_out_of_range () =
@@ -478,6 +602,13 @@ let test_columns_row_out_of_range () =
   check bool "row = nrows" true (rejects [| [| (0, 1.0); (2, 1.0) |] |]);
   check bool "negative row" true (rejects [| [| (-1, 1.0) |] |]);
   check bool "in range" false (rejects [| [| (0, 1.0); (1, 2.0) |]; [||] |])
+
+(* A bound overlay of the wrong length names the public function. *)
+let test_simplex_bounds_length () =
+  let m, _, _ = wyndor () in
+  Alcotest.check_raises "message"
+    (Invalid_argument "Simplex.solve_relaxation_float: bounds length") (fun () ->
+      ignore (S.solve_relaxation_float ~bounds:[||] m))
 
 (* A pivot budget the kernel cannot meet is a typed abort, not [Failure]. *)
 let test_simplex_iteration_limit () =
@@ -968,6 +1099,7 @@ let () =
           Alcotest.test_case "crossed bounds" `Quick test_simplex_crossed_bounds;
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
           Alcotest.test_case "iteration limit" `Quick test_simplex_iteration_limit;
+          Alcotest.test_case "bounds length" `Quick test_simplex_bounds_length;
           Alcotest.test_case "singular basis" `Quick test_tableau_singular_basis;
           Alcotest.test_case "column row out of range" `Quick
             test_columns_row_out_of_range;
@@ -979,6 +1111,8 @@ let () =
             prop_warm_resolve_matches_cold;
             prop_warm_chain_matches_cold;
             prop_sibling_resolves_share_factor;
+            prop_columns_row_copy_is_transpose;
+            prop_workspace_never_leaks;
           ] );
       ( "presolve",
         [
