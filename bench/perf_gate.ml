@@ -51,10 +51,10 @@
 
    The diff table also prints, below the gated counters, the kernel's
    sparsity counters: `lp.simplex.phase1_pivots`, `lp.simplex.rho_nnz`,
-   `lp.simplex.pivot_row_nnz` and the sample sum of the
-   `lp.simplex.factor_nnz` histogram. They are informational and gate
-   nothing: they describe how sparse the kernel's work is, not what it
-   computes.
+   `lp.simplex.pivot_row_nnz` and the sample sums of the
+   `lp.simplex.factor_nnz` and `lp.simplex.bump_cols` histograms. They
+   are informational and gate nothing: they describe how sparse the
+   kernel's work is, not what it computes.
 
    `--same A.json B.json` is the run-to-run determinism gate: it deep
    compares the two artifacts' `cases` and `ilp` sections — the solver
@@ -383,8 +383,11 @@ let () =
   List.iter
     (fun name -> row name (counter baseline name) (counter current name))
     [ "lp.simplex.phase1_pivots"; "lp.simplex.rho_nnz"; "lp.simplex.pivot_row_nnz" ];
-  let nnz_sum doc = int_of_float (hist_field "sum" doc "lp.simplex.factor_nnz") in
-  row "lp.simplex.factor_nnz (sum)" (nnz_sum baseline) (nnz_sum current);
+  List.iter
+    (fun name ->
+      let sum doc = int_of_float (hist_field "sum" doc name) in
+      row (name ^ " (sum)") (sum baseline) (sum current))
+    [ "lp.simplex.factor_nnz"; "lp.simplex.bump_cols" ];
   Printf.printf "\n";
   let is_presolve name =
     String.length name > 12 && String.sub name 0 12 = "lp.presolve."

@@ -13,7 +13,16 @@ type mapping =
    costs and column identities never change and the parent's basis
    snapshot stays structurally valid for a dual-simplex re-solve. Only a
    bound change the column form cannot express (a [Fixed] variable coming
-   unfixed) forces a full re-translation. *)
+   unfixed) forces a full re-translation.
+
+   A warm re-solve writes the node's form into three scratch arrays kept
+   with the prepared form: the rhs [b - A lo], the lower offsets [lo] and
+   the spans. Between solves they hold the prepared form itself ([p_b],
+   zero offsets, [p_ubs]); a solve writes only the columns of the variables
+   whose bounds it changes, and puts exactly those back when it ends, on
+   every path out (a result, an [Error], {!Remap}, or an exception passing
+   through). Like the column store's workspace, they serve one solve at a
+   time: two solves from the same prepared form must not run at once. *)
 type prepared = {
   p_nvars : int;
   p_mapping : mapping array;
@@ -26,6 +35,9 @@ type prepared = {
   p_ubs : float option array;
   p_obj_offset : float; (* [Q.to_float] of the sign-normalised constant *)
   p_dir : [ `Minimize | `Maximize ];
+  p_node_b : float array; (* scratch: a node's rhs *)
+  p_node_lo : float array; (* scratch: a node's lower offset per column *)
+  p_node_span : float option array; (* scratch: a node's span per column *)
 }
 
 (* What an [Optimal] solve hands on for warm re-solves: the form it solved
@@ -49,22 +61,16 @@ let effective_bounds ?bounds model =
     ( Array.init nvars (fun v -> Model.var_lb model v),
       Array.init nvars (fun v -> Model.var_ub model v) )
 
-(* A node's bounds in a prepared form's column space (see {!overlay}):
-   the lower offset of each column, [0.0] where the node keeps the
-   prepared bound, the columns with a nonzero offset in ascending order,
-   and the span of each column. *)
-type shift = { lo : float array; shifted : int list; span : float option array }
-
 (* Map a kernel solution back to model variables and the natural
    objective, keeping the final basis [snapshot] of form [p] as the warm
-   start it offers. [shift] holds the per-column offsets of a warm solve (see
-   {!overlay}): that kernel solved in shifted column space, so the shift is
-   added back to each column and its contribution to the objective undone.
-   Then the objective constant is re-added and the max->min sign flip
-   undone. *)
-let outcome_of p ?shift value x snapshot =
+   start it offers. [shifted] lists the columns with a nonzero offset in a
+   warm solve, whose offsets are in [p_node_lo] (see {!overlay}): that
+   kernel solved in shifted column space, so the offset is added back to
+   each column and its contribution to the objective undone. Then the
+   objective constant is re-added and the max->min sign flip undone. *)
+let outcome_of p ?shifted value x snapshot =
   let col_value col =
-    match shift with Some s -> x.(col) +. s.lo.(col) | None -> x.(col)
+    match shifted with Some _ -> x.(col) +. p.p_node_lo.(col) | None -> x.(col)
   in
   let value_of v =
     match p.p_mapping.(v) with
@@ -72,13 +78,13 @@ let outcome_of p ?shift value x snapshot =
     | Shifted (col, _) -> col_value col +. p.p_offset.(v)
   in
   let value =
-    match shift with
+    match shifted with
     | None -> value
-    | Some s ->
+    | Some shifted ->
       let shift_cost = ref 0.0 in
       List.iter
-        (fun col -> shift_cost := !shift_cost +. (p.p_c.(col) *. s.lo.(col)))
-        s.shifted;
+        (fun col -> shift_cost := !shift_cost +. (p.p_c.(col) *. p.p_node_lo.(col)))
+        shifted;
       value +. !shift_cost
   in
   let base = value +. p.p_obj_offset in
@@ -196,6 +202,9 @@ let prepare ~lb ~ub model =
     p_ubs = ubs;
     p_obj_offset = Q.to_float (Q.mul obj_sign obj_const);
     p_dir = dir;
+    p_node_b = Array.copy b;
+    p_node_lo = Array.make n 0.0;
+    p_node_span = Array.copy ubs;
   }
 
 (* Cold primal solve over a fresh translation. *)
@@ -228,47 +237,62 @@ let changed_vars p ~lb ~ub =
   !acc
 
 (* Express the node bounds [lb] / [ub] in the prepared form's column space,
-   or raise {!Remap} when the mapping cannot carry them (see {!prepared}).
-   Only the [changed] variables are visited: every other column keeps a
-   zero offset and its prepared span, which is what the translation of an
-   unchanged bound gives, and a changed [Fixed] variable has left its fixed
-   value. Variables map to columns in ascending order, so [shifted] comes
-   out ascending. *)
+   in [p_node_lo] and [p_node_span], or raise {!Remap} when the mapping
+   cannot carry them (see {!prepared}). Only the [changed] variables are
+   visited: every other column keeps a zero offset and its prepared span,
+   which is what the translation of an unchanged bound gives, and a changed
+   [Fixed] variable has left its fixed value. Returns the columns with a
+   nonzero offset, ascending: variables map to columns in ascending
+   order. *)
 let overlay p changed ~lb ~ub =
-  let lo = Array.make (Array.length p.p_c) 0.0 in
-  let span = Array.copy p.p_ubs in
+  let lo = p.p_node_lo and span = p.p_node_span in
   let shifted = ref [] in
-  let shift col d =
-    if Q.sign d <> 0 then begin
-      lo.(col) <- Q.to_float d;
-      shifted := col :: !shifted
-    end
-  in
   List.iter
     (fun v ->
       match p.p_mapping.(v) with
       | Fixed _ -> raise (Remap "fixed variable came unfixed")
       | Shifted (col, l_root) ->
         let l' = lb.(v) in
-        shift col (Q.sub l' l_root);
+        let d = Q.sub l' l_root in
+        if Q.sign d <> 0 then begin
+          lo.(col) <- Q.to_float d;
+          shifted := col :: !shifted
+        end;
         span.(col) <- Option.map (fun u' -> Q.to_float (Q.sub u' l')) ub.(v))
     changed;
-  { lo; shifted = List.rev !shifted; span }
+  List.rev !shifted
+
+(* Put the scratch columns of the [changed] variables back to the prepared
+   form: zero offset, prepared span and the prepared rhs on their rows. *)
+let restore p changed =
+  List.iter
+    (fun v ->
+      match p.p_mapping.(v) with
+      | Fixed _ -> ()
+      | Shifted (col, _) ->
+        p.p_node_lo.(col) <- 0.0;
+        p.p_node_span.(col) <- p.p_ubs.(col);
+        let idx = p.p_cols.Tableau.col_idx.(col) in
+        for k = 0 to Array.length idx - 1 do
+          p.p_node_b.(idx.(k)) <- p.p_b.(idx.(k))
+        done)
+    changed
 
 let warm_solve ?max_iters ?deadline p snap changed ~lb ~ub =
+  Fun.protect ~finally:(fun () -> restore p changed) @@ fun () ->
   match overlay p changed ~lb ~ub with
   | exception Remap reason -> Error reason
-  | shift -> (
-    let b_node = Array.copy p.p_b in
+  | shifted -> (
+    let b_node = p.p_node_b and lo = p.p_node_lo in
     let cols = p.p_cols in
     List.iter
       (fun col ->
-        let lf = shift.lo.(col) in
+        let lf = lo.(col) in
         let idx = cols.Tableau.col_idx.(col) and vl = cols.Tableau.col_val.(col) in
         for k = 0 to Array.length idx - 1 do
           b_node.(idx.(k)) <- b_node.(idx.(k)) -. (vl.(k) *. lf)
         done)
-      shift.shifted;
+      shifted;
     (* A warm repair normally needs a handful of dual pivots; one still
        going after a quarter of the pivots a cold solve would need is
        degenerate-stalling, and the cold solve is the cheaper way out —
@@ -281,13 +305,13 @@ let warm_solve ?max_iters ?deadline p snap changed ~lb ~ub =
     match
       Telemetry.span "lp.simplex.kernel" (fun () ->
           Tableau.resolve_with_basis ~max_iters:warm_cap ?deadline ~cols
-            ~b:b_node ~c:p.p_c ~ubs:shift.span ~snapshot:snap ())
+            ~b:b_node ~c:p.p_c ~ubs:p.p_node_span ~snapshot:snap ())
     with
     | Error reason -> Error reason
     | Ok Tableau.Infeasible -> Ok Infeasible
     | Ok Tableau.Unbounded -> Ok Unbounded
     | Ok (Tableau.Optimal { value; x; snapshot }) ->
-      Ok (outcome_of p ~shift value x snapshot))
+      Ok (outcome_of p ~shifted value x snapshot))
 
 let crossed l u = match u with Some u -> Q.compare l u > 0 | None -> false
 

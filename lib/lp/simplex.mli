@@ -22,7 +22,9 @@
 type warm
 (** The warm start an [Optimal] solve offers: its translated standard form
     and final basis. One value may warm any number of later solves of the
-    same model under changed bounds. *)
+    same model under changed bounds, one at a time: they share the form's
+    column store and the scratch a warm re-solve writes its node's bounds
+    into. *)
 
 type outcome =
   | Optimal of { objective : float; values : float array; warm : warm }

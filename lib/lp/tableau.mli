@@ -9,7 +9,10 @@
     once per standard form and shared read-only by every solve over it, and
     the basis inverse as a periodically-refactorised product-form eta file,
     so the per-iteration cost is proportional to the number of nonzeros
-    rather than [m * n]. Reduced costs and the dual pivot row are priced
+    rather than [m * n]. A refactorisation eliminates the columns it cannot
+    place triangularly (the bump) through only the etas and rows each
+    column reaches, so it too costs the nonzeros it touches, not [m] per
+    column. Reduced costs and the dual pivot row are priced
     row by row over the nonzeros of the multipliers (or of the row of
     [B^-1]), so a hypersparse row of [B^-1] touches only the columns its
     rows reach; the results are bit-identical to a sweep over every column.
@@ -31,7 +34,8 @@
     [lp.simplex.btrans] and [lp.simplex.ftrans]; a refactorisation's own
     column transforms are not counted. Phase-1 pivots are also counted
     apart ([lp.simplex.phase1_pivots]), every refactorisation records the
-    nonzeros of the eta file it built ([lp.simplex.factor_nnz]), and the
+    nonzeros of the eta file it built ([lp.simplex.factor_nnz]) and the
+    number of bump columns it eliminated ([lp.simplex.bump_cols]), and the
     dual phase sums the nonzeros of each row of [B^-1] it prices and of
     the pivot row over its candidate columns ([lp.simplex.rho_nnz],
     [lp.simplex.pivot_row_nnz]). This is the kernel under {!Simplex}.

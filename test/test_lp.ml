@@ -639,6 +639,217 @@ let test_tableau_singular_basis () =
     check Alcotest.string "reason" "singular basis on refactorisation" reason
   | Ok _ -> Alcotest.fail "a singular basis cannot be resolved"
 
+(* A singular warm basis leaves nothing behind in its store. Columns 0 and
+   1 are parallel, so refactorising a basis that holds both stops with
+   [Singular] in the bump, while eliminating the second of them. The next
+   warm re-solve over the same store refactorises a three-column bump over
+   the same rows, and must give the bits it gives on a fresh store: value,
+   x, basis and resting bounds. *)
+let test_singular_warm_basis_leaves_store_clean () =
+  let module T = Lp.Tableau in
+  let store () =
+    T.columns ~nrows:3
+      [|
+        [| (0, 1.0); (1, 1.0); (2, 1.0) |];
+        [| (0, 2.0); (1, 2.0); (2, 2.0) |];
+        [| (0, 1.0); (1, 2.0) |];
+        [| (1, 1.0); (2, 1.0) |];
+        [| (0, 1.0); (2, 3.0) |];
+        [| (0, 1.0) |];
+        [| (1, 1.0) |];
+        [| (2, 1.0) |];
+      |]
+  in
+  let b = [| 4.0; 6.0; 5.0 |] in
+  let c = [| -1.0; -1.0; -2.0; -1.0; -3.0; 0.0; 0.0; 0.0 |] in
+  let ubs = Array.init 8 (fun j -> if j < 5 then Some 10.0 else None) in
+  let snapshot basis =
+    { T.s_basis = basis; s_at_ub = Array.make 8 false; s_factor = None }
+  in
+  let next cols =
+    T.resolve_with_basis ~cols ~b ~c ~ubs ~snapshot:(snapshot [| 2; 3; 4 |]) ()
+  in
+  let used = store () in
+  (match
+     T.resolve_with_basis ~cols:used ~b ~c ~ubs ~snapshot:(snapshot [| 0; 1; 7 |]) ()
+   with
+   | Error reason ->
+     check Alcotest.string "reason" "singular basis on refactorisation" reason
+   | Ok _ -> Alcotest.fail "a singular basis cannot be resolved");
+  let fresh = next (store ()) in
+  (match fresh with
+   | Ok (T.Optimal _) -> ()
+   | _ -> Alcotest.fail "the follow-up re-solve reaches an optimum");
+  check bool "same bits as on a fresh store" true (same_resolve fresh (next used))
+
+(* LPs with dense to half-empty columns, whose warm re-solves refactorise
+   a bump of several basic structural columns; in the sparser ones a bump
+   column also reaches rows through the etas of earlier ones. Each LP is
+   solved twice: as generated, where a bump column reaches more than an
+   eighth of the rows and its reach is ordered by a sweep over the rows,
+   and padded with [8 m] rows that only a slack of their own meets, where
+   the same reach is at most an eighth and its runs are merged. The
+   padding changes no pivot, so the two must agree bit for bit on the
+   original rows and columns; a warm re-solve must also agree with a cold
+   solve of the same bounds. *)
+let arb_bump_lp =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 10 >>= fun nv ->
+      int_range 2 10 >>= fun m ->
+      int_range 0 8 >>= fun zeros ->
+      let coeff =
+        frequency
+          [ (4, return 1); (2, int_range 2 3); (2, return (-1)); (zeros, return 0) ]
+      in
+      list_size (return m)
+        (triple (list_size (return nv) coeff) (return M.Le) (int_range 5 40))
+      >>= fun rows ->
+      list_size (return nv) (int_range 0 9) >>= fun obj ->
+      int_range 0 (nv - 1) >>= fun vi ->
+      int_range 1 20 >>= fun k ->
+      return
+        ( {
+            var_bounds = List.init nv (fun _ -> (0, Some 50));
+            rows;
+            obj;
+            maximize = true;
+          },
+          vi,
+          k ))
+  in
+  QCheck.make gen ~print:(fun (spec, vi, k) ->
+      Printf.sprintf "%s change x%d.ub=%d" (show_lp spec) vi k)
+
+let prop_bump_orderings_agree =
+  QCheck.Test.make ~name:"bump elimination agrees under both reach orderings"
+    ~count:1000 arb_bump_lp (fun (spec, vi, k) ->
+      let module T = Lp.Tableau in
+      let cols, b, c, ubs = kernel_form spec in
+      let m = cols.T.nrows and n = Array.length c in
+      let pad = 8 * m in
+      let padded =
+        T.columns ~nrows:(m + pad)
+          (Array.init (n + pad) (fun j ->
+               if j < n then
+                 Array.map2 (fun i a -> (i, a)) cols.T.col_idx.(j) cols.T.col_val.(j)
+               else [| (m + j - n, 1.0) |]))
+      in
+      let b' = Array.append b (Array.make pad 1.0) in
+      let c' = Array.append c (Array.make pad 0.0) in
+      let ubs' = Array.append ubs (Array.make pad None) in
+      let tight u =
+        Array.mapi (fun j x -> if j = vi then Some (float_of_int k) else x) u
+      in
+      (* the result of a padded solve, cut down to the original form *)
+      let unpad = function
+        | Ok (T.Optimal { value; x; snapshot = s }) ->
+          Ok
+            (T.Optimal
+               {
+                 value;
+                 x = Array.sub x 0 n;
+                 snapshot =
+                   {
+                     T.s_basis = Array.sub s.T.s_basis 0 m;
+                     s_at_ub = Array.sub s.T.s_at_ub 0 n;
+                     s_factor = None;
+                   };
+               })
+        | r -> r
+      in
+      let agrees r cold =
+        match r with
+        | Ok (T.Optimal { value; _ }) -> Float.abs (value -. cold) < 1e-6
+        | Ok (T.Infeasible | T.Unbounded) | Error _ -> false
+      in
+      match
+        ( T.solve_cols ~ubs ~cols ~b ~c (),
+          T.solve_cols ~ubs:ubs' ~cols:padded ~b:b' ~c:c' (),
+          T.solve_cols ~ubs:(tight ubs) ~cols ~b ~c () )
+      with
+      | ( (T.Optimal { value; snapshot = s; _ } as r),
+          (T.Optimal { snapshot = s'; _ } as r'),
+          T.Optimal { value = cold_node; _ } ) ->
+        let again = T.resolve_with_basis ~cols ~b ~c ~ubs ~snapshot:s () in
+        let again' =
+          T.resolve_with_basis ~cols:padded ~b:b' ~c:c' ~ubs:ubs' ~snapshot:s' ()
+        in
+        let node = T.resolve_with_basis ~cols ~b ~c ~ubs:(tight ubs) ~snapshot:s () in
+        let node' =
+          T.resolve_with_basis ~cols:padded ~b:b' ~c:c' ~ubs:(tight ubs')
+            ~snapshot:s' ()
+        in
+        same_resolve (Ok r) (unpad (Ok r'))
+        && same_resolve again (unpad again')
+        && same_resolve node (unpad node')
+        && agrees again value
+        && agrees node cold_node
+      | _, _, _ -> false (* the origin is feasible and the box bounded *))
+
+(* A prepared form's warm scratch never carries one node into the next.
+   One warm start serves three nodes, each followed by the same warm
+   re-solve: a node that unfixes a variable the form fixed (its overlay
+   raises [Remap] after shifting [x0], and the solve falls back to cold),
+   a node stopped by a deadline that has already passed (after shifting
+   [x1] and its rhs), and an ordinary node that shifts [x2]. Every
+   follow-up must be a warm hit with the bits of the same re-solve from a
+   freshly prepared form. *)
+let test_warm_scratch_never_leaks () =
+  let m = M.create () in
+  let x =
+    Array.init 5 (fun i ->
+        M.add_var m ~lb:Q.zero ~ub:(Q.of_int 8) (Printf.sprintf "x%d" i))
+  in
+  let expr cs = E.sum (List.map (fun (c, i) -> E.iterm c x.(i)) cs) in
+  M.add_constr m (expr [ (1, 0); (1, 1); (1, 2); (1, 4) ]) M.Le (E.of_int 10);
+  M.add_constr m (expr [ (2, 0); (1, 2); (1, 3); (1, 4) ]) M.Le (E.of_int 14);
+  M.add_constr m (expr [ (1, 1); (3, 2) ]) M.Le (E.of_int 12);
+  M.set_objective m `Maximize (expr [ (3, 0); (2, 1); (4, 2); (1, 3); (2, 4) ]);
+  let bounds changes =
+    Array.init 5 (fun i ->
+        match List.assoc_opt i changes with
+        | Some (l, u) -> (Q.of_int l, Some (Q.of_int u))
+        | None when i = 3 -> (Q.of_int 2, Some (Q.of_int 2))
+        | None -> (Q.zero, Some (Q.of_int 8)))
+  in
+  let root () =
+    match S.solve_relaxation_float ~bounds:(bounds []) m with
+    | S.Optimal { warm; _ } -> warm
+    | S.Infeasible | S.Unbounded -> Alcotest.fail "the root has an optimum"
+  in
+  let follow_up warm =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable @@ fun () ->
+    let r = S.solve_relaxation_float ~bounds:(bounds [ (4, (1, 3)) ]) ~warm m in
+    check int_t "follow-up is a warm hit" 1 (Telemetry.counter_value "lp.bb.warm_hits");
+    match r with
+    | S.Optimal { objective; values; _ } -> (objective, values)
+    | S.Infeasible | S.Unbounded -> Alcotest.fail "the follow-up has an optimum"
+  in
+  let expected = follow_up (root ()) in
+  let same (o1, v1) (o2, v2) = bits_equal o1 o2 && Array.for_all2 bits_equal v1 v2 in
+  let warm = root () in
+  let after name node =
+    node ();
+    check bool name true (same expected (follow_up warm))
+  in
+  after "after a Remap" (fun () ->
+      let unfix = bounds [ (0, (1, 5)); (3, (0, 4)) ] in
+      ignore (S.solve_relaxation_float ~bounds:unfix ~warm m));
+  after "after a deadline" (fun () ->
+      match
+        S.solve_relaxation_float
+          ~deadline:(Telemetry.Clock.now_s () -. 1.0)
+          ~bounds:(bounds [ (1, (2, 6)) ])
+          ~warm m
+      with
+      | exception Lp.Tableau.Deadline_exceeded -> ()
+      | _ -> Alcotest.fail "a passed deadline stops the node");
+  after "after an ordinary node" (fun () ->
+      ignore (S.solve_relaxation_float ~bounds:(bounds [ (2, (1, 3)) ]) ~warm m))
+
 (* ---------- Presolve ---------- *)
 
 (* The reduced model presolve returns; fails the test on [Proved_infeasible]. *)
@@ -1101,6 +1312,10 @@ let () =
           Alcotest.test_case "iteration limit" `Quick test_simplex_iteration_limit;
           Alcotest.test_case "bounds length" `Quick test_simplex_bounds_length;
           Alcotest.test_case "singular basis" `Quick test_tableau_singular_basis;
+          Alcotest.test_case "singular warm basis leaves the store clean" `Quick
+            test_singular_warm_basis_leaves_store_clean;
+          Alcotest.test_case "warm scratch never leaks" `Quick
+            test_warm_scratch_never_leaks;
           Alcotest.test_case "column row out of range" `Quick
             test_columns_row_out_of_range;
         ] );
@@ -1113,6 +1328,7 @@ let () =
             prop_sibling_resolves_share_factor;
             prop_columns_row_copy_is_transpose;
             prop_workspace_never_leaks;
+            prop_bump_orderings_agree;
           ] );
       ( "presolve",
         [
