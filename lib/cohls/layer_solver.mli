@@ -15,7 +15,7 @@
     (objective no worse than the heuristic's, which a strictly better
     schedule satisfies). A schedule that fails the certificate is counted under
     [layer.ilp_uncertified] and the heuristic schedule is kept; so is it
-    when the solver fails outright ([layer.ilp_failed]). *)
+    when a typed kernel failure ends the search ([layer.ilp_failed]). *)
 
 type engine =
   | Heuristic

@@ -3,18 +3,9 @@
    The constraint matrix is stored in a {!columns} store, built once per
    standard form and shared read-only by every solve over that form: the
    sparse column of each structural variable with its static pricing norm,
-   and the same nonzeros row by row. The basis inverse is a product-form
-   eta file that is rebuilt from scratch (refactorised) after a bounded
-   number of pivots, which both bounds the FTRAN / BTRAN cost and drains
-   accumulated roundoff.
-
-   A refactorisation ({!factorise}) places the identity-like and
-   triangular columns of the basis first, then eliminates the remaining
-   "bump" column by column. A bump column is carried only through the
-   etas of the rows it reaches, in file order, and only those rows are
-   read and cleared, so it costs the nonzeros it touches rather than the
-   row count or the length of the eta file; its eta and every float
-   operation are those of applying the whole file.
+   and the same nonzeros row by row. The basis inverse is a {!Factor}: an
+   eta file the phases see only through FTRAN, BTRAN, an update per pivot
+   and a refactorisation once one is due.
 
    Pricing works row-wise. A reduced cost [c_j - y.a_j] and an entry of the
    dual pivot row [rho.a_j] are both sums over the rows where the dense
@@ -28,20 +19,15 @@
    row and the reduced-cost update touch only the columns those rows
    reach.
 
-   Every solve over a store runs in its [workspace]: every array a solve
-   or an iteration needs besides its results and its eta records is
-   allocated once, with the store. So one store serves one solve at a
-   time (a tree search solves one relaxation at a time). Nothing a solve
-   leaves in the workspace is read by the next: each array is written
-   before it is read, and the pivot row marks the columns it touches with
-   a generation number that never repeats, so a solve aborted mid-row
-   ([Deadline_exceeded], [Iteration_limit], [Singular]) leaves no mark
-   that a later one could mistake for its own.
-
-   Structural variables range over [0, ub_j] (ub_j optional); a nonbasic
-   variable rests at either bound ([at_ub]) and upper bounds are enforced by
-   the ratio test — including bound flips that move a variable across its
-   whole span without a basis change — instead of by explicit rows.
+   Every solve over a store runs in its [workspace] and factor, allocated
+   once, with the store, so one store serves one solve at a time (a tree
+   search solves one relaxation at a time). Nothing a solve leaves in them
+   is read by the next: each array is written before it is read, and the
+   pivot row marks the columns it touches with a generation number that
+   never repeats, so a solve aborted mid-row ([Deadline_exceeded],
+   [Iteration_limit], [Singular]) leaves no mark a later one could mistake
+   for its own. A nonbasic structural variable rests at either end of
+   [0, ub_j] ([at_ub]).
 
    Columns [0 .. n-1] are structural, [n .. n+m-1] artificial. Artificial
    columns never re-enter the basis once they leave: phase 1 then still
@@ -60,50 +46,20 @@
 
 exception Deadline_exceeded
 exception Iteration_limit
-exception Singular
+exception Singular = Factor.Singular
 
 let eps = 1e-9
-
-type eta = {
-  e_row : int;
-  e_pivot : float;  (* 1 / alpha_r *)
-  e_idx : int array;  (* rows i <> e_row with nonzero alpha_i *)
-  e_val : float array;  (* -alpha_i / alpha_r, parallel to [e_idx] *)
-}
-
-let dummy_eta = { e_row = 0; e_pivot = 1.0; e_idx = [||]; e_val = [||] }
 
 (* Scratch for the solves over one store; see the header. Row-length
    arrays come first, then column-length ones. *)
 type workspace = {
   w_y : float array;  (* simplex multipliers *)
   w_rho : float array;  (* row r of B^-1 *)
-  w_delta : float array;  (* summed bound-flip columns *)
+  w_delta : float array;  (* summed bound-flip columns, then a residual *)
   w_alpha : float array;  (* the entering column, FTRAN'd *)
   w_x_b : float array;
-  w_v : float array;  (* a bump column; all zero between columns *)
-  w_eta_val : float array;  (* a pass-2 eta's values, gathered *)
-  w_scaling : float array;
-  w_resid : float array;
-  w_nz : int array;  (* rows of the column an eta is being built from *)
-  w_eta_at : int array;  (* row -> position of its factorisation eta, or -1 *)
-  w_reach : int array;  (* rows a bump column reaches *)
-  w_row_stamp : int array;  (* rows in [w_reach], where [= w_gen] *)
-  w_heap : int array;  (* eta positions due to fire, a min-heap *)
-  w_runs : int array;  (* where the ascending runs of [w_reach] start *)
-  w_merge : int array;  (* a run of [w_reach] being merged *)
-  w_rows : int array;  (* nonzero rows of [y] or [rho] *)
+  w_rows : int array;  (* nonzero rows of [y], [rho] or an FTRAN'd column *)
   w_basis : int array;
-  w_order : int array;
-  w_row_count : int array;
-  w_cursor : int array;
-  w_fifo : int array;
-  w_bump : int array;
-  w_taken : bool array;
-  w_placed : bool array;
-  w_covered : bool array;
-  w_unplaced_start : int array;  (* [nrows + 1] *)
-  w_unplaced : int array;  (* [nnz]: CSR of the unplaced basis columns *)
   w_d : float array;  (* reduced costs *)
   w_row_r : float array;  (* the dual pivot row, where [w_stamp = w_gen] *)
   w_cand_ratio : float array;
@@ -115,7 +71,7 @@ type workspace = {
   w_cand_order : int array;
   w_at_ub : bool array;
   w_pos : int array;  (* [n + nrows] *)
-  mutable w_etas : eta array;
+  w_factor : Factor.t;
   mutable w_gen : int;
 }
 
@@ -130,7 +86,7 @@ type columns = {
   work : workspace;
 }
 
-let workspace ~m ~n ~nnz =
+let workspace ~m ~n factor =
   let fm () = Array.make m 0.0 and im () = Array.make m 0 in
   let fn () = Array.make n 0.0 and in_ () = Array.make n 0 in
   {
@@ -139,29 +95,8 @@ let workspace ~m ~n ~nnz =
     w_delta = fm ();
     w_alpha = fm ();
     w_x_b = fm ();
-    w_v = fm ();
-    w_eta_val = fm ();
-    w_scaling = fm ();
-    w_resid = fm ();
-    w_nz = im ();
-    w_eta_at = im ();
-    w_reach = im ();
-    w_row_stamp = im ();
-    w_heap = im ();
-    w_runs = im ();
-    w_merge = im ();
     w_rows = im ();
     w_basis = im ();
-    w_order = im ();
-    w_row_count = im ();
-    w_cursor = im ();
-    w_fifo = im ();
-    w_bump = im ();
-    w_taken = Array.make m false;
-    w_placed = Array.make m false;
-    w_covered = Array.make m false;
-    w_unplaced_start = Array.make (m + 1) 0;
-    w_unplaced = Array.make nnz 0;
     w_d = fn ();
     w_row_r = fn ();
     w_cand_ratio = fn ();
@@ -173,7 +108,7 @@ let workspace ~m ~n ~nnz =
     w_cand_order = in_ ();
     w_at_ub = Array.make n false;
     w_pos = Array.make (n + m) (-1);
-    w_etas = [| dummy_eta |];
+    w_factor = factor;
     w_gen = 0;
   }
 
@@ -222,17 +157,13 @@ let columns ~nrows cols =
     row_start;
     row_col;
     row_val;
-    work = workspace ~m:nrows ~n ~nnz;
+    work = workspace ~m:nrows ~n (Factor.create ~nrows col_idx col_val);
   }
-
-(* The eta file a refactorisation built from a snapshot's basis, and the row
-   each basic column landed on. Never mutated once published. *)
-type factor = { f_etas : eta array; f_basis : int array }
 
 type snapshot = {
   s_basis : int array;
   s_at_ub : bool array;
-  mutable s_factor : factor option;
+  mutable s_factor : Factor.memo option;
 }
 
 type result =
@@ -245,9 +176,6 @@ type state = {
   n : int;
   (* structural columns, shared with the column store and never written *)
   cols : columns;
-  cidx : int array array;
-  cval : float array array;
-  weight : float array;
   ws : workspace;
   ubs : float array;  (* upper bound per structural column, [infinity] = none *)
   at_ub : bool array;
@@ -255,11 +183,7 @@ type state = {
   pos : int array;
   x_b : float array;
   b : float array;
-  nz : int array;
-  mutable etas : eta array;
-  mutable n_etas : int;
-  mutable etas_used : int;  (* high-water mark of [n_etas] *)
-  mutable factor_etas : int;
+  factor : Factor.t;
   max_iters : int;
   deadline : float option;
   (* per-solve counters, flushed to telemetry when the solve ends *)
@@ -280,54 +204,25 @@ type state = {
 let clamp x = if Float.abs x <= eps then 0.0 else x
 let fcmp a b = if Float.abs (a -. b) <= eps then 0 else Float.compare a b
 
-let reserve_etas st len =
-  if len > Array.length st.etas then begin
-    let bigger = Array.make (max len (2 * Array.length st.etas)) dummy_eta in
-    Array.blit st.etas 0 bigger 0 st.n_etas;
-    st.etas <- bigger
-  end
-
-let push_eta st e =
-  reserve_etas st (st.n_etas + 1);
-  st.etas.(st.n_etas) <- e;
-  st.n_etas <- st.n_etas + 1;
-  if st.n_etas > st.etas_used then st.etas_used <- st.n_etas
-
-(* [v <- B^-1 v]. *)
 let ftran st v =
   st.ftrans <- st.ftrans + 1;
-  for t = 0 to st.n_etas - 1 do
-    let e = st.etas.(t) in
-    let x = v.(e.e_row) in
-    if Float.abs x > eps then begin
-      v.(e.e_row) <- e.e_pivot *. x;
-      let idx = e.e_idx and vl = e.e_val in
-      for k = 0 to Array.length idx - 1 do
-        v.(idx.(k)) <- v.(idx.(k)) +. (vl.(k) *. x)
-      done
-    end
-  done
+  Factor.ftran st.factor v
 
 let btran st y =
   st.btrans <- st.btrans + 1;
-  for t = st.n_etas - 1 downto 0 do
-    let e = st.etas.(t) in
-    let acc = ref (e.e_pivot *. y.(e.e_row)) in
-    let idx = e.e_idx and vl = e.e_val in
-    for k = 0 to Array.length idx - 1 do
-      acc := !acc +. (vl.(k) *. y.(idx.(k)))
-    done;
-    y.(e.e_row) <- clamp !acc
-  done
+  Factor.btran st.factor y
 
-let scatter st j v =
+(* [alpha <- B^-1 a_j]: column [j], structural or artificial, FTRAN'd. *)
+let ftran_column st j alpha =
+  Array.fill alpha 0 st.m 0.0;
   if j < st.n then begin
-    let idx = st.cidx.(j) and vl = st.cval.(j) in
+    let idx = st.cols.col_idx.(j) and vl = st.cols.col_val.(j) in
     for k = 0 to Array.length idx - 1 do
-      v.(idx.(k)) <- vl.(k)
+      alpha.(idx.(k)) <- vl.(k)
     done
   end
-  else v.(j - st.n) <- 1.0
+  else alpha.(j - st.n) <- 1.0;
+  ftran st alpha
 
 (* The rows where [v] is nonzero, ascending, into [st.ws.w_rows]; returns
    how many. *)
@@ -415,403 +310,36 @@ let sort_prefix cmp (a : int array) len =
     sift 0 last
   done
 
-(* The eta of pivoting the FTRAN'd column [alpha] on [row], built from the
-   rows [st.nz.(0 .. cnt-1)]: ascending, every row with [|alpha_i| > eps],
-   [row] among them. *)
-let eta_of_rows st ~row alpha cnt =
-  let ar = alpha.(row) in
-  let idx = Array.make (cnt - 1) 0 and vl = Array.make (cnt - 1) 0.0 in
-  let k = ref 0 in
-  for c = 0 to cnt - 1 do
-    let i = st.nz.(c) in
-    if i <> row then begin
-      idx.(!k) <- i;
-      vl.(!k) <- -.(alpha.(i) /. ar);
-      incr k
-    end
-  done;
-  { e_row = row; e_pivot = 1.0 /. ar; e_idx = idx; e_val = vl }
-
-(* One sweep over [alpha] collects its nonzero rows for the eta and moves
-   x_B along the step; the pivot row's entry, which must be above [eps], is
-   then overwritten with the entering variable's value. *)
-let pivot st ~row ~col ~t ~dir ~enter_val alpha =
-  let step = t *. dir in
+(* [x_B <- x_B - step * v] on the rows where [|v_i| > eps], which it lists
+   ascending in [w_rows]; returns how many. *)
+let step_x_b st v step =
   let cnt = ref 0 in
   for i = 0 to st.m - 1 do
-    let a = alpha.(i) in
+    let a = v.(i) in
     if Float.abs a > eps then begin
-      st.nz.(!cnt) <- i;
+      st.ws.w_rows.(!cnt) <- i;
       incr cnt;
       st.x_b.(i) <- clamp (st.x_b.(i) -. (step *. a))
     end
   done;
-  push_eta st (eta_of_rows st ~row alpha !cnt);
+  !cnt
+
+(* One sweep over [alpha] moves x_B along the step and collects the rows
+   of the eta; the pivot row's entry, which must be above [eps], is then
+   overwritten with the entering variable's value. A structural leaving
+   variable rests at its upper bound if [to_ub]. *)
+let pivot st ~row ~col ~t ~dir ~to_ub alpha =
+  let step = t *. dir and leaving = st.basis.(row) in
+  let enter_val = if st.at_ub.(col) then st.ubs.(col) else 0.0 in
+  Factor.update st.factor ~row alpha st.ws.w_rows (step_x_b st alpha step);
   st.x_b.(row) <- clamp (enter_val +. step);
-  st.pos.(st.basis.(row)) <- -1;
+  st.at_ub.(col) <- false;
+  if leaving < st.n then st.at_ub.(leaving) <- to_ub;
+  st.pos.(leaving) <- -1;
   st.basis.(row) <- col;
   st.pos.(col) <- row
 
-(* Insert [q] into the min-heap [heap.(0 .. n-1)]; the heap then holds
-   [n + 1] entries. *)
-let heap_push (heap : int array) n q =
-  let c = ref n in
-  while !c > 0 && heap.((!c - 1) / 2) > q do
-    heap.(!c) <- heap.((!c - 1) / 2);
-    c := (!c - 1) / 2
-  done;
-  heap.(!c) <- q
-
-(* Remove and return the least entry of the min-heap [heap.(0 .. n-1)],
-   [n > 0]; the heap then holds [n - 1] entries. *)
-let heap_pop (heap : int array) n =
-  let top = heap.(0) and last = heap.(n - 1) and n = n - 1 in
-  let c = ref 0 and sifting = ref true in
-  while !sifting do
-    let l = (2 * !c) + 1 in
-    if l >= n then sifting := false
-    else begin
-      let s = if l + 1 < n && heap.(l + 1) < heap.(l) then l + 1 else l in
-      if heap.(s) < last then begin
-        heap.(!c) <- heap.(s);
-        c := s
-      end
-      else sifting := false
-    end
-  done;
-  if n > 0 then heap.(!c) <- last;
-  top
-
-(* Put the [len] rows of [w_reach] a bump column reached, which carry the
-   stamp [gen], in ascending order. They arrive as [nruns] ascending runs
-   starting at [w_runs.(0 .. nruns-1)]: the column's own rows, then the
-   rows each applied eta reached first. While they are at most an eighth
-   of the [m] rows, each run is merged into the sorted rows before it, from
-   the back; otherwise one sweep over the stamps lists them. *)
-let sort_reach ws ~m ~gen ~nruns len =
-  let reach = ws.w_reach in
-  if len * 8 <= m then begin
-    let runs = ws.w_runs and tmp = ws.w_merge in
-    for r = 1 to nruns - 1 do
-      let lo = runs.(r) and hi = if r + 1 < nruns then runs.(r + 1) else len in
-      if reach.(lo - 1) > reach.(lo) then begin
-        for k = lo to hi - 1 do
-          tmp.(k - lo) <- reach.(k)
-        done;
-        let i = ref (lo - 1) and j = ref (hi - lo - 1) and k = ref (hi - 1) in
-        while !j >= 0 do
-          if !i >= 0 && reach.(!i) > tmp.(!j) then begin
-            reach.(!k) <- reach.(!i);
-            decr i
-          end
-          else begin
-            reach.(!k) <- tmp.(!j);
-            decr j
-          end;
-          decr k
-        done
-      end
-    done
-  end
-  else begin
-    let stamp = ws.w_row_stamp in
-    let k = ref 0 in
-    for i = 0 to m - 1 do
-      if stamp.(i) = gen then begin
-        reach.(!k) <- i;
-        incr k
-      end
-    done
-  end
-
-(* Rebuild the eta file from the current basis; the basic columns end up
-   permuted onto their pivot rows. The pivot order is chosen to avoid fill
-   in the rebuilt eta file — essential, because a naive Gauss-Jordan over LP
-   bases produces near-dense etas and the FTRAN / BTRAN cost explodes:
-
-   pass 1: identity-like columns (artificials and structural singletons)
-           pivot on their own row with a trivial (term-free) eta;
-   pass 2: repeatedly pivot a column that is alone on some untaken row. No
-           other remaining column touches that row, so applying the eta
-           downstream is a pattern no-op: each such eta carries exactly the
-           column's own off-pivot entries and no fill. By the same argument
-           no earlier pass-2 eta touches the column either — only the
-           pass-1 scalings of the rows it meets — so its FTRAN'd column and
-           eta are built from its own nonzeros in ascending row order, with
-           the float operations the full FTRAN would perform. A pivot entry
-           within [eps] of zero breaks the argument (the column then pivots
-           on another row, which later columns may meet), so from there on
-           pass 2 eliminates like pass 3. The unplaced columns of each
-           untaken row are held as CSR arrays, in basis order, and a row
-           that is down to one of them takes the last still unplaced;
-   pass 3: the residual "bump" is eliminated smallest column first (the
-           later basis position first among equals), picking pivot rows by
-           magnitude. On the paper's case 1 a bump holds 64 columns on
-           average and up to 112, of m ~ 776 rows.
-
-   Every eta a factorisation emits owns a distinct row, so [w_eta_at] maps
-   a row to its eta's position in the file. Eliminating a bump column
-   applies the file to the column, but only the etas of the rows it
-   reaches can fire: the scattered column queues the etas of its nonzero
-   rows, and applying an eta queues the etas of the rows it makes nonzero
-   that lie later in the file (an earlier one has already met a zero row).
-   The queue is a min-heap of positions, so the etas fire in the order a
-   pass over the whole file fires them, with the same float operations,
-   and an eta whose row stays zero does nothing in either. The reached rows
-   are then put in ascending order ({!sort_reach}), scanned for the eta
-   and the pivot, and cleared, so [w_v] is all zero between columns and
-   nothing else of it is read. A column costs the rows and etas it
-   reaches, not [m] or the length of the file (Gilbert, Peierls, "Sparse
-   partial pivoting in time proportional to arithmetic operations", SISSC
-   9, 1988): on case 1 a bump column reaches ~42 rows and fires ~3 of
-   ~234 etas.
-
-   An artificial whose row a structural singleton took is a singular basis.
-
-   The result depends only on the basis and the columns, never on [b],
-   [ubs] or [at_ub], which is what lets a snapshot share it ({!factor}).
-   Returns the number of bump columns. *)
-let factorise st =
-  let ws = st.ws and m = st.m in
-  st.n_etas <- 0;
-  let order = ws.w_order and taken = ws.w_taken and placed = ws.w_placed in
-  (* [e_pivot] of the pass-1 scaling eta on each row, [0.0] for none *)
-  let scaling = ws.w_scaling and v = ws.w_v and eta_at = ws.w_eta_at in
-  Array.blit st.basis 0 order 0 m;
-  Array.fill taken 0 m false;
-  Array.fill placed 0 m false;
-  Array.fill scaling 0 m 0.0;
-  Array.fill eta_at 0 m (-1);
-  let push_factor_eta e =
-    eta_at.(e.e_row) <- st.n_etas;
-    push_eta st e
-  in
-  let place t col row =
-    taken.(row) <- true;
-    placed.(t) <- true;
-    st.basis.(row) <- col
-  in
-  (* Eliminate a structural column (an unplaced artificial is singular
-     before any elimination) through the etas its rows reach; see the
-     header. *)
-  let reach = ws.w_reach and stamp = ws.w_row_stamp and heap = ws.w_heap
-  and runs = ws.w_runs in
-  let pivot_full t col ~row_hint =
-    ws.w_gen <- ws.w_gen + 1;
-    let gen = ws.w_gen in
-    let nreach = ref 0 and nheap = ref 0 and nruns = ref 1 in
-    runs.(0) <- 0;
-    let idx = st.cidx.(col) and vl = st.cval.(col) in
-    for k = 0 to Array.length idx - 1 do
-      let i = idx.(k) in
-      v.(i) <- vl.(k);
-      stamp.(i) <- gen;
-      reach.(!nreach) <- i;
-      incr nreach;
-      if eta_at.(i) >= 0 then begin
-        heap_push heap !nheap eta_at.(i);
-        incr nheap
-      end
-    done;
-    while !nheap > 0 do
-      let p = heap_pop heap !nheap in
-      decr nheap;
-      let e = st.etas.(p) in
-      let x = v.(e.e_row) in
-      if Float.abs x > eps then begin
-        v.(e.e_row) <- e.e_pivot *. x;
-        let eidx = e.e_idx and evl = e.e_val in
-        let first = !nreach in
-        for k = 0 to Array.length eidx - 1 do
-          let i = eidx.(k) in
-          if stamp.(i) <> gen then begin
-            stamp.(i) <- gen;
-            reach.(!nreach) <- i;
-            incr nreach;
-            if eta_at.(i) > p then begin
-              heap_push heap !nheap eta_at.(i);
-              incr nheap
-            end
-          end;
-          v.(i) <- v.(i) +. (evl.(k) *. x)
-        done;
-        if !nreach > first then begin
-          runs.(!nruns) <- first;
-          incr nruns
-        end
-      end
-    done;
-    let nreach = !nreach in
-    sort_reach ws ~m ~gen ~nruns:!nruns nreach;
-    (* the column's nonzero rows and its largest untaken entry *)
-    let cnt = ref 0 and best = ref (-1) and best_mag = ref 0.0 in
-    for k = 0 to nreach - 1 do
-      let i = reach.(k) in
-      let mag = Float.abs v.(i) in
-      if mag > eps then begin
-        st.nz.(!cnt) <- i;
-        incr cnt;
-        if (not taken.(i)) && (!best < 0 || mag > !best_mag) then begin
-          best := i;
-          best_mag := mag
-        end
-      end
-    done;
-    let row =
-      if row_hint >= 0 && Float.abs v.(row_hint) > eps then row_hint else !best
-    in
-    if row >= 0 then push_factor_eta (eta_of_rows st ~row v !cnt);
-    for k = 0 to nreach - 1 do
-      v.(reach.(k)) <- 0.0
-    done;
-    if row < 0 then raise Singular;
-    place t col row
-  in
-  let dense = ref false in
-  (* Pass 2 on row [r]: the column's FTRAN'd entry at [k] is its raw entry,
-     scaled if a pass-1 eta covers that row (and the entry is above [eps],
-     as [ftran] skips the rest). The eta's rows and values are gathered in
-     [st.nz] and [w_eta_val], then copied out at their final length. *)
-  let eta_val = ws.w_eta_val in
-  let pivot_singleton t col r =
-    let idx = st.cidx.(col) and vl = st.cval.(col) in
-    let kr = ref 0 in
-    while idx.(!kr) <> r do incr kr done;
-    let ar = vl.(!kr) in
-    if !dense || Float.abs ar <= eps then begin
-      dense := true;
-      pivot_full t col ~row_hint:r
-    end
-    else begin
-      let cnt = ref 0 in
-      for k = 0 to Array.length idx - 1 do
-        if k <> !kr then begin
-          let a = vl.(k) and p = scaling.(idx.(k)) in
-          let a = if p <> 0.0 && Float.abs a > eps then p *. a else a in
-          if Float.abs a > eps then begin
-            st.nz.(!cnt) <- idx.(k);
-            eta_val.(!cnt) <- -.(a /. ar);
-            incr cnt
-          end
-        end
-      done;
-      push_factor_eta
-        {
-          e_row = r;
-          e_pivot = 1.0 /. ar;
-          e_idx = Array.sub st.nz 0 !cnt;
-          e_val = Array.sub eta_val 0 !cnt;
-        };
-      place t col r
-    end
-  in
-  for t = 0 to m - 1 do
-    let col = order.(t) in
-    if col >= st.n then begin
-      let r = col - st.n in
-      if not taken.(r) then place t col r
-    end
-    else if Array.length st.cidx.(col) = 1 then begin
-      let r = st.cidx.(col).(0) in
-      if not taken.(r) then begin
-        let a = st.cval.(col).(0) in
-        if fcmp a 1.0 <> 0 then begin
-          push_factor_eta { e_row = r; e_pivot = 1.0 /. a; e_idx = [||]; e_val = [||] };
-          scaling.(r) <- 1.0 /. a
-        end;
-        place t col r
-      end
-    end
-  done;
-  (* CSR of the unplaced columns on each untaken row, [t] ascending *)
-  let row_count = ws.w_row_count and start = ws.w_unplaced_start
-  and unplaced = ws.w_unplaced and cursor = ws.w_cursor in
-  Array.fill row_count 0 m 0;
-  for t = 0 to m - 1 do
-    if not placed.(t) then begin
-      let col = order.(t) in
-      if col >= st.n then raise Singular;
-      let idx = st.cidx.(col) in
-      for k = 0 to Array.length idx - 1 do
-        let i = idx.(k) in
-        if not taken.(i) then row_count.(i) <- row_count.(i) + 1
-      done
-    end
-  done;
-  start.(0) <- 0;
-  for i = 0 to m - 1 do
-    start.(i + 1) <- start.(i) + row_count.(i);
-    cursor.(i) <- start.(i)
-  done;
-  for t = 0 to m - 1 do
-    if not placed.(t) then begin
-      let idx = st.cidx.(order.(t)) in
-      for k = 0 to Array.length idx - 1 do
-        let i = idx.(k) in
-        if not taken.(i) then begin
-          unplaced.(cursor.(i)) <- t;
-          cursor.(i) <- cursor.(i) + 1
-        end
-      done
-    end
-  done;
-  (* A row enters the FIFO when its count starts at 1 or falls to 1, and
-     counts only fall, so it enters at most once. *)
-  let fifo = ws.w_fifo in
-  let head = ref 0 and tail = ref 0 in
-  for i = 0 to m - 1 do
-    if (not taken.(i)) && row_count.(i) = 1 then begin
-      fifo.(!tail) <- i;
-      incr tail
-    end
-  done;
-  while !head < !tail do
-    let r = fifo.(!head) in
-    incr head;
-    if (not taken.(r)) && row_count.(r) = 1 then begin
-      let p = ref (start.(r + 1) - 1) in
-      while !p >= start.(r) && placed.(unplaced.(!p)) do decr p done;
-      if !p >= start.(r) then begin
-        let t = unplaced.(!p) in
-        let col = order.(t) in
-        pivot_singleton t col r;
-        let idx = st.cidx.(col) in
-        for k = 0 to Array.length idx - 1 do
-          let i = idx.(k) in
-          if not taken.(i) then begin
-            row_count.(i) <- row_count.(i) - 1;
-            if row_count.(i) = 1 then begin
-              fifo.(!tail) <- i;
-              incr tail
-            end
-          end
-        done
-      end
-    end
-  done;
-  let bump = ws.w_bump in
-  let nbump = ref 0 in
-  for t = 0 to m - 1 do
-    if not placed.(t) then begin
-      bump.(!nbump) <- t;
-      incr nbump
-    end
-  done;
-  (* smallest column first, the later basis position first among equals:
-     ascending [length * m + (m - 1 - t)] *)
-  for k = 0 to !nbump - 1 do
-    let t = bump.(k) in
-    bump.(k) <- (Array.length st.cidx.(order.(t)) * m) + (m - 1 - t)
-  done;
-  sort_prefix Int.compare bump !nbump;
-  for k = 0 to !nbump - 1 do
-    let t = m - 1 - (bump.(k) mod m) in
-    pivot_full t order.(t) ~row_hint:(-1)
-  done;
-  !nbump
-
-(* Recompute x_B = B^-1 (b - N_U u_U) under the current eta file, which
-   becomes the new base for the refactorisation threshold. *)
+(* Recompute x_B = B^-1 (b - N_U u_U) under a rebuilt factor. *)
 let load_x_b st =
   Array.fill st.pos 0 (st.n + st.m) (-1);
   for i = 0 to st.m - 1 do
@@ -821,7 +349,7 @@ let load_x_b st =
   for j = 0 to st.n - 1 do
     if st.pos.(j) < 0 && st.at_ub.(j) then begin
       let u = st.ubs.(j) in
-      let idx = st.cidx.(j) and vl = st.cval.(j) in
+      let idx = st.cols.col_idx.(j) and vl = st.cols.col_val.(j) in
       for k = 0 to Array.length idx - 1 do
         st.x_b.(idx.(k)) <- st.x_b.(idx.(k)) -. (vl.(k) *. u)
       done
@@ -830,37 +358,22 @@ let load_x_b st =
   ftran st st.x_b;
   for i = 0 to st.m - 1 do
     st.x_b.(i) <- clamp st.x_b.(i)
-  done;
-  st.factor_etas <- st.n_etas
-
-(* The nonzeros of the eta file: a pivot and the off-pivot entries of each
-   eta. *)
-let eta_nnz st =
-  let nnz = ref 0 in
-  for t = 0 to st.n_etas - 1 do
-    nnz := !nnz + 1 + Array.length st.etas.(t).e_idx
-  done;
-  !nnz
+  done
 
 let refactor st =
   let rt0 = Telemetry.Clock.now_s () in
   st.refactorisations <- st.refactorisations + 1;
-  let bump = factorise st in
+  let bump = Factor.factorise st.factor st.basis in
   load_x_b st;
   Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0);
   if Telemetry.enabled () then begin
-    Telemetry.observe "lp.simplex.factor_nnz" (float_of_int (eta_nnz st));
+    Telemetry.observe "lp.simplex.factor_nnz" (float_of_int (Factor.nnz st.factor));
     Telemetry.observe "lp.simplex.bump_cols" (float_of_int bump)
   end
 
-(* Entering column among the structural nonbasics: a variable at its lower
-   bound enters on a negative reduced cost (moving up), one at its upper
-   bound on a positive reduced cost (moving down). Steepest-edge-lite or
-   Bland. Phase 1 prices the sum of artificials, phase 2 the structural
-   costs [c]; artificials are never priced back in. Returns the column, or
-   [-1] at optimality, leaving its FTRAN'd tableau column in [alpha]; it
-   moves down from its upper bound, up otherwise. *)
-let entering st ~c ~phase2 ~bland alpha =
+(* The reduced costs of the structural columns into [w_d]: phase 1 prices
+   the sum of artificials, phase 2 the structural costs [c]. *)
+let reduced_costs st ~c ~phase2 =
   let y = st.ws.w_y and d = st.ws.w_d in
   for i = 0 to st.m - 1 do
     let bv = st.basis.(i) in
@@ -871,7 +384,18 @@ let entering st ~c ~phase2 ~bland alpha =
   done;
   btran st y;
   if phase2 then Array.blit c 0 d 0 st.n else Array.fill d 0 st.n 0.0;
-  subtract_rows st y d;
+  subtract_rows st y d
+
+(* Entering column among the structural nonbasics: a variable at its lower
+   bound enters on a negative reduced cost (moving up), one at its upper
+   bound on a positive reduced cost (moving down). Steepest-edge-lite or
+   Bland. Phase 1 prices the sum of artificials, phase 2 the structural
+   costs [c]; artificials are never priced back in. Returns the column, or
+   [-1] at optimality, leaving its FTRAN'd tableau column in [alpha]; it
+   moves down from its upper bound, up otherwise. *)
+let entering st ~c ~phase2 ~bland alpha =
+  let d = st.ws.w_d in
+  reduced_costs st ~c ~phase2;
   (* Zero-span columns (variables fixed by a branching bound change in a
      warm re-solve) can neither step nor flip: entering one would loop on
      zero-length bound flips, so they are never eligible. *)
@@ -890,7 +414,7 @@ let entering st ~c ~phase2 ~bland alpha =
       let best = ref (-1) and best_score = ref 0.0 in
       for j = 0 to st.n - 1 do
         if eligible j then begin
-          let score = d.(j) *. d.(j) /. st.weight.(j) in
+          let score = d.(j) *. d.(j) /. st.cols.col_weight.(j) in
           if score > !best_score then begin
             best := j;
             best_score := score
@@ -900,11 +424,7 @@ let entering st ~c ~phase2 ~bland alpha =
       !best
     end
   in
-  if chosen >= 0 then begin
-    Array.fill alpha 0 st.m 0.0;
-    scatter st chosen alpha;
-    ftran st alpha
-  end;
+  if chosen >= 0 then ftran_column st chosen alpha;
   chosen
 
 type step =
@@ -960,10 +480,7 @@ let ratio_test st alpha ~dir ~span ~phase2 =
   else Leave { row = !best; t = !best_ratio; to_ub = !best_to_ub }
 
 (* Start one pivot iteration: check the deadline (the clock is read every
-   16 iterations only) and refactorise once the pivots since the last
-   refactorisation pass the limit. That count is not the total eta-file
-   length: refactorising itself emits up to [m] etas, so an absolute
-   threshold below [m] would re-trigger on every iteration. *)
+   16 iterations only) and refactorise once one is due. *)
 let begin_iteration st =
   (match st.deadline with
    | Some t when st.iters land 15 = 0 && Telemetry.Clock.now_s () > t ->
@@ -971,7 +488,7 @@ let begin_iteration st =
      raise Deadline_exceeded
    | Some _ | None -> ());
   st.iters <- st.iters + 1;
-  if st.n_etas - st.factor_etas > min 150 (50 + (st.m / 4)) then refactor st
+  if Factor.due st.factor then refactor st
 
 let run_phase st ~c ~phase2 =
   let alpha = st.ws.w_alpha in
@@ -988,20 +505,12 @@ let run_phase st ~c ~phase2 =
       match ratio_test st alpha ~dir ~span ~phase2 with
       | Unbounded_dir -> `Unbounded
       | Flip ->
-        let step = span *. dir in
-        for i = 0 to st.m - 1 do
-          if Float.abs alpha.(i) > eps then
-            st.x_b.(i) <- clamp (st.x_b.(i) -. (step *. alpha.(i)))
-        done;
+        ignore (step_x_b st alpha (span *. dir));
         st.at_ub.(col) <- not st.at_ub.(col);
         st.flips <- st.flips + 1;
         loop ()
       | Leave { row; t; to_ub } ->
-        let leaving = st.basis.(row) in
-        let enter_val = if st.at_ub.(col) then st.ubs.(col) else 0.0 in
-        pivot st ~row ~col ~t ~dir ~enter_val alpha;
-        st.at_ub.(col) <- false;
-        if leaving < st.n then st.at_ub.(leaving) <- to_ub;
+        pivot st ~row ~col ~t ~dir ~to_ub alpha;
         st.pivots <- st.pivots + 1;
         if not phase2 then st.phase1_pivots <- st.phase1_pivots + 1;
         if bland then st.bland_pivots <- st.bland_pivots + 1;
@@ -1033,13 +542,9 @@ let drive_out_artificials st =
       done;
       let col = !col in
       if col < st.n then begin
-        Array.fill alpha 0 st.m 0.0;
-        scatter st col alpha;
-        ftran st alpha;
+        ftran_column st col alpha;
         if Float.abs alpha.(i) > eps then begin
-          let enter_val = if st.at_ub.(col) then st.ubs.(col) else 0.0 in
-          pivot st ~row:i ~col ~t:0.0 ~dir:1.0 ~enter_val alpha;
-          st.at_ub.(col) <- false;
+          pivot st ~row:i ~col ~t:0.0 ~dir:1.0 ~to_ub:false alpha;
           st.pivots <- st.pivots + 1
         end
       end
@@ -1083,7 +588,7 @@ let drive_out_artificials st =
    infeasibility certificate, as trustworthy as the primal phase-1 test. *)
 let dual_phase st ~c =
   let ws = st.ws in
-  let y = ws.w_y and rho = ws.w_rho and delta = ws.w_delta
+  let rho = ws.w_rho and delta = ws.w_delta
   and alpha = ws.w_alpha and d = ws.w_d and row_r = ws.w_row_r
   and touched = ws.w_touched and cand = ws.w_cand
   and cand_ratio = ws.w_cand_ratio and cand_arj = ws.w_cand_arj
@@ -1094,13 +599,7 @@ let dual_phase st ~c =
      [-1] for never *)
   let priced_at = ref (-1) in
   let price () =
-    for i = 0 to st.m - 1 do
-      let bv = st.basis.(i) in
-      y.(i) <- (if bv < st.n then c.(bv) else 0.0)
-    done;
-    btran st y;
-    Array.blit c 0 d 0 st.n;
-    subtract_rows st y d;
+    reduced_costs st ~c ~phase2:true;
     priced_at := st.refactorisations
   in
   (* ratio order: by ratio, then the larger |alpha_rj|, then the column *)
@@ -1125,7 +624,7 @@ let dual_phase st ~c =
           if x < -.eps then -.x else if x > hi +. eps then x -. hi else 0.0
         in
         if viol > 0.0 then begin
-          let w = if bv < st.n then st.weight.(bv) else 2.0 in
+          let w = if bv < st.n then st.cols.col_weight.(bv) else 2.0 in
           let s = viol *. viol /. w in
           if s > !score then begin
             row := i;
@@ -1209,7 +708,7 @@ let dual_phase st ~c =
                 let j = cand.(order.(f)) in
                 let u = st.ubs.(j) in
                 let fstep = if st.at_ub.(j) then -.u else u in
-                let idx = st.cidx.(j) and vl = st.cval.(j) in
+                let idx = st.cols.col_idx.(j) and vl = st.cols.col_val.(j) in
                 for t = 0 to Array.length idx - 1 do
                   delta.(idx.(t)) <- delta.(idx.(t)) +. (fstep *. vl.(t))
                 done;
@@ -1217,15 +716,10 @@ let dual_phase st ~c =
                 st.flips <- st.flips + 1
               done;
               ftran st delta;
-              for i = 0 to st.m - 1 do
-                if Float.abs delta.(i) > eps then
-                  st.x_b.(i) <- clamp (st.x_b.(i) -. delta.(i))
-              done
+              ignore (step_x_b st delta 1.0)
             end;
             let j = !enter in
-            Array.fill alpha 0 st.m 0.0;
-            scatter st j alpha;
-            ftran st alpha;
+            ftran_column st j alpha;
             let arj = alpha.(r) in
             if Float.abs arj <= eps then `Numerical
             else begin
@@ -1250,10 +744,7 @@ let dual_phase st ~c =
                 done;
                 d.(j) <- 0.0;
                 if leaving < st.n then d.(leaving) <- -.theta;
-                let enter_val = if st.at_ub.(j) then st.ubs.(j) else 0.0 in
-                pivot st ~row:r ~col:j ~t:step ~dir:1.0 ~enter_val alpha;
-                st.at_ub.(j) <- false;
-                if leaving < st.n then st.at_ub.(leaving) <- !above;
+                pivot st ~row:r ~col:j ~t:step ~dir:1.0 ~to_ub:!above alpha;
                 st.dual_pivots <- st.dual_pivots + 1;
                 loop ()
               end
@@ -1273,9 +764,6 @@ let make_state ~max_iters ~deadline ~cols ~b =
     m = cols.nrows;
     n = Array.length cols.col_idx;
     cols;
-    cidx = cols.col_idx;
-    cval = cols.col_val;
-    weight = cols.col_weight;
     ws;
     ubs = ws.w_ubs;
     at_ub = ws.w_at_ub;
@@ -1283,11 +771,7 @@ let make_state ~max_iters ~deadline ~cols ~b =
     pos = ws.w_pos;
     x_b = ws.w_x_b;
     b;
-    nz = ws.w_nz;
-    etas = ws.w_etas;
-    n_etas = 0;
-    etas_used = 0;
-    factor_etas = 0;
+    factor = ws.w_factor;
     max_iters;
     deadline;
     iters = 0;
@@ -1304,11 +788,10 @@ let make_state ~max_iters ~deadline ~cols ~b =
     pivot_row_nnz = 0;
   }
 
-(* End a solve: hand the (possibly grown) eta array back to the workspace,
-   emptied so that it keeps no eta alive, and flush the counters. *)
+(* End a solve: empty the factor, so that it keeps no eta alive, and flush
+   the counters. *)
 let finish st ~warm =
-  Array.fill st.etas 0 st.etas_used dummy_eta;
-  st.ws.w_etas <- st.etas;
+  Factor.clear st.factor;
   Telemetry.count (if warm then "lp.simplex.warm_solves" else "lp.simplex.solves");
   Telemetry.count ~by:st.pivots "lp.simplex.pivots";
   Telemetry.count ~by:st.phase1_pivots "lp.simplex.phase1_pivots";
@@ -1347,28 +830,19 @@ let snapshot_of st =
     s_factor = None;
   }
 
-(* Factorise a warm solve's starting basis, the snapshot's. The first solve
-   from a snapshot refactorises and memoises the result in it; every later
-   one (the parent's second child) copies the memoised etas into its own
-   file — its own pivots append to it — and recomputes only x_B, which is
-   where [b], [ubs] and [at_ub] enter. Both paths leave the same state, bit
-   for bit, since {!factorise} reads nothing else. *)
+(* Factorise a warm solve's starting basis, the snapshot's: the first solve
+   from a snapshot refactorises and memoises the factor in it, and every
+   later one restores it and recomputes only x_B, where [b], [ubs] and
+   [at_ub] enter. *)
 let factor_from st snapshot =
   match snapshot.s_factor with
-  | Some f ->
+  | Some memo ->
     st.factor_reuses <- st.factor_reuses + 1;
-    let k = Array.length f.f_etas in
-    reserve_etas st k;
-    Array.blit f.f_etas 0 st.etas 0 k;
-    st.n_etas <- k;
-    if k > st.etas_used then st.etas_used <- k;
-    Array.blit f.f_basis 0 st.basis 0 st.m;
+    Factor.restore st.factor memo st.basis;
     load_x_b st
   | None ->
     refactor st;
-    snapshot.s_factor <-
-      Some
-        { f_etas = Array.sub st.etas 0 st.n_etas; f_basis = Array.copy st.basis }
+    snapshot.s_factor <- Some (Factor.memo st.factor st.basis)
 
 (* Accuracy cross-check of a warm solve's final vertex [x]: the basic
    values lie within their bounds and [A x = b] holds. *)
@@ -1383,12 +857,12 @@ let accurate st x =
     end
     else if Float.abs st.x_b.(i) > tol then ok := false
   done;
-  let resid = st.ws.w_resid in
+  let resid = st.ws.w_delta in
   Array.blit st.b 0 resid 0 st.m;
   for j = 0 to st.n - 1 do
     let xj = x.(j) in
     if Float.abs xj > 0.0 then begin
-      let idx = st.cidx.(j) and vl = st.cval.(j) in
+      let idx = st.cols.col_idx.(j) and vl = st.cols.col_val.(j) in
       for k = 0 to Array.length idx - 1 do
         resid.(idx.(k)) <- resid.(idx.(k)) -. (vl.(k) *. xj)
       done
@@ -1439,32 +913,26 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
     if not !sane then Error "corrupt basis snapshot"
     else begin
       Fun.protect ~finally:(fun () -> finish st ~warm:true) @@ fun () ->
-      match
-        (try
-           factor_from st snapshot;
-           dual_phase st ~c
-         with Singular -> `Failed "singular basis on refactorisation")
+      try
+        factor_from st snapshot;
+        match dual_phase st ~c with
+        | `Cycled -> Error "dual iteration limit"
+        | `Numerical -> Error "dual numerical drift"
+        | `Dual_unbounded -> Ok Infeasible
+        | `Primal_feasible -> (
+          (* Primal clean-up: the dual phase ends primal feasible, and any
+             residual dual infeasibility is polished off by ordinary phase-2
+             pivots (the only ones that raise [Iteration_limit]). *)
+          match run_phase st ~c ~phase2:true with
+          | `Unbounded -> Ok Unbounded
+          | `Optimal ->
+            (* Accuracy cross-check before trusting the inherited basis. *)
+            let value, x = vertex st c in
+            if accurate st x then Ok (Optimal { value; x; snapshot = snapshot_of st })
+            else Error "warm solve lost accuracy")
       with
-      | `Failed msg -> Error msg
-      | `Cycled -> Error "dual iteration limit"
-      | `Numerical -> Error "dual numerical drift"
-      | `Dual_unbounded -> Ok Infeasible
-      | `Primal_feasible -> (
-        (* Primal clean-up: the dual phase ends primal feasible, and any
-           residual dual infeasibility is polished off by ordinary phase-2
-           pivots. *)
-        match
-          (try run_phase st ~c ~phase2:true with
-           | Singular -> `Failed "singular basis on refactorisation"
-           | Iteration_limit -> `Failed "polish iteration limit")
-        with
-        | `Failed msg -> Error msg
-        | `Unbounded -> Ok Unbounded
-        | `Optimal ->
-          (* Accuracy cross-check before trusting the inherited basis. *)
-          let value, x = vertex st c in
-          if accurate st x then Ok (Optimal { value; x; snapshot = snapshot_of st })
-          else Error "warm solve lost accuracy")
+      | Singular -> Error "singular basis on refactorisation"
+      | Iteration_limit -> Error "polish iteration limit"
     end
   end
 
@@ -1495,30 +963,24 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
      without an upper bound (a slack, ...) where one exists — the basis
      stays diagonal, so x_B = b (rescaled) stays feasible — and only the
      remaining rows get artificials for phase 1 to clear. *)
-  let covered = st.ws.w_covered in
-  Array.fill covered 0 m false;
   for j = 0 to n - 1 do
-    if Array.length st.cidx.(j) = 1 then begin
-      let i = st.cidx.(j).(0) in
-      if (not covered.(i)) && st.cval.(j).(0) > eps && st.ubs.(j) = infinity
-      then begin
-        covered.(i) <- true;
-        st.basis.(i) <- j
-      end
+    if Array.length cols.col_idx.(j) = 1 then begin
+      let i = cols.col_idx.(j).(0) in
+      if st.basis.(i) >= n && cols.col_val.(j).(0) > eps && st.ubs.(j) = infinity
+      then st.basis.(i) <- j
     end
   done;
   Fun.protect ~finally:(fun () -> finish st ~warm:false) @@ fun () ->
+  (* pass 1 of the factorisation: one scaling eta per row whose slack is
+     not 1, in row order *)
+  ignore (Factor.factorise st.factor st.basis);
   for i = 0 to m - 1 do
     st.pos.(st.basis.(i)) <- i;
-    if covered.(i) then begin
-      let a = st.cval.(st.basis.(i)).(0) in
-      if fcmp a 1.0 <> 0 then begin
-        push_eta st { e_row = i; e_pivot = 1.0 /. a; e_idx = [||]; e_val = [||] };
-        st.x_b.(i) <- clamp (st.x_b.(i) /. a)
-      end
+    if st.basis.(i) < n then begin
+      let a = cols.col_val.(st.basis.(i)).(0) in
+      if fcmp a 1.0 <> 0 then st.x_b.(i) <- clamp (st.x_b.(i) /. a)
     end
   done;
-  st.factor_etas <- st.n_etas;
   (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
      of artificials is bounded below, so phase 1 unbounded is numerical. *)
   match run_phase st ~c ~phase2:false with

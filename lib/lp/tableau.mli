@@ -7,38 +7,23 @@
     per column, in IEEE doubles with tolerance [1e-9]. The constraint matrix
     is held sparse in a {!columns} store, column-wise and row-wise, built
     once per standard form and shared read-only by every solve over it, and
-    the basis inverse as a periodically-refactorised product-form eta file,
-    so the per-iteration cost is proportional to the number of nonzeros
-    rather than [m * n]. A refactorisation eliminates the columns it cannot
-    place triangularly (the bump) through only the etas and rows each
-    column reaches, so it too costs the nonzeros it touches, not [m] per
-    column. Reduced costs and the dual pivot row are priced
-    row by row over the nonzeros of the multipliers (or of the row of
-    [B^-1]), so a hypersparse row of [B^-1] touches only the columns its
-    rows reach; the results are bit-identical to a sweep over every column.
-    Upper bounds are enforced inside the ratio test (nonbasic variables
-    rest at either bound; a step may end in a bound flip with no basis
-    change) instead of as explicit rows, which roughly halves the row count
-    on the branch-and-bound relaxations this kernel exists for. Artificial
-    variables are managed internally; pricing is steepest-edge-lite
-    (reduced costs scaled by static column norms) with a Bland fallback
-    that guarantees termination. An [Optimal] result carries the
-    {!snapshot} of its final basis, and a dual-simplex phase re-solves a
-    child node from it; the refactorisation of that basis is computed once
-    per snapshot and shared by every re-solve from it, so the parent's
-    second child skips it. The dual phase prices its reduced costs afresh
-    only at its start and after a refactorisation, and updates them along
-    each pivot row in between, so a dual iteration costs one BTRAN (the
-    pivot row) and one FTRAN (the entering column), plus one FTRAN for any
-    bound flips. Each solve counts its BTRANs and FTRANs under
-    [lp.simplex.btrans] and [lp.simplex.ftrans]; a refactorisation's own
-    column transforms are not counted. Phase-1 pivots are also counted
-    apart ([lp.simplex.phase1_pivots]), every refactorisation records the
-    nonzeros of the eta file it built ([lp.simplex.factor_nnz]) and the
-    number of bump columns it eliminated ([lp.simplex.bump_cols]), and the
-    dual phase sums the nonzeros of each row of [B^-1] it prices and of
-    the pivot row over its candidate columns ([lp.simplex.rho_nnz],
-    [lp.simplex.pivot_row_nnz]). This is the kernel under {!Simplex}.
+    the basis inverse as a {!Factor}, so an iteration costs the nonzeros it
+    touches rather than [m * n]. Upper bounds are enforced inside the ratio
+    test (a step may end in a bound flip with no basis change) instead of
+    as explicit rows. An [Optimal] result carries the {!snapshot} of its
+    final basis, and a dual-simplex phase re-solves a child node from it;
+    a dual iteration costs one BTRAN (the pivot row) and one FTRAN (the
+    entering column), plus one FTRAN for any bound flips. This is the
+    kernel under {!Simplex}.
+
+    Each solve counts its BTRANs and FTRANs ([lp.simplex.btrans],
+    [lp.simplex.ftrans]; a refactorisation's own column transforms are not
+    counted) and its phase-1 pivots ([lp.simplex.phase1_pivots]). Every
+    refactorisation records the nonzeros of the file it built
+    ([lp.simplex.factor_nnz]) and its bump columns
+    ([lp.simplex.bump_cols]), and the dual phase sums the nonzeros of each
+    row of [B^-1] it prices and of the pivot row over its candidate columns
+    ([lp.simplex.rho_nnz], [lp.simplex.pivot_row_nnz]).
 
     {b One solve at a time per store.} Every scratch array a solve needs
     lives in a workspace owned by its {!columns} store, allocated once with
@@ -59,9 +44,9 @@ exception Iteration_limit
 
 exception Singular
 (** Raised by a primal solve whose basis has broken down numerically:
-    either a refactorisation finds it singular (a basic column has no pivot
-    above the tolerance left in any unplaced row), or phase 1 reports its
-    objective, a sum of artificials bounded below by 0, unbounded.
+    either a refactorisation finds it singular ({!Factor.Singular}), or
+    phase 1 reports its objective, a sum of artificials bounded below by 0,
+    unbounded.
     Branch-and-bound abandons the node, as for {!Iteration_limit}; a warm
     re-solve reports it as an [Error] instead. *)
 
@@ -92,13 +77,10 @@ val columns : nrows:int -> (int * float) array array -> columns
     @raise Invalid_argument on a row index out of range or rows out of
     order (a row given twice included). *)
 
-type factor
-(** The eta file and row permutation of one refactorisation of a basis. *)
-
 type snapshot = {
   s_basis : int array;
   s_at_ub : bool array;
-  mutable s_factor : factor option;
+  mutable s_factor : Factor.memo option;
 }
 (** A basis snapshot: which column is basic in each row ([s_basis], entries
     [>= n] are artificial) and which nonbasic structural columns rest at
