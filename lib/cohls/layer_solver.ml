@@ -38,15 +38,10 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
        cutoff into tight makespan/start bounds before the search starts. *)
     Lp.Model.add_constr lp ~name:"warm_cutoff" obj_expr Lp.Model.Le
       (Lp.Linexpr.constant warm_obj);
-    (* Branch-and-bound abandons a node whose relaxation fails; a typed
-       kernel failure that still escapes the search ends only this layer's
-       ILP, never the synthesis run. Anything else is a bug and escapes. *)
+    (* Branch-and-bound abandons a node whose relaxation fails, so no
+       kernel failure escapes the search: anything that does is a bug. *)
     let values =
-      match Lp.Branch_bound.solve ~options ~warm_start:warm lp with
-      | result -> result.Lp.Branch_bound.values
-      | exception (Lp.Tableau.Singular | Lp.Tableau.Iteration_limit) ->
-        Telemetry.count "layer.ilp_failed";
-        None
+      (Lp.Branch_bound.solve ~options ~warm_start:warm lp).Lp.Branch_bound.values
     in
     (* Accept the ILP schedule only if, in exact arithmetic, it strictly
        beats the heuristic's objective and satisfies [lp]: the model as

@@ -14,8 +14,7 @@
     presolved: presolve returns a new model) plus its cutoff row
     (objective no worse than the heuristic's, which a strictly better
     schedule satisfies). A schedule that fails the certificate is counted under
-    [layer.ilp_uncertified] and the heuristic schedule is kept; so is it
-    when a typed kernel failure ends the search ([layer.ilp_failed]). *)
+    [layer.ilp_uncertified] and the heuristic schedule is kept. *)
 
 type engine =
   | Heuristic

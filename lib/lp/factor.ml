@@ -27,10 +27,9 @@ type t = {
   mutable base : int;  (* [n_etas] when the file was last rebuilt *)
   mutable gen : int;
   v : float array;  (* a column being eliminated; all zero between columns *)
-  scaling : float array;  (* pass 1's [e_pivot] on each row, [0.0] for none *)
   rows : int array;  (* rows of the column an eta is being built from *)
   eta_at : int array;  (* row -> position of its factorisation eta, or -1 *)
-  reach : int array;  (* rows a bump column reaches *)
+  reach : int array;  (* rows the column being eliminated reaches *)
   row_stamp : int array;  (* rows in [reach], where [= gen] *)
   heap : int array;  (* eta positions due to fire, a min-heap; once empty,
                          a run of [reach] being merged *)
@@ -58,7 +57,6 @@ let create ~nrows:m cidx cval =
     base = 0;
     gen = 0;
     v = Array.make m 0.0;
-    scaling = Array.make m 0.0;
     rows = im ();
     eta_at = im ();
     reach = im ();
@@ -205,27 +203,27 @@ let sort_reach f ~nruns len =
 
    pass 1: identity-like columns (artificials and structural singletons)
            pivot on their own row with a trivial (term-free) eta;
-   pass 2: repeatedly pivot a column that is alone on some untaken row. No
-           other remaining column touches that row, so applying the eta
-           downstream is a pattern no-op: each such eta carries exactly the
-           column's own off-pivot entries and no fill. By the same argument
-           no earlier pass-2 eta touches the column either — only the
-           pass-1 scalings of the rows it meets — so its FTRAN'd column and
-           eta are built from its own nonzeros in ascending row order, with
-           the float operations the full FTRAN would perform. A pivot entry
-           within [eps] of zero breaks the argument (the column then pivots
-           on another row, which later columns may meet), so from there on
-           pass 2 eliminates like pass 3. The unplaced columns of each
-           untaken row are held as CSR arrays, in basis order, and a row
-           that is down to one of them takes the last still unplaced;
+   pass 2: repeatedly eliminate a column that is alone on some untaken
+           row, pivoting on that row. No other remaining column touches the
+           row, so applying the eta downstream is a pattern no-op: each
+           such eta carries exactly the column's own off-pivot entries and
+           no fill. By the same argument no earlier pass-2 eta touches the
+           column either, only the term-free pass-1 scalings of the rows it
+           meets, so its elimination reaches its own rows and no others. A
+           pivot entry within [eps] of zero breaks the argument: the column
+           then pivots on its largest untaken entry, on a row later columns
+           may meet, and their eliminations reach whatever that eta fills.
+           The unplaced columns of each untaken row are held as CSR arrays,
+           in basis order, and a row that is down to one of them takes the
+           last still unplaced;
    pass 3: the residual "bump" is eliminated smallest column first (the
            later basis position first among equals), picking pivot rows by
            magnitude. On the paper's case 1 a bump holds 64 columns on
            average and up to 112, of m ~ 776 rows.
 
    Every eta a factorisation emits owns a distinct row, so [eta_at] maps a
-   row to its eta's position in the file. Eliminating a bump column
-   applies the file to the column, but only the etas of the rows it
+   row to its eta's position in the file. Eliminating a pass-2 or bump
+   column applies the file to the column, but only the etas of the rows it
    reaches can fire: the scattered column queues the etas of its nonzero
    rows, and applying an eta queues the etas of the rows it makes nonzero
    that lie later in the file (an earlier one has already met a zero row).
@@ -246,11 +244,10 @@ let factorise f basis =
   let m = f.m and n = Array.length f.cidx and cidx = f.cidx and cval = f.cval in
   f.n_etas <- 0;
   let order = f.order and taken = f.taken and placed = f.placed in
-  let scaling = f.scaling and v = f.v and eta_at = f.eta_at and rows = f.rows in
+  let v = f.v and eta_at = f.eta_at and rows = f.rows in
   Array.blit basis 0 order 0 m;
   Array.fill taken 0 m false;
   Array.fill placed 0 m false;
-  Array.fill scaling 0 m 0.0;
   Array.fill eta_at 0 m (-1);
   let push_factor_eta e =
     eta_at.(e.e_row) <- f.n_etas;
@@ -262,10 +259,12 @@ let factorise f basis =
     basis.(row) <- col
   in
   (* Eliminate a structural column (an unplaced artificial is singular
-     before any elimination) through the etas its rows reach; see above. *)
+     before any elimination) through the etas its rows reach, see above,
+     and pivot it on [row_hint] when its entry there is above [eps], on its
+     largest untaken entry otherwise. *)
   let reach = f.reach and stamp = f.row_stamp and heap = f.heap
   and runs = f.runs in
-  let pivot_full t col ~row_hint =
+  let eliminate t col ~row_hint =
     f.gen <- f.gen + 1;
     let gen = f.gen in
     let nreach = ref 0 and nheap = ref 0 and nruns = ref 1 in
@@ -336,37 +335,6 @@ let factorise f basis =
     if row < 0 then raise Singular;
     place t col row
   in
-  let dense = ref false in
-  (* Pass 2 on row [r]: the column's FTRAN'd entry on each row is its raw
-     entry, scaled if a pass-1 eta covers that row (and the entry is above
-     [eps], as [ftran] skips the rest); [r] itself is untaken, so unscaled.
-     The entries above [eps] go into [v] for the eta and are cleared. *)
-  let pivot_singleton t col r =
-    let idx = cidx.(col) and vl = cval.(col) in
-    let kr = ref 0 in
-    while idx.(!kr) <> r do incr kr done;
-    if !dense || Float.abs vl.(!kr) <= eps then begin
-      dense := true;
-      pivot_full t col ~row_hint:r
-    end
-    else begin
-      let cnt = ref 0 in
-      for k = 0 to Array.length idx - 1 do
-        let a = vl.(k) and p = scaling.(idx.(k)) in
-        let a = if p <> 0.0 && Float.abs a > eps then p *. a else a in
-        if Float.abs a > eps then begin
-          v.(idx.(k)) <- a;
-          rows.(!cnt) <- idx.(k);
-          incr cnt
-        end
-      done;
-      push_factor_eta (eta_of_rows ~row:r v rows !cnt);
-      for c = 0 to !cnt - 1 do
-        v.(rows.(c)) <- 0.0
-      done;
-      place t col r
-    end
-  in
   for t = 0 to m - 1 do
     let col = order.(t) in
     if col >= n then begin
@@ -377,10 +345,8 @@ let factorise f basis =
       let r = cidx.(col).(0) in
       if not taken.(r) then begin
         let a = cval.(col).(0) in
-        if Float.abs (a -. 1.0) > eps then begin
+        if Float.abs (a -. 1.0) > eps then
           push_factor_eta { e_row = r; e_pivot = 1.0 /. a; e_idx = [||]; e_val = [||] };
-          scaling.(r) <- 1.0 /. a
-        end;
         place t col r
       end
     end
@@ -436,7 +402,7 @@ let factorise f basis =
       if !p >= start.(r) then begin
         let t = unplaced.(!p) in
         let col = order.(t) in
-        pivot_singleton t col r;
+        eliminate t col ~row_hint:r;
         let idx = cidx.(col) in
         for k = 0 to Array.length idx - 1 do
           let i = idx.(k) in
@@ -462,7 +428,7 @@ let factorise f basis =
   done;
   for k = !nbump downto 1 do
     let t = m - 1 - (heap_pop bump k mod m) in
-    pivot_full t order.(t) ~row_hint:(-1)
+    eliminate t order.(t) ~row_hint:(-1)
   done;
   f.base <- f.n_etas;
   !nbump

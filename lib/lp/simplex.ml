@@ -5,24 +5,15 @@ type mapping =
   | Shifted of int * Q.t (* x = col + lb *)
   | Fixed of Q.t (* lb = ub *)
 
-(* The standard form translated from one set of variable bounds. Nodes of
-   a branch-and-bound tree reuse it: a child's changed bounds are absorbed
-   as per-column (lo, span) pairs — the kernel keeps its [0, ub] column
-   form, the lower offset is folded into the rhs ([b - A lo]) and the span
-   becomes the column's implicit upper bound — so the constraint matrix,
-   costs and column identities never change and the parent's basis
-   snapshot stays structurally valid for a dual-simplex re-solve. Only a
-   bound change the column form cannot express (a [Fixed] variable coming
-   unfixed) forces a full re-translation.
-
-   A warm re-solve writes the node's form into three scratch arrays kept
-   with the prepared form: the rhs [b - A lo], the lower offsets [lo] and
-   the spans. Between solves they hold the prepared form itself ([p_b],
-   zero offsets, [p_ubs]); a solve writes only the columns of the variables
-   whose bounds it changes, and puts exactly those back when it ends, on
-   every path out (a result, an [Error], {!Remap}, or an exception passing
-   through). Like the column store's workspace, they serve one solve at a
-   time: two solves from the same prepared form must not run at once. *)
+(* The standard form translated from one set of variable bounds, a
+   {!Tableau.columns} store, and how to map its columns back. Nodes of a
+   branch-and-bound tree reuse it: a child's changed bounds reach the
+   kernel as per-column (lo, span) changes, which it applies to its own
+   copy of the rhs and spans, so the constraint matrix, costs and column
+   identities never change and the parent's basis snapshot stays
+   structurally valid for a dual-simplex re-solve. Only a bound change the
+   column form cannot express (a [Fixed] variable coming unfixed) forces a
+   full re-translation. *)
 type prepared = {
   p_nvars : int;
   p_mapping : mapping array;
@@ -30,14 +21,8 @@ type prepared = {
   p_lb : Q.t array; (* the bounds the form was translated under *)
   p_ub : Q.t option array;
   p_cols : Tableau.columns;
-  p_b : float array;
-  p_c : float array;
-  p_ubs : float option array;
   p_obj_offset : float; (* [Q.to_float] of the sign-normalised constant *)
   p_dir : [ `Minimize | `Maximize ];
-  p_node_b : float array; (* scratch: a node's rhs *)
-  p_node_lo : float array; (* scratch: a node's lower offset per column *)
-  p_node_span : float option array; (* scratch: a node's span per column *)
 }
 
 (* What an [Optimal] solve hands on for warm re-solves: the form it solved
@@ -61,31 +46,15 @@ let effective_bounds ?bounds model =
     ( Array.init nvars (fun v -> Model.var_lb model v),
       Array.init nvars (fun v -> Model.var_ub model v) )
 
-(* Map a kernel solution back to model variables and the natural
-   objective, keeping the final basis [snapshot] of form [p] as the warm
-   start it offers. [shifted] lists the columns with a nonzero offset in a
-   warm solve, whose offsets are in [p_node_lo] (see {!overlay}): that
-   kernel solved in shifted column space, so the offset is added back to
-   each column and its contribution to the objective undone. Then the
-   objective constant is re-added and the max->min sign flip undone. *)
-let outcome_of p ?shifted value x snapshot =
-  let col_value col =
-    match shifted with Some _ -> x.(col) +. p.p_node_lo.(col) | None -> x.(col)
-  in
+(* Map a kernel solution of form [p] back to model variables and the
+   natural objective (the objective constant re-added, the max->min sign
+   flip undone), keeping the final basis [snapshot] as the warm start it
+   offers. *)
+let outcome_of p value x snapshot =
   let value_of v =
     match p.p_mapping.(v) with
     | Fixed _ -> p.p_offset.(v)
-    | Shifted (col, _) -> col_value col +. p.p_offset.(v)
-  in
-  let value =
-    match shifted with
-    | None -> value
-    | Some shifted ->
-      let shift_cost = ref 0.0 in
-      List.iter
-        (fun col -> shift_cost := !shift_cost +. (p.p_c.(col) *. p.p_node_lo.(col)))
-        shifted;
-      value +. !shift_cost
+    | Shifted (col, _) -> x.(col) +. p.p_offset.(v)
   in
   let base = value +. p.p_obj_offset in
   Optimal
@@ -183,8 +152,8 @@ let prepare ~lb ~ub model =
   List.iter
     (fun (col, q) -> c.(col) <- c.(col) +. Q.to_float (Q.mul obj_sign q))
     obj_terms;
-  let ubs = Array.make n None in
-  List.iter (fun (col, u) -> ubs.(col) <- Some (Q.to_float u)) !col_ubs;
+  let ubs = Array.make n infinity in
+  List.iter (fun (col, u) -> ubs.(col) <- Q.to_float u) !col_ubs;
   Telemetry.count ~by:m "lp.simplex.rows";
   Telemetry.count ~by:n "lp.simplex.cols";
   Telemetry.count ~by:!nnz "lp.simplex.nnz";
@@ -195,16 +164,10 @@ let prepare ~lb ~ub model =
     p_lb = lb;
     p_ub = ub;
     p_cols =
-      Tableau.columns ~nrows:m
+      Tableau.columns ~b ~c ~ubs
         (Array.map (fun l -> Array.of_list (List.rev l)) col_entries);
-    p_b = b;
-    p_c = c;
-    p_ubs = ubs;
     p_obj_offset = Q.to_float (Q.mul obj_sign obj_const);
     p_dir = dir;
-    p_node_b = Array.copy b;
-    p_node_lo = Array.make n 0.0;
-    p_node_span = Array.copy ubs;
   }
 
 (* Cold primal solve over a fresh translation. *)
@@ -212,8 +175,7 @@ let cold_solve ?max_iters ?deadline ~lb ~ub model =
   let p = prepare ~lb ~ub model in
   match
     Telemetry.span "lp.simplex.kernel" (fun () ->
-        Tableau.solve_cols ?max_iters ?deadline ~ubs:p.p_ubs ~cols:p.p_cols
-          ~b:p.p_b ~c:p.p_c ())
+        Tableau.solve_cols ?max_iters ?deadline p.p_cols)
   with
   | Tableau.Infeasible -> Infeasible
   | Tableau.Unbounded -> Unbounded
@@ -236,82 +198,38 @@ let changed_vars p ~lb ~ub =
   done;
   !acc
 
-(* Express the node bounds [lb] / [ub] in the prepared form's column space,
-   in [p_node_lo] and [p_node_span], or raise {!Remap} when the mapping
-   cannot carry them (see {!prepared}). Only the [changed] variables are
-   visited: every other column keeps a zero offset and its prepared span,
-   which is what the translation of an unchanged bound gives, and a changed
-   [Fixed] variable has left its fixed value. Returns the columns with a
-   nonzero offset, ascending: variables map to columns in ascending
-   order. *)
-let overlay p changed ~lb ~ub =
-  let lo = p.p_node_lo and span = p.p_node_span in
-  let shifted = ref [] in
-  List.iter
+(* The node bounds [lb] / [ub] in the prepared form's column space, as the
+   kernel's changed columns [(col, lower offset, span)], or {!Remap} when
+   the mapping cannot carry them (see {!prepared}). Only the [changed]
+   variables are listed: every other column keeps a zero offset and its
+   prepared span, which is what the translation of an unchanged bound
+   gives, and a changed [Fixed] variable has left its fixed value.
+   Variables map to columns in ascending order, so the columns ascend. *)
+let column_changes p changed ~lb ~ub =
+  List.map
     (fun v ->
       match p.p_mapping.(v) with
       | Fixed _ -> raise (Remap "fixed variable came unfixed")
       | Shifted (col, l_root) ->
         let l' = lb.(v) in
-        let d = Q.sub l' l_root in
-        if Q.sign d <> 0 then begin
-          lo.(col) <- Q.to_float d;
-          shifted := col :: !shifted
-        end;
-        span.(col) <- Option.map (fun u' -> Q.to_float (Q.sub u' l')) ub.(v))
-    changed;
-  List.rev !shifted
-
-(* Put the scratch columns of the [changed] variables back to the prepared
-   form: zero offset, prepared span and the prepared rhs on their rows. *)
-let restore p changed =
-  List.iter
-    (fun v ->
-      match p.p_mapping.(v) with
-      | Fixed _ -> ()
-      | Shifted (col, _) ->
-        p.p_node_lo.(col) <- 0.0;
-        p.p_node_span.(col) <- p.p_ubs.(col);
-        let idx = p.p_cols.Tableau.col_idx.(col) in
-        for k = 0 to Array.length idx - 1 do
-          p.p_node_b.(idx.(k)) <- p.p_b.(idx.(k))
-        done)
+        ( col,
+          Q.to_float (Q.sub l' l_root),
+          match ub.(v) with Some u' -> Q.to_float (Q.sub u' l') | None -> infinity ))
     changed
 
 let warm_solve ?max_iters ?deadline p snap changed ~lb ~ub =
-  Fun.protect ~finally:(fun () -> restore p changed) @@ fun () ->
-  match overlay p changed ~lb ~ub with
+  match column_changes p changed ~lb ~ub with
   | exception Remap reason -> Error reason
-  | shifted -> (
-    let b_node = p.p_node_b and lo = p.p_node_lo in
-    let cols = p.p_cols in
-    List.iter
-      (fun col ->
-        let lf = lo.(col) in
-        let idx = cols.Tableau.col_idx.(col) and vl = cols.Tableau.col_val.(col) in
-        for k = 0 to Array.length idx - 1 do
-          b_node.(idx.(k)) <- b_node.(idx.(k)) -. (vl.(k) *. lf)
-        done)
-      shifted;
-    (* A warm repair normally needs a handful of dual pivots; one still
-       going after a quarter of the pivots a cold solve would need is
-       degenerate-stalling, and the cold solve is the cheaper way out —
-       cap the budget and let the [`Cycled] -> [Error] path fall back
-       rather than burn the node deadline. *)
-    let warm_cap =
-      min (Option.value max_iters ~default:50_000)
-        (max 100 (cols.Tableau.nrows / 4))
-    in
+  | changes -> (
     match
       Telemetry.span "lp.simplex.kernel" (fun () ->
-          Tableau.resolve_with_basis ~max_iters:warm_cap ?deadline ~cols
-            ~b:b_node ~c:p.p_c ~ubs:p.p_node_span ~snapshot:snap ())
+          Tableau.resolve_with_basis ?max_iters ?deadline p.p_cols ~snapshot:snap
+            ~changes)
     with
     | Error reason -> Error reason
     | Ok Tableau.Infeasible -> Ok Infeasible
     | Ok Tableau.Unbounded -> Ok Unbounded
-    | Ok (Tableau.Optimal { value; x; snapshot }) ->
-      Ok (outcome_of p ~shifted value x snapshot))
+    | Ok (Tableau.Optimal { value; x; snapshot }) -> Ok (outcome_of p value x snapshot))
 
 let crossed l u = match u with Some u -> Q.compare l u > 0 | None -> false
 
@@ -332,8 +250,8 @@ let solve_relaxation_float ?max_iters ?deadline ?bounds ?warm model =
         Telemetry.count "lp.bb.warm_hits";
         outcome
       | Error _reason ->
-        (* stale basis or an overlay-incompatible bound change: full cold
-           re-solve, whose basis warms the subtree below *)
+        (* stale basis or a bound change the form cannot carry: full
+           cold re-solve, whose basis warms the subtree below *)
         Telemetry.count "lp.bb.warm_fallbacks";
         cold_solve ?max_iters ?deadline ~lb ~ub model
     end

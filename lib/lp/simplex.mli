@@ -13,9 +13,9 @@
     translation, plus the final simplex basis — and a later solve given it
     is warm-started with a dual-simplex re-solve
     ({!Tableau.resolve_with_basis}) instead of a cold two-phase solve. The
-    node's bounds reach the kernel as per-column offsets and spans computed
-    in floats, and only for the variables whose bounds differ from the ones
-    the form was translated under. Siblings warmed by one value share its
+    node's bounds reach the kernel as changed columns, a lower offset and a
+    span each computed in floats, and only for the variables whose bounds
+    differ from the ones the form was translated under. Siblings warmed by one value share its
     snapshot, so the second sibling reuses the factor of the parent basis
     that the first one computed ([lp.simplex.factor_reuses]). *)
 
@@ -23,8 +23,8 @@ type warm
 (** The warm start an [Optimal] solve offers: its translated standard form
     and final basis. One value may warm any number of later solves of the
     same model under changed bounds, one at a time: they share the form's
-    column store and the scratch a warm re-solve writes its node's bounds
-    into. *)
+    {!Tableau.columns} store, in whose workspace the kernel writes each
+    node's rhs and spans. *)
 
 type outcome =
   | Optimal of { objective : float; values : float array; warm : warm }

@@ -1,11 +1,11 @@
 (* Sparse revised two-phase bounded-variable simplex over IEEE doubles.
 
-   The constraint matrix is stored in a {!columns} store, built once per
-   standard form and shared read-only by every solve over that form: the
-   sparse column of each structural variable with its static pricing norm,
-   and the same nonzeros row by row. The basis inverse is a {!Factor}: an
-   eta file the phases see only through FTRAN, BTRAN, an update per pivot
-   and a refactorisation once one is due.
+   A {!columns} store is the whole standard form, built once and never
+   written afterwards: the sparse column of each structural variable with
+   its static pricing norm, the same nonzeros row by row, the rhs [b], the
+   costs [c] and the spans. The basis inverse is a {!Factor}: an eta file
+   the phases see only through FTRAN, BTRAN, an update per pivot and a
+   refactorisation once one is due.
 
    Pricing works row-wise. A reduced cost [c_j - y.a_j] and an entry of the
    dual pivot row [rho.a_j] are both sums over the rows where the dense
@@ -18,6 +18,11 @@
    nonzeros among hundreds of rows on the paper's case 1), so the pivot
    row and the reduced-cost update touch only the columns those rows
    reach.
+
+   A warm re-solve solves a branch-and-bound node of the form, given only
+   the columns whose bounds the node changes: it writes the node's rhs and
+   spans into its workspace before reading them ({!load_node}) and adds
+   the lower offsets back to the vertex it returns ({!unshift}).
 
    Every solve over a store runs in its [workspace] and factor, allocated
    once, with the store, so one store serves one solve at a time (a tree
@@ -58,13 +63,14 @@ type workspace = {
   w_delta : float array;  (* summed bound-flip columns, then a residual *)
   w_alpha : float array;  (* the entering column, FTRAN'd *)
   w_x_b : float array;
+  w_b : float array;  (* a warm solve's rhs *)
   w_rows : int array;  (* nonzero rows of [y], [rho] or an FTRAN'd column *)
   w_basis : int array;
   w_d : float array;  (* reduced costs *)
   w_row_r : float array;  (* the dual pivot row, where [w_stamp = w_gen] *)
   w_cand_ratio : float array;
   w_cand_arj : float array;
-  w_ubs : float array;
+  w_ubs : float array;  (* a warm solve's spans *)
   w_stamp : int array;
   w_touched : int array;
   w_cand : int array;
@@ -83,6 +89,9 @@ type columns = {
   row_start : int array;
   row_col : int array;
   row_val : float array;
+  b : float array;
+  c : float array;
+  ubs : float array;
   work : workspace;
 }
 
@@ -95,6 +104,7 @@ let workspace ~m ~n factor =
     w_delta = fm ();
     w_alpha = fm ();
     w_x_b = fm ();
+    w_b = fm ();
     w_rows = im ();
     w_basis = im ();
     w_d = fn ();
@@ -112,7 +122,16 @@ let workspace ~m ~n factor =
     w_gen = 0;
   }
 
-let columns ~nrows cols =
+let columns ~b ~c ~ubs cols =
+  let nrows = Array.length b and n = Array.length cols in
+  if Array.length c <> n then invalid_arg "Tableau.columns: c length";
+  if Array.length ubs <> n then invalid_arg "Tableau.columns: ubs length";
+  for i = 0 to nrows - 1 do
+    if b.(i) < -.eps then invalid_arg "Tableau.columns: negative rhs"
+  done;
+  for j = 0 to n - 1 do
+    if ubs.(j) <= eps then invalid_arg "Tableau.columns: non-positive upper bound"
+  done;
   Array.iter
     (fun col ->
       Array.iteri
@@ -122,7 +141,6 @@ let columns ~nrows cols =
             invalid_arg "Tableau.columns: rows not strictly increasing")
         col)
     cols;
-  let n = Array.length cols in
   let col_idx = Array.map (fun col -> Array.map fst col) cols in
   let col_val = Array.map (fun col -> Array.map snd col) cols in
   (* The transpose: visiting the columns in ascending order lists each
@@ -157,6 +175,9 @@ let columns ~nrows cols =
     row_start;
     row_col;
     row_val;
+    b;
+    c;
+    ubs;
     work = workspace ~m:nrows ~n (Factor.create ~nrows col_idx col_val);
   }
 
@@ -373,8 +394,8 @@ let refactor st =
 
 (* The reduced costs of the structural columns into [w_d]: phase 1 prices
    the sum of artificials, phase 2 the structural costs [c]. *)
-let reduced_costs st ~c ~phase2 =
-  let y = st.ws.w_y and d = st.ws.w_d in
+let reduced_costs st ~phase2 =
+  let c = st.cols.c and y = st.ws.w_y and d = st.ws.w_d in
   for i = 0 to st.m - 1 do
     let bv = st.basis.(i) in
     y.(i) <-
@@ -393,9 +414,9 @@ let reduced_costs st ~c ~phase2 =
    costs [c]; artificials are never priced back in. Returns the column, or
    [-1] at optimality, leaving its FTRAN'd tableau column in [alpha]; it
    moves down from its upper bound, up otherwise. *)
-let entering st ~c ~phase2 ~bland alpha =
+let entering st ~phase2 ~bland alpha =
   let d = st.ws.w_d in
-  reduced_costs st ~c ~phase2;
+  reduced_costs st ~phase2;
   (* Zero-span columns (variables fixed by a branching bound change in a
      warm re-solve) can neither step nor flip: entering one would loop on
      zero-length bound flips, so they are never eligible. *)
@@ -490,14 +511,14 @@ let begin_iteration st =
   st.iters <- st.iters + 1;
   if Factor.due st.factor then refactor st
 
-let run_phase st ~c ~phase2 =
+let run_phase st ~phase2 =
   let alpha = st.ws.w_alpha in
   let switch = 3 * (st.m + st.n) in
   let rec loop () =
     if st.iters > st.max_iters then raise Iteration_limit;
     begin_iteration st;
     let bland = st.iters > switch in
-    let col = entering st ~c ~phase2 ~bland alpha in
+    let col = entering st ~phase2 ~bland alpha in
     if col < 0 then `Optimal
     else begin
       let dir = if st.at_ub.(col) then -1.0 else 1.0 in
@@ -586,7 +607,7 @@ let drive_out_artificials st =
    equality-row violation the dual steps must repair. Artificials are never
    priced back in; if no eligible entering column exists the row is a valid
    infeasibility certificate, as trustworthy as the primal phase-1 test. *)
-let dual_phase st ~c =
+let dual_phase st =
   let ws = st.ws in
   let rho = ws.w_rho and delta = ws.w_delta
   and alpha = ws.w_alpha and d = ws.w_d and row_r = ws.w_row_r
@@ -599,7 +620,7 @@ let dual_phase st ~c =
      [-1] for never *)
   let priced_at = ref (-1) in
   let price () =
-    reduced_costs st ~c ~phase2:true;
+    reduced_costs st ~phase2:true;
     priced_at := st.refactorisations
   in
   (* ratio order: by ratio, then the larger |alpha_rj|, then the column *)
@@ -756,16 +777,18 @@ let dual_phase st ~c =
   in
   loop ()
 
-(* A solve's state over the workspace of [cols]: the caller fills [ubs],
-   [at_ub], [basis] and [pos] (the workspace's own arrays) before use. *)
-let make_state ~max_iters ~deadline ~cols ~b =
+(* A solve's state over the workspace of [cols], under the rhs [b] and
+   spans [ubs]: the form's for a cold solve, the node's in the workspace
+   for a warm one. The caller fills [at_ub], [basis] and [pos] (the
+   workspace's own arrays) before use. *)
+let make_state ~max_iters ~deadline cols ~b ~ubs =
   let ws = cols.work in
   {
     m = cols.nrows;
     n = Array.length cols.col_idx;
     cols;
     ws;
-    ubs = ws.w_ubs;
+    ubs;
     at_ub = ws.w_at_ub;
     basis = ws.w_basis;
     pos = ws.w_pos;
@@ -808,8 +831,9 @@ let finish st ~warm =
   Telemetry.count ~by:st.ftrans "lp.simplex.ftrans"
 
 (* The current vertex: nonbasic columns at their resting bound, basic ones
-   at [x_b], and its cost under [c]. *)
-let vertex st c =
+   at [x_b], and its cost. *)
+let vertex st =
+  let c = st.cols.c in
   let x = Array.make st.n 0.0 in
   for j = 0 to st.n - 1 do
     if st.pos.(j) < 0 && st.at_ub.(j) then x.(j) <- st.ubs.(j)
@@ -877,26 +901,58 @@ let accurate st x =
   done;
   !ok
 
-let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
-    ~snapshot () =
+(* A warm solve's node into the workspace: the form's spans and rhs, then
+   each change [(j, lo, span)] in column order, where span [j] becomes
+   [span] (at least 0) and [lo] times column [j] leaves the rhs. Returns
+   [false] on a negative span: the node fixed a variable to an impossible
+   range, so it is infeasible before any pivoting. *)
+let load_node cols changes =
+  let ws = cols.work and n = Array.length cols.col_idx in
+  Array.blit cols.ubs 0 ws.w_ubs 0 n;
+  Array.blit cols.b 0 ws.w_b 0 cols.nrows;
+  let rec apply prev = function
+    | [] -> true
+    | (j, lo, span) :: rest ->
+      if j <= prev || j >= n then
+        invalid_arg "Tableau.resolve_with_basis: changes not ascending";
+      ws.w_ubs.(j) <- Float.max span 0.0;
+      if lo <> 0.0 then begin
+        let idx = cols.col_idx.(j) and vl = cols.col_val.(j) in
+        for k = 0 to Array.length idx - 1 do
+          ws.w_b.(idx.(k)) <- ws.w_b.(idx.(k)) -. (vl.(k) *. lo)
+        done
+      end;
+      (not (span < -.eps)) && apply j rest
+  in
+  apply (-1) changes
+
+(* A node's vertex [x] and [value] back in the form's columns: each changed
+   column moves up by its offset, and the cost of the offsets, summed from
+   0 in column order (a zero offset adds a zero), joins the value. *)
+let unshift cols changes value x =
+  let rec add_back cost = function
+    | [] -> value +. cost
+    | (j, lo, _) :: rest ->
+      x.(j) <- x.(j) +. lo;
+      add_back (cost +. (cols.c.(j) *. lo)) rest
+  in
+  add_back 0.0 changes
+
+let resolve_with_basis ?(max_iters = 50_000) ?deadline cols ~snapshot ~changes =
   let m = cols.nrows and n = Array.length cols.col_idx in
-  if Array.length b <> m then invalid_arg "Tableau.resolve_with_basis: b length";
-  if Array.length c <> n then invalid_arg "Tableau.resolve_with_basis: c length";
-  if Array.length ubs <> n then
-    invalid_arg "Tableau.resolve_with_basis: ubs length";
   if
     Array.length snapshot.s_basis <> m
     || Array.length snapshot.s_at_ub <> n
   then invalid_arg "Tableau.resolve_with_basis: snapshot shape";
-  (* A negative span means the node fixed a variable to an impossible
-     range: the subproblem is infeasible before any pivoting. *)
-  if Array.exists (function Some u -> u < -.eps | None -> false) ubs then
-    Ok Infeasible
+  if not (load_node cols changes) then Ok Infeasible
   else begin
-    let st = make_state ~max_iters ~deadline ~cols ~b in
-    for j = 0 to n - 1 do
-      st.ubs.(j) <- (match ubs.(j) with Some x -> Float.max x 0.0 | None -> infinity)
-    done;
+    (* A warm repair normally needs a handful of dual pivots; one still
+       going after a quarter of the pivots a cold solve would need is
+       degenerate-stalling, and the cold solve is the cheaper way out, so
+       the budget is capped and the caller falls back on the [Error]. *)
+    let max_iters = min max_iters (max 100 (m / 4)) in
+    let ws = cols.work in
+    let st = make_state ~max_iters ~deadline cols ~b:ws.w_b ~ubs:ws.w_ubs in
     Array.blit snapshot.s_basis 0 st.basis 0 m;
     Array.blit snapshot.s_at_ub 0 st.at_ub 0 n;
     Array.fill st.pos 0 (n + m) (-1);
@@ -915,7 +971,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
       Fun.protect ~finally:(fun () -> finish st ~warm:true) @@ fun () ->
       try
         factor_from st snapshot;
-        match dual_phase st ~c with
+        match dual_phase st with
         | `Cycled -> Error "dual iteration limit"
         | `Numerical -> Error "dual numerical drift"
         | `Dual_unbounded -> Ok Infeasible
@@ -923,12 +979,14 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
           (* Primal clean-up: the dual phase ends primal feasible, and any
              residual dual infeasibility is polished off by ordinary phase-2
              pivots (the only ones that raise [Iteration_limit]). *)
-          match run_phase st ~c ~phase2:true with
+          match run_phase st ~phase2:true with
           | `Unbounded -> Ok Unbounded
           | `Optimal ->
             (* Accuracy cross-check before trusting the inherited basis. *)
-            let value, x = vertex st c in
-            if accurate st x then Ok (Optimal { value; x; snapshot = snapshot_of st })
+            let value, x = vertex st in
+            if accurate st x then
+              let value = unshift cols changes value x in
+              Ok (Optimal { value; x; snapshot = snapshot_of st })
             else Error "warm solve lost accuracy")
       with
       | Singular -> Error "singular basis on refactorisation"
@@ -936,28 +994,14 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~cols ~b ~c ~ubs
     end
   end
 
-let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
+let solve_cols ?(max_iters = 50_000) ?deadline cols =
   let m = cols.nrows and n = Array.length cols.col_idx in
-  if Array.length b <> m then invalid_arg "Tableau.solve_cols: b length";
-  if Array.length c <> n then invalid_arg "Tableau.solve_cols: c length";
-  (match ubs with
-   | Some u when Array.length u <> n -> invalid_arg "Tableau.solve_cols: ubs length"
-   | Some u ->
-     if Array.exists (function Some x -> x <= eps | None -> false) u then
-       invalid_arg "Tableau.solve_cols: non-positive upper bound"
-   | None -> ());
-  if Array.exists (fun bi -> bi < -.eps) b then
-    invalid_arg "Tableau.solve_cols: negative rhs";
-  let st = make_state ~max_iters ~deadline ~cols ~b in
-  for j = 0 to n - 1 do
-    st.ubs.(j) <-
-      (match ubs with Some u -> Option.value u.(j) ~default:infinity | None -> infinity)
-  done;
+  let st = make_state ~max_iters ~deadline cols ~b:cols.b ~ubs:cols.ubs in
   Array.fill st.at_ub 0 n false;
   Array.fill st.pos 0 (n + m) (-1);
   for i = 0 to m - 1 do
     st.basis.(i) <- n + i;
-    st.x_b.(i) <- clamp b.(i)
+    st.x_b.(i) <- clamp cols.b.(i)
   done;
   (* Crash basis: cover each row with a positive structural singleton column
      without an upper bound (a slack, ...) where one exists — the basis
@@ -983,7 +1027,7 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
   done;
   (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
      of artificials is bounded below, so phase 1 unbounded is numerical. *)
-  match run_phase st ~c ~phase2:false with
+  match run_phase st ~phase2:false with
   | `Unbounded -> raise Singular
   | `Optimal ->
     let infeas = ref 0.0 in
@@ -993,9 +1037,9 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ~cols ~b ~c () =
     if !infeas > eps then Infeasible
     else begin
       drive_out_artificials st;
-      match run_phase st ~c ~phase2:true with
+      match run_phase st ~phase2:true with
       | `Unbounded -> Unbounded
       | `Optimal ->
-        let value, x = vertex st c in
+        let value, x = vertex st in
         Optimal { value; x; snapshot = snapshot_of st }
     end

@@ -3,18 +3,20 @@
 
     {[ minimise  c . x   subject to   A x = b,  0 <= x <= u ]}
 
-    with [b >= 0] (the caller flips row signs beforehand) and [u] optional
-    per column, in IEEE doubles with tolerance [1e-9]. The constraint matrix
-    is held sparse in a {!columns} store, column-wise and row-wise, built
-    once per standard form and shared read-only by every solve over it, and
-    the basis inverse as a {!Factor}, so an iteration costs the nonzeros it
-    touches rather than [m * n]. Upper bounds are enforced inside the ratio
-    test (a step may end in a bound flip with no basis change) instead of
-    as explicit rows. An [Optimal] result carries the {!snapshot} of its
-    final basis, and a dual-simplex phase re-solves a child node from it;
-    a dual iteration costs one BTRAN (the pivot row) and one FTRAN (the
-    entering column), plus one FTRAN for any bound flips. This is the
-    kernel under {!Simplex}.
+    with [b >= 0] (the caller flips row signs beforehand) and [u] per
+    column, [infinity] for none, in IEEE doubles with tolerance [1e-9]. The
+    whole form is one {!columns} store, built and checked once and shared
+    read-only by every solve over it: the constraint matrix sparse,
+    column-wise and row-wise, and [b], [c] and [u]. The basis inverse is a
+    {!Factor}, so an iteration costs the nonzeros it touches rather than
+    [m * n]. Upper bounds are enforced inside the ratio test (a step may
+    end in a bound flip with no basis change) instead of as explicit rows.
+    An [Optimal] result carries the {!snapshot} of its final basis, and a
+    dual-simplex phase re-solves a branch-and-bound node of the form from
+    it, given only the columns whose bounds the node changes; a dual
+    iteration costs one BTRAN (the pivot row) and one FTRAN (the entering
+    column), plus one FTRAN for any bound flips. This is the kernel under
+    {!Simplex}.
 
     Each solve counts its BTRANs and FTRANs ([lp.simplex.btrans],
     [lp.simplex.ftrans]; a refactorisation's own column transforms are not
@@ -25,13 +27,15 @@
     row of [B^-1] it prices and of the pivot row over its candidate columns
     ([lp.simplex.rho_nnz], [lp.simplex.pivot_row_nnz]).
 
-    {b One solve at a time per store.} Every scratch array a solve needs
-    lives in a workspace owned by its {!columns} store, allocated once with
-    it, so only a solve's results and its eta records are allocated per
-    solve. Two solves over the same store must therefore not run at the
-    same time (on two domains, or one inside another); solves over
-    different stores are independent. A solve never reads what an earlier
-    one left in the workspace, including one aborted by an exception. *)
+    {b One solve at a time per store.} Every scratch array a solve needs,
+    a warm re-solve's node rhs and spans included, lives in a workspace
+    owned by its {!columns} store, allocated once with it, so only a
+    solve's results and its eta records are allocated per solve. Two
+    solves over the same store must therefore not run at the same time (on
+    two domains, or one inside another); solves over different stores are
+    independent. A solve writes whatever it reads in the workspace first,
+    so it never reads what an earlier one left there, including one
+    aborted by an exception. *)
 
 exception Deadline_exceeded
 (** Raised (from inside the pivot loop) when a [deadline] passes before the
@@ -64,18 +68,32 @@ type columns = private {
           [row_start.(i) .. row_start.(i + 1) - 1] of the two arrays below *)
   row_col : int array;  (** column of each entry, ascending within a row *)
   row_val : float array;  (** coefficients, parallel to [row_col] *)
+  b : float array;  (** the rhs, one entry per row, all [>= 0] *)
+  c : float array;  (** one cost per column *)
+  ubs : float array;
+      (** one span per column: a strictly positive upper bound, [infinity]
+          for none *)
   work : workspace;
 }
-(** The structural columns of a standard form [A x = b] with [nrows] rows,
-    in the layout the kernel pivots over: column-wise, and the same
-    nonzeros row-wise (the transpose, in compressed sparse rows). *)
+(** A standard form [A x = b, 0 <= x <= ubs] minimising [c . x], with
+    the structural columns in the layout the kernel pivots over:
+    column-wise, and the same nonzeros row-wise (the transpose, in
+    compressed sparse rows). *)
 
-val columns : nrows:int -> (int * float) array array -> columns
-(** [columns ~nrows cols] with [cols.(j)] the sparse column of structural
-    variable [j] as (row, coefficient) pairs in strictly increasing row
-    order.
-    @raise Invalid_argument on a row index out of range or rows out of
-    order (a row given twice included). *)
+val columns :
+  b:float array ->
+  c:float array ->
+  ubs:float array ->
+  (int * float) array array ->
+  columns
+(** [columns ~b ~c ~ubs cols] with [cols.(j)] the sparse column of
+    structural variable [j] as (row, coefficient) pairs in strictly
+    increasing row order, over [Array.length b] rows. The form keeps [b],
+    [c] and [ubs] as given, so the caller must not write them afterwards.
+    Fixed variables must be substituted out by the caller.
+    @raise Invalid_argument on a length mismatch, a row index out of range
+    or rows out of order (a row given twice included), a negative [b]
+    entry or an upper bound not above [1e-9]. *)
 
 type snapshot = {
   s_basis : int array;
@@ -99,24 +117,9 @@ type result =
   | Infeasible
   | Unbounded
 
-val solve_cols :
-  ?max_iters:int ->
-  ?deadline:float ->
-  ?ubs:float option array ->
-  cols:columns ->
-  b:float array ->
-  c:float array ->
-  unit ->
-  result
-(** [solve_cols ~cols ~b ~c ()] with [b] length [cols.nrows] (all entries
-    [>= 0]) and [c] one cost per column. [ubs.(j)], when present, is a
-    strictly positive upper bound on structural variable [j] (default:
-    none — the classic [x >= 0] form); fixed variables must be substituted
-    out by the caller.
-    [deadline] is an absolute {!Telemetry.Clock} time checked every few
-    pivots.
-    @raise Invalid_argument on shape mismatch, negative [b] entries or a
-    non-positive upper bound.
+val solve_cols : ?max_iters:int -> ?deadline:float -> columns -> result
+(** Cold two-phase solve of the form. [deadline] is an absolute
+    {!Telemetry.Clock} time checked every few pivots.
     @raise Iteration_limit if [max_iters] (default [50_000]) pivots are
     exceeded.
     @raise Singular if a refactorisation meets a singular basis or phase 1
@@ -126,24 +129,26 @@ val solve_cols :
 val resolve_with_basis :
   ?max_iters:int ->
   ?deadline:float ->
-  cols:columns ->
-  b:float array ->
-  c:float array ->
-  ubs:float option array ->
+  columns ->
   snapshot:snapshot ->
-  unit ->
+  changes:(int * float * float) list ->
   (result, string) Stdlib.result
-(** Warm re-solve: repair [snapshot] — taken from an optimal solve of a
-    problem with the same columns and costs but different [b] / [ubs] (the
-    rhs shift and span changes of a branch-and-bound child node) — with
-    dual-simplex pivots, then polish with primal phase-2 pivots. Unlike
-    {!solve_cols}, [b] entries may be negative and [ubs] entries may be
-    zero (a variable fixed by branching); negative spans report
-    [Infeasible] immediately. An [Ok Infeasible] from an exhausted dual
-    ratio test is a genuine infeasibility certificate. The resolved point
-    is cross-checked against the bound system and [A x = b] before being
-    trusted; any accuracy loss, cycling, exhausted iteration budget or
-    singular refactorisation leaves the warm basis stale, reported as
-    [Error reason] so the caller can fall back to a cold primal solve.
-    @raise Invalid_argument on shape mismatch.
+(** Warm re-solve of a branch-and-bound node of the form: repair
+    [snapshot], taken from an optimal solve of the same form, with
+    dual-simplex pivots, then polish with primal phase-2 pivots. [changes]
+    lists the node's changed columns as [(j, lo, span)], [j] strictly
+    ascending: column [j] is shifted up by [lo] and bounded by [span]
+    instead of the form's, so the node's rhs is [b - A lo]. A span may be
+    zero (a variable fixed by branching); a negative one reports
+    [Infeasible] at once. The result is in the form's columns: each [lo]
+    is added back to [x] and its cost to [value]. An [Ok Infeasible] from
+    an exhausted dual ratio test is a genuine infeasibility certificate.
+    The pivot budget is [max_iters] (default [50_000]) but at most
+    [max 100 (m / 4)]. The resolved point is cross-checked against the
+    bound system and the node's [A x = b] before being trusted; any
+    accuracy loss, cycling, exhausted budget or singular refactorisation
+    leaves the warm basis stale, reported as [Error reason] so the caller
+    can fall back to a cold primal solve.
+    @raise Invalid_argument on a snapshot of another shape or [changes]
+    out of order or range.
     @raise Deadline_exceeded if [deadline] passes mid-solve. *)

@@ -411,8 +411,14 @@ let kernel_form spec =
     Array.init (nv + m) (fun j ->
         if j < nv then -.float_of_int (List.nth spec.obj j) else 0.0)
   in
-  let ubs = Array.init (nv + m) (fun j -> if j < nv then Some 50.0 else None) in
-  (Lp.Tableau.columns ~nrows:m cols, b, c, ubs)
+  let ubs = Array.init (nv + m) (fun j -> if j < nv then 50.0 else infinity) in
+  Lp.Tableau.columns ~b ~c ~ubs cols
+
+(* A store over [cols] with no rhs, costs or upper bounds. *)
+let bare_columns ~nrows cols =
+  let n = Array.length cols in
+  Lp.Tableau.columns ~b:(Array.make nrows 0.0) ~c:(Array.make n 0.0)
+    ~ubs:(Array.make n infinity) cols
 
 let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
@@ -438,21 +444,15 @@ let prop_sibling_resolves_share_factor =
   QCheck.Test.make ~name:"sibling re-solves agree with and without a shared factor"
     ~count:150 arb_lp_rebound (fun (spec, vi, k) ->
       let module T = Lp.Tableau in
-      let cols, b, c, ubs = kernel_form spec in
-      match T.solve_cols ~ubs ~cols ~b ~c () with
+      let cols = kernel_form spec in
+      match T.solve_cols cols with
       | T.Infeasible | T.Unbounded -> false (* the box forbids both *)
       | T.Optimal { snapshot = snap; _ } ->
         let kf = float_of_int k in
-        let down_ubs = Array.copy ubs in
-        down_ubs.(vi) <- Some kf;
-        let up_ubs = Array.copy ubs in
-        up_ubs.(vi) <- Some (50.0 -. kf);
-        let up_b = Array.copy b in
-        Array.iter
-          (fun (i, a) -> up_b.(i) <- up_b.(i) -. (a *. kf))
-          (Array.map2 (fun i a -> (i, a)) cols.T.col_idx.(vi) cols.T.col_val.(vi));
-        let down s = T.resolve_with_basis ~cols ~b ~c ~ubs:down_ubs ~snapshot:s () in
-        let up s = T.resolve_with_basis ~cols ~b:up_b ~c ~ubs:up_ubs ~snapshot:s () in
+        let down s = T.resolve_with_basis cols ~snapshot:s ~changes:[ (vi, 0.0, kf) ] in
+        let up s =
+          T.resolve_with_basis cols ~snapshot:s ~changes:[ (vi, kf, 50.0 -. kf) ]
+        in
         let cleared () = { snap with T.s_factor = None } in
         let down_first = down snap in
         let published = snap.T.s_factor <> None in
@@ -496,7 +496,7 @@ let prop_columns_row_copy_is_transpose =
   QCheck.Test.make ~name:"a column store's row copy is the transpose of its columns"
     ~count:300 (QCheck.make ~print gen) (fun (nrows, cols) ->
       let module T = Lp.Tableau in
-      let store = T.columns ~nrows cols in
+      let store = bare_columns ~nrows cols in
       let expected i =
         List.concat
           (List.mapi
@@ -525,83 +525,87 @@ let prop_columns_row_copy_is_transpose =
            (List.init nrows Fun.id))
 
 (* A column store's workspace never carries one solve into the next. A
-   warm re-solve chain on LP A gives the same bits on a fresh store as on
-   one that first served an unrelated LP B (other rhs, costs and bounds)
-   with a warm re-solve, a dual phase cut off by its iteration budget, and
-   a cold solve aborted by [Iteration_limit]. *)
+   cold solve and a warm re-solve chain on an LP give the same bits on a
+   fresh store as on one that first served other nodes of the same form:
+   a warm re-solve that shifts every structural column (another rhs) under
+   other spans, one cut off by its iteration budget while fixing a column
+   at zero span, and a cold solve aborted by [Iteration_limit]. A form
+   with a negative cost aborts after one phase-2 step; one without is
+   optimal at its crash basis, which gives a budget of 0 an abort before
+   its phase-2 pricing. *)
 let prop_workspace_never_leaks =
   QCheck.Test.make ~name:"a column store's workspace never leaks between solves"
     ~count:150 arb_lp_rebound (fun (spec, vi, k) ->
       let module T = Lp.Tableau in
       let nv = List.length spec.var_bounds in
-      let chain (cols, b, c, ubs) =
-        match T.solve_cols ~ubs ~cols ~b ~c () with
+      let kf = float_of_int k in
+      let chain cols =
+        match T.solve_cols cols with
         | (T.Infeasible | T.Unbounded) as r -> [ Ok r ]
         | T.Optimal { snapshot; _ } as root ->
-          let with_ub ubs j u =
-            let ubs = Array.copy ubs in
-            ubs.(j) <- Some u;
-            ubs
-          in
-          let kf = float_of_int k in
-          let down_ubs = with_ub ubs vi kf in
-          let down = T.resolve_with_basis ~cols ~b ~c ~ubs:down_ubs ~snapshot () in
-          let up_b = Array.copy b in
-          Array.iteri
-            (fun p i -> up_b.(i) <- up_b.(i) -. (cols.T.col_val.(vi).(p) *. kf))
-            cols.T.col_idx.(vi);
+          let down = T.resolve_with_basis cols ~snapshot ~changes:[ (vi, 0.0, kf) ] in
           let up =
-            T.resolve_with_basis ~cols ~b:up_b ~c ~ubs:(with_ub ubs vi (50.0 -. kf))
-              ~snapshot ()
+            T.resolve_with_basis cols ~snapshot ~changes:[ (vi, kf, 50.0 -. kf) ]
+          in
+          let vj = (vi + 1) mod nv and half = Float.of_int (k / 2) in
+          let deeper_changes =
+            if vj = vi then [ (vi, 0.0, half) ]
+            else List.sort compare [ (vi, 0.0, kf); (vj, 0.0, half) ]
           in
           let deeper =
             match down with
             | Ok (T.Optimal { snapshot = s; _ }) ->
-              T.resolve_with_basis ~cols ~b ~c
-                ~ubs:(with_ub down_ubs ((vi + 1) mod nv) (Float.of_int (k / 2)))
-                ~snapshot:s ()
+              T.resolve_with_basis cols ~snapshot:s ~changes:deeper_changes
             | r -> r
           in
           [ Ok root; down; up; deeper ]
       in
       let fresh = chain (kernel_form spec) in
-      let ((cols, b, c, ubs) as form) = kernel_form spec in
-      let b_b = Array.map (fun x -> x +. 3.0) b in
-      let c_b = Array.mapi (fun j x -> if j < nv then x +. float_of_int (j - 2) else 0.5) c in
-      let ubs_b = Array.mapi (fun j u -> if j < nv then Some 7.0 else u) ubs in
-      (match T.solve_cols ~ubs:ubs_b ~cols ~b:b_b ~c:c_b () with
+      let cols = kernel_form spec in
+      let other u =
+        List.init nv (fun j -> (j, float_of_int (j mod 3), if j = vi then u else 7.0))
+      in
+      (match T.solve_cols cols with
        | T.Optimal { snapshot; _ } ->
-         let tight = Array.mapi (fun j u -> if j = vi then Some 1.0 else u) ubs_b in
-         ignore (T.resolve_with_basis ~cols ~b:b_b ~c:c_b ~ubs:tight ~snapshot ());
-         ignore
-           (T.resolve_with_basis ~max_iters:0 ~cols ~b:b_b ~c:c_b
-              ~ubs:(Array.mapi (fun j u -> if j = vi then Some 0.0 else u) ubs_b)
-              ~snapshot ())
+         ignore (T.resolve_with_basis cols ~snapshot ~changes:(other 1.0));
+         ignore (T.resolve_with_basis ~max_iters:0 cols ~snapshot ~changes:(other 0.0))
        | T.Infeasible | T.Unbounded -> ());
-      (* every structural cost negative: phase 2 must pivot or flip, and
-         the budget allows one iteration *)
-      let c_abort = Array.mapi (fun j _ -> if j < nv then -1.0 else 0.0) c in
+      let max_iters = if Array.exists (fun c -> c < 0.0) cols.T.c then 1 else 0 in
       let aborted =
-        match T.solve_cols ~max_iters:1 ~ubs:ubs_b ~cols ~b:b_b ~c:c_abort () with
+        match T.solve_cols ~max_iters cols with
         | exception T.Iteration_limit -> true
         | _ -> false
       in
-      let used = chain form in
+      let used = chain cols in
       aborted
       && List.length fresh = List.length used
       && List.for_all2 same_resolve fresh used)
 
-(* Column validation lives in the column store: a row index outside the
-   form is rejected before any solve. *)
+(* Validation lives in the column store: a row index outside the form, a
+   negative rhs, a span not above zero or a cost vector of the wrong
+   length is rejected when the form is built, before any solve; changed
+   columns out of order are rejected by the re-solve given them. *)
 let test_columns_row_out_of_range () =
-  let rejects cols =
-    match Lp.Tableau.columns ~nrows:2 cols with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  in
+  let module T = Lp.Tableau in
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let rejects cols = raises (fun () -> bare_columns ~nrows:2 cols) in
   check bool "row = nrows" true (rejects [| [| (0, 1.0); (2, 1.0) |] |]);
   check bool "negative row" true (rejects [| [| (-1, 1.0) |] |]);
-  check bool "in range" false (rejects [| [| (0, 1.0); (1, 2.0) |]; [||] |])
+  check bool "in range" false (rejects [| [| (0, 1.0); (1, 2.0) |]; [||] |]);
+  let form ?(b = [| 1.0 |]) ?(c = [| 1.0 |]) ?(ubs = [| 1.0 |]) () =
+    T.columns ~b ~c ~ubs [| [| (0, 1.0) |] |]
+  in
+  check bool "negative rhs" true (raises (form ~b:[| -1.0 |]));
+  check bool "zero span" true (raises (form ~ubs:[| 0.0 |]));
+  check bool "costs length" true (raises (form ~c:[||]));
+  let cols = form () in
+  match T.solve_cols cols with
+  | T.Optimal { snapshot; _ } ->
+    check bool "changes out of order" true
+      (raises (fun () ->
+           T.resolve_with_basis cols ~snapshot
+             ~changes:[ (0, 0.0, 1.0); (0, 0.0, 1.0) ]))
+  | T.Infeasible | T.Unbounded -> Alcotest.fail "x = 1 is the optimum"
 
 (* A bound overlay of the wrong length names the public function. *)
 let test_simplex_bounds_length () =
@@ -626,16 +630,16 @@ let test_simplex_iteration_limit () =
 let test_tableau_singular_basis () =
   let module T = Lp.Tableau in
   let same = [| (0, 1.0); (1, 2.0) |] in
-  let cols = T.columns ~nrows:2 [| same; same; [| (0, 1.0) |]; [| (1, 1.0) |] |] in
+  let cols =
+    T.columns ~b:[| 1.0; 2.0 |] ~c:[| 1.0; 1.0; 0.0; 0.0 |] ~ubs:(Array.make 4 infinity)
+      [| same; same; [| (0, 1.0) |]; [| (1, 1.0) |] |]
+  in
   List.iter
     (fun basis ->
       let snapshot =
         { T.s_basis = basis; s_at_ub = Array.make 4 false; s_factor = None }
       in
-      match
-        T.resolve_with_basis ~cols ~b:[| 1.0; 2.0 |] ~c:[| 1.0; 1.0; 0.0; 0.0 |]
-          ~ubs:(Array.make 4 None) ~snapshot ()
-      with
+      match T.resolve_with_basis cols ~snapshot ~changes:[] with
       | Error reason ->
         check Alcotest.string "reason" "singular basis on refactorisation" reason
       | Ok _ -> Alcotest.fail "a singular basis cannot be resolved")
@@ -649,8 +653,11 @@ let test_tableau_singular_basis () =
    x, basis and resting bounds. *)
 let test_singular_warm_basis_leaves_store_clean () =
   let module T = Lp.Tableau in
+  let b = [| 4.0; 6.0; 5.0 |] in
+  let c = [| -1.0; -1.0; -2.0; -1.0; -3.0; 0.0; 0.0; 0.0 |] in
+  let ubs = Array.init 8 (fun j -> if j < 5 then 10.0 else infinity) in
   let store () =
-    T.columns ~nrows:3
+    T.columns ~b ~c ~ubs
       [|
         [| (0, 1.0); (1, 1.0); (2, 1.0) |];
         [| (0, 2.0); (1, 2.0); (2, 2.0) |];
@@ -662,19 +669,14 @@ let test_singular_warm_basis_leaves_store_clean () =
         [| (2, 1.0) |];
       |]
   in
-  let b = [| 4.0; 6.0; 5.0 |] in
-  let c = [| -1.0; -1.0; -2.0; -1.0; -3.0; 0.0; 0.0; 0.0 |] in
-  let ubs = Array.init 8 (fun j -> if j < 5 then Some 10.0 else None) in
   let snapshot basis =
     { T.s_basis = basis; s_at_ub = Array.make 8 false; s_factor = None }
   in
   let next cols =
-    T.resolve_with_basis ~cols ~b ~c ~ubs ~snapshot:(snapshot [| 2; 3; 4 |]) ()
+    T.resolve_with_basis cols ~snapshot:(snapshot [| 2; 3; 4 |]) ~changes:[]
   in
   let used = store () in
-  (match
-     T.resolve_with_basis ~cols:used ~b ~c ~ubs ~snapshot:(snapshot [| 0; 1; 7 |]) ()
-   with
+  (match T.resolve_with_basis used ~snapshot:(snapshot [| 0; 1; 7 |]) ~changes:[] with
    | Error reason ->
      check Alcotest.string "reason" "singular basis on refactorisation" reason
    | Ok _ -> Alcotest.fail "a singular basis cannot be resolved");
@@ -727,21 +729,25 @@ let prop_bump_orderings_agree =
   QCheck.Test.make ~name:"bump elimination agrees under both reach orderings"
     ~count:1000 arb_bump_lp (fun (spec, vi, k) ->
       let module T = Lp.Tableau in
-      let cols, b, c, ubs = kernel_form spec in
-      let m = cols.T.nrows and n = Array.length c in
+      let cols = kernel_form spec in
+      let m = cols.T.nrows and n = Array.length cols.T.c in
       let pad = 8 * m in
-      let padded =
-        T.columns ~nrows:(m + pad)
-          (Array.init (n + pad) (fun j ->
-               if j < n then
-                 Array.map2 (fun i a -> (i, a)) cols.T.col_idx.(j) cols.T.col_val.(j)
-               else [| (m + j - n, 1.0) |]))
+      let pairs =
+        Array.map2 (Array.map2 (fun i a -> (i, a))) cols.T.col_idx cols.T.col_val
       in
-      let b' = Array.append b (Array.make pad 1.0) in
-      let c' = Array.append c (Array.make pad 0.0) in
-      let ubs' = Array.append ubs (Array.make pad None) in
-      let tight u =
-        Array.mapi (fun j x -> if j = vi then Some (float_of_int k) else x) u
+      let padded =
+        T.columns
+          ~b:(Array.append cols.T.b (Array.make pad 1.0))
+          ~c:(Array.append cols.T.c (Array.make pad 0.0))
+          ~ubs:(Array.append cols.T.ubs (Array.make pad infinity))
+          (Array.init (n + pad) (fun j ->
+               if j < n then pairs.(j) else [| (m + j - n, 1.0) |]))
+      in
+      let kf = float_of_int k in
+      let tight =
+        T.columns ~b:cols.T.b ~c:cols.T.c
+          ~ubs:(Array.mapi (fun j u -> if j = vi then kf else u) cols.T.ubs)
+          pairs
       in
       (* the result of a padded solve, cut down to the original form *)
       let unpad = function
@@ -765,22 +771,15 @@ let prop_bump_orderings_agree =
         | Ok (T.Optimal { value; _ }) -> Float.abs (value -. cold) < 1e-6
         | Ok (T.Infeasible | T.Unbounded) | Error _ -> false
       in
-      match
-        ( T.solve_cols ~ubs ~cols ~b ~c (),
-          T.solve_cols ~ubs:ubs' ~cols:padded ~b:b' ~c:c' (),
-          T.solve_cols ~ubs:(tight ubs) ~cols ~b ~c () )
-      with
+      match (T.solve_cols cols, T.solve_cols padded, T.solve_cols tight) with
       | ( (T.Optimal { value; snapshot = s; _ } as r),
           (T.Optimal { snapshot = s'; _ } as r'),
           T.Optimal { value = cold_node; _ } ) ->
-        let again = T.resolve_with_basis ~cols ~b ~c ~ubs ~snapshot:s () in
-        let again' =
-          T.resolve_with_basis ~cols:padded ~b:b' ~c:c' ~ubs:ubs' ~snapshot:s' ()
-        in
-        let node = T.resolve_with_basis ~cols ~b ~c ~ubs:(tight ubs) ~snapshot:s () in
+        let again = T.resolve_with_basis cols ~snapshot:s ~changes:[] in
+        let again' = T.resolve_with_basis padded ~snapshot:s' ~changes:[] in
+        let node = T.resolve_with_basis cols ~snapshot:s ~changes:[ (vi, 0.0, kf) ] in
         let node' =
-          T.resolve_with_basis ~cols:padded ~b:b' ~c:c' ~ubs:(tight ubs')
-            ~snapshot:s' ()
+          T.resolve_with_basis padded ~snapshot:s' ~changes:[ (vi, 0.0, kf) ]
         in
         same_resolve (Ok r) (unpad (Ok r'))
         && same_resolve again (unpad again')
@@ -788,6 +787,95 @@ let prop_bump_orderings_agree =
         && agrees again value
         && agrees node cold_node
       | _, _, _ -> false (* the origin is feasible and the box bounded *))
+
+(* A warm re-solve given a node's changed columns solves the node a
+   second form describes whose rhs and spans were shifted by hand: rhs
+   [b - A lo] subtracted column by column in ascending order, spans
+   written over. Re-solved from the same snapshot with no changes, that
+   form's vertex plus the offsets and its value plus the offsets' cost
+   (summed from 0 in column order) must be the first result bit for bit.
+   Coefficients and offsets are not integers, so a row met by several
+   shifted columns, or three or more shift costs, round differently in
+   another order; distinct offsets show one added back to the wrong
+   column. Rows are [<= b] with [b] large enough that the shifted rhs stays
+   non-negative, as a form's must. *)
+let arb_shifted_node =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 8 >>= fun nv ->
+      int_range 2 8 >>= fun m ->
+      let coeff = frequency [ (3, float_range (-3.0) 3.0); (1, return 0.0) ] in
+      list_size (return m) (pair (list_size (return nv) coeff) (float_range 40.0 80.0))
+      >>= fun rows ->
+      list_size (return nv) (float_range 0.0 5.0) >>= fun obj ->
+      let lo = frequency [ (1, return 0.0); (3, float_range 0.0 2.0) ] in
+      let span = frequency [ (1, return infinity); (4, float_range 0.5 20.0) ] in
+      list_size (return nv) (opt (pair lo span)) >>= fun changes ->
+      return (rows, obj, changes))
+  in
+  QCheck.make gen ~print:(fun (rows, obj, changes) ->
+      let floats l = String.concat " " (List.map (Printf.sprintf "%h") l) in
+      Printf.sprintf "rows: %s\nobj: %s\nchanges: %s"
+        (String.concat " | "
+           (List.map (fun (cs, b) -> Printf.sprintf "%s <= %h" (floats cs) b) rows))
+        (floats obj)
+        (String.concat " "
+           (List.mapi
+              (fun j -> function
+                 | Some (lo, span) -> Printf.sprintf "x%d:%h+[0,%h]" j lo span
+                 | None -> "")
+              changes)))
+
+let prop_changes_match_shifted_form =
+  QCheck.Test.make ~name:"a re-solve's changed columns match a form shifted by hand"
+    ~count:300 arb_shifted_node (fun (rows, obj, opt_changes) ->
+      let module T = Lp.Tableau in
+      let rows = Array.of_list rows in
+      let m = Array.length rows and nv = List.length obj in
+      let pairs =
+        Array.init (nv + m) (fun j ->
+            if j >= nv then [| (j - nv, 1.0) |]
+            else
+              Array.of_list
+                (List.filter_map
+                   (fun i ->
+                     let a = List.nth (fst rows.(i)) j in
+                     if a = 0.0 then None else Some (i, a))
+                   (List.init m Fun.id)))
+      in
+      let c = Array.init (nv + m) (fun j -> if j < nv then -.List.nth obj j else 0.0) in
+      let ubs = Array.init (nv + m) (fun j -> if j < nv then 50.0 else infinity) in
+      let cols = T.columns ~b:(Array.map snd rows) ~c ~ubs pairs in
+      let changes =
+        List.concat
+          (List.mapi
+             (fun j -> function Some (lo, span) -> [ (j, lo, span) ] | None -> [])
+             opt_changes)
+      in
+      let b' = Array.copy cols.T.b and ubs' = Array.copy ubs in
+      List.iter
+        (fun (j, lo, span) ->
+          ubs'.(j) <- span;
+          Array.iter (fun (i, a) -> b'.(i) <- b'.(i) -. (a *. lo)) pairs.(j))
+        changes;
+      let shifted = T.columns ~b:b' ~c ~ubs:ubs' pairs in
+      match T.solve_cols cols with
+      | T.Infeasible | T.Unbounded -> false (* a feasible origin, a bounded box *)
+      | T.Optimal { snapshot; _ } ->
+        let by_hand =
+          match T.resolve_with_basis shifted ~snapshot ~changes:[] with
+          | Ok (T.Optimal { value; x; snapshot }) ->
+            let x = Array.copy x in
+            let cost = ref 0.0 in
+            List.iter
+              (fun (j, lo, _) ->
+                x.(j) <- x.(j) +. lo;
+                cost := !cost +. (c.(j) *. lo))
+              changes;
+            Ok (T.Optimal { value = value +. !cost; x; snapshot })
+          | r -> r
+        in
+        same_resolve (T.resolve_with_basis cols ~snapshot ~changes) by_hand)
 
 (* [a x = v] by dense Gaussian elimination with partial pivoting, [a] a
    square matrix as an array of rows. *)
@@ -944,11 +1032,11 @@ let prop_factor_matches_dense =
       let restored = basis = factorised && agrees () && not (Lp.Factor.due f) in
       permuted && fresh && updated && restored && updates (int 80) && agrees ())
 
-(* A prepared form's warm scratch never carries one node into the next.
-   One warm start serves three nodes, each followed by the same warm
-   re-solve: a node that unfixes a variable the form fixed (its overlay
-   raises [Remap] after shifting [x0], and the solve falls back to cold),
-   a node stopped by a deadline that has already passed (after shifting
+(* A warm start never carries one node into the next. One warm start
+   serves three nodes, each followed by the same warm re-solve: a node
+   that unfixes a variable the form fixed (its column changes stop at
+   [Remap] after shifting [x0], and the solve falls back to cold), a node
+   stopped by a deadline that has already passed (after the kernel shifted
    [x1] and its rhs), and an ordinary node that shifts [x2]. Every
    follow-up must be a warm hit with the bits of the same re-solve from a
    freshly prepared form. *)
@@ -1486,6 +1574,7 @@ let () =
             prop_columns_row_copy_is_transpose;
             prop_workspace_never_leaks;
             prop_bump_orderings_agree;
+            prop_changes_match_shifted_form;
             prop_factor_matches_dense;
           ] );
       ( "presolve",
