@@ -133,7 +133,6 @@ let schedule_layer problem ~fresh_id =
       (st, start)
     | None -> raise (No_device v)
   in
-  let indet_ops = layer.Layering.indeterminate in
   (* dependency order restricted to the layer, then by priority *)
   let topo = Flowgraph.Dag.topological_order ~keep:in_layer graph in
   (* stable pass: process in topological order, but among simultaneously
@@ -170,11 +169,13 @@ let schedule_layer problem ~fresh_id =
     List.filter (fun v -> not (Operation.is_indeterminate ops.(v))) topo
   in
   List.iter (fun v -> place v ~closing:false) det_sorted;
-  (* indeterminate tail: distinct devices, last on each *)
+  (* indeterminate tail: distinct devices, last on each, by (ready, id).
+     An indeterminate op's in-layer parents are all determinate and placed
+     by now, so placing the tail changes no ready time. *)
   let indet_sorted =
-    List.sort
-      (fun a b -> compare (ready a, a) (ready b, b))
-      indet_ops
+    List.map (fun v -> (ready v, v)) layer.Layering.indeterminate
+    |> List.sort (fun (ra, a) (rb, b) -> if ra <> rb then compare ra rb else compare a b)
+    |> List.map snd
   in
   List.iter (fun v -> place v ~closing:true) indet_sorted;
   (* constraint (14): every operation must start no later than each
@@ -189,8 +190,10 @@ let schedule_layer problem ~fresh_id =
     end
     else e
   in
-  let entries = List.map bump !scheduled_entries in
   let entries =
-    List.sort (fun a b -> compare (a.Schedule.start, a.Schedule.op) (b.Schedule.start, b.Schedule.op)) entries
+    List.map bump !scheduled_entries
+    |> List.sort (fun a b ->
+           let open Schedule in
+           if a.start <> b.start then compare a.start b.start else compare a.op b.op)
   in
   { entries; created = List.rev !created }

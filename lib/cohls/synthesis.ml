@@ -61,9 +61,13 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
   let layer_of_op = layering.Layering.layer_of_op in
   let n_layers = Array.length layering.Layering.layers in
   let chip = Chip.create () in
-  let on_chip id = Chip.find_device chip id <> None in
+  let on_chip id = Option.is_some (Chip.find_device chip id) in
   let binding = Array.make (Array.length ops) (-1) in
   let created_by_layer = Array.make n_layers [] in
+  (* every device a layer may commit: the pool and each layer's new ones *)
+  let known = Hashtbl.create 32 in
+  let know (d : Device.t) = Hashtbl.replace known d.Device.id d in
+  List.iter know pool;
   let layers =
     Array.init n_layers (fun i ->
         (* fresh ids never collide with pool ids, so these are exactly the
@@ -92,12 +96,11 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
           Layer_solver.solve cfg.engine problem ~fresh_id
         in
         created_by_layer.(i) <- created;
-        let known = created @ available in
+        List.iter know created;
         List.iter
           (fun { Schedule.op; device; _ } ->
             binding.(op) <- device;
-            if not (on_chip device) then
-              Chip.add_device chip (List.find (fun d -> d.Device.id = device) known))
+            if not (on_chip device) then Chip.add_device chip (Hashtbl.find known device))
           entries;
         List.iter
           (fun { Schedule.op; device; _ } ->
@@ -182,12 +185,21 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
        of its own previous devices D'_i, so it re-justifies them against the
        devices other layers account for (Fig. 6) *)
     let prev_devices = Chip.devices prev_schedule.Schedule.chip in
+    (* device id -> (the layer that created it, its surcharge); fresh ids
+       are never reused, so each device has one creating layer *)
+    let surcharges = Hashtbl.create 32 in
+    Array.iteri
+      (fun i ->
+        List.iter (fun (d : Device.t) ->
+            Hashtbl.replace surcharges d.Device.id
+              ( i,
+                (config.weights.Schedule.w_area * Cost.device_area cost d)
+                + (config.weights.Schedule.w_processing * Cost.device_processing cost d) )))
+      prev_created;
     let penalty i id =
-      match List.find_opt (fun (d : Device.t) -> d.Device.id = id) prev_created.(i) with
-      | Some d ->
-        (config.weights.Schedule.w_area * Cost.device_area cost d)
-        + (config.weights.Schedule.w_processing * Cost.device_processing cost d)
-      | None -> 0
+      match Hashtbl.find_opt surcharges id with
+      | Some (j, surcharge) when j = i -> surcharge
+      | Some _ | None -> 0
     in
     let k = List.length !iterations in
     let schedule, created, binding =

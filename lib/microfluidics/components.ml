@@ -5,7 +5,7 @@ module Capacity = struct
 
   let rank = function Large -> 3 | Medium -> 2 | Small -> 1 | Tiny -> 0
   let compare a b = Stdlib.compare (rank a) (rank b)
-  let equal a b = compare a b = 0
+  let equal (a : t) b = a = b
 
   let to_string = function
     | Large -> "large"
@@ -33,8 +33,8 @@ module Container = struct
   type t = Ring | Chamber
 
   let all = [ Ring; Chamber ]
-  let equal a b = a = b
-  let compare = Stdlib.compare
+  let equal (a : t) b = a = b
+  let compare (a : t) b = Stdlib.compare a b
   let to_string = function Ring -> "ring" | Chamber -> "chamber"
   let pp fmt c = Format.pp_print_string fmt (to_string c)
 
@@ -42,15 +42,15 @@ module Container = struct
     | Ring -> Capacity.[ Large; Medium; Small ]
     | Chamber -> Capacity.[ Medium; Small; Tiny ]
 
-  let capacity_allowed c cap = List.mem cap (allowed_capacities c)
+  let capacity_allowed c cap = List.exists (Capacity.equal cap) (allowed_capacities c)
 end
 
 module Accessory = struct
   type t = Pump | Heating_pad | Optical_system | Sieve_valve | Cell_trap
 
   let all = [ Pump; Heating_pad; Optical_system; Sieve_valve; Cell_trap ]
-  let equal a b = a = b
-  let compare = Stdlib.compare
+  let equal (a : t) b = a = b
+  let compare (a : t) b = Stdlib.compare a b
 
   let to_string = function
     | Pump -> "pump"
@@ -68,11 +68,44 @@ module Accessory = struct
 
   let pp fmt a = Format.pp_print_string fmt (to_string a)
 
-  module Set = Set.Make (struct
-    type nonrec t = t
+  module Set = struct
+    type elt = t
+    type t = int (* bit [i] holds the [i]-th accessory of [all] *)
 
-    let compare = compare
-  end)
+    let bit : elt -> int = function
+      | Pump -> 1
+      | Heating_pad -> 2
+      | Optical_system -> 4
+      | Sieve_valve -> 8
+      | Cell_trap -> 16
+
+    let empty = 0
+    let is_empty s = s = 0
+    let mem a s = s land bit a <> 0
+    let add a s = s lor bit a
+    let of_list l = List.fold_left (fun s a -> add a s) empty l
+    let union = ( lor )
+    let subset a b = a land lnot b = 0
+    let equal (a : t) b = a = b
+    let fold f s acc = List.fold_left (fun acc a -> if mem a s then f a acc else acc) acc all
+    let iter f s = List.iter (fun a -> if mem a s then f a) all
+    let elements s = List.filter (fun a -> mem a s) all
+    let cardinal s = fold (fun _ n -> n + 1) s 0
+
+    (* [Set.Make]'s order: the ascending element lists, lexicographically.
+       At the lowest differing element, the set that holds it is smaller
+       unless the other set holds nothing above it. *)
+    let compare a b =
+      let d = a lxor b in
+      if d = 0 then 0
+      else begin
+        let low = d land -d in
+        let above s = s land lnot ((2 * low) - 1) <> 0 in
+        if a land low <> 0 then (if above b then -1 else 1)
+        else if above a then 1
+        else -1
+      end
+  end
 
   let set_of_list = Set.of_list
 end

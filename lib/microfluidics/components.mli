@@ -62,7 +62,28 @@ module Accessory : sig
 
   val pp : Format.formatter -> t -> unit
 
-  module Set : Set.S with type elt = t
+  (** Sets of accessories, one bit per accessory: subset, union and
+      equality are single integer operations. [elements], [fold] and
+      [iter] visit members in declaration order (the order of [all]), and
+      [compare] orders sets as [Stdlib.Set.Make] does. *)
+  module Set : sig
+    type elt = t
+    type t
+
+    val empty : t
+    val is_empty : t -> bool
+    val mem : elt -> t -> bool
+    val add : elt -> t -> t
+    val of_list : elt list -> t
+    val elements : t -> elt list
+    val iter : (elt -> unit) -> t -> unit
+    val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
+    val cardinal : t -> int
+    val union : t -> t -> t
+    val subset : t -> t -> bool
+    val equal : t -> t -> bool
+    val compare : t -> t -> int
+  end
 
   val set_of_list : t list -> Set.t
 end

@@ -1,9 +1,9 @@
 (* Golden output of the heuristic engine: the final schedule and chip of a
-   default synthesis run on every paper and extension case plus eight
-   seeded random assays, under both binding rules. Dune diffs stdout
-   against test_golden.expected; a change to any binding, start time,
-   device or path shows up as a diff. Run [dune promote] only when a
-   change of schedule is intended. *)
+   default synthesis run on every paper and extension case, case 2
+   replicated four times and eight seeded random assays, under both
+   binding rules. Dune diffs stdout against test_golden.expected; a
+   change to any binding, start time, device or path shows up as a diff.
+   Run [dune promote] only when a change of schedule is intended. *)
 
 open Microfluidics
 module Syn = Cohls.Synthesis
@@ -15,6 +15,9 @@ let cases =
     ("case3", Assays.Rt_qpcr.testcase);
     ("mda", Assays.Mda.testcase);
     ("chip", Assays.Chip_assay.testcase);
+    (* 280 ops: op-indexed arrays past 256 words are allocated straight in
+       the major heap, which no paper case reaches *)
+    ("case2x4", fun () -> Assay.replicate (Assays.Gene_expression.testcase ()) ~copies:4);
   ]
   @ List.init 8 (fun i ->
         let seed = i + 1 in

@@ -52,6 +52,49 @@ let test_accessory_codes () =
   let s = Accessory.set_of_list [ Accessory.Pump; Accessory.Pump; Accessory.Sieve_valve ] in
   check int_t "set dedupes" 2 (Accessory.Set.cardinal s)
 
+(* The bitmask accessory set against a [Stdlib.Set.Make] reference, on
+   every pair of the 32 subsets. *)
+module Ref_set = Set.Make (struct
+  type t = Accessory.t
+
+  let compare = Stdlib.compare
+end)
+
+let test_accessory_set_reference () =
+  let subsets =
+    List.init 32 (fun bits ->
+        List.filteri (fun i _ -> bits land (1 lsl i) <> 0) Accessory.all)
+  in
+  let accs = Alcotest.list (Alcotest.of_pp Accessory.pp) in
+  let sign x = compare x 0 in
+  List.iter
+    (fun la ->
+      let a = Accessory.Set.of_list (List.rev la) and ra = Ref_set.of_list la in
+      check accs "elements" (Ref_set.elements ra) (Accessory.Set.elements a);
+      check accs "fold order" (Ref_set.fold List.cons ra []) (Accessory.Set.fold List.cons a []);
+      let seen = ref [] in
+      Accessory.Set.iter (fun x -> seen := x :: !seen) a;
+      check accs "iter order" (Ref_set.fold List.cons ra []) !seen;
+      check int_t "cardinal" (Ref_set.cardinal ra) (Accessory.Set.cardinal a);
+      check bool "is_empty" (Ref_set.is_empty ra) (Accessory.Set.is_empty a);
+      List.iter
+        (fun x ->
+          check bool "mem" (Ref_set.mem x ra) (Accessory.Set.mem x a);
+          check accs "add" (Ref_set.elements (Ref_set.add x ra))
+            (Accessory.Set.elements (Accessory.Set.add x a)))
+        Accessory.all;
+      List.iter
+        (fun lb ->
+          let b = Accessory.Set.of_list lb and rb = Ref_set.of_list lb in
+          check bool "subset" (Ref_set.subset ra rb) (Accessory.Set.subset a b);
+          check bool "equal" (Ref_set.equal ra rb) (Accessory.Set.equal a b);
+          check accs "union" (Ref_set.elements (Ref_set.union ra rb))
+            (Accessory.Set.elements (Accessory.Set.union a b));
+          check int_t "compare sign" (sign (Ref_set.compare ra rb))
+            (sign (Accessory.Set.compare a b)))
+        subsets)
+    subsets
+
 (* ---------- device ---------- *)
 
 let test_device_make () =
@@ -439,6 +482,8 @@ let () =
           Alcotest.test_case "capacity volumes" `Quick test_capacity_volumes;
           Alcotest.test_case "container capacities" `Quick test_container_capacities;
           Alcotest.test_case "accessory codes" `Quick test_accessory_codes;
+          Alcotest.test_case "accessory set matches Set.Make" `Quick
+            test_accessory_set_reference;
         ] );
       ( "device",
         [
