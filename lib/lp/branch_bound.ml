@@ -354,13 +354,10 @@ let solve ?(options = default_options) ?warm_start model =
      let obj = Model.eval_objective model (fun v -> values.(v)) in
      ignore (try_incumbent sh values (dir_sign *. obj))
    | None -> ());
-  let presolved =
-    if options.presolve then
-      Telemetry.span "lp.presolve.run" (fun () ->
-          Presolve.run ?deadline:sh.deadline model)
-    else Presolve.Reduced { model; changes = 0 }
-  in
-  match presolved with
+  match
+    Telemetry.span "lp.presolve.run" (fun () ->
+        Presolve.run ?deadline:sh.deadline model)
+  with
   | Presolve.Proved_infeasible ->
     let inc = sh.incumbent in
     {

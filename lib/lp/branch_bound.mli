@@ -69,9 +69,9 @@ type options = {
   time_limit : float option;  (** seconds of wall-clock *)
   node_limit : int option;
   presolve : bool;
-      (** run {!Presolve} at the root (span [lp.presolve.run]), default
-          [true]; it stops at the search deadline like the tree does. Off
-          only to measure what presolve is worth *)
+      (** ignored: {!solve} always runs {!Presolve} at the root (span
+          [lp.presolve.run]), which stops at the search deadline like the
+          tree does. The field remains only for callers that still set it *)
   domains : int;
       (** ignored: the search always runs on the calling domain. The field
           remains only for callers that still set it *)

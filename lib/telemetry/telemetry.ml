@@ -108,142 +108,125 @@ type hist_state = {
   h_counts : int array;
 }
 
-(* Global collector. The enabled flag is the only state read on the
-   disabled fast path; everything else is touched under [lock]. *)
-let on = Atomic.make false
-let lock = Mutex.create ()
-let completed : span_record list ref = ref []
-let seq_counter = ref 0
-let counter_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
-let hist_tbl : (string, hist_state) Hashtbl.t = Hashtbl.create 16
-let depth_tbl : (int, int ref) Hashtbl.t = Hashtbl.create 8
-let epoch = ref 0.0
+(* Global collector for the calling domain (the pipeline runs on one). The
+   enabled flag is the only state read on the disabled fast path; [reset]
+   replaces the whole record, and a span finishes into the record it
+   started in, so a span left open across [reset] is dropped with the old
+   data and leaves the new record's depth alone. *)
+type state = {
+  mutable completed : span_record list;
+  mutable next_seq : int;
+  mutable depth : int;
+  counter_tbl : (string, int ref) Hashtbl.t;
+  hist_tbl : (string, hist_state) Hashtbl.t;
+  epoch : float;
+}
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let fresh_state () =
+  {
+    completed = [];
+    next_seq = 0;
+    depth = 0;
+    counter_tbl = Hashtbl.create 32;
+    hist_tbl = Hashtbl.create 16;
+    epoch = Clock.now_s ();
+  }
 
-let enabled () = Atomic.get on
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
-
-let reset () =
-  locked (fun () ->
-      completed := [];
-      seq_counter := 0;
-      Hashtbl.reset counter_tbl;
-      Hashtbl.reset hist_tbl;
-      Hashtbl.reset depth_tbl;
-      epoch := Clock.now_s ())
+let on = ref false
+let state = ref (fresh_state ())
+let enabled () = !on
+let enable () = on := true
+let disable () = on := false
+let reset () = state := fresh_state ()
 
 let span ?(attrs = []) name f =
-  if not (Atomic.get on) then f ()
+  if not !on then f ()
   else begin
-    let tid = (Domain.self () :> int) in
-    let depth, seq =
-      locked (fun () ->
-          let d =
-            match Hashtbl.find_opt depth_tbl tid with
-            | Some r -> r
-            | None ->
-              let r = ref 0 in
-              Hashtbl.replace depth_tbl tid r;
-              r
-          in
-          let depth = !d in
-          incr d;
-          let seq = !seq_counter in
-          incr seq_counter;
-          (depth, seq))
-    in
+    let st = !state in
+    let depth = st.depth and seq = st.next_seq in
+    st.depth <- depth + 1;
+    st.next_seq <- seq + 1;
     let t0 = Clock.now_s () in
     let finish () =
       let t1 = Clock.now_s () in
-      locked (fun () ->
-          (match Hashtbl.find_opt depth_tbl tid with
-           | Some d -> decr d
-           | None -> ());
-          completed :=
-            {
-              span_name = name;
-              start_s = t0;
-              duration_s = t1 -. t0;
-              depth;
-              tid;
-              seq;
-              span_attrs = attrs;
-            }
-            :: !completed)
+      st.depth <- st.depth - 1;
+      st.completed <-
+        {
+          span_name = name;
+          start_s = t0;
+          duration_s = t1 -. t0;
+          depth;
+          tid = 0;
+          seq;
+          span_attrs = attrs;
+        }
+        :: st.completed
     in
     Fun.protect ~finally:finish f
   end
 
 let count ?(by = 1) name =
-  if Atomic.get on && by <> 0 then begin
-    locked (fun () ->
-        match Hashtbl.find_opt counter_tbl name with
-        | Some r -> r := !r + by
-        | None -> Hashtbl.replace counter_tbl name (ref by))
+  if !on && by <> 0 then begin
+    let tbl = !state.counter_tbl in
+    match Hashtbl.find_opt tbl name with
+    | Some r -> r := !r + by
+    | None -> Hashtbl.replace tbl name (ref by)
   end
 
 let observe name v =
-  if Atomic.get on then
-    locked (fun () ->
+  if !on then begin
+    let tbl = !state.hist_tbl in
+    let h =
+      match Hashtbl.find_opt tbl name with
+      | Some h -> h
+      | None ->
         let h =
-          match Hashtbl.find_opt hist_tbl name with
-          | Some h -> h
-          | None ->
-            let h =
-              {
-                h_samples = 0;
-                h_sum = 0.0;
-                h_min = Float.infinity;
-                h_max = Float.neg_infinity;
-                h_counts = Array.make (Array.length bucket_bounds + 1) 0;
-              }
-            in
-            Hashtbl.replace hist_tbl name h;
-            h
+          {
+            h_samples = 0;
+            h_sum = 0.0;
+            h_min = Float.infinity;
+            h_max = Float.neg_infinity;
+            h_counts = Array.make (Array.length bucket_bounds + 1) 0;
+          }
         in
-        h.h_samples <- h.h_samples + 1;
-        h.h_sum <- h.h_sum +. v;
-        if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v;
-        let n = Array.length bucket_bounds in
-        let rec slot i = if i >= n || v <= bucket_bounds.(i) then i else slot (i + 1) in
-        let i = slot 0 in
-        h.h_counts.(i) <- h.h_counts.(i) + 1)
+        Hashtbl.replace tbl name h;
+        h
+    in
+    h.h_samples <- h.h_samples + 1;
+    h.h_sum <- h.h_sum +. v;
+    if v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v;
+    let n = Array.length bucket_bounds in
+    let rec slot i = if i >= n || v <= bucket_bounds.(i) then i else slot (i + 1) in
+    let i = slot 0 in
+    h.h_counts.(i) <- h.h_counts.(i) + 1
+  end
 
-let spans () =
-  locked (fun () ->
-      List.sort (fun a b -> compare (a.seq, a.tid) (b.seq, b.tid)) !completed)
+let spans () = List.sort (fun a b -> Int.compare a.seq b.seq) !state.completed
 
 let counters () =
-  locked (fun () ->
-      List.sort compare
-        (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counter_tbl []))
+  List.sort compare
+    (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) !state.counter_tbl [])
 
 let histograms () =
-  locked (fun () ->
-      List.sort
-        (fun (a, _) (b, _) -> compare a b)
-        (Hashtbl.fold
-           (fun name h acc ->
-             ( name,
-               {
-                 samples = h.h_samples;
-                 sum = h.h_sum;
-                 min_v = h.h_min;
-                 max_v = h.h_max;
-                 bounds = Array.copy bucket_bounds;
-                 bucket_counts = Array.copy h.h_counts;
-               } )
-             :: acc)
-           hist_tbl []))
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (Hashtbl.fold
+       (fun name h acc ->
+         ( name,
+           {
+             samples = h.h_samples;
+             sum = h.h_sum;
+             min_v = h.h_min;
+             max_v = h.h_max;
+             bounds = Array.copy bucket_bounds;
+             bucket_counts = Array.copy h.h_counts;
+           } )
+         :: acc)
+       !state.hist_tbl [])
 
 let counter_value name =
-  locked (fun () ->
-      match Hashtbl.find_opt counter_tbl name with Some r -> !r | None -> 0)
+  match Hashtbl.find_opt !state.counter_tbl name with Some r -> !r | None -> 0
 
 (* ------------------------------------------------------------ exporters *)
 
@@ -284,7 +267,7 @@ module Export = struct
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
   let chrome_trace () =
-    let t0 = locked (fun () -> !epoch) in
+    let t0 = !state.epoch in
     let sps = spans () in
     let us t = (t -. t0) *. 1e6 in
     let span_event s =
@@ -343,7 +326,13 @@ module Export = struct
            ("displayTimeUnit", Json.String "ms");
          ])
 
+  (* Min, max and mean of a histogram; an empty one reports 0 for each. *)
+  let summary h =
+    if h.samples = 0 then (0.0, 0.0, 0.0)
+    else (h.min_v, h.max_v, h.sum /. float_of_int h.samples)
+
   let histogram_json (name, h) =
+    let mn, mx, mean = summary h in
     let bucket i count =
       let le =
         if i < Array.length h.bounds then Json.Float h.bounds.(i)
@@ -356,11 +345,9 @@ module Export = struct
         ("name", Json.String name);
         ("count", Json.Int h.samples);
         ("sum", Json.Float h.sum);
-        ("min", Json.Float (if h.samples = 0 then 0.0 else h.min_v));
-        ("max", Json.Float (if h.samples = 0 then 0.0 else h.max_v));
-        ( "mean",
-          Json.Float (if h.samples = 0 then 0.0 else h.sum /. float_of_int h.samples)
-        );
+        ("min", Json.Float mn);
+        ("max", Json.Float mx);
+        ("mean", Json.Float mean);
         ("buckets", Json.List (List.mapi bucket (Array.to_list h.bucket_counts)));
       ]
 
@@ -414,15 +401,11 @@ module Export = struct
       line "%s" (String.make 86 '-');
       List.iter
         (fun (name, h) ->
-          let mean = if h.samples = 0 then 0.0 else h.sum /. float_of_int h.samples in
-          line "%-38s %8d %12.4f %12.4f %12.4f" name h.samples mean
-            (if h.samples = 0 then 0.0 else h.min_v)
-            (if h.samples = 0 then 0.0 else h.max_v))
+          let mn, mx, mean = summary h in
+          line "%-38s %8d %12.4f %12.4f %12.4f" name h.samples mean mn mx)
         hs
     end;
     if aggs = [] && cs = [] && hs = [] then
       Buffer.add_string buf "telemetry: no data recorded (collector disabled?)\n";
     Buffer.contents buf
 end
-
-let () = epoch := Clock.now_s ()

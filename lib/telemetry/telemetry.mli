@@ -1,10 +1,12 @@
 (** In-memory telemetry: hierarchical timed spans, named counters and
     histograms, with Chrome trace_event and flat-stats exporters.
 
-    The collector is global, thread-safe, and disabled by default: every
-    instrumentation entry point first reads one atomic flag and returns
+    The collector is global, records the calling domain only (the whole
+    pipeline runs on one domain), and is disabled by default: every
+    instrumentation entry point first reads one boolean flag and returns
     immediately when recording is off, so instrumented hot paths cost a
-    single branch in production runs. *)
+    single branch in production runs. It takes no lock, so do not record
+    from a second domain. *)
 
 (** Time source used by every span and by callers that need wall-clock
     measurements. Defaults to [Unix.gettimeofday]; tests install a fixed
@@ -47,15 +49,17 @@ val disable : unit -> unit
 
 val reset : unit -> unit
 (** Drop all recorded data and re-anchor the trace epoch at [Clock.now_s ()].
-    Does not change the enabled flag. *)
+    Does not change the enabled flag. A span still open is dropped with the
+    old data: it neither appears afterwards nor shifts the depth or start
+    order of the spans recorded after the reset. *)
 
 type span_record = {
   span_name : string;
   start_s : float;
   duration_s : float;
   depth : int;  (** nesting depth at start, 0 = top level *)
-  tid : int;  (** domain id the span ran on *)
-  seq : int;  (** start order, ties broken deterministically *)
+  tid : int;  (** always 0: the collector records one domain *)
+  seq : int;  (** start order since the last {!reset}, unique *)
   span_attrs : (string * string) list;
 }
 
@@ -70,9 +74,9 @@ type histogram = {
 }
 
 val span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [span name f] times [f] as a hierarchical span. Nesting is tracked per
-    domain. The span is recorded even when [f] raises. When the collector
-    is disabled this is exactly [f ()]. *)
+(** [span name f] times [f] as a hierarchical span; its depth is the number
+    of spans open when it starts. The span is recorded even when [f]
+    raises. When the collector is disabled this is exactly [f ()]. *)
 
 val count : ?by:int -> string -> unit
 (** Bump a named monotonic counter (default increment 1). *)

@@ -185,6 +185,22 @@ let test_span_exception () =
   let after = List.nth (Telemetry.spans ()) 1 in
   Alcotest.(check int) "depth back to 0" 0 after.Telemetry.depth
 
+(* A span left open across [reset] belongs to the data [reset] drops: it
+   must neither show up afterwards nor shift the depth or start order of
+   the spans recorded after the reset. *)
+let test_span_open_across_reset () =
+  fresh ();
+  Telemetry.span "A" (fun () ->
+      Telemetry.reset ();
+      Telemetry.span "B" (fun () -> ()));
+  Telemetry.span "C" (fun () -> ());
+  Alcotest.(check (list (triple string int int)))
+    "only B and C, at depth 0 in start order"
+    [ ("B", 0, 0); ("C", 0, 1) ]
+    (List.map
+       (fun s -> (s.Telemetry.span_name, s.Telemetry.depth, s.Telemetry.seq))
+       (Telemetry.spans ()))
+
 (* ----------------------------------------------------------- counters *)
 
 let test_counters () =
@@ -291,6 +307,47 @@ let test_stats_table () =
              let rec go i = i + nn <= nh && (String.sub table i nn = needle || go (i + 1)) in
              go 0))
         [ "outer"; "inner"; "nodes"; "gap" ])
+
+(* The collector records the calling domain only, so every span carries
+   tid 0, in the records and in the trace's complete events alike. *)
+let test_spans_on_tid_zero () =
+  fresh ();
+  record_sample_run ();
+  (try
+     Telemetry.span "raises" (fun () ->
+         Telemetry.span "nested" (fun () -> failwith "x"))
+   with Failure _ -> ());
+  let sps = Telemetry.spans () in
+  Alcotest.(check (list int))
+    "every record on tid 0"
+    (List.map (fun _ -> 0) sps)
+    (List.map (fun s -> s.Telemetry.tid) sps);
+  let trace = Telemetry.Export.chrome_trace () in
+  let find_from i needle =
+    let nh = String.length trace and nn = String.length needle in
+    let rec go i =
+      if i + nn > nh then None
+      else if String.sub trace i nn = needle then Some i
+      else go (i + 1)
+    in
+    go i
+  in
+  (* each complete event's fields run name, cat, ph, ts, dur, pid, tid *)
+  let rec tids i acc =
+    match find_from i "\"ph\":\"X\"" with
+    | None -> List.rev acc
+    | Some at -> (
+      match find_from at "\"tid\":" with
+      | None -> Alcotest.fail "complete event without tid"
+      | Some t ->
+        let v = t + String.length "\"tid\":" in
+        let stop = String.index_from trace v ',' in
+        tids v (String.sub trace v (stop - v) :: acc))
+  in
+  Alcotest.(check (list string))
+    "one complete event per span, each on tid 0"
+    (List.map (fun _ -> "0") sps)
+    (tids 0 [])
 
 (* --------------------------------------------- pipeline integration *)
 
@@ -400,6 +457,8 @@ let () =
         [
           Alcotest.test_case "nesting and ordering" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception;
+          Alcotest.test_case "span open across reset" `Quick
+            test_span_open_across_reset;
         ] );
       ( "metrics",
         [
@@ -412,6 +471,7 @@ let () =
           Alcotest.test_case "valid + deterministic JSON" `Quick
             test_exporters_valid_and_deterministic;
           Alcotest.test_case "ascii stats table" `Quick test_stats_table;
+          Alcotest.test_case "every span on tid 0" `Quick test_spans_on_tid_zero;
         ] );
       ( "pipeline",
         [
