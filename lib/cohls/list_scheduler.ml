@@ -107,8 +107,7 @@ let schedule_layer problem ~fresh_id =
       else begin
         let d = Binding.minimal_device o ~id:max_int (* id assigned on commit *) in
         let new_cost =
-          (w.Schedule.w_area * Cost.device_area cost d)
-          + (w.Schedule.w_processing * Cost.device_processing cost d)
+          Schedule.device_cost w cost d
           (* a fresh device is connected to no parent yet *)
           + (w.Schedule.w_paths * List.length (List.sort_uniq compare parents_devs))
         in

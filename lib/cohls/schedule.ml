@@ -53,6 +53,10 @@ type weights = { w_time : int; w_area : int; w_processing : int; w_paths : int }
 
 let default_weights = { w_time = 100; w_area = 150; w_processing = 150; w_paths = 200 }
 
+let device_cost weights cost d =
+  (weights.w_area * Cost.device_area cost d)
+  + (weights.w_processing * Cost.device_processing cost d)
+
 let evaluate ?(weights = default_weights) cost t =
   let fixed_minutes = total_fixed_minutes t in
   let devices = device_count t in

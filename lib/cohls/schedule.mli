@@ -61,6 +61,11 @@ val default_weights : weights
     costs (a new ring must buy roughly half an hour; a new flow channel,
     two minutes). *)
 
+val device_cost : weights -> Cost.t -> Device.t -> int
+(** The weighted integration cost of one device,
+    [w_area * area + w_processing * processing]: what a schedule pays to
+    put the device on the chip. *)
+
 val evaluate : ?weights:weights -> Cost.t -> t -> breakdown
 
 val validate : t -> (unit, string) result

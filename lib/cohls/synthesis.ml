@@ -192,9 +192,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
       (fun i ->
         List.iter (fun (d : Device.t) ->
             Hashtbl.replace surcharges d.Device.id
-              ( i,
-                (config.weights.Schedule.w_area * Cost.device_area cost d)
-                + (config.weights.Schedule.w_processing * Cost.device_processing cost d) )))
+              (i, Schedule.device_cost config.weights cost d)))
       prev_created;
     let penalty i id =
       match Hashtbl.find_opt surcharges id with

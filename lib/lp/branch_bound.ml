@@ -319,6 +319,10 @@ let search sh root =
     Telemetry.observe "lp.bb.nodes_per_sec" (float_of_int sh.nodes /. dt)
 
 let solve ?(options = default_options) ?warm_start model =
+  (match warm_start with
+   | Some values when Array.length values <> Model.var_count model ->
+     invalid_arg "Branch_bound.solve: warm start length"
+   | Some _ | None -> ());
   Telemetry.span "lp.bb.solve" @@ fun () ->
   let started = now () in
   let dir, _ = Model.objective model in

@@ -87,4 +87,6 @@ val solve : ?options:options -> ?warm_start:float array -> Model.t -> result
 (** The model is never mutated. The warm start is checked against it as
     given; the search then runs on the model {!Presolve.run} returns, and
     each node carries an immutable bound overlay on that model (handed to
-    the relaxation solver via [Simplex.solve_relaxation_float ~bounds]). *)
+    the relaxation solver via [Simplex.solve_relaxation_float ~bounds]).
+    @raise Invalid_argument unless a [warm_start] holds one value per model
+    variable. *)

@@ -1,23 +1,19 @@
 module Q = Numeric.Rat
 
-(* How each model variable maps onto standard-form columns. *)
-type mapping =
-  | Shifted of int * Q.t (* x = col + lb *)
-  | Fixed of Q.t (* lb = ub *)
-
 (* The standard form translated from one set of variable bounds, a
-   {!Tableau.columns} store, and how to map its columns back. Nodes of a
-   branch-and-bound tree reuse it: a child's changed bounds reach the
-   kernel as per-column (lo, span) changes, which it applies to its own
-   copy of the rhs and spans, so the constraint matrix, costs and column
-   identities never change and the parent's basis snapshot stays
-   structurally valid for a dual-simplex re-solve. Only a bound change the
-   column form cannot express (a [Fixed] variable coming unfixed) forces a
-   full re-translation. *)
+   {!Tableau.columns} store, and what maps its columns back. Model variable
+   [v] is column [v], shifted by its lower bound and bounded by the span
+   [u - l]: [0] for a fixed variable, [infinity] without an upper bound.
+   Slack columns follow the variables. Nodes of a branch-and-bound tree
+   reuse the form: a child's changed bounds reach the kernel as per-column
+   (lo, span) changes, which it applies to its own copy of the rhs and
+   spans, so the constraint matrix, costs and column identities never
+   change and the parent's basis snapshot stays structurally valid for a
+   dual-simplex re-solve. Every bound change is expressible this way, a
+   fixed variable coming unfixed included. *)
 type prepared = {
-  p_nvars : int;
-  p_mapping : mapping array;
-  p_offset : float array; (* per variable, [Q.to_float] of its mapping constant *)
+  p_model : Model.t; (* the model translated; a warm start serves only it *)
+  p_offset : float array; (* per variable, [Q.to_float] of its lower bound *)
   p_lb : Q.t array; (* the bounds the form was translated under *)
   p_ub : Q.t option array;
   p_cols : Tableau.columns;
@@ -51,16 +47,11 @@ let effective_bounds ?bounds model =
    flip undone), keeping the final basis [snapshot] as the warm start it
    offers. *)
 let outcome_of p value x snapshot =
-  let value_of v =
-    match p.p_mapping.(v) with
-    | Fixed _ -> p.p_offset.(v)
-    | Shifted (col, _) -> x.(col) +. p.p_offset.(v)
-  in
   let base = value +. p.p_obj_offset in
   Optimal
     {
       objective = (match p.p_dir with `Minimize -> base | `Maximize -> -.base);
-      values = Array.init p.p_nvars value_of;
+      values = Array.mapi (fun v off -> x.(v) +. off) p.p_offset;
       warm = { w_prepared = p; w_snapshot = snapshot };
     }
 
@@ -68,42 +59,15 @@ let outcome_of p value x snapshot =
    [lb] / [ub], which must not cross. *)
 let prepare ~lb ~ub model =
   let nvars = Model.var_count model in
-  let mapping = Array.make nvars (Fixed Q.zero) in
-  let ncols = ref 0 in
-  let fresh () =
-    let c = !ncols in
-    incr ncols;
-    c
-  in
-  (* Doubly-bounded variables get an implicit column bound handled by the
-     bounded-variable kernel, not an explicit [x <= u - l] row: on the
-     branch-and-bound relaxations nearly every variable is boxed, so this
-     roughly halves the row count. *)
-  let col_ubs = ref [] in
-  for v = 0 to nvars - 1 do
-    let l = lb.(v) in
-    match ub.(v) with
-    | Some u when Q.equal l u -> mapping.(v) <- Fixed l
-    | Some u ->
-      let c = fresh () in
-      mapping.(v) <- Shifted (c, l);
-      col_ubs := (c, Q.sub u l) :: !col_ubs
-    | None -> mapping.(v) <- Shifted (fresh (), l)
-  done;
   (* Translate a model expression into (column terms, constant). [Linexpr]
-     is canonical (one term per variable) and distinct variables map to
-     distinct columns, so terms need no merging. *)
+     is canonical (one term per variable), so terms need no merging. *)
   let translate expr =
     let konst = ref (Linexpr.const_part expr) in
     let acc = ref [] in
-    let bump col q = if not (Q.is_zero q) then acc := (col, q) :: !acc in
     Linexpr.fold
       (fun v c () ->
-        match mapping.(v) with
-        | Fixed k -> konst := Q.add !konst (Q.mul c k)
-        | Shifted (col, l) ->
-          bump col c;
-          konst := Q.add !konst (Q.mul c l))
+        if not (Q.is_zero c) then acc := (v, c) :: !acc;
+        konst := Q.add !konst (Q.mul c lb.(v)))
       expr ();
     (!acc, !konst)
   in
@@ -118,17 +82,20 @@ let prepare ~lb ~ub model =
   let m = List.length row_list in
   let dir, obj_expr = Model.objective model in
   let obj_terms, obj_const = translate obj_expr in
-  (* Slack / surplus columns; normalise rhs signs afterwards. *)
+  (* Slack / surplus columns after the variables; normalise rhs signs
+     afterwards. *)
+  let n = ref nvars in
   let slack_of_row = Array.make (max 1 m) (-1) in
   List.iteri
     (fun i (_, sense, _) ->
       match sense with
-      | Model.Le | Model.Ge -> slack_of_row.(i) <- fresh ()
+      | Model.Le | Model.Ge ->
+        slack_of_row.(i) <- !n;
+        incr n
       | Model.Eq -> ())
     row_list;
-  let n = !ncols in
-  (* Column-wise sparse assembly: [translate] merges duplicate variables
-     per row, so each (row, col) pair occurs at most once. *)
+  let n = !n in
+  (* Column-wise sparse assembly: each (row, col) pair occurs at most once. *)
   let col_entries = Array.make n [] in
   let b = Array.make m 0.0 in
   let nnz = ref 0 in
@@ -152,15 +119,20 @@ let prepare ~lb ~ub model =
   List.iter
     (fun (col, q) -> c.(col) <- c.(col) +. Q.to_float (Q.mul obj_sign q))
     obj_terms;
+  (* Every variable's span is an implicit column bound handled by the
+     bounded-variable kernel, not an explicit [x <= u - l] row: on the
+     branch-and-bound relaxations nearly every variable is boxed, so this
+     roughly halves the row count. *)
   let ubs = Array.make n infinity in
-  List.iter (fun (col, u) -> ubs.(col) <- Q.to_float u) !col_ubs;
+  Array.iteri
+    (fun v u -> Option.iter (fun u -> ubs.(v) <- Q.to_float (Q.sub u lb.(v))) u)
+    ub;
   Telemetry.count ~by:m "lp.simplex.rows";
   Telemetry.count ~by:n "lp.simplex.cols";
   Telemetry.count ~by:!nnz "lp.simplex.nnz";
   {
-    p_nvars = nvars;
-    p_mapping = mapping;
-    p_offset = Array.map (function Fixed k | Shifted (_, k) -> Q.to_float k) mapping;
+    p_model = model;
+    p_offset = Array.map Q.to_float lb;
     p_lb = lb;
     p_ub = ub;
     p_cols =
@@ -181,8 +153,6 @@ let cold_solve ?max_iters ?deadline ~lb ~ub model =
   | Tableau.Unbounded -> Unbounded
   | Tableau.Optimal { value; x; snapshot } -> outcome_of p value x snapshot
 
-exception Remap of string
-
 let same_lb a b = a == b || Q.equal a b
 let same_ub a b = a == b || Option.equal Q.equal a b
 
@@ -192,44 +162,37 @@ let same_ub a b = a == b || Option.equal Q.equal a b
    the form was prepared from, so [==] settles them without arithmetic. *)
 let changed_vars p ~lb ~ub =
   let acc = ref [] in
-  for v = p.p_nvars - 1 downto 0 do
+  for v = Array.length p.p_lb - 1 downto 0 do
     if not (same_lb lb.(v) p.p_lb.(v) && same_ub ub.(v) p.p_ub.(v)) then
       acc := v :: !acc
   done;
   !acc
 
-(* The node bounds [lb] / [ub] in the prepared form's column space, as the
-   kernel's changed columns [(col, lower offset, span)], or {!Remap} when
-   the mapping cannot carry them (see {!prepared}). Only the [changed]
-   variables are listed: every other column keeps a zero offset and its
-   prepared span, which is what the translation of an unchanged bound
-   gives, and a changed [Fixed] variable has left its fixed value.
-   Variables map to columns in ascending order, so the columns ascend. *)
+(* The node bounds [lb] / [ub] as the kernel's changed columns
+   [(col, lower offset, span)]. Only the [changed] variables are listed:
+   every other column keeps a zero offset and its prepared span, which is
+   what the translation of an unchanged bound gives. Variable [v] is
+   column [v], so the columns ascend. *)
 let column_changes p changed ~lb ~ub =
   List.map
     (fun v ->
-      match p.p_mapping.(v) with
-      | Fixed _ -> raise (Remap "fixed variable came unfixed")
-      | Shifted (col, l_root) ->
-        let l' = lb.(v) in
-        ( col,
-          Q.to_float (Q.sub l' l_root),
-          match ub.(v) with Some u' -> Q.to_float (Q.sub u' l') | None -> infinity ))
+      let l' = lb.(v) in
+      ( v,
+        Q.to_float (Q.sub l' p.p_lb.(v)),
+        match ub.(v) with Some u' -> Q.to_float (Q.sub u' l') | None -> infinity ))
     changed
 
 let warm_solve ?max_iters ?deadline p snap changed ~lb ~ub =
-  match column_changes p changed ~lb ~ub with
-  | exception Remap reason -> Error reason
-  | changes -> (
-    match
-      Telemetry.span "lp.simplex.kernel" (fun () ->
-          Tableau.resolve_with_basis ?max_iters ?deadline p.p_cols ~snapshot:snap
-            ~changes)
-    with
-    | Error reason -> Error reason
-    | Ok Tableau.Infeasible -> Ok Infeasible
-    | Ok Tableau.Unbounded -> Ok Unbounded
-    | Ok (Tableau.Optimal { value; x; snapshot }) -> Ok (outcome_of p value x snapshot))
+  let changes = column_changes p changed ~lb ~ub in
+  match
+    Telemetry.span "lp.simplex.kernel" (fun () ->
+        Tableau.resolve_with_basis ?max_iters ?deadline p.p_cols ~snapshot:snap
+          ~changes)
+  with
+  | Error reason -> Error reason
+  | Ok Tableau.Infeasible -> Ok Infeasible
+  | Ok Tableau.Unbounded -> Ok Unbounded
+  | Ok (Tableau.Optimal { value; x; snapshot }) -> Ok (outcome_of p value x snapshot)
 
 let crossed l u = match u with Some u -> Q.compare l u > 0 | None -> false
 
@@ -238,8 +201,7 @@ let solve_relaxation_float ?max_iters ?deadline ?bounds ?warm model =
   Telemetry.count "lp.simplex.relaxations";
   let lb, ub = effective_bounds ?bounds model in
   match warm with
-  | Some { w_prepared = p; w_snapshot = snap }
-    when p.p_nvars = Model.var_count model ->
+  | Some { w_prepared = p; w_snapshot = snap } when p.p_model == model ->
     (* The prepared bounds passed the crossing test before the form was
        built from them, so only a changed bound can cross. *)
     let changed = changed_vars p ~lb ~ub in
@@ -250,12 +212,13 @@ let solve_relaxation_float ?max_iters ?deadline ?bounds ?warm model =
         Telemetry.count "lp.bb.warm_hits";
         outcome
       | Error _reason ->
-        (* stale basis or a bound change the form cannot carry: full
-           cold re-solve, whose basis warms the subtree below *)
+        (* stale basis: full cold re-solve, whose basis warms the subtree
+           below *)
         Telemetry.count "lp.bb.warm_fallbacks";
         cold_solve ?max_iters ?deadline ~lb ~ub model
     end
   | Some _ | None ->
-    (* no usable warm start: a plain cold solve, no fallback counted *)
+    (* no warm start for this model: a plain cold solve, no fallback
+       counted *)
     if Array.exists2 crossed lb ub then Infeasible
     else cold_solve ?max_iters ?deadline ~lb ~ub model

@@ -2,9 +2,10 @@
 
     Converts a {!Model} (finite lower bounds, optional upper bounds,
     [<=]/[>=]/[=] rows, min or max objective) into the bounded standard
-    form {!Tableau} expects — shifting each variable by its lower bound,
-    passing doubly-bounded spans as implicit column bounds and adding
-    slack/surplus columns — and maps the solution back to model variables.
+    form {!Tableau} expects — model variable [v] is column [v], shifted by
+    its lower bound and bounded by its span [u - l] ([0] for a fixed
+    variable, none without an upper bound), and slack/surplus columns
+    follow the variables — and maps the solution back to model variables.
     Integrality is ignored here; {!Branch_bound} adds it.
 
     For branch-and-bound the translation can be reused across nodes: an
@@ -15,7 +16,9 @@
     ({!Tableau.resolve_with_basis}) instead of a cold two-phase solve. The
     node's bounds reach the kernel as changed columns, a lower offset and a
     span each computed in floats, and only for the variables whose bounds
-    differ from the ones the form was translated under. Siblings warmed by one value share its
+    differ from the ones the form was translated under. Every bound change
+    is expressible this way, a fixed variable coming unfixed included.
+    Siblings warmed by one value share its
     snapshot, so the second sibling reuses the factor of the parent basis
     that the first one computed ([lp.simplex.factor_reuses]). *)
 
@@ -49,8 +52,8 @@ val solve_relaxation_float :
     length must be [Model.var_count]) without touching the model — the
     bound overlay used by {!Branch_bound}, whose nodes must not mutate the
     model. [warm], taken from an earlier
-    [Optimal] outcome on the same model, starts a dual-simplex re-solve
-    from that basis; when the basis goes stale or the bound change cannot
-    be expressed in its form, the solve falls back to a cold one. Warm
-    outcomes are counted under [lp.bb.warm_hits] /
-    [lp.bb.warm_fallbacks]. *)
+    [Optimal] outcome on the same model (the same [Model.t] value), starts
+    a dual-simplex re-solve from that basis; when the basis goes stale, the
+    solve falls back to a cold one. A [warm] taken from another model is
+    not used: the solve is cold. Warm outcomes are counted under
+    [lp.bb.warm_hits] / [lp.bb.warm_fallbacks]. *)

@@ -32,7 +32,10 @@
    never repeats, so a solve aborted mid-row ([Deadline_exceeded],
    [Iteration_limit], [Singular]) leaves no mark a later one could mistake
    for its own. A nonbasic structural variable rests at either end of
-   [0, ub_j] ([at_ub]).
+   [0, ub_j] ([at_ub]). Spans are [>= 0]; a zero-span column (a fixed
+   variable) never enters: the crash basis takes only columns without an
+   upper bound, and pricing, drive-out and the dual ratio test skip spans
+   not above [eps].
 
    Columns [0 .. n-1] are structural, [n .. n+m-1] artificial. Artificial
    columns never re-enter the basis once they leave: phase 1 then still
@@ -43,8 +46,8 @@
    Pricing is steepest-edge-lite — Dantzig reduced costs scaled by static
    column norms ([d_j^2 / (1 + ||a_j||^2)]) — for the first [3*(m+n)]
    iterations, then Bland (smallest index), which guarantees termination
-   even under degeneracy (bound flips are always nondegenerate: spans are
-   strictly positive).
+   even under degeneracy (bound flips are always nondegenerate: only
+   columns of positive span enter).
 
    Every hot array is an unboxed [float array] and every comparison inline;
    values within [eps] of each other compare equal. *)
@@ -130,7 +133,7 @@ let columns ~b ~c ~ubs cols =
     if b.(i) < -.eps then invalid_arg "Tableau.columns: negative rhs"
   done;
   for j = 0 to n - 1 do
-    if ubs.(j) <= eps then invalid_arg "Tableau.columns: non-positive upper bound"
+    if ubs.(j) < 0.0 then invalid_arg "Tableau.columns: negative upper bound"
   done;
   Array.iter
     (fun col ->
@@ -417,8 +420,8 @@ let reduced_costs st ~phase2 =
 let entering st ~phase2 ~bland alpha =
   let d = st.ws.w_d in
   reduced_costs st ~phase2;
-  (* Zero-span columns (variables fixed by a branching bound change in a
-     warm re-solve) can neither step nor flip: entering one would loop on
+  (* Zero-span columns (fixed variables, in the form or by a node's bound
+     change) can neither step nor flip: entering one would loop on
      zero-length bound flips, so they are never eligible. *)
   let eligible j =
     st.pos.(j) < 0
@@ -541,9 +544,10 @@ let run_phase st ~phase2 =
   loop ()
 
 (* After phase 1, pivot remaining basic artificials out wherever some
-   structural column has a nonzero entry in their row (a degenerate entry at
-   the entering variable's current value); rows whose structural part is
-   entirely zero are redundant and are handled by the phase-2 ratio test
+   structural column with a nonzero span has a nonzero entry in their row
+   (a degenerate entry at the entering variable's current value); a
+   zero-span column never enters, here as in pricing. Rows with no such
+   entry are redundant and are handled by the phase-2 ratio test
    instead. The row of the tableau is priced like reduced costs, from zero:
    it comes out negated, which its magnitude test ignores. *)
 let drive_out_artificials st =
@@ -557,7 +561,8 @@ let drive_out_artificials st =
       subtract_rows st rho row;
       let col = ref 0 in
       while
-        !col < st.n && not (st.pos.(!col) < 0 && Float.abs row.(!col) > eps)
+        !col < st.n
+        && not (st.pos.(!col) < 0 && st.ubs.(!col) > eps && Float.abs row.(!col) > eps)
       do
         incr col
       done;

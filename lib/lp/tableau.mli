@@ -3,9 +3,9 @@
 
     {[ minimise  c . x   subject to   A x = b,  0 <= x <= u ]}
 
-    with [b >= 0] (the caller flips row signs beforehand) and [u] per
-    column, [infinity] for none, in IEEE doubles with tolerance [1e-9]. The
-    whole form is one {!columns} store, built and checked once and shared
+    with [b >= 0] (the caller flips row signs beforehand) and [u >= 0] per
+    column, [infinity] for none and [0] for a fixed variable, in IEEE
+    doubles with tolerance [1e-9]. The whole form is one {!columns} store, built and checked once and shared
     read-only by every solve over it: the constraint matrix sparse,
     column-wise and row-wise, and [b], [c] and [u]. The basis inverse is a
     {!Factor}, so an iteration costs the nonzeros it touches rather than
@@ -71,8 +71,10 @@ type columns = private {
   b : float array;  (** the rhs, one entry per row, all [>= 0] *)
   c : float array;  (** one cost per column *)
   ubs : float array;
-      (** one span per column: a strictly positive upper bound, [infinity]
-          for none *)
+      (** one span per column: an upper bound [>= 0], [infinity] for none.
+          A zero-span column (a fixed variable) never enters the basis: the
+          crash basis, pricing, drive-out and the dual ratio test all pass
+          it over. *)
   work : workspace;
 }
 (** A standard form [A x = b, 0 <= x <= ubs] minimising [c . x], with
@@ -90,10 +92,10 @@ val columns :
     structural variable [j] as (row, coefficient) pairs in strictly
     increasing row order, over [Array.length b] rows. The form keeps [b],
     [c] and [ubs] as given, so the caller must not write them afterwards.
-    Fixed variables must be substituted out by the caller.
+    A fixed variable is a column of span [0].
     @raise Invalid_argument on a length mismatch, a row index out of range
     or rows out of order (a row given twice included), a negative [b]
-    entry or an upper bound not above [1e-9]. *)
+    entry or a negative upper bound. *)
 
 type snapshot = {
   s_basis : int array;
@@ -139,7 +141,7 @@ val resolve_with_basis :
     lists the node's changed columns as [(j, lo, span)], [j] strictly
     ascending: column [j] is shifted up by [lo] and bounded by [span]
     instead of the form's, so the node's rhs is [b - A lo]. A span may be
-    zero (a variable fixed by branching); a negative one reports
+    zero (a fixed variable); a negative one reports
     [Infeasible] at once. The result is in the form's columns: each [lo]
     is added back to [x] and its cost to [value]. An [Ok Infeasible] from
     an exhausted dual ratio test is a genuine infeasibility certificate.

@@ -582,9 +582,10 @@ let prop_workspace_never_leaks =
       && List.for_all2 same_resolve fresh used)
 
 (* Validation lives in the column store: a row index outside the form, a
-   negative rhs, a span not above zero or a cost vector of the wrong
-   length is rejected when the form is built, before any solve; changed
-   columns out of order are rejected by the re-solve given them. *)
+   negative rhs, a negative span or a cost vector of the wrong length is
+   rejected when the form is built, before any solve; a zero span (a fixed
+   variable) is accepted. Changed columns out of order are rejected by the
+   re-solve given them. *)
 let test_columns_row_out_of_range () =
   let module T = Lp.Tableau in
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
@@ -596,7 +597,8 @@ let test_columns_row_out_of_range () =
     T.columns ~b ~c ~ubs [| [| (0, 1.0) |] |]
   in
   check bool "negative rhs" true (raises (form ~b:[| -1.0 |]));
-  check bool "zero span" true (raises (form ~ubs:[| 0.0 |]));
+  check bool "negative span" true (raises (form ~ubs:[| -1.0 |]));
+  check bool "zero span" false (raises (form ~ubs:[| 0.0 |]));
   check bool "costs length" true (raises (form ~c:[||]));
   let cols = form () in
   match T.solve_cols cols with
@@ -606,6 +608,52 @@ let test_columns_row_out_of_range () =
            T.resolve_with_basis cols ~snapshot
              ~changes:[ (0, 0.0, 1.0); (0, 0.0, 1.0) ]))
   | T.Infeasible | T.Unbounded -> Alcotest.fail "x = 1 is the optimum"
+
+(* A zero-span column never enters a cold solve's basis, not even to drive
+   out an artificial. Column 0 is fixed at 0 and column 1 has no upper
+   bound; they share the equality row [x0 - x1 = 0]. No column covers the
+   row, so an artificial does; phase 1 starts optimal at 0 (the reduced
+   cost of column 1 is positive, and column 0 is never priced), and the
+   artificial, still basic, is driven out by column 1, not by column 0,
+   which comes first in the row. *)
+let test_zero_span_never_basic () =
+  let module T = Lp.Tableau in
+  let cols =
+    T.columns ~b:[| 0.0 |] ~c:[| 0.0; 1.0 |] ~ubs:[| 0.0; infinity |]
+      [| [| (0, 1.0) |]; [| (0, -1.0) |] |]
+  in
+  match T.solve_cols cols with
+  | T.Optimal { value; x; snapshot } ->
+    check flt "value" 0.0 value;
+    check flt "fixed column" 0.0 x.(0);
+    check bool "zero-span column not basic" false (Array.mem 0 snapshot.T.s_basis)
+  | T.Infeasible | T.Unbounded -> Alcotest.fail "x = 0 is the optimum"
+
+(* A warm start serves only the model it was taken from: offered to another
+   model with as many variables, it is not used, and the solve is the cold
+   one. [a] and [b] share a row and differ in their objectives; warmed from
+   [a]'s optimum (4, 1), [b] must still reach its own, 21 at (1, 4), not
+   [a]'s 13 at (4, 1). *)
+let test_warm_start_of_another_model () =
+  let lp obj =
+    let m = M.create () in
+    let x = M.add_var m ~ub:(Q.of_int 4) "x" in
+    let y = M.add_var m ~ub:(Q.of_int 4) "y" in
+    M.add_constr m (E.add (E.var x) (E.var y)) M.Le (E.of_int 5);
+    M.set_objective m `Maximize (E.add (E.iterm (fst obj) x) (E.iterm (snd obj) y));
+    m
+  in
+  let a = lp (3, 1) and b = lp (1, 5) in
+  let optimum = function
+    | S.Optimal { objective; values; warm } -> (objective, values, warm)
+    | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal"
+  in
+  let obj_a, values_a, warm = optimum (S.solve_relaxation_float a) in
+  check flt "a's optimum" 13.0 obj_a;
+  check (Alcotest.array flt) "a's vertex" [| 4.0; 1.0 |] values_a;
+  let obj_b, values_b, _ = optimum (S.solve_relaxation_float ~warm b) in
+  check flt "b's optimum" 21.0 obj_b;
+  check (Alcotest.array flt) "b's vertex" [| 1.0; 4.0 |] values_b
 
 (* A bound overlay of the wrong length names the public function. *)
 let test_simplex_bounds_length () =
@@ -1032,15 +1080,10 @@ let prop_factor_matches_dense =
       let restored = basis = factorised && agrees () && not (Lp.Factor.due f) in
       permuted && fresh && updated && restored && updates (int 80) && agrees ())
 
-(* A warm start never carries one node into the next. One warm start
-   serves three nodes, each followed by the same warm re-solve: a node
-   that unfixes a variable the form fixed (its column changes stop at
-   [Remap] after shifting [x0], and the solve falls back to cold), a node
-   stopped by a deadline that has already passed (after the kernel shifted
-   [x1] and its rhs), and an ordinary node that shifts [x2]. Every
-   follow-up must be a warm hit with the bits of the same re-solve from a
-   freshly prepared form. *)
-let test_warm_scratch_never_leaks () =
+(* The model of the warm-start tests: five variables in [0, 8] and three
+   rows, with [x3] fixed at 2 unless [changes] overrides it. [bounds]
+   gives a node's bound overlay from its changes [(var, (lb, ub))]. *)
+let five_var_lp () =
   let m = M.create () in
   let x =
     Array.init 5 (fun i ->
@@ -1058,17 +1101,64 @@ let test_warm_scratch_never_leaks () =
         | None when i = 3 -> (Q.of_int 2, Some (Q.of_int 2))
         | None -> (Q.zero, Some (Q.of_int 8)))
   in
+  (m, bounds)
+
+(* [f ()] under fresh telemetry, with the warm hits and fallbacks it
+   counted. *)
+let counting_warm f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  let r = f () in
+  ( r,
+    Telemetry.counter_value "lp.bb.warm_hits",
+    Telemetry.counter_value "lp.bb.warm_fallbacks" )
+
+(* Unfixing a variable the form fixed is an ordinary warm re-solve: the
+   form keeps [x3] as a zero-span column, so the node widens its span and
+   the kernel repairs the basis, with the objective and vertex of a cold
+   solve of the node. *)
+let test_unfixing_is_a_warm_hit () =
+  let m, bounds = five_var_lp () in
+  let warm =
+    match S.solve_relaxation_float ~bounds:(bounds []) m with
+    | S.Optimal { warm; _ } -> warm
+    | S.Infeasible | S.Unbounded -> Alcotest.fail "the root has an optimum"
+  in
+  let unfix = bounds [ (0, (1, 5)); (3, (0, 4)) ] in
+  let r, hits, fallbacks =
+    counting_warm (fun () -> S.solve_relaxation_float ~bounds:unfix ~warm m)
+  in
+  check int_t "a warm hit" 1 hits;
+  check int_t "no fallback" 0 fallbacks;
+  match (r, S.solve_relaxation_float ~bounds:unfix m) with
+  | S.Optimal warm_r, S.Optimal cold ->
+    check flt "objective" cold.objective warm_r.objective;
+    check (Alcotest.array flt) "values" cold.values warm_r.values;
+    check flt "x3 unfixed" 4.0 warm_r.values.(3)
+  | _ -> Alcotest.fail "the node has an optimum"
+
+(* A warm start never carries one node into the next. One warm start
+   serves three nodes, each followed by the same warm re-solve: a node
+   whose warm re-solve runs out of its pivot budget after the kernel
+   shifted [x0] and unfixed [x3] (the solve falls back to cold, which
+   runs out too), a node stopped by a deadline that has already passed
+   (after the kernel shifted [x1] and its rhs), and an ordinary node that
+   shifts [x2]. Every follow-up must be a warm hit with the bits of the
+   same re-solve from a freshly prepared form. *)
+let test_warm_scratch_never_leaks () =
+  let m, bounds = five_var_lp () in
   let root () =
     match S.solve_relaxation_float ~bounds:(bounds []) m with
     | S.Optimal { warm; _ } -> warm
     | S.Infeasible | S.Unbounded -> Alcotest.fail "the root has an optimum"
   in
   let follow_up warm =
-    Telemetry.reset ();
-    Telemetry.enable ();
-    Fun.protect ~finally:Telemetry.disable @@ fun () ->
-    let r = S.solve_relaxation_float ~bounds:(bounds [ (4, (1, 3)) ]) ~warm m in
-    check int_t "follow-up is a warm hit" 1 (Telemetry.counter_value "lp.bb.warm_hits");
+    let r, hits, _ =
+      counting_warm (fun () ->
+          S.solve_relaxation_float ~bounds:(bounds [ (4, (1, 3)) ]) ~warm m)
+    in
+    check int_t "follow-up is a warm hit" 1 hits;
     match r with
     | S.Optimal { objective; values; _ } -> (objective, values)
     | S.Infeasible | S.Unbounded -> Alcotest.fail "the follow-up has an optimum"
@@ -1080,9 +1170,15 @@ let test_warm_scratch_never_leaks () =
     node ();
     check bool name true (same expected (follow_up warm))
   in
-  after "after a Remap" (fun () ->
+  after "after a fallback" (fun () ->
       let unfix = bounds [ (0, (1, 5)); (3, (0, 4)) ] in
-      ignore (S.solve_relaxation_float ~bounds:unfix ~warm m));
+      let (), _, fallbacks =
+        counting_warm (fun () ->
+            match S.solve_relaxation_float ~max_iters:0 ~bounds:unfix ~warm m with
+            | exception Lp.Tableau.Iteration_limit -> ()
+            | _ -> Alcotest.fail "no pivot budget for a cold solve")
+      in
+      check int_t "the warm re-solve fell back" 1 fallbacks);
   after "after a deadline" (fun () ->
       match
         S.solve_relaxation_float
@@ -1351,6 +1447,15 @@ let test_bb_warm_start () =
    | Some obj -> check flt "optimum found" 2.0 obj
    | None -> Alcotest.fail "no objective")
 
+(* A warm start must hold one value per model variable. *)
+let test_bb_warm_start_length () =
+  let m = M.create () in
+  let x = M.add_var m ~kind:M.Binary "x" in
+  M.set_objective m `Maximize (E.var x);
+  Alcotest.check_raises "length checked"
+    (Invalid_argument "Branch_bound.solve: warm start length") (fun () ->
+      ignore (BB.solve ~warm_start:[||] m))
+
 let test_bb_node_limit () =
   (* A tiny node limit must still return the warm-start incumbent. *)
   let m = M.create () in
@@ -1563,6 +1668,12 @@ let () =
             test_warm_scratch_never_leaks;
           Alcotest.test_case "column row out of range" `Quick
             test_columns_row_out_of_range;
+          Alcotest.test_case "zero-span column never basic" `Quick
+            test_zero_span_never_basic;
+          Alcotest.test_case "unfixing a fixed variable is a warm hit" `Quick
+            test_unfixing_is_a_warm_hit;
+          Alcotest.test_case "warm start of another model" `Quick
+            test_warm_start_of_another_model;
         ] );
       ( "simplex-props",
         qsuite
@@ -1595,6 +1706,7 @@ let () =
           Alcotest.test_case "integer infeasible" `Quick test_bb_integer_infeasible;
           Alcotest.test_case "unbounded" `Quick test_bb_unbounded;
           Alcotest.test_case "warm start" `Quick test_bb_warm_start;
+          Alcotest.test_case "warm start length" `Quick test_bb_warm_start_length;
           Alcotest.test_case "node limit keeps incumbent" `Quick test_bb_node_limit;
           Alcotest.test_case "minimisation" `Quick test_bb_minimize;
           Alcotest.test_case "objective step needs integer terms" `Quick
