@@ -572,9 +572,9 @@ let case1_layer_model () =
 
 (* Warm re-solves of [model] from its root basis, the simplex kernel's warm
    path without the tree search. The model is presolved, as
-   branch-and-bound does at its root, and the reduced model solved cold
-   once, here; the returned thunk re-solves, each warm from that root, the
-   down and the up branch of eight of the root's fractional integer
+   branch-and-bound does at its root, translated into one form and solved
+   cold once, here; the returned thunk re-solves, each warm from that root,
+   the down and the up branch of eight of the root's fractional integer
    variables, evenly spaced in variable order. *)
 let warm_resolves model =
   let model =
@@ -582,34 +582,27 @@ let warm_resolves model =
     | Lp.Presolve.Reduced { model; _ } -> model
     | Lp.Presolve.Proved_infeasible -> failwith "warm_resolves: presolve proved infeasible"
   in
-  match Lp.Simplex.solve_relaxation_float model with
+  let form = Lp.Simplex.form model in
+  match Lp.Simplex.solve form [] with
   | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> failwith "warm_resolves: no root optimum"
   | Lp.Simplex.Optimal { values; warm; _ } ->
-    let root =
-      Array.init (Lp.Model.var_count model) (fun v ->
-          (Lp.Model.var_lb model v, Lp.Model.var_ub model v))
-    in
     let fractional =
       List.filter
         (fun v ->
           Lp.Model.is_integer_var model v
           && Float.abs (values.(v) -. Float.round values.(v)) > 1e-6)
-        (List.init (Array.length root) Fun.id)
+        (List.init (Lp.Model.var_count model) Fun.id)
     in
-    let changes =
+    let branchings =
       List.concat_map
         (fun v ->
           let fl = Numeric.Rat.of_int (int_of_float (Float.floor values.(v))) in
-          let lb, ub = root.(v) in
-          let with_v bound = Array.mapi (fun u b -> if u = v then bound else b) root in
-          [ with_v (lb, Some fl); with_v (Numeric.Rat.add fl Numeric.Rat.one, ub) ])
+          let lb = Lp.Model.var_lb model v and ub = Lp.Model.var_ub model v in
+          [ [ (v, lb, Some fl) ]; [ (v, Numeric.Rat.add fl Numeric.Rat.one, ub) ] ])
         (let stride = max 1 (List.length fractional / 8) in
          List.filteri (fun i _ -> i mod stride = 0 && i / stride < 8) fractional)
     in
-    fun () ->
-      List.iter
-        (fun bounds -> ignore (Lp.Simplex.solve_relaxation_float ~bounds ~warm model))
-        changes
+    fun () -> List.iter (fun b -> ignore (Lp.Simplex.solve ~warm form b)) branchings
 
 let micro () =
   section "Bechamel micro-benchmarks of the computational kernels";

@@ -25,7 +25,8 @@
      deterministic heuristic" holds on any machine;
    - the ILP leg's work counters must equal the baseline's exactly:
      `lp.bb.nodes`, `warm_hits`, `warm_fallbacks`, `pruned_by_bound`,
-     `lp.simplex.warm_solves`, `pivots`, `dual_pivots`, `bound_flips`,
+     `lp.simplex.solves` (cold solves: one per root and one per stale
+     warm basis), `warm_solves`, `pivots`, `dual_pivots`, `bound_flips`,
      `btrans`, `ftrans`, `refactorisations`, `factor_reuses` and every
      `lp.presolve.*` counter. The leg runs the deterministic wave search
      under a node budget with no time limit, on one domain, so the explored
@@ -49,12 +50,14 @@
      `lp.presolve.cols_fixed` nonzero in the current telemetry;
    - wall-clock fields are ignored entirely.
 
-   The diff table also prints, below the gated counters, the kernel's
-   sparsity counters: `lp.simplex.phase1_pivots`, `lp.simplex.rho_nnz`,
+   The diff table also prints, below the gated counters, the size of the
+   standard forms translated (`lp.simplex.rows`, `cols` and `nnz`: one
+   form per branch-and-bound search) and the kernel's sparsity counters:
+   `lp.simplex.phase1_pivots`, `lp.simplex.rho_nnz`,
    `lp.simplex.pivot_row_nnz` and the sample sums of the
    `lp.simplex.factor_nnz` and `lp.simplex.bump_cols` histograms. They
-   are informational and gate nothing: they describe how sparse the
-   kernel's work is, not what it computes.
+   are informational and gate nothing: they describe the forms and how
+   sparse the kernel's work is, not what it computes.
 
    `--same A.json B.json` is the run-to-run determinism gate: it deep
    compares the two artifacts' `cases` and `ilp` sections — the solver
@@ -354,6 +357,7 @@ let () =
       "lp.bb.warm_hits";
       "lp.bb.warm_fallbacks";
       "lp.bb.pruned_by_bound";
+      "lp.simplex.solves";
       "lp.simplex.warm_solves";
       "lp.simplex.pivots";
       "lp.simplex.dual_pivots";
@@ -378,11 +382,18 @@ let () =
   List.iter
     (fun name -> row name (counter baseline name) (counter current name))
     (work_counters @ [ "lp.simplex.deadline_aborts" ]);
-  (* Informational sparsity counters, not gated; see header. *)
+  (* Informational form-size and sparsity counters, not gated; see header. *)
   Printf.printf "%s\n" (String.make 68 '-');
   List.iter
     (fun name -> row name (counter baseline name) (counter current name))
-    [ "lp.simplex.phase1_pivots"; "lp.simplex.rho_nnz"; "lp.simplex.pivot_row_nnz" ];
+    [
+      "lp.simplex.rows";
+      "lp.simplex.cols";
+      "lp.simplex.nnz";
+      "lp.simplex.phase1_pivots";
+      "lp.simplex.rho_nnz";
+      "lp.simplex.pivot_row_nnz";
+    ];
   List.iter
     (fun name ->
       let sum doc = int_of_float (hist_field "sum" doc name) in

@@ -31,15 +31,16 @@ let default_options =
     deterministic = false;
   }
 
-(* A search node: the full per-variable bound vector (an immutable overlay —
-   the model is never mutated during the search), the warm start its
-   parent's relaxation offered ([None] at the root; siblings share it) and
-   the parent's relaxation bound (a valid lower bound on the whole subtree,
-   merged into [best_bound] when the node is discarded at a limit). *)
+(* A search node: its branchings against the search's form, newest first
+   ([[]] at the root), whose tail is its parent's list and nothing else of
+   it, so no node keeps an ancestor's warm snapshot alive; the warm start
+   its parent's relaxation offered ([None] at the root; siblings share
+   it); and the parent's relaxation bound (a valid lower bound on the
+   whole subtree, merged into [best_bound] when the node is discarded at a
+   limit). *)
 type node = {
-  nd_bounds : (Q.t * Q.t option) array;
+  nd_branchings : (Model.var * Q.t * Q.t option) list;
   nd_warm : Simplex.warm option;
-  nd_depth : int;
   nd_bound : float;
 }
 
@@ -163,14 +164,17 @@ let cutoff sh =
   | Some step -> inc -. step +. 1e-6
   | None -> inc -. 1e-9
 
-(* Bounds of the two children of branching [v] at fractional value [x]. *)
-let branch_bounds nd v x =
+(* Branchings of the two children of branching [v] at fractional value
+   [x], the near child first: each changes one bound of [v]'s newest. *)
+let branch_bounds sh nd v x =
   let fl = Float.of_int (int_of_float (Float.floor x)) in
-  let lb_v, ub_v = nd.nd_bounds.(v) in
-  let down = Array.copy nd.nd_bounds in
-  down.(v) <- (lb_v, Some (Q.of_float_approx fl));
-  let up = Array.copy nd.nd_bounds in
-  up.(v) <- (Q.of_float_approx (fl +. 1.0), ub_v);
+  let lb_v, ub_v =
+    match List.find_opt (fun (u, _, _) -> u = v) nd.nd_branchings with
+    | Some (_, l, u) -> (l, u)
+    | None -> (Model.var_lb sh.model v, Model.var_ub sh.model v)
+  in
+  let down = (v, lb_v, Some (Q.of_float_approx fl)) :: nd.nd_branchings in
+  let up = (v, Q.of_float_approx (fl +. 1.0), ub_v) :: nd.nd_branchings in
   let lo_first = x -. fl <= 0.5 in
   if lo_first then (down, up) else (up, down)
 
@@ -204,7 +208,7 @@ type wave_outcome =
   | W_unbounded
   | W_solved of float * float array * Simplex.warm
 
-let solve_node sh nd =
+let solve_node sh form nd =
   if sh.out_of_time || budget_tight sh then begin
     sh.out_of_time <- true;
     W_skipped
@@ -213,8 +217,8 @@ let solve_node sh nd =
     let t0 = now () in
     let outcome =
       match
-        Simplex.solve_relaxation_float ?deadline:sh.deadline
-          ~bounds:nd.nd_bounds ?warm:nd.nd_warm sh.model
+        Simplex.solve ?deadline:sh.deadline ?warm:nd.nd_warm (Lazy.force form)
+          nd.nd_branchings
       with
       | exception Tableau.Deadline_exceeded -> W_abort
       | exception Tableau.Iteration_limit -> W_dropped "lp.simplex.iteration_aborts"
@@ -254,7 +258,7 @@ let settle sh nd outcome children =
   | W_unbounded ->
     (* An unbounded relaxation at the root means the MILP is unbounded or
        infeasible; deeper down it cannot happen if the root was bounded. *)
-    if nd.nd_depth = 0 then begin
+    if nd.nd_branchings = [] then begin
       sh.unbounded <- true;
       sh.stop <- true
     end;
@@ -270,18 +274,13 @@ let settle sh nd outcome children =
       if not (try_incumbent sh values internal) then sh.proven <- false;
       children
     | Some v ->
-      let near, far = branch_bounds nd v values.(v) in
-      let child bounds =
-        {
-          nd_bounds = bounds;
-          nd_warm = Some warm;
-          nd_depth = nd.nd_depth + 1;
-          nd_bound = internal;
-        }
+      let near, far = branch_bounds sh nd v values.(v) in
+      let child branchings =
+        { nd_branchings = branchings; nd_warm = Some warm; nd_bound = internal }
       in
       child far :: child near :: children)
 
-let search sh root =
+let search sh form root =
   let t0 = now () in
   let stack = ref [ root ] in
   let budget =
@@ -303,7 +302,7 @@ let search sh root =
     else begin
       let wave, rest = take (min wave_width !budget) [] !stack in
       budget := !budget - Array.length wave;
-      let outcomes = Array.map (solve_node sh) wave in
+      let outcomes = Array.map (solve_node sh form) wave in
       Array.iter (fun o -> if o <> W_skipped then sh.nodes <- sh.nodes + 1) outcomes;
       let children = ref [] in
       Array.iteri (fun i o -> children := settle sh wave.(i) o !children) outcomes;
@@ -374,17 +373,10 @@ let solve ?(options = default_options) ?warm_start model =
     }
   | Presolve.Reduced { model; changes = _ } -> begin
     let sh = { sh with model } in
-    let nvars = Model.var_count model in
-    let root =
-      {
-        nd_bounds =
-          Array.init nvars (fun v -> (Model.var_lb model v, Model.var_ub model v));
-        nd_warm = None;
-        nd_depth = 0;
-        nd_bound = neg_infinity;
-      }
-    in
-    search sh root;
+    let root = { nd_branchings = []; nd_warm = None; nd_bound = neg_infinity } in
+    (* the search's one form, translated by the root's relaxation: a search
+       that is out of time before it translates nothing *)
+    search sh (lazy (Simplex.form model)) root;
     let elapsed = now () -. started in
     let incumbent = sh.incumbent and proven = sh.proven in
     let objective = Option.map (fun (o, _) -> dir_sign *. o) incumbent in

@@ -1,13 +1,14 @@
 (** Branch-and-bound MILP solver over the floating-point simplex.
 
-    Depth-first search with best-bound pruning; branching on the most
-    fractional integer variable, exploring the child nearer the relaxation
-    value first. Supports warm-start incumbents (used by the synthesis flow,
-    which seeds the search with a greedy list schedule), wall-clock time
-    limits and node limits, making it an *anytime* solver like the paper's
-    Gurobi runs. Candidate incumbents are accepted at float tolerance: their
-    integer values are rounded and the point re-checked with
-    {!Model.check_feasible} at [1e-5]. Nothing here is exact; callers that
+    A wave search (below) that prunes a node whose bound cannot beat the
+    incumbent; branching on the most fractional integer variable, the child
+    nearer the relaxation value ahead of its sibling. Supports warm-start
+    incumbents (used by the synthesis flow, which seeds the search with a
+    greedy list schedule), wall-clock time limits and node limits, making
+    it an *anytime* solver like the paper's Gurobi runs. Candidate
+    incumbents are accepted at float tolerance: their integer values are
+    rounded and the point re-checked with {!Model.check_feasible} at
+    [1e-5]. Nothing here is exact; callers that
     need an exact answer certify the returned values themselves
     ({!Model.check_feasible_exact}), as [Cohls.Layer_solver] does before it
     prefers an ILP schedule over the heuristic one.
@@ -20,12 +21,13 @@
     it. A root abandoned this way leaves no bound, so without a warm start
     the status is [Unknown].
 
-    Each node re-solves its relaxation warm: it holds the {!Simplex.warm}
-    value of its parent's [Optimal] relaxation (none at the root; both
-    children share it) and the bound change of the branch
-    is repaired by a dual-simplex phase, falling back to a cold primal solve
-    when the warm solve goes stale ([lp.bb.warm_hits] /
-    [lp.bb.warm_fallbacks] count the split).
+    The presolved model is translated once, at the root, into the
+    {!Simplex.form} of the search. A node is its branchings [(var, lb, ub)]
+    against it, a list sharing its tail with its parent's, and the
+    {!Simplex.warm} value of its parent's relaxation (none at the root;
+    both children share it), from which a dual-simplex phase repairs the
+    branch, falling back to a cold solve of the node on the same form when
+    the basis goes stale ([lp.bb.warm_hits] / [lp.bb.warm_fallbacks]).
 
     The tree is searched in waves on the calling domain: one global stack
     of open nodes, popped [8] at a time; the wave's relaxations are solved
@@ -85,8 +87,8 @@ val default_options : options
 
 val solve : ?options:options -> ?warm_start:float array -> Model.t -> result
 (** The model is never mutated. The warm start is checked against it as
-    given; the search then runs on the model {!Presolve.run} returns, and
-    each node carries an immutable bound overlay on that model (handed to
-    the relaxation solver via [Simplex.solve_relaxation_float ~bounds]).
+    given; the search then runs on the model {!Presolve.run} returns,
+    translated into one {!Simplex.form}, and each node hands its
+    branchings to {!Simplex.solve}.
     @raise Invalid_argument unless a [warm_start] holds one value per model
     variable. *)

@@ -202,7 +202,8 @@ let sort_reach f ~nruns len =
    near-dense etas and the FTRAN / BTRAN cost explodes:
 
    pass 1: identity-like columns (artificials and structural singletons)
-           pivot on their own row with a trivial (term-free) eta;
+           pivot on their own row with a trivial (term-free) eta, none for
+           an entry of [1];
    pass 2: repeatedly eliminate a column that is alone on some untaken
            row, pivoting on that row. No other remaining column touches the
            row, so applying the eta downstream is a pattern no-op: each
@@ -240,7 +241,7 @@ let sort_reach f ~nruns len =
 
    An artificial whose row a structural singleton took is a singular
    basis. *)
-let factorise f basis =
+let factorise f ~art basis =
   let m = f.m and n = Array.length f.cidx and cidx = f.cidx and cval = f.cval in
   f.n_etas <- 0;
   let order = f.order and taken = f.taken and placed = f.placed in
@@ -337,14 +338,10 @@ let factorise f basis =
   in
   for t = 0 to m - 1 do
     let col = order.(t) in
-    if col >= n then begin
-      let r = col - n in
-      if not taken.(r) then place t col r
-    end
-    else if Array.length cidx.(col) = 1 then begin
-      let r = cidx.(col).(0) in
+    if col >= n || Array.length cidx.(col) = 1 then begin
+      let r = if col >= n then col - n else cidx.(col).(0) in
       if not taken.(r) then begin
-        let a = cval.(col).(0) in
+        let a = if col >= n then art.(r) else cval.(col).(0) in
         if Float.abs (a -. 1.0) > eps then
           push_factor_eta { e_row = r; e_pivot = 1.0 /. a; e_idx = [||]; e_val = [||] };
         place t col r

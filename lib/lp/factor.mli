@@ -1,9 +1,9 @@
 (** The basis inverse of the {!Tableau} kernel as a product-form eta file
     over one column store's structural columns [0 .. n-1], the artificial
-    columns [n .. n+m-1] being unit vectors. FTRAN applies the etas in file
-    order, BTRAN in reverse. Each pivot appends an eta ({!update}), and the
-    file is rebuilt from the basis ({!factorise}) once {!due}, which bounds
-    the FTRAN / BTRAN cost and drains accumulated roundoff. A
+    columns [n .. n+m-1] being signed unit vectors. FTRAN applies the etas
+    in file order, BTRAN in reverse. Each pivot appends an eta ({!update}),
+    and the file is rebuilt from the basis ({!factorise}) once {!due}, which
+    bounds the FTRAN / BTRAN cost and drains accumulated roundoff. A
     refactorisation places the identity-like and triangular columns of the
     basis first, then eliminates the remaining "bump" column by column
     through only the etas and rows each column reaches, in file order, so
@@ -20,10 +20,12 @@ val create : nrows:int -> int array array -> float array array -> t
 (** [create ~nrows col_idx col_val]: an empty factor over the sparse
     columns (row indices ascending), which it never writes. *)
 
-val factorise : t -> int array -> int
-(** [factorise f basis] rebuilds the file from [basis], the column basic in
-    each row, and permutes [basis] onto the pivot rows. The file depends
-    only on the basis and the columns. Returns the number of bump columns.
+val factorise : t -> art:float array -> int array -> int
+(** [factorise f ~art basis] rebuilds the file from [basis], the column
+    basic in each row, and permutes [basis] onto the pivot rows. The
+    artificial column of row [i] is [art.(i)] times the unit vector [e_i],
+    with [art.(i)] either [1.0] or [-1.0]. The file depends only on the
+    basis, [art] and the columns. Returns the number of bump columns.
     @raise Singular on a singular basis. *)
 
 val ftran : t -> float array -> unit

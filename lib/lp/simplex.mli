@@ -8,26 +8,26 @@
     follow the variables — and maps the solution back to model variables.
     Integrality is ignored here; {!Branch_bound} adds it.
 
-    For branch-and-bound the translation can be reused across nodes: an
-    [Optimal] outcome carries a {!warm} value — the translated standard
-    form, including its {!Tableau.columns} store built once per
-    translation, plus the final simplex basis — and a later solve given it
-    is warm-started with a dual-simplex re-solve
-    ({!Tableau.resolve_with_basis}) instead of a cold two-phase solve. The
-    node's bounds reach the kernel as changed columns, a lower offset and a
-    span each computed in floats, and only for the variables whose bounds
-    differ from the ones the form was translated under. Every bound change
-    is expressible this way, a fixed variable coming unfixed included.
-    Siblings warmed by one value share its
-    snapshot, so the second sibling reuses the factor of the parent basis
-    that the first one computed ([lp.simplex.factor_reuses]). *)
+    A search translates its model once, into a {!form}. A node is its
+    branchings against the form, which reach the kernel as changed columns
+    (a lower offset and a span each, in floats). An [Optimal] outcome
+    carries a {!warm} value, its form and final basis, and a later node
+    given it is re-solved warm by the dual simplex
+    ({!Tableau.resolve_with_basis}); a basis found stale falls back to a
+    cold solve of the node on the same form ({!Tableau.solve_cols}), with
+    nothing translated again. Siblings warmed by one value share its
+    snapshot, so the second reuses the factor of the parent basis that the
+    first computed ([lp.simplex.factor_reuses]). *)
+
+type form
+(** The standard form of one model and its {!Tableau.columns} store, in
+    whose workspace the kernel writes each node's rhs and spans: one solve
+    over a form at a time. Translating one counts its size under
+    [lp.simplex.rows], [cols] and [nnz], in the span [lp.simplex.form]. *)
 
 type warm
-(** The warm start an [Optimal] solve offers: its translated standard form
-    and final basis. One value may warm any number of later solves of the
-    same model under changed bounds, one at a time: they share the form's
-    {!Tableau.columns} store, in whose workspace the kernel writes each
-    node's rhs and spans. *)
+(** The form and final basis of an [Optimal] solve. One value may warm any
+    number of later solves over the same form, one at a time. *)
 
 type outcome =
   | Optimal of { objective : float; values : float array; warm : warm }
@@ -36,24 +36,36 @@ type outcome =
   | Infeasible
   | Unbounded
 
+val form : Model.t -> form
+(** The form of the model under its own bounds. *)
+
+val solve :
+  ?max_iters:int ->
+  ?deadline:float ->
+  ?warm:warm ->
+  form ->
+  (Model.var * Numeric.Rat.t * Numeric.Rat.t option) list ->
+  outcome
+(** [solve f branchings] solves the node whose bounds are the form's
+    changed by [branchings], newest first: [(v, lb, ub)] gives [v] new
+    bounds, and a variable's newest entry wins. Only the newest entry is
+    checked for crossed bounds ([Infeasible]): each older one was when it
+    was new. Floating-point simplex, tolerance [1e-9]. [deadline] is an
+    absolute {!Telemetry.Clock} time; when it passes mid-solve
+    {!Tableau.Deadline_exceeded} is raised. A cold solve that exceeds
+    [max_iters] pivots (default [50_000]) raises {!Tableau.Iteration_limit}.
+    [warm] from an earlier [Optimal] outcome over the same form starts a
+    dual-simplex re-solve from its basis, counted under [lp.bb.warm_hits],
+    or under [lp.bb.warm_fallbacks] when the basis goes stale and the node
+    is solved cold on the form. A [warm] from another form is not used. *)
+
 val solve_relaxation_float :
   ?max_iters:int ->
   ?deadline:float ->
   ?bounds:(Numeric.Rat.t * Numeric.Rat.t option) array ->
-  ?warm:warm ->
   Model.t ->
   outcome
-(** Floating-point simplex, tolerance [1e-9]. [deadline] is an absolute
-    {!Telemetry.Clock} time; when it passes mid-solve
-    {!Tableau.Deadline_exceeded} is raised. A cold solve that exceeds
-    [max_iters] pivots (default [50_000]) raises {!Tableau.Iteration_limit};
-    a warm re-solve that does falls back to a cold solve. [bounds], when
-    given, overrides every variable's bounds (indexed by model variable id;
-    length must be [Model.var_count]) without touching the model — the
-    bound overlay used by {!Branch_bound}, whose nodes must not mutate the
-    model. [warm], taken from an earlier
-    [Optimal] outcome on the same model (the same [Model.t] value), starts
-    a dual-simplex re-solve from that basis; when the basis goes stale, the
-    solve falls back to a cold one. A [warm] taken from another model is
-    not used: the solve is cold. Warm outcomes are counted under
-    [lp.bb.warm_hits] / [lp.bb.warm_fallbacks]. *)
+(** A cold one-off: {!solve} with no branchings over a form of its own,
+    translated under [bounds] (one pair per variable) in place of the
+    model's bounds when given; the model is not touched.
+    @raise Invalid_argument unless [bounds] holds one pair per variable. *)

@@ -19,10 +19,13 @@
    row and the reduced-cost update touch only the columns those rows
    reach.
 
-   A warm re-solve solves a branch-and-bound node of the form, given only
-   the columns whose bounds the node changes: it writes the node's rhs and
-   spans into its workspace before reading them ({!load_node}) and adds
-   the lower offsets back to the vertex it returns ({!unshift}).
+   A solve solves a node of the form, given only the columns whose bounds
+   it changes: it writes the node's rhs and spans into its workspace
+   first ({!load_node}) and adds the offsets back to its vertex
+   ({!unshift}). A cold solve gives a row whose node rhs is negative the
+   artificial [-e_i] ([w_art]), the system a translation negating that
+   row holds, so it walks that translation's pivots, every value equal up
+   to sign; a warm re-solve's artificials, basic only at zero, are [e_i].
 
    Every solve over a store runs in its [workspace] and factor, allocated
    once, with the store, so one store serves one solve at a time (a tree
@@ -66,14 +69,15 @@ type workspace = {
   w_delta : float array;  (* summed bound-flip columns, then a residual *)
   w_alpha : float array;  (* the entering column, FTRAN'd *)
   w_x_b : float array;
-  w_b : float array;  (* a warm solve's rhs *)
+  w_b : float array;  (* the node's rhs *)
+  w_art : float array;  (* the sign of each row's artificial column *)
   w_rows : int array;  (* nonzero rows of [y], [rho] or an FTRAN'd column *)
   w_basis : int array;
   w_d : float array;  (* reduced costs *)
   w_row_r : float array;  (* the dual pivot row, where [w_stamp = w_gen] *)
   w_cand_ratio : float array;
   w_cand_arj : float array;
-  w_ubs : float array;  (* a warm solve's spans *)
+  w_ubs : float array;  (* the node's spans *)
   w_stamp : int array;
   w_touched : int array;
   w_cand : int array;
@@ -108,6 +112,7 @@ let workspace ~m ~n factor =
     w_alpha = fm ();
     w_x_b = fm ();
     w_b = fm ();
+    w_art = fm ();
     w_rows = im ();
     w_basis = im ();
     w_d = fn ();
@@ -202,6 +207,7 @@ type state = {
   cols : columns;
   ws : workspace;
   ubs : float array;  (* upper bound per structural column, [infinity] = none *)
+  art : float array;  (* artificial column [n + i] is [art.(i) * e_i] *)
   at_ub : bool array;
   basis : int array;
   pos : int array;
@@ -245,7 +251,7 @@ let ftran_column st j alpha =
       alpha.(idx.(k)) <- vl.(k)
     done
   end
-  else alpha.(j - st.n) <- 1.0;
+  else alpha.(j - st.n) <- st.art.(j - st.n);
   ftran st alpha
 
 (* The rows where [v] is nonzero, ascending, into [st.ws.w_rows]; returns
@@ -387,7 +393,7 @@ let load_x_b st =
 let refactor st =
   let rt0 = Telemetry.Clock.now_s () in
   st.refactorisations <- st.refactorisations + 1;
-  let bump = Factor.factorise st.factor st.basis in
+  let bump = Factor.factorise st.factor ~art:st.art st.basis in
   load_x_b st;
   Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0);
   if Telemetry.enabled () then begin
@@ -782,23 +788,23 @@ let dual_phase st =
   in
   loop ()
 
-(* A solve's state over the workspace of [cols], under the rhs [b] and
-   spans [ubs]: the form's for a cold solve, the node's in the workspace
-   for a warm one. The caller fills [at_ub], [basis] and [pos] (the
-   workspace's own arrays) before use. *)
-let make_state ~max_iters ~deadline cols ~b ~ubs =
+(* A solve's state over the workspace of [cols], under the node's rhs and
+   spans that {!load_node} wrote there. The caller fills [art], [at_ub],
+   [basis] and [pos] (the workspace's own arrays) before use. *)
+let make_state ~max_iters ~deadline cols =
   let ws = cols.work in
   {
     m = cols.nrows;
     n = Array.length cols.col_idx;
     cols;
     ws;
-    ubs;
+    ubs = ws.w_ubs;
+    art = ws.w_art;
     at_ub = ws.w_at_ub;
     basis = ws.w_basis;
     pos = ws.w_pos;
     x_b = ws.w_x_b;
-    b;
+    b = ws.w_b;
     factor = ws.w_factor;
     max_iters;
     deadline;
@@ -906,11 +912,11 @@ let accurate st x =
   done;
   !ok
 
-(* A warm solve's node into the workspace: the form's spans and rhs, then
-   each change [(j, lo, span)] in column order, where span [j] becomes
-   [span] (at least 0) and [lo] times column [j] leaves the rhs. Returns
-   [false] on a negative span: the node fixed a variable to an impossible
-   range, so it is infeasible before any pivoting. *)
+(* A solve's node into the workspace: the form's spans and rhs, then each
+   change [(j, lo, span)] in column order, where span [j] becomes [span]
+   (at least 0) and [lo] times column [j] leaves the rhs. Returns [false]
+   on a negative span: the node fixed a variable to an impossible range,
+   so it is infeasible before any pivoting. *)
 let load_node cols changes =
   let ws = cols.work and n = Array.length cols.col_idx in
   Array.blit cols.ubs 0 ws.w_ubs 0 n;
@@ -919,7 +925,7 @@ let load_node cols changes =
     | [] -> true
     | (j, lo, span) :: rest ->
       if j <= prev || j >= n then
-        invalid_arg "Tableau.resolve_with_basis: changes not ascending";
+        invalid_arg "Tableau: changes not ascending";
       ws.w_ubs.(j) <- Float.max span 0.0;
       if lo <> 0.0 then begin
         let idx = cols.col_idx.(j) and vl = cols.col_val.(j) in
@@ -956,8 +962,8 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline cols ~snapshot ~changes =
        degenerate-stalling, and the cold solve is the cheaper way out, so
        the budget is capped and the caller falls back on the [Error]. *)
     let max_iters = min max_iters (max 100 (m / 4)) in
-    let ws = cols.work in
-    let st = make_state ~max_iters ~deadline cols ~b:ws.w_b ~ubs:ws.w_ubs in
+    let st = make_state ~max_iters ~deadline cols in
+    Array.fill st.art 0 m 1.0;
     Array.blit snapshot.s_basis 0 st.basis 0 m;
     Array.blit snapshot.s_at_ub 0 st.at_ub 0 n;
     Array.fill st.pos 0 (n + m) (-1);
@@ -999,52 +1005,63 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline cols ~snapshot ~changes =
     end
   end
 
-let solve_cols ?(max_iters = 50_000) ?deadline cols =
-  let m = cols.nrows and n = Array.length cols.col_idx in
-  let st = make_state ~max_iters ~deadline cols ~b:cols.b ~ubs:cols.ubs in
-  Array.fill st.at_ub 0 n false;
-  Array.fill st.pos 0 (n + m) (-1);
-  for i = 0 to m - 1 do
-    st.basis.(i) <- n + i;
-    st.x_b.(i) <- clamp cols.b.(i)
-  done;
-  (* Crash basis: cover each row with a positive structural singleton column
-     without an upper bound (a slack, ...) where one exists — the basis
-     stays diagonal, so x_B = b (rescaled) stays feasible — and only the
-     remaining rows get artificials for phase 1 to clear. *)
-  for j = 0 to n - 1 do
-    if Array.length cols.col_idx.(j) = 1 then begin
-      let i = cols.col_idx.(j).(0) in
-      if st.basis.(i) >= n && cols.col_val.(j).(0) > eps && st.ubs.(j) = infinity
-      then st.basis.(i) <- j
-    end
-  done;
-  Fun.protect ~finally:(fun () -> finish st ~warm:false) @@ fun () ->
-  (* pass 1 of the factorisation: one scaling eta per row whose slack is
-     not 1, in row order *)
-  ignore (Factor.factorise st.factor st.basis);
-  for i = 0 to m - 1 do
-    st.pos.(st.basis.(i)) <- i;
-    if st.basis.(i) < n then begin
-      let a = cols.col_val.(st.basis.(i)).(0) in
-      if fcmp a 1.0 <> 0 then st.x_b.(i) <- clamp (st.x_b.(i) /. a)
-    end
-  done;
-  (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
-     of artificials is bounded below, so phase 1 unbounded is numerical. *)
-  match run_phase st ~phase2:false with
-  | `Unbounded -> raise Singular
-  | `Optimal ->
-    let infeas = ref 0.0 in
+let solve_cols ?(max_iters = 50_000) ?deadline ?(changes = []) cols =
+  if not (load_node cols changes) then Infeasible
+  else begin
+    let m = cols.nrows and n = Array.length cols.col_idx in
+    let st = make_state ~max_iters ~deadline cols in
+    Array.fill st.at_ub 0 n false;
+    Array.fill st.pos 0 (n + m) (-1);
+    (* A row whose node rhs is negative gets the artificial [-e_i] (see the
+       header); every artificial starts at [|b_i|]. *)
     for i = 0 to m - 1 do
-      if st.basis.(i) >= n then infeas := !infeas +. st.x_b.(i)
+      st.art.(i) <- (if st.b.(i) < 0.0 then -1.0 else 1.0);
+      st.basis.(i) <- n + i;
+      st.x_b.(i) <- clamp (st.art.(i) *. st.b.(i))
     done;
-    if !infeas > eps then Infeasible
-    else begin
-      drive_out_artificials st;
-      match run_phase st ~phase2:true with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-        let value, x = vertex st in
-        Optimal { value; x; snapshot = snapshot_of st }
-    end
+    (* Crash basis: cover each row with a structural singleton column
+       without an upper bound (a slack, ...) whose entry has its
+       artificial's sign, where one exists — the basis stays diagonal, so
+       x_B = b (rescaled) stays feasible — and only the remaining rows get
+       artificials for phase 1 to clear. *)
+    for j = 0 to n - 1 do
+      if Array.length cols.col_idx.(j) = 1 then begin
+        let i = cols.col_idx.(j).(0) in
+        if
+          st.basis.(i) >= n
+          && st.art.(i) *. cols.col_val.(j).(0) > eps
+          && st.ubs.(j) = infinity
+        then st.basis.(i) <- j
+      end
+    done;
+    Fun.protect ~finally:(fun () -> finish st ~warm:false) @@ fun () ->
+    (* pass 1 of the factorisation: one scaling eta per row whose basic
+       column is not [e_i], in row order *)
+    ignore (Factor.factorise st.factor ~art:st.art st.basis);
+    for i = 0 to m - 1 do
+      st.pos.(st.basis.(i)) <- i;
+      if st.basis.(i) < n then begin
+        let a = st.art.(i) *. cols.col_val.(st.basis.(i)).(0) in
+        if fcmp a 1.0 <> 0 then st.x_b.(i) <- clamp (st.x_b.(i) /. a)
+      end
+    done;
+    (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
+       of artificials is bounded below, so phase 1 unbounded is numerical. *)
+    match run_phase st ~phase2:false with
+    | `Unbounded -> raise Singular
+    | `Optimal ->
+      let infeas = ref 0.0 in
+      for i = 0 to m - 1 do
+        if st.basis.(i) >= n then infeas := !infeas +. st.x_b.(i)
+      done;
+      if !infeas > eps then Infeasible
+      else begin
+        drive_out_artificials st;
+        match run_phase st ~phase2:true with
+        | `Unbounded -> Unbounded
+        | `Optimal ->
+          let value, x = vertex st in
+          let value = unshift cols changes value x in
+          Optimal { value; x; snapshot = snapshot_of st }
+      end
+  end

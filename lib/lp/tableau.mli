@@ -5,15 +5,16 @@
 
     with [b >= 0] (the caller flips row signs beforehand) and [u >= 0] per
     column, [infinity] for none and [0] for a fixed variable, in IEEE
-    doubles with tolerance [1e-9]. The whole form is one {!columns} store, built and checked once and shared
-    read-only by every solve over it: the constraint matrix sparse,
-    column-wise and row-wise, and [b], [c] and [u]. The basis inverse is a
+    doubles with tolerance [1e-9]. The whole form is one {!columns} store,
+    built and checked once and shared read-only by every solve over it:
+    the constraint matrix sparse, column-wise and row-wise, and [b], [c]
+    and [u]. The basis inverse is a
     {!Factor}, so an iteration costs the nonzeros it touches rather than
     [m * n]. Upper bounds are enforced inside the ratio test (a step may
     end in a bound flip with no basis change) instead of as explicit rows.
-    An [Optimal] result carries the {!snapshot} of its final basis, and a
-    dual-simplex phase re-solves a branch-and-bound node of the form from
-    it, given only the columns whose bounds the node changes; a dual
+    A solve is given only the columns a branch-and-bound node changes. An
+    [Optimal] result carries the {!snapshot} of its final basis, and a
+    dual-simplex phase re-solves another node of the form from it; a dual
     iteration costs one BTRAN (the pivot row) and one FTRAN (the entering
     column), plus one FTRAN for any bound flips. This is the kernel under
     {!Simplex}.
@@ -28,7 +29,7 @@
     ([lp.simplex.rho_nnz], [lp.simplex.pivot_row_nnz]).
 
     {b One solve at a time per store.} Every scratch array a solve needs,
-    a warm re-solve's node rhs and spans included, lives in a workspace
+    a node's rhs and spans included, lives in a workspace
     owned by its {!columns} store, allocated once with it, so only a
     solve's results and its eta records are allocated per solve. Two
     solves over the same store must therefore not run at the same time (on
@@ -119,9 +120,18 @@ type result =
   | Infeasible
   | Unbounded
 
-val solve_cols : ?max_iters:int -> ?deadline:float -> columns -> result
-(** Cold two-phase solve of the form. [deadline] is an absolute
+val solve_cols :
+  ?max_iters:int ->
+  ?deadline:float ->
+  ?changes:(int * float * float) list ->
+  columns ->
+  result
+(** Cold two-phase solve of the node [changes] describes (default: none),
+    read as by {!resolve_with_basis}. A row whose node rhs is negative gets
+    the artificial [-e_i], so the solve walks the pivots of a translation
+    of the node with that row negated. [deadline] is an absolute
     {!Telemetry.Clock} time checked every few pivots.
+    @raise Invalid_argument on [changes] out of order or range.
     @raise Iteration_limit if [max_iters] (default [50_000]) pivots are
     exceeded.
     @raise Singular if a refactorisation meets a singular basis or phase 1
@@ -141,8 +151,8 @@ val resolve_with_basis :
     lists the node's changed columns as [(j, lo, span)], [j] strictly
     ascending: column [j] is shifted up by [lo] and bounded by [span]
     instead of the form's, so the node's rhs is [b - A lo]. A span may be
-    zero (a fixed variable); a negative one reports
-    [Infeasible] at once. The result is in the form's columns: each [lo]
+    zero (a fixed variable); a negative one reports [Infeasible] at once.
+    The result is in the form's columns: each [lo]
     is added back to [x] and its cost to [value]. An [Ok Infeasible] from
     an exhausted dual ratio test is a genuine infeasibility certificate.
     The pivot budget is [max_iters] (default [50_000]) but at most

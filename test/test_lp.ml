@@ -254,7 +254,7 @@ let gen_lp ?(vars = (1, 4)) ?(rows = (1, 5)) ~var_bound ~row_sense ~rhs ~maximiz
     list_size (return nvars) coeff >>= fun obj ->
     maximize >>= fun maximize -> return { var_bounds; rows; obj; maximize })
 
-let arb_lp =
+let gen_mixed_lp =
   let var_bound =
     QCheck.Gen.(
       int_range (-10) 5 >>= fun lb ->
@@ -267,9 +267,10 @@ let arb_lp =
         ])
   in
   let row_sense = QCheck.Gen.frequencyl [ (2, M.Le); (2, M.Ge); (1, M.Eq) ] in
-  QCheck.make ~print:show_lp
-    (gen_lp ~var_bound ~row_sense ~rhs:(QCheck.Gen.int_range (-20) 20)
-       ~maximize:QCheck.Gen.bool ())
+  gen_lp ~var_bound ~row_sense ~rhs:(QCheck.Gen.int_range (-20) 20)
+    ~maximize:QCheck.Gen.bool ()
+
+let arb_lp = QCheck.make ~print:show_lp gen_mixed_lp
 
 let prop_exact_matches_float =
   QCheck.Test.make ~name:"exact and float simplex agree" ~count:150 arb_lp (fun spec ->
@@ -280,6 +281,91 @@ let prop_exact_matches_float =
       | S.Infeasible, Rational_simplex.Infeasible
       | S.Unbounded, Rational_simplex.Unbounded -> true
       | _, _ -> false)
+
+(* [f ()] under fresh telemetry, whose counters stay readable with
+   [Telemetry.counter_value] until the next reset. *)
+let under_fresh_telemetry f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable f
+
+(* A node of an [arb_lp] model: one to three branchings [(var, lb, ub)],
+   newest first, that fix a variable (the model's fixed ones included),
+   box it anew or leave it without an upper bound. A variable may be
+   branched twice, the newest winning. New lower bounds reach 10, so a
+   node's shifted rhs often changes sign against the form's. *)
+let arb_held_node =
+  let gen =
+    QCheck.Gen.(
+      gen_mixed_lp >>= fun spec ->
+      let change =
+        int_range 0 (List.length spec.var_bounds - 1) >>= fun v ->
+        int_range (-10) 10 >>= fun lb ->
+        frequency
+          [
+            (2, return (Some lb));
+            (3, map (fun span -> Some (lb + span)) (int_range 1 15));
+            (1, return None);
+          ]
+        >>= fun ub -> return (v, lb, ub)
+      in
+      list_size (int_range 1 3) change >>= fun changes -> return (spec, changes))
+  in
+  QCheck.make gen ~print:(fun (spec, changes) ->
+      Printf.sprintf "%s branchings %s" (show_lp spec)
+        (String.concat ", "
+           (List.map
+              (fun (v, l, u) ->
+                Printf.sprintf "x%d in [%d, %s]" v l
+                  (match u with Some u -> string_of_int u | None -> "inf"))
+              changes)))
+
+(* A node solved cold on the form its model was translated into, its
+   branchings reaching the kernel as changed columns, matches a fresh
+   translation of the model under the node's bounds: the same status and
+   an objective within 1e-9 relative. A row whose shifted rhs is negative
+   at the node but not in the form gets a negated artificial, so the solve
+   walks the fresh translation's pivots, phase 1's included. The one
+   exception is a row the form negated (its rhs was negative there) whose
+   rhs is zero at the node: the fresh translation keeps that row as it is,
+   and may pivot differently. *)
+let prop_held_form_matches_translation =
+  QCheck.Test.make
+    ~name:"a cold solve of a held form under changes matches a fresh translation"
+    ~count:300 arb_held_node (fun (spec, changes) ->
+      let m = build_lp spec in
+      let root = Array.of_list spec.var_bounds in
+      let node = Array.copy root in
+      List.iter (fun (v, l, u) -> node.(v) <- (l, u)) (List.rev changes);
+      let counted solve =
+        let r = under_fresh_telemetry solve in
+        ( r,
+          Telemetry.counter_value "lp.simplex.pivots",
+          Telemetry.counter_value "lp.simplex.phase1_pivots" )
+      in
+      let f = S.form m in
+      let branchings =
+        List.map (fun (v, l, u) -> (v, Q.of_int l, Option.map Q.of_int u)) changes
+      in
+      let held, pivots, phase1 = counted (fun () -> S.solve f branchings) in
+      let bounds = Array.map (fun (l, u) -> (Q.of_int l, Option.map Q.of_int u)) node in
+      let fresh, pivots', phase1' =
+        counted (fun () -> S.solve_relaxation_float ~bounds m)
+      in
+      let shifted_rhs bounds (cs, _, rhs) =
+        List.fold_left2 (fun r c (l, _) -> r - (c * l)) rhs cs (Array.to_list bounds)
+      in
+      let zero_row_negated =
+        List.exists
+          (fun row -> shifted_rhs root row < 0 && shifted_rhs node row = 0)
+          spec.rows
+      in
+      (match (held, fresh) with
+       | S.Optimal { objective = a; _ }, S.Optimal { objective = b; _ } ->
+         Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b)
+       | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
+       | _, _ -> false)
+      && (zero_row_negated || (pivots = pivots' && phase1 = phase1')))
 
 (* A warm dual re-solve after a bound change must land on the same optimum
    as a cold solve of the changed model. Rows are [<= b] with [b >= 0] and
@@ -302,7 +388,8 @@ let prop_warm_resolve_matches_cold =
   QCheck.Test.make ~name:"warm dual re-solve matches cold optimum" ~count:150
     arb_lp_rebound (fun (spec, vi, k) ->
       let m = build_lp spec in
-      match S.solve_relaxation_float m with
+      let f = S.form m in
+      match S.solve f [] with
       | S.Infeasible | S.Unbounded -> false (* the box forbids both *)
       | S.Optimal { warm; _ } ->
         let bounds lb ub =
@@ -313,22 +400,24 @@ let prop_warm_resolve_matches_cold =
         (* one warm value, the optimal basis of the unchanged model, warms
            both bound changes: each re-solve exercises the dual repair path
            and must leave the value intact for the other *)
-        let agrees bounds =
+        let agrees lb ub =
           match
-            ( S.solve_relaxation_float ~bounds ~warm m,
-              S.solve_relaxation_float ~bounds m )
+            ( S.solve ~warm f [ (vi, Q.of_int lb, Some (Q.of_int ub)) ],
+              S.solve_relaxation_float ~bounds:(bounds lb ub) m )
           with
           | S.Optimal { objective = w; _ }, S.Optimal { objective = c; _ } ->
             Float.abs (w -. c) < 1e-6
           | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
           | _, _ -> false
         in
-        agrees (bounds 0 k) && agrees (bounds k 50))
+        agrees 0 k && agrees k 50)
 
 (* A chain of three bound changes, root -> child -> grandchild -> great-
    grandchild, each level re-solved warm from the level above and compared
    with a cold solve of the same bounds. Warming each level from the last
-   one's basis runs the dual phase from successive snapshots. The models
+   one's basis runs the dual phase from successive snapshots. A level is
+   its branching consed onto the level above's, so a variable branched
+   twice pins the newest bound winning over the older. The models
    are larger than [arb_lp_rebound]'s so that a re-solve takes several dual
    pivots, which the reduced costs the dual phase carries across them must
    survive: the dual phase keeps the basis dual feasible, so a warm hit
@@ -359,34 +448,36 @@ let prop_warm_chain_matches_cold =
       let m = build_lp spec in
       (* the re-solve, and whether it was a warm hit that needed the primal
          polish *)
-      let warm_solve ~bounds ~warm =
-        Telemetry.reset ();
-        Telemetry.enable ();
-        Fun.protect ~finally:Telemetry.disable @@ fun () ->
-        let r = S.solve_relaxation_float ~bounds ~warm m in
+      let f = S.form m in
+      let warm_solve ~warm branchings =
+        let r = under_fresh_telemetry (fun () -> S.solve ~warm f branchings) in
         ( r,
           Telemetry.counter_value "lp.bb.warm_hits" = 1
           && Telemetry.counter_value "lp.simplex.pivots" > 0 )
       in
-      let rec descend warm bounds = function
+      (* [bounds] is the level's bound vector for the cold reference,
+         [branchings] the same level as the warm re-solve sees it *)
+      let rec descend warm bounds branchings = function
         | [] -> true
         | (vi, up, k) :: rest -> (
           let bounds = Array.copy bounds in
           let lb, ub = bounds.(vi) in
           bounds.(vi) <- (if up then (Q.of_int k, ub) else (lb, Some (Q.of_int k)));
-          let warm_r, polished = warm_solve ~bounds ~warm in
+          let branchings = (vi, fst bounds.(vi), snd bounds.(vi)) :: branchings in
+          let warm_r, polished = warm_solve ~warm branchings in
           (not polished)
           &&
           match (warm_r, S.solve_relaxation_float ~bounds m) with
           | S.Optimal { objective = w; warm; _ }, S.Optimal { objective = c; _ } ->
-            Float.abs (w -. c) < 1e-6 && descend warm bounds rest
+            Float.abs (w -. c) < 1e-6 && descend warm bounds branchings rest
           | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
           | _, _ -> false)
       in
-      match S.solve_relaxation_float m with
+      match S.solve f [] with
       | S.Infeasible | S.Unbounded -> false (* the box forbids both *)
       | S.Optimal { warm; _ } ->
-        descend warm (Array.make (M.var_count m) (Q.zero, Some (Q.of_int 50))) changes)
+        let box = Array.make (M.var_count m) (Q.zero, Some (Q.of_int 50)) in
+        descend warm box [] changes)
 
 (* Kernel form of an [arb_lp_rebound] model: [x_j] in [0, 50] as column
    bounds, one slack column per [<=] row, the maximisation negated. *)
@@ -629,11 +720,11 @@ let test_zero_span_never_basic () =
     check bool "zero-span column not basic" false (Array.mem 0 snapshot.T.s_basis)
   | T.Infeasible | T.Unbounded -> Alcotest.fail "x = 0 is the optimum"
 
-(* A warm start serves only the model it was taken from: offered to another
-   model with as many variables, it is not used, and the solve is the cold
-   one. [a] and [b] share a row and differ in their objectives; warmed from
-   [a]'s optimum (4, 1), [b] must still reach its own, 21 at (1, 4), not
-   [a]'s 13 at (4, 1). *)
+(* A warm start serves only the form it was taken from: offered to the form
+   of another model with as many variables, it is not used, and the solve
+   is the cold one. [a] and [b] share a row and differ in their
+   objectives; warmed from [a]'s optimum (4, 1), [b] must still reach its
+   own, 21 at (1, 4), not [a]'s 13 at (4, 1). *)
 let test_warm_start_of_another_model () =
   let lp obj =
     let m = M.create () in
@@ -648,10 +739,10 @@ let test_warm_start_of_another_model () =
     | S.Optimal { objective; values; warm } -> (objective, values, warm)
     | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal"
   in
-  let obj_a, values_a, warm = optimum (S.solve_relaxation_float a) in
+  let obj_a, values_a, warm = optimum (S.solve (S.form a) []) in
   check flt "a's optimum" 13.0 obj_a;
   check (Alcotest.array flt) "a's vertex" [| 4.0; 1.0 |] values_a;
-  let obj_b, values_b, _ = optimum (S.solve_relaxation_float ~warm b) in
+  let obj_b, values_b, _ = optimum (S.solve ~warm (S.form b) []) in
   check flt "b's optimum" 21.0 obj_b;
   check (Alcotest.array flt) "b's vertex" [| 1.0; 4.0 |] values_b
 
@@ -961,8 +1052,9 @@ let dense_solve a v =
    with dense Gaussian elimination, to 1e-9 relative to the solution's
    largest entry: after [factorise], after a run of [update]s, and after
    [restore] from the memo of the factorisation followed by more updates.
-   Every column has a home row: an artificial its own, a structural
-   singleton (scaled or not) its one row, and a bump column the row where
+   Every column has a home row: an artificial its own (as [e_i] or, with
+   a random sign, [-e_i]), a structural singleton (scaled or not) its one
+   row, and a bump column the row where
    its entry (2 or 3) outweighs its up to three others (0.5) together. A
    basis holds one column per home row, in a random order, so it is
    nonsingular and well conditioned, and an update swaps in a nonbasic
@@ -1006,10 +1098,11 @@ let prop_factor_matches_dense =
           @ extras)
       in
       let n = Array.length structural in
+      let art = Array.init m (fun _ -> pick [| 1.0; -1.0 |]) in
       let home j = if j >= n then j - n else fst structural.(j) in
       let column j =
         let v = Array.make m 0.0 in
-        if j >= n then v.(j - n) <- 1.0
+        if j >= n then v.(j - n) <- art.(j - n)
         else Array.iter (fun (i, a) -> v.(i) <- a) (snd structural.(j));
         v
       in
@@ -1070,7 +1163,7 @@ let prop_factor_matches_dense =
         Lp.Factor.due f = (k > min 150 (50 + (m / 4)))
       in
       let before = List.sort compare (Array.to_list basis) in
-      ignore (Lp.Factor.factorise f basis);
+      ignore (Lp.Factor.factorise f ~art basis);
       let memo = Lp.Factor.memo f basis and factorised = Array.copy basis in
       let permuted = List.sort compare (Array.to_list basis) = before in
       let fresh = agrees () && not (Lp.Factor.due f) in
@@ -1081,13 +1174,15 @@ let prop_factor_matches_dense =
       permuted && fresh && updated && restored && updates (int 80) && agrees ())
 
 (* The model of the warm-start tests: five variables in [0, 8] and three
-   rows, with [x3] fixed at 2 unless [changes] overrides it. [bounds]
-   gives a node's bound overlay from its changes [(var, (lb, ub))]. *)
+   rows, with [x3] fixed at 2. A node is given by its changes
+   [(var, (lb, ub))]: [bounds] makes them the bound vector of a cold
+   reference solve, [branchings] the branchings of a warm one. *)
 let five_var_lp () =
   let m = M.create () in
   let x =
     Array.init 5 (fun i ->
-        M.add_var m ~lb:Q.zero ~ub:(Q.of_int 8) (Printf.sprintf "x%d" i))
+        let lb, ub = if i = 3 then (2, 2) else (0, 8) in
+        M.add_var m ~lb:(Q.of_int lb) ~ub:(Q.of_int ub) (Printf.sprintf "x%d" i))
   in
   let expr cs = E.sum (List.map (fun (c, i) -> E.iterm c x.(i)) cs) in
   M.add_constr m (expr [ (1, 0); (1, 1); (1, 2); (1, 4) ]) M.Le (E.of_int 10);
@@ -1098,18 +1193,24 @@ let five_var_lp () =
     Array.init 5 (fun i ->
         match List.assoc_opt i changes with
         | Some (l, u) -> (Q.of_int l, Some (Q.of_int u))
-        | None when i = 3 -> (Q.of_int 2, Some (Q.of_int 2))
-        | None -> (Q.zero, Some (Q.of_int 8)))
+        | None -> (M.var_lb m i, M.var_ub m i))
   in
   (m, bounds)
+
+let branchings changes =
+  List.map (fun (v, (l, u)) -> (v, Q.of_int l, Some (Q.of_int u))) changes
+
+(* A form of [m] and the warm start of its optimum. *)
+let warm_root m =
+  let f = S.form m in
+  match S.solve f [] with
+  | S.Optimal { warm; _ } -> (f, warm)
+  | S.Infeasible | S.Unbounded -> Alcotest.fail "the root has an optimum"
 
 (* [f ()] under fresh telemetry, with the warm hits and fallbacks it
    counted. *)
 let counting_warm f =
-  Telemetry.reset ();
-  Telemetry.enable ();
-  Fun.protect ~finally:Telemetry.disable @@ fun () ->
-  let r = f () in
+  let r = under_fresh_telemetry f in
   ( r,
     Telemetry.counter_value "lp.bb.warm_hits",
     Telemetry.counter_value "lp.bb.warm_fallbacks" )
@@ -1120,18 +1221,14 @@ let counting_warm f =
    solve of the node. *)
 let test_unfixing_is_a_warm_hit () =
   let m, bounds = five_var_lp () in
-  let warm =
-    match S.solve_relaxation_float ~bounds:(bounds []) m with
-    | S.Optimal { warm; _ } -> warm
-    | S.Infeasible | S.Unbounded -> Alcotest.fail "the root has an optimum"
-  in
-  let unfix = bounds [ (0, (1, 5)); (3, (0, 4)) ] in
+  let f, warm = warm_root m in
+  let unfix = [ (0, (1, 5)); (3, (0, 4)) ] in
   let r, hits, fallbacks =
-    counting_warm (fun () -> S.solve_relaxation_float ~bounds:unfix ~warm m)
+    counting_warm (fun () -> S.solve ~warm f (branchings unfix))
   in
   check int_t "a warm hit" 1 hits;
   check int_t "no fallback" 0 fallbacks;
-  match (r, S.solve_relaxation_float ~bounds:unfix m) with
+  match (r, S.solve_relaxation_float ~bounds:(bounds unfix) m) with
   | S.Optimal warm_r, S.Optimal cold ->
     check flt "objective" cold.objective warm_r.objective;
     check (Alcotest.array flt) "values" cold.values warm_r.values;
@@ -1141,55 +1238,98 @@ let test_unfixing_is_a_warm_hit () =
 (* A warm start never carries one node into the next. One warm start
    serves three nodes, each followed by the same warm re-solve: a node
    whose warm re-solve runs out of its pivot budget after the kernel
-   shifted [x0] and unfixed [x3] (the solve falls back to cold, which
-   runs out too), a node stopped by a deadline that has already passed
-   (after the kernel shifted [x1] and its rhs), and an ordinary node that
-   shifts [x2]. Every follow-up must be a warm hit with the bits of the
-   same re-solve from a freshly prepared form. *)
+   shifted [x0] and unfixed [x3] (the solve falls back to a cold solve of
+   the node on the same form, which runs out too), a node stopped by a
+   deadline that has already passed (after the kernel shifted [x1] and its
+   rhs), and an ordinary node that shifts [x2]. Every follow-up must be a
+   warm hit with the bits of the same re-solve from a freshly prepared
+   form. The fallback translates nothing: it adds no row to
+   [lp.simplex.rows] and counts one cold solve. *)
 let test_warm_scratch_never_leaks () =
-  let m, bounds = five_var_lp () in
-  let root () =
-    match S.solve_relaxation_float ~bounds:(bounds []) m with
-    | S.Optimal { warm; _ } -> warm
-    | S.Infeasible | S.Unbounded -> Alcotest.fail "the root has an optimum"
-  in
-  let follow_up warm =
+  let m, _ = five_var_lp () in
+  let follow_up (f, warm) =
     let r, hits, _ =
-      counting_warm (fun () ->
-          S.solve_relaxation_float ~bounds:(bounds [ (4, (1, 3)) ]) ~warm m)
+      counting_warm (fun () -> S.solve ~warm f (branchings [ (4, (1, 3)) ]))
     in
     check int_t "follow-up is a warm hit" 1 hits;
     match r with
     | S.Optimal { objective; values; _ } -> (objective, values)
     | S.Infeasible | S.Unbounded -> Alcotest.fail "the follow-up has an optimum"
   in
-  let expected = follow_up (root ()) in
+  let expected = follow_up (warm_root m) in
   let same (o1, v1) (o2, v2) = bits_equal o1 o2 && Array.for_all2 bits_equal v1 v2 in
-  let warm = root () in
+  let f, warm = warm_root m in
   let after name node =
     node ();
-    check bool name true (same expected (follow_up warm))
+    check bool name true (same expected (follow_up (f, warm)))
   in
   after "after a fallback" (fun () ->
-      let unfix = bounds [ (0, (1, 5)); (3, (0, 4)) ] in
+      let unfix = branchings [ (0, (1, 5)); (3, (0, 4)) ] in
       let (), _, fallbacks =
         counting_warm (fun () ->
-            match S.solve_relaxation_float ~max_iters:0 ~bounds:unfix ~warm m with
-            | exception Lp.Tableau.Iteration_limit -> ()
+            match S.solve ~max_iters:0 ~warm f unfix with
+            | exception Lp.Tableau.Iteration_limit ->
+              check int_t "no row translated" 0
+                (Telemetry.counter_value "lp.simplex.rows");
+              check int_t "one cold solve" 1
+                (Telemetry.counter_value "lp.simplex.solves")
             | _ -> Alcotest.fail "no pivot budget for a cold solve")
       in
       check int_t "the warm re-solve fell back" 1 fallbacks);
   after "after a deadline" (fun () ->
       match
-        S.solve_relaxation_float
+        S.solve
           ~deadline:(Telemetry.Clock.now_s () -. 1.0)
-          ~bounds:(bounds [ (1, (2, 6)) ])
-          ~warm m
+          ~warm f
+          (branchings [ (1, (2, 6)) ])
       with
       | exception Lp.Tableau.Deadline_exceeded -> ()
       | _ -> Alcotest.fail "a passed deadline stops the node");
   after "after an ordinary node" (fun () ->
-      ignore (S.solve_relaxation_float ~bounds:(bounds [ (2, (1, 3)) ]) ~warm m))
+      ignore (S.solve ~warm f (branchings [ (2, (1, 3)) ])))
+
+(* A stale basis re-solves cold on the form it came from: nothing is
+   translated, and the cold solve's basis warms the node's children. The
+   node fixes every variable the root's optimum holds basic at 0, so its
+   dual repair needs more than the one iteration a pivot budget of 1
+   allows and falls back, while its cold solve, with every column fixed,
+   needs no pivot. Its child unfixes [x0] again (the newest bound wins)
+   and must be a warm hit from the fallback's basis. Both must match a
+   fresh translation of their bounds. *)
+let test_stale_basis_translates_nothing () =
+  let m, bounds = five_var_lp () in
+  let f, warm = warm_root m in
+  let fixed = [ (0, (0, 0)); (1, (0, 0)); (2, (0, 0)); (4, (0, 0)) ] in
+  let counted solve =
+    let r = under_fresh_telemetry solve in
+    let c = Telemetry.counter_value in
+    check int_t "no row translated" 0 (c "lp.simplex.rows");
+    (r, c "lp.simplex.solves", c "lp.bb.warm_fallbacks", c "lp.bb.warm_hits")
+  in
+  let matches name changes = function
+    | S.Optimal r -> (
+      match S.solve_relaxation_float ~bounds:(bounds changes) m with
+      | S.Optimal cold ->
+        check flt (name ^ " objective") cold.objective r.objective;
+        check (Alcotest.array flt) (name ^ " values") cold.values r.values;
+        r.warm
+      | S.Infeasible | S.Unbounded -> Alcotest.fail "the node has an optimum")
+    | S.Infeasible | S.Unbounded -> Alcotest.fail "the node has an optimum"
+  in
+  let r, solves, fallbacks, _ =
+    counted (fun () -> S.solve ~max_iters:1 ~warm f (branchings fixed))
+  in
+  check int_t "one cold solve" 1 solves;
+  check int_t "the warm re-solve fell back" 1 fallbacks;
+  let warm = matches "fallback" fixed r in
+  let child = (0, (0, 8)) :: fixed in
+  let r, solves, fallbacks, hits =
+    counted (fun () -> S.solve ~warm f (branchings child))
+  in
+  check int_t "no cold solve" 0 solves;
+  check int_t "no fallback" 0 fallbacks;
+  check int_t "a warm hit from the fallback's basis" 1 hits;
+  ignore (matches "child" [ (0, (0, 8)); (1, (0, 0)); (2, (0, 0)); (4, (0, 0)) ] r)
 
 (* ---------- Presolve ---------- *)
 
@@ -1674,11 +1814,14 @@ let () =
             test_unfixing_is_a_warm_hit;
           Alcotest.test_case "warm start of another model" `Quick
             test_warm_start_of_another_model;
+          Alcotest.test_case "a stale basis translates nothing" `Quick
+            test_stale_basis_translates_nothing;
         ] );
       ( "simplex-props",
         qsuite
           [
             prop_exact_matches_float;
+            prop_held_form_matches_translation;
             prop_warm_resolve_matches_cold;
             prop_warm_chain_matches_cold;
             prop_sibling_resolves_share_factor;
