@@ -57,15 +57,10 @@ let remap_segment ~to_orig ~global0 (t : Runtime.trace) =
 let merge_segments segments =
   (* chronological segment list; clocks are absolute, so concatenation plus
      one global sort reproduces a single-run trace *)
-  let events = List.concat_map (fun (t : Runtime.trace) -> t.Runtime.events) segments in
-  let events =
-    List.sort
-      (fun (a : Runtime.event) (b : Runtime.event) ->
-        compare (a.Runtime.time, a.Runtime.op, a.Runtime.kind) (b.Runtime.time, b.Runtime.op, b.Runtime.kind))
-      events
-  in
   {
-    Runtime.events;
+    Runtime.events =
+      Runtime.sort_events
+        (List.concat_map (fun (t : Runtime.trace) -> t.Runtime.events) segments);
     layer_boundaries =
       List.concat_map (fun (t : Runtime.trace) -> t.Runtime.layer_boundaries) segments;
     total_minutes =

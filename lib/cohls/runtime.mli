@@ -66,6 +66,10 @@ type trace = {
           indeterminate operations (the realised I_k of the paper) *)
 }
 
+val sort_events : event list -> event list
+(** Events in trace order: by time, then operation, then kind. A single
+    run's trace and a merged recovery trace both use it. *)
+
 type fault_stats = {
   faults_injected : int;  (** positive probes seen, any kind *)
   transient_retries : int;  (** total retries paid for cleared transients *)

@@ -25,9 +25,10 @@
     {!Simplex.form} of the search. A node is its branchings [(var, lb, ub)]
     against it, a list sharing its tail with its parent's, and the
     {!Simplex.warm} value of its parent's relaxation (none at the root;
-    both children share it), from which a dual-simplex phase repairs the
-    branch, falling back to a cold solve of the node on the same form when
-    the basis goes stale ([lp.bb.warm_hits] / [lp.bb.warm_fallbacks]).
+    both children share it). One {!Tableau.solve} call per node repairs
+    the branch from that basis by the dual simplex, falling back within the
+    call to a cold solve of the node on the same form when the basis goes
+    stale ([lp.bb.warm_hits] / [lp.bb.warm_fallbacks]).
 
     The tree is searched in waves on the calling domain: one global stack
     of open nodes, popped [8] at a time; the wave's relaxations are solved

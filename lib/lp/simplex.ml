@@ -29,19 +29,6 @@ type outcome =
 
 let crossed l u = match u with Some u -> Q.compare l u > 0 | None -> false
 
-(* Map a kernel solution of form [f] back to model variables and the
-   natural objective (the objective constant re-added, the max->min sign
-   flip undone), keeping the final basis [snapshot] as the warm start it
-   offers. *)
-let outcome_of f value x snapshot =
-  let base = value +. f.f_obj_offset in
-  Optimal
-    {
-      objective = (match f.f_dir with `Minimize -> base | `Maximize -> -.base);
-      values = Array.mapi (fun v off -> x.(v) +. off) f.f_offset;
-      warm = { w_form = f; w_snapshot = snapshot };
-    }
-
 (* Full translation of the model under the per-variable bounds [lb] /
    [ub]. A crossed pair marks the form infeasible and gets span [0]. *)
 let prepare ~lb ~ub model =
@@ -142,11 +129,6 @@ let column_changes f branchings =
   newest (-1)
     (List.stable_sort (fun (v, _, _) (w, _, _) -> Int.compare v w) branchings)
 
-let kernel_outcome f = function
-  | Tableau.Infeasible -> Infeasible
-  | Tableau.Unbounded -> Unbounded
-  | Tableau.Optimal { value; x; snapshot } -> outcome_of f value x snapshot
-
 let solve ?max_iters ?deadline ?warm f branchings =
   Telemetry.span "lp.simplex.solve" @@ fun () ->
   Telemetry.count "lp.simplex.relaxations";
@@ -156,28 +138,29 @@ let solve ?max_iters ?deadline ?warm f branchings =
   | _ when f.f_crossed -> Infeasible
   | (_, l, u) :: _ when crossed l u -> Infeasible
   | _ -> (
-    let changes = column_changes f branchings in
-    let kernel solve = Telemetry.span "lp.simplex.kernel" solve in
-    let cold () =
-      kernel_outcome f
-        (kernel (fun () -> Tableau.solve_cols ?max_iters ?deadline ~changes f.f_cols))
+    let snapshot =
+      match warm with
+      | Some { w_form; w_snapshot } when w_form == f -> Some w_snapshot
+      | Some _ | None -> None (* no warm start for this form *)
     in
-    match warm with
-    | Some { w_form; w_snapshot } when w_form == f -> (
-      match
-        kernel (fun () ->
-            Tableau.resolve_with_basis ?max_iters ?deadline f.f_cols
-              ~snapshot:w_snapshot ~changes)
-      with
-      | Ok result ->
-        Telemetry.count "lp.bb.warm_hits";
-        kernel_outcome f result
-      | Error _reason ->
-        (* stale basis: a cold solve of the node on the same form, whose
-           basis warms the subtree below *)
-        Telemetry.count "lp.bb.warm_fallbacks";
-        cold ())
-    | Some _ | None -> cold () (* no warm start for this form *))
+    let changes = column_changes f branchings in
+    match
+      Telemetry.span "lp.simplex.kernel" (fun () ->
+          Tableau.solve ?max_iters ?deadline ?snapshot ~changes f.f_cols)
+    with
+    | Tableau.Infeasible -> Infeasible
+    | Tableau.Unbounded -> Unbounded
+    | Tableau.Optimal { value; x; snapshot } ->
+      (* back to model variables and the natural objective (the constant
+         re-added, the max->min sign flip undone), the final basis kept as
+         the warm start it offers *)
+      let base = value +. f.f_obj_offset in
+      Optimal
+        {
+          objective = (match f.f_dir with `Minimize -> base | `Maximize -> -.base);
+          values = Array.mapi (fun v off -> x.(v) +. off) f.f_offset;
+          warm = { w_form = f; w_snapshot = snapshot };
+        })
 
 let solve_relaxation_float ?max_iters ?deadline ?bounds model =
   let f =

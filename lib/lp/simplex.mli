@@ -12,12 +12,12 @@
     branchings against the form, which reach the kernel as changed columns
     (a lower offset and a span each, in floats). An [Optimal] outcome
     carries a {!warm} value, its form and final basis, and a later node
-    given it is re-solved warm by the dual simplex
-    ({!Tableau.resolve_with_basis}); a basis found stale falls back to a
-    cold solve of the node on the same form ({!Tableau.solve_cols}), with
-    nothing translated again. Siblings warmed by one value share its
-    snapshot, so the second reuses the factor of the parent basis that the
-    first computed ([lp.simplex.factor_reuses]). *)
+    given it is re-solved warm by the dual simplex. Each node is one
+    kernel call, {!Tableau.solve}: given the snapshot, it falls back
+    itself to a cold solve of the node on the same form when the basis
+    proves stale, with nothing translated again. Siblings warmed by one
+    value share its snapshot, so the second reuses the factor of the
+    parent basis that the first computed ([lp.simplex.factor_reuses]). *)
 
 type form
 (** The standard form of one model and its {!Tableau.columns} store, in

@@ -19,13 +19,15 @@
    row and the reduced-cost update touch only the columns those rows
    reach.
 
-   A solve solves a node of the form, given only the columns whose bounds
-   it changes: it writes the node's rhs and spans into its workspace
-   first ({!load_node}) and adds the offsets back to its vertex
-   ({!unshift}). A cold solve gives a row whose node rhs is negative the
-   artificial [-e_i] ([w_art]), the system a translation negating that
-   row holds, so it walks that translation's pivots, every value equal up
-   to sign; a warm re-solve's artificials, basic only at zero, are [e_i].
+   One entry point, {!solve}, solves a node of the form given only the
+   columns whose bounds it changes: it loads the node's rhs and spans into
+   its workspace once ({!load_node}) and adds the offsets back to its
+   vertex ({!unshift}). Given a snapshot it re-solves warm from that basis,
+   and a basis that proves stale falls back in the same call to the cold
+   solve. A cold solve gives a row whose node rhs is negative the
+   artificial [-e_i] ([w_art]), the system a translation negating that row
+   holds, so it walks that translation's pivots, every value equal up to
+   sign; a warm re-solve's artificials, basic only at zero, are [e_i].
 
    Every solve over a store runs in its [workspace] and factor, allocated
    once, with the store, so one store serves one solve at a time (a tree
@@ -369,12 +371,22 @@ let pivot st ~row ~col ~t ~dir ~to_ub alpha =
   st.basis.(row) <- col;
   st.pos.(col) <- row
 
+(* [pos] from [basis]: the row of each basic column, [-1] for every other
+   one. [false] if a column is out of range or basic twice, as only a
+   corrupt snapshot's can be. *)
+let index_basis pos basis =
+  Array.fill pos 0 (Array.length pos) (-1);
+  let sane = ref true in
+  for i = 0 to Array.length basis - 1 do
+    let j = basis.(i) in
+    if j < 0 || j >= Array.length pos || pos.(j) >= 0 then sane := false
+    else pos.(j) <- i
+  done;
+  !sane
+
 (* Recompute x_B = B^-1 (b - N_U u_U) under a rebuilt factor. *)
 let load_x_b st =
-  Array.fill st.pos 0 (st.n + st.m) (-1);
-  for i = 0 to st.m - 1 do
-    st.pos.(st.basis.(i)) <- i
-  done;
+  ignore (index_basis st.pos st.basis);
   Array.blit st.b 0 st.x_b 0 st.m;
   for j = 0 to st.n - 1 do
     if st.pos.(j) < 0 && st.at_ub.(j) then begin
@@ -858,13 +870,6 @@ let vertex st =
   done;
   (!value, x)
 
-let snapshot_of st =
-  {
-    s_basis = Array.copy st.basis;
-    s_at_ub = Array.copy st.at_ub;
-    s_factor = None;
-  }
-
 (* Factorise a warm solve's starting basis, the snapshot's: the first solve
    from a snapshot refactorises and memoises the factor in it, and every
    later one restores it and recomputes only x_B, where [b], [ubs] and
@@ -949,119 +954,131 @@ let unshift cols changes value x =
   in
   add_back 0.0 changes
 
-let resolve_with_basis ?(max_iters = 50_000) ?deadline cols ~snapshot ~changes =
-  let m = cols.nrows and n = Array.length cols.col_idx in
-  if
-    Array.length snapshot.s_basis <> m
-    || Array.length snapshot.s_at_ub <> n
-  then invalid_arg "Tableau.resolve_with_basis: snapshot shape";
-  if not (load_node cols changes) then Ok Infeasible
-  else begin
-    (* A warm repair normally needs a handful of dual pivots; one still
-       going after a quarter of the pivots a cold solve would need is
-       degenerate-stalling, and the cold solve is the cheaper way out, so
-       the budget is capped and the caller falls back on the [Error]. *)
-    let max_iters = min max_iters (max 100 (m / 4)) in
-    let st = make_state ~max_iters ~deadline cols in
-    Array.fill st.art 0 m 1.0;
-    Array.blit snapshot.s_basis 0 st.basis 0 m;
-    Array.blit snapshot.s_at_ub 0 st.at_ub 0 n;
-    Array.fill st.pos 0 (n + m) (-1);
-    let sane = ref true in
-    for i = 0 to m - 1 do
-      let colid = st.basis.(i) in
-      if colid < 0 || colid >= n + m || st.pos.(colid) >= 0 then sane := false
-      else st.pos.(colid) <- i
-    done;
-    for j = 0 to n - 1 do
-      if st.at_ub.(j) && (st.pos.(j) >= 0 || st.ubs.(j) = infinity) then
-        st.at_ub.(j) <- false
-    done;
-    if not !sane then Error "corrupt basis snapshot"
-    else begin
-      Fun.protect ~finally:(fun () -> finish st ~warm:true) @@ fun () ->
-      try
-        factor_from st snapshot;
-        match dual_phase st with
-        | `Cycled -> Error "dual iteration limit"
-        | `Numerical -> Error "dual numerical drift"
-        | `Dual_unbounded -> Ok Infeasible
-        | `Primal_feasible -> (
-          (* Primal clean-up: the dual phase ends primal feasible, and any
-             residual dual infeasibility is polished off by ordinary phase-2
-             pivots (the only ones that raise [Iteration_limit]). *)
-          match run_phase st ~phase2:true with
-          | `Unbounded -> Ok Unbounded
-          | `Optimal ->
-            (* Accuracy cross-check before trusting the inherited basis. *)
-            let value, x = vertex st in
-            if accurate st x then
-              let value = unshift cols changes value x in
-              Ok (Optimal { value; x; snapshot = snapshot_of st })
-            else Error "warm solve lost accuracy")
-      with
-      | Singular -> Error "singular basis on refactorisation"
-      | Iteration_limit -> Error "polish iteration limit"
-    end
-  end
+(* A node's optimum [vertex] in the form's columns, with its final basis. *)
+let optimum st changes (value, x) =
+  let snapshot =
+    { s_basis = Array.copy st.basis; s_at_ub = Array.copy st.at_ub; s_factor = None }
+  in
+  Optimal { value = unshift st.cols changes value x; x; snapshot }
 
-let solve_cols ?(max_iters = 50_000) ?deadline ?(changes = []) cols =
-  if not (load_node cols changes) then Infeasible
-  else begin
-    let m = cols.nrows and n = Array.length cols.col_idx in
+(* A snapshot's basis into the workspace, its artificials [e_i] (basic
+   only at zero) and the resting bounds of its nonbasic columns of finite
+   span. [false] on a corrupt snapshot. *)
+let load_basis cols snapshot =
+  let ws = cols.work and m = cols.nrows and n = Array.length cols.col_idx in
+  Array.fill ws.w_art 0 m 1.0;
+  Array.blit snapshot.s_basis 0 ws.w_basis 0 m;
+  Array.blit snapshot.s_at_ub 0 ws.w_at_ub 0 n;
+  let sane = index_basis ws.w_pos ws.w_basis in
+  for j = 0 to n - 1 do
+    if ws.w_at_ub.(j) && (ws.w_pos.(j) >= 0 || ws.w_ubs.(j) = infinity) then
+      ws.w_at_ub.(j) <- false
+  done;
+  sane
+
+(* A warm re-solve from the loaded snapshot: dual repair, then primal
+   phase-2 pivots to polish off any residual dual infeasibility, then an
+   accuracy check of the vertex. [None] when the basis proves stale. *)
+let warm_phases snapshot changes st =
+  try
+    factor_from st snapshot;
+    match dual_phase st with
+    | `Cycled | `Numerical -> None
+    | `Dual_unbounded -> Some Infeasible
+    | `Primal_feasible -> (
+      match run_phase st ~phase2:true with
+      | `Unbounded -> Some Unbounded
+      | `Optimal ->
+        let ((_, x) as v) = vertex st in
+        if accurate st x then Some (optimum st changes v) else None)
+  with Singular | Iteration_limit -> None
+
+(* A cold two-phase solve of the loaded node from the crash basis. *)
+let cold_phases changes st =
+  let m = st.m and n = st.n and cols = st.cols in
+  Array.fill st.at_ub 0 n false;
+  (* A row whose node rhs is negative gets the artificial [-e_i] (see the
+     header); every artificial starts at [|b_i|]. *)
+  for i = 0 to m - 1 do
+    st.art.(i) <- (if st.b.(i) < 0.0 then -1.0 else 1.0);
+    st.basis.(i) <- n + i;
+    st.x_b.(i) <- clamp (st.art.(i) *. st.b.(i))
+  done;
+  (* Crash basis: cover each row with a structural singleton column
+     without an upper bound (a slack, ...) whose entry has its
+     artificial's sign, where one exists — the basis stays diagonal, so
+     x_B = b (rescaled) stays feasible — and only the remaining rows get
+     artificials for phase 1 to clear. *)
+  for j = 0 to n - 1 do
+    if Array.length cols.col_idx.(j) = 1 then begin
+      let i = cols.col_idx.(j).(0) in
+      if
+        st.basis.(i) >= n
+        && st.art.(i) *. cols.col_val.(j).(0) > eps
+        && st.ubs.(j) = infinity
+      then st.basis.(i) <- j
+    end
+  done;
+  ignore (index_basis st.pos st.basis);
+  (* pass 1 of the factorisation: one scaling eta per row whose basic
+     column is not [e_i], in row order *)
+  ignore (Factor.factorise st.factor ~art:st.art st.basis);
+  for i = 0 to m - 1 do
+    if st.basis.(i) < n then begin
+      let a = st.art.(i) *. cols.col_val.(st.basis.(i)).(0) in
+      if fcmp a 1.0 <> 0 then st.x_b.(i) <- clamp (st.x_b.(i) /. a)
+    end
+  done;
+  (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
+     of artificials is bounded below, so phase 1 unbounded is numerical. *)
+  match run_phase st ~phase2:false with
+  | `Unbounded -> raise Singular
+  | `Optimal ->
+    let infeas = ref 0.0 in
+    for i = 0 to m - 1 do
+      if st.basis.(i) >= n then infeas := !infeas +. st.x_b.(i)
+    done;
+    if !infeas > eps then Infeasible
+    else begin
+      drive_out_artificials st;
+      match run_phase st ~phase2:true with
+      | `Unbounded -> Unbounded
+      | `Optimal -> optimum st changes (vertex st)
+    end
+
+let solve ?(max_iters = 50_000) ?deadline ?snapshot ?(changes = []) cols =
+  let m = cols.nrows and n = Array.length cols.col_idx in
+  (match snapshot with
+   | Some s when Array.length s.s_basis <> m || Array.length s.s_at_ub <> n ->
+     invalid_arg "Tableau.solve: snapshot shape"
+   | Some _ | None -> ());
+  (* one attempt at the loaded node; [finish] flushes its counters *)
+  let run ~warm ~max_iters phases =
     let st = make_state ~max_iters ~deadline cols in
-    Array.fill st.at_ub 0 n false;
-    Array.fill st.pos 0 (n + m) (-1);
-    (* A row whose node rhs is negative gets the artificial [-e_i] (see the
-       header); every artificial starts at [|b_i|]. *)
-    for i = 0 to m - 1 do
-      st.art.(i) <- (if st.b.(i) < 0.0 then -1.0 else 1.0);
-      st.basis.(i) <- n + i;
-      st.x_b.(i) <- clamp (st.art.(i) *. st.b.(i))
-    done;
-    (* Crash basis: cover each row with a structural singleton column
-       without an upper bound (a slack, ...) whose entry has its
-       artificial's sign, where one exists — the basis stays diagonal, so
-       x_B = b (rescaled) stays feasible — and only the remaining rows get
-       artificials for phase 1 to clear. *)
-    for j = 0 to n - 1 do
-      if Array.length cols.col_idx.(j) = 1 then begin
-        let i = cols.col_idx.(j).(0) in
-        if
-          st.basis.(i) >= n
-          && st.art.(i) *. cols.col_val.(j).(0) > eps
-          && st.ubs.(j) = infinity
-        then st.basis.(i) <- j
-      end
-    done;
-    Fun.protect ~finally:(fun () -> finish st ~warm:false) @@ fun () ->
-    (* pass 1 of the factorisation: one scaling eta per row whose basic
-       column is not [e_i], in row order *)
-    ignore (Factor.factorise st.factor ~art:st.art st.basis);
-    for i = 0 to m - 1 do
-      st.pos.(st.basis.(i)) <- i;
-      if st.basis.(i) < n then begin
-        let a = st.art.(i) *. cols.col_val.(st.basis.(i)).(0) in
-        if fcmp a 1.0 <> 0 then st.x_b.(i) <- clamp (st.x_b.(i) /. a)
-      end
-    done;
-    (* Phase 1 minimises the sum of artificials, phase 2 the real costs. A sum
-       of artificials is bounded below, so phase 1 unbounded is numerical. *)
-    match run_phase st ~phase2:false with
-    | `Unbounded -> raise Singular
-    | `Optimal ->
-      let infeas = ref 0.0 in
-      for i = 0 to m - 1 do
-        if st.basis.(i) >= n then infeas := !infeas +. st.x_b.(i)
-      done;
-      if !infeas > eps then Infeasible
-      else begin
-        drive_out_artificials st;
-        match run_phase st ~phase2:true with
-        | `Unbounded -> Unbounded
-        | `Optimal ->
-          let value, x = vertex st in
-          let value = unshift cols changes value x in
-          Optimal { value; x; snapshot = snapshot_of st }
-      end
+    Fun.protect ~finally:(fun () -> finish st ~warm) (fun () -> phases st)
+  in
+  if not (load_node cols changes) then begin
+    (* infeasible before any pivot: a warm start, if any, served *)
+    if Option.is_some snapshot then Telemetry.count "lp.bb.warm_hits";
+    Infeasible
   end
+  else
+    (* A warm repair still going after a quarter of the pivots a cold solve
+       would need is degenerate-stalling: its budget is capped, and a stale
+       basis falls back to the cold solve of the node already loaded. *)
+    let warm =
+      Option.bind snapshot (fun snapshot ->
+          let r =
+            if load_basis cols snapshot then
+              run ~warm:true
+                ~max_iters:(min max_iters (max 100 (m / 4)))
+                (warm_phases snapshot changes)
+            else None
+          in
+          Telemetry.count
+            (if Option.is_some r then "lp.bb.warm_hits" else "lp.bb.warm_fallbacks");
+          r)
+    in
+    match warm with
+    | Some r -> r
+    | None -> run ~warm:false ~max_iters (cold_phases changes)

@@ -12,12 +12,13 @@
     {!Factor}, so an iteration costs the nonzeros it touches rather than
     [m * n]. Upper bounds are enforced inside the ratio test (a step may
     end in a bound flip with no basis change) instead of as explicit rows.
-    A solve is given only the columns a branch-and-bound node changes. An
-    [Optimal] result carries the {!snapshot} of its final basis, and a
-    dual-simplex phase re-solves another node of the form from it; a dual
-    iteration costs one BTRAN (the pivot row) and one FTRAN (the entering
-    column), plus one FTRAN for any bound flips. This is the kernel under
-    {!Simplex}.
+    One entry point, {!solve}, is given only the columns a branch-and-bound
+    node changes. An [Optimal] result carries the {!snapshot} of its final
+    basis, and a dual-simplex phase re-solves another node of the form
+    from it, falling back within the same call to a cold solve when that
+    basis proves stale; a dual iteration costs one BTRAN (the pivot row)
+    and one FTRAN (the entering column), plus one FTRAN for any bound
+    flips. This is the kernel under {!Simplex}.
 
     Each solve counts its BTRANs and FTRANs ([lp.simplex.btrans],
     [lp.simplex.ftrans]; a refactorisation's own column transforms are not
@@ -53,7 +54,7 @@ exception Singular
     phase 1 reports its objective, a sum of artificials bounded below by 0,
     unbounded.
     Branch-and-bound abandons the node, as for {!Iteration_limit}; a warm
-    re-solve reports it as an [Error] instead. *)
+    re-solve takes it for a stale basis and solves the node cold instead. *)
 
 type workspace
 (** The scratch arrays of the solves over one {!columns} store. *)
@@ -106,7 +107,7 @@ type snapshot = {
 (** A basis snapshot: which column is basic in each row ([s_basis], entries
     [>= n] are artificial) and which nonbasic structural columns rest at
     their upper bound ([s_at_ub]). [s_factor] is a memo, empty when the
-    snapshot is taken; the first {!resolve_with_basis} from it fills it with
+    snapshot is taken; the first warm {!solve} from it fills it with
     its refactorisation (once, never mutated afterwards) and later re-solves
     from the same snapshot reuse it, counted under
     [lp.simplex.factor_reuses] instead of [lp.simplex.refactorisations].
@@ -116,51 +117,45 @@ type snapshot = {
 type result =
   | Optimal of { value : float; x : float array; snapshot : snapshot }
       (** objective value, values of the [n] structural variables, and the
-          final basis for later warm re-solves ({!resolve_with_basis}) *)
+          final basis for later warm re-solves ({!solve} [~snapshot]) *)
   | Infeasible
   | Unbounded
 
-val solve_cols :
+val solve :
   ?max_iters:int ->
   ?deadline:float ->
+  ?snapshot:snapshot ->
   ?changes:(int * float * float) list ->
   columns ->
   result
-(** Cold two-phase solve of the node [changes] describes (default: none),
-    read as by {!resolve_with_basis}. A row whose node rhs is negative gets
-    the artificial [-e_i], so the solve walks the pivots of a translation
-    of the node with that row negated. [deadline] is an absolute
-    {!Telemetry.Clock} time checked every few pivots.
-    @raise Invalid_argument on [changes] out of order or range.
-    @raise Iteration_limit if [max_iters] (default [50_000]) pivots are
-    exceeded.
-    @raise Singular if a refactorisation meets a singular basis or phase 1
-    reports itself unbounded.
-    @raise Deadline_exceeded if [deadline] passes mid-solve. *)
+(** [solve cols] solves the branch-and-bound node of the form that
+    [changes] (default: none) describes. [changes] lists the node's changed
+    columns as [(j, lo, span)], [j] strictly ascending: column [j] is
+    shifted up by [lo] and bounded by [span] instead of the form's, so the
+    node's rhs is [b - A lo]. A span may be zero (a fixed variable); a
+    negative one makes the node [Infeasible] before any pivot. The result
+    is in the form's columns: each [lo] is added back to [x] and its cost
+    to [value]. [deadline] is an absolute {!Telemetry.Clock} time checked
+    every few pivots; [max_iters] (default [50_000]) is the pivot budget.
 
-val resolve_with_basis :
-  ?max_iters:int ->
-  ?deadline:float ->
-  columns ->
-  snapshot:snapshot ->
-  changes:(int * float * float) list ->
-  (result, string) Stdlib.result
-(** Warm re-solve of a branch-and-bound node of the form: repair
-    [snapshot], taken from an optimal solve of the same form, with
-    dual-simplex pivots, then polish with primal phase-2 pivots. [changes]
-    lists the node's changed columns as [(j, lo, span)], [j] strictly
-    ascending: column [j] is shifted up by [lo] and bounded by [span]
-    instead of the form's, so the node's rhs is [b - A lo]. A span may be
-    zero (a fixed variable); a negative one reports [Infeasible] at once.
-    The result is in the form's columns: each [lo]
-    is added back to [x] and its cost to [value]. An [Ok Infeasible] from
-    an exhausted dual ratio test is a genuine infeasibility certificate.
-    The pivot budget is [max_iters] (default [50_000]) but at most
-    [max 100 (m / 4)]. The resolved point is cross-checked against the
-    bound system and the node's [A x = b] before being trusted; any
-    accuracy loss, cycling, exhausted budget or singular refactorisation
-    leaves the warm basis stale, reported as [Error reason] so the caller
-    can fall back to a cold primal solve.
+    Without [snapshot] the solve is cold: two phases from a crash basis,
+    a row whose node rhs is negative getting the artificial [-e_i], so it
+    walks the pivots of a translation of the node with that row negated.
+
+    With [snapshot], taken from an optimal solve of the same form, the
+    solve is warm: it repairs the snapshot's basis with dual-simplex
+    pivots, then polishes with primal phase-2 pivots, under a budget of at
+    most [max 100 (m / 4)] pivots. An [Infeasible] from an exhausted dual
+    ratio test is a genuine infeasibility certificate. The resolved point
+    is cross-checked against the bound system and the node's [A x = b]
+    before being trusted. A stale basis (a corrupt snapshot, cycling,
+    numerical drift, lost accuracy, a singular refactorisation or an
+    exhausted polish budget) falls back, within the same call, to the cold
+    solve of the node. Each warm solve counts one of [lp.bb.warm_hits] or
+    [lp.bb.warm_fallbacks].
     @raise Invalid_argument on a snapshot of another shape or [changes]
     out of order or range.
+    @raise Iteration_limit if a cold solve exceeds [max_iters] pivots.
+    @raise Singular if a cold solve's refactorisation meets a singular
+    basis or its phase 1 reports itself unbounded.
     @raise Deadline_exceeded if [deadline] passes mid-solve. *)

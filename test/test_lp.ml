@@ -516,47 +516,55 @@ let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 let same_resolve r1 r2 =
   let module T = Lp.Tableau in
   match (r1, r2) with
-  | ( Ok (T.Optimal { value = v1; x = x1; snapshot = s1 }),
-      Ok (T.Optimal { value = v2; x = x2; snapshot = s2 }) ) ->
+  | T.Optimal { value = v1; x = x1; snapshot = s1 }, T.Optimal { value = v2; x = x2; snapshot = s2 }
+    ->
     bits_equal v1 v2
     && Array.length x1 = Array.length x2
     && Array.for_all2 bits_equal x1 x2
     && s1.T.s_basis = s2.T.s_basis
     && s1.T.s_at_ub = s2.T.s_at_ub
-  | Ok T.Infeasible, Ok T.Infeasible | Ok T.Unbounded, Ok T.Unbounded -> true
-  | Error x, Error y -> String.equal x y
+  | T.Infeasible, T.Infeasible | T.Unbounded, T.Unbounded -> true
   | _, _ -> false
+
+(* [f ()] under fresh telemetry, and whether no warm solve in it fell back
+   to a cold one ([lp.bb.warm_fallbacks] = 0). *)
+let without_fallback f =
+  let r = under_fresh_telemetry f in
+  (r, Telemetry.counter_value "lp.bb.warm_fallbacks" = 0)
 
 (* The two children of one parent basis (x_vi <= k and x_vi >= k) re-solve
    to the same bits whichever runs first — the first memoises the
    parent snapshot's factor, the second reuses it — and whether the factor
-   is shared at all or cleared before each child. *)
+   is shared at all or cleared before each child. Every re-solve is warm:
+   none falls back to a cold solve. *)
 let prop_sibling_resolves_share_factor =
   QCheck.Test.make ~name:"sibling re-solves agree with and without a shared factor"
     ~count:150 arb_lp_rebound (fun (spec, vi, k) ->
       let module T = Lp.Tableau in
       let cols = kernel_form spec in
-      match T.solve_cols cols with
+      match T.solve cols with
       | T.Infeasible | T.Unbounded -> false (* the box forbids both *)
       | T.Optimal { snapshot = snap; _ } ->
         let kf = float_of_int k in
-        let down s = T.resolve_with_basis cols ~snapshot:s ~changes:[ (vi, 0.0, kf) ] in
-        let up s =
-          T.resolve_with_basis cols ~snapshot:s ~changes:[ (vi, kf, 50.0 -. kf) ]
-        in
+        let down s = T.solve cols ~snapshot:s ~changes:[ (vi, 0.0, kf) ] in
+        let up s = T.solve cols ~snapshot:s ~changes:[ (vi, kf, 50.0 -. kf) ] in
         let cleared () = { snap with T.s_factor = None } in
-        let down_first = down snap in
-        let published = snap.T.s_factor <> None in
-        let up_second = up snap in
-        let snap' = cleared () in
-        let up_first = up snap' in
-        let down_second = down snap' in
-        let down_alone = down (cleared ()) and up_alone = up (cleared ()) in
-        published
-        && same_resolve down_first down_second
-        && same_resolve down_first down_alone
-        && same_resolve up_first up_second
-        && same_resolve up_first up_alone)
+        let agree, warm =
+          without_fallback (fun () ->
+              let down_first = down snap in
+              let published = snap.T.s_factor <> None in
+              let up_second = up snap in
+              let snap' = cleared () in
+              let up_first = up snap' in
+              let down_second = down snap' in
+              let down_alone = down (cleared ()) and up_alone = up (cleared ()) in
+              published
+              && same_resolve down_first down_second
+              && same_resolve down_first down_alone
+              && same_resolve up_first up_second
+              && same_resolve up_first up_alone)
+        in
+        agree && warm)
 
 (* The row-wise copy of a column store is the transpose of its columns:
    row [i] lists every column with an entry in row [i], ascending, with
@@ -620,7 +628,9 @@ let prop_columns_row_copy_is_transpose =
    fresh store as on one that first served other nodes of the same form:
    a warm re-solve that shifts every structural column (another rhs) under
    other spans, one cut off by its iteration budget while fixing a column
-   at zero span, and a cold solve aborted by [Iteration_limit]. A form
+   at zero span (its cold fallback is cut off too, or finds the node
+   infeasible), and a cold solve aborted by [Iteration_limit]. Every
+   re-solve of the chain is warm: none falls back to a cold solve. A form
    with a negative cost aborts after one phase-2 step; one without is
    optimal at its crash basis, which gives a budget of 0 an abort before
    its phase-2 pricing. *)
@@ -631,13 +641,11 @@ let prop_workspace_never_leaks =
       let nv = List.length spec.var_bounds in
       let kf = float_of_int k in
       let chain cols =
-        match T.solve_cols cols with
-        | (T.Infeasible | T.Unbounded) as r -> [ Ok r ]
+        match T.solve cols with
+        | (T.Infeasible | T.Unbounded) as r -> [ r ]
         | T.Optimal { snapshot; _ } as root ->
-          let down = T.resolve_with_basis cols ~snapshot ~changes:[ (vi, 0.0, kf) ] in
-          let up =
-            T.resolve_with_basis cols ~snapshot ~changes:[ (vi, kf, 50.0 -. kf) ]
-          in
+          let down = T.solve cols ~snapshot ~changes:[ (vi, 0.0, kf) ] in
+          let up = T.solve cols ~snapshot ~changes:[ (vi, kf, 50.0 -. kf) ] in
           let vj = (vi + 1) mod nv and half = Float.of_int (k / 2) in
           let deeper_changes =
             if vj = vi then [ (vi, 0.0, half) ]
@@ -645,32 +653,132 @@ let prop_workspace_never_leaks =
           in
           let deeper =
             match down with
-            | Ok (T.Optimal { snapshot = s; _ }) ->
-              T.resolve_with_basis cols ~snapshot:s ~changes:deeper_changes
+            | T.Optimal { snapshot = s; _ } -> T.solve cols ~snapshot:s ~changes:deeper_changes
             | r -> r
           in
-          [ Ok root; down; up; deeper ]
+          [ root; down; up; deeper ]
       in
-      let fresh = chain (kernel_form spec) in
+      let fresh, fresh_warm = without_fallback (fun () -> chain (kernel_form spec)) in
       let cols = kernel_form spec in
       let other u =
         List.init nv (fun j -> (j, float_of_int (j mod 3), if j = vi then u else 7.0))
       in
-      (match T.solve_cols cols with
-       | T.Optimal { snapshot; _ } ->
-         ignore (T.resolve_with_basis cols ~snapshot ~changes:(other 1.0));
-         ignore (T.resolve_with_basis ~max_iters:0 cols ~snapshot ~changes:(other 0.0))
+      (match T.solve cols with
+       | T.Optimal { snapshot; _ } -> (
+         ignore (T.solve cols ~snapshot ~changes:(other 1.0));
+         match T.solve ~max_iters:0 cols ~snapshot ~changes:(other 0.0) with
+         | exception T.Iteration_limit -> ()
+         | _ -> ())
        | T.Infeasible | T.Unbounded -> ());
       let max_iters = if Array.exists (fun c -> c < 0.0) cols.T.c then 1 else 0 in
       let aborted =
-        match T.solve_cols ~max_iters cols with
+        match T.solve ~max_iters cols with
         | exception T.Iteration_limit -> true
         | _ -> false
       in
-      let used = chain cols in
-      aborted
+      let used, used_warm = without_fallback (fun () -> chain cols) in
+      aborted && fresh_warm && used_warm
       && List.length fresh = List.length used
       && List.for_all2 same_resolve fresh used)
+
+(* A stale warm basis falls back, within the same solve, to the cold solve
+   of the node. A snapshot solve that counts a fallback returns the bits
+   of a solve with the same changes and no snapshot on a fresh store:
+   value, x, basis and resting bounds, or the same abort. Fallbacks are
+   forced three ways: a pivot budget of 0, a snapshot that lists one
+   column twice, and two singular bases, one holding column 0 and its copy
+   (the last variable), one holding row 0's slack and row 0's artificial.
+   Each forced snapshot keeps the root optimum's resting bounds, which the
+   cold solve must not inherit. Every snapshot solve counts one warm hit
+   or one fallback, and the last three always fall back. Rows are [<= b]
+   with [b >= 0] and variables live in [0, 50], so the root is optimal; a
+   node's lower offsets may make its rhs negative. *)
+let arb_stale_node =
+  let gen =
+    QCheck.Gen.(
+      gen_lp ~vars:(1, 5) ~rows:(2, 5) ~var_bound:(return (0, Some 50))
+        ~row_sense:(return M.Le) ~rhs:(int_range 0 20) ~maximize:(return true) ()
+      >>= fun spec ->
+      int_range (-5) 5 >>= fun copy_cost ->
+      let spec =
+        {
+          spec with
+          var_bounds = spec.var_bounds @ [ (0, Some 50) ];
+          rows = List.map (fun (cs, sense, b) -> (cs @ [ List.hd cs ], sense, b)) spec.rows;
+          obj = spec.obj @ [ copy_cost ];
+        }
+      in
+      let change =
+        triple (int_range 0 (List.length spec.var_bounds - 1)) (int_range 0 10)
+          (opt (int_range 0 40))
+      in
+      list_size (int_range 0 3) change >>= fun changes -> return (spec, changes))
+  in
+  QCheck.make gen ~print:(fun (spec, changes) ->
+      Printf.sprintf "%s changes %s" (show_lp spec)
+        (String.concat ", "
+           (List.map
+              (fun (j, lo, span) ->
+                Printf.sprintf "x%d+%d in [0, %s]" j lo
+                  (match span with Some s -> string_of_int s | None -> "inf"))
+              changes)))
+
+let prop_fallback_is_the_cold_solve =
+  QCheck.Test.make ~name:"a warm solve that falls back returns the cold solve's bits"
+    ~count:300 arb_stale_node (fun (spec, changes) ->
+      let module T = Lp.Tableau in
+      let nv = List.length spec.var_bounds and m = List.length spec.rows in
+      (* ascending, the first change of a column winning *)
+      let changes =
+        List.sort_uniq
+          (fun (j, _, _) (k, _, _) -> Int.compare j k)
+          (List.map
+             (fun (j, lo, span) ->
+               (j, float_of_int lo, Option.fold ~none:infinity ~some:float_of_int span))
+             changes)
+      in
+      let outcome solve =
+        match solve () with
+        | r -> Ok r
+        | exception (T.Iteration_limit | T.Singular as e) -> Error e
+      in
+      let same a b =
+        match (a, b) with
+        | Ok a, Ok b -> same_resolve a b
+        | Error e, Error e' -> e = e'
+        | _, _ -> false
+      in
+      let cols = kernel_form spec in
+      match T.solve cols with
+      | T.Infeasible | T.Unbounded -> false (* the box forbids both *)
+      | T.Optimal { snapshot = root; _ } ->
+        (* whether the snapshot solve counted one hit or one fallback, and
+           a fallback's outcome matches the cold solve's *)
+        let stale ?max_iters ~must_fall_back snapshot =
+          let r =
+            under_fresh_telemetry (fun () ->
+                outcome (fun () -> T.solve ?max_iters ~snapshot ~changes cols))
+          in
+          let hits = Telemetry.counter_value "lp.bb.warm_hits"
+          and fallbacks = Telemetry.counter_value "lp.bb.warm_fallbacks" in
+          hits + fallbacks = 1
+          && ((not must_fall_back) || fallbacks = 1)
+          && (fallbacks = 0
+             || same r (outcome (fun () -> T.solve ?max_iters ~changes (kernel_form spec))))
+        in
+        let forced basis =
+          { T.s_basis = basis; s_at_ub = Array.copy root.T.s_at_ub; s_factor = None }
+        in
+        let twice = Array.copy root.T.s_basis in
+        twice.(1) <- twice.(0);
+        (* rows 0 and 1 on [b0] and [b1], every other row on its slack *)
+        let singular b0 b1 =
+          forced (Array.init m (fun i -> if i = 0 then b0 else if i = 1 then b1 else nv + i))
+        in
+        stale ~max_iters:0 ~must_fall_back:false root
+        && stale ~must_fall_back:true (forced twice)
+        && stale ~must_fall_back:true (singular 0 (nv - 1))
+        && stale ~must_fall_back:true (singular nv (nv + m)))
 
 (* Validation lives in the column store: a row index outside the form, a
    negative rhs, a negative span or a cost vector of the wrong length is
@@ -692,12 +800,11 @@ let test_columns_row_out_of_range () =
   check bool "zero span" false (raises (form ~ubs:[| 0.0 |]));
   check bool "costs length" true (raises (form ~c:[||]));
   let cols = form () in
-  match T.solve_cols cols with
+  match T.solve cols with
   | T.Optimal { snapshot; _ } ->
     check bool "changes out of order" true
       (raises (fun () ->
-           T.resolve_with_basis cols ~snapshot
-             ~changes:[ (0, 0.0, 1.0); (0, 0.0, 1.0) ]))
+           T.solve cols ~snapshot ~changes:[ (0, 0.0, 1.0); (0, 0.0, 1.0) ]))
   | T.Infeasible | T.Unbounded -> Alcotest.fail "x = 1 is the optimum"
 
 (* A zero-span column never enters a cold solve's basis, not even to drive
@@ -713,7 +820,7 @@ let test_zero_span_never_basic () =
     T.columns ~b:[| 0.0 |] ~c:[| 0.0; 1.0 |] ~ubs:[| 0.0; infinity |]
       [| [| (0, 1.0) |]; [| (0, -1.0) |] |]
   in
-  match T.solve_cols cols with
+  match T.solve cols with
   | T.Optimal { value; x; snapshot } ->
     check flt "value" 0.0 value;
     check flt "fixed column" 0.0 x.(0);
@@ -761,32 +868,34 @@ let test_simplex_iteration_limit () =
 
 (* A singular basis is a typed kernel failure, never [Failure]. Columns 0
    and 1 are equal, so a snapshot that makes both basic cannot be
-   refactorised: the warm re-solve reports it as stale (its caller then
-   solves cold), and nothing escapes. So does a snapshot whose structural
-   singleton (column 2, on row 0) comes before row 0's own artificial
-   (column 4): the artificial finds its row taken, which once escaped as
-   an out-of-bounds [Invalid_argument]. *)
+   refactorised: the warm re-solve takes the basis for stale, counts one
+   fallback and returns the bits of the cold solve of the node, and
+   nothing escapes. So does a snapshot whose structural singleton (column
+   2, on row 0) comes before row 0's own artificial (column 4): the
+   artificial finds its row taken, which once escaped as an out-of-bounds
+   [Invalid_argument]. *)
 let test_tableau_singular_basis () =
   let module T = Lp.Tableau in
   let same = [| (0, 1.0); (1, 2.0) |] in
-  let cols =
+  let store () =
     T.columns ~b:[| 1.0; 2.0 |] ~c:[| 1.0; 1.0; 0.0; 0.0 |] ~ubs:(Array.make 4 infinity)
       [| same; same; [| (0, 1.0) |]; [| (1, 1.0) |] |]
   in
+  let cols = store () and cold = T.solve (store ()) in
   List.iter
     (fun basis ->
       let snapshot =
         { T.s_basis = basis; s_at_ub = Array.make 4 false; s_factor = None }
       in
-      match T.resolve_with_basis cols ~snapshot ~changes:[] with
-      | Error reason ->
-        check Alcotest.string "reason" "singular basis on refactorisation" reason
-      | Ok _ -> Alcotest.fail "a singular basis cannot be resolved")
+      let r = under_fresh_telemetry (fun () -> T.solve cols ~snapshot ~changes:[]) in
+      check int_t "one fallback" 1 (Telemetry.counter_value "lp.bb.warm_fallbacks");
+      check bool "the cold solve's bits" true (same_resolve cold r))
     [ [| 0; 1 |]; [| 2; 4 |] ]
 
 (* A singular warm basis leaves nothing behind in its store. Columns 0 and
    1 are parallel, so refactorising a basis that holds both stops with
-   [Singular] in the bump, while eliminating the second of them. The next
+   [Singular] in the bump, while eliminating the second of them; the solve
+   falls back to the cold solve of the node, with its bits. The next
    warm re-solve over the same store refactorises a three-column bump over
    the same rows, and must give the bits it gives on a fresh store: value,
    x, basis and resting bounds. *)
@@ -812,18 +921,23 @@ let test_singular_warm_basis_leaves_store_clean () =
     { T.s_basis = basis; s_at_ub = Array.make 8 false; s_factor = None }
   in
   let next cols =
-    T.resolve_with_basis cols ~snapshot:(snapshot [| 2; 3; 4 |]) ~changes:[]
+    without_fallback (fun () ->
+        T.solve cols ~snapshot:(snapshot [| 2; 3; 4 |]) ~changes:[])
   in
   let used = store () in
-  (match T.resolve_with_basis used ~snapshot:(snapshot [| 0; 1; 7 |]) ~changes:[] with
-   | Error reason ->
-     check Alcotest.string "reason" "singular basis on refactorisation" reason
-   | Ok _ -> Alcotest.fail "a singular basis cannot be resolved");
-  let fresh = next (store ()) in
+  let r =
+    under_fresh_telemetry (fun () ->
+        T.solve used ~snapshot:(snapshot [| 0; 1; 7 |]) ~changes:[])
+  in
+  check int_t "one fallback" 1 (Telemetry.counter_value "lp.bb.warm_fallbacks");
+  check bool "the cold solve's bits" true (same_resolve (T.solve (store ())) r);
+  let fresh, warm = next (store ()) in
   (match fresh with
-   | Ok (T.Optimal _) -> ()
-   | _ -> Alcotest.fail "the follow-up re-solve reaches an optimum");
-  check bool "same bits as on a fresh store" true (same_resolve fresh (next used))
+   | T.Optimal _ when warm -> ()
+   | _ -> Alcotest.fail "the follow-up re-solve reaches an optimum warm");
+  let again, warm = next used in
+  check bool "the follow-up is warm on the used store" true warm;
+  check bool "same bits as on a fresh store" true (same_resolve fresh again)
 
 (* LPs with dense to half-empty columns, whose warm re-solves refactorise
    a bump of several basic structural columns; in the sparser ones a bump
@@ -834,7 +948,7 @@ let test_singular_warm_basis_leaves_store_clean () =
    the same reach is at most an eighth and its runs are merged. The
    padding changes no pivot, so the two must agree bit for bit on the
    original rows and columns; a warm re-solve must also agree with a cold
-   solve of the same bounds. *)
+   solve of the same bounds, without falling back to one. *)
 let arb_bump_lp =
   let gen =
     QCheck.Gen.(
@@ -890,37 +1004,39 @@ let prop_bump_orderings_agree =
       in
       (* the result of a padded solve, cut down to the original form *)
       let unpad = function
-        | Ok (T.Optimal { value; x; snapshot = s }) ->
-          Ok
-            (T.Optimal
-               {
-                 value;
-                 x = Array.sub x 0 n;
-                 snapshot =
-                   {
-                     T.s_basis = Array.sub s.T.s_basis 0 m;
-                     s_at_ub = Array.sub s.T.s_at_ub 0 n;
-                     s_factor = None;
-                   };
-               })
+        | T.Optimal { value; x; snapshot = s } ->
+          T.Optimal
+            {
+              value;
+              x = Array.sub x 0 n;
+              snapshot =
+                {
+                  T.s_basis = Array.sub s.T.s_basis 0 m;
+                  s_at_ub = Array.sub s.T.s_at_ub 0 n;
+                  s_factor = None;
+                };
+            }
         | r -> r
       in
       let agrees r cold =
         match r with
-        | Ok (T.Optimal { value; _ }) -> Float.abs (value -. cold) < 1e-6
-        | Ok (T.Infeasible | T.Unbounded) | Error _ -> false
+        | T.Optimal { value; _ } -> Float.abs (value -. cold) < 1e-6
+        | T.Infeasible | T.Unbounded -> false
       in
-      match (T.solve_cols cols, T.solve_cols padded, T.solve_cols tight) with
+      match (T.solve cols, T.solve padded, T.solve tight) with
       | ( (T.Optimal { value; snapshot = s; _ } as r),
           (T.Optimal { snapshot = s'; _ } as r'),
           T.Optimal { value = cold_node; _ } ) ->
-        let again = T.resolve_with_basis cols ~snapshot:s ~changes:[] in
-        let again' = T.resolve_with_basis padded ~snapshot:s' ~changes:[] in
-        let node = T.resolve_with_basis cols ~snapshot:s ~changes:[ (vi, 0.0, kf) ] in
-        let node' =
-          T.resolve_with_basis padded ~snapshot:s' ~changes:[ (vi, 0.0, kf) ]
+        let (again, again', node, node'), warm =
+          without_fallback (fun () ->
+              let again = T.solve cols ~snapshot:s ~changes:[] in
+              let again' = T.solve padded ~snapshot:s' ~changes:[] in
+              let node = T.solve cols ~snapshot:s ~changes:[ (vi, 0.0, kf) ] in
+              let node' = T.solve padded ~snapshot:s' ~changes:[ (vi, 0.0, kf) ] in
+              (again, again', node, node'))
         in
-        same_resolve (Ok r) (unpad (Ok r'))
+        warm
+        && same_resolve r (unpad r')
         && same_resolve again (unpad again')
         && same_resolve node (unpad node')
         && agrees again value
@@ -932,7 +1048,8 @@ let prop_bump_orderings_agree =
    [b - A lo] subtracted column by column in ascending order, spans
    written over. Re-solved from the same snapshot with no changes, that
    form's vertex plus the offsets and its value plus the offsets' cost
-   (summed from 0 in column order) must be the first result bit for bit.
+   (summed from 0 in column order) must be the first result bit for bit,
+   and neither re-solve may fall back to a cold solve.
    Coefficients and offsets are not integers, so a row met by several
    shifted columns, or three or more shift costs, round differently in
    another order; distinct offsets show one added back to the wrong
@@ -998,23 +1115,27 @@ let prop_changes_match_shifted_form =
           Array.iter (fun (i, a) -> b'.(i) <- b'.(i) -. (a *. lo)) pairs.(j))
         changes;
       let shifted = T.columns ~b:b' ~c ~ubs:ubs' pairs in
-      match T.solve_cols cols with
+      match T.solve cols with
       | T.Infeasible | T.Unbounded -> false (* a feasible origin, a bounded box *)
       | T.Optimal { snapshot; _ } ->
-        let by_hand =
-          match T.resolve_with_basis shifted ~snapshot ~changes:[] with
-          | Ok (T.Optimal { value; x; snapshot }) ->
-            let x = Array.copy x in
-            let cost = ref 0.0 in
-            List.iter
-              (fun (j, lo, _) ->
-                x.(j) <- x.(j) +. lo;
-                cost := !cost +. (c.(j) *. lo))
-              changes;
-            Ok (T.Optimal { value = value +. !cost; x; snapshot })
-          | r -> r
+        let same, warm =
+          without_fallback (fun () ->
+              let by_hand =
+                match T.solve shifted ~snapshot ~changes:[] with
+                | T.Optimal { value; x; snapshot } ->
+                  let x = Array.copy x in
+                  let cost = ref 0.0 in
+                  List.iter
+                    (fun (j, lo, _) ->
+                      x.(j) <- x.(j) +. lo;
+                      cost := !cost +. (c.(j) *. lo))
+                    changes;
+                  T.Optimal { value = value +. !cost; x; snapshot }
+                | r -> r
+              in
+              same_resolve (T.solve cols ~snapshot ~changes) by_hand)
         in
-        same_resolve (T.resolve_with_basis cols ~snapshot ~changes) by_hand)
+        same && warm)
 
 (* [a x = v] by dense Gaussian elimination with partial pivoting, [a] a
    square matrix as an array of rows. *)
@@ -1827,6 +1948,7 @@ let () =
             prop_sibling_resolves_share_factor;
             prop_columns_row_copy_is_transpose;
             prop_workspace_never_leaks;
+            prop_fallback_is_the_cold_solve;
             prop_bump_orderings_agree;
             prop_changes_match_shifted_form;
             prop_factor_matches_dense;
