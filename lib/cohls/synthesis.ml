@@ -120,16 +120,9 @@ let relative_improvement (prev : Schedule.breakdown) (next : Schedule.breakdown)
   float_of_int (prev.Schedule.fixed_minutes - next.Schedule.fixed_minutes)
   /. float_of_int (max 1 prev.Schedule.fixed_minutes)
 
-let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
-  Telemetry.span "synthesis.run" ~attrs:[ ("assay", Assay.name assay) ]
-  @@ fun () ->
-  let started = Telemetry.Clock.now_s () in
-  (* one device id, one scheduler state: a repeated id would give the
-     same device two *)
-  let pool_ids = List.map (fun (d : Device.t) -> d.Device.id) pool in
-  if List.length (List.sort_uniq compare pool_ids) <> List.length pool_ids then
-    invalid_arg "Synthesis.run_with_pool: the pool repeats a device id";
-  let layering = Layering.compute ~threshold:config.threshold assay in
+(* The accepted passes of one run under [config]'s engine, chronological:
+   the first pass, then re-synthesis passes while each improves. *)
+let passes config layering ~first_fresh_id ~pool assay =
   (* fresh ids must not collide with inherited pool devices (nor with ids
      the caller has retired, e.g. recovery's dead devices) *)
   let next_id =
@@ -225,8 +218,43 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
       continue := false
     end
   done;
-  let iterations = List.rev !iterations in
-  let final_iteration = List.nth iterations (List.length iterations - 1) in
+  List.rev !iterations
+
+let final_of iterations = List.nth iterations (List.length iterations - 1)
+
+let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
+  Telemetry.span "synthesis.run" ~attrs:[ ("assay", Assay.name assay) ]
+  @@ fun () ->
+  let started = Telemetry.Clock.now_s () in
+  (* one device id, one scheduler state: a repeated id would give the
+     same device two *)
+  let pool_ids = List.map (fun (d : Device.t) -> d.Device.id) pool in
+  if List.length (List.sort_uniq compare pool_ids) <> List.length pool_ids then
+    invalid_arg "Synthesis.run_with_pool: the pool repeats a device id";
+  let layering = Layering.compute ~threshold:config.threshold assay in
+  let iterations = passes config layering ~first_fresh_id ~pool assay in
+  (* An ILP run never ends worse than the heuristic run of the same
+     config: the layer ILPs and the pass acceptance each compare only
+     locally, so the whole run is checked against the heuristic's, which
+     replaces it only when strictly better. *)
+  let iterations =
+    match config.engine with
+    | Layer_solver.Heuristic -> iterations
+    | Layer_solver.Ilp _ ->
+      let heuristic =
+        Telemetry.span "synthesis.heuristic_guard" (fun () ->
+            passes
+              { config with engine = Layer_solver.Heuristic }
+              layering ~first_fresh_id ~pool assay)
+      in
+      let weighted its = (final_of its).breakdown.Schedule.weighted in
+      if weighted heuristic < weighted iterations then begin
+        Telemetry.count "synthesis.heuristic_kept";
+        heuristic
+      end
+      else iterations
+  in
+  let final_iteration = final_of iterations in
   {
     config;
     layering;

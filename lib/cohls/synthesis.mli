@@ -71,6 +71,13 @@ val run_with_pool :
     may create a device only while the pool plus every device the pass has
     created so far number fewer than [max_devices], so a pool at or above
     the cap allows no new device. [run] is [run_with_pool ~pool:[]].
+
+    Under an [Ilp] engine the same config also runs with the [Heuristic]
+    engine (on the same layering), and the heuristic run's iterations are
+    returned instead only when its final weighted objective is strictly
+    lower, counted under [synthesis.heuristic_kept]: an ILP run never ends
+    worse than the heuristic one, and a tie keeps the ILP run. [config] is
+    returned as given either way.
     @raise List_scheduler.No_device when pool plus cap cannot accommodate
     the assay.
     @raise Invalid_argument when [pool] repeats a device id. *)

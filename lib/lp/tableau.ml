@@ -48,11 +48,13 @@
    point of the original problem remains feasible with all artificials at
    zero, so the infeasibility test is unaffected.
 
-   Pricing is steepest-edge-lite — Dantzig reduced costs scaled by static
-   column norms ([d_j^2 / (1 + ||a_j||^2)]) — for the first [3*(m+n)]
-   iterations, then Bland (smallest index), which guarantees termination
-   even under degeneracy (bound flips are always nondegenerate: only
-   columns of positive span enter).
+   Primal pricing is steepest-edge-lite — Dantzig reduced costs scaled by
+   static column norms ([d_j^2 / (1 + ||a_j||^2)]) — for the first
+   [3*(m+n)] iterations, then Bland (smallest index), which guarantees
+   termination even under degeneracy (bound flips are always
+   nondegenerate: only columns of positive span enter). The dual phase
+   prices by dual steepest edge, with weights it updates every pivot
+   ({!dual_phase}).
 
    Every hot array is an unboxed [float array] and every comparison inline;
    values within [eps] of each other compare equal. *)
@@ -73,6 +75,8 @@ type workspace = {
   w_x_b : float array;
   w_b : float array;  (* the node's rhs *)
   w_art : float array;  (* the sign of each row's artificial column *)
+  w_dse : float array;  (* dual steepest-edge weight of each basis row *)
+  w_tau : float array;  (* [B^-1 rho], for the weight update *)
   w_rows : int array;  (* nonzero rows of [y], [rho] or an FTRAN'd column *)
   w_basis : int array;
   w_d : float array;  (* reduced costs *)
@@ -115,6 +119,8 @@ let workspace ~m ~n factor =
     w_x_b = fm ();
     w_b = fm ();
     w_art = fm ();
+    w_dse = fm ();
+    w_tau = fm ();
     w_rows = im ();
     w_basis = im ();
     w_d = fn ();
@@ -600,17 +606,28 @@ let drive_out_artificials st =
    the parent's dual feasibility (the reduced-cost sign pattern depends only
    on the basis and the costs, neither of which branching touches).
 
-   Bound-ratio pricing picks the leaving row — the basic variable with the
-   largest bound violation, scaled by its static column norm, mirroring the
-   primal's steepest-edge-lite rule — and the ratio test runs over the eta
-   file: one BTRAN for the pivot row of B^-1, then the pivot row alpha_r
-   over the rows that row of B^-1 reaches ({!pivot_row}), collecting every
-   sign-eligible nonbasic structural entry with its ratio
-   |d_j| / |alpha_rj|. The ratio test is the bound-flipping ("long step")
-   variant described at the walk below; all flips of one iteration are
-   applied with a single accumulated FTRAN, so a flip-heavy repair costs
-   one pricing round instead of one per flip (the naive variant hit ~800
-   full reprices per warm solve on the paper's case 1).
+   Dual steepest-edge pricing picks the leaving row: the basic variable
+   maximising viol^2 / w_i, where w_i estimates ||e_i^T B^-1||^2, the
+   squared norm of row i of the basis inverse (Forrest and Goldfarb,
+   "Steepest-edge simplex algorithms for linear programming", Math. Prog.
+   57, 1992). Every weight starts at 1 when the phase starts (a snapshot
+   carries none) and learns from each dual pivot: the pivot row's weight
+   is recomputed exactly as ||rho||^2 from the BTRAN the ratio test needs
+   anyway, one more FTRAN gives tau = B^-1 rho, and every row i the
+   entering column alpha reaches is updated by
+     w_i <- max(w_i - 2 (alpha_i/alpha_r) tau_i + (alpha_i/alpha_r)^2 w_r,
+                (alpha_i/alpha_r)^2)
+   and the pivot row's by w_r <- w_r / alpha_r^2. A refactorisation keeps
+   every row's basic column, so the weights stay valid across it.
+
+   The ratio test runs over the eta file: one BTRAN for the pivot row of
+   B^-1, then the pivot row alpha_r over the rows that row of B^-1 reaches
+   ({!pivot_row}), collecting every sign-eligible nonbasic structural entry
+   with its ratio |d_j| / |alpha_rj|. The ratio test is the bound-flipping
+   ("long step") variant described at the walk below; all flips of one
+   iteration are applied with a single accumulated FTRAN, so a flip-heavy
+   repair costs one pricing round instead of one per flip (the naive
+   variant hit ~800 full reprices per warm solve on the paper's case 1).
 
    The reduced costs [d] are priced from a fresh BTRAN of the simplex
    multipliers only at the first iteration and after each refactorisation.
@@ -634,6 +651,7 @@ let dual_phase st =
   let ws = st.ws in
   let rho = ws.w_rho and delta = ws.w_delta
   and alpha = ws.w_alpha and d = ws.w_d and row_r = ws.w_row_r
+  and w = ws.w_dse and tau = ws.w_tau
   and touched = ws.w_touched and cand = ws.w_cand
   and cand_ratio = ws.w_cand_ratio and cand_arj = ws.w_cand_arj
   and order = ws.w_cand_order in
@@ -654,11 +672,12 @@ let dual_phase st =
       let cm = Float.compare (Float.abs cand_arj.(b)) (Float.abs cand_arj.(a)) in
       if cm <> 0 then cm else compare cand.(a) cand.(b)
   in
+  Array.fill w 0 st.m 1.0;
   let rec loop () =
     if st.iters > st.max_iters then `Cycled
     else begin
       begin_iteration st;
-      (* Bound-ratio pricing of the infeasible basic variables. *)
+      (* Steepest-edge pricing of the infeasible basic variables. *)
       let row = ref (-1) and score = ref 0.0 and above = ref false in
       for i = 0 to st.m - 1 do
         let bv = st.basis.(i) in
@@ -668,8 +687,7 @@ let dual_phase st =
           if x < -.eps then -.x else if x > hi +. eps then x -. hi else 0.0
         in
         if viol > 0.0 then begin
-          let w = if bv < st.n then st.cols.col_weight.(bv) else 2.0 in
-          let s = viol *. viol /. w in
+          let s = viol *. viol /. w.(i) in
           if s > !score then begin
             row := i;
             score := s;
@@ -788,6 +806,24 @@ let dual_phase st =
                 done;
                 d.(j) <- 0.0;
                 if leaving < st.n then d.(leaving) <- -.theta;
+                (* the weights of the basis after the pivot; see above *)
+                let w_r = ref 0.0 in
+                for i = 0 to st.m - 1 do
+                  w_r := !w_r +. (rho.(i) *. rho.(i))
+                done;
+                let w_r = !w_r in
+                Array.blit rho 0 tau 0 st.m;
+                ftran st tau;
+                for i = 0 to st.m - 1 do
+                  let a = alpha.(i) in
+                  if a <> 0.0 && i <> r then begin
+                    let ratio = a /. arj in
+                    let r2 = ratio *. ratio in
+                    let wi = w.(i) -. (2.0 *. ratio *. tau.(i)) +. (r2 *. w_r) in
+                    w.(i) <- (if wi > r2 then wi else r2)
+                  end
+                done;
+                w.(r) <- w_r /. (arj *. arj);
                 pivot st ~row:r ~col:j ~t:step ~dir:1.0 ~to_ub:!above alpha;
                 st.dual_pivots <- st.dual_pivots + 1;
                 loop ()

@@ -16,9 +16,12 @@
     node changes. An [Optimal] result carries the {!snapshot} of its final
     basis, and a dual-simplex phase re-solves another node of the form
     from it, falling back within the same call to a cold solve when that
-    basis proves stale; a dual iteration costs one BTRAN (the pivot row)
-    and one FTRAN (the entering column), plus one FTRAN for any bound
-    flips. This is the kernel under {!Simplex}.
+    basis proves stale. The dual phase picks its leaving row by dual
+    steepest edge, with one weight per basis row reset to 1 at the start
+    of every warm re-solve (a snapshot carries none); a dual iteration
+    costs one BTRAN (the pivot row) and two FTRANs (the entering column,
+    and the pivot row of [B^-1] for the weight update), plus one FTRAN for
+    any bound flips. This is the kernel under {!Simplex}.
 
     Each solve counts its BTRANs and FTRANs ([lp.simplex.btrans],
     [lp.simplex.ftrans]; a refactorisation's own column transforms are not
@@ -64,7 +67,8 @@ type columns = private {
   col_idx : int array array;  (** row indices of each column, ascending *)
   col_val : float array array;  (** coefficients, parallel to [col_idx] *)
   col_weight : float array;
-      (** [1 + ||a_j||^2] per column: the static norm pricing scales by *)
+      (** [1 + ||a_j||^2] per column: the static norm primal pricing scales
+          by *)
   row_start : int array;
       (** length [nrows + 1]: row [i]'s entries are
           [row_start.(i) .. row_start.(i + 1) - 1] of the two arrays below *)

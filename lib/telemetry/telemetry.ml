@@ -375,16 +375,38 @@ module Export = struct
     in
     Json.to_string (Json.Obj fields)
 
+  (* Per span name, the summed totals of its direct children, for the names
+     that have any. [sps] is in start order and completed spans nest, so a
+     span's parent is the latest span started before it one level up. *)
+  let child_totals sps =
+    let last_at_depth = Hashtbl.create 8 and tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (s : span_record) ->
+        Hashtbl.replace last_at_depth s.depth s.span_name;
+        match Hashtbl.find_opt last_at_depth (s.depth - 1) with
+        | Some parent ->
+          let sum = Option.value ~default:0.0 (Hashtbl.find_opt tbl parent) in
+          Hashtbl.replace tbl parent (sum +. s.duration_s)
+        | None -> ())
+      sps;
+    tbl
+
   let stats_table () =
     let buf = Buffer.create 1024 in
     let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-    let aggs = span_aggregates (spans ()) in
+    let sps = spans () in
+    let aggs = span_aggregates sps in
     if aggs <> [] then begin
+      let children = child_totals sps in
       line "%-38s %8s %12s %12s %12s" "span" "count" "total_s" "min_s" "max_s";
       line "%s" (String.make 86 '-');
       List.iter
         (fun (name, (n, total, mn, mx)) ->
-          line "%-38s %8d %12.6f %12.6f %12.6f" name n total mn mx)
+          line "%-38s %8d %12.6f %12.6f %12.6f" name n total mn mx;
+          (* the parent's time no child span covers *)
+          Option.iter
+            (fun inner -> line "%-38s %8s %12.6f" (name ^ " (unattributed)") "" (total -. inner))
+            (Hashtbl.find_opt children name))
         aggs
     end;
     let cs = counters () in

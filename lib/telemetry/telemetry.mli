@@ -115,5 +115,8 @@ module Export : sig
   (** Flat report: spans aggregated by name, counters, histograms. *)
 
   val stats_table : unit -> string
-  (** Human-readable ASCII rendering of the same aggregates. *)
+  (** Human-readable ASCII rendering of the same aggregates. Below each
+      span name with child spans, a [<name> (unattributed)] row gives its
+      total minus its direct children's totals: the time no child span
+      covers. *)
 end

@@ -366,6 +366,43 @@ let test_ilp_never_worse_than_greedy_random () =
          <= heur.Syn.final_breakdown.Cohls.Schedule.weighted)
   done
 
+(* A whole ILP run never ends worse than the heuristic run of the same
+   config: random assays of 5-12 ops, several re-synthesis passes, and a
+   node budget with no time limit, so each case is deterministic. *)
+let prop_ilp_run_never_worse_than_heuristic =
+  QCheck.Test.make ~name:"ILP run never ends worse than the heuristic run"
+    ~count:50
+    QCheck.(
+      make
+        ~print:(fun (ops, seed) -> Printf.sprintf "%d ops, seed %d" ops seed)
+        Gen.(pair (int_range 5 12) (int_range 1 10_000)))
+    (fun (op_count, seed) ->
+      let assay =
+        Assays.Random_assay.generate ~seed
+          { Assays.Random_assay.default_params with Assays.Random_assay.op_count }
+      in
+      let run engine =
+        Syn.run ~config:{ Syn.default_config with Syn.engine; max_iterations = 3 } assay
+      in
+      match run Cohls.Layer_solver.Heuristic with
+      | exception Cohls.List_scheduler.No_device _ -> QCheck.assume_fail ()
+      | heur ->
+        let ilp =
+          run
+            (Cohls.Layer_solver.Ilp
+               {
+                 options =
+                   {
+                     Lp.Branch_bound.default_options with
+                     Lp.Branch_bound.time_limit = None;
+                     node_limit = Some 40;
+                   };
+                 extra_free_slots = 1;
+               })
+        in
+        ilp.Syn.final_breakdown.Cohls.Schedule.weighted
+        <= heur.Syn.final_breakdown.Cohls.Schedule.weighted)
+
 let () =
   Alcotest.run "ilp-model"
     [
@@ -394,5 +431,6 @@ let () =
             test_ilp_layer_respects_cap_with_inherited;
           Alcotest.test_case "ILP never worse than greedy (random)" `Slow
             test_ilp_never_worse_than_greedy_random;
+          QCheck_alcotest.to_alcotest prop_ilp_run_never_worse_than_heuristic;
         ] );
     ]

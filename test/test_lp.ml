@@ -422,7 +422,11 @@ let prop_warm_resolve_matches_cold =
    pivots, which the reduced costs the dual phase carries across them must
    survive: the dual phase keeps the basis dual feasible, so a warm hit
    must end with no primal polish pivot. A wrong update still reaches the
-   optimum through the polish, so only that count shows it. The chain ends
+   optimum through the polish, so only that count shows it. The one
+   exception is a level that widens a column the level above fixed: a
+   zero-span column never enters, so its reduced cost is not kept dual
+   feasible, and once unfixed it may rightly take a polish pivot. Such a
+   level is still held to the cold objective and status. The chain ends
    early at a level without an optimum. *)
 let arb_lp_chain =
   let gen =
@@ -442,9 +446,8 @@ let arb_lp_chain =
               (fun (vi, up, k) -> Printf.sprintf "x%d.%s=%d" vi (if up then "lb" else "ub") k)
               changes)))
 
-let prop_warm_chain_matches_cold =
-  QCheck.Test.make ~name:"warm re-solve chain matches cold at every level" ~count:150
-    arb_lp_chain (fun (spec, changes) ->
+let warm_chain_matches_cold ~name =
+  QCheck.Test.make ~name ~count:150 arb_lp_chain (fun (spec, changes) ->
       let m = build_lp spec in
       (* the re-solve, and whether it was a warm hit that needed the primal
          polish *)
@@ -463,9 +466,16 @@ let prop_warm_chain_matches_cold =
           let bounds = Array.copy bounds in
           let lb, ub = bounds.(vi) in
           bounds.(vi) <- (if up then (Q.of_int k, ub) else (lb, Some (Q.of_int k)));
+          let unfixes =
+            (match ub with Some u -> Q.equal u lb | None -> false)
+            &&
+            match bounds.(vi) with
+            | l, Some u -> Q.compare l u < 0
+            | _, None -> true
+          in
           let branchings = (vi, fst bounds.(vi), snd bounds.(vi)) :: branchings in
           let warm_r, polished = warm_solve ~warm branchings in
-          (not polished)
+          (unfixes || not polished)
           &&
           match (warm_r, S.solve_relaxation_float ~bounds m) with
           | S.Optimal { objective = w; warm; _ }, S.Optimal { objective = c; _ } ->
@@ -478,6 +488,16 @@ let prop_warm_chain_matches_cold =
       | S.Optimal { warm; _ } ->
         let box = Array.make (M.var_count m) (Q.zero, Some (Q.of_int 50)) in
         descend warm box [] changes)
+
+let prop_warm_chain_matches_cold =
+  warm_chain_matches_cold ~name:"warm re-solve chain matches cold at every level"
+
+(* The seed whose chain x2.ub=0, x4.lb=46, x2.ub=7 unfixes a column and
+   takes a legitimate polish pivot there. *)
+let test_warm_chain_regression_seed =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 200428684 |])
+    (warm_chain_matches_cold ~name:"warm re-solve chain, seed 200428684")
 
 (* Kernel form of an [arb_lp_rebound] model: [x_j] in [0, 50] as column
    bounds, one slack column per [<=] row, the maximisation negated. *)
@@ -1952,7 +1972,8 @@ let () =
             prop_bump_orderings_agree;
             prop_changes_match_shifted_form;
             prop_factor_matches_dense;
-          ] );
+          ]
+        @ [ test_warm_chain_regression_seed ] );
       ( "presolve",
         [
           Alcotest.test_case "tightens bounds" `Quick test_presolve_tightens;

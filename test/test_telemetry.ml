@@ -308,6 +308,39 @@ let test_stats_table () =
              go 0))
         [ "outer"; "inner"; "nodes"; "gap" ])
 
+(* Under a clock that steps 1 s per read: [parent] runs 0..7 s, its
+   children [a] 1..4 s (with its own child [g] 2..3 s) and [b] 5..6 s. Its
+   direct children cover 4 of its 7 s, [a]'s child 1 of its 3 s; the
+   grandchild is not one of [parent]'s direct children, and the leaves get
+   no row. The JSON report is unchanged by the rows. *)
+let test_stats_table_unattributed () =
+  fresh ();
+  with_fixed_clock (fun () ->
+      Telemetry.span "parent" (fun () ->
+          Telemetry.span "a" (fun () -> Telemetry.span "g" (fun () -> ()));
+          Telemetry.span "b" (fun () -> ())));
+  let rows = String.split_on_char '\n' (Telemetry.Export.stats_table ()) in
+  let row name =
+    List.find_opt (fun l -> String.starts_with ~prefix:(name ^ " ") l) rows
+  in
+  let gap name =
+    Option.map
+      (fun l ->
+        let fields = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+        float_of_string (List.nth fields (List.length fields - 1)))
+      (row (name ^ " (unattributed)"))
+  in
+  Alcotest.(check (option (float 1e-9))) "parent's gap" (Some 3.0) (gap "parent");
+  Alcotest.(check (option (float 1e-9))) "a's gap" (Some 2.0) (gap "a");
+  Alcotest.(check (option (float 1e-9))) "no row for a leaf" None (gap "b");
+  Alcotest.(check (option (float 1e-9))) "no row for a leaf" None (gap "g");
+  let json = Telemetry.Export.stats_json () in
+  Alcotest.(check bool) "JSON has no unattributed entry" false
+    (let needle = "unattributed" in
+     let nh = String.length json and nn = String.length needle in
+     let rec go i = i + nn <= nh && (String.sub json i nn = needle || go (i + 1)) in
+     go 0)
+
 (* The collector records the calling domain only, so every span carries
    tid 0, in the records and in the trace's complete events alike. *)
 let test_spans_on_tid_zero () =
@@ -471,6 +504,8 @@ let () =
           Alcotest.test_case "valid + deterministic JSON" `Quick
             test_exporters_valid_and_deterministic;
           Alcotest.test_case "ascii stats table" `Quick test_stats_table;
+          Alcotest.test_case "stats table shows unattributed time" `Quick
+            test_stats_table_unattributed;
           Alcotest.test_case "every span on tid 0" `Quick test_spans_on_tid_zero;
         ] );
       ( "pipeline",
