@@ -604,12 +604,36 @@ let warm_resolves model =
     in
     fun () -> List.iter (fun b -> ignore (Lp.Simplex.solve ~warm form b)) branchings
 
+(* The dual pivots [case1_layer_warm]'s sixteen re-solves take: the kernel
+   is deterministic, so a change that moves this number changes what the
+   warm dual phase computes, not only how fast. *)
+let case1_layer_warm_dual_pivots = 566
+
+(* Run [case1_layer_warm] once under telemetry and exit non-zero unless it
+   takes exactly [case1_layer_warm_dual_pivots] dual pivots, so the timing
+   that follows times the dual phase the pin describes. *)
+let pin_dual_pivots case1_layer_warm =
+  let was_enabled = Telemetry.enabled () in
+  Telemetry.enable ();
+  let before = Telemetry.counter_value "lp.simplex.dual_pivots" in
+  case1_layer_warm ();
+  let dual_pivots = Telemetry.counter_value "lp.simplex.dual_pivots" - before in
+  if not was_enabled then Telemetry.disable ();
+  Format.fprintf fmt "  simplex/case1-layer-warm takes %d dual pivots@." dual_pivots;
+  if dual_pivots <> case1_layer_warm_dual_pivots then begin
+    Format.fprintf fmt "  expected %d dual pivots: the warm dual phase changed@."
+      case1_layer_warm_dual_pivots;
+    exit 1
+  end
+
 let micro () =
   section "Bechamel micro-benchmarks of the computational kernels";
   let open Bechamel in
   let assay2 = Assays.Gene_expression.testcase () in
   let assay3 = Assays.Rt_qpcr.testcase () in
   let layer1 = case1_layer_model () in
+  let case1_layer_warm = warm_resolves layer1 in
+  pin_dual_pivots case1_layer_warm;
   let stagef f = Staged.stage f in
   let tests =
     [
@@ -624,7 +648,7 @@ let micro () =
       Test.make ~name:"simplex/wyndor-float" (stagef wyndor_solve);
       Test.make ~name:"presolve/case1-layer"
         (stagef (fun () -> ignore (Lp.Presolve.run layer1)));
-      Test.make ~name:"simplex/case1-layer-warm" (stagef (warm_resolves layer1));
+      Test.make ~name:"simplex/case1-layer-warm" (stagef case1_layer_warm);
       Test.make ~name:"maxflow/8x8-grid" (stagef maxflow_grid);
       Test.make ~name:"bigint/mul-256-digit"
         (stagef (fun () ->

@@ -54,7 +54,8 @@
    standard forms translated (`lp.simplex.rows`, `cols` and `nnz`: one
    form per branch-and-bound search) and the kernel's sparsity counters:
    `lp.simplex.phase1_pivots`, `lp.simplex.rho_nnz`,
-   `lp.simplex.pivot_row_nnz` and the sample sums of the
+   `lp.simplex.pivot_row_nnz`, `lp.simplex.chuzr_rows` (the rows the
+   dual phase's leaving-row choice reads) and the sample sums of the
    `lp.simplex.factor_nnz` and `lp.simplex.bump_cols` histograms. They
    are informational and gate nothing: they describe the forms and how
    sparse the kernel's work is, not what it computes.
@@ -393,6 +394,7 @@ let () =
       "lp.simplex.phase1_pivots";
       "lp.simplex.rho_nnz";
       "lp.simplex.pivot_row_nnz";
+      "lp.simplex.chuzr_rows";
     ];
   List.iter
     (fun name ->

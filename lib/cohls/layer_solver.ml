@@ -11,7 +11,6 @@ let solve engine (problem : Layer_problem.t) ~fresh_id =
         ("ops", string_of_int (List.length problem.layer.Layering.ops));
       ]
   @@ fun () ->
-  Telemetry.count "layer.solves";
   let heur =
     Telemetry.span "layer.heuristic" (fun () ->
         List_scheduler.schedule_layer problem ~fresh_id)

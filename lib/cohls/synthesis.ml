@@ -55,7 +55,7 @@ let bound binding op = if binding.(op) < 0 then None else Some binding.(op)
    same or an earlier layer, so each layer sees the devices and routed
    paths of the earlier ones (§3.2, constraint (21)), and the last leaves
    the chip of the whole schedule. *)
-let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
+let run_pass cfg assay layering transport ~guard ~pool ~penalty ~fresh_id =
   let ops = Assay.operations assay in
   let graph = Assay.dependency_graph assay in
   let layer_of_op = layering.Layering.layer_of_op in
@@ -92,6 +92,7 @@ let run_pass cfg assay layering transport ~pool ~penalty ~fresh_id =
             routed = Chip.has_path chip;
           }
         in
+        if not guard then Telemetry.count "layer.solves";
         let { List_scheduler.entries; created } =
           Layer_solver.solve cfg.engine problem ~fresh_id
         in
@@ -121,8 +122,11 @@ let relative_improvement (prev : Schedule.breakdown) (next : Schedule.breakdown)
   /. float_of_int (max 1 prev.Schedule.fixed_minutes)
 
 (* The accepted passes of one run under [config]'s engine, chronological:
-   the first pass, then re-synthesis passes while each improves. *)
-let passes config layering ~first_fresh_id ~pool assay =
+   the first pass, then re-synthesis passes while each improves. The
+   passes of the heuristic guard ([guard], see {!run_with_pool}) count as
+   [synthesis.heuristic_guard.passes] only: neither they nor their layer
+   solves join the run's own counters. *)
+let passes config layering ~guard ~first_fresh_id ~pool assay =
   (* fresh ids must not collide with inherited pool devices (nor with ids
      the caller has retired, e.g. recovery's dead devices) *)
   let next_id =
@@ -136,6 +140,10 @@ let passes config layering ~first_fresh_id ~pool assay =
     incr next_id;
     id
   in
+  let count_pass () =
+    Telemetry.count
+      (if guard then "synthesis.heuristic_guard.passes" else "synthesis.passes")
+  in
   let op_count = Assay.operation_count assay in
   let graph = Assay.dependency_graph assay in
   let children op = Flowgraph.Digraph.succ graph op in
@@ -143,11 +151,11 @@ let passes config layering ~first_fresh_id ~pool assay =
   let transport0 = Transport.constant ~op_count initial_transport in
   let schedule0, created0, binding0 =
     Telemetry.span "synthesis.pass" ~attrs:[ ("pass", "0") ] (fun () ->
-        run_pass config assay layering transport0 ~pool
+        run_pass config assay layering transport0 ~guard ~pool
           ~penalty:(fun _ _ -> 0)
           ~fresh_id)
   in
-  Telemetry.count "synthesis.passes";
+  count_pass ();
   let breakdown0 = Schedule.evaluate ~weights:config.weights cost schedule0 in
   let iterations = ref [ { iteration_index = 0; schedule = schedule0; breakdown = breakdown0 } ] in
   let continue = ref (config.max_iterations > 1) in
@@ -196,16 +204,16 @@ let passes config layering ~first_fresh_id ~pool assay =
     let schedule, created, binding =
       Telemetry.span "synthesis.pass" ~attrs:[ ("pass", string_of_int k) ]
         (fun () ->
-          run_pass config assay layering transport ~pool:prev_devices ~penalty
+          run_pass config assay layering transport ~guard ~pool:prev_devices ~penalty
             ~fresh_id)
     in
     let breakdown = Schedule.evaluate ~weights:config.weights cost schedule in
-    Telemetry.count "synthesis.passes";
+    count_pass ();
     (* accept a pass only when the full weighted objective improves (a pure
        time gain bought with extra devices or channels is no improvement);
        stop when the execution-time gain becomes marginal *)
     if breakdown.Schedule.weighted < prev_breakdown.Schedule.weighted then begin
-      Telemetry.count "synthesis.passes_accepted";
+      if not guard then Telemetry.count "synthesis.passes_accepted";
       iterations := { iteration_index = k; schedule; breakdown } :: !iterations;
       prev := (schedule, created, binding);
       let improvement = relative_improvement prev_breakdown breakdown in
@@ -214,7 +222,7 @@ let passes config layering ~first_fresh_id ~pool assay =
       then continue := false
     end
     else begin
-      Telemetry.count "synthesis.passes_rejected";
+      if not guard then Telemetry.count "synthesis.passes_rejected";
       continue := false
     end
   done;
@@ -232,7 +240,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
   if List.length (List.sort_uniq compare pool_ids) <> List.length pool_ids then
     invalid_arg "Synthesis.run_with_pool: the pool repeats a device id";
   let layering = Layering.compute ~threshold:config.threshold assay in
-  let iterations = passes config layering ~first_fresh_id ~pool assay in
+  let iterations = passes config layering ~guard:false ~first_fresh_id ~pool assay in
   (* An ILP run never ends worse than the heuristic run of the same
      config: the layer ILPs and the pass acceptance each compare only
      locally, so the whole run is checked against the heuristic's, which
@@ -245,7 +253,7 @@ let run_with_pool ?(config = default_config) ?(first_fresh_id = 0) ~pool assay =
         Telemetry.span "synthesis.heuristic_guard" (fun () ->
             passes
               { config with engine = Layer_solver.Heuristic }
-              layering ~first_fresh_id ~pool assay)
+              layering ~guard:true ~first_fresh_id ~pool assay)
       in
       let weighted its = (final_of its).breakdown.Schedule.weighted in
       if weighted heuristic < weighted iterations then begin

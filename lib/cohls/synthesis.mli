@@ -76,7 +76,11 @@ val run_with_pool :
     engine (on the same layering), and the heuristic run's iterations are
     returned instead only when its final weighted objective is strictly
     lower, counted under [synthesis.heuristic_kept]: an ILP run never ends
-    worse than the heuristic one, and a tie keeps the ILP run. [config] is
+    worse than the heuristic one, and a tie keeps the ILP run. That run's
+    passes count under [synthesis.heuristic_guard.passes] only, so
+    [synthesis.passes], [synthesis.passes_accepted],
+    [synthesis.passes_rejected] and [layer.solves] describe the ILP run
+    alone; its spans nest under [synthesis.heuristic_guard]. [config] is
     returned as given either way.
     @raise List_scheduler.No_device when pool plus cap cannot accommodate
     the assay.

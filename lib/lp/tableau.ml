@@ -53,7 +53,8 @@
    [3*(m+n)] iterations, then Bland (smallest index), which guarantees
    termination even under degeneracy (bound flips are always
    nondegenerate: only columns of positive span enter). The dual phase
-   prices by dual steepest edge, with weights it updates every pivot
+   prices by dual steepest edge, with weights it updates every pivot, and
+   picks its leaving row from a list of candidate infeasible rows
    ({!dual_phase}).
 
    Every hot array is an unboxed [float array] and every comparison inline;
@@ -78,6 +79,8 @@ type workspace = {
   w_dse : float array;  (* dual steepest-edge weight of each basis row *)
   w_tau : float array;  (* [B^-1 rho], for the weight update *)
   w_rows : int array;  (* nonzero rows of [y], [rho] or an FTRAN'd column *)
+  w_infeas : int array;  (* the dual phase's candidate infeasible rows *)
+  w_listed : bool array;  (* a row's membership of [w_infeas] *)
   w_basis : int array;
   w_d : float array;  (* reduced costs *)
   w_row_r : float array;  (* the dual pivot row, where [w_stamp = w_gen] *)
@@ -122,6 +125,8 @@ let workspace ~m ~n factor =
     w_dse = fm ();
     w_tau = fm ();
     w_rows = im ();
+    w_infeas = im ();
+    w_listed = Array.make m false;
     w_basis = im ();
     w_d = fn ();
     w_row_r = fn ();
@@ -237,6 +242,7 @@ type state = {
   mutable ftrans : int;
   mutable rho_nnz : int;
   mutable pivot_row_nnz : int;
+  mutable chuzr_rows : int;
 }
 
 let clamp x = if Float.abs x <= eps then 0.0 else x
@@ -292,11 +298,12 @@ let subtract_rows st v d =
     done
   done
 
-(* The dual pivot row [rho . a_j], row by row over the nonzeros of [rho],
-   into [w_row_r]. Only the columns those rows reach get an entry: each is
-   stamped with a fresh generation and listed in [w_touched], whose length
-   is returned; every other column's entry is zero. *)
-let pivot_row st rho =
+(* The dual pivot row [rho . a_j], row by row over the [nrho] nonzeros of
+   [rho] that {!nonzero_rows} has just listed, into [w_row_r]. Only the
+   columns those rows reach get an entry: each is stamped with a fresh
+   generation and listed in [w_touched], whose length is returned; every
+   other column's entry is zero. *)
+let pivot_row st rho nrho =
   let cols = st.cols and ws = st.ws in
   let row_start = cols.row_start and row_col = cols.row_col
   and row_val = cols.row_val in
@@ -304,10 +311,9 @@ let pivot_row st rho =
   and touched = ws.w_touched in
   ws.w_gen <- ws.w_gen + 1;
   let gen = ws.w_gen in
-  let cnt = nonzero_rows st rho in
-  st.rho_nnz <- st.rho_nnz + cnt;
+  st.rho_nnz <- st.rho_nnz + nrho;
   let nt = ref 0 in
-  for k = 0 to cnt - 1 do
+  for k = 0 to nrho - 1 do
     let i = rows.(k) in
     let ri = rho.(i) in
     for p = row_start.(i) to row_start.(i + 1) - 1 do
@@ -362,20 +368,27 @@ let step_x_b st v step =
   done;
   !cnt
 
-(* One sweep over [alpha] moves x_B along the step and collects the rows
-   of the eta; the pivot row's entry, which must be above [eps], is then
-   overwritten with the entering variable's value. A structural leaving
-   variable rests at its upper bound if [to_ub]. *)
-let pivot st ~row ~col ~t ~dir ~to_ub alpha =
-  let step = t *. dir and leaving = st.basis.(row) in
+(* Column [col] takes row [row] of the basis, its value there [step] past
+   the bound it rested at; a structural leaving variable rests at its upper
+   bound if [to_ub]. *)
+let swap_in st ~row ~col ~step ~to_ub =
+  let leaving = st.basis.(row) in
   let enter_val = if st.at_ub.(col) then st.ubs.(col) else 0.0 in
-  Factor.update st.factor ~row alpha st.ws.w_rows (step_x_b st alpha step);
   st.x_b.(row) <- clamp (enter_val +. step);
   st.at_ub.(col) <- false;
   if leaving < st.n then st.at_ub.(leaving) <- to_ub;
   st.pos.(leaving) <- -1;
   st.basis.(row) <- col;
   st.pos.(col) <- row
+
+(* The pivot of the primal phases and {!drive_out_artificials}: one sweep over [alpha] moves x_B along
+   the step and collects the rows of the eta; the pivot row's entry, which
+   must be above [eps], is then overwritten with the entering variable's
+   value. *)
+let pivot st ~row ~col ~t ~dir ~to_ub alpha =
+  let step = t *. dir in
+  Factor.update st.factor ~row alpha st.ws.w_rows (step_x_b st alpha step);
+  swap_in st ~row ~col ~step ~to_ub
 
 (* [pos] from [basis]: the row of each basic column, [-1] for every other
    one. [false] if a column is out of range or basic twice, as only a
@@ -620,6 +633,19 @@ let drive_out_artificials st =
    and the pivot row's by w_r <- w_r / alpha_r^2. A refactorisation keeps
    every row's basic column, so the weights stay valid across it.
 
+   Every per-pivot row sweep costs only the rows it touches (Hall and
+   McKinnon, "Hyper-sparsity in the revised simplex method and how to
+   exploit it", Comput. Optim. Appl. 32, 2005), with the float operations
+   and their order of a full sweep. The leaving row is picked from a list
+   of candidate infeasible rows ([w_infeas]): every row is listed when the
+   phase starts and after each refactorisation (which rewrites x_B), every
+   row a bound-flip step or a pivot moves joins it, and a row the choice
+   finds feasible drops out. Only a listed row can be infeasible, and
+   among equal scores the lowest row wins, as in an ascending sweep.
+   ||rho||^2 sums the nonzero rows of rho only, ascending (every summand
+   left out is +0), and one sweep over alpha updates the weights, steps
+   x_B and collects the rows of the eta.
+
    The ratio test runs over the eta file: one BTRAN for the pivot row of
    B^-1, then the pivot row alpha_r over the rows that row of B^-1 reaches
    ({!pivot_row}), collecting every sign-eligible nonbasic structural entry
@@ -654,7 +680,8 @@ let dual_phase st =
   and w = ws.w_dse and tau = ws.w_tau
   and touched = ws.w_touched and cand = ws.w_cand
   and cand_ratio = ws.w_cand_ratio and cand_arj = ws.w_cand_arj
-  and order = ws.w_cand_order in
+  and order = ws.w_cand_order and rows = ws.w_rows
+  and infeas = ws.w_infeas and listed = ws.w_listed in
   (* [d] holds the reduced costs of the nonbasic columns with a nonzero
      span (fixed columns never enter, so theirs are never read);
      [priced_at] is the refactorisation count they were last priced under,
@@ -663,6 +690,26 @@ let dual_phase st =
   let price () =
     reduced_costs st ~phase2:true;
     priced_at := st.refactorisations
+  in
+  (* [infeas.(0 .. ninf-1)] lists every infeasible row, and maybe feasible
+     ones, each once ([listed]). Seeding lists every row, and the next
+     choice drops the feasible ones; [seeded_at] is the refactorisation
+     count x_B was last seeded under, like [priced_at]. *)
+  let ninf = ref 0 and seeded_at = ref (-1) in
+  let seed () =
+    for i = 0 to st.m - 1 do
+      infeas.(i) <- i
+    done;
+    Array.fill listed 0 st.m true;
+    ninf := st.m;
+    seeded_at := st.refactorisations
+  in
+  let join i =
+    if not listed.(i) then begin
+      listed.(i) <- true;
+      infeas.(!ninf) <- i;
+      incr ninf
+    end
   in
   (* ratio order: by ratio, then the larger |alpha_rj|, then the column *)
   let by_ratio a b =
@@ -677,9 +724,12 @@ let dual_phase st =
     if st.iters > st.max_iters then `Cycled
     else begin
       begin_iteration st;
-      (* Steepest-edge pricing of the infeasible basic variables. *)
-      let row = ref (-1) and score = ref 0.0 and above = ref false in
-      for i = 0 to st.m - 1 do
+      if !seeded_at <> st.refactorisations then seed ();
+      (* Steepest-edge pricing of the listed rows, dropping feasible ones. *)
+      st.chuzr_rows <- st.chuzr_rows + !ninf;
+      let row = ref (-1) and score = ref 0.0 and k = ref 0 in
+      while !k < !ninf do
+        let i = infeas.(!k) in
         let bv = st.basis.(i) in
         let hi = if bv < st.n then st.ubs.(bv) else 0.0 in
         let x = st.x_b.(i) in
@@ -688,16 +738,22 @@ let dual_phase st =
         in
         if viol > 0.0 then begin
           let s = viol *. viol /. w.(i) in
-          if s > !score then begin
+          if s > !score || (s = !score && i < !row) then begin
             row := i;
-            score := s;
-            above := not (x < -.eps)
-          end
+            score := s
+          end;
+          incr k
+        end
+        else begin
+          listed.(i) <- false;
+          decr ninf;
+          infeas.(!k) <- infeas.(!ninf)
         end
       done;
       if !row < 0 then `Primal_feasible
       else begin
         let r = !row in
+        let above = not (st.x_b.(r) < -.eps) in
         let leaving = st.basis.(r) in
         if !priced_at <> st.refactorisations then price ();
         Array.fill rho 0 st.m 0.0;
@@ -706,7 +762,16 @@ let dual_phase st =
         (* Collect every sign-eligible nonbasic structural column with its
            dual ratio |d_j| / |alpha_rj|; an untouched column's entry is
            zero, so it is never eligible. *)
-        let ntouched = pivot_row st rho in
+        let nrho = nonzero_rows st rho in
+        let ntouched = pivot_row st rho nrho in
+        (* the pivot row's weight after the pivot, before the flips below
+           reuse [rows]; see above *)
+        let w_r = ref 0.0 in
+        for k = 0 to nrho - 1 do
+          let i = rows.(k) in
+          w_r := !w_r +. (rho.(i) *. rho.(i))
+        done;
+        let w_r = !w_r in
         let ncand = ref 0 in
         for k = 0 to ntouched - 1 do
           let j = touched.(k) in
@@ -714,7 +779,7 @@ let dual_phase st =
             let arj = row_r.(j) in
             if arj <> 0.0 then st.pivot_row_nnz <- st.pivot_row_nnz + 1;
             let eligible =
-              if !above then
+              if above then
                 if st.at_ub.(j) then arj < -.eps else arj > eps
               else if st.at_ub.(j) then arj > eps
               else arj < -.eps
@@ -741,7 +806,7 @@ let dual_phase st =
           done;
           sort_prefix by_ratio order !ncand;
           let target =
-            if !above && leaving < st.n then st.ubs.(leaving) else 0.0
+            if above && leaving < st.n then st.ubs.(leaving) else 0.0
           in
           let viol = ref (Float.abs (st.x_b.(r) -. target)) in
           let nflip = ref 0 in
@@ -763,7 +828,8 @@ let dual_phase st =
           if !enter < 0 then `Dual_unbounded
           else begin
             (* Apply the accumulated flips with one FTRAN: the raw flipped
-               columns sum into [delta] and x_B -= B^-1 delta. *)
+               columns sum into [delta] and x_B -= B^-1 delta. Every row
+               that moves joins the list. *)
             if !nflip > 0 then begin
               Array.fill delta 0 st.m 0.0;
               for f = 0 to !nflip - 1 do
@@ -778,7 +844,9 @@ let dual_phase st =
                 st.flips <- st.flips + 1
               done;
               ftran st delta;
-              ignore (step_x_b st delta 1.0)
+              for k = 0 to step_x_b st delta 1.0 - 1 do
+                join rows.(k)
+              done
             end;
             let j = !enter in
             ftran_column st j alpha;
@@ -806,25 +874,33 @@ let dual_phase st =
                 done;
                 d.(j) <- 0.0;
                 if leaving < st.n then d.(leaving) <- -.theta;
-                (* the weights of the basis after the pivot; see above *)
-                let w_r = ref 0.0 in
-                for i = 0 to st.m - 1 do
-                  w_r := !w_r +. (rho.(i) *. rho.(i))
-                done;
-                let w_r = !w_r in
                 Array.blit rho 0 tau 0 st.m;
                 ftran st tau;
+                (* One sweep over alpha: the weights of the basis after the
+                   pivot (see above), x_B along the step and the rows of the
+                   eta, each moved row joining the list (the pivot row
+                   among them, as |alpha_r| > eps). *)
+                let cnt = ref 0 in
                 for i = 0 to st.m - 1 do
                   let a = alpha.(i) in
-                  if a <> 0.0 && i <> r then begin
-                    let ratio = a /. arj in
-                    let r2 = ratio *. ratio in
-                    let wi = w.(i) -. (2.0 *. ratio *. tau.(i)) +. (r2 *. w_r) in
-                    w.(i) <- (if wi > r2 then wi else r2)
+                  if a <> 0.0 then begin
+                    if i <> r then begin
+                      let ratio = a /. arj in
+                      let r2 = ratio *. ratio in
+                      let wi = w.(i) -. (2.0 *. ratio *. tau.(i)) +. (r2 *. w_r) in
+                      w.(i) <- (if wi > r2 then wi else r2)
+                    end;
+                    if Float.abs a > eps then begin
+                      rows.(!cnt) <- i;
+                      incr cnt;
+                      st.x_b.(i) <- clamp (st.x_b.(i) -. (step *. a));
+                      join i
+                    end
                   end
                 done;
                 w.(r) <- w_r /. (arj *. arj);
-                pivot st ~row:r ~col:j ~t:step ~dir:1.0 ~to_ub:!above alpha;
+                Factor.update st.factor ~row:r alpha rows !cnt;
+                swap_in st ~row:r ~col:j ~step ~to_ub:above;
                 st.dual_pivots <- st.dual_pivots + 1;
                 loop ()
               end
@@ -868,6 +944,7 @@ let make_state ~max_iters ~deadline cols =
     ftrans = 0;
     rho_nnz = 0;
     pivot_row_nnz = 0;
+    chuzr_rows = 0;
   }
 
 (* End a solve: empty the factor, so that it keeps no eta alive, and flush
@@ -880,7 +957,8 @@ let finish st ~warm =
   if warm then begin
     Telemetry.count ~by:st.dual_pivots "lp.simplex.dual_pivots";
     Telemetry.count ~by:st.rho_nnz "lp.simplex.rho_nnz";
-    Telemetry.count ~by:st.pivot_row_nnz "lp.simplex.pivot_row_nnz"
+    Telemetry.count ~by:st.pivot_row_nnz "lp.simplex.pivot_row_nnz";
+    Telemetry.count ~by:st.chuzr_rows "lp.simplex.chuzr_rows"
   end;
   Telemetry.count ~by:st.bland_pivots "lp.simplex.bland_pivots";
   Telemetry.count ~by:st.flips "lp.simplex.bound_flips";

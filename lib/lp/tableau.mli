@@ -21,7 +21,12 @@
     of every warm re-solve (a snapshot carries none); a dual iteration
     costs one BTRAN (the pivot row) and two FTRANs (the entering column,
     and the pivot row of [B^-1] for the weight update), plus one FTRAN for
-    any bound flips. This is the kernel under {!Simplex}.
+    any bound flips. Its other per-pivot work costs the rows it touches:
+    the leaving row comes from a list of candidate infeasible rows, seeded
+    by one sweep of x_B when the phase starts and after each
+    refactorisation and joined by every row a pivot or a flip moves, and
+    one sweep over the entering column updates the weights and x_B and
+    collects the eta. This is the kernel under {!Simplex}.
 
     Each solve counts its BTRANs and FTRANs ([lp.simplex.btrans],
     [lp.simplex.ftrans]; a refactorisation's own column transforms are not
@@ -30,7 +35,9 @@
     ([lp.simplex.factor_nnz]) and its bump columns
     ([lp.simplex.bump_cols]), and the dual phase sums the nonzeros of each
     row of [B^-1] it prices and of the pivot row over its candidate columns
-    ([lp.simplex.rho_nnz], [lp.simplex.pivot_row_nnz]).
+    ([lp.simplex.rho_nnz], [lp.simplex.pivot_row_nnz]) and the rows its
+    leaving-row choice reads ([lp.simplex.chuzr_rows]: [m] per seeding
+    sweep, then the list's length per choice).
 
     {b One solve at a time per store.} Every scratch array a solve needs,
     a node's rhs and spans included, lives in a workspace

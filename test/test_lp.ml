@@ -1063,6 +1063,130 @@ let prop_bump_orderings_agree =
         && agrees node cold_node
       | _, _, _ -> false (* the origin is feasible and the box bounded *))
 
+(* A node that moves many columns at once, so that the dual phase starts
+   with several infeasible rows: from the cold optimum of an
+   [arb_lp_rebound]-like LP, each column may take a new offset and span.
+   A structural column moves to [lo + [0, span]] inside its old box; a
+   slack (the [<=] row's) gets an offset and keeps no upper bound, or gets
+   one (the row becomes a range). About half the nodes stay feasible. *)
+let arb_wide_node =
+  let gen =
+    QCheck.Gen.(
+      gen_lp ~vars:(6, 14) ~rows:(4, 10) ~var_bound:(return (0, Some 50))
+        ~row_sense:(return M.Le) ~rhs:(int_range 0 40) ~maximize:(return true) ()
+      >>= fun spec ->
+      let nv = List.length spec.var_bounds in
+      let span j =
+        if j < nv then map float_of_int (int_range 0 20)
+        else oneofl [ infinity; 10.0; 25.0 ]
+      in
+      let change j =
+        frequency
+          [
+            (1, return None);
+            (3, map2 (fun lo span -> Some (float_of_int lo, span))
+                  (int_range 0 (if j < nv then 3 else 5)) (span j));
+          ]
+      in
+      flatten_l (List.init (nv + List.length spec.rows) change)
+      >>= fun changes -> return (spec, changes))
+  in
+  QCheck.make gen ~print:(fun (spec, changes) ->
+      Printf.sprintf "%s changes %s" (show_lp spec)
+        (String.concat ", "
+           (List.concat
+              (List.mapi
+                 (fun j -> function
+                   | Some (lo, span) -> [ Printf.sprintf "col%d: lo %g span %g" j lo span ]
+                   | None -> [])
+                 changes))))
+
+(* The warm re-solve of a wide node agrees with the cold solve of the same
+   node: the same status and an objective within 1e-6 relative. *)
+let prop_wide_node_warm_matches_cold =
+  QCheck.Test.make ~name:"a warm re-solve of a node moving every column matches cold"
+    ~count:200 arb_wide_node (fun (spec, opt_changes) ->
+      let module T = Lp.Tableau in
+      let cols = kernel_form spec in
+      let changes =
+        List.concat
+          (List.mapi
+             (fun j -> function
+               | Some (lo, span) -> [ (j, lo, span) ]
+               | None -> [])
+             opt_changes)
+      in
+      match T.solve cols with
+      | T.Infeasible | T.Unbounded -> false (* a feasible origin, a bounded box *)
+      | T.Optimal { snapshot; _ } -> (
+        let warm, hit = without_fallback (fun () -> T.solve cols ~snapshot ~changes) in
+        hit
+        &&
+        match (warm, T.solve cols ~changes) with
+        | T.Optimal { value = w; _ }, T.Optimal { value = c; _ } ->
+          Float.abs (w -. c) <= 1e-6 *. Float.max 1.0 (Float.abs c)
+        | T.Infeasible, T.Infeasible | T.Unbounded, T.Unbounded -> true
+        | _, _ -> false))
+
+(* A warm re-solve long enough to refactorise inside its dual phase
+   ([Factor.due] after 60 etas at 40 rows), so that the phase rebuilds its
+   list of infeasible rows from the new x_B. A packing LP of 40 rows and
+   100 columns in [0, 10], drawn from a fixed linear congruential stream,
+   is solved cold; its node narrows every row to a range (each slack's
+   span 0 to 5) and re-spans about a quarter of the columns. The re-solve
+   takes more than 60 dual pivots and some bound flips, refactorises twice
+   (for the snapshot, then mid-phase), never falls back to a cold solve
+   (a row missing from the list would fail the accuracy check and fall
+   back) and matches the cold solve. *)
+let test_warm_refactorises_mid_dual_phase () =
+  let module T = Lp.Tableau in
+  let m = 40 and nv = 100 in
+  let state = ref 88 in
+  let next k =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    (!state lsr 8) mod k
+  in
+  let a =
+    Array.init nv (fun _ ->
+        Array.init m (fun _ -> if next 100 < 8 then 1 + next 9 else 0))
+  in
+  let cols =
+    Array.init (nv + m) (fun j ->
+        if j >= nv then [| (j - nv, 1.0) |]
+        else
+          Array.of_list
+            (List.filter_map
+               (fun i -> if a.(j).(i) = 0 then None else Some (i, float_of_int a.(j).(i)))
+               (List.init m Fun.id)))
+  in
+  let b = Array.init m (fun _ -> float_of_int (20 + next 40)) in
+  let c = Array.init (nv + m) (fun j -> if j < nv then -.float_of_int (1 + next 20) else 0.0) in
+  let ubs = Array.init (nv + m) (fun j -> if j < nv then 10.0 else infinity) in
+  let store = T.columns ~b ~c ~ubs cols in
+  match T.solve store with
+  | T.Infeasible | T.Unbounded -> Alcotest.fail "the root is optimal"
+  | T.Optimal { snapshot; _ } ->
+    let changes =
+      List.filter_map
+        (fun j ->
+          if j < nv then if next 4 <> 0 then None else Some (j, 0.0, float_of_int (next 10))
+          else Some (j, 0.0, float_of_int (next 6)))
+        (List.init (nv + m) Fun.id)
+    in
+    let warm = under_fresh_telemetry (fun () -> T.solve store ~snapshot ~changes) in
+    let counter = Telemetry.counter_value in
+    check int_t "no fallback" 0 (counter "lp.bb.warm_fallbacks");
+    check int_t "one warm hit" 1 (counter "lp.bb.warm_hits");
+    check bool "over 60 dual pivots" true (counter "lp.simplex.dual_pivots" > 60);
+    check bool "bound flips" true (counter "lp.simplex.bound_flips" > 0);
+    check int_t "refactorised for the snapshot and in the dual phase" 2
+      (counter "lp.simplex.refactorisations");
+    match (warm, T.solve store ~changes) with
+    | T.Optimal { value = w; _ }, T.Optimal { value = c; _ } ->
+      check bool "warm matches cold" true
+        (Float.abs (w -. c) <= 1e-6 *. Float.max 1.0 (Float.abs c))
+    | _, _ -> Alcotest.fail "both optimal"
+
 (* A warm re-solve given a node's changed columns solves the node a
    second form describes whose rhs and spans were shifted by hand: rhs
    [b - A lo] subtracted column by column in ascending order, spans
@@ -1957,6 +2081,8 @@ let () =
             test_warm_start_of_another_model;
           Alcotest.test_case "a stale basis translates nothing" `Quick
             test_stale_basis_translates_nothing;
+          Alcotest.test_case "warm re-solve refactorises mid dual phase" `Quick
+            test_warm_refactorises_mid_dual_phase;
         ] );
       ( "simplex-props",
         qsuite
@@ -1969,6 +2095,7 @@ let () =
             prop_columns_row_copy_is_transpose;
             prop_workspace_never_leaks;
             prop_fallback_is_the_cold_solve;
+            prop_wide_node_warm_matches_cold;
             prop_bump_orderings_agree;
             prop_changes_match_shifted_form;
             prop_factor_matches_dense;

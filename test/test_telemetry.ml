@@ -447,24 +447,24 @@ let test_synthesis_spans_recorded () =
     (Telemetry.counter_value "layer.solves" > 0);
   Telemetry.disable ()
 
+let ilp_config =
+  {
+    Cohls.Synthesis.default_config with
+    Cohls.Synthesis.engine =
+      Cohls.Layer_solver.Ilp
+        {
+          options =
+            { Lp.Branch_bound.default_options with Lp.Branch_bound.node_limit = Some 50 };
+          extra_free_slots = 1;
+        };
+  }
+
 (* Every stage of an ILP layer solve outside the tree search has its own
    span; the certificate and the extraction run only for an accepted ILP
    schedule. *)
 let test_ilp_spans_recorded () =
   fresh ();
-  let config =
-    {
-      Cohls.Synthesis.default_config with
-      Cohls.Synthesis.engine =
-        Cohls.Layer_solver.Ilp
-          {
-            options =
-              { Lp.Branch_bound.default_options with Lp.Branch_bound.node_limit = Some 50 };
-            extra_free_slots = 1;
-          };
-    }
-  in
-  ignore (Cohls.Synthesis.run ~config (tiny_indeterminate_assay ()));
+  ignore (Cohls.Synthesis.run ~config:ilp_config (tiny_indeterminate_assay ()));
   let names = List.map (fun s -> s.Telemetry.span_name) (Telemetry.spans ()) in
   let improved = Telemetry.counter_value "layer.ilp_improved" > 0 in
   List.iter
@@ -481,6 +481,38 @@ let test_ilp_spans_recorded () =
       ("ilp.certify", false);
       ("ilp.extract", false);
     ];
+  Telemetry.disable ()
+
+(* Under the ILP engine the whole-run heuristic guard counts its passes
+   apart, as many as a heuristic run of the assay counts: the run's pass
+   and layer-solve counters describe the ILP run alone, and the guard's
+   passes keep their spans, nested under the guard's. *)
+let test_heuristic_guard_counted_apart () =
+  let assay = tiny_indeterminate_assay () in
+  fresh ();
+  ignore (Cohls.Synthesis.run assay);
+  let heuristic_passes = Telemetry.counter_value "synthesis.passes" in
+  fresh ();
+  let r = Cohls.Synthesis.run ~config:ilp_config assay in
+  let c = Telemetry.counter_value in
+  let passes = c "synthesis.passes" and guard_passes = c "synthesis.heuristic_guard.passes" in
+  let layers = Array.length r.Cohls.Synthesis.layering.Cohls.Layering.layers in
+  let check = Alcotest.(check int) in
+  check "guard passes" heuristic_passes guard_passes;
+  check "run passes: the first, then each accepted or rejected" passes
+    (1 + c "synthesis.passes_accepted" + c "synthesis.passes_rejected");
+  check "layer solves: every layer of each run pass" (layers * passes) (c "layer.solves");
+  let spans = Telemetry.spans () in
+  let guard =
+    List.find (fun s -> s.Telemetry.span_name = "synthesis.heuristic_guard") spans
+  in
+  let pass_spans = List.filter (fun s -> s.Telemetry.span_name = "synthesis.pass") spans in
+  check "every pass has a span" (passes + guard_passes) (List.length pass_spans);
+  check "guard passes nest under the guard" guard_passes
+    (List.length
+       (List.filter
+          (fun s -> s.Telemetry.seq > guard.seq && s.Telemetry.depth > guard.depth)
+          pass_spans));
   Telemetry.disable ()
 
 let () =
@@ -515,5 +547,7 @@ let () =
           Alcotest.test_case "synthesis spans recorded" `Quick
             test_synthesis_spans_recorded;
           Alcotest.test_case "ILP stage spans recorded" `Quick test_ilp_spans_recorded;
+          Alcotest.test_case "heuristic guard counted apart" `Quick
+            test_heuristic_guard_counted_apart;
         ] );
     ]
