@@ -29,7 +29,6 @@ type built = {
   slots : slot array;
   lp : M.t;
   horizon : int;
-  big_m : int;
   layer_ops : int array;
   start_var : (int, M.var) Hashtbl.t;
   bind_var : (int * int, M.var) Hashtbl.t; (* (op, slot index) *)
@@ -574,7 +573,6 @@ let build ?(prune = true) (problem : Layer_problem.t) ~slots =
     slots;
     lp;
     horizon;
-    big_m;
     layer_ops;
     start_var;
     bind_var;

@@ -7,14 +7,13 @@
     a few extra free slots — warm-starts branch-and-bound with the greedy
     solution, and keeps whichever is better. So it degrades gracefully into
     the heuristic when the time budget is too small for the exact search
-    (the anytime behaviour the paper gets from Gurobi). The ILP schedule wins only with an exact
-    certificate: its exactly recomputed objective is strictly better than
-    the heuristic's, and its values satisfy, in rational arithmetic, every
-    row, bound and integrality requirement of the model as built (never
-    presolved: presolve returns a new model) plus its cutoff row
-    (objective no worse than the heuristic's, which a strictly better
-    schedule satisfies). A schedule that fails the certificate is counted under
-    [layer.ilp_uncertified] and the heuristic schedule is kept. *)
+    (the anytime behaviour the paper gets from Gurobi). The ILP schedule wins
+    when its exactly recomputed objective is strictly better than the
+    heuristic's. It needs no certificate here: {!Lp.Branch_bound.solve}
+    returns only points that satisfy, in rational arithmetic, every row,
+    bound and integrality requirement of the model it is given, which is
+    the model as built (never presolved: presolve returns a new model)
+    plus its cutoff row (objective no worse than the heuristic's). *)
 
 type engine =
   | Heuristic

@@ -19,7 +19,8 @@ type options = {
   deterministic : bool;
 }
 
-(* Integrality tolerance for branching and for rounding candidates. *)
+(* Integrality tolerance for branching: a relaxation whose every value lies
+   within it of an integer is rounded and offered as an incumbent. *)
 let int_tol = 1e-6
 
 let default_options =
@@ -44,19 +45,23 @@ type node = {
   nd_bound : float;
 }
 
+(* An accepted integer point: its exact objective in the internal sense
+   (the natural objective times [dir_sign]), that objective as a float for
+   the cutoff, and its values. *)
+type incumbent = { i_obj : Q.t; i_cut : float; i_values : float array }
+
 (* Search state. *)
 type shared = {
   opts : options;
-  model : Model.t;
+  given : Model.t; (* the model as handed in: the one certificate's *)
+  model : Model.t; (* the presolved model: branching bounds and the form *)
   dir_sign : float; (* +1 minimize, -1 maximize: internal obj = natural * dir_sign *)
   obj_step : float option;
       (* the objective's granularity on integer points, when it has one *)
-  int_vars : int array;
   deadline : float option;
   mutable relax_ema : float; (* moving average of relaxation seconds *)
   mutable out_of_time : bool; (* the time left cannot fit a relaxation *)
-  mutable incumbent : (float * float array) option;
-      (* internal-sense objective + rounded values *)
+  mutable incumbent : incumbent option;
   mutable best_bound : float; (* lowest open relaxation bound at a cut-off *)
   mutable nodes : int;
   mutable proven : bool; (* search space fully explored *)
@@ -78,27 +83,27 @@ let prune sh b =
 
 let fractionality x = Float.abs (x -. Float.round x)
 
-(* Branching variable, or None when integral: the most fractional binary
-   if any (fixing a disjunction/assignment binary collapses its big-M rows,
+(* Branching variable, or None: among the variables whose fractionality
+   exceeds [above] and that [splits] admits, the most fractional binary if
+   any (fixing a disjunction/assignment binary collapses its big-M rows,
    while branching on a general integer barely moves the relaxation), else
    the most fractional general integer. *)
-let pick_branch sh values =
-  let best_bin = ref (-1) and best_bin_frac = ref int_tol in
-  let best_gen = ref (-1) and best_gen_frac = ref int_tol in
-  let consider v =
+let pick_branch sh ~above ?(splits = fun _ -> true) values =
+  let best_bin = ref (-1) and best_bin_frac = ref above in
+  let best_gen = ref (-1) and best_gen_frac = ref above in
+  for v = 0 to Array.length values - 1 do
     let f = fractionality values.(v) in
     if Model.var_kind sh.model v = Model.Binary then begin
-      if f > !best_bin_frac then begin
+      if f > !best_bin_frac && splits v then begin
         best_bin := v;
         best_bin_frac := f
       end
     end
-    else if f > !best_gen_frac then begin
+    else if f > !best_gen_frac && splits v then begin
       best_gen := v;
       best_gen_frac := f
     end
-  in
-  Array.iter consider sh.int_vars;
+  done;
   if !best_bin >= 0 then Some !best_bin
   else if !best_gen >= 0 then Some !best_gen
   else None
@@ -116,39 +121,41 @@ let lex_lt a b =
   in
   go 0
 
-let try_incumbent sh values internal_obj =
-  (* Round near-integral values exactly before the feasibility re-check. *)
-  let rounded = Array.copy values in
-  Array.iter
-    (fun v ->
-      if fractionality rounded.(v) <= int_tol then
-        rounded.(v) <- Float.round rounded.(v))
-    sh.int_vars;
-  Model.check_feasible sh.model ~tol:1e-5 (fun v -> rounded.(v)) = []
+(* The one certificate: [values], every one rounded to an integer, is
+   accepted only if it satisfies the model as given exactly, in rational
+   arithmetic. Incumbents compare by the exact objective of the rounded
+   point. *)
+let try_incumbent sh values =
+  let rounded = Array.map Float.round values in
+  let exact v = Q.of_float_approx rounded.(v) in
+  Array.for_all Float.is_finite rounded
+  && Model.check_feasible_exact sh.given exact = []
   && begin
+    let natural = Linexpr.eval exact (snd (Model.objective sh.given)) in
+    let obj = if sh.dir_sign > 0.0 then natural else Q.neg natural in
     let better =
       match sh.incumbent with
       | None -> true
-      | Some (obj, vals) ->
-        internal_obj < obj -. 1e-9
-        || (Float.abs (internal_obj -. obj) <= 1e-9 && lex_lt rounded vals)
+      | Some inc ->
+        let c = Q.compare obj inc.i_obj in
+        c < 0 || (c = 0 && lex_lt rounded inc.i_values)
     in
     if better then begin
-      sh.incumbent <- Some (internal_obj, rounded);
+      sh.incumbent <- Some { i_obj = obj; i_cut = Q.to_float obj; i_values = rounded };
       Telemetry.count "lp.bb.incumbents";
-      Telemetry.observe "lp.bb.incumbent_obj" (sh.dir_sign *. internal_obj)
+      Telemetry.observe "lp.bb.incumbent_obj" (Q.to_float natural)
     end;
     true
   end
 
-(* The objective's step on integer points: when every term is an integer
-   variable with an integer coefficient, the objectives of two integer
-   points differ by a multiple of the coefficients' gcd. *)
+(* The objective's step on integer points: when every coefficient is an
+   integer, the objectives of two integer points differ by a multiple of
+   the coefficients' gcd. *)
 let objective_step model =
   let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-  let term v c g =
+  let term _ c g =
     match (g, Numeric.Bigint.to_int_opt (Q.num c)) with
-    | Some g, Some k when Model.is_integer_var model v && Q.is_integer c ->
+    | Some g, Some k when Q.is_integer c ->
       Some (gcd g (abs k))
     | _ -> None
   in
@@ -157,22 +164,31 @@ let objective_step model =
   | Some _ | None -> None
 
 let cutoff sh =
-  let inc = match sh.incumbent with Some (o, _) -> o | None -> infinity in
+  let inc = match sh.incumbent with Some inc -> inc.i_cut | None -> infinity in
   (* A node whose bound is within one objective step of the incumbent cannot
      contain a strictly better integer point. *)
   match sh.obj_step with
   | Some step -> inc -. step +. 1e-6
   | None -> inc -. 1e-9
 
+(* The bounds of [v] at node [nd]: its newest branching, else the
+   presolved model's. *)
+let node_bounds sh nd v =
+  match List.find_opt (fun (u, _, _) -> u = v) nd.nd_branchings with
+  | Some (_, l, u) -> (l, u)
+  | None -> (Model.var_lb sh.model v, Model.var_ub sh.model v)
+
+(* Whether value [x] of [v] lies strictly inside its bounds at [nd], so
+   that both children of branching on it exclude [x]. *)
+let strictly_inside sh nd v x =
+  let l, u = node_bounds sh nd v in
+  Q.to_float l < x && match u with Some u -> x < Q.to_float u | None -> true
+
 (* Branchings of the two children of branching [v] at fractional value
    [x], the near child first: each changes one bound of [v]'s newest. *)
 let branch_bounds sh nd v x =
   let fl = Float.of_int (int_of_float (Float.floor x)) in
-  let lb_v, ub_v =
-    match List.find_opt (fun (u, _, _) -> u = v) nd.nd_branchings with
-    | Some (_, l, u) -> (l, u)
-    | None -> (Model.var_lb sh.model v, Model.var_ub sh.model v)
-  in
+  let lb_v, ub_v = node_bounds sh nd v in
   let down = (v, lb_v, Some (Q.of_float_approx fl)) :: nd.nd_branchings in
   let up = (v, Q.of_float_approx (fl +. 1.0), ub_v) :: nd.nd_branchings in
   let lo_first = x -. fl <= 0.5 in
@@ -267,18 +283,31 @@ let settle sh nd outcome children =
     prune sh internal;
     children
   | W_solved (internal, values, warm) -> (
-    match pick_branch sh values with
-    | None ->
-      (* numerically integral but infeasible on re-check: give up on this
-         node *)
-      if not (try_incumbent sh values internal) then sh.proven <- false;
-      children
-    | Some v ->
+    let branch v =
       let near, far = branch_bounds sh nd v values.(v) in
       let child branchings =
         { nd_branchings = branchings; nd_warm = Some warm; nd_bound = internal }
       in
-      child far :: child near :: children)
+      child far :: child near :: children
+    in
+    match pick_branch sh ~above:int_tol values with
+    | Some v -> branch v
+    | None when try_incumbent sh values -> children
+    | None -> (
+      (* integral within [int_tol] but its rounding fails the certificate:
+         branch on the most fractional variable that splits the node. A
+         basic value may lie up to the kernel's [eps] outside its bounds,
+         and branching on it would repeat the node; a point with nothing
+         to split gives up its node. *)
+      match
+        pick_branch sh ~above:0.0
+          ~splits:(fun v -> strictly_inside sh nd v values.(v))
+          values
+      with
+      | Some v -> branch v
+      | None ->
+        sh.proven <- false;
+        children))
 
 let search sh form root =
   let t0 = now () in
@@ -322,23 +351,21 @@ let solve ?(options = default_options) ?warm_start model =
    | Some values when Array.length values <> Model.var_count model ->
      invalid_arg "Branch_bound.solve: warm start length"
    | Some _ | None -> ());
+  for v = 0 to Model.var_count model - 1 do
+    if Model.var_kind model v = Model.Continuous then
+      invalid_arg "Branch_bound.solve: continuous variable"
+  done;
   Telemetry.span "lp.bb.solve" @@ fun () ->
   let started = now () in
   let dir, _ = Model.objective model in
   let dir_sign = match dir with `Minimize -> 1.0 | `Maximize -> -1.0 in
-  let int_vars =
-    Array.of_list
-      (List.filter
-         (fun v -> Model.is_integer_var model v)
-         (List.init (Model.var_count model) Fun.id))
-  in
   let sh =
     {
       opts = options;
+      given = model;
       model;
       dir_sign;
       obj_step = objective_step model;
-      int_vars;
       deadline = Option.map (fun t -> started +. t) options.time_limit;
       relax_ema = 0.0;
       out_of_time = false;
@@ -350,13 +377,9 @@ let solve ?(options = default_options) ?warm_start model =
       unbounded = false;
     }
   in
-  (* The warm start is checked against the model as given, before
-     presolve: duality fixing may cut it from the reduced model. *)
-  (match warm_start with
-   | Some values ->
-     let obj = Model.eval_objective model (fun v -> values.(v)) in
-     ignore (try_incumbent sh values (dir_sign *. obj))
-   | None -> ());
+  let natural inc = dir_sign *. inc.i_cut in
+  (* the warm start passes the same certificate as every other incumbent *)
+  Option.iter (fun values -> ignore (try_incumbent sh values)) warm_start;
   match
     Telemetry.span "lp.presolve.run" (fun () ->
         Presolve.run ?deadline:sh.deadline model)
@@ -364,9 +387,9 @@ let solve ?(options = default_options) ?warm_start model =
   | Presolve.Proved_infeasible ->
     let inc = sh.incumbent in
     {
-      status = (if inc = None then Infeasible else Feasible);
-      objective = Option.map (fun (o, _) -> dir_sign *. o) inc;
-      values = Option.map snd inc;
+      status = (if Option.is_none inc then Infeasible else Feasible);
+      objective = Option.map natural inc;
+      values = Option.map (fun inc -> inc.i_values) inc;
       nodes = 0;
       elapsed = now () -. started;
       gap = None;
@@ -379,13 +402,13 @@ let solve ?(options = default_options) ?warm_start model =
     search sh (lazy (Simplex.form model)) root;
     let elapsed = now () -. started in
     let incumbent = sh.incumbent and proven = sh.proven in
-    let objective = Option.map (fun (o, _) -> dir_sign *. o) incumbent in
+    let objective = Option.map natural incumbent in
     (* A root whose relaxation never finished leaves [best_bound] at the
        root's [neg_infinity]: there is no bound, so no gap to report. *)
     let gap =
       match (incumbent, proven) with
       | Some _, true -> Some 0.0
-      | Some (i, _), false when Float.is_finite sh.best_bound ->
+      | Some { i_cut = i; _ }, false when Float.is_finite sh.best_bound ->
         Some (Float.abs (i -. sh.best_bound) /. Float.max 1e-9 (Float.abs i))
       | Some _, false | None, _ -> None
     in
@@ -403,7 +426,7 @@ let solve ?(options = default_options) ?warm_start model =
     {
       status;
       objective;
-      values = Option.map snd incumbent;
+      values = Option.map (fun inc -> inc.i_values) incumbent;
       nodes = sh.nodes;
       elapsed;
       gap;

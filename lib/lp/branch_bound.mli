@@ -1,17 +1,25 @@
-(** Branch-and-bound MILP solver over the floating-point simplex.
+(** Branch-and-bound ILP solver over the floating-point simplex, for
+    pure-integer models.
 
     A wave search (below) that prunes a node whose bound cannot beat the
     incumbent; branching on the most fractional integer variable, the child
     nearer the relaxation value ahead of its sibling. Supports warm-start
     incumbents (used by the synthesis flow, which seeds the search with a
     greedy list schedule), wall-clock time limits and node limits, making
-    it an *anytime* solver like the paper's Gurobi runs. Candidate
-    incumbents are accepted at float tolerance: their integer values are
-    rounded and the point re-checked with {!Model.check_feasible} at
-    [1e-5]. Nothing here is exact; callers that
-    need an exact answer certify the returned values themselves
-    ({!Model.check_feasible_exact}), as [Cohls.Layer_solver] does before it
-    prefers an ILP schedule over the heuristic one.
+    it an *anytime* solver like the paper's Gurobi runs.
+
+    The relaxations are floats; what the search accepts is exact. A
+    relaxation integral within [1e-6], and the warm start, is rounded to
+    an integer point, which becomes an incumbent only if it satisfies
+    every row, bound and integrality requirement of the model handed to
+    {!solve}, never the presolved one, in rational arithmetic
+    ({!Model.check_feasible_exact}). Incumbents compare by the exact
+    objective of that point, so a result's [objective] is the objective of
+    its [values]. A rounding that fails the check is branched on: the most
+    fractional variable whose value lies strictly inside its node bounds,
+    however small its fractionality; a node with no such variable (its
+    point already integral) is given up, and the search no longer proves
+    optimality. A caller needs no certificate of its own.
 
     A relaxation that exceeds the kernel's pivot budget
     ({!Tableau.Iteration_limit}) or meets a singular basis
@@ -43,8 +51,8 @@
     Equal-objective incumbents are tie-broken lexicographically.
 
     Pruning uses the objective's own step, read off the model: when every
-    objective term is an integer variable with an integer coefficient, a
-    node whose bound is within the gcd [g] of those coefficients of the
+    objective coefficient is an integer (every variable is), a node whose
+    bound is within the gcd [g] of those coefficients of the
     incumbent holds no strictly better point (the paper's layer objective
     has [g = 50] under the default weights, more where terms are absent).
     Any other objective prunes at a [1e-9] margin. *)
@@ -58,7 +66,9 @@ type status =
 
 type result = {
   status : status;
-  objective : float option;  (** natural objective value of the incumbent *)
+  objective : float option;
+      (** natural objective value of [values], computed exactly and then
+          rounded to a float *)
   values : float array option;  (** incumbent, indexed by model variable *)
   nodes : int;
   elapsed : float;
@@ -87,9 +97,9 @@ type options = {
 val default_options : options
 
 val solve : ?options:options -> ?warm_start:float array -> Model.t -> result
-(** The model is never mutated. The warm start is checked against it as
-    given; the search then runs on the model {!Presolve.run} returns,
-    translated into one {!Simplex.form}, and each node hands its
-    branchings to {!Simplex.solve}.
-    @raise Invalid_argument unless a [warm_start] holds one value per model
-    variable. *)
+(** The model is never mutated. Every incumbent, the warm start included,
+    is checked against it as given; the search runs on the model
+    {!Presolve.run} returns, translated into one {!Simplex.form}, and each
+    node hands its branchings to {!Simplex.solve}.
+    @raise Invalid_argument on a model with a [Continuous] variable, or
+    unless a [warm_start] holds one value per model variable. *)

@@ -45,9 +45,6 @@ let is_constant a = Imap.is_empty a.terms
 let eval value a =
   Imap.fold (fun v c acc -> Q.add acc (Q.mul c (value v))) a.terms a.const
 
-let eval_float value a =
-  Imap.fold (fun v c acc -> acc +. (Q.to_float c *. value v)) a.terms (Q.to_float a.const)
-
 let max_var a = match Imap.max_binding_opt a.terms with Some (v, _) -> v | None -> -1
 
 let pp name fmt a =

@@ -33,7 +33,6 @@ val terms : t -> (int * Numeric.Rat.t) list
 val fold : (int -> Numeric.Rat.t -> 'a -> 'a) -> t -> 'a -> 'a
 val is_constant : t -> bool
 val eval : (int -> Numeric.Rat.t) -> t -> Numeric.Rat.t
-val eval_float : (int -> float) -> t -> float
 val max_var : t -> int
 (** Largest variable id mentioned, or [-1]. *)
 

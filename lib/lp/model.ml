@@ -95,37 +95,6 @@ let reduce m ~lbs ~ubs rows =
   in
   { m with vars; constrs = List.rev_map constr rows; nconstrs = List.length rows }
 
-let eval_objective m value = Linexpr.eval_float value m.obj
-
-let check_feasible m ?(tol = 1e-6) value =
-  let violations = ref [] in
-  let push name amount = violations := (name, amount) :: !violations in
-  let check_constr c =
-    let lhs = Linexpr.eval_float value c.expr in
-    let rhs = Q.to_float c.rhs in
-    match c.sense with
-    | Le -> if lhs > rhs +. tol then push c.cname (lhs -. rhs)
-    | Ge -> if lhs < rhs -. tol then push c.cname (rhs -. lhs)
-    | Eq -> if Float.abs (lhs -. rhs) > tol then push c.cname (Float.abs (lhs -. rhs))
-  in
-  List.iter check_constr m.constrs;
-  for v = 0 to m.nvars - 1 do
-    let x = value v in
-    let info = m.vars.(v) in
-    let l = Q.to_float info.lb in
-    if x < l -. tol then push (info.vname ^ ":lb") (l -. x);
-    (match info.ub with
-     | Some u when x > Q.to_float u +. tol ->
-       push (info.vname ^ ":ub") (x -. Q.to_float u)
-     | Some _ | None -> ());
-    match info.kind with
-    | Integer | Binary ->
-      let frac = Float.abs (x -. Float.round x) in
-      if frac > tol then push (info.vname ^ ":int") frac
-    | Continuous -> ()
-  done;
-  List.rev !violations
-
 let check_feasible_exact m value =
   let violations = ref [] in
   let push name amount = violations := (name, amount) :: !violations in

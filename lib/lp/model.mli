@@ -63,21 +63,11 @@ val reduce :
     @raise Invalid_argument if [lbs] or [ubs] does not hold one entry per
     variable. *)
 
-val check_feasible :
-  t -> ?tol:float -> (var -> float) -> (string * float) list
-(** Violated constraints/bounds for a candidate assignment ([name, amount]);
-    empty means feasible within [tol] (default 1e-6). Integrality of integer
-    variables is checked too. *)
-
 val check_feasible_exact :
   t -> (var -> Numeric.Rat.t) -> (string * Numeric.Rat.t) list
-(** {!check_feasible} in exact rational arithmetic, with no tolerance: every
-    row, bound and integrality requirement must hold exactly. *)
-
-val eval_objective : t -> (var -> float) -> float
-(** Objective value of an assignment, sign-adjusted so that *smaller is
-    better* regardless of min/max sense is NOT applied: returns the natural
-    objective value. *)
+(** Violated constraints/bounds for a candidate assignment ([name, amount]),
+    in exact rational arithmetic with no tolerance: empty means every row,
+    bound and integrality requirement holds exactly. *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

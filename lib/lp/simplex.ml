@@ -129,7 +129,7 @@ let column_changes f branchings =
   newest (-1)
     (List.stable_sort (fun (v, _, _) (w, _, _) -> Int.compare v w) branchings)
 
-let solve ?max_iters ?deadline ?warm f branchings =
+let solve ?deadline ?warm f branchings =
   Telemetry.span "lp.simplex.solve" @@ fun () ->
   Telemetry.count "lp.simplex.relaxations";
   (* The form's bounds were checked when it was translated, and a node's
@@ -146,7 +146,7 @@ let solve ?max_iters ?deadline ?warm f branchings =
     let changes = column_changes f branchings in
     match
       Telemetry.span "lp.simplex.kernel" (fun () ->
-          Tableau.solve ?max_iters ?deadline ?snapshot ~changes f.f_cols)
+          Tableau.solve ?deadline ?snapshot ~changes f.f_cols)
     with
     | Tableau.Infeasible -> Infeasible
     | Tableau.Unbounded -> Unbounded
@@ -162,7 +162,7 @@ let solve ?max_iters ?deadline ?warm f branchings =
           warm = { w_form = f; w_snapshot = snapshot };
         })
 
-let solve_relaxation_float ?max_iters ?deadline ?bounds model =
+let solve_relaxation_float ?deadline ?bounds model =
   let f =
     match bounds with
     | None -> form model
@@ -170,4 +170,4 @@ let solve_relaxation_float ?max_iters ?deadline ?bounds model =
       prepare model ~lb:(Array.map fst bs) ~ub:(Array.map snd bs)
     | Some _ -> invalid_arg "Simplex.solve_relaxation_float: bounds length"
   in
-  solve ?max_iters ?deadline f []
+  solve ?deadline f []

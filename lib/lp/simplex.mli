@@ -40,7 +40,6 @@ val form : Model.t -> form
 (** The form of the model under its own bounds. *)
 
 val solve :
-  ?max_iters:int ->
   ?deadline:float ->
   ?warm:warm ->
   form ->
@@ -53,14 +52,13 @@ val solve :
     was new. Floating-point simplex, tolerance [1e-9]. [deadline] is an
     absolute {!Telemetry.Clock} time; when it passes mid-solve
     {!Tableau.Deadline_exceeded} is raised. A cold solve that exceeds
-    [max_iters] pivots (default [50_000]) raises {!Tableau.Iteration_limit}.
+    the kernel's pivot budget ([50_000]) raises {!Tableau.Iteration_limit}.
     [warm] from an earlier [Optimal] outcome over the same form starts a
     dual-simplex re-solve from its basis, counted under [lp.bb.warm_hits],
     or under [lp.bb.warm_fallbacks] when the basis goes stale and the node
     is solved cold on the form. A [warm] from another form is not used. *)
 
 val solve_relaxation_float :
-  ?max_iters:int ->
   ?deadline:float ->
   ?bounds:(Numeric.Rat.t * Numeric.Rat.t option) array ->
   Model.t ->

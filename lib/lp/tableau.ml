@@ -229,6 +229,7 @@ type state = {
   factor : Factor.t;
   max_iters : int;
   deadline : float option;
+  mutable ninf : int;  (* the length of [ws.w_infeas] *)
   (* per-solve counters, flushed to telemetry when the solve ends *)
   mutable iters : int;
   mutable pivots : int;
@@ -403,7 +404,18 @@ let index_basis pos basis =
   done;
   !sane
 
-(* Recompute x_B = B^-1 (b - N_U u_U) under a rebuilt factor. *)
+(* How far basic row [i] lies outside its bounds [0, span] (an
+   artificial's are [0, 0]), [0] within [eps] of them. *)
+let[@inline] violation st i =
+  let bv = st.basis.(i) in
+  let hi = if bv < st.n then st.ubs.(bv) else 0.0 in
+  let x = st.x_b.(i) in
+  if x < -.eps then -.x else if x > hi +. eps then x -. hi else 0.0
+
+(* Recompute x_B = B^-1 (b - N_U u_U) under a rebuilt factor. The final
+   sweep also lists the rows outside their bounds as the dual phase's
+   candidates ([w_infeas], [w_listed]), so every refactorisation reseeds
+   the list. *)
 let load_x_b st =
   ignore (index_basis st.pos st.basis);
   Array.blit st.b 0 st.x_b 0 st.m;
@@ -417,8 +429,16 @@ let load_x_b st =
     end
   done;
   ftran st st.x_b;
+  let infeas = st.ws.w_infeas and listed = st.ws.w_listed in
+  st.ninf <- 0;
   for i = 0 to st.m - 1 do
-    st.x_b.(i) <- clamp st.x_b.(i)
+    st.x_b.(i) <- clamp st.x_b.(i);
+    let out = violation st i > 0.0 in
+    listed.(i) <- out;
+    if out then begin
+      infeas.(st.ninf) <- i;
+      st.ninf <- st.ninf + 1
+    end
   done
 
 let refactor st =
@@ -637,11 +657,12 @@ let drive_out_artificials st =
    McKinnon, "Hyper-sparsity in the revised simplex method and how to
    exploit it", Comput. Optim. Appl. 32, 2005), with the float operations
    and their order of a full sweep. The leaving row is picked from a list
-   of candidate infeasible rows ([w_infeas]): every row is listed when the
-   phase starts and after each refactorisation (which rewrites x_B), every
-   row a bound-flip step or a pivot moves joins it, and a row the choice
-   finds feasible drops out. Only a listed row can be infeasible, and
-   among equal scores the lowest row wins, as in an ascending sweep.
+   of candidate infeasible rows ([w_infeas]): {!load_x_b}, which starts the
+   phase and ends each refactorisation, lists the rows outside their bounds
+   as it sweeps x_B, every row a bound-flip step or a pivot moves joins,
+   and a row the choice finds feasible drops out. Only a listed row can be
+   infeasible, and among equal scores the lowest row wins, as in an
+   ascending sweep.
    ||rho||^2 sums the nonzero rows of rho only, ascending (every summand
    left out is +0), and one sweep over alpha updates the weights, steps
    x_B and collects the rows of the eta.
@@ -691,24 +712,14 @@ let dual_phase st =
     reduced_costs st ~phase2:true;
     priced_at := st.refactorisations
   in
-  (* [infeas.(0 .. ninf-1)] lists every infeasible row, and maybe feasible
-     ones, each once ([listed]). Seeding lists every row, and the next
-     choice drops the feasible ones; [seeded_at] is the refactorisation
-     count x_B was last seeded under, like [priced_at]. *)
-  let ninf = ref 0 and seeded_at = ref (-1) in
-  let seed () =
-    for i = 0 to st.m - 1 do
-      infeas.(i) <- i
-    done;
-    Array.fill listed 0 st.m true;
-    ninf := st.m;
-    seeded_at := st.refactorisations
-  in
+  (* [infeas.(0 .. st.ninf-1)] lists every infeasible row, and maybe
+     feasible ones, each once ([listed]): {!load_x_b} lists the infeasible
+     rows, a moved row joins, and the choice drops the feasible ones. *)
   let join i =
     if not listed.(i) then begin
       listed.(i) <- true;
-      infeas.(!ninf) <- i;
-      incr ninf
+      infeas.(st.ninf) <- i;
+      st.ninf <- st.ninf + 1
     end
   in
   (* ratio order: by ratio, then the larger |alpha_rj|, then the column *)
@@ -724,18 +735,12 @@ let dual_phase st =
     if st.iters > st.max_iters then `Cycled
     else begin
       begin_iteration st;
-      if !seeded_at <> st.refactorisations then seed ();
       (* Steepest-edge pricing of the listed rows, dropping feasible ones. *)
-      st.chuzr_rows <- st.chuzr_rows + !ninf;
+      st.chuzr_rows <- st.chuzr_rows + st.ninf;
       let row = ref (-1) and score = ref 0.0 and k = ref 0 in
-      while !k < !ninf do
+      while !k < st.ninf do
         let i = infeas.(!k) in
-        let bv = st.basis.(i) in
-        let hi = if bv < st.n then st.ubs.(bv) else 0.0 in
-        let x = st.x_b.(i) in
-        let viol =
-          if x < -.eps then -.x else if x > hi +. eps then x -. hi else 0.0
-        in
+        let viol = violation st i in
         if viol > 0.0 then begin
           let s = viol *. viol /. w.(i) in
           if s > !score || (s = !score && i < !row) then begin
@@ -746,8 +751,8 @@ let dual_phase st =
         end
         else begin
           listed.(i) <- false;
-          decr ninf;
-          infeas.(!k) <- infeas.(!ninf)
+          st.ninf <- st.ninf - 1;
+          infeas.(!k) <- infeas.(st.ninf)
         end
       done;
       if !row < 0 then `Primal_feasible
@@ -932,6 +937,7 @@ let make_state ~max_iters ~deadline cols =
     factor = ws.w_factor;
     max_iters;
     deadline;
+    ninf = 0;
     iters = 0;
     pivots = 0;
     phase1_pivots = 0;

@@ -36,8 +36,9 @@
     ([lp.simplex.bump_cols]), and the dual phase sums the nonzeros of each
     row of [B^-1] it prices and of the pivot row over its candidate columns
     ([lp.simplex.rho_nnz], [lp.simplex.pivot_row_nnz]) and the rows its
-    leaving-row choice reads ([lp.simplex.chuzr_rows]: [m] per seeding
-    sweep, then the list's length per choice).
+    leaving-row choice reads ([lp.simplex.chuzr_rows]: the candidate
+    list's length per choice, where the list starts from the rows the last
+    x_B sweep found outside their bounds).
 
     {b One solve at a time per store.} Every scratch array a solve needs,
     a node's rhs and spans included, lives in a workspace

@@ -34,8 +34,7 @@ let test_linexpr_cancellation () =
 let test_linexpr_eval () =
   let e = E.add_constant (E.add (E.iterm 2 0) (E.iterm 3 1)) (Q.of_int 7) in
   let value v = Q.of_int (if v = 0 then 10 else 1) in
-  check str "eval" "30" (Q.to_string (E.eval value e));
-  check flt "eval_float" 30.0 (E.eval_float (fun v -> if v = 0 then 10.0 else 1.0) e)
+  check str "eval" "30" (Q.to_string (E.eval value e))
 
 let test_linexpr_scale_map () =
   let e = E.scale_int 3 (E.add (E.var 0) (E.of_int 2)) in
@@ -71,16 +70,17 @@ let test_model_check_feasible () =
   let m = M.create () in
   let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 10) "x" in
   M.add_constr m (E.var x) M.Ge (E.of_int 2);
-  check int_t "feasible" 0 (List.length (M.check_feasible m (fun _ -> 3.0)));
+  let at q _ = q in
+  check int_t "feasible" 0 (List.length (M.check_feasible_exact m (at (Q.of_int 3))));
   check bool "bound violation detected" true
-    (List.length (M.check_feasible m (fun _ -> 11.0)) > 0);
+    (List.length (M.check_feasible_exact m (at (Q.of_int 11))) > 0);
   check bool "constraint violation detected" true
-    (List.length (M.check_feasible m (fun _ -> 1.0)) > 0);
+    (List.length (M.check_feasible_exact m (at Q.one)) > 0);
   check bool "integrality violation detected" true
-    (List.length (M.check_feasible m (fun _ -> 2.5)) > 0)
+    (List.length (M.check_feasible_exact m (at (Q.of_ints 5 2))) > 0)
 
-(* A point just outside a bound passes the float check at the
-   branch-and-bound tolerance and fails the exact certificate. *)
+(* A point a few millionths outside a bound fails the exact certificate,
+   which has no tolerance. *)
 let test_model_check_feasible_exact () =
   let m = M.create () in
   let x = M.add_var m ~ub:Q.one "x" in
@@ -88,8 +88,6 @@ let test_model_check_feasible_exact () =
   M.add_constr m (E.add (E.var x) (E.var n)) M.Le (E.of_int 3);
   let over = 1.0 +. 5e-6 in
   let at = function 0 -> over | _ -> 2.0 in
-  check int_t "float check at 1e-5 passes" 0
-    (List.length (M.check_feasible m ~tol:1e-5 at));
   let exact v = Q.of_float_approx (at v) in
   check (Alcotest.list str) "exact check flags bound and row" [ "c0"; "x:ub" ]
     (List.map fst (M.check_feasible_exact m exact));
@@ -880,11 +878,19 @@ let test_simplex_bounds_length () =
     (Invalid_argument "Simplex.solve_relaxation_float: bounds length") (fun () ->
       ignore (S.solve_relaxation_float ~bounds:[||] m))
 
-(* A pivot budget the kernel cannot meet is a typed abort, not [Failure]. *)
+(* A pivot budget the kernel cannot meet is a typed abort, not [Failure]:
+   Wyndor's standard form, slacks after [x] and [y] and the maximisation
+   negated, needs more than one pivot. *)
 let test_simplex_iteration_limit () =
-  let m, _, _ = wyndor () in
-  Alcotest.check_raises "typed abort" Lp.Tableau.Iteration_limit (fun () ->
-      ignore (S.solve_relaxation_float ~max_iters:1 m))
+  let module T = Lp.Tableau in
+  let cols =
+    T.columns ~b:[| 4.0; 12.0; 18.0 |] ~c:[| -3.0; -5.0; 0.0; 0.0; 0.0 |]
+      ~ubs:(Array.make 5 infinity)
+      [| [| (0, 1.0); (2, 3.0) |]; [| (1, 2.0); (2, 2.0) |]; [| (0, 1.0) |];
+         [| (1, 1.0) |]; [| (2, 1.0) |] |]
+  in
+  Alcotest.check_raises "typed abort" T.Iteration_limit (fun () ->
+      ignore (T.solve ~max_iters:1 cols))
 
 (* A singular basis is a typed kernel failure, never [Failure]. Columns 0
    and 1 are equal, so a snapshot that makes both basic cannot be
@@ -1465,6 +1471,28 @@ let five_var_lp () =
 let branchings changes =
   List.map (fun (v, (l, u)) -> (v, Q.of_int l, Some (Q.of_int u))) changes
 
+(* A model whose warm repair stalls: 150 variables in [0, 8] under rows
+   [x_i <= 1], maximising their sum, with every [x_i] basic at 1 in the
+   root's optimum. A node that fixes them all at 0 needs one dual pivot
+   per row, more than the 100 a warm repair on fewer than 400 rows may
+   take, so its re-solve falls back to a cold solve of the node, which
+   needs no pivot. [bounds] is as in five_var_lp. *)
+let stalling_lp () =
+  let n = 150 in
+  let m = M.create () in
+  let x =
+    Array.init n (fun i -> M.add_var m ~ub:(Q.of_int 8) (Printf.sprintf "x%d" i))
+  in
+  Array.iter (fun xi -> M.add_constr m (E.var xi) M.Le (E.of_int 1)) x;
+  M.set_objective m `Maximize (E.sum (Array.to_list (Array.map E.var x)));
+  let bounds changes =
+    Array.init n (fun i ->
+        match List.assoc_opt i changes with
+        | Some (l, u) -> (Q.of_int l, Some (Q.of_int u))
+        | None -> (M.var_lb m i, M.var_ub m i))
+  in
+  (m, bounds, List.init n (fun i -> (i, (0, 0))))
+
 (* A form of [m] and the warm start of its optimum. *)
 let warm_root m =
   let f = S.form m in
@@ -1500,21 +1528,22 @@ let test_unfixing_is_a_warm_hit () =
     check flt "x3 unfixed" 4.0 warm_r.values.(3)
   | _ -> Alcotest.fail "the node has an optimum"
 
-(* A warm start never carries one node into the next. One warm start
-   serves three nodes, each followed by the same warm re-solve: a node
-   whose warm re-solve runs out of its pivot budget after the kernel
-   shifted [x0] and unfixed [x3] (the solve falls back to a cold solve of
-   the node on the same form, which runs out too), a node stopped by a
-   deadline that has already passed (after the kernel shifted [x1] and its
-   rhs), and an ordinary node that shifts [x2]. Every follow-up must be a
-   warm hit with the bits of the same re-solve from a freshly prepared
-   form. The fallback translates nothing: it adds no row to
-   [lp.simplex.rows] and counts one cold solve. *)
+(* A warm start never carries one node into the next. One warm start of
+   stalling_lp serves three nodes, each followed by the same warm
+   re-solve: a node whose warm repair stalls (the solve falls back to a
+   cold solve of the node on the same form), a node stopped by a deadline
+   that has already passed (after the kernel shifted [x1] and its rhs),
+   and an ordinary node. Every follow-up must be a warm hit with the bits
+   of the same re-solve from a freshly prepared form. The fallback
+   translates nothing: it adds no row to [lp.simplex.rows] and counts one
+   cold solve. A fallback whose cold solve aborts is the kernel property
+   "a column store's workspace never leaks between solves". *)
 let test_warm_scratch_never_leaks () =
-  let m, _ = five_var_lp () in
+  let m, _, fix_all = stalling_lp () in
   let follow_up (f, warm) =
     let r, hits, _ =
-      counting_warm (fun () -> S.solve ~warm f (branchings [ (4, (1, 3)) ]))
+      counting_warm (fun () ->
+          S.solve ~warm f (branchings [ (4, (0, 0)); (7, (1, 3)) ]))
     in
     check int_t "follow-up is a warm hit" 1 hits;
     match r with
@@ -1529,16 +1558,15 @@ let test_warm_scratch_never_leaks () =
     check bool name true (same expected (follow_up (f, warm)))
   in
   after "after a fallback" (fun () ->
-      let unfix = branchings [ (0, (1, 5)); (3, (0, 4)) ] in
       let (), _, fallbacks =
         counting_warm (fun () ->
-            match S.solve ~max_iters:0 ~warm f unfix with
-            | exception Lp.Tableau.Iteration_limit ->
+            match S.solve ~warm f (branchings fix_all) with
+            | S.Optimal _ ->
               check int_t "no row translated" 0
                 (Telemetry.counter_value "lp.simplex.rows");
               check int_t "one cold solve" 1
                 (Telemetry.counter_value "lp.simplex.solves")
-            | _ -> Alcotest.fail "no pivot budget for a cold solve")
+            | S.Infeasible | S.Unbounded -> Alcotest.fail "the node has an optimum")
       in
       check int_t "the warm re-solve fell back" 1 fallbacks);
   after "after a deadline" (fun () ->
@@ -1546,25 +1574,23 @@ let test_warm_scratch_never_leaks () =
         S.solve
           ~deadline:(Telemetry.Clock.now_s () -. 1.0)
           ~warm f
-          (branchings [ (1, (2, 6)) ])
+          (branchings [ (1, (1, 6)) ])
       with
       | exception Lp.Tableau.Deadline_exceeded -> ()
       | _ -> Alcotest.fail "a passed deadline stops the node");
   after "after an ordinary node" (fun () ->
-      ignore (S.solve ~warm f (branchings [ (2, (1, 3)) ])))
+      ignore (S.solve ~warm f (branchings [ (2, (0, 0)) ])))
 
 (* A stale basis re-solves cold on the form it came from: nothing is
    translated, and the cold solve's basis warms the node's children. The
-   node fixes every variable the root's optimum holds basic at 0, so its
-   dual repair needs more than the one iteration a pivot budget of 1
-   allows and falls back, while its cold solve, with every column fixed,
+   node fixes every variable of stalling_lp at 0, so its dual repair
+   stalls and falls back, while its cold solve, with every column fixed,
    needs no pivot. Its child unfixes [x0] again (the newest bound wins)
    and must be a warm hit from the fallback's basis. Both must match a
    fresh translation of their bounds. *)
 let test_stale_basis_translates_nothing () =
-  let m, bounds = five_var_lp () in
+  let m, bounds, fixed = stalling_lp () in
   let f, warm = warm_root m in
-  let fixed = [ (0, (0, 0)); (1, (0, 0)); (2, (0, 0)); (4, (0, 0)) ] in
   let counted solve =
     let r = under_fresh_telemetry solve in
     let c = Telemetry.counter_value in
@@ -1582,7 +1608,7 @@ let test_stale_basis_translates_nothing () =
     | S.Infeasible | S.Unbounded -> Alcotest.fail "the node has an optimum"
   in
   let r, solves, fallbacks, _ =
-    counted (fun () -> S.solve ~max_iters:1 ~warm f (branchings fixed))
+    counted (fun () -> S.solve ~warm f (branchings fixed))
   in
   check int_t "one cold solve" 1 solves;
   check int_t "the warm re-solve fell back" 1 fallbacks;
@@ -1594,7 +1620,7 @@ let test_stale_basis_translates_nothing () =
   check int_t "no cold solve" 0 solves;
   check int_t "no fallback" 0 fallbacks;
   check int_t "a warm hit from the fallback's basis" 1 hits;
-  ignore (matches "child" [ (0, (0, 8)); (1, (0, 0)); (2, (0, 0)); (4, (0, 0)) ] r)
+  ignore (matches "child" child r)
 
 (* ---------- Presolve ---------- *)
 
@@ -1750,9 +1776,9 @@ let build_ilp (lbs, rows, obj, maximize) =
   m
 
 (* Exact optimum of a boxed ILP [m] by enumeration: every point of
-   arb_ilp's box [lb, lb + 6] per variable (at most 7^4) is checked in
-   rational arithmetic. [None] when no point is feasible. Objectives are
-   returned in natural sense. *)
+   [lb, lb + 6] per variable (at most 7^4; arb_ilp's box, and one that
+   holds arb_fractional_ilp's) is checked in rational arithmetic. [None]
+   when no point is feasible. Objectives are returned in natural sense. *)
 let brute_force_ilp m =
   let nvars = M.var_count m in
   let dir, obj = M.objective m in
@@ -1942,24 +1968,48 @@ let test_bb_minimize () =
   | Some obj -> check flt "minimum 15" 15.0 obj
   | None -> Alcotest.fail "no objective"
 
-(* The objective step applies only when every objective term is an integer
-   variable with an integer coefficient. Each model below maximises x + c y
-   with the optimum 3.5 at x = 3; seeded with x = 3, y = 0 (objective 3), a
-   step of 1 would prune the root, whose bound 3.5 is within 1 of it. *)
+(* The objective step applies only when every objective coefficient is an
+   integer. The model maximises x + y/2 with the optimum 3.5 at x = 3,
+   y = 1; seeded with x = 3, y = 0 (objective 3), a step of 1 would prune
+   the root, whose bound 3.5 is within 1 of it. *)
 let test_bb_objective_step_needs_integer_terms () =
-  let optimum kind ~ub ~coeff =
-    let m = M.create () in
-    let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 3) "x" in
-    let y = M.add_var m ~kind ~ub "y" in
-    M.set_objective m `Maximize (E.add (E.var x) (E.term coeff y));
-    match (BB.solve ~warm_start:[| 3.0; 0.0 |] m).BB.objective with
-    | Some obj -> obj
-    | None -> Alcotest.fail "no objective"
+  let m = M.create () in
+  let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 3) "x" in
+  let y = M.add_var m ~kind:M.Integer ~ub:Q.one "y" in
+  M.set_objective m `Maximize (E.add (E.var x) (E.term (Q.of_ints 1 2) y));
+  match (BB.solve ~warm_start:[| 3.0; 0.0 |] m).BB.objective with
+  | Some obj -> check flt "fractional coefficient" 3.5 obj
+  | None -> Alcotest.fail "no objective"
+
+(* The search is for pure-integer models: a continuous variable is
+   refused before anything is solved. *)
+let test_bb_rejects_continuous () =
+  let m = M.create () in
+  let x = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 3) "x" in
+  let y = M.add_var m ~ub:Q.one "y" in
+  M.set_objective m `Maximize (E.add (E.var x) (E.var y));
+  Alcotest.check_raises "continuous variable"
+    (Invalid_argument "Branch_bound.solve: continuous variable") (fun () ->
+      ignore (BB.solve m))
+
+(* A relaxation optimum that rounds to a point violating a row by 1e-6
+   is no answer: (2, 1) breaks 2 x0 + x1 <= 4999999/1000000 exactly, and
+   the optimum is (2, 0). *)
+let test_bb_rounding_must_certify () =
+  let m = M.create () in
+  let x0 = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 3) "x0" in
+  let x1 = M.add_var m ~kind:M.Integer ~ub:(Q.of_int 2) "x1" in
+  let row a b rhs =
+    M.add_constr m (E.add (E.term a x0) (E.term b x1)) M.Le (E.constant rhs)
   in
-  check flt "continuous variable" 3.5
-    (optimum M.Continuous ~ub:(Q.of_ints 1 2) ~coeff:Q.one);
-  check flt "fractional coefficient" 3.5
-    (optimum M.Integer ~ub:Q.one ~coeff:(Q.of_ints 1 2))
+  row Q.one (Q.of_ints 5 2) (Q.of_ints 17999999 3000000);
+  row Q.one (Q.of_ints 7 3) (Q.of_ints 14999999 3000000);
+  row (Q.of_int 2) Q.one (Q.of_ints 4999999 1000000);
+  M.set_objective m `Maximize (E.add (E.iterm 2 x0) (E.term (Q.of_ints 1 2) x1));
+  let r = BB.solve m in
+  check bool "optimal" true (r.BB.status = BB.Optimal);
+  check (Alcotest.option (Alcotest.array flt)) "values" (Some [| 2.0; 0.0 |]) r.BB.values;
+  check (Alcotest.option flt) "objective" (Some 4.0) r.BB.objective
 
 (* brute force 0/1 knapsack comparison *)
 let arb_knapsack =
@@ -2010,6 +2060,67 @@ let prop_bb_matches_brute_force =
       | Some obj ->
         Float.abs (obj -. float_of_int (brute_knapsack items capacity)) < 1e-6
       | None -> false)
+
+(* Random pure-integer models whose rows a float tolerance misjudges: 2-4
+   variables in [0, u] with u in 1..4, 1-3 rows [sum p/q x <= k - 1/(d 10^6)]
+   with p <= 7 and q <= 3, and a maximised objective of such fractions. A
+   rounding that breaks a row by a millionth passes a check at 1e-5. *)
+let arb_fractional_ilp =
+  let frac = QCheck.Gen.(pair (int_range 0 7) (int_range 1 3)) in
+  let gen =
+    QCheck.Gen.(
+      int_range 2 4 >>= fun nvars ->
+      list_size (return nvars) (int_range 1 4) >>= fun ubs ->
+      list_size (int_range 1 3)
+        (triple (list_size (return nvars) frac) (int_range 1 12) (int_range 1 3))
+      >>= fun rows ->
+      list_size (return nvars) frac >>= fun obj -> return (ubs, rows, obj))
+  in
+  let pp_fracs fs =
+    String.concat " + "
+      (List.mapi (fun i (p, q) -> Printf.sprintf "%d/%d x%d" p q i) fs)
+  in
+  QCheck.make gen ~print:(fun (ubs, rows, obj) ->
+      Printf.sprintf "ubs=%s; max %s; %s"
+        (String.concat "," (List.map string_of_int ubs))
+        (pp_fracs obj)
+        (String.concat "; "
+           (List.map
+              (fun (cs, k, d) -> Printf.sprintf "%s <= %d - 1/(%d 10^6)" (pp_fracs cs) k d)
+              rows)))
+
+let build_fractional_ilp (ubs, rows, obj) =
+  let m = M.create () in
+  let xs =
+    Array.of_list
+      (List.mapi
+         (fun i u -> M.add_var m ~kind:M.Integer ~ub:(Q.of_int u) (Printf.sprintf "x%d" i))
+         ubs)
+  in
+  let expr fs = E.sum (List.mapi (fun i (p, q) -> E.term (Q.of_ints p q) xs.(i)) fs) in
+  List.iter
+    (fun (cs, k, d) ->
+      M.add_constr m (expr cs) M.Le
+        (E.constant (Q.sub (Q.of_int k) (Q.of_ints 1 (d * 1_000_000)))))
+    rows;
+  M.set_objective m `Maximize (expr obj);
+  m
+
+(* Every answer is exact: the proved optimum is a point that satisfies
+   every row exactly, and its objective is brute force's. *)
+let prop_bb_exact_on_fractional_rows =
+  QCheck.Test.make ~name:"branch-and-bound optima satisfy fractional rows exactly"
+    ~count:300 arb_fractional_ilp (fun spec ->
+      let m = build_fractional_ilp spec in
+      let r = BB.solve m in
+      match (brute_force_ilp m, r.BB.status, r.BB.values, r.BB.objective) with
+      | None, BB.Infeasible, None, None -> true
+      | Some best, BB.Optimal, Some values, Some obj ->
+        let exact v = Q.of_float_approx values.(v) in
+        M.check_feasible_exact m exact = []
+        && Q.equal (E.eval exact (snd (M.objective m))) best
+        && obj = Q.to_float best
+      | _ -> false)
 
 (* Without a time limit the search never reads the clock to decide
    anything, so a node-budgeted run is bit-identical whether the clock is
@@ -2124,6 +2235,10 @@ let () =
           Alcotest.test_case "minimisation" `Quick test_bb_minimize;
           Alcotest.test_case "objective step needs integer terms" `Quick
             test_bb_objective_step_needs_integer_terms;
+          Alcotest.test_case "continuous variable rejected" `Quick
+            test_bb_rejects_continuous;
+          Alcotest.test_case "a rounding must certify" `Quick
+            test_bb_rounding_must_certify;
           Alcotest.test_case "root aborted: no gap" `Quick test_bb_root_aborted_gap;
           Alcotest.test_case "time limit: no deadline aborts" `Quick
             test_bb_time_limit_no_deadline_aborts;
@@ -2132,6 +2247,7 @@ let () =
         qsuite
           [
             prop_bb_matches_brute_force;
+            prop_bb_exact_on_fractional_rows;
             prop_bb_budget_independent_of_clock;
           ] );
     ]

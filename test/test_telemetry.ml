@@ -460,8 +460,7 @@ let ilp_config =
   }
 
 (* Every stage of an ILP layer solve outside the tree search has its own
-   span; the certificate and the extraction run only for an accepted ILP
-   schedule. *)
+   span; the extraction runs only for an accepted ILP schedule. *)
 let test_ilp_spans_recorded () =
   fresh ();
   ignore (Cohls.Synthesis.run ~config:ilp_config (tiny_indeterminate_assay ()));
@@ -478,7 +477,6 @@ let test_ilp_spans_recorded () =
       ("ilp.model.build", true);
       ("ilp.warm_start", true);
       ("lp.bb.solve", true);
-      ("ilp.certify", false);
       ("ilp.extract", false);
     ];
   Telemetry.disable ()
